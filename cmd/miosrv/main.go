@@ -29,10 +29,10 @@
 // checks) and degrades to certified [LB, UB] intervals when workers
 // die, flap, or answer from the wrong dataset generation.
 //
-// -shards and -batch are mutually exclusive: both want to own
-// /v1/query routing (scatter–gather vs epoch batching), and the server
-// refuses the combination. All flag combinations are validated before
-// the dataset is loaded, so a bad invocation fails in milliseconds.
+// At most one of -batch, -shards and -shards-at may be given: each
+// selects what answers /v1/query (server.Config.Validate). All flag
+// combinations are validated before the dataset is loaded, so a bad
+// invocation fails in milliseconds.
 //
 // With -autotune the engine knobs (-workers, -dims, the partitioning
 // strategies and the freeze threshold) are selected from a profile of
@@ -100,14 +100,14 @@ func main() {
 		batchOn  = flag.Bool("batch", false, "route /v1/query through epoch-driven batch execution (queries sharing ⌈r⌉ share one index build and cell walk)")
 		batchWin = flag.Duration("batch-window", 0, "batch epoch gather window (0 selects the default 2ms; needs -batch)")
 		batchMax = flag.Int("batch-max", 0, "seal a batch epoch early at this many queries (0 selects the default 128; needs -batch)")
-		shards   = flag.Int("shards", 0, "partition the dataset across this many shard engines behind a fault-tolerant scatter–gather coordinator (0 disables; incompatible with -batch)")
+		shards   = flag.Int("shards", 0, "partition the dataset across this many shard engines behind a fault-tolerant scatter–gather coordinator (0 disables)")
 		shardR   = flag.Float64("shard-max-r", 0, "replica horizon: largest r the shards answer exactly, larger radii fall back to the solo pool (0 selects 10; needs -shards)")
 		shardTO  = flag.Duration("shard-timeout", 0, "per-shard attempt deadline (0 selects 2s; needs -shards)")
 		shardTry = flag.Int("shard-retries", 0, "per-shard retry budget after a failed attempt (0 selects 1, negative disables; needs -shards)")
 		shardHdg = flag.Duration("shard-hedge", 0, "launch a speculative extra attempt against a straggling shard after this long (0 selects timeout/4, negative disables; needs -shards)")
 		shardSrv = flag.Bool("shard-serve", false, "run as one shard WORKER of a multi-process cluster: serve this shard's bound/verify phases plus /shardz (needs -shards for the partition count and -shard-index)")
 		shardIdx = flag.Int("shard-index", 0, "this worker's shard id in [0, shards) (needs -shard-serve)")
-		shardsAt = flag.String("shards-at", "", "run as the COORDINATOR of a multi-process cluster: comma-separated worker base URLs in shard-id order, e.g. http://h1:7001,http://h2:7001 (incompatible with -shards/-batch)")
+		shardsAt = flag.String("shards-at", "", "run as the COORDINATOR of a multi-process cluster: comma-separated worker base URLs in shard-id order, e.g. http://h1:7001,http://h2:7001")
 		shardPrb = flag.Duration("shard-probe", 0, "remote worker health-probe interval (0 selects 1s; needs -shards-at)")
 		autotune = flag.Bool("autotune", false, "profile the dataset and auto-select the engine knobs (conflicts with explicit -workers/-dims; -inflight/-batch-window/-batch-max are tuned only when unset)")
 	)
@@ -119,14 +119,12 @@ func main() {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	switch {
-	case *shards > 0 && *batchOn:
-		fatal("-shards and -batch are mutually exclusive (both own /v1/query routing)")
 	case (*batchWin != 0 || *batchMax != 0) && !*batchOn:
 		fatal("-batch-window/-batch-max require -batch")
 	case (*shardR != 0 || *shardTO != 0 || *shardTry != 0 || *shardHdg != 0) && *shards == 0 && *shardsAt == "":
 		fatal("-shard-max-r/-shard-timeout/-shard-retries/-shard-hedge require -shards or -shards-at")
 	case *shardSrv && *shardsAt != "":
-		fatal("-shard-serve and -shards-at are mutually exclusive (one process is a worker or a coordinator, not both)")
+		fatal("-shard-serve and -shards-at cannot be combined (one process is a worker or a coordinator, not both)")
 	case *shardSrv && *shards < 2:
 		fatal("-shard-serve requires -shards ≥ 2 (the cluster's total partition count)")
 	case *shardSrv && (*shardIdx < 0 || *shardIdx >= *shards):
@@ -135,10 +133,6 @@ func main() {
 		fatal("-shard-index requires -shard-serve")
 	case *shardSrv && (*batchOn || *swap || *stateDir != "" || *autotune):
 		fatal("-shard-serve is a bare shard worker: incompatible with -batch, -allow-swap, -state-dir, -autotune")
-	case *shardsAt != "" && *shards > 0:
-		fatal("-shards-at and -shards are mutually exclusive (remote vs in-process shards)")
-	case *shardsAt != "" && *batchOn:
-		fatal("-shards-at and -batch are mutually exclusive (both own /v1/query routing)")
 	case *shardPrb != 0 && *shardsAt == "":
 		fatal("-shard-probe requires -shards-at")
 	case *labelDir != "" && *stateDir != "":
@@ -157,6 +151,40 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "miosrv: FAULT INJECTION ARMED: %s\n", reg)
+	}
+
+	// The server config takes part in the up-front validation; its
+	// durable state is attached once the dataset is resolved.
+	cfg := server.Config{
+		MaxInFlight:        *inflight,
+		AdmissionWait:      *admWait,
+		QueryTimeout:       queryTimeout(*timeout),
+		CacheSize:          *cacheSz,
+		DisableCache:       *noCache,
+		DisableCoalesce:    *noCoal,
+		AllowSwap:          *swap,
+		Faults:             reg,
+		BatchExecution:     *batchOn,
+		BatchWindow:        *batchWin,
+		BatchMaxSize:       *batchMax,
+		Shards:             *shards,
+		ShardMaxR:          *shardR,
+		ShardTimeout:       *shardTO,
+		ShardRetries:       *shardTry,
+		ShardHedgeAfter:    *shardHdg,
+		ShardAddrs:         splitAddrs(*shardsAt),
+		ShardProbeInterval: *shardPrb,
+		AutoTune:           *autotune,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "miosrv: "+format+"\n", args...)
+		},
+	}
+	if *autotune && !explicit["inflight"] {
+		// Unset pool size: let the tuner pick it (pool-fill-cores).
+		cfg.MaxInFlight = 0
+	}
+	if err := cfg.Validate(); err != nil {
+		fatal(err)
 	}
 
 	// Resolve the served dataset. With -state-dir a committed generation
@@ -216,53 +244,47 @@ func main() {
 		}
 	}
 	if *shardSrv {
-		serveWorker(ds, opts, reg, *addr, *shardIdx, *shards, *shardR, *inflight)
+		// One shard worker. Its engine pool gets two slots per
+		// coordinator-side in-flight query (original + hedge), mirroring
+		// the in-process provisioning rule.
+		w, err := remote.NewWorker(ds, opts, remote.WorkerConfig{
+			Index:  *shardIdx,
+			Shards: *shards,
+			MaxR:   *shardR,
+			Pool:   2 * *inflight,
+			Faults: reg,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("miosrv: shard worker %d/%d serving %q on %s (generation %d)\n",
+			*shardIdx, *shards, ds.Name, *addr, w.Stamp().Generation)
+		serve(*addr, w.Handler(), w.Close)
 		return
 	}
 
-	cfg := server.Config{
-		MaxInFlight:        *inflight,
-		AdmissionWait:      *admWait,
-		QueryTimeout:       queryTimeout(*timeout),
-		CacheSize:          *cacheSz,
-		DisableCache:       *noCache,
-		DisableCoalesce:    *noCoal,
-		AllowSwap:          *swap,
-		State:              st,
-		Faults:             reg,
-		BatchExecution:     *batchOn,
-		BatchWindow:        *batchWin,
-		BatchMaxSize:       *batchMax,
-		Shards:             *shards,
-		ShardMaxR:          *shardR,
-		ShardTimeout:       *shardTO,
-		ShardRetries:       *shardTry,
-		ShardHedgeAfter:    *shardHdg,
-		ShardAddrs:         splitAddrs(*shardsAt),
-		ShardProbeInterval: *shardPrb,
-		AutoTune:           *autotune,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "miosrv: "+format+"\n", args...)
-		},
-	}
-	if *autotune && !explicit["inflight"] {
-		// Unset pool size: let the tuner pick it (pool-fill-cores).
-		cfg.MaxInFlight = 0
-	}
+	cfg.State = st
 	srv, err := server.New(ds, opts, cfg)
 	if err != nil {
 		fatal(err)
 	}
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
 	fmt.Printf("miosrv: serving %q (%d objects, %d points) on %s  "+
 		"(pool %d, cache %v, coalesce %v, batch %v, shards %d, autotune %v)\n",
 		ds.Name, ds.N(), ds.TotalPoints(), *addr, srv.MaxInFlight(), !*noCache, !*noCoal, *batchOn, *shards, *autotune)
+	serve(*addr, srv.Handler(), srv.Drain)
+}
 
+// serve runs handler on addr until SIGINT/SIGTERM, then calls drain
+// (the server waits out in-flight requests and answers later ones 503;
+// a worker abandons its paused bound phases) and shuts the listener
+// down gracefully.
+func serve(addr string, handler http.Handler, drain func()) {
+	httpSrv := &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 5 * time.Second,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)
@@ -276,7 +298,7 @@ func main() {
 	case <-ctx.Done():
 	}
 	fmt.Fprintln(os.Stderr, "miosrv: draining")
-	srv.Drain()
+	drain()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
@@ -284,49 +306,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "miosrv: bye")
-}
-
-// serveWorker runs the process as one shard worker: a Worker handler
-// on addr with graceful SIGINT/SIGTERM shutdown. The engine pool gets
-// two slots per coordinator-side in-flight query (original + hedge),
-// mirroring the in-process provisioning rule.
-func serveWorker(ds *data.Dataset, opts core.Options, reg *fault.Registry, addr string, index, shards int, maxR float64, inflight int) {
-	w, err := remote.NewWorker(ds, opts, remote.WorkerConfig{
-		Index:  index,
-		Shards: shards,
-		MaxR:   maxR,
-		Pool:   2 * inflight,
-		Faults: reg,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           w.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	st := w.Stamp()
-	fmt.Printf("miosrv: shard worker %d/%d serving %q on %s (generation %d)\n",
-		index, shards, ds.Name, addr, st.Generation)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	done := make(chan error, 1)
-	go func() { done <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-done:
-		fatal(err)
-	case <-ctx.Done():
-	}
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "miosrv: shutdown:", err)
-		os.Exit(1)
-	}
-	w.Close()
-	fmt.Fprintln(os.Stderr, "miosrv: worker bye")
 }
 
 // splitAddrs parses the -shards-at list, trimming whitespace and

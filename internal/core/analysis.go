@@ -25,19 +25,30 @@ func (e *Engine) InteractingSet(r float64, obj int) ([]int, error) {
 	return e.InteractingSetContext(context.Background(), r, obj)
 }
 
-// InteractingSetContext is InteractingSet with cancellation.
-func (e *Engine) InteractingSetContext(ctx context.Context, r float64, obj int) ([]int, error) {
-	if r <= 0 {
-		return nil, fmt.Errorf("core: distance threshold must be positive, got %g", r)
-	}
-	if obj < 0 || obj >= e.ds.N() {
-		return nil, fmt.Errorf("core: object %d out of range [0, %d)", obj, e.ds.N())
+// mappedQuery validates r and returns a query with its BIGrid built:
+// the common start of the entry points that score objects directly,
+// with no bounding phases.
+func (e *Engine) mappedQuery(ctx context.Context, r float64) (*query, error) {
+	if err := e.validate(r, 1); err != nil {
+		return nil, err
 	}
 	q := newQuery(e, r, 1)
 	q.ctx = ctx
 	q.gridMapping()
 	if q.cancelled() {
 		return nil, ctx.Err()
+	}
+	return q, nil
+}
+
+// InteractingSetContext is InteractingSet with cancellation.
+func (e *Engine) InteractingSetContext(ctx context.Context, r float64, obj int) ([]int, error) {
+	if obj < 0 || obj >= e.ds.N() {
+		return nil, fmt.Errorf("core: object %d out of range [0, %d)", obj, e.ds.N())
+	}
+	q, err := e.mappedQuery(ctx, r)
+	if err != nil {
+		return nil, err
 	}
 	bOi := bitmap.NewScratch(q.n)
 	mask := bitmap.NewScratch(q.n)
@@ -68,34 +79,16 @@ func (e *Engine) AllScores(r float64) ([]int, error) {
 // AllScoresContext is AllScores with cancellation: the full scoring
 // loop checks ctx between objects.
 func (e *Engine) AllScoresContext(ctx context.Context, r float64) ([]int, error) {
-	if r <= 0 {
-		return nil, fmt.Errorf("core: distance threshold must be positive, got %g", r)
-	}
-	q := newQuery(e, r, 1)
-	q.ctx = ctx
-	q.gridMapping()
-	if q.cancelled() {
-		return nil, ctx.Err()
+	q, err := e.mappedQuery(ctx, r)
+	if err != nil {
+		return nil, err
 	}
 	scores := make([]int, q.n)
-	if t := e.opts.workers(); t > 1 {
-		for i := 0; i < q.n; i++ {
-			if q.cancelled() {
-				return nil, ctx.Err()
-			}
-			scores[i] = q.parallelExactScore(i)
-		}
-		return scores, nil
-	}
-	bOi := bitmap.NewScratch(q.n)
-	mask := bitmap.NewScratch(q.n)
-	ctr := ctrSet{}
-	var neigh [27]grid.Key
-	for i := 0; i < q.n; i++ {
+	for i := range scores {
 		if q.cancelled() {
 			return nil, ctx.Err()
 		}
-		scores[i] = q.exactScore(i, bOi, mask, neigh[:0], &ctr)
+		scores[i] = q.exact(i)
 	}
 	return scores, nil
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mio/internal/core/labelstore"
@@ -90,40 +89,23 @@ func (e *Engine) RunGroup(ctx context.Context, specs []GroupSpec) ([]GroupOutcom
 		outs:  make([]GroupOutcome, len(specs)),
 		done:  make([]bool, len(specs)),
 		dead:  make([]bool, len(specs)),
+		live:  len(specs),
 	}
 	copy(g.specs, specs)
 	g.rep.Members = len(specs)
-	if len(specs) == 0 {
-		return g.outs, g.rep
-	}
-	// Spec validation happens before the live count exists, so rejects
-	// set the outcome directly instead of going through fail().
-	reject := func(i int, err error) {
-		g.outs[i] = GroupOutcome{Err: err}
-		g.done[i] = true
-		g.dead[i] = true
-	}
 	for i := range g.specs {
 		sp := &g.specs[i]
-		switch {
-		case sp.R <= 0:
-			reject(i, fmt.Errorf("core: distance threshold must be positive, got %g", sp.R))
-			continue
-		case sp.K < 1:
-			reject(i, fmt.Errorf("core: k must be at least 1, got %d", sp.K))
+		if err := e.validate(sp.R, sp.K); err != nil {
+			g.fail(i, err)
 			continue
 		}
-		if sp.K > g.n {
-			sp.K = g.n
-		}
+		sp.K = min(sp.K, g.n)
 		ceil := int(math.Ceil(sp.R))
 		if g.ceil == 0 {
 			g.ceil = ceil
 		} else if ceil != g.ceil {
-			reject(i, fmt.Errorf("core: group member ⌈r⌉=%d does not match the group's ⌈r⌉=%d", ceil, g.ceil))
-			continue
+			g.fail(i, fmt.Errorf("core: group member ⌈r⌉=%d does not match the group's ⌈r⌉=%d", ceil, g.ceil))
 		}
-		g.live++
 	}
 	if g.live > 0 {
 		g.run()
@@ -234,12 +216,7 @@ func (g *groupRun) failMembers(members []int, err error) {
 
 func (g *groupRun) failAllLive(err error) {
 	for i := range g.specs {
-		g.mu.Lock()
-		doneOrDead := g.done[i]
-		g.mu.Unlock()
-		if !doneOrDead {
-			g.fail(i, err)
-		}
+		g.fail(i, err) // a no-op for members already answered
 	}
 }
 
@@ -282,13 +259,22 @@ func (g *groupRun) membersAllDead(members []int) bool {
 	return true
 }
 
-// errFor returns the context error a detached member should see.
-func (g *groupRun) errFor(i int) error {
+// ctxErr returns the context error member i has run into — its own
+// context's, else the group's — or nil while both are live.
+func (g *groupRun) ctxErr(i int) error {
 	if c := g.specs[i].Ctx; c != nil && c.Err() != nil {
 		return c.Err()
 	}
-	if g.ctx != nil && g.ctx.Err() != nil {
+	if g.ctx != nil {
 		return g.ctx.Err()
+	}
+	return nil
+}
+
+// errFor returns the context error a detached member should see.
+func (g *groupRun) errFor(i int) error {
+	if err := g.ctxErr(i); err != nil {
+		return err
 	}
 	return context.Canceled
 }
@@ -319,19 +305,13 @@ func (g *groupRun) run() {
 		g.failAllLive(err)
 		return
 	}
-	if store := g.e.opts.Labels; store != nil {
-		t0 := time.Now()
-		if l, ok := store.Get(g.ceil); ok {
-			g.labels = l
-		} else if !g.e.opts.DisableCollect {
-			counts := make([]int, g.n)
-			for i := range g.e.ds.Objects {
-				counts[i] = len(g.e.ds.Objects[i].Pts)
-			}
-			g.newLabels = labelstore.NewLabels(counts)
-		}
-		g.labelDur = time.Since(t0)
+	// Labeling-3 bits are valid at one exact r; a set collected over
+	// several r-plans records none.
+	collectR := 0.0
+	if len(g.rPlans) == 1 {
+		collectR = g.rPlans[0].r
 	}
+	g.labels, g.newLabels, g.labelDur = g.e.labelInput(g.ceil, collectR)
 
 	// Grid mapping: one pass over the objects fills the shared large
 	// grid and one small grid per distinct exact r.
@@ -447,10 +427,8 @@ func (g *groupRun) run() {
 			complete = false
 		}
 	}
-	if complete && g.newLabels != nil {
-		if err := g.e.opts.Labels.Put(g.ceil, g.newLabels); err != nil {
-			g.persistFailed = true
-		}
+	if complete {
+		g.persistFailed = g.e.publishLabels(g.ceil, g.newLabels)
 	}
 
 	g.assemble()
@@ -505,86 +483,22 @@ func (g *groupRun) setupPlans() {
 	}
 }
 
-// groupPart is one worker's partial grids: the shared large grid plus
-// one small grid per r-plan, same order as g.rPlans.
-type groupPart struct {
-	smalls []*grid.SmallGrid
-	large  *grid.LargeGrid
-}
-
-func (g *groupRun) skipPoint(obj, pt int) bool {
-	return g.labels != nil && g.labels.Get(obj, pt)&labelstore.BitMapped == 0
-}
-
 // buildIndex runs the shared grid-mapping pass: one sweep over the
-// objects (parallelised over point-count-balanced ranges exactly like
-// parallelGridMapping) populates every grid at once.
+// objects (mapGrids) populates the shared large grid and one small
+// grid per r-plan.
 func (g *groupRun) buildIndex() {
-	t := g.e.opts.workers()
-	weights := make([]int, g.n)
-	for i := range g.e.ds.Objects {
-		weights[i] = len(g.e.ds.Objects[i].Pts)
-	}
-	ranges := parallel.Ranges(weights, t)
-	parts := make([]*groupPart, len(ranges))
-	var broke atomic.Bool
-	parallel.Run(len(ranges), func(w int) {
-		parts[w] = g.buildGroupRange(ranges[w][0], ranges[w][1], &broke)
-	})
-
-	base := parts[0]
-	for _, p := range parts[1:] {
-		base.large.MergeFrom(p.large)
-		for si := range base.smalls {
-			base.smalls[si].MergeFrom(p.smalls[si])
-		}
-	}
-	g.large = base.large
-	g.groups = make([][]pointGroup, g.n)
-	deriveGroups(g.large, g.groups)
+	rs := make([]float64, len(g.rPlans))
 	for si, rp := range g.rPlans {
-		small := base.smalls[si]
-		rp.q.idx = &bigrid{
-			small:    small,
-			large:    g.large,
-			keyLists: deriveKeyLists(small, g.n),
-			groups:   g.groups,
-		}
+		rs[si] = rp.r
+	}
+	smalls, large, complete := g.e.mapGrids(rs, g.labels, g.aborted)
+	g.large, g.gmBroke = large, !complete
+	g.groups = deriveGroups(g.large, g.n)
+	for si, rp := range g.rPlans {
+		rp.q.idx = mergedBigrid(smalls[si], g.large, g.groups)
 		rp.q.labels = g.labels
 		rp.q.newLabels = g.newLabels
 	}
-	g.gmBroke = broke.Load()
-}
-
-// buildGroupRange mirrors query.buildRange over [lo, hi): the same
-// object sweep, polling, and label filter, writing each point into
-// every small grid plus the shared large grid.
-func (g *groupRun) buildGroupRange(lo, hi int, broke *atomic.Bool) *groupPart {
-	dims := g.e.opts.dims()
-	p := &groupPart{
-		smalls: make([]*grid.SmallGrid, len(g.rPlans)),
-		large:  grid.NewLargeGrid(grid.LargeWidth(g.rPlans[0].r), g.n),
-	}
-	for si, rp := range g.rPlans {
-		p.smalls[si] = grid.NewSmallGrid(grid.SmallWidth(rp.r, dims))
-	}
-	for i := lo; i < hi; i++ {
-		if i&127 == 127 && g.aborted() {
-			broke.Store(true)
-			break
-		}
-		obj := &g.e.ds.Objects[i]
-		for j, pt := range obj.Pts {
-			if g.skipPoint(i, j) {
-				continue
-			}
-			for _, sg := range p.smalls {
-				sg.Add(i, pt)
-			}
-			p.large.Add(i, j, pt)
-		}
-	}
-	return p
 }
 
 // buildPlanQueries materialises the per-plan query carriers after the
@@ -692,19 +606,12 @@ func (g *groupRun) assemble() {
 	}
 }
 
-func (g *groupRun) memberExpired(i int) bool {
-	if c := g.specs[i].Ctx; c != nil && c.Err() != nil {
-		return true
-	}
-	return g.ctx != nil && g.ctx.Err() != nil
-}
-
 func (g *groupRun) memberOutcome(i int) GroupOutcome {
 	if g.deadAtStart[i] {
 		return GroupOutcome{Err: g.specs[i].Ctx.Err()}
 	}
 	pl := g.memberPlan[i]
-	if pl != nil && pl.ranFull && !g.memberExpired(i) {
+	if pl != nil && pl.ranFull && g.ctxErr(i) == nil {
 		return GroupOutcome{Result: g.planResult(pl)}
 	}
 	res, err := g.memberDegraded(i, pl)
@@ -777,9 +684,7 @@ func (g *groupRun) memberDegraded(i int, pl *plan) (*Result, error) {
 		return nil, g.errFor(i)
 	}
 	qd.degradeOK = true
-	if g.gmBroke {
-		qd.gmBroke.Store(true)
-	}
+	qd.gmBroke = g.gmBroke
 	qd.idx = rp.q.idx
 	qd.labels = g.labels
 	qd.lbDone = rp.q.lbDone

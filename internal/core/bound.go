@@ -3,10 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
-
-	"mio/internal/core/labelstore"
-	"mio/internal/fault"
 )
 
 // This file implements the split-phase entry point used by the sharded
@@ -30,9 +26,6 @@ import (
 // engine itself) and must be finished with Complete or dropped.
 type BoundSet struct {
 	q *query
-	// threshold is the restricted k-th highest τ^low — the local
-	// verification threshold before the coordinator's floor merges in.
-	threshold int
 }
 
 // Bound runs the pipeline through upper-bounding and pauses. allowed,
@@ -42,77 +35,26 @@ type BoundSet struct {
 // the caller owns degradation policy (it still holds the bounds of
 // every shard that did answer).
 func (e *Engine) Bound(ctx context.Context, r float64, k int, allowed []bool) (*BoundSet, error) {
-	if r <= 0 {
-		return nil, fmt.Errorf("core: distance threshold must be positive, got %g", r)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be at least 1, got %d", k)
+	if err := e.validate(r, k); err != nil {
+		return nil, err
 	}
 	n := e.ds.N()
 	if allowed != nil && len(allowed) != n {
 		return nil, fmt.Errorf("core: restrict mask has %d entries for %d objects", len(allowed), n)
 	}
-	if max := countAllowed(allowed, n); k > max {
-		k = max
-	}
+	k = min(k, countAllowed(allowed, n))
 	if k == 0 {
 		return nil, fmt.Errorf("core: restrict mask allows no objects")
 	}
 	q := newQuery(e, r, k)
 	q.ctx = ctx
 	q.restrict = allowed
-
-	if err := q.fire(fault.PointLabelInput); err != nil {
+	// degradeOK is off, so an expiry comes back as ctx.Err(), never as a
+	// degraded Result.
+	if _, err := q.bound(); err != nil {
 		return nil, err
 	}
-	if store := e.opts.Labels; store != nil {
-		t0 := time.Now()
-		if l, ok := store.Get(q.ceilR()); ok {
-			q.labels = l
-			q.stats.UsedLabels = true
-			q.stats.LabelBytes = l.SizeBytes()
-		} else if !e.opts.DisableCollect {
-			counts := make([]int, q.n)
-			for i := range e.ds.Objects {
-				counts[i] = len(e.ds.Objects[i].Pts)
-			}
-			q.newLabels = labelstore.NewLabels(counts)
-		}
-		q.stats.LabelInput = time.Since(t0)
-	}
-
-	if err := q.fire(fault.PointGridMapping); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	q.gridMapping()
-	q.stats.GridMapping = time.Since(t0)
-	q.stats.SmallCells = q.idx.small.Len()
-	q.stats.LargeCells = q.idx.large.Len()
-	if q.cancelled() {
-		return nil, q.ctx.Err()
-	}
-
-	if err := q.fire(fault.PointLowerBounding); err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	threshold := q.lowerBounding()
-	q.stats.LowerBounding = time.Since(t0)
-	if q.cancelled() {
-		return nil, q.ctx.Err()
-	}
-
-	if err := q.fire(fault.PointUpperBounding); err != nil {
-		return nil, err
-	}
-	t0 = time.Now()
-	q.computeUpperBounds()
-	q.stats.UpperBounding = time.Since(t0)
-	if q.cancelled() {
-		return nil, q.ctx.Err()
-	}
-	return &BoundSet{q: q, threshold: threshold}, nil
+	return &BoundSet{q: q}, nil
 }
 
 // countAllowed returns the number of reportable objects.
@@ -165,43 +107,12 @@ func (b *BoundSet) MaxUB() int {
 // computed.
 func (b *BoundSet) Stats() PhaseStats { return b.q.stats }
 
-// Complete resumes the paused query: candidates are assembled against
-// max(local threshold, floor), verified best-first with the Corollary 1
-// cut, and the result finalised exactly as a solo run would — collected
-// labels are published as a side effect. floor must be a sound global
-// threshold (at least k objects anywhere score ≥ floor); raising the
-// threshold never changes the answer for objects that belong in the
+// Complete resumes the paused query under ctx (query.complete): the
+// result is finalised exactly as a solo run would — collected labels
+// are published as a side effect. Raising the threshold to a sound
+// global floor never changes the answer for objects that belong in the
 // global top-k, it only skips verifying locals that provably do not.
 func (b *BoundSet) Complete(ctx context.Context, floor int) (*Result, error) {
-	q := b.q
-	q.ctx = ctx
-	threshold := b.threshold
-	if floor > threshold {
-		threshold = floor
-	}
-	cand := q.assembleCandidates(threshold)
-	q.stats.Candidates = len(cand)
-	if q.cancelled() {
-		return nil, q.ctx.Err()
-	}
-	if err := q.fire(fault.PointVerification); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	topk := q.verification(cand)
-	q.stats.Verification = time.Since(t0)
-	if q.cancelled() {
-		return nil, q.ctx.Err()
-	}
-	q.finishGridStats()
-	if q.newLabels != nil {
-		if err := q.e.opts.Labels.Put(q.ceilR(), q.newLabels); err != nil {
-			q.stats.LabelPersistFailed = true
-		}
-	}
-	res := &Result{TopK: topk, Stats: q.stats}
-	if len(topk) > 0 {
-		res.Best = topk[0]
-	}
-	return res, nil
+	b.q.ctx = ctx
+	return b.q.complete(floor)
 }

@@ -108,15 +108,10 @@ type candidate struct {
 	tauUpp int32
 }
 
-// upperBounding implements UPPER-BOUNDING(O, r, τ^low_max)
-// (Algorithm 5) and its WITH-LABEL variant. It returns O_cand sorted by
-// descending upper bound.
-func (q *query) upperBounding(threshold int) []candidate {
-	q.computeUpperBounds()
-	return q.assembleCandidates(threshold)
-}
-
-// computeUpperBounds fills q.tauUpp (Lemma 2). τ^upp is a function of
+// computeUpperBounds is the bound-computing half of UPPER-BOUNDING(O,
+// r, τ^low_max) (Algorithm 5) and its WITH-LABEL variant;
+// assembleCandidates is the other. It fills q.tauUpp (Lemma 2). τ^upp is
+// a function of
 // the large grid and the labels alone — both determined by ⌈r⌉, not
 // the exact r — so group runs (batch.go) execute this once per
 // shared-⌈r⌉ group and share the vector across every member.

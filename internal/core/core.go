@@ -10,13 +10,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
 	"mio/internal/core/labelstore"
 	"mio/internal/data"
 	"mio/internal/fault"
+	"mio/internal/grid"
 )
 
 // LBStrategy selects the parallel lower-bounding partitioning of §IV.
@@ -212,6 +215,9 @@ type Result struct {
 type Engine struct {
 	ds   *data.Dataset
 	opts Options
+	// maxAbs is the largest |coordinate| in ds; validate holds every r
+	// against it. A Pool scans for it once and copies it to every slot.
+	maxAbs float64
 }
 
 // NewEngine returns an engine over ds. The dataset must satisfy
@@ -226,7 +232,43 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 	if opts.Dims != 0 && opts.Dims != 2 && opts.Dims != 3 {
 		return nil, fmt.Errorf("core: invalid Dims %d (want 2 or 3)", opts.Dims)
 	}
-	return &Engine{ds: ds, opts: opts}, nil
+	e := &Engine{ds: ds, opts: opts}
+	for i := range ds.Objects {
+		for _, p := range ds.Objects[i].Pts {
+			// Plain comparisons: engines are built per query by one-shot
+			// callers, and the NaN-aware builtin max measured 4x this.
+			for _, c := range [...]float64{p.X, p.Y, p.Z} {
+				if c = math.Abs(c); c > e.maxAbs {
+					e.maxAbs = c
+				}
+			}
+		}
+	}
+	return e, nil
+}
+
+// ErrInvalidQuery marks a query the engine refuses for its parameters:
+// the caller's mistake, not a fault of the engine, shard or worker that
+// reported it, so serving layers answer 400 and charge no breaker.
+var ErrInvalidQuery = errors.New("core: invalid query")
+
+// validate rejects, with an ErrInvalidQuery, a query this engine cannot
+// answer: a non-positive (or NaN) r or k, or an r so small against the
+// dataset's extent that the cell coordinates floor(p/width) and their
+// ±1 neighbours leave int32 — grid.KeyFor would wrap silently and
+// distant points would share cells. The small grid has the narrower
+// cells, so it sets the limit.
+func (e *Engine) validate(r float64, k int) error {
+	if !(r > 0) {
+		return fmt.Errorf("%w: distance threshold must be positive, got %g", ErrInvalidQuery, r)
+	}
+	if k < 1 {
+		return fmt.Errorf("%w: k must be at least 1, got %d", ErrInvalidQuery, k)
+	}
+	if e.maxAbs/grid.SmallWidth(r, e.opts.dims()) >= math.MaxInt32 {
+		return fmt.Errorf("%w: r=%g is too small for coordinates up to ±%g: cell keys would overflow int32", ErrInvalidQuery, r, e.maxAbs)
+	}
+	return nil
 }
 
 // Dataset returns the engine's dataset.
@@ -269,16 +311,10 @@ func (e *Engine) RunTopKDegradedContext(ctx context.Context, r float64, k int) (
 }
 
 func (e *Engine) runTopK(ctx context.Context, r float64, k int, degrade bool) (*Result, error) {
-	if r <= 0 {
-		return nil, fmt.Errorf("core: distance threshold must be positive, got %g", r)
+	if err := e.validate(r, k); err != nil {
+		return nil, err
 	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be at least 1, got %d", k)
-	}
-	if k > e.ds.N() {
-		k = e.ds.N()
-	}
-	q := newQuery(e, r, k)
+	q := newQuery(e, r, min(k, e.ds.N()))
 	q.ctx = ctx
 	q.degradeOK = degrade
 	return q.run()

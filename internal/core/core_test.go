@@ -111,7 +111,7 @@ func TestEngineBoundsSandwichExactScores(t *testing.T) {
 			q := newQuery(eng, r, 1)
 			q.gridMapping()
 			q.lowerBounding()
-			q.upperBounding(0)
+			q.computeUpperBounds()
 			for i, exact := range oracle {
 				if int(q.tauLow[i]) > exact {
 					t.Fatalf("%s r=%g obj %d: lower bound %d > exact %d", name, r, i, q.tauLow[i], exact)
@@ -295,7 +295,7 @@ func TestEngine2D(t *testing.T) {
 	q := newQuery(eng2, r, 1)
 	q.gridMapping()
 	q.lowerBounding()
-	q.upperBounding(0)
+	q.computeUpperBounds()
 	for i, exact := range oracle {
 		if int(q.tauLow[i]) > exact || int(q.tauUpp[i]) < exact {
 			t.Fatalf("obj %d: bounds [%d,%d] miss exact %d", i, q.tauLow[i], q.tauUpp[i], exact)

@@ -21,7 +21,7 @@ package core
 // truncated, leaving bounds computed over a partial grid), no sound
 // bound exists and the caller gets the plain context error.
 func (q *query) degraded(top []Scored) (*Result, error) {
-	if !q.degradeOK || q.gmBroke.Load() || !q.lbDone {
+	if !q.degradeOK || q.gmBroke || !q.lbDone {
 		return nil, q.ctx.Err()
 	}
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mio/internal/bitmap"
@@ -66,7 +65,7 @@ type query struct {
 	idx *bigrid
 
 	// Labels loaded for ⌈r⌉ (nil when none) and labels being collected
-	// (nil when not collecting).
+	// (nil when not collecting); see Engine.labelInput.
 	labels    *labelstore.Labels
 	newLabels *labelstore.Labels
 
@@ -77,6 +76,9 @@ type query struct {
 
 	tauLow []int32
 	tauUpp []int32
+	// threshold is the k-th highest τ^low among reportable objects: the
+	// query's own verification threshold, before any floor merges in.
+	threshold int
 
 	// restrict, when non-nil, limits which objects may be *answers*:
 	// kthHighest, assembleCandidates and degraded() only consider
@@ -87,10 +89,13 @@ type query struct {
 	// are never double-reported.
 	restrict []bool
 
-	// Per-worker scratch bitsets for parallel verification, allocated
-	// lazily on the first verified candidate. vShare[w] is worker w's
+	// Scratch bitsets for serial exact scoring (see exact), then the
+	// per-worker ones for parallel verification, all allocated lazily on
+	// the first verified candidate. vShare[w] is worker w's
 	// object share {j : j mod t == w}, constant for the whole query;
 	// vPts is the reusable label-filtered point-sequence buffer.
+	sBOi   *bitmap.Scratch
+	sMask  *bitmap.Scratch
 	vBOi   []*bitmap.Scratch
 	vMask  []*bitmap.Scratch
 	vShare []*bitmap.Scratch
@@ -119,7 +124,7 @@ type query struct {
 	// vectors are never certified); trunc captures a verification
 	// candidate whose exact-score loop was cut short mid-object.
 	degradeOK bool
-	gmBroke   atomic.Bool // written by parallel grid-mapping workers
+	gmBroke   bool
 	lbDone    bool
 	ubDone    bool
 	trunc     *truncCand
@@ -174,25 +179,60 @@ func (q *query) fire(point string) error {
 
 // run executes the framework of Algorithm 2.
 func (q *query) run() (*Result, error) {
-	// Label input (§III-D): O(1) existence check, then the O(nm/B)
-	// load, both timed as the paper's "Label-Input" row.
+	if res, err := q.bound(); res != nil || err != nil {
+		return res, err
+	}
+	return q.complete(0)
+}
+
+// labelInput is Algorithm 2's first step (§III-D) for a query or group
+// with label key ceil: an O(1) existence check, then either the
+// O(nm/B) load of a stored set (use) or, when collection is on, a fresh
+// all-ones set to fill in (collect), stamped with the exact r its
+// Labeling-3 bits will be valid for (0: several r share the set). dur is
+// what the paper's "Label-Input" row times.
+func (e *Engine) labelInput(ceil int, r float64) (use, collect *labelstore.Labels, dur time.Duration) {
+	store := e.opts.Labels
+	if store == nil {
+		return nil, nil, 0
+	}
+	t0 := time.Now()
+	if l, ok := store.Get(ceil); ok {
+		use = l
+	} else if !e.opts.DisableCollect {
+		collect = labelstore.NewLabels(objectPointWeights(e.ds))
+		collect.R = r
+	}
+	return use, collect, time.Since(t0)
+}
+
+// publishLabels is the post-processing step (§III-D "labels are
+// outputted in post-processing"). Labels are a reusable cache, not
+// part of the answer: a failed persist (disk full, injected IO fault)
+// is reported in the stats but must not fail an exact query. The store
+// keeps the set in memory either way, so this process stays warm; only
+// a restart loses the work.
+func (e *Engine) publishLabels(ceil int, l *labelstore.Labels) (persistFailed bool) {
+	if l == nil {
+		return false
+	}
+	return e.opts.Labels.Put(ceil, l) != nil
+}
+
+// bound runs label input, grid mapping, lower bounding and upper
+// bounding, leaving tauLow, tauUpp and threshold set. It returns
+// (nil, nil) when all four completed and the query can go on to
+// complete; otherwise the query ends here with what it returns: an
+// injected fault, or — the context having expired — whatever degraded
+// makes of the phases that did finish.
+func (q *query) bound() (*Result, error) {
 	if err := q.fire(fault.PointLabelInput); err != nil {
 		return nil, err
 	}
-	if store := q.e.opts.Labels; store != nil {
-		t0 := time.Now()
-		if l, ok := store.Get(q.ceilR()); ok {
-			q.labels = l
-			q.stats.UsedLabels = true
-			q.stats.LabelBytes = l.SizeBytes()
-		} else if !q.e.opts.DisableCollect {
-			counts := make([]int, q.n)
-			for i := range q.e.ds.Objects {
-				counts[i] = len(q.e.ds.Objects[i].Pts)
-			}
-			q.newLabels = labelstore.NewLabels(counts)
-		}
-		q.stats.LabelInput = time.Since(t0)
+	q.labels, q.newLabels, q.stats.LabelInput = q.e.labelInput(q.ceilR(), q.r)
+	if q.labels != nil {
+		q.stats.UsedLabels = true
+		q.stats.LabelBytes = q.labels.SizeBytes()
 	}
 
 	if err := q.fire(fault.PointGridMapping); err != nil {
@@ -204,15 +244,15 @@ func (q *query) run() (*Result, error) {
 	q.stats.SmallCells = q.idx.small.Len()
 	q.stats.LargeCells = q.idx.large.Len()
 	if q.cancelled() {
-		// No bound vector exists yet, so no degradation is possible.
-		return nil, q.ctx.Err()
+		// No bound vector exists yet, so degraded can only decline.
+		return q.degraded(nil)
 	}
 
 	if err := q.fire(fault.PointLowerBounding); err != nil {
 		return nil, err
 	}
 	t0 = time.Now()
-	threshold := q.lowerBounding()
+	q.threshold = q.lowerBounding()
 	q.stats.LowerBounding = time.Since(t0)
 	if q.cancelled() {
 		return q.degraded(nil)
@@ -222,8 +262,23 @@ func (q *query) run() (*Result, error) {
 		return nil, err
 	}
 	t0 = time.Now()
-	cand := q.upperBounding(threshold)
+	q.computeUpperBounds()
 	q.stats.UpperBounding = time.Since(t0)
+	if q.cancelled() {
+		return q.degraded(nil)
+	}
+	return nil, nil
+}
+
+// complete finishes a bounded query: candidates are assembled against
+// max(threshold, floor), verified best-first with the Corollary 1 cut,
+// and collected labels are published. floor must be a sound threshold
+// (at least k reportable objects anywhere score ≥ floor); 0 asks for
+// the query's own.
+func (q *query) complete(floor int) (*Result, error) {
+	t0 := time.Now()
+	cand := q.assembleCandidates(max(q.threshold, floor))
+	q.stats.UpperBounding += time.Since(t0)
 	q.stats.Candidates = len(cand)
 	if q.cancelled() {
 		return q.degraded(nil)
@@ -240,19 +295,7 @@ func (q *query) run() (*Result, error) {
 	}
 
 	q.finishGridStats()
-
-	// Post-processing: publish collected labels (§III-D "labels are
-	// outputted in post-processing"). Labels are a reusable cache, not
-	// part of the answer: a failed persist (disk full, injected IO
-	// fault) is reported in the stats but must not fail an exact
-	// query. The store keeps the set in memory either way, so this
-	// process stays warm; only a restart loses the work.
-	if q.newLabels != nil {
-		if err := q.e.opts.Labels.Put(q.ceilR(), q.newLabels); err != nil {
-			q.stats.LabelPersistFailed = true
-		}
-	}
-
+	q.stats.LabelPersistFailed = q.e.publishLabels(q.ceilR(), q.newLabels)
 	res := &Result{TopK: topk, Stats: q.stats}
 	if len(topk) > 0 {
 		res.Best = topk[0]
@@ -269,10 +312,10 @@ func (q *query) finishGridStats() {
 	q.stats.LargeGridBytes = q.idx.large.SizeBytes()
 }
 
-// skipPoint reports whether loaded labels prune point pt of object obj
-// entirely (label 0**, Lemma 3).
-func (q *query) skipPoint(obj, pt int) bool {
-	return q.labels != nil && q.labels.Get(obj, pt)&labelstore.BitMapped == 0
+// pruned reports whether labels prune point pt of object obj entirely
+// (label 0**, Lemma 3).
+func pruned(labels *labelstore.Labels, obj, pt int) bool {
+	return labels != nil && labels.Get(obj, pt)&labelstore.BitMapped == 0
 }
 
 // gridMapping implements GRID-MAPPING(O, r) (Algorithm 3) and its
@@ -280,9 +323,11 @@ func (q *query) skipPoint(obj, pt int) bool {
 // configured.
 func (q *query) gridMapping() {
 	if q.e.opts.workers() > 1 {
-		q.parallelGridMapping()
+		smalls, large, complete := q.e.mapGrids([]float64{q.r}, q.labels, q.cancelled)
+		q.idx = mergedBigrid(smalls[0], large, deriveGroups(large, q.n))
+		q.gmBroke = !complete
 	} else {
-		q.idx = q.buildRange(0, q.n)
+		q.idx = q.buildSerial()
 	}
 	// The large grid is NOT frozen here: verification freezes probed
 	// cells lazily (probeCell), so the one-time SoA flattening cost is
@@ -290,54 +335,52 @@ func (q *query) gridMapping() {
 	// touches, and lands in the verification phase it benefits.
 }
 
-// buildRange builds a BIGrid over objects [lo, hi). With lo > 0 the
-// result is a partial grid used by the parallel builder; partial grids
-// have nil keyLists (key lists are derived after merging).
-func (q *query) buildRange(lo, hi int) *bigrid {
-	dims := q.e.opts.dims()
+// buildSerial builds the BIGrid in one sweep over the objects,
+// maintaining the key lists incrementally as Algorithm 3 does.
+func (q *query) buildSerial() *bigrid {
 	b := &bigrid{
-		small:  grid.NewSmallGrid(grid.SmallWidth(q.r, dims)),
-		large:  grid.NewLargeGrid(grid.LargeWidth(q.r), q.n),
-		groups: make([][]pointGroup, q.n),
+		small:    grid.NewSmallGrid(grid.SmallWidth(q.r, q.e.opts.dims())),
+		large:    grid.NewLargeGrid(grid.LargeWidth(q.r), q.n),
+		keyLists: make([][]grid.Key, q.n),
 	}
-	full := lo == 0 && hi == q.n
-	if full {
-		b.keyLists = make([][]grid.Key, q.n)
-	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < q.n; i++ {
 		// Grid mapping is the first long phase; poll so a query abandoned
 		// during index construction returns promptly. The truncated grid
-		// is discarded by run()'s post-phase ctx check; gmBroke records
+		// is discarded by bound()'s post-phase ctx check; gmBroke records
 		// the truncation so a degraded answer is never certified from a
 		// partial grid.
 		if i&127 == 127 && q.cancelled() {
-			q.gmBroke.Store(true)
+			q.gmBroke = true
 			break
 		}
 		obj := &q.e.ds.Objects[i]
 		for j, p := range obj.Pts {
-			if q.skipPoint(i, j) {
+			if pruned(q.labels, i, j) {
 				continue
 			}
 			// Small-grid side (Algorithm 3 lines 3-13).
-			if full {
-				k, before, after, cell := b.small.Add(i, p)
-				if after == 2 && before == 1 {
-					first := cell.FirstObject()
-					b.keyLists[first] = append(b.keyLists[first], k)
-					b.keyLists[i] = append(b.keyLists[i], k)
-				} else if after > 2 && after != before {
-					b.keyLists[i] = append(b.keyLists[i], k)
-				}
-			} else {
-				b.small.Add(i, p)
+			k, before, after, cell := b.small.Add(i, p)
+			if after == 2 && before == 1 {
+				first := cell.FirstObject()
+				b.keyLists[first] = append(b.keyLists[first], k)
+				b.keyLists[i] = append(b.keyLists[i], k)
+			} else if after > 2 && after != before {
+				b.keyLists[i] = append(b.keyLists[i], k)
 			}
 			// Large-grid side (lines 14-21).
 			b.large.Add(i, j, p)
 		}
 	}
-	deriveGroups(b.large, b.groups)
+	b.groups = deriveGroups(b.large, q.n)
 	return b
+}
+
+// mergedBigrid assembles the BIGrid for one exact r from grids merged
+// out of per-worker parts (mapGrids), deriving the key lists the serial
+// sweep maintains incrementally. large and groups may be shared with
+// the other exact r of a group run.
+func mergedBigrid(small *grid.SmallGrid, large *grid.LargeGrid, groups [][]pointGroup) *bigrid {
+	return &bigrid{small: small, large: large, keyLists: deriveKeyLists(small, len(groups)), groups: groups}
 }
 
 // deriveGroups derives the point groups P_{i,K} from the inverted
@@ -350,8 +393,10 @@ func (q *query) buildRange(lo, hi int) *bigrid {
 // verification, so map-order iteration would make work counters
 // (distComps in particular) differ run to run for identical queries —
 // and differ between the solo and group (batch.go) paths, which both
-// call this.
-func deriveGroups(large *grid.LargeGrid, groups [][]pointGroup) {
+// call this. Group order is the same whether derived from a worker's
+// partial grid or after the merge: each object lives in one part.
+func deriveGroups(large *grid.LargeGrid, n int) [][]pointGroup {
+	groups := make([][]pointGroup, n)
 	keys := make([]grid.Key, 0, large.Len())
 	large.ForEach(func(k grid.Key, _ *grid.LargeCell) { keys = append(keys, k) })
 	sort.Slice(keys, func(a, b int) bool { return keys[a].Less(keys[b]) })
@@ -362,6 +407,7 @@ func deriveGroups(large *grid.LargeGrid, groups [][]pointGroup) {
 			groups[post.Obj] = append(groups[post.Obj], pointGroup{key: k, pts: post.Idx})
 		}
 	}
+	return groups
 }
 
 // deriveKeyLists derives the per-object key lists from a merged small

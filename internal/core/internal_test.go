@@ -94,7 +94,8 @@ func TestCandidateOrdering(t *testing.T) {
 	q := newQuery(eng, 8, 1)
 	q.gridMapping()
 	q.lowerBounding()
-	cand := q.upperBounding(0)
+	q.computeUpperBounds()
+	cand := q.assembleCandidates(0)
 	for i := 1; i < len(cand); i++ {
 		if cand[i].tauUpp > cand[i-1].tauUpp {
 			t.Fatal("candidates not sorted by upper bound")
@@ -260,7 +261,7 @@ func TestQuickBoundsSandwich(t *testing.T) {
 		q := newQuery(eng, r, 1)
 		q.gridMapping()
 		q.lowerBounding()
-		q.upperBounding(0)
+		q.computeUpperBounds()
 		for i, exact := range oracle {
 			if int(q.tauLow[i]) > exact || int(q.tauUpp[i]) < exact {
 				return false

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -65,6 +66,21 @@ func TestLabelsCrossModeCompatibility(t *testing.T) {
 						t.Fatalf("obj %d: %d vs true %d", s.Obj, s.Score, oracle[s.Obj])
 					}
 				}
+				// Warm at r₁, ask r₂ under the same ceiling: Labeling-1/-2
+				// carry over, Labeling-3 (collected for r₁'s b(o_i)) must not.
+				for _, r2 := range []float64{11.05, 11.6} {
+					res, err := re.RunTopK(r2, 4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Stats.UsedLabels {
+						t.Fatalf("r=%g ignored the ⌈r⌉=12 labels", r2)
+					}
+					want := baselineScores(baseline.NL(ds, r2, 4))
+					if got := scoreMultiset(res.TopK); !reflect.DeepEqual(got, want) {
+						t.Fatalf("labels from r=%g reused at r=%g: scores %v, oracle %v", r, r2, got, want)
+					}
+				}
 			})
 		}
 	}
@@ -118,5 +134,94 @@ func TestLabelsSurviveDifferentRSameCeil(t *testing.T) {
 	}
 	if res.Best.Score != best {
 		t.Fatalf("r=7: best %d, oracle %d", res.Best.Score, best)
+	}
+}
+
+// TestLabelReuseAcrossDistinctR is the regression test for Labeling-3
+// being keyed by ⌈r⌉ alone: a label set collected at r=5.5 used to make
+// verification at r≈5.04 and 5.1 skip points whose candidate mask was
+// empty only for the larger r's b(o_i), losing one interaction of the
+// top object (224 instead of 225).
+func TestLabelReuseAcrossDistinctR(t *testing.T) {
+	cfg := data.DefaultBird2()
+	cfg.N = 450
+	ds := data.GenTrajectory(cfg)
+	for _, workers := range []int{1, 3} {
+		store := labelstore.NewStore()
+		eng, err := NewEngine(ds, Options{Labels: store, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.RunTopK(5.5, 1); err != nil { // collects for ⌈r⌉ = 6
+			t.Fatal(err)
+		}
+		if l, ok := store.Get(6); !ok || l.R != 5.5 {
+			t.Fatalf("workers=%d: collected labels do not record r=5.5: %+v", workers, l)
+		}
+		for _, r := range []float64{5.0445, 5.1, 5.5, 5.9} {
+			want := 0
+			for _, sc := range baseline.SGScores(ds, r) {
+				want = max(want, sc)
+			}
+			res, err := eng.RunTopK(r, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Stats.UsedLabels {
+				t.Fatalf("workers=%d r=%g: labels unused", workers, r)
+			}
+			if res.Best.Score != want {
+				t.Errorf("workers=%d r=%g: top score %d with labels warmed at r=5.5, oracle %d", workers, r, res.Best.Score, want)
+			}
+		}
+	}
+}
+
+// TestGroupLabelsRecordR: a group over one exact r stamps the labels
+// it collects with that r; a group over several records none, so its
+// Labeling-3 bits are never trusted.
+func TestGroupLabelsRecordR(t *testing.T) {
+	ds := data.GenTrajectory(data.TrajectoryConfig{
+		N: 80, M: 20, Groups: 4, FieldSize: 1200, Speed: 14, FollowStd: 6, Solo: 0.3, Seed: 9,
+	})
+	for _, tc := range []struct {
+		rs   []float64
+		want float64
+	}{
+		{[]float64{7.5, 7.5}, 7.5},
+		{[]float64{7.2, 7.9}, 0},
+	} {
+		store := labelstore.NewStore()
+		eng, err := NewEngine(ds, Options{Labels: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := make([]GroupSpec, len(tc.rs))
+		for i, r := range tc.rs {
+			specs[i] = GroupSpec{R: r, K: i + 1}
+		}
+		outs, _ := eng.RunGroup(context.Background(), specs)
+		for i, o := range outs {
+			if o.Err != nil {
+				t.Fatalf("rs=%v member %d: %v", tc.rs, i, o.Err)
+			}
+		}
+		l, ok := store.Get(8)
+		if !ok {
+			t.Fatalf("rs=%v: no labels published", tc.rs)
+		}
+		if l.R != tc.want {
+			t.Errorf("rs=%v: labels record r=%g, want %g", tc.rs, l.R, tc.want)
+		}
+		// Whatever was recorded, a later solo query at another r under
+		// the same ceiling stays exact.
+		res, err := eng.RunTopK(7.05, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := baselineScores(baseline.NL(ds, 7.05, 3))
+		if got := scoreMultiset(res.TopK); !reflect.DeepEqual(got, want) {
+			t.Errorf("rs=%v then r=7.05: scores %v, oracle %v", tc.rs, got, want)
+		}
 	}
 }

@@ -135,7 +135,7 @@ func TestUnmarshalLabelsHostileCounts(t *testing.T) {
 	mk := func(n, m uint64, body int) []byte {
 		var buf bytes.Buffer
 		var u [8]byte
-		binary.LittleEndian.PutUint64(u[:], labelMagic)
+		binary.LittleEndian.PutUint64(u[:], labelMagic1)
 		buf.Write(u[:])
 		binary.LittleEndian.PutUint64(u[:], n)
 		buf.Write(u[:])
@@ -166,6 +166,9 @@ func FuzzUnmarshalLabels(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint8(0))
 	f.Add(marshalLabels(NewLabels([]int{3, 0, 2})), uint8(2), uint8(3))
 	f.Add(marshalLabels(NewLabels(nil)), uint8(0), uint8(0))
+	withR := NewLabels([]int{2, 1})
+	withR.R = 5.5
+	f.Add(marshalLabels(withR), uint8(1), uint8(9))
 	f.Fuzz(func(t *testing.T, data []byte, rows uint8, flip uint8) {
 		// Arbitrary input must not panic; errors are fine.
 		l, err := unmarshalLabels(data)

@@ -9,17 +9,21 @@
 //	bit 2 (Labeling-3): 0 ⇒ the point's candidate mask was empty during
 //	  verification — skip it there.
 //
-// Labels are specific to the large-grid, i.e. to ⌈r⌉: every query whose
-// threshold shares the ceiling can reuse them. The number of issued
-// queries is unbounded, so the store can spill label sets to external
-// memory (one file per ⌈r⌉) and load them back on demand, matching the
-// paper's O(nm/B) I/O analysis.
+// Labeling-1 and -2 are specific to the large-grid, i.e. to ⌈r⌉: every
+// query whose threshold shares the ceiling can reuse them. Labeling-3
+// depends on b(o_i) — on the exact r — so a label set records the r it
+// was collected at and bit 2 is honoured only at that r (Labels.R).
+//
+// The number of issued queries is unbounded, so the store can spill
+// label sets to external memory (one file per ⌈r⌉) and load them back on
+// demand, matching the paper's O(nm/B) I/O analysis.
 package labelstore
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -41,6 +45,12 @@ const (
 type Labels struct {
 	// PerObject[i][j] is the label of point j of object i.
 	PerObject [][]uint8
+	// R is the exact threshold the set was collected at, or 0 when
+	// unknown (a group run over several r, or a file written before r
+	// was recorded). The "candidate mask was empty" observation behind
+	// BitVerify holds only for the b(o_i) of that r, so verification
+	// honours the bit only when its own r equals R.
+	R float64
 }
 
 // NewLabels allocates all-ones labels for objects with the given point
@@ -233,22 +243,30 @@ func (s *Store) Drop(ceil int) {
 	}
 }
 
-const labelMagic = uint64(0x4d494f4c41424c31) // "MIOLABL1"
+// A label payload is magic | [r] | object count | rows. labelMagic2
+// carries the collection r after the magic; labelMagic1 is the layout
+// from before r was recorded and still the layout of a set whose r is
+// unknown, so a decoded set always re-encodes to the bytes it came from.
+const (
+	labelMagic1 = uint64(0x4d494f4c41424c31) // "MIOLABL1"
+	labelMagic2 = uint64(0x4d494f4c41424c32) // "MIOLABL2"
+)
 
 func marshalLabels(l *Labels) []byte {
-	size := 16
+	size := 24
 	for _, row := range l.PerObject {
 		size += 8 + len(row)
 	}
 	buf := make([]byte, 0, size)
-	var u [8]byte
-	binary.LittleEndian.PutUint64(u[:], labelMagic)
-	buf = append(buf, u[:]...)
-	binary.LittleEndian.PutUint64(u[:], uint64(len(l.PerObject)))
-	buf = append(buf, u[:]...)
+	if l.R == 0 {
+		buf = binary.LittleEndian.AppendUint64(buf, labelMagic1)
+	} else {
+		buf = binary.LittleEndian.AppendUint64(buf, labelMagic2)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(l.R))
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(l.PerObject)))
 	for _, row := range l.PerObject {
-		binary.LittleEndian.PutUint64(u[:], uint64(len(row)))
-		buf = append(buf, u[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(row)))
 		buf = append(buf, row...)
 	}
 	return buf
@@ -264,19 +282,32 @@ func unmarshalLabels(data []byte) (*Labels, error) {
 	if len(data) < 16 {
 		return nil, errors.New("labelstore: truncated header")
 	}
-	if binary.LittleEndian.Uint64(data) != labelMagic {
+	l := &Labels{}
+	pos := 8
+	switch binary.LittleEndian.Uint64(data) {
+	case labelMagic1:
+	case labelMagic2:
+		if len(data) < 24 {
+			return nil, errors.New("labelstore: truncated header")
+		}
+		l.R = math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
+		if !(l.R > 0) || math.IsInf(l.R, 0) {
+			return nil, fmt.Errorf("labelstore: collection r %g is not positive and finite", l.R)
+		}
+		pos += 8
+	default:
 		return nil, errors.New("labelstore: bad magic")
 	}
-	n64 := binary.LittleEndian.Uint64(data[8:])
+	n64 := binary.LittleEndian.Uint64(data[pos:])
+	pos += 8
 	// Every row costs at least its 8-byte length header, so the input
 	// size bounds the row count exactly; this also caps the PerObject
 	// allocation at len(data)/8 entries.
-	if n64 > uint64(len(data)-16)/8 {
+	if n64 > uint64(len(data)-pos)/8 {
 		return nil, fmt.Errorf("labelstore: object count %d exceeds input", n64)
 	}
 	n := int(n64)
-	pos := 16
-	l := &Labels{PerObject: make([][]uint8, n)}
+	l.PerObject = make([][]uint8, n)
 	for i := 0; i < n; i++ {
 		if pos+8 > len(data) {
 			return nil, errors.New("labelstore: truncated row header")

@@ -1,6 +1,8 @@
 package labelstore
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -110,6 +112,54 @@ func TestUnmarshalLabelErrors(t *testing.T) {
 	}
 	if back, err := unmarshalLabels(good); err != nil || len(back.PerObject) != 1 {
 		t.Errorf("good payload rejected: %v", err)
+	}
+}
+
+// TestLabelsRecordR: the collection r survives the disk round trip
+// (MIOLABL2), a set without one still encodes and decodes in the
+// MIOLABL1 layout, and a MIOLABL2 payload whose r is not a positive
+// finite number is refused.
+func TestLabelsRecordR(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLabels([]int{2, 1})
+	l.R = 5.5
+	l.ClearBit(1, 0, BitVerify)
+	if err := s.Put(6, l); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s2.Get(6); !ok || got.R != 5.5 || got.Get(1, 0)&BitVerify != 0 {
+		t.Fatalf("reloaded labels = %+v, want r=5.5 with the cleared bit", got)
+	}
+
+	v1 := marshalLabels(NewLabels([]int{3}))
+	if magic := binary.LittleEndian.Uint64(v1); magic != labelMagic1 {
+		t.Fatalf("set with unknown r encoded with magic %#x, want MIOLABL1", magic)
+	}
+	if back, err := unmarshalLabels(v1); err != nil || back.R != 0 || len(back.PerObject[0]) != 3 {
+		t.Fatalf("MIOLABL1 payload: %+v, %v", back, err)
+	}
+
+	good := marshalLabels(l)
+	if magic := binary.LittleEndian.Uint64(good); magic != labelMagic2 {
+		t.Fatalf("set with r encoded with magic %#x, want MIOLABL2", magic)
+	}
+	for _, bad := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		data := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint64(data[8:], math.Float64bits(bad))
+		if _, err := unmarshalLabels(data); err == nil {
+			t.Errorf("MIOLABL2 payload with r=%g accepted", bad)
+		}
+	}
+	if _, err := unmarshalLabels(good[:20]); err == nil {
+		t.Error("MIOLABL2 payload cut inside its header accepted")
 	}
 }
 

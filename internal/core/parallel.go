@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"mio/internal/bitmap"
 	"mio/internal/core/labelstore"
@@ -14,36 +15,54 @@ import (
 // scratch bitsets and counters, so no synchronization happens inside
 // the loops; results are merged after each barrier.
 
-// parallelGridMapping implements PARALLEL-GRID-MAPPING(O, r). Workers
-// build partial BIGrids over contiguous, point-count-balanced object
-// ranges (keeping the monotone object order the compressed bitsets
-// rely on), and the partial grids are merged. Key lists are derived
-// from the merged small-grid: o_i.L = {K : i ∈ b(c_K), |b(c_K)| ≥ 2},
-// which is exactly the invariant Algorithm 3 maintains incrementally.
-func (q *query) parallelGridMapping() {
-	t := q.e.opts.workers()
-	weights := make([]int, q.n)
-	for i := range q.e.ds.Objects {
-		weights[i] = len(q.e.ds.Objects[i].Pts)
+// mapGrids implements PARALLEL-GRID-MAPPING(O, r), generalised to
+// several exact thresholds sharing one ⌈r⌉: a solo query passes its
+// one r, a group run (batch.go) every distinct r of the group. Workers
+// map contiguous, point-count-balanced object ranges (keeping the
+// monotone object order the compressed bitsets rely on) into partial
+// grids — one small grid per entry of rs plus the large grid they all
+// share — and the parts are merged. labels, when non-nil, filter the
+// points (WITH-LABEL). stop is polled as buildSerial polls cancelled;
+// complete is false when it cut the sweep short.
+func (e *Engine) mapGrids(rs []float64, labels *labelstore.Labels, stop func() bool) (smalls []*grid.SmallGrid, large *grid.LargeGrid, complete bool) {
+	type part struct {
+		smalls []*grid.SmallGrid
+		large  *grid.LargeGrid
 	}
-	ranges := parallel.Ranges(weights, t)
-	parts := make([]*bigrid, len(ranges))
+	n, dims := e.ds.N(), e.opts.dims()
+	ranges := parallel.Ranges(objectPointWeights(e.ds), e.opts.workers())
+	parts := make([]part, len(ranges))
+	var broke atomic.Bool
 	parallel.Run(len(ranges), func(w int) {
-		parts[w] = q.buildRange(ranges[w][0], ranges[w][1])
-	})
-
-	base := parts[0]
-	for _, p := range parts[1:] {
-		base.small.MergeFrom(p.small)
-		base.large.MergeFrom(p.large)
-		for i, gs := range p.groups {
-			if len(gs) > 0 {
-				base.groups[i] = gs
+		p := part{smalls: make([]*grid.SmallGrid, len(rs)), large: grid.NewLargeGrid(grid.LargeWidth(rs[0]), n)}
+		for si, r := range rs {
+			p.smalls[si] = grid.NewSmallGrid(grid.SmallWidth(r, dims))
+		}
+		for i := ranges[w][0]; i < ranges[w][1]; i++ {
+			if i&127 == 127 && stop() {
+				broke.Store(true)
+				break
+			}
+			for j, pt := range e.ds.Objects[i].Pts {
+				if pruned(labels, i, j) {
+					continue
+				}
+				for _, sg := range p.smalls {
+					sg.Add(i, pt)
+				}
+				p.large.Add(i, j, pt)
 			}
 		}
+		parts[w] = p
+	})
+	base := parts[0]
+	for _, p := range parts[1:] {
+		base.large.MergeFrom(p.large)
+		for si := range base.smalls {
+			base.smalls[si].MergeFrom(p.smalls[si])
+		}
 	}
-	base.keyLists = deriveKeyLists(base.small, q.n)
-	q.idx = base
+	return base.smalls, base.large, !broke.Load()
 }
 
 // parallelLowerBounding implements PARALLEL-LOWER-BOUNDING(O, r) with
@@ -214,13 +233,9 @@ func (q *query) parallelExactScore(i int) int {
 	// (scoreState) aligned with the serial scan.
 	pts := q.vPts[:0]
 	for j := range obj.Pts {
-		if q.labels != nil {
-			l := q.labels.Get(i, j)
-			if l&labelstore.BitMapped == 0 || l&labelstore.BitVerify == 0 {
-				continue
-			}
+		if !q.skipVerifyPoint(i, j) {
+			pts = append(pts, int32(j))
 		}
-		pts = append(pts, int32(j))
 	}
 	q.vPts = pts
 

@@ -69,7 +69,8 @@ func BenchmarkPhaseUpperBounding(b *testing.B) {
 		q.gridMapping()
 		q.lowerBounding()
 		b.StartTimer()
-		q.upperBounding(0)
+		q.computeUpperBounds()
+		q.assembleCandidates(0)
 	}
 }
 
@@ -77,7 +78,7 @@ func BenchmarkPhaseVerificationExactScore(b *testing.B) {
 	q := phaseQuery(b, 1)
 	q.gridMapping()
 	q.lowerBounding()
-	q.upperBounding(0)
+	q.computeUpperBounds()
 	bOi := bitmap.NewScratch(q.n)
 	mask := bitmap.NewScratch(q.n)
 	ctr := ctrSet{}

@@ -1,0 +1,64 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"testing"
+
+	"mio/internal/data"
+	"mio/internal/geom"
+)
+
+// TestValidateRejectsInt32KeyOverflow: grid.KeyFor casts floor(p/width)
+// to int32, so coordinates near 1e9 with r=0.1 (small-grid width
+// 0.058, cell coordinate 1.7e10) used to wrap silently and answer from
+// aliased cells. Every entry point must refuse the pair instead, and
+// keep answering radii whose keys fit.
+func TestValidateRejectsInt32KeyOverflow(t *testing.T) {
+	ds := &data.Dataset{Name: "far"}
+	for i := 0; i < 4; i++ {
+		x := 1e9 + float64(i)*0.05
+		ds.Objects = append(ds.Objects, data.Object{ID: i, Pts: []geom.Point{{X: x, Y: -1e9, Z: 3}, {X: x + 0.01, Y: -1e9, Z: 3}}})
+	}
+	eng, err := NewEngine(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const tiny, fine = 0.1, 5.0
+
+	wantErr := func(where string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrInvalidQuery) || !strings.Contains(err.Error(), "int32") {
+			t.Errorf("%s at r=%g: err = %v, want an ErrInvalidQuery about the int32 cell-key range", where, tiny, err)
+		}
+	}
+	_, err = eng.RunTopK(tiny, 1)
+	wantErr("RunTopK", err)
+	_, err = eng.Bound(ctx, tiny, 1, nil)
+	wantErr("Bound", err)
+	_, err = eng.AllScores(tiny)
+	wantErr("AllScores", err)
+	wantErr("Pool.ValidateR", NewPoolOf(eng).ValidateR(tiny))
+	outs, _ := eng.RunGroup(ctx, []GroupSpec{{R: tiny, K: 1}, {R: 0.5, K: 1}})
+	wantErr("RunGroup member", outs[0].Err)
+	// r=0.5 still overflows (1e9/0.29 = 3.5e9 > 2^31): refused as well.
+	wantErr("RunGroup member r=0.5", outs[1].Err)
+
+	if err := NewPoolOf(eng).ValidateR(fine); err != nil {
+		t.Errorf("Pool.ValidateR at r=%g: %v", fine, err)
+	}
+	res, err := eng.RunTopK(fine, 1)
+	if err != nil {
+		t.Fatalf("RunTopK at r=%g: %v", fine, err)
+	}
+	if res.Best.Score != 3 {
+		t.Errorf("r=%g: best score %d, want 3 (all four objects within 0.2)", fine, res.Best.Score)
+	}
+	outs, _ = eng.RunGroup(ctx, []GroupSpec{{R: tiny, K: 1}, {R: fine, K: 1}})
+	wantErr("mixed RunGroup member", outs[0].Err)
+	if outs[1].Err != nil || outs[1].Result.Best.Score != 3 {
+		t.Errorf("mixed RunGroup: valid member got %+v, want score 3", outs[1])
+	}
+}

@@ -22,11 +22,6 @@ func (q *query) verification(cand []candidate) []Scored {
 		return top[q.k-1].Score
 	}
 
-	bOi := bitmap.NewScratch(q.n)
-	mask := bitmap.NewScratch(q.n)
-	ctr := ctrSet{}
-	var neigh [27]grid.Key
-
 	for _, c := range cand {
 		if int(c.tauUpp) < kthScore() {
 			// Corollary 1: no remaining candidate can enter the top-k.
@@ -42,12 +37,7 @@ func (q *query) verification(cand []candidate) []Scored {
 			break
 		}
 		i := int(c.obj)
-		var tau int
-		if q.e.opts.workers() > 1 {
-			tau = q.parallelExactScore(i)
-		} else {
-			tau = q.exactScore(i, bOi, mask, neigh[:0], &ctr)
-		}
+		tau := q.exact(i)
 		if q.cancelled() {
 			// The exact-score loop may have been cut short, so tau is
 			// only a lower bound (bOi accumulates monotonically); it must
@@ -64,8 +54,24 @@ func (q *query) verification(cand []candidate) []Scored {
 		q.stats.Verified++
 		top = insertTopK(top, Scored{Obj: i, Score: tau}, q.k)
 	}
-	q.addCounters([]ctrSet{ctr})
 	return top
+}
+
+// exact computes τ(o_i) on the configured number of cores, charging the
+// work to q.stats. The serial scratch bitsets are allocated on the first
+// call and reused by later ones.
+func (q *query) exact(i int) int {
+	if q.e.opts.workers() > 1 {
+		return q.parallelExactScore(i)
+	}
+	if q.sBOi == nil {
+		q.sBOi, q.sMask = bitmap.NewScratch(q.n), bitmap.NewScratch(q.n)
+	}
+	var neigh [27]grid.Key
+	ctr := ctrSet{}
+	tau := q.exactScore(i, q.sBOi, q.sMask, neigh[:0], &ctr)
+	q.addCounters([]ctrSet{ctr})
+	return tau
 }
 
 // exactScore computes τ(o_i) with the BIGrid (Algorithm 6 lines 6-19).
@@ -90,15 +96,27 @@ func (q *query) exactScore(i int, bOi, mask *bitmap.Scratch, neigh []grid.Key, c
 		if j&255 == 255 && q.cancelled() {
 			break
 		}
-		if q.labels != nil {
-			l := q.labels.Get(i, j)
-			if l&labelstore.BitMapped == 0 || l&labelstore.BitVerify == 0 {
-				continue // label 0** or 1*0: point cannot add interactions
-			}
+		if q.skipVerifyPoint(i, j) {
+			continue
 		}
 		q.scorePoint(i, j, p, bOi, mask, neigh, ctr, &st)
 	}
 	return bOi.Cardinality() - 1
+}
+
+// skipVerifyPoint reports whether loaded labels let verification skip
+// point pt of object obj because it cannot add interactions: label 0**
+// at any r with this ⌈r⌉ (Lemma 3), label 1*0 only at the r the set was
+// collected at. Labeling-3 observed "b^adj(c) − b(o_i) was empty", and
+// b(o_i) — the small-grid seed plus what earlier points found — is a
+// function of the exact r: at another r the same point may be the only
+// one that reaches some object.
+func (q *query) skipVerifyPoint(obj, pt int) bool {
+	if q.labels == nil {
+		return false
+	}
+	l := q.labels.Get(obj, pt)
+	return l&labelstore.BitMapped == 0 || (l&labelstore.BitVerify == 0 && q.labels.R == q.r)
 }
 
 // scoreState carries verification state across the points of one

@@ -120,8 +120,8 @@ func TestBatchedQueryParity(t *testing.T) {
 	if snap.Batch.Epochs == 0 || snap.Batch.Groups == 0 {
 		t.Errorf("batch stats show no batching: %+v", snap.Batch)
 	}
-	if len(s.slots) != cap(s.slots) {
-		t.Errorf("engine pool leaked: %d of %d slots present", len(s.slots), cap(s.slots))
+	if s.pool.Idle() != s.pool.Cap() {
+		t.Errorf("engine pool leaked: %d of %d slots present", s.pool.Idle(), s.pool.Cap())
 	}
 }
 
@@ -227,11 +227,11 @@ func TestBatchedChaosSurvival(t *testing.T) {
 	// running on a pool engine; give in-flight groups a moment to
 	// return their slots before asserting the pool is whole.
 	deadline := time.Now().Add(10 * time.Second)
-	for len(s.slots) != cap(s.slots) && time.Now().Before(deadline) {
+	for s.pool.Idle() != s.pool.Cap() && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if len(s.slots) != cap(s.slots) {
-		t.Errorf("engine pool leaked: %d of %d slots present", len(s.slots), cap(s.slots))
+	if s.pool.Idle() != s.pool.Cap() {
+		t.Errorf("engine pool leaked: %d of %d slots present", s.pool.Idle(), s.pool.Cap())
 	}
 	if statuses[http.StatusOK] == 0 {
 		t.Errorf("no request succeeded under chaos: %v", statuses)
@@ -284,7 +284,7 @@ func TestBatchedChaosSurvival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2*cap(s.slots); i++ {
+	for i := 0; i < 2*s.pool.Cap(); i++ {
 		var qr queryResponse
 		if rec := get(t, h, "/v1/query?r=5&k=1", &qr); rec.Code != http.StatusOK {
 			t.Fatalf("post-chaos query %d: status %d: %s", i, rec.Code, rec.Body.String())

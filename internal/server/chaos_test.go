@@ -103,8 +103,8 @@ func TestChaosSurvival(t *testing.T) {
 
 	// Quiescence: every slot taken during the storm must be back —
 	// panics included — or the pool has shrunk forever.
-	if len(s.slots) != cap(s.slots) {
-		t.Errorf("engine pool leaked: %d of %d slots present", len(s.slots), cap(s.slots))
+	if s.pool.Idle() != s.pool.Cap() {
+		t.Errorf("engine pool leaked: %d of %d slots present", s.pool.Idle(), s.pool.Cap())
 	}
 
 	var hr healthResponse
@@ -157,7 +157,7 @@ func TestChaosSurvival(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2*cap(s.slots); i++ { // touch every engine at least once
+	for i := 0; i < 2*s.pool.Cap(); i++ { // touch every engine at least once
 		var qr queryResponse
 		if rec := get(t, h, "/v1/query?r=5&k=1", &qr); rec.Code != http.StatusOK {
 			t.Fatalf("post-chaos query %d: status %d: %s", i, rec.Code, rec.Body.String())
@@ -192,8 +192,8 @@ func TestQuarantineDeterministic(t *testing.T) {
 	if snap.Panics != 1 || snap.Quarantined != 1 {
 		t.Errorf("panic_total=%d quarantined_total=%d, want 1 and 1", snap.Panics, snap.Quarantined)
 	}
-	if len(s.slots) != cap(s.slots) {
-		t.Fatalf("slot leaked after quarantine: %d of %d", len(s.slots), cap(s.slots))
+	if s.pool.Idle() != s.pool.Cap() {
+		t.Fatalf("slot leaked after quarantine: %d of %d", s.pool.Idle(), s.pool.Cap())
 	}
 
 	reg.Clear(fault.PointVerification)

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -39,9 +40,9 @@ type queryResponse struct {
 	Result  *core.Result  `json:"result"`
 }
 
-// shardQueryValue is the cached/coalesced value of a sharded query:
-// the merged result plus its scatter report.
-type shardQueryValue struct {
+// queryValue is the cached/coalesced value of a /v1/query: the result
+// plus, when a scatter–gather produced it, the scatter report.
+type queryValue struct {
 	res *core.Result
 	rep *shard.Report
 }
@@ -206,7 +207,7 @@ func (s *Server) Handler() http.Handler {
 // recoverPanics is the outermost middleware: it converts handler
 // panics into 500 responses and counts them. By the time a panic
 // reaches here the inner layers have already cleaned up — withEngine
-// refilled the pool slot (quarantining the engine) and flight.Do
+// quarantined the engine (refilling its pool slot) and flight.Do
 // released coalesced waiters with ErrLeaderPanicked — so recovery is
 // safe: no lock is held and no slot is lost.
 func (s *Server) recoverPanics(next http.Handler) http.Handler {
@@ -271,119 +272,25 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	degrade := req.URL.Query().Get("degraded") == "1"
 	epoch := s.epoch.Load()
 	key := fmt.Sprintf("%d|query|%s|%d|d%v", epoch, rKey(r), k, degrade)
-	if s.batch != nil {
-		s.handleQueryBatched(w, req, r, k, degrade, epoch, key)
-		return
-	}
-	// Queries beyond the replica horizon cannot be answered exactly by
-	// the shards; they fall through to the solo engine pool.
-	if co := s.coord.Load(); co != nil && r <= co.MaxR() {
-		s.handleQuerySharded(w, req, co, r, k, epoch)
-		return
-	}
-	val, cached, coalesced, err := s.execute(key, func() (any, error) {
-		return s.withEngine(req.Context(), func(ctx context.Context, eng *core.Engine) (any, error) {
-			var res *core.Result
-			var err error
-			if degrade {
-				res, err = eng.RunTopKDegradedContext(ctx, r, k)
-			} else {
-				res, err = eng.RunTopKContext(ctx, r, k)
-			}
-			if err == nil {
-				if res.Degraded {
-					s.m.degraded.Inc()
-				}
-				s.observePhases(res.Stats)
-			}
-			return res, err
-		})
-	})
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		R: r, K: k, Epoch: epoch, Cached: cached, Coalesced: coalesced,
-		Result: val.(*core.Result),
-	})
-}
-
-// handleQueryBatched is the /v1/query path when batch execution is on:
-// cache lookup, then Submit into the current epoch instead of a solo
-// engine run. Coalescing is subsumed — identical (r, k) members of a
-// group share one plan and one *Result — so the flight group is not
-// consulted. The per-request deadline is applied here (the solo path
-// gets it inside withEngine) so a member's detach-on-expiry works even
-// while its group still has engine budget left.
-func (s *Server) handleQueryBatched(w http.ResponseWriter, req *http.Request, r float64, k int, degrade bool, epoch uint64, key string) {
-	if !s.cfg.DisableCache {
-		if v, ok := s.cache.Get(key); ok {
-			writeJSON(w, http.StatusOK, queryResponse{
-				R: r, K: k, Epoch: epoch, Cached: true, Batched: true,
-				Result: v.(*core.Result),
-			})
-			return
-		}
-	}
-	ctx := req.Context()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
-	res, err := s.batch.Submit(ctx, r, k, degrade)
-	if err != nil {
-		s.writeExecError(w, err)
-		return
-	}
-	if res.Degraded {
-		s.m.degraded.Inc()
-	}
-	if !s.cfg.DisableCache && cacheable(res) {
-		s.cache.Put(key, res)
-	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		R: r, K: k, Epoch: epoch, Batched: true, Result: res,
-	})
-}
-
-// handleQuerySharded is the /v1/query path when sharded serving is on
-// and the radius is inside the replica horizon: cache lookup and
-// coalescing as usual, then a coordinator scatter–gather instead of a
-// solo engine run. The coordinator owns admission (per-shard engine
-// pools) and fault tolerance; shard failures arrive here as a 200 with
-// Degraded set and a certified interval — cacheable() keeps those out
-// of the result cache.
-func (s *Server) handleQuerySharded(w http.ResponseWriter, req *http.Request, co *shard.Coordinator, r float64, k int, epoch uint64) {
-	key := fmt.Sprintf("%d|query|%s|%d|sharded", epoch, rKey(r), k)
-	ctx := req.Context()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
-	val, cached, coalesced, err := s.execute(key, func() (any, error) {
-		s.m.inFlight.Inc()
-		defer s.m.inFlight.Dec()
-		res, rep, err := co.Query(ctx, r, k)
+	val, cached, coalesced, err := s.execute(key, s.batch == nil, func() (any, error) {
+		res, rep, err := s.query(req.Context(), r, k, degrade)
 		if err != nil {
 			return nil, err
 		}
 		if res.Degraded {
 			s.m.degraded.Inc()
 		}
-		s.observePhases(res.Stats)
-		return &shardQueryValue{res: res, rep: rep}, nil
+		return &queryValue{res: res, rep: rep}, nil
 	})
 	if err != nil {
 		s.writeExecError(w, err)
 		return
 	}
-	sv := val.(*shardQueryValue)
+	qv := val.(*queryValue)
 	writeJSON(w, http.StatusOK, queryResponse{
 		R: r, K: k, Epoch: epoch, Cached: cached, Coalesced: coalesced,
-		Sharded: true, Scatter: sv.rep, Result: sv.res,
+		Batched: s.batch != nil, Sharded: qv.rep != nil, Scatter: qv.rep,
+		Result: qv.res,
 	})
 }
 
@@ -392,7 +299,7 @@ func (s *Server) handleInteracting(w http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	n := s.ds.Load().N()
+	n := s.pool.Dataset().N()
 	obj, ok := s.parseIntParam(w, req, "obj", -1, 0)
 	if !ok {
 		return
@@ -403,7 +310,7 @@ func (s *Server) handleInteracting(w http.ResponseWriter, req *http.Request) {
 	}
 	epoch := s.epoch.Load()
 	key := fmt.Sprintf("%d|interacting|%s|%d", epoch, rKey(r), obj)
-	val, cached, coalesced, err := s.execute(key, func() (any, error) {
+	val, cached, coalesced, err := s.execute(key, true, func() (any, error) {
 		return s.withEngine(req.Context(), func(ctx context.Context, eng *core.Engine) (any, error) {
 			return eng.InteractingSetContext(ctx, r, obj)
 		})
@@ -431,7 +338,7 @@ func (s *Server) handleScores(w http.ResponseWriter, req *http.Request) {
 	full := req.URL.Query().Get("full") == "1"
 	epoch := s.epoch.Load()
 	key := fmt.Sprintf("%d|scores|%s|%d|%v", epoch, rKey(r), buckets, full)
-	val, cached, coalesced, err := s.execute(key, func() (any, error) {
+	val, cached, coalesced, err := s.execute(key, true, func() (any, error) {
 		return s.withEngine(req.Context(), func(ctx context.Context, eng *core.Engine) (any, error) {
 			scores, err := eng.AllScoresContext(ctx, r)
 			if err != nil {
@@ -476,9 +383,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 	}
 	rs := make([]float64, 0, len(parts))
 	for _, p := range parts {
-		r, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil || r <= 0 {
-			s.badRequest(w, fmt.Sprintf("rs entry %q is not a positive number", p))
+		r, err := s.parseThreshold(p)
+		if err != nil {
+			s.badRequest(w, fmt.Sprintf("rs entry %q: %v", p, err))
 			return
 		}
 		rs = append(rs, r)
@@ -493,7 +400,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 		keys[i] = rKey(r)
 	}
 	key := fmt.Sprintf("%d|sweep|%s|%d", epoch, strings.Join(keys, ","), k)
-	val, cached, coalesced, err := s.execute(key, func() (any, error) {
+	val, cached, coalesced, err := s.execute(key, true, func() (any, error) {
 		return s.withEngine(req.Context(), func(ctx context.Context, eng *core.Engine) (any, error) {
 			out, err := eng.SweepContext(ctx, rs, k)
 			if err != nil {
@@ -564,7 +471,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.drainMu.RLock()
 	draining := s.draining
 	s.drainMu.RUnlock()
-	ds := s.ds.Load()
+	ds := s.pool.Dataset()
 	status := "ok"
 	if draining {
 		status = "draining"
@@ -583,14 +490,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	withBuckets := req.URL.Query().Get("buckets") == "1"
 	hits, misses, evictions := s.cache.Stats()
-	ds := s.ds.Load()
+	ds := s.pool.Dataset()
 	snap := MetricsSnapshot{
 		UptimeS:           time.Since(s.start).Seconds(),
 		Dataset:           ds.Name,
 		Objects:           ds.N(),
 		DatasetEpoch:      s.epoch.Load(),
 		InFlight:          s.m.inFlight.Value(),
-		MaxInFlight:       cap(s.slots),
+		MaxInFlight:       s.pool.Cap(),
 		CoalesceEnabled:   !s.cfg.DisableCoalesce,
 		Requests:          make(map[string]uint64, len(endpointKinds)),
 		EngineRuns:        s.m.engineRuns.Value(),
@@ -682,12 +589,25 @@ func (s *Server) parseR(w http.ResponseWriter, req *http.Request) (float64, bool
 		s.badRequest(w, "missing r (distance threshold)")
 		return 0, false
 	}
-	r, err := strconv.ParseFloat(raw, 64)
-	if err != nil || r <= 0 {
-		s.badRequest(w, fmt.Sprintf("r=%q is not a positive number", raw))
+	r, err := s.parseThreshold(raw)
+	if err != nil {
+		s.badRequest(w, fmt.Sprintf("r=%q: %v", raw, err))
 		return 0, false
 	}
 	return r, true
+}
+
+// parseThreshold parses one distance threshold and holds it against
+// the current dataset (positive, not NaN, cell keys within int32): a
+// threshold no engine would accept is the client's error and must be
+// turned away here, before it queues for an engine or fans out to
+// shards, where the refusal would read as a shard failure.
+func (s *Server) parseThreshold(raw string) (float64, error) {
+	r, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
+	if err != nil {
+		return 0, errors.New("not a number")
+	}
+	return r, s.pool.ValidateR(r)
 }
 
 // parseIntParam extracts an optional integer parameter with a default

@@ -9,20 +9,17 @@
 //     full query identity including the dataset epoch, so a dataset
 //     swap invalidates every stale entry;
 //   - admission control: engine runs are bounded by the engine pool
-//     (a channel semaphore); requests wait at most AdmissionWait for
-//     a slot and are rejected with 429 under overload, 503 while
-//     draining;
+//     (core.Pool); requests wait at most AdmissionWait for an engine
+//     and are rejected with 429 under overload, 503 while draining;
 //   - per-request deadlines wired through the engines' Context query
 //     variants;
 //   - /metrics counters and per-phase latency histograms built on
 //     core.PhaseStats.
 //
 // The request path is: parse → cache lookup → coalesce → admission →
-// engine run → cache fill. Every engine in the pool shares one
-// label store, so queries sharing ⌈r⌉ recycle label work (§III-D)
-// regardless of which engine serves them; sharing is safe because a
-// published label set is immutable and the store itself is
-// mutex-protected.
+// engine run → cache fill (Server.execute). /v1/query has one handler;
+// what "engine run" means for it — a pooled engine, a batch epoch, or a
+// scatter–gather over shards — is a strategy fixed at construction.
 package server
 
 import (
@@ -123,9 +120,8 @@ type Config struct {
 	// bound requests and merges the certified results, and shard
 	// failures degrade the answer to an exact [LB, UB] interval instead
 	// of an error. Queries whose r exceeds ShardMaxR fall back to the
-	// solo engine pool. 0 disables. Mutually exclusive with
-	// BatchExecution — the two execution strategies own /v1/query
-	// routing in incompatible ways.
+	// solo engine pool. 0 disables. See Validate for what it combines
+	// with.
 	Shards int
 	// ShardMaxR is the partition's replica horizon: the largest radius
 	// the shards can answer exactly. 0 selects 10.
@@ -151,8 +147,8 @@ type Config struct {
 	// of the same scatter–gather algebra (DESIGN.md §17). The server
 	// still loads the full dataset: it computes the dataset generation
 	// every worker response must be stamped with, and it serves queries
-	// beyond ShardMaxR from its own engine pool. Mutually exclusive with
-	// Shards and BatchExecution.
+	// beyond ShardMaxR from its own engine pool. See Validate for what it
+	// combines with.
 	ShardAddrs []string
 	// ShardProbeInterval is the remote worker health-probe cadence.
 	// 0 selects 1s. Ignored unless ShardAddrs is set.
@@ -202,27 +198,45 @@ func (c Config) logf(format string, args ...any) {
 	}
 }
 
-// errOverload marks an admission-control rejection (HTTP 429).
-var errOverload = errors.New("server: all engine slots busy")
+// Validate reports settings that contradict each other. BatchExecution,
+// Shards and ShardAddrs each select what answers /v1/query — epoch
+// batching, in-process scatter–gather, remote scatter–gather — so at
+// most one may be set. New calls it; cmd/miosrv calls it before loading
+// a dataset, so a bad invocation fails in milliseconds.
+func (c Config) Validate() error {
+	strategies := 0
+	if c.BatchExecution {
+		strategies++
+	}
+	if c.Shards > 0 {
+		strategies++
+	}
+	if len(c.ShardAddrs) > 0 {
+		strategies++
+	}
+	if strategies > 1 {
+		return errors.New("server: BatchExecution (-batch), Shards (-shards) and ShardAddrs (-shards-at) are mutually exclusive: each owns /v1/query routing")
+	}
+	if n := len(c.ShardAddrs); n == 1 {
+		return fmt.Errorf("server: need at least 2 shard workers, got %d", n)
+	}
+	return nil
+}
+
+// queryFunc is a /v1/query execution strategy: it answers one cache
+// miss. rep is non-nil exactly when a scatter–gather produced the
+// answer.
+type queryFunc func(ctx context.Context, r float64, k int, degrade bool) (res *core.Result, rep *shard.Report, err error)
 
 // Server is a long-lived MIO query server over one dataset.
 type Server struct {
-	cfg  Config
-	opts core.Options // engine template; Labels shared by the pool
+	cfg Config
 
-	// slots is both the engine pool and the admission semaphore: a
-	// request must receive an engine from the channel to run, and
-	// returns it afterwards.
-	slots chan *core.Engine
-
-	ds    atomic.Pointer[data.Dataset]
+	// pool holds the engines, the (dataset, options) they are built
+	// from, and with them admission: a request must hold an engine to
+	// run.
+	pool  *core.Pool
 	epoch atomic.Uint64
-
-	// tmpl is the current (dataset, options) pair new engines are built
-	// from. It duplicates ds/opts behind one atomic pointer so panic
-	// quarantine can rebuild an engine without racing SwapDataset's
-	// mutation of s.opts.
-	tmpl atomic.Pointer[engineTemplate]
 
 	// swapBreaker trips after repeated dataset-swap failures so broken
 	// files stop being re-read on every request.
@@ -231,10 +245,15 @@ type Server struct {
 	flight flight.Group
 	cache  *cache.Cache
 
+	// query is the /v1/query strategy, picked once at construction:
+	// runSolo, runBatch (Config.BatchExecution) or runSharded
+	// (Config.Shards / ShardAddrs).
+	query queryFunc
+
 	// batch, when non-nil, is the epoch-driven cross-query executor
-	// /v1/query routes through (Config.BatchExecution). Its group runs
-	// go through withEngine, so admission, panic quarantine and swap
-	// drain apply to batched work exactly as to solo queries.
+	// behind runBatch. Its group runs go through withEngine, so
+	// admission, panic quarantine and swap drain apply to batched work
+	// exactly as to solo queries.
 	batch *batch.Engine
 
 	// tuneState, when AutoTune is on, is the profile and knob
@@ -242,10 +261,9 @@ type Server struct {
 	// and reported under /metrics "tuning".
 	tuneState atomic.Pointer[tuningState]
 
-	// coord, when non-nil, is the sharded scatter–gather coordinator
-	// /v1/query routes through (Config.Shards). It owns its own
-	// per-shard engine pools; SwapDataset replaces it wholesale with
-	// one built over the new dataset.
+	// coord, when non-nil, is the scatter–gather coordinator behind
+	// runSharded. It owns its own per-shard engine pools; SwapDataset
+	// replaces it wholesale with one built over the new dataset.
 	coord atomic.Pointer[shard.Coordinator]
 
 	// drainMu realises graceful drain: every request holds the read
@@ -303,14 +321,6 @@ func (m *serverMetrics) init() {
 	}
 }
 
-// engineTemplate is everything needed to build a replacement engine:
-// the dataset and the exact options (including the shared label store)
-// the pool's engines were built with.
-type engineTemplate struct {
-	ds   *data.Dataset
-	opts core.Options
-}
-
 // tuningState pairs a dataset profile with the knob assignment selected
 // from it. Immutable once published.
 type tuningState struct {
@@ -347,19 +357,8 @@ func applyTuned(opts core.Options, tn tune.Tuning) core.Options {
 func New(ds *data.Dataset, engOpts core.Options, cfg Config) (*Server, error) {
 	poolUnset := cfg.MaxInFlight < 1
 	cfg = cfg.withDefaults()
-	if cfg.Shards > 0 && cfg.BatchExecution {
-		return nil, fmt.Errorf("server: Shards and BatchExecution are mutually exclusive")
-	}
-	if len(cfg.ShardAddrs) > 0 {
-		if cfg.Shards > 0 {
-			return nil, fmt.Errorf("server: ShardAddrs and Shards are mutually exclusive")
-		}
-		if cfg.BatchExecution {
-			return nil, fmt.Errorf("server: ShardAddrs and BatchExecution are mutually exclusive")
-		}
-		if len(cfg.ShardAddrs) < 2 {
-			return nil, fmt.Errorf("server: need at least 2 shard workers, got %d", len(cfg.ShardAddrs))
-		}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	var ts *tuningState
 	if cfg.AutoTune {
@@ -378,32 +377,33 @@ func New(ds *data.Dataset, engOpts core.Options, cfg Config) (*Server, error) {
 	if engOpts.Faults == nil {
 		engOpts.Faults = cfg.Faults
 	}
-	engines := make([]*core.Engine, 0, cfg.MaxInFlight)
-	for i := 0; i < cfg.MaxInFlight; i++ {
-		e, err := core.NewEngine(ds, engOpts)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		engines = append(engines, e)
+	pool, err := core.NewPool(ds, engOpts, cfg.MaxInFlight)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
-	s := newFromPool(ds, engOpts, engines, cfg)
+	s := newFromPool(pool, cfg)
 	if ts != nil {
 		s.tuneState.Store(ts)
 	}
-	if cfg.Shards > 0 {
-		co, err := shard.New(ds, engOpts, s.shardConfig())
+	if cfg.Shards > 0 || len(cfg.ShardAddrs) > 0 {
+		co, err := s.newCoordinator(ds, engOpts)
 		if err != nil {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.coord.Store(co)
-	} else if len(cfg.ShardAddrs) > 0 {
-		co, err := s.remoteCoordinator(ds)
-		if err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		s.coord.Store(co)
+		s.query = s.runSharded
 	}
 	return s, nil
+}
+
+// newCoordinator builds the scatter–gather coordinator the Config asks
+// for over ds: in-process shard engines, or clients of the remote
+// workers.
+func (s *Server) newCoordinator(ds *data.Dataset, opts core.Options) (*shard.Coordinator, error) {
+	if s.cfg.Shards > 0 {
+		return shard.New(ds, opts, s.shardConfig())
+	}
+	return s.remoteCoordinator(ds)
 }
 
 // remoteCoordinator builds a scatter–gather coordinator over the
@@ -463,24 +463,19 @@ func (s *Server) shardConfig() shard.Config {
 func NewFromEngine(e *core.Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	cfg.MaxInFlight = 1
-	return newFromPool(e.Dataset(), e.Options(), []*core.Engine{e}, cfg)
+	return newFromPool(core.NewPoolOf(e), cfg)
 }
 
-func newFromPool(ds *data.Dataset, engOpts core.Options, engines []*core.Engine, cfg Config) *Server {
+func newFromPool(pool *core.Pool, cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
-		opts:        engOpts,
-		slots:       make(chan *core.Engine, len(engines)),
+		pool:        pool,
 		cache:       cache.New(cfg.CacheSize),
 		swapBreaker: breaker.New(cfg.SwapBreakThreshold, cfg.SwapBreakCooldown),
 		start:       time.Now(),
 	}
 	s.m.init()
-	for _, e := range engines {
-		s.slots <- e
-	}
-	s.ds.Store(ds)
-	s.tmpl.Store(&engineTemplate{ds: ds, opts: engOpts})
+	s.query = s.runSolo
 	if cfg.BatchExecution {
 		// batch.New only fails on a nil RunFunc, which s.runGroup is not.
 		s.batch, _ = batch.New(batch.Config{
@@ -489,8 +484,69 @@ func newFromPool(ds *data.Dataset, engOpts core.Options, engines []*core.Engine,
 			Faults:   cfg.Faults,
 			Run:      s.runGroup,
 		})
+		s.query = s.runBatch
 	}
 	return s
+}
+
+// runSolo answers a query from one pooled engine.
+func (s *Server) runSolo(ctx context.Context, r float64, k int, degrade bool) (*core.Result, *shard.Report, error) {
+	v, err := s.withEngine(ctx, func(ctx context.Context, eng *core.Engine) (any, error) {
+		run := eng.RunTopKContext
+		if degrade {
+			run = eng.RunTopKDegradedContext
+		}
+		res, err := run(ctx, r, k)
+		if err == nil {
+			s.observePhases(res.Stats)
+		}
+		return res, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return v.(*core.Result), nil, nil
+}
+
+// runBatch submits the query into the current batch epoch. The
+// deadline is applied here (runSolo gets it inside withEngine) so a
+// member's detach-on-expiry works even while its group still has engine
+// budget left; runGroup observes the phases, once per distinct plan.
+func (s *Server) runBatch(ctx context.Context, r float64, k int, degrade bool) (*core.Result, *shard.Report, error) {
+	ctx, cancel := s.deadline(ctx)
+	defer cancel()
+	res, err := s.batch.Submit(ctx, r, k, degrade)
+	return res, nil, err
+}
+
+// runSharded scatters the query over the coordinator's shards, which
+// own admission (per-shard engine pools) and fault tolerance: shard
+// failures come back as a Degraded result with a certified interval,
+// whether or not the client asked for degradation. Queries beyond the
+// replica horizon cannot be answered exactly by the shards and fall
+// back to the solo pool.
+func (s *Server) runSharded(ctx context.Context, r float64, k int, degrade bool) (*core.Result, *shard.Report, error) {
+	co := s.coord.Load()
+	if r > co.MaxR() {
+		return s.runSolo(ctx, r, k, degrade)
+	}
+	ctx, cancel := s.deadline(ctx)
+	defer cancel()
+	s.m.inFlight.Inc()
+	defer s.m.inFlight.Dec()
+	res, rep, err := co.Query(ctx, r, k)
+	if err == nil {
+		s.observePhases(res.Stats)
+	}
+	return res, rep, err
+}
+
+// deadline applies the per-request QueryTimeout on top of ctx.
+func (s *Server) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.cfg.QueryTimeout > 0 {
+		return context.WithTimeout(ctx, s.cfg.QueryTimeout)
+	}
+	return ctx, func() {}
 }
 
 // runGroup executes one shared-⌈r⌉ batch group. It takes no caller
@@ -501,23 +557,18 @@ func newFromPool(ds *data.Dataset, engOpts core.Options, engines []*core.Engine,
 // quarantines its engine and refills the slot before the batch
 // engine's own recovery fails the group's members, so the blast radius
 // of a poisoned query is one group of one epoch.
-func (s *Server) runGroup(specs []core.GroupSpec) ([]core.GroupOutcome, core.GroupReport, error) {
-	type groupValue struct {
-		outs []core.GroupOutcome
-		rep  core.GroupReport
-	}
-	v, err := s.withEngine(context.Background(), func(ctx context.Context, eng *core.Engine) (any, error) {
-		outs, rep := eng.RunGroup(ctx, specs)
-		return groupValue{outs, rep}, nil
+func (s *Server) runGroup(specs []core.GroupSpec) (outs []core.GroupOutcome, rep core.GroupReport, err error) {
+	_, err = s.withEngine(context.Background(), func(ctx context.Context, eng *core.Engine) (any, error) {
+		outs, rep = eng.RunGroup(ctx, specs)
+		return nil, nil
 	})
 	if err != nil {
 		return nil, core.GroupReport{}, err
 	}
-	gv := v.(groupValue)
 	// Members sharing a plan share one *Result; observe each distinct
 	// result once so the phase histograms count pipelines, not fan-out.
-	seen := make(map[*core.Result]struct{}, len(gv.outs))
-	for _, o := range gv.outs {
+	seen := make(map[*core.Result]struct{}, len(outs))
+	for _, o := range outs {
 		if o.Err != nil || o.Result == nil {
 			continue
 		}
@@ -527,26 +578,25 @@ func (s *Server) runGroup(specs []core.GroupSpec) ([]core.GroupOutcome, core.Gro
 		seen[o.Result] = struct{}{}
 		s.observePhases(o.Result.Stats)
 	}
-	return gv.outs, gv.rep, nil
+	return outs, rep, nil
 }
 
 // Dataset returns the currently served dataset.
-func (s *Server) Dataset() *data.Dataset { return s.ds.Load() }
+func (s *Server) Dataset() *data.Dataset { return s.pool.Dataset() }
 
 // MaxInFlight returns the engine-pool size actually in effect (it may
 // have been chosen by the auto-tuner rather than Config.MaxInFlight).
-func (s *Server) MaxInFlight() int { return cap(s.slots) }
+func (s *Server) MaxInFlight() int { return s.pool.Cap() }
 
 // Epoch returns the dataset generation; it increments on every swap.
 func (s *Server) Epoch() uint64 { return s.epoch.Load() }
 
 // SwapDataset atomically replaces the served dataset: with durable
 // state configured it first commits ds as a new generation, then
-// builds a fresh engine pool (with a fresh label store — labels are
+// swaps the engine pool onto it (with a fresh label store — labels are
 // per-dataset and must not survive a swap; per-generation on disk
-// when durable, in-memory otherwise), waits for in-flight engine runs
-// to finish, installs the new engines, bumps the epoch and clears the
-// result cache.
+// when durable, in-memory otherwise), which waits for in-flight engine
+// runs to finish, bumps the epoch and clears the result cache.
 func (s *Server) SwapDataset(ds *data.Dataset) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -554,7 +604,7 @@ func (s *Server) SwapDataset(ds *data.Dataset) error {
 	if err := s.cfg.Faults.Fire(fault.PointSwapBuild); err != nil {
 		return fmt.Errorf("server: swap rejected: %w", err)
 	}
-	opts := s.opts
+	opts := s.pool.Options()
 	// Re-tune for the incoming dataset before anything is built from it.
 	// Only the per-engine knobs move: the pool size and the batch
 	// engine's gather window were fixed at construction.
@@ -588,69 +638,45 @@ func (s *Server) SwapDataset(ds *data.Dataset) error {
 		// survive a swap.
 		opts.Labels = labelstore.NewStore()
 	}
-	engines := make([]*core.Engine, 0, cap(s.slots))
-	for i := 0; i < cap(s.slots); i++ {
-		e, err := core.NewEngine(ds, opts)
-		if err != nil {
-			// The generation is committed but cannot be served; keep the
-			// MANIFEST honest about what is actually running.
-			if s.cfg.State != nil {
-				s.cfg.State.rollbackManifest(prevGen, prevOK)
-			}
-			return fmt.Errorf("server: swap rejected: %w", err)
+	// The generation is committed; if it cannot be served after all,
+	// keep the MANIFEST honest about what is actually running.
+	reject := func(err error) error {
+		if s.cfg.State != nil {
+			s.cfg.State.rollbackManifest(prevGen, prevOK)
 		}
-		engines = append(engines, e)
+		return fmt.Errorf("server: swap rejected: %w", err)
 	}
 	// The coordinator is rebuilt over the new dataset before anything is
 	// installed, so a failed shard build rejects the whole swap. Metrics
 	// carry over: counters describe the serving process, not one
-	// partition.
+	// partition. Remote workers keep serving the OLD generation until
+	// they are redeployed with the new dataset; the fresh coordinator's
+	// stamp rejects their answers, so queries degrade (never mix
+	// generations) until the fleet catches up.
+	old := s.coord.Load()
 	var coord *shard.Coordinator
-	if s.cfg.Shards > 0 || len(s.cfg.ShardAddrs) > 0 {
+	if old != nil {
 		var err error
-		if s.cfg.Shards > 0 {
-			coord, err = shard.New(ds, opts, s.shardConfig())
-		} else {
-			// Remote workers keep serving the OLD generation until they
-			// are redeployed with the new dataset; the fresh coordinator's
-			// stamp rejects their answers, so queries degrade (never mix
-			// generations) until the fleet catches up.
-			coord, err = s.remoteCoordinator(ds)
+		if coord, err = s.newCoordinator(ds, opts); err != nil {
+			return reject(err)
 		}
-		if err != nil {
-			if s.cfg.State != nil {
-				s.cfg.State.rollbackManifest(prevGen, prevOK)
-			}
-			return fmt.Errorf("server: swap rejected: %w", err)
+		coord.AdoptMetrics(old.Metrics())
+	}
+	// Builds the new engines, then waits for in-flight runs to finish.
+	if err := s.pool.Swap(ds, opts); err != nil {
+		if coord != nil {
+			coord.Close()
 		}
-		if old := s.coord.Load(); old != nil {
-			coord.AdoptMetrics(old.Metrics())
-		}
+		return reject(err)
 	}
-	// Drain the pool: receiving every slot waits for in-flight runs.
-	// A run that panicked is not lost: quarantine pushes a replacement
-	// engine into its slot before the panic continues, so all
-	// cap(s.slots) receives complete.
-	for i := 0; i < cap(s.slots); i++ {
-		<-s.slots //lint:ignore lockcheck swapMu held across the drain on purpose: it serializes swaps, and this receive IS the wait for in-flight runs; query paths never take swapMu
-	}
-	for _, e := range engines {
-		s.slots <- e //lint:ignore lockcheck refilling a fully drained pool cannot block (cap receives completed above), and swapMu only serializes other swappers
-	}
-	s.opts = opts
-	s.ds.Store(ds)
-	s.tmpl.Store(&engineTemplate{ds: ds, opts: opts})
 	if ts != nil {
 		s.tuneState.Store(ts)
 	}
 	if coord != nil {
-		old := s.coord.Load()
 		s.coord.Store(coord)
-		if old != nil {
-			// Stops the old coordinator's background probers; in-flight
-			// queries that already loaded it still complete.
-			old.Close()
-		}
+		// Stops the old coordinator's background probers; in-flight
+		// queries that already loaded it still complete.
+		old.Close()
 	}
 	s.epoch.Add(1)
 	s.cache.Clear()
@@ -677,68 +703,40 @@ func (s *Server) Drain() {
 	}
 }
 
-// acquire obtains an engine slot, queueing up to AdmissionWait.
-func (s *Server) acquire(ctx context.Context) (*core.Engine, error) {
-	select {
-	case eng := <-s.slots:
-		return eng, nil
-	default:
-	}
-	if s.cfg.AdmissionWait < 0 {
-		return nil, errOverload
-	}
-	timer := time.NewTimer(s.cfg.AdmissionWait)
-	defer timer.Stop()
-	select {
-	case eng := <-s.slots:
-		return eng, nil
-	case <-timer.C:
-		return nil, errOverload
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// withEngine runs fn holding an engine slot, with the per-request
-// deadline applied on top of the caller's context.
+// withEngine runs fn holding an engine from the pool, with the
+// per-request deadline applied on top of the caller's context.
 //
-// If fn panics, the engine that ran it is quarantined: the slot is
-// refilled with a fresh engine built from the current template (same
-// dataset, same shared label store) and the panic continues to the
-// recovery middleware. Discarding the engine costs almost nothing —
-// engines hold no per-query state — but guarantees that whatever
-// inconsistency caused the panic cannot leak into later queries.
+// If fn panics, the engine that ran it is quarantined (core.Pool
+// refills the slot from its template: same dataset, same shared label
+// store) and the panic continues to the recovery middleware.
 func (s *Server) withEngine(ctx context.Context, fn func(context.Context, *core.Engine) (any, error)) (any, error) {
 	if err := s.cfg.Faults.Fire(fault.PointAcquire); err != nil {
 		return nil, err
 	}
-	eng, err := s.acquire(ctx)
+	eng, err := s.pool.Acquire(ctx, s.cfg.AdmissionWait)
 	if err != nil {
-		if errors.Is(err, errOverload) {
+		if errors.Is(err, core.ErrPoolBusy) {
 			s.m.rejected.Inc()
 		}
 		return nil, err
 	}
 	defer func() {
-		// Exactly one engine goes back per slot taken, panic or not;
+		// Exactly one engine goes back per engine taken, panic or not;
 		// the pool can never leak a slot.
 		if rec := recover(); rec != nil {
 			s.m.quarantined.Inc()
-			s.slots <- s.replacementEngine(eng)
+			s.pool.Quarantine(eng)
 			panic(rec)
 		}
-		s.slots <- eng
+		s.pool.Release(eng)
 	}()
 	s.m.inFlight.Inc()
 	defer s.m.inFlight.Dec()
 	if s.testRunBarrier != nil {
 		s.testRunBarrier()
 	}
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
+	ctx, cancel := s.deadline(ctx)
+	defer cancel()
 	if err := s.cfg.Faults.Fire(fault.PointRun); err != nil {
 		return nil, err
 	}
@@ -746,23 +744,12 @@ func (s *Server) withEngine(ctx context.Context, fn func(context.Context, *core.
 	return fn(ctx, eng)
 }
 
-// replacementEngine builds a fresh engine from the current template to
-// replace a quarantined one. If the build fails (the template already
-// built this pool, so only resource exhaustion can get here) the
-// suspect engine is returned instead: a possibly-tainted engine beats
-// a leaked slot, which would silently shrink the pool forever.
-func (s *Server) replacementEngine(old *core.Engine) *core.Engine {
-	t := s.tmpl.Load()
-	e, err := core.NewEngine(t.ds, t.opts)
-	if err != nil {
-		return old
-	}
-	return e
-}
-
 // execute is the shared request path: cache lookup, then coalesced
-// execution of the leader function, then cache fill.
-func (s *Server) execute(key string, fn func() (any, error)) (val any, cached, coalesced bool, err error) {
+// execution of the leader function, then cache fill. coalesce false
+// bypasses the flight group the way DisableCoalesce does: batched
+// queries pass it, because an epoch already gives identical (r, k)
+// members one plan and one *Result.
+func (s *Server) execute(key string, coalesce bool, fn func() (any, error)) (val any, cached, coalesced bool, err error) {
 	if !s.cfg.DisableCache {
 		if v, ok := s.cache.Get(key); ok {
 			return v, true, false, nil
@@ -775,7 +762,7 @@ func (s *Server) execute(key string, fn func() (any, error)) (val any, cached, c
 		}
 		return v, err
 	}
-	if s.cfg.DisableCoalesce {
+	if !coalesce || s.cfg.DisableCoalesce {
 		v, err := wrapped()
 		return v, false, false, err
 	}
@@ -790,13 +777,8 @@ func (s *Server) execute(key string, fn func() (any, error)) (val any, cached, c
 // cache. Degraded answers are partial — replaying one to a later
 // caller would hide the exact answer that caller had time to compute.
 func cacheable(v any) bool {
-	switch r := v.(type) {
-	case *core.Result:
-		return !r.Degraded
-	case *shardQueryValue:
-		return !r.res.Degraded
-	}
-	return true
+	qv, ok := v.(*queryValue)
+	return !ok || !qv.res.Degraded
 }
 
 // observePhases feeds one query's PhaseStats into the per-phase
@@ -813,8 +795,12 @@ func (s *Server) observePhases(st core.PhaseStats) {
 // statusFor maps an execution error to its HTTP status.
 func (s *Server) statusFor(err error) int {
 	switch {
-	case errors.Is(err, errOverload):
+	case errors.Is(err, core.ErrPoolBusy):
 		return http.StatusTooManyRequests
+	case errors.Is(err, core.ErrInvalidQuery):
+		// parseThreshold turns these away up front; one gets this far
+		// when a dataset swap shrank the valid range in between.
+		return http.StatusBadRequest
 	case errors.Is(err, shard.ErrAllShardsDown):
 		// Nothing left to certify even an interval with; distinct from
 		// a timeout — per-shard failures never surface as 504.

@@ -1,0 +1,137 @@
+package server
+
+import (
+	"fmt"
+	"net/http"
+	"reflect"
+	"testing"
+	"time"
+
+	"mio/internal/core"
+)
+
+// TestConfigValidate: BatchExecution, Shards and ShardAddrs each pick
+// the /v1/query strategy, so any two together are refused — by
+// Validate and therefore by New — and remote sharding needs two workers.
+func TestConfigValidate(t *testing.T) {
+	addrs := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"solo", Config{}, true},
+		{"batch", Config{BatchExecution: true}, true},
+		{"shards", Config{Shards: 2}, true},
+		{"remote shards", Config{ShardAddrs: addrs}, true},
+		{"batch+shards", Config{BatchExecution: true, Shards: 2}, false},
+		{"batch+remote", Config{BatchExecution: true, ShardAddrs: addrs}, false},
+		{"shards+remote", Config{Shards: 2, ShardAddrs: addrs}, false},
+		{"one remote worker", Config{ShardAddrs: addrs[:1]}, false},
+	} {
+		err := tc.cfg.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if !tc.ok {
+			if _, nerr := New(testDataset(20, 3), core.Options{}, tc.cfg); nerr == nil || nerr.Error() != err.Error() {
+				t.Errorf("%s: New() = %v, want Validate's %v", tc.name, nerr, err)
+			}
+		}
+	}
+}
+
+// TestQueryStrategiesShareOnePath drives the one /v1/query handler
+// under each strategy: the answer is the solo answer, the second ask is
+// a cache hit carrying the same strategy markers (the cached value
+// keeps the scatter report), and a radius beyond the shard horizon
+// falls back to the solo pool.
+func TestQueryStrategiesShareOnePath(t *testing.T) {
+	const url = "/v1/query?r=4&k=3"
+	var want queryResponse
+	if rec := get(t, newTestServer(t, Config{}).Handler(), url, &want); rec.Code != http.StatusOK {
+		t.Fatalf("solo: status %d", rec.Code)
+	}
+	for _, tc := range []struct {
+		name             string
+		cfg              Config
+		batched, sharded bool
+	}{
+		{"solo", Config{}, false, false},
+		{"batch", Config{BatchExecution: true, BatchWindow: time.Millisecond}, true, false},
+		{"sharded", Config{Shards: 2, ShardMaxR: 5}, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, tc.cfg)
+			defer s.Drain()
+			h := s.Handler()
+			for ask, cached := range []bool{false, true} {
+				var got queryResponse
+				if rec := get(t, h, url, &got); rec.Code != http.StatusOK {
+					t.Fatalf("ask %d: status %d: %s", ask, rec.Code, rec.Body)
+				}
+				if got.Cached != cached || got.Batched != tc.batched || got.Sharded != tc.sharded || (got.Scatter != nil) != tc.sharded {
+					t.Errorf("ask %d: cached=%v batched=%v sharded=%v scatter=%v", ask, got.Cached, got.Batched, got.Sharded, got.Scatter != nil)
+				}
+				if !reflect.DeepEqual(got.Result.TopK, want.Result.TopK) {
+					t.Errorf("ask %d: top-k %v, solo says %v", ask, got.Result.TopK, want.Result.TopK)
+				}
+			}
+			if s.pool.Idle() != s.pool.Cap() {
+				t.Errorf("engine pool leaked: %d of %d idle", s.pool.Idle(), s.pool.Cap())
+			}
+		})
+	}
+
+	s := newTestServer(t, Config{Shards: 2, ShardMaxR: 5})
+	defer s.Drain()
+	var far, soloFar queryResponse
+	get(t, s.Handler(), "/v1/query?r=6&k=2", &far)
+	get(t, newTestServer(t, Config{}).Handler(), "/v1/query?r=6&k=2", &soloFar)
+	if far.Sharded || far.Scatter != nil || far.Result == nil || !reflect.DeepEqual(far.Result.TopK, soloFar.Result.TopK) {
+		t.Errorf("r beyond the horizon: sharded=%v result=%+v, want the solo pool's %+v", far.Sharded, far.Result, soloFar.Result)
+	}
+}
+
+// TestUnanswerableThresholdIsBadRequest: an r the engines refuse (NaN,
+// or so small that cell keys leave int32) is the client's error under
+// every strategy. It must be a 400 before it reaches a shard — there
+// each refusal used to be charged to the shard's breaker, so one such
+// request made the next valid one a 503 — and must leave the pool whole.
+func TestUnanswerableThresholdIsBadRequest(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"solo", Config{}},
+		{"batch", Config{BatchExecution: true, BatchWindow: time.Millisecond}},
+		{"sharded", Config{Shards: 2, ShardMaxR: 5, ShardBreakThreshold: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, tc.cfg)
+			defer s.Drain()
+			h := s.Handler()
+			for _, url := range []string{
+				"/v1/query?r=1e-12&k=1",
+				"/v1/query?r=NaN",
+				"/v1/interacting?r=1e-12&obj=0",
+				"/v1/scores?r=1e-12",
+				"/v1/sweep?rs=4,1e-12",
+			} {
+				if rec := get(t, h, url, nil); rec.Code != http.StatusBadRequest {
+					t.Errorf("%s: status %d, want 400: %s", url, rec.Code, rec.Body)
+				}
+			}
+			var got queryResponse
+			if rec := get(t, h, "/v1/query?r=4&k=3", &got); rec.Code != http.StatusOK || got.Result == nil || got.Result.Degraded {
+				t.Errorf("valid query after the refusals: status %d, body %s", rec.Code, rec.Body)
+			}
+			if s.pool.Idle() != s.pool.Cap() {
+				t.Errorf("engine pool leaked: %d of %d idle", s.pool.Idle(), s.pool.Cap())
+			}
+		})
+	}
+	if got := (&Server{}).statusFor(fmt.Errorf("shard 1: %w", core.ErrInvalidQuery)); got != http.StatusBadRequest {
+		t.Errorf("statusFor(ErrInvalidQuery) = %d, want 400", got)
+	}
+}

@@ -34,11 +34,10 @@ var (
 	// currently considers the worker down; no network round trip is
 	// paid.
 	ErrUnreachable = errors.New("shard: worker down")
-
-	// errNoSlot marks an engine-pool acquire that timed out; the
+	// ErrNoSlot marks an engine-pool acquire that timed out; the
 	// coordinator does not charge it to the shard's breaker (the shard
-	// is busy, not broken).
-	errNoSlot = errors.New("shard: engine pool exhausted")
+	// is busy, not broken) and a remote worker answers it with 503.
+	ErrNoSlot = errors.New("shard: engine pool exhausted")
 )
 
 // Shard probe states reported in BackendInfo.State and /healthz.

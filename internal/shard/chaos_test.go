@@ -17,14 +17,14 @@ import (
 // and cancelled attempts (losers drain asynchronously).
 func waitSlots(t *testing.T, sh *Shard) {
 	t.Helper()
-	lb, ok := sh.backend.(*localBackend)
+	lb, ok := sh.backend.(*LocalBackend)
 	if !ok {
 		t.Fatalf("shard %d: backend is %T, not a local engine pool", sh.id, sh.backend)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for len(lb.slots) != cap(lb.slots) {
+	for lb.pool.Idle() != lb.pool.Cap() {
 		if time.Now().After(deadline) {
-			t.Fatalf("shard %d: %d/%d engine slots returned", sh.id, len(lb.slots), cap(lb.slots))
+			t.Fatalf("shard %d: %d/%d engine slots returned", sh.id, lb.pool.Idle(), lb.pool.Cap())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

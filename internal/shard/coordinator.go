@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mio/internal/core"
-	"mio/internal/core/labelstore"
 	"mio/internal/data"
 	"mio/internal/fault"
 	"mio/internal/server/metrics"
@@ -145,39 +144,25 @@ type Coordinator struct {
 }
 
 // New partitions ds per cfg and builds in-process shard engines. opts
-// is the per-shard engine template; when opts.Labels is set each shard
-// gets its own in-memory store (shard-local ids make the global store
-// meaningless), and cfg.Faults overrides opts.Faults so one registry
-// drives both coordinator and engine points.
+// is the per-shard engine template (see NewLocalBackend); cfg.Faults
+// overrides opts.Faults so one registry drives both coordinator and
+// engine points.
 func New(ds *data.Dataset, opts core.Options, cfg Config) (*Coordinator, error) {
-	cfg = cfg.withDefaults()
-	part, err := BuildPartition(ds, cfg.Shards, cfg.MaxR)
+	d := cfg.withDefaults()
+	part, err := BuildPartition(ds, d.Shards, d.MaxR)
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{
-		cfg:    cfg,
-		shards: make([]*Shard, cfg.Shards),
-		n:      ds.N(),
-		m:      newMetrics(),
+	if cfg.Faults != nil {
+		opts.Faults = cfg.Faults
 	}
-	for s := 0; s < cfg.Shards; s++ {
-		local, primary := part.ShardDataset(ds, s)
-		shOpts := opts
-		if shOpts.Labels != nil {
-			shOpts.Labels = labelstore.NewStore()
-		}
-		if cfg.Faults != nil {
-			shOpts.Faults = cfg.Faults
-		}
-		global := part.Members[s]
-		backend, err := newLocalBackend(s, cfg.Pool, local, global, primary, shOpts)
-		if err != nil {
+	backends := make([]Backend, d.Shards)
+	for s := range backends {
+		if backends[s], err = NewLocalBackend(part, ds, s, opts, d.Pool, 0); err != nil {
 			return nil, err
 		}
-		c.shards[s] = newShard(s, backend, cfg.BreakThreshold, cfg.BreakCooldown)
 	}
-	return c, nil
+	return NewWithBackends(backends, ds.N(), cfg)
 }
 
 // NewWithBackends builds a coordinator over caller-supplied shard
@@ -268,11 +253,11 @@ type shardBound struct {
 // itself is invalid (or every shard is unreachable) — shard failures
 // degrade the result instead (Result.Degraded + Interval).
 func (c *Coordinator) Query(ctx context.Context, r float64, k int) (*core.Result, *Report, error) {
-	if r <= 0 {
-		return nil, nil, fmt.Errorf("shard: distance threshold must be positive, got %g", r)
+	if !(r > 0) {
+		return nil, nil, fmt.Errorf("shard: %w: distance threshold must be positive, got %g", core.ErrInvalidQuery, r)
 	}
 	if k < 1 {
-		return nil, nil, fmt.Errorf("shard: k must be at least 1, got %d", k)
+		return nil, nil, fmt.Errorf("shard: %w: k must be at least 1, got %d", core.ErrInvalidQuery, k)
 	}
 	if r > c.cfg.MaxR {
 		return nil, nil, fmt.Errorf("%w (r=%g, horizon=%g)", ErrBeyondHorizon, r, c.cfg.MaxR)
@@ -307,7 +292,20 @@ func (c *Coordinator) Query(ctx context.Context, r float64, k int) (*core.Result
 	wg.Wait()
 	tMerge := time.Now()
 
-	if err := c.cfg.Faults.Fire(fault.PointMerge); err != nil {
+	// The coordinator does not know the shards' extents, so an r too
+	// small for a shard's cell keys is only refused there. One refusal
+	// speaks for the query: the parameters are wrong, not the shards.
+	var err error
+	for i := range bounds {
+		if errors.Is(bounds[i].err, core.ErrInvalidQuery) {
+			err = bounds[i].err
+			break
+		}
+	}
+	if err == nil {
+		err = c.cfg.Faults.Fire(fault.PointMerge)
+	}
+	if err != nil {
 		for i := range bounds {
 			if bounds[i].bounds != nil {
 				bounds[i].bounds.Release()
@@ -388,7 +386,7 @@ func (c *Coordinator) boundShard(ctx context.Context, sh *Shard, r float64, k in
 			if outstanding > 0 {
 				continue // the hedge may still win
 			}
-			if launched < budget && ctx.Err() == nil {
+			if launched < budget && ctx.Err() == nil && !errors.Is(res.err, core.ErrInvalidQuery) {
 				c.m.Retries.Inc()
 				launched++
 				d := c.cfg.Backoff << (launched - 2)
@@ -422,8 +420,9 @@ func (c *Coordinator) boundShard(ctx context.Context, sh *Shard, r float64, k in
 
 // attempt runs one breaker-gated bound attempt against the shard's
 // backend. Backends convert panics to errors, so only bookkeeping
-// lives here: breaker charging (refusals and pool exhaustion exempt),
-// per-class failure counters, and the degradation envelope.
+// lives here: breaker charging (refusals, pool exhaustion and invalid
+// queries exempt), per-class failure counters, and the degradation
+// envelope.
 func (c *Coordinator) attempt(ctx context.Context, sh *Shard, r float64, k int) attemptRes {
 	if retry, ok := sh.br.Allow(); !ok {
 		// Refused, not failed: the breaker's own bookkeeping must not
@@ -436,9 +435,10 @@ func (c *Coordinator) attempt(ctx context.Context, sh *Shard, r float64, k int) 
 	b, err := sh.backend.Bound(actx, r, k)
 	c.m.Scatter.Observe(time.Since(t0))
 	if err != nil {
-		if errors.Is(err, errNoSlot) {
-			// The shard is busy, not broken: no breaker charge, no
-			// health note — the caller's admission control is at fault.
+		if errors.Is(err, ErrNoSlot) || errors.Is(err, core.ErrInvalidQuery) {
+			// The shard is busy, or turned the query itself down; it is
+			// not broken: no breaker charge, no health note — the caller's
+			// admission control or parameters are at fault.
 			return attemptRes{err: err}
 		}
 		switch {

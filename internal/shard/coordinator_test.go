@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"mio/internal/core"
@@ -170,5 +171,38 @@ func TestHealthSnapshot(t *testing.T) {
 	}
 	if objs != 50 {
 		t.Fatalf("health primaries sum to %d, want 50", objs)
+	}
+}
+
+// TestInvalidQueryIsNotAShardFailure: an r too small for the shards'
+// cell keys is refused by every shard engine. That is the caller's
+// error, returned as such — no retry, no breaker charge, no health
+// note — so the next valid query is answered exactly, not refused by
+// breakers the bad one tripped.
+func TestInvalidQueryIsNotAShardFailure(t *testing.T) {
+	ds := uniformDS(60, 5)
+	c, err := New(ds, core.Options{}, Config{Shards: 3, MaxR: 6, BreakThreshold: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []float64{1e-12, math.NaN()} {
+		if _, _, err := c.Query(context.Background(), r, 1); !errors.Is(err, core.ErrInvalidQuery) {
+			t.Fatalf("r=%g: err = %v, want core.ErrInvalidQuery", r, err)
+		}
+	}
+	for _, h := range c.Health() {
+		if h.Breaker != "closed" || h.LastError != "" {
+			t.Errorf("shard %d after invalid queries: breaker %q, last error %q", h.ID, h.Breaker, h.LastError)
+		}
+	}
+	if got := c.Metrics().Retries.Value(); got != 0 {
+		t.Errorf("invalid queries were retried %d times", got)
+	}
+	res, _, err := c.Query(context.Background(), 4, 2)
+	if err != nil || res.Degraded || !sameTopK(res.TopK, oracle(t, ds, 4, 2).TopK) {
+		t.Fatalf("valid query after invalid ones: res=%+v err=%v", res, err)
+	}
+	for _, sh := range c.shards {
+		waitSlots(t, sh)
 	}
 }

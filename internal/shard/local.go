@@ -3,77 +3,54 @@ package shard
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"mio/internal/core"
+	"mio/internal/core/labelstore"
 	"mio/internal/data"
 	"mio/internal/fault"
 )
 
-// localBackend is the in-process shard transport: a small engine pool
-// with panic quarantine over the shard's local dataset. It is the PR 8
-// execution path, unchanged in behaviour — the engine runs, quarantine
-// discipline and local→global mapping all live here now so the
-// coordinator can drive remote workers through the same interface.
-type localBackend struct {
+// LocalBackend is the in-process shard transport: a core.Pool of
+// engines over one shard's local dataset, plus the local→global id
+// mapping. The coordinator drives one per shard directly; a remote
+// worker (internal/shard/remote) serves exactly one over HTTP, so both
+// deployments run the same engine, quarantine and mapping code.
+type LocalBackend struct {
 	id      int
-	ds      *data.Dataset
 	global  []int32 // local id → global id
 	primary []bool
-	opts    core.Options // engine template (per-shard label store)
+	info    BackendInfo
 	faults  *fault.Registry
-
-	slots chan *core.Engine
+	pool    *core.Pool
+	// wait is how long Bound queues for an engine (core.Pool.Acquire):
+	// 0 waits as long as the attempt's context allows.
+	wait time.Duration
 }
 
-func newLocalBackend(id, pool int, ds *data.Dataset, global []int32, primary []bool, opts core.Options) (*localBackend, error) {
-	lb := &localBackend{
-		id:      id,
-		ds:      ds,
-		global:  global,
-		primary: primary,
-		opts:    opts,
-		faults:  opts.Faults,
-		slots:   make(chan *core.Engine, pool),
+// NewLocalBackend builds shard id of part over ds with pool engines.
+// opts is the engine template; a configured label store is replaced
+// with a fresh in-memory one, since shard-local ids make a shared store
+// meaningless.
+func NewLocalBackend(part *Partition, ds *data.Dataset, id int, opts core.Options, pool int, wait time.Duration) (*LocalBackend, error) {
+	local, primary := part.ShardDataset(ds, id)
+	if opts.Labels != nil {
+		opts.Labels = labelstore.NewStore()
 	}
-	for i := 0; i < pool; i++ {
-		e, err := core.NewEngine(ds, opts)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", id, err)
-		}
-		lb.slots <- e
-	}
-	return lb, nil
-}
-
-// acquire takes an engine slot, waiting on ctx.
-func (lb *localBackend) acquire(ctx context.Context) (*core.Engine, error) {
-	select {
-	case e := <-lb.slots:
-		return e, nil
-	default:
-	}
-	select {
-	case e := <-lb.slots:
-		return e, nil
-	case <-ctx.Done():
-		return nil, fmt.Errorf("shard %d: %w: %w", lb.id, errNoSlot, ctx.Err())
-	}
-}
-
-// release returns an engine to the pool.
-func (lb *localBackend) release(e *core.Engine) { lb.slots <- e }
-
-// quarantine discards a panicked engine and refills its slot with a
-// fresh one built from the shard's template — the same refill
-// discipline the server pool uses. If the rebuild fails the suspect
-// engine goes back: a possibly-tainted engine beats a leaked slot.
-func (lb *localBackend) quarantine(old *core.Engine) {
-	e, err := core.NewEngine(lb.ds, lb.opts)
+	p, err := core.NewPool(local, opts, pool)
 	if err != nil {
-		lb.slots <- old
-		return
+		return nil, fmt.Errorf("shard %d: %w", id, err)
 	}
-	lb.slots <- e
+	prim := part.Primaries(id)
+	return &LocalBackend{
+		id:      id,
+		global:  part.Members[id],
+		primary: primary,
+		info:    BackendInfo{Objects: len(primary), Primaries: prim, Replicas: len(primary) - prim},
+		faults:  opts.Faults,
+		pool:    p,
+		wait:    wait,
+	}, nil
 }
 
 // Bound acquires an engine and runs the bound phase restricted to the
@@ -81,49 +58,39 @@ func (lb *localBackend) quarantine(old *core.Engine) {
 // engine itself) quarantines the engine — its slot is refilled from
 // the template — and converts to an error so the coordinator's retry
 // loop stays alive.
-func (lb *localBackend) Bound(ctx context.Context, r float64, k int) (b Bounds, err error) {
-	eng, aerr := lb.acquire(ctx)
+func (lb *LocalBackend) Bound(ctx context.Context, r float64, k int) (b Bounds, err error) {
+	eng, aerr := lb.pool.Acquire(ctx, lb.wait)
 	if aerr != nil {
-		return nil, aerr
+		return nil, fmt.Errorf("shard %d: %w: %w", lb.id, ErrNoSlot, aerr)
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			lb.quarantine(eng)
+			lb.pool.Quarantine(eng)
 			b, err = nil, fmt.Errorf("shard %d: panic: %v", lb.id, p)
+		} else if err != nil {
+			lb.pool.Release(eng)
 		}
 	}()
-	if ferr := lb.faults.Fire(fault.PointShardRun); ferr != nil {
-		lb.release(eng)
-		return nil, ferr
+	// Fired with the engine held: a panic rule here must exercise the
+	// quarantine path.
+	if err := lb.faults.Fire(fault.PointShardRun); err != nil {
+		return nil, err
 	}
-	set, rerr := eng.Bound(ctx, r, k, lb.primary)
-	if rerr != nil {
-		lb.release(eng)
-		return nil, rerr
+	set, err := eng.Bound(ctx, r, k, lb.primary)
+	if err != nil {
+		return nil, err
 	}
 	return &localBounds{lb: lb, set: set, eng: eng}, nil
 }
 
-func (lb *localBackend) Info() BackendInfo {
-	prim := 0
-	for _, p := range lb.primary {
-		if p {
-			prim++
-		}
-	}
-	return BackendInfo{
-		Objects:   len(lb.global),
-		Primaries: prim,
-		Replicas:  len(lb.global) - prim,
-	}
-}
+func (lb *LocalBackend) Info() BackendInfo { return lb.info }
 
-func (lb *localBackend) Close() {}
+func (lb *LocalBackend) Close() {}
 
 // localBounds is a paused in-process query: the BoundSet plus the
 // engine it is tied to.
 type localBounds struct {
-	lb  *localBackend
+	lb  *LocalBackend
 	set *core.BoundSet
 	eng *core.Engine
 }
@@ -137,31 +104,26 @@ func (b *localBounds) MaxUB() int { return b.set.MaxUB() }
 
 func (b *localBounds) Stats() core.PhaseStats { return b.set.Stats() }
 
-func (b *localBounds) Release() { b.lb.release(b.eng) }
+func (b *localBounds) Release() { b.lb.pool.Release(b.eng) }
 
 // Complete resumes verification with the same panic-quarantine
 // discipline as Bound and always returns the engine to the pool.
 func (b *localBounds) Complete(ctx context.Context, floor int) (res *core.Result, err error) {
-	released := false
 	defer func() {
 		if p := recover(); p != nil {
-			b.lb.quarantine(b.eng)
+			b.lb.pool.Quarantine(b.eng)
 			res, err = nil, fmt.Errorf("shard %d: panic: %v", b.lb.id, p)
 			return
 		}
-		if !released {
-			b.lb.release(b.eng)
-		}
+		b.lb.pool.Release(b.eng)
 	}()
-	r, cerr := b.set.Complete(ctx, floor)
-	b.lb.release(b.eng)
-	released = true
-	if cerr != nil {
-		return nil, cerr
+	res, err = b.set.Complete(ctx, floor)
+	if err != nil {
+		return nil, err
 	}
-	r.TopK = toGlobal(b.lb.global, r.TopK)
-	if len(r.TopK) > 0 {
-		r.Best = r.TopK[0]
+	res.TopK = toGlobal(b.lb.global, res.TopK)
+	if len(res.TopK) > 0 {
+		res.Best = res.TopK[0]
 	}
-	return r, nil
+	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -192,11 +193,16 @@ func (c *Client) post(ctx context.Context, path string, body any) ([]byte, error
 		return nil, fmt.Errorf("%w: %s%s: response exceeds %d bytes", shard.ErrBadResponse, c.cfg.Addr, path, c.cfg.MaxResponseBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
+		err := fmt.Errorf("%s%s: worker answered %d", c.cfg.Addr, path, resp.StatusCode)
 		var we wireError
 		if jerr := json.Unmarshal(data, &we); jerr == nil && we.Error != "" {
-			return nil, fmt.Errorf("%s%s: worker answered %d: %s", c.cfg.Addr, path, resp.StatusCode, we.Error)
+			err = fmt.Errorf("%w: %s", err, we.Error)
 		}
-		return nil, fmt.Errorf("%s%s: worker answered %d", c.cfg.Addr, path, resp.StatusCode)
+		if resp.StatusCode == http.StatusBadRequest {
+			// The worker is alive and turned the request itself down.
+			err = fmt.Errorf("%w: %w", core.ErrInvalidQuery, err)
+		}
+		return nil, err
 	}
 	payload, err := durable.Open(data)
 	if err != nil {
@@ -228,6 +234,9 @@ func (c *Client) noteSuccess() {
 // amount of retrying fixes that — while ordinary failures walk the
 // up → suspect → down ladder.
 func (c *Client) noteFailure(err error) {
+	if errors.Is(err, core.ErrInvalidQuery) {
+		return // a refused request says nothing about the worker's health
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lastErr = err.Error()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -213,6 +214,27 @@ func TestRemoteHealth(t *testing.T) {
 		if h.Objects <= 0 {
 			t.Errorf("shard %d: health objects %d, want > 0 (from /shardz)", h.ID, h.Objects)
 		}
+	}
+}
+
+// TestRemoteInvalidQuery: a worker answers 400 to an r its engines
+// refuse, and the coordinator hands that back as the caller's error —
+// the worker stays up in the prober's eyes, no breaker opens, and the
+// next valid query is exact.
+func TestRemoteInvalidQuery(t *testing.T) {
+	ds := uniformDS(80, 2)
+	co := remoteCluster(t, ds, 2, 8, shard.Config{BreakThreshold: 1}, nil, func(_ int, cc *ClientConfig) { cc.DownAfter = 1 })
+	if _, _, err := co.Query(context.Background(), 1e-12, 1); !errors.Is(err, core.ErrInvalidQuery) {
+		t.Fatalf("r=1e-12: err = %v, want core.ErrInvalidQuery", err)
+	}
+	for _, h := range co.Health() {
+		if h.State == shard.ProbeDown || h.Breaker != "closed" || h.LastError != "" {
+			t.Errorf("shard %d after an invalid query: state %q, breaker %q, last error %q", h.ID, h.State, h.Breaker, h.LastError)
+		}
+	}
+	res, _, err := co.Query(context.Background(), 4, 2)
+	if err != nil || res.Degraded || !sameScored(res.TopK, oracleRun(t, ds, 4, 2).TopK) {
+		t.Fatalf("valid query after the invalid one: res=%+v err=%v", res, err)
 	}
 }
 

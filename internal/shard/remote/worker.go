@@ -2,6 +2,7 @@ package remote
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -10,7 +11,6 @@ import (
 	"time"
 
 	"mio/internal/core"
-	"mio/internal/core/labelstore"
 	"mio/internal/data"
 	"mio/internal/durable"
 	"mio/internal/fault"
@@ -41,7 +41,8 @@ type WorkerConfig struct {
 	// engine before answering 503. Default 500ms.
 	AcquireWait time.Duration
 	// Faults, when non-nil, drives the worker-side injection points
-	// (shard.run panics, stale-generation stamps, envelope corruption).
+	// (shard.run in the backend, stale-generation stamps, envelope
+	// corruption).
 	Faults *fault.Registry
 }
 
@@ -61,38 +62,31 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	return c
 }
 
-// pending is one paused bound phase: the BoundSet, the engine it is
-// tied to, and when the handle expires.
+// pending is one paused bound phase and when its handle expires.
 type pending struct {
-	set     *core.BoundSet
-	eng     *core.Engine
+	bounds  shard.Bounds
 	expires time.Time
 }
 
-// Worker serves one shard of the dataset over HTTP. It partitions the
-// full dataset exactly as the coordinator does (BuildPartition is
-// deterministic), keeps a small engine pool with panic quarantine, and
-// stamps every response with its dataset generation.
+// Worker serves one shard of the dataset over HTTP: a shard.LocalBackend
+// — the same engine pool, quarantine and id mapping the in-process
+// coordinator drives — behind a table of single-use handles, with every
+// response stamped with the dataset generation. It partitions the full
+// dataset exactly as the coordinator does (BuildPartition is
+// deterministic).
 type Worker struct {
 	cfg     WorkerConfig
 	stamp   Stamp
-	ds      *data.Dataset // shard-local dataset
-	global  []int32       // local id → global id
-	primary []bool
-	opts    core.Options
-	faults  *fault.Registry
-
-	slots chan *core.Engine
+	backend *shard.LocalBackend
 
 	mu      sync.Mutex
 	handles map[uint64]*pending
 	nextID  uint64
 }
 
-// NewWorker partitions ds for cfg.Index and builds the worker's engine
-// pool. opts is the engine template; a configured label store is
-// replaced with a fresh in-memory one (shard-local ids make a shared
-// store meaningless), and cfg.Faults overrides opts.Faults.
+// NewWorker partitions ds for cfg.Index and builds the worker's
+// backend. opts is the engine template (see shard.NewLocalBackend);
+// cfg.Faults overrides opts.Faults.
 func NewWorker(ds *data.Dataset, opts core.Options, cfg WorkerConfig) (*Worker, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Index < 0 || cfg.Index >= cfg.Shards {
@@ -102,32 +96,19 @@ func NewWorker(ds *data.Dataset, opts core.Options, cfg WorkerConfig) (*Worker, 
 	if err != nil {
 		return nil, err
 	}
-	local, primary := part.ShardDataset(ds, cfg.Index)
-	if opts.Labels != nil {
-		opts.Labels = labelstore.NewStore()
-	}
 	if cfg.Faults != nil {
 		opts.Faults = cfg.Faults
 	}
-	w := &Worker{
+	backend, err := shard.NewLocalBackend(part, ds, cfg.Index, opts, cfg.Pool, cfg.AcquireWait)
+	if err != nil {
+		return nil, fmt.Errorf("remote: %w", err)
+	}
+	return &Worker{
 		cfg:     cfg,
 		stamp:   Stamp{Generation: Generation(Fingerprint(ds), cfg.Shards, cfg.MaxR), Shard: cfg.Index, Shards: cfg.Shards},
-		ds:      local,
-		global:  part.Members[cfg.Index],
-		primary: primary,
-		opts:    opts,
-		faults:  cfg.Faults,
-		slots:   make(chan *core.Engine, cfg.Pool),
+		backend: backend,
 		handles: make(map[uint64]*pending),
-	}
-	for i := 0; i < cfg.Pool; i++ {
-		e, err := core.NewEngine(local, opts)
-		if err != nil {
-			return nil, fmt.Errorf("remote: shard %d engine: %w", cfg.Index, err)
-		}
-		w.slots <- e
-	}
-	return w, nil
+	}, nil
 }
 
 // Stamp returns the worker's generation stamp.
@@ -140,7 +121,7 @@ func (w *Worker) Close() {
 	defer w.mu.Unlock()
 	for id, p := range w.handles {
 		delete(w.handles, id)
-		w.slots <- p.eng
+		p.bounds.Release()
 	}
 }
 
@@ -164,40 +145,9 @@ func (w *Worker) reap() {
 	for id, p := range w.handles {
 		if now.After(p.expires) {
 			delete(w.handles, id)
-			w.slots <- p.eng
+			p.bounds.Release()
 		}
 	}
-}
-
-// acquire takes an engine slot, waiting up to AcquireWait.
-func (w *Worker) acquire(deadline <-chan struct{}) (*core.Engine, bool) {
-	select {
-	case e := <-w.slots:
-		return e, true
-	default:
-	}
-	t := time.NewTimer(w.cfg.AcquireWait)
-	defer t.Stop()
-	select {
-	case e := <-w.slots:
-		return e, true
-	case <-t.C:
-		return nil, false
-	case <-deadline:
-		return nil, false
-	}
-}
-
-// quarantine discards a panicked engine and refills its slot from the
-// template; if the rebuild fails the suspect engine goes back (a
-// possibly-tainted engine beats a leaked slot).
-func (w *Worker) quarantine(old *core.Engine) {
-	e, err := core.NewEngine(w.ds, w.opts)
-	if err != nil {
-		w.slots <- old
-		return
-	}
-	w.slots <- e
 }
 
 // respStamp is the stamp written into responses. The stale-generation
@@ -205,7 +155,7 @@ func (w *Worker) quarantine(old *core.Engine) {
 // different data — the client must reject the answer, not merge it.
 func (w *Worker) respStamp() Stamp {
 	st := w.stamp
-	if w.faults.Fire(fault.PointStaleGen) != nil {
+	if w.cfg.Faults.Fire(fault.PointStaleGen) != nil {
 		st.Generation++
 	}
 	return st
@@ -229,7 +179,7 @@ func (w *Worker) writeEnveloped(rw http.ResponseWriter, v any) {
 		return
 	}
 	sealed := durable.Seal(payload)
-	if w.faults.Fire(fault.PointNetCorrupt) != nil && len(sealed) > durable.EnvelopeOverhead {
+	if w.cfg.Faults.Fire(fault.PointNetCorrupt) != nil && len(sealed) > durable.EnvelopeOverhead {
 		sealed[durable.EnvelopeOverhead] ^= 0xFF
 	}
 	rw.Header().Set("Content-Type", "application/octet-stream")
@@ -261,20 +211,15 @@ func readRequest(rw http.ResponseWriter, req *http.Request, v any) bool {
 
 func (w *Worker) handleShardz(rw http.ResponseWriter, req *http.Request) {
 	w.reap()
-	prim := 0
-	for _, p := range w.primary {
-		if p {
-			prim++
-		}
-	}
+	info := w.backend.Info()
 	w.mu.Lock()
 	held := len(w.handles)
 	w.mu.Unlock()
 	w.writeEnveloped(rw, ShardzResponse{
 		Stamp:     w.respStamp(),
-		Objects:   len(w.global),
-		Primaries: prim,
-		Replicas:  len(w.global) - prim,
+		Objects:   info.Objects,
+		Primaries: info.Primaries,
+		Replicas:  info.Replicas,
 		Handles:   held,
 	})
 }
@@ -297,41 +242,29 @@ func (w *Worker) handleBound(rw http.ResponseWriter, req *http.Request) {
 		writeError(rw, http.StatusBadRequest, fmt.Sprintf("k must be at least 1, got %d", br.K))
 		return
 	}
-	eng, ok := w.acquire(req.Context().Done())
-	if !ok {
-		writeError(rw, http.StatusServiceUnavailable, "engine pool exhausted")
-		return
-	}
-	defer func() {
-		if p := recover(); p != nil {
-			w.quarantine(eng)
-			writeError(rw, http.StatusInternalServerError, fmt.Sprintf("panic: %v", p))
-		}
-	}()
-	// Fired with the engine held, matching the in-process backend: a
-	// panic rule here must exercise the quarantine path.
-	if err := w.faults.Fire(fault.PointShardRun); err != nil {
-		w.slots <- eng
-		writeError(rw, http.StatusInternalServerError, err.Error())
-		return
-	}
-	set, err := eng.Bound(req.Context(), br.R, br.K, w.primary)
+	b, err := w.backend.Bound(req.Context(), br.R, br.K)
 	if err != nil {
-		w.slots <- eng
-		writeError(rw, http.StatusInternalServerError, err.Error())
+		code := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, shard.ErrNoSlot):
+			code = http.StatusServiceUnavailable
+		case errors.Is(err, core.ErrInvalidQuery):
+			code = http.StatusBadRequest
+		}
+		writeError(rw, code, err.Error())
 		return
 	}
 	w.mu.Lock()
 	w.nextID++
 	id := w.nextID
-	w.handles[id] = &pending{set: set, eng: eng, expires: time.Now().Add(w.cfg.HandleTTL)}
+	w.handles[id] = &pending{bounds: b, expires: time.Now().Add(w.cfg.HandleTTL)}
 	w.mu.Unlock()
 	w.writeEnveloped(rw, BoundResponse{
 		Stamp:  w.respStamp(),
 		Handle: id,
-		TopLBs: w.toGlobal(set.TopLBs()),
-		MaxUB:  set.MaxUB(),
-		Stats:  set.Stats(),
+		TopLBs: b.TopLBs(),
+		MaxUB:  b.MaxUB(),
+		Stats:  b.Stats(),
 	})
 }
 
@@ -350,27 +283,14 @@ func (w *Worker) handleComplete(rw http.ResponseWriter, req *http.Request) {
 		writeError(rw, http.StatusNotFound, fmt.Sprintf("unknown or expired handle %d", cr.Handle))
 		return
 	}
-	released := false
-	defer func() {
-		if pan := recover(); pan != nil {
-			w.quarantine(p.eng)
-			writeError(rw, http.StatusInternalServerError, fmt.Sprintf("panic: %v", pan))
-			return
-		}
-		if !released {
-			w.slots <- p.eng
-		}
-	}()
-	res, err := p.set.Complete(req.Context(), cr.Floor)
-	w.slots <- p.eng
-	released = true
+	res, err := p.bounds.Complete(req.Context(), cr.Floor)
 	if err != nil {
 		writeError(rw, http.StatusInternalServerError, err.Error())
 		return
 	}
 	w.writeEnveloped(rw, CompleteResponse{
 		Stamp: w.respStamp(),
-		TopK:  w.toGlobal(res.TopK),
+		TopK:  res.TopK,
 		Stats: res.Stats,
 	})
 }
@@ -382,7 +302,7 @@ func (w *Worker) handleRelease(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if p, ok := w.takeHandle(rr.Handle); ok {
-		w.slots <- p.eng
+		p.bounds.Release()
 	}
 	w.writeEnveloped(rw, struct{}{})
 }
@@ -397,14 +317,4 @@ func (w *Worker) takeHandle(id uint64) (*pending, bool) {
 		delete(w.handles, id)
 	}
 	return p, ok
-}
-
-// toGlobal maps shard-local ids to global ids, preserving canonical
-// order (Members is ascending, so local order ≡ global order on ties).
-func (w *Worker) toGlobal(list []core.Scored) []core.Scored {
-	out := make([]core.Scored, len(list))
-	for i, s := range list {
-		out[i] = core.Scored{Obj: int(w.global[s.Obj]), Score: s.Score}
-	}
-	return out
 }

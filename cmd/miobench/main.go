@@ -6,9 +6,6 @@
 //
 //	miobench                       # everything, default scale
 //	miobench -experiment fig5,fig9 -scale 0.5
-//	miobench -json auto            # write BENCH_<date>.json for benchdiff
-//	miobench -json auto -autotune  # snapshot with auto-tuned engine knobs
-//	miobench -json - -datasets Sparse,Commute   # snapshot adversarial sets
 //	miobench -list
 package main
 
@@ -19,7 +16,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"mio/internal/bench"
 )
@@ -32,10 +28,6 @@ func main() {
 		workers    = flag.String("workers", "", "comma-separated core counts for the parallel experiments (default: 1,2,4,... up to GOMAXPROCS)")
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		csvOut     = flag.Bool("csv", false, "emit CSV blocks instead of aligned tables")
-		jsonOut    = flag.String("json", "", "write a benchmark snapshot to this file instead of running experiments ('auto' = BENCH_<date>.json, '-' = stdout)")
-		reps       = flag.Int("reps", 3, "repetitions per snapshot measurement (median is recorded)")
-		autotune   = flag.Bool("autotune", false, "snapshot with profile-driven knob selection instead of the hand defaults (needs -json)")
-		datasets   = flag.String("datasets", "", "comma-separated snapshot datasets: standard (Bird, Neuron, ...) or adversarial (OneCell, Sparse, PowerSize, Commute); default Bird,Neuron (needs -json)")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -94,49 +86,6 @@ func main() {
 		for _, e := range s.Experiments() {
 			fmt.Printf("%-10s %s\n", e.ID, e.Desc)
 		}
-		return
-	}
-
-	if (*autotune || *datasets != "") && *jsonOut == "" {
-		fatal("-autotune/-datasets only apply to snapshots; pass -json")
-	}
-	s.AutoTune = *autotune
-	if *datasets != "" {
-		for _, f := range strings.Split(*datasets, ",") {
-			if f = strings.TrimSpace(f); f != "" {
-				s.SnapshotSets = append(s.SnapshotSets, f)
-			}
-		}
-	}
-
-	if *jsonOut != "" {
-		now := time.Now()
-		snap, err := s.Snapshot(now.Format("2006-01-02"), *reps)
-		if err != nil {
-			fatal(err)
-		}
-		path := *jsonOut
-		switch path {
-		case "-":
-			if err := snap.WriteJSON(os.Stdout); err != nil {
-				fatal(err)
-			}
-			return
-		case "auto":
-			path = bench.SnapshotFileName(now)
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := snap.WriteJSON(f); err != nil {
-			_ = f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(os.Stderr, "miobench: wrote", path)
 		return
 	}
 

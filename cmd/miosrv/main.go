@@ -12,7 +12,6 @@
 //	miosrv -gen syn -faults 'seed=42;engine.verification=panic:0.01'  # chaos mode
 //	miosrv -gen syn -state-dir ./state    # durable: restarts recover dataset + labels
 //	miosrv -gen syn -shards 4             # fault-tolerant sharded scatter–gather
-//	miosrv -gen commute -autotune         # profile the dataset, let it pick the knobs
 //
 // Multi-process sharded serving splits the same scatter–gather across
 // real processes (DESIGN.md §17). Every process loads the identical
@@ -33,14 +32,6 @@
 // selects what answers /v1/query (server.Config.Validate). All flag
 // combinations are validated before the dataset is loaded, so a bad
 // invocation fails in milliseconds.
-//
-// With -autotune the engine knobs (-workers, -dims, the partitioning
-// strategies and the freeze threshold) are selected from a profile of
-// the served dataset (DESIGN.md §16); passing -workers or -dims
-// alongside -autotune is an error. -inflight, -batch-window and
-// -batch-max are tuned only when not set explicitly. Every dataset
-// swap re-profiles and re-tunes; /metrics reports the active profile
-// and knob assignment under "tuning".
 //
 // With -state-dir the server keeps its state in a crash-safe snapshot
 // directory: the dataset (and every label set queries compute) is
@@ -109,7 +100,6 @@ func main() {
 		shardIdx = flag.Int("shard-index", 0, "this worker's shard id in [0, shards) (needs -shard-serve)")
 		shardsAt = flag.String("shards-at", "", "run as the COORDINATOR of a multi-process cluster: comma-separated worker base URLs in shard-id order, e.g. http://h1:7001,http://h2:7001")
 		shardPrb = flag.Duration("shard-probe", 0, "remote worker health-probe interval (0 selects 1s; needs -shards-at)")
-		autotune = flag.Bool("autotune", false, "profile the dataset and auto-select the engine knobs (conflicts with explicit -workers/-dims; -inflight/-batch-window/-batch-max are tuned only when unset)")
 	)
 	flag.Parse()
 
@@ -131,16 +121,14 @@ func main() {
 		fatal(fmt.Sprintf("-shard-index %d outside [0, %d)", *shardIdx, *shards))
 	case explicit["shard-index"] && !*shardSrv:
 		fatal("-shard-index requires -shard-serve")
-	case *shardSrv && (*batchOn || *swap || *stateDir != "" || *autotune):
-		fatal("-shard-serve is a bare shard worker: incompatible with -batch, -allow-swap, -state-dir, -autotune")
+	case *shardSrv && (*batchOn || *swap || *stateDir != ""):
+		fatal("-shard-serve is a bare shard worker: incompatible with -batch, -allow-swap, -state-dir")
 	case *shardPrb != 0 && *shardsAt == "":
 		fatal("-shard-probe requires -shards-at")
 	case *labelDir != "" && *stateDir != "":
 		fatal("-labels and -state-dir are mutually exclusive (labels live inside the state directory)")
 	case *dataPath != "" && *gen != "":
 		fatal("-data and -gen are mutually exclusive")
-	case *autotune && (explicit["workers"] || explicit["dims"]):
-		fatal("-autotune conflicts with explicit -workers/-dims (the tuner owns those knobs; drop the explicit flag)")
 	}
 
 	var reg *fault.Registry
@@ -174,14 +162,6 @@ func main() {
 		ShardHedgeAfter:    *shardHdg,
 		ShardAddrs:         splitAddrs(*shardsAt),
 		ShardProbeInterval: *shardPrb,
-		AutoTune:           *autotune,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "miosrv: "+format+"\n", args...)
-		},
-	}
-	if *autotune && !explicit["inflight"] {
-		// Unset pool size: let the tuner pick it (pool-fill-cores).
-		cfg.MaxInFlight = 0
 	}
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
@@ -270,8 +250,8 @@ func main() {
 	}
 
 	fmt.Printf("miosrv: serving %q (%d objects, %d points) on %s  "+
-		"(pool %d, cache %v, coalesce %v, batch %v, shards %d, autotune %v)\n",
-		ds.Name, ds.N(), ds.TotalPoints(), *addr, srv.MaxInFlight(), !*noCache, !*noCoal, *batchOn, *shards, *autotune)
+		"(pool %d, cache %v, coalesce %v, batch %v, shards %d)\n",
+		ds.Name, ds.N(), ds.TotalPoints(), *addr, srv.MaxInFlight(), !*noCache, !*noCoal, *batchOn, *shards)
 	serve(*addr, srv.Handler(), srv.Drain)
 }
 

@@ -44,9 +44,8 @@ func GenerateUniform(cfg UniformConfig) *Dataset { return data.GenUniform(cfg) }
 // factor (1.0 = the laptop-scale defaults).
 func StandardDatasets(scale float64) map[string]*Dataset { return data.Standard(scale) }
 
-// Adversarial generator configurations (DESIGN.md §16): datasets shaped
-// against the engine's hand-set defaults, used to stress the
-// auto-tuner's heuristic table.
+// Adversarial generator configurations (DESIGN.md §5): shapes the
+// paper's five datasets do not cover.
 type (
 	// OneCellConfig parameterises the all-in-one-cell stress.
 	OneCellConfig = data.OneCellConfig
@@ -71,7 +70,7 @@ func GeneratePowerLawSizes(cfg PowerLawSizesConfig) *Dataset { return data.GenPo
 func GenerateHotspotCommute(cfg HotspotCommuteConfig) *Dataset { return data.GenHotspotCommute(cfg) }
 
 // AdversarialDatasets returns the four adversarial datasets of
-// DESIGN.md §16 (OneCell, Sparse, PowerSize, Commute) scaled by the
+// DESIGN.md §5 (OneCell, Sparse, PowerSize, Commute) scaled by the
 // given factor.
 func AdversarialDatasets(scale float64) map[string]*Dataset { return data.Adversarial(scale) }
 

@@ -43,19 +43,7 @@ type Suite struct {
 	// Out receives the rendered tables.
 	Out io.Writer
 
-	// AutoTune makes Snapshot build its engines from internal/tune's
-	// profile-driven knob selection instead of the hand defaults.
-	// Record names are unchanged, so a hand and an auto snapshot over
-	// the same datasets diff cleanly with cmd/benchdiff (the tune-gate).
-	AutoTune bool
-	// SnapshotSets overrides the datasets Snapshot measures. Names
-	// resolve against the standard stand-ins first, then the
-	// adversarial sets (OneCell, Sparse, PowerSize, Commute). Empty
-	// selects the default pair (Bird, Neuron).
-	SnapshotSets []string
-
 	datasets map[string]*data.Dataset
-	advSets  map[string]*data.Dataset
 }
 
 // NewSuite returns a Suite with the defaults described above.
@@ -92,22 +80,6 @@ func (s *Suite) Datasets() map[string]*data.Dataset {
 		s.datasets = data.Standard(s.Scale)
 	}
 	return s.datasets
-}
-
-// snapshotDataset resolves a snapshot dataset name: the standard
-// stand-ins first, then (generated lazily — most runs never need them)
-// the adversarial sets.
-func (s *Suite) snapshotDataset(name string) (*data.Dataset, error) {
-	if ds, ok := s.Datasets()[name]; ok {
-		return ds, nil
-	}
-	if s.advSets == nil {
-		s.advSets = data.Adversarial(s.Scale)
-	}
-	if ds, ok := s.advSets[name]; ok {
-		return ds, nil
-	}
-	return nil, fmt.Errorf("snapshot: unknown dataset %q", name)
 }
 
 // Experiments maps experiment ids (as accepted by cmd/miobench) to

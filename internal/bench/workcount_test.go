@@ -1,0 +1,171 @@
+package bench
+
+import (
+	"context"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"mio/internal/core"
+	"mio/internal/data"
+	"mio/internal/shard"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/workcounts.json from this run instead of comparing against it")
+
+const (
+	workCountsScale = 0.15
+	scatterShards   = 4
+	epochMembers    = 256
+)
+
+var workCountsRs = []float64{6, 8}
+
+// workCounts is the golden file: record name → counter → exact value.
+type workCounts map[string]map[string]int
+
+// TestWorkCounts pins the pipeline's deterministic work counters on
+// Bird and Neuron by exact equality: one serial top-1 query per r
+// (EngineQuery; Verification repeats its dist_comps under the name the
+// phase had in the old snapshots), one 256-member shared-⌈r⌉ batch
+// group (BatchEpoch) and one healthy 4-shard scatter–gather (Scatter).
+// The counters do not depend on the host, GOMAXPROCS or the worker and
+// partition options (core's TestKnobParity), so a change in either
+// direction is an algorithmic change and has to arrive as a reviewed
+// diff of the golden file:
+//
+//	go test ./internal/bench -run WorkCounts -update
+func TestWorkCounts(t *testing.T) {
+	sets := data.Standard(workCountsScale)
+	got := workCounts{}
+	for _, name := range []string{"Bird", "Neuron"} {
+		measureWorkCounts(t, got, name, sets[name])
+	}
+
+	path := filepath.Join("testdata", "workcounts.json")
+	if *update {
+		raw, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := workCounts{}
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	for name, w := range want {
+		if !reflect.DeepEqual(got[name], w) {
+			t.Errorf("%s: got %v, golden %v", name, got[name], w)
+		}
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("%s: measured but not in %s", name, path)
+		}
+	}
+	t.Log("if the change is intended, re-baseline with -update and commit the diff")
+}
+
+func measureWorkCounts(t *testing.T, out workCounts, name string, ds *data.Dataset) {
+	t.Helper()
+	eng, err := core.NewEngine(ds, core.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range workCountsRs {
+		res, err := eng.RunTopK(r, 1)
+		if err != nil {
+			t.Fatalf("%s r=%g: %v", name, r, err)
+		}
+		out[fmt.Sprintf("EngineQuery/%s/r=%g", name, r)] = map[string]int{
+			"dist_comps": res.Stats.DistanceComps,
+			"candidates": res.Stats.Candidates,
+			"verified":   res.Stats.Verified,
+		}
+		out[fmt.Sprintf("Verification/%s/r=%g", name, r)] = map[string]int{
+			"dist_comps": res.Stats.DistanceComps,
+		}
+	}
+	r := workCountsRs[0]
+
+	// One shared-⌈r⌉ group over the epoch workload; dist_comps sums the
+	// distinct plans (members sharing a plan share one *Result).
+	specs := batchEpochSpecs(r)
+	outs, grp := eng.RunGroup(context.Background(), specs)
+	dist := 0
+	seen := map[*core.Result]bool{}
+	for i, o := range outs {
+		if o.Err != nil {
+			t.Fatalf("%s batch epoch member %d (r=%g k=%d): %v", name, i, specs[i].R, specs[i].K, o.Err)
+		}
+		if !seen[o.Result] {
+			seen[o.Result] = true
+			dist += o.Result.Stats.DistanceComps
+		}
+	}
+	out[fmt.Sprintf("BatchEpoch/%s/q=%d", name, epochMembers)] = map[string]int{
+		"dist_comps":    dist,
+		"plans":         grp.Plans,
+		"cells_deduped": grp.CellsDeduped,
+	}
+
+	// Healthy in-process cluster, hedging off (a hedge doubles a
+	// shard's work whenever the host is slow). dist_comps sums the
+	// per-shard counters: border objects are re-bounded by every shard
+	// holding a replica, so it exceeds the solo count by design.
+	coord, err := shard.New(ds, core.Options{Workers: 1},
+		shard.Config{Shards: scatterShards, MaxR: math.Ceil(r) + 1, HedgeAfter: -1})
+	if err != nil {
+		t.Fatalf("%s scatter: %v", name, err)
+	}
+	defer coord.Close()
+	res, rep, err := coord.Query(context.Background(), r, 1)
+	if err != nil {
+		t.Fatalf("%s scatter r=%g: %v", name, r, err)
+	}
+	if res.Degraded {
+		t.Fatalf("%s scatter r=%g: degraded answer on a healthy cluster", name, r)
+	}
+	out[fmt.Sprintf("Scatter/%s/shards=%d", name, scatterShards)] = map[string]int{
+		"dist_comps":    res.Stats.DistanceComps,
+		"verified":      res.Stats.Verified,
+		"pruned_shards": rep.Pruned,
+	}
+}
+
+// batchEpochSpecs builds the deterministic epoch BatchEpoch measures:
+// 256 members drawing Zipf-skewed thresholds from eight variants of r
+// (all keeping ⌈r⌉, so they form one batch group) with a cycling k —
+// many clients, few radii, varying k.
+func batchEpochSpecs(r float64) []core.GroupSpec {
+	const variants, kSpread = 8, 4
+	zipf := rand.NewZipf(rand.New(rand.NewSource(42)), 1.3, 1, variants-1)
+	rs := make([]float64, variants)
+	step := (r - (math.Ceil(r) - 1)) * 0.5 / variants
+	for i := range rs {
+		rs[i] = r - float64(i)*step
+	}
+	specs := make([]core.GroupSpec, epochMembers)
+	for i := range specs {
+		specs[i] = core.GroupSpec{R: rs[zipf.Uint64()], K: 1 + i%kSpread}
+	}
+	return specs
+}

@@ -59,9 +59,9 @@ func groupParityOptions(withStore func() *labelstore.Store) []Options {
 	return []Options{
 		{},
 		{Workers: 4},
-		{DisableFreeze: true},
+		{freezeMinPoints: -1},
 		{Labels: withStore()},
-		{Workers: 4, Labels: withStore(), FreezeMinPoints: 8},
+		{Workers: 4, Labels: withStore(), freezeMinPoints: 8},
 	}
 }
 

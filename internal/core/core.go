@@ -63,7 +63,10 @@ func (s UBStrategy) String() string {
 // Options configures an Engine.
 type Options struct {
 	// Dims is the data dimensionality, 2 or 3 (default 3). It only
-	// affects the small-grid cell width (r/√2 vs r/√3).
+	// affects the small-grid cell width (r/√2 vs r/√3). The wider 2-D
+	// cell keeps same-cell points within r only when they have no Z
+	// separation, so NewEngine refuses Dims 2 unless every point of the
+	// dataset carries the same Z.
 	Dims int
 	// Workers is the number of CPU cores to use; values below 2 select
 	// the single-core algorithms of §III.
@@ -76,29 +79,17 @@ type Options struct {
 	// for labels matching ⌈r⌉ and, when none exist, collect and save
 	// them as a side effect.
 	Labels *labelstore.Store
-	// CollectLabels disables label collection when false even though a
-	// store is configured (useful to measure the plain algorithm).
-	// Default true when Labels is set.
-	DisableCollect bool
-	// DisableFreeze disables the lazy SoA freezing of probed large-grid
-	// cells (grid.LargeCell.EnsureFrozen), forcing verification onto
-	// the AoS posting walk everywhere. The answer and the distComps
-	// counter are identical either way; the flag exists to measure the
-	// layout's effect (see DESIGN.md §11) and as an escape hatch if
-	// freeze memory ever matters more than verification speed.
-	DisableFreeze bool
-	// FreezeMinPoints is the minimum number of points a large-grid cell
-	// must hold before verification freezes it into SoA form on first
-	// probe. Cells below the threshold keep the AoS walk: flattening a
-	// handful of points costs more than it saves. 0 selects
-	// DefaultFreezeMinPoints; ignored when DisableFreeze is set.
-	FreezeMinPoints int
 	// Faults, when non-nil, is consulted at the entry of every pipeline
 	// phase (the internal/fault points "engine.label_input" through
 	// "engine.verification") so chaos tests can inject latency spikes,
 	// errors and panics into a running engine. Nil costs one pointer
 	// check per phase.
 	Faults *fault.Registry
+
+	// freezeMinPoints overrides freezeMinDefault for the in-package
+	// layout-parity tests: positive sets the threshold, negative
+	// disables freezing. Callers cannot set it.
+	freezeMinPoints int
 }
 
 func (o Options) dims() int {
@@ -115,22 +106,25 @@ func (o Options) workers() int {
 	return o.Workers
 }
 
-// DefaultFreezeMinPoints is the default FreezeMinPoints threshold. Cell
-// point counts are heavily skewed (the p50 cell holds a few points, the
-// p99 cell hundreds), and verification time concentrates in the big
-// cells — so only those repay the one-time flattening cost.
-const DefaultFreezeMinPoints = 32
+// freezeMinDefault is the number of points a large-grid cell must hold
+// before verification freezes it into SoA form on first probe
+// (grid.LargeCell.EnsureFrozen). Cell point counts are heavily skewed
+// (the p50 cell holds a few points, the p99 cell hundreds) and
+// verification time concentrates in the big cells, so only those repay
+// the one-time flattening; smaller cells keep the AoS posting walk. The
+// answer and the distance-computation count are the same either way.
+const freezeMinDefault = 32
 
 // freezeMin resolves the effective freeze threshold; 0 disables
 // freezing entirely.
 func (o Options) freezeMin() int {
-	if o.DisableFreeze {
+	switch {
+	case o.freezeMinPoints < 0:
 		return 0
+	case o.freezeMinPoints > 0:
+		return o.freezeMinPoints
 	}
-	if o.FreezeMinPoints > 0 {
-		return o.FreezeMinPoints
-	}
-	return DefaultFreezeMinPoints
+	return freezeMinDefault
 }
 
 // Scored pairs an object id with its exact MIO score.
@@ -231,6 +225,20 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 	}
 	if opts.Dims != 0 && opts.Dims != 2 && opts.Dims != 3 {
 		return nil, fmt.Errorf("core: invalid Dims %d (want 2 or 3)", opts.Dims)
+	}
+	if opts.Dims == 2 {
+		// Lemma 1 needs same-cell points within r: with r/√2 cells that
+		// holds in the plane only, and a lower bound inflated by a Z gap
+		// prunes the true answer without any error. A pass of its own,
+		// so the default path pays nothing for it.
+		z := ds.Objects[0].Pts[0].Z
+		for i := range ds.Objects {
+			for _, p := range ds.Objects[i].Pts {
+				if p.Z != z {
+					return nil, fmt.Errorf("core: Dims 2 needs planar data: object %d has a point at z=%g, the first point of the dataset is at z=%g", i, p.Z, z)
+				}
+			}
+		}
 	}
 	e := &Engine{ds: ds, opts: opts}
 	for i := range ds.Objects {

@@ -9,12 +9,13 @@ import (
 
 // TestFrozenMatchesAoS locks the SoA freeze down as a pure layout
 // change: with freezing disabled (AoS posting walk, scalar Dist2),
-// forced everywhere (FreezeMinPoints 1: flat blocks, AABB pruning,
-// batch kernels on every probed cell) and at the default threshold
-// (big cells frozen, small cells AoS), identical queries must return
+// forced everywhere (threshold 1: flat blocks, AABB pruning, batch
+// kernels on every probed cell) and at the default threshold (big cells
+// frozen, small cells AoS), identical queries must return
 // identical top-k answers AND identical work counters — distComps in
 // particular, since the AABB only resolves pairs in bulk that the
-// scalar loop would have rejected one by one.
+// scalar loop would have rejected one by one. The threshold is not an
+// option; the rows force it through Options.freezeMinPoints.
 func TestFrozenMatchesAoS(t *testing.T) {
 	for name, ds := range testDatasets(t) {
 		for _, r := range rValues(name) {
@@ -32,8 +33,8 @@ func TestFrozenMatchesAoS(t *testing.T) {
 					}
 					return res
 				}
-				aos := run(Options{DisableFreeze: true})
-				frozen := run(Options{FreezeMinPoints: 1})
+				aos := run(Options{freezeMinPoints: -1})
+				frozen := run(Options{freezeMinPoints: 1})
 				mixed := run(Options{}) // default threshold
 				for i, res := range []*Result{frozen, mixed} {
 					label := []string{"frozen", "mixed"}[i]
@@ -67,16 +68,20 @@ func TestFrozenMatchesAoS(t *testing.T) {
 }
 
 // TestQueryPathIsFrozen asserts lazy freezing actually happens on the
-// production query path: with FreezeMinPoints 1 a query that verified
+// production query path: at threshold 1 a query that verified
 // candidates leaves frozen cells behind (exactly the probed ones), and
-// DisableFreeze leaves none. It drives the internal query object so it
-// can inspect the grid the run used.
+// a negative threshold leaves none. It drives the internal query object
+// so it can inspect the grid the run used.
 func TestQueryPathIsFrozen(t *testing.T) {
 	ds := testDatasets(t)["bird"]
 	r := rValues("bird")[1]
 	for _, workers := range []int{1, 4} {
 		for _, disable := range []bool{false, true} {
-			eng, err := NewEngine(ds, Options{Workers: workers, DisableFreeze: disable, FreezeMinPoints: 1})
+			opts := Options{Workers: workers, freezeMinPoints: 1}
+			if disable {
+				opts.freezeMinPoints = -1
+			}
+			eng, err := NewEngine(ds, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +101,7 @@ func TestQueryPathIsFrozen(t *testing.T) {
 				}
 			})
 			if disable && frozen != 0 {
-				t.Fatalf("w=%d DisableFreeze: %d of %d cells frozen", workers, frozen, total)
+				t.Fatalf("w=%d freezing off: %d of %d cells frozen", workers, frozen, total)
 			}
 			if !disable && frozen == 0 {
 				t.Fatalf("w=%d: no cells frozen despite %d verified candidates", workers, res.Stats.Verified)

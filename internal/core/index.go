@@ -187,10 +187,10 @@ func (q *query) run() (*Result, error) {
 
 // labelInput is Algorithm 2's first step (§III-D) for a query or group
 // with label key ceil: an O(1) existence check, then either the
-// O(nm/B) load of a stored set (use) or, when collection is on, a fresh
-// all-ones set to fill in (collect), stamped with the exact r its
-// Labeling-3 bits will be valid for (0: several r share the set). dur is
-// what the paper's "Label-Input" row times.
+// O(nm/B) load of a stored set (use) or a fresh all-ones set to fill in
+// (collect), stamped with the exact r its Labeling-3 bits will be valid
+// for (0: several r share the set). dur is what the paper's
+// "Label-Input" row times.
 func (e *Engine) labelInput(ceil int, r float64) (use, collect *labelstore.Labels, dur time.Duration) {
 	store := e.opts.Labels
 	if store == nil {
@@ -199,7 +199,7 @@ func (e *Engine) labelInput(ceil int, r float64) (use, collect *labelstore.Label
 	t0 := time.Now()
 	if l, ok := store.Get(ceil); ok {
 		use = l
-	} else if !e.opts.DisableCollect {
+	} else {
 		collect = labelstore.NewLabels(objectPointWeights(e.ds))
 		collect.R = r
 	}

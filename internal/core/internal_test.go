@@ -153,18 +153,6 @@ func TestLabelsActuallyPrunePoints(t *testing.T) {
 	}
 }
 
-func TestDisableCollect(t *testing.T) {
-	ds := data.GenUniform(data.UniformConfig{N: 30, M: 5, FieldSize: 60, Spread: 6, Seed: 90})
-	store := labelstore.NewStore()
-	eng, _ := NewEngine(ds, Options{Labels: store, DisableCollect: true})
-	if _, err := eng.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	if store.Has(5) {
-		t.Fatal("labels collected despite DisableCollect")
-	}
-}
-
 func TestParallelGridMappingEquivalence(t *testing.T) {
 	// The merged parallel BIGrid must be structurally identical to the
 	// serial one: same cells, same bitsets, same key-list sets.

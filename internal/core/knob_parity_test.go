@@ -1,63 +1,77 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"mio/internal/core/labelstore"
 )
 
-// TestKnobParity is the answer-invariance contract the auto-tuner
-// (internal/tune) relies on: every tunable knob assignment must return
-// the identical top-k AND the identical work counters. DistanceComps
-// in particular must be bitwise equal — the CI bench-smoke gate fails
-// on any increase, so a tuner that changed the count at some worker
-// count could never be deployed. Candidates and Verified pin the
-// bounding phases and the Corollary-1 termination point the same way.
+// TestKnobParity is the answer-invariance contract of the execution
+// options: every assignment of Workers × LB × UB × label collection
+// must return the identical top-k AND the identical work counters as
+// the serial run. DistanceComps in particular must be bitwise equal —
+// TestWorkCounts (internal/bench) pins it by exact value, so a strategy
+// that changed the count at some worker count could not be told from an
+// algorithmic change. Candidates and Verified pin the bounding phases
+// and the Corollary-1 termination point the same way. Dims is checked
+// on planar data only (NewEngine refuses it elsewhere): the wider cell
+// moves the counters, so Dims 2 has its own serial reference, whose
+// answer must equal the 3-D one.
 func TestKnobParity(t *testing.T) {
-	sets := testDatasets(t)
-	for name, ds := range sets {
+	for name, ds := range testDatasets(t) {
+		dimsAxis := []int{3}
+		if planar(ds) {
+			dimsAxis = append(dimsAxis, 2)
+		}
 		for _, r := range []float64{6, 10} {
-			base, err := NewEngine(ds, Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := base.RunTopK(r, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, opts := range []Options{
-				{Workers: 2},
-				{Workers: 3},
-				{Workers: 8},
-				{Workers: 4, LB: LBHashP},
-				{Workers: 4, UB: UBGreedyD},
-				{Workers: 2, LB: LBHashP, UB: UBGreedyD},
-				{Workers: 1, FreezeMinPoints: 8},
-				{Workers: 4, FreezeMinPoints: 8},
-				{Workers: 4, DisableFreeze: true},
-				{Workers: 1, FreezeMinPoints: 128},
-				{Workers: 5, FreezeMinPoints: 128},
-			} {
-				eng, err := NewEngine(ds, opts)
-				if err != nil {
-					t.Fatal(err)
+			var want3 *Result
+			for _, dims := range dimsAxis {
+				run := func(opts Options) *Result {
+					t.Helper()
+					opts.Dims = dims
+					eng, err := NewEngine(ds, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := eng.RunTopK(r, 3)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
 				}
-				got, err := eng.RunTopK(r, 3)
-				if err != nil {
-					t.Fatal(err)
+				want := run(Options{Workers: 1})
+				if dims == 3 {
+					want3 = want
+				} else if !reflect.DeepEqual(want.TopK, want3.TopK) {
+					t.Errorf("%s r=%g: 2-D topk %v, 3-D %v", name, r, want.TopK, want3.TopK)
 				}
-				if !reflect.DeepEqual(got.TopK, want.TopK) {
-					t.Errorf("%s r=%g opts=%+v: topk %v, want %v", name, r, opts, got.TopK, want.TopK)
-				}
-				if got.Stats.DistanceComps != want.Stats.DistanceComps {
-					t.Errorf("%s r=%g opts=%+v: dist_comps %d, want %d (serial)",
-						name, r, opts, got.Stats.DistanceComps, want.Stats.DistanceComps)
-				}
-				if got.Stats.Candidates != want.Stats.Candidates || got.Stats.Verified != want.Stats.Verified {
-					t.Errorf("%s r=%g opts=%+v: candidates/verified %d/%d, want %d/%d",
-						name, r, opts, got.Stats.Candidates, got.Stats.Verified,
-						want.Stats.Candidates, want.Stats.Verified)
+				// The literal is rebuilt per (r, dims), so each label row
+				// starts from a cold store: collection must not move a counter.
+				for _, opts := range []Options{
+					{Workers: 2},
+					{Workers: 3},
+					{Workers: 8},
+					{Workers: 4, LB: LBHashP},
+					{Workers: 4, UB: UBGreedyD},
+					{Workers: 2, LB: LBHashP, UB: UBGreedyD},
+					{Workers: 1, Labels: labelstore.NewStore()},
+					{Workers: 5, LB: LBHashP, UB: UBGreedyD, Labels: labelstore.NewStore()},
+				} {
+					got := run(opts)
+					at := fmt.Sprintf("%s r=%g dims=%d w=%d %v %v collect=%v",
+						name, r, dims, opts.Workers, opts.LB, opts.UB, opts.Labels != nil)
+					if !reflect.DeepEqual(got.TopK, want.TopK) {
+						t.Errorf("%s: topk %v, want %v", at, got.TopK, want.TopK)
+					}
+					if got.Stats.DistanceComps != want.Stats.DistanceComps {
+						t.Errorf("%s: dist_comps %d, want %d (serial)", at, got.Stats.DistanceComps, want.Stats.DistanceComps)
+					}
+					if got.Stats.Candidates != want.Stats.Candidates || got.Stats.Verified != want.Stats.Verified {
+						t.Errorf("%s: candidates/verified %d/%d, want %d/%d", at,
+							got.Stats.Candidates, got.Stats.Verified, want.Stats.Candidates, want.Stats.Verified)
+					}
 				}
 			}
 		}

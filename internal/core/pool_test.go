@@ -111,7 +111,7 @@ func TestPool(t *testing.T) {
 		{"quarantine racing a swap refills from the new template", func(t *testing.T, p *Pool) {
 			held := drain(t, p)
 			swapped := make(chan error, 1)
-			go func() { swapped <- p.Swap(dsB, Options{Dims: 2}) }()
+			go func() { swapped <- p.Swap(dsB, Options{Workers: 2}) }()
 			// The swap publishes its template, then blocks in the drain
 			// until every held engine is back.
 			for p.Dataset() != dsB {
@@ -128,8 +128,8 @@ func TestPool(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, e := range drain(t, p) {
-				if e.Dataset() != dsB || e.Options().Dims != 2 {
-					t.Errorf("engine over %q (dims %d) survived the swap", e.Dataset().Name, e.Options().Dims)
+				if e.Dataset() != dsB || e.Options().Workers != 2 {
+					t.Errorf("engine over %q (workers %d) survived the swap", e.Dataset().Name, e.Options().Workers)
 				}
 				p.Release(e)
 			}

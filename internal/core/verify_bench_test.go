@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -11,23 +10,6 @@ import (
 	"mio/internal/geom"
 	"mio/internal/grid"
 )
-
-// Verification-phase benchmarks. Every benchmark here honours
-//
-//	MIO_FREEZE=off
-//
-// which disables the post-mapping SoA freeze, so the same benchmark
-// names can be compared across the two layouts with cmd/benchdiff:
-//
-//	MIO_FREEZE=off go test -bench 'ProbeCell|EngineQuery' -run '^$' ./internal/core > old.txt
-//	go test -bench 'ProbeCell|EngineQuery' -run '^$' ./internal/core > new.txt
-//	go run ./cmd/benchdiff old.txt new.txt
-
-// benchOptions returns the engine options for verification benchmarks,
-// applying the MIO_FREEZE=off toggle.
-func benchOptions(workers int) Options {
-	return Options{Workers: workers, DisableFreeze: os.Getenv("MIO_FREEZE") == "off"}
-}
 
 var benchStandins = struct {
 	once sync.Once
@@ -55,7 +37,7 @@ func standin(b *testing.B, name string) *data.Dataset {
 // over, so most postings need a full scan or an AABB rejection rather
 // than an early first-point hit.
 func BenchmarkProbeCellDenseMask(b *testing.B) {
-	eng, err := NewEngine(standin(b, "Neuron"), benchOptions(1))
+	eng, err := NewEngine(standin(b, "Neuron"), Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,7 +88,7 @@ func BenchmarkProbeCellDenseMask(b *testing.B) {
 // bounding + verification) on one stand-in, the end-to-end number the
 // paper's Fig. 5 reports.
 func benchmarkEngineQuery(b *testing.B, dataset string, r float64) {
-	eng, err := NewEngine(standin(b, dataset), benchOptions(1))
+	eng, err := NewEngine(standin(b, dataset), Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,11 +8,12 @@ import (
 	"mio/internal/geom"
 )
 
-// This file generates the adversarial workload suite of DESIGN.md §16:
-// datasets deliberately shaped against the engine's hand-set defaults,
-// used to stress the auto-tuner's heuristic table. Each generator is
+// This file generates the adversarial datasets of DESIGN.md §5: shapes
+// the paper's five datasets do not cover (everything in one cell,
+// uniform and sparse, power-law object sizes, hotspots joined by
+// corridors), served by miogen and miosrv -gen. Each generator is
 // deterministic under its seed, and each advertised shape property is
-// pinned by a profile-based test (adversarial_test.go).
+// pinned by a test (adversarial_test.go).
 
 // OneCellConfig parameterises GenOneCell.
 type OneCellConfig struct {
@@ -30,7 +31,7 @@ func DefaultOneCell() OneCellConfig {
 
 // GenOneCell generates the all-in-one-cell dataset: all points uniform
 // in a Side-sized cube. Extreme density with zero spatial spread — the
-// regime where the freeze threshold, not pruning, decides speed.
+// regime where verification, not pruning, decides speed.
 func GenOneCell(cfg OneCellConfig) *Dataset {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	ds := &Dataset{Name: "onecell"}
@@ -58,7 +59,7 @@ type UniformSparseConfig struct {
 
 // DefaultUniformSparse is the uniform-sparse stress: planar objects
 // spread thin over a huge field, so most query cells hold at most one
-// object and the default (3-D, eager-freeze) knobs waste work.
+// object.
 func DefaultUniformSparse() UniformSparseConfig {
 	return UniformSparseConfig{N: 12000, M: 10, FieldSize: 60000, Spread: 15, Seed: 32}
 }
@@ -233,7 +234,7 @@ func GenHotspotCommute(cfg HotspotCommuteConfig) *Dataset {
 	return ds
 }
 
-// Adversarial returns the four adversarial datasets of DESIGN.md §16
+// Adversarial returns the four adversarial datasets of DESIGN.md §5
 // at the given scale factor (object counts scale like Standard's).
 func Adversarial(scale float64) map[string]*Dataset {
 	scaleN := func(n int) int {

@@ -1,99 +1,156 @@
 package data_test
 
 import (
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"mio/internal/data"
-	"mio/internal/tune"
 )
 
-// These tests pin each adversarial generator to its advertised shape
-// via the profiler: the tuner's rules key off exactly these statistics,
-// so a generator drifting out of its regime would silently hollow out
-// the tune-gate. All generators are deterministic under their seeds —
-// asserted by profiling two independent generations.
+// These tests pin each adversarial generator to its advertised shape,
+// measured directly on the generated points: extent, planarity, density,
+// object-size quantiles and the occupancy skew of a 32-per-axis probe
+// grid over the bounding box. All generators are deterministic under
+// their seeds — asserted by generating twice.
 
-func profileTwice(t *testing.T, gen func() *data.Dataset) *tune.Profile {
+// shape is what the tests measure of a dataset.
+type shape struct {
+	spanX, spanY, spanZ float64
+	planar              bool    // every point has the same Z
+	density             float64 // points per unit of occupied area (planar) or volume
+	sizeP10, sizeP50    int     // object-size quantiles
+	sizeP99, sizeMax    int
+	topDecileShare      float64 // share of points in the fullest 10% of occupied probe cells
+	maxCellShare        float64 // share of points in the fullest probe cell
+}
+
+// cellPoints estimates the points per verification cell (width ⌈r⌉) at
+// the dataset's average density.
+func (s shape) cellPoints(r float64) float64 {
+	w := math.Ceil(r)
+	if s.planar {
+		return s.density * w * w
+	}
+	return s.density * w * w * w
+}
+
+func measure(t *testing.T, gen func() *data.Dataset) shape {
 	t.Helper()
-	a, b := tune.Profiler(gen()), tune.Profiler(gen())
-	if !reflect.DeepEqual(a, b) {
+	ds := gen()
+	if !reflect.DeepEqual(ds, gen()) {
 		t.Fatal("generator is not deterministic under its fixed seed")
 	}
-	return a
+	const side = 32
+	box := ds.Bounds()
+	s := shape{
+		spanX:  box.Max.X - box.Min.X,
+		spanY:  box.Max.Y - box.Min.Y,
+		spanZ:  box.Max.Z - box.Min.Z,
+		planar: box.Max.Z == box.Min.Z,
+	}
+	cell := func(v, lo, span float64) int {
+		if span <= 0 {
+			return 0
+		}
+		return min(int((v-lo)/span*side), side-1) // the max coordinate lands inside
+	}
+	sizes := make([]int, 0, ds.N())
+	counts := map[int]int{}
+	points := 0
+	for i := range ds.Objects {
+		pts := ds.Objects[i].Pts
+		sizes = append(sizes, len(pts))
+		points += len(pts)
+		for _, p := range pts {
+			counts[(cell(p.X, box.Min.X, s.spanX)*side+cell(p.Y, box.Min.Y, s.spanY))*side+cell(p.Z, box.Min.Z, s.spanZ)]++
+		}
+	}
+	vol := 1.0
+	for _, span := range []float64{s.spanX, s.spanY, s.spanZ} {
+		if span > 0 {
+			vol *= span
+		}
+	}
+	s.density = float64(points) / vol
+
+	sort.Ints(sizes)
+	q := func(f float64) int { return sizes[min(int(f*float64(len(sizes))), len(sizes)-1)] }
+	s.sizeP10, s.sizeP50, s.sizeP99, s.sizeMax = q(0.10), q(0.50), q(0.99), sizes[len(sizes)-1]
+
+	occ := make([]int, 0, len(counts))
+	for _, c := range counts {
+		occ = append(occ, c)
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(occ)))
+	top := 0
+	for _, c := range occ[:max(len(occ)/10, 1)] {
+		top += c
+	}
+	s.topDecileShare = float64(top) / float64(points)
+	s.maxCellShare = float64(occ[0]) / float64(points)
+	return s
 }
 
 func TestOneCellShape(t *testing.T) {
 	cfg := data.DefaultOneCell()
-	p := profileTwice(t, func() *data.Dataset { return data.GenOneCell(cfg) })
-	if p.SpanX > cfg.Side || p.SpanY > cfg.Side || p.SpanZ > cfg.Side {
-		t.Fatalf("spans %g/%g/%g exceed the advertised cube side %g", p.SpanX, p.SpanY, p.SpanZ, cfg.Side)
+	s := measure(t, func() *data.Dataset { return data.GenOneCell(cfg) })
+	if s.spanX > cfg.Side || s.spanY > cfg.Side || s.spanZ > cfg.Side {
+		t.Fatalf("spans %g/%g/%g exceed the advertised cube side %g", s.spanX, s.spanY, s.spanZ, cfg.Side)
 	}
-	if p.EffectiveDims != 3 {
-		t.Fatalf("dims = %d, want 3", p.EffectiveDims)
+	if s.planar {
+		t.Fatal("one-cell data is planar, want 3-D")
 	}
-	// Everything within one query cell at any bench radius: expected
-	// per-cell occupancy must dwarf the freeze-hot threshold.
-	if got := p.ExpectedCellPoints(4); got < 1000 {
-		t.Fatalf("expected cell points at r=4 = %g, want ≫ freeze-hot threshold", got)
-	}
-	if !ruleFired(t, p, "freeze-hot-cells") {
-		t.Fatalf("one-cell profile must fire freeze-hot-cells")
+	// Everything within one query cell at any bench radius.
+	if got := s.cellPoints(4); got < 1000 {
+		t.Fatalf("expected cell points at r=4 = %g, want ≥ 1000", got)
 	}
 }
 
 func TestUniformSparseShape(t *testing.T) {
 	cfg := data.DefaultUniformSparse()
-	p := profileTwice(t, func() *data.Dataset { return data.GenUniformSparse(cfg) })
-	if p.EffectiveDims != 2 {
-		t.Fatalf("dims = %d, want 2 (planar)", p.EffectiveDims)
+	s := measure(t, func() *data.Dataset { return data.GenUniformSparse(cfg) })
+	if !s.planar {
+		t.Fatal("sparse data is not planar")
 	}
 	// Uniform: the top decile of cells holds barely more than 10% of
 	// the mass; no single cell concentrates anything.
-	if p.TopDecileShare > 0.25 {
-		t.Fatalf("top decile share = %g, want ≤ 0.25 (uniform)", p.TopDecileShare)
+	if s.topDecileShare > 0.25 {
+		t.Fatalf("top decile share = %g, want ≤ 0.25 (uniform)", s.topDecileShare)
 	}
-	if p.MaxCellShare > 0.01 {
-		t.Fatalf("max cell share = %g, want tiny", p.MaxCellShare)
+	if s.maxCellShare > 0.01 {
+		t.Fatalf("max cell share = %g, want tiny", s.maxCellShare)
 	}
-	// Sparse: well under one point per query cell at the max bench r.
-	if got := p.ExpectedCellPoints(10); got >= 16 {
+	// Sparse: well under one object per query cell at the max bench r.
+	if got := s.cellPoints(10); got >= 16 {
 		t.Fatalf("expected cell points at r=10 = %g, want sparse (< 16)", got)
-	}
-	if !ruleFired(t, p, "freeze-late-sparse") || !ruleFired(t, p, "planar-2d") {
-		t.Fatalf("sparse profile must fire freeze-late-sparse and planar-2d")
 	}
 }
 
 func TestPowerLawSizesShape(t *testing.T) {
 	cfg := data.DefaultPowerLawSizes()
-	p := profileTwice(t, func() *data.Dataset { return data.GenPowerLawSizes(cfg) })
-	if p.SizeSkew() < 8 {
-		t.Fatalf("size skew P99/P50 = %g, want ≥ 8 (power-law sizes)", p.SizeSkew())
+	s := measure(t, func() *data.Dataset { return data.GenPowerLawSizes(cfg) })
+	if skew := float64(s.sizeP99) / float64(s.sizeP50); skew < 8 {
+		t.Fatalf("size skew P99/P50 = %g, want ≥ 8 (power-law sizes)", skew)
 	}
-	if p.SizeMax < 50*p.SizeP50 {
-		t.Fatalf("size max/p50 = %d/%d, want ≥ 50× spread", p.SizeMax, p.SizeP50)
+	if s.sizeMax < 50*s.sizeP50 {
+		t.Fatalf("size max/p50 = %d/%d, want ≥ 50× spread", s.sizeMax, s.sizeP50)
 	}
-	if p.SizeP10 > 2*cfg.MinM {
-		t.Fatalf("size p10 = %d, want near MinM=%d (mass at the small end)", p.SizeP10, cfg.MinM)
-	}
-	if !ruleFired(t, p, "ub-cost-model") {
-		t.Fatalf("size-skewed profile must fire ub-cost-model")
+	if s.sizeP10 > 2*cfg.MinM {
+		t.Fatalf("size p10 = %d, want near MinM=%d (mass at the small end)", s.sizeP10, cfg.MinM)
 	}
 }
 
 func TestHotspotCommuteShape(t *testing.T) {
 	cfg := data.DefaultHotspotCommute()
-	p := profileTwice(t, func() *data.Dataset { return data.GenHotspotCommute(cfg) })
-	if p.EffectiveDims != 2 {
-		t.Fatalf("dims = %d, want 2 (planar)", p.EffectiveDims)
+	s := measure(t, func() *data.Dataset { return data.GenHotspotCommute(cfg) })
+	if !s.planar {
+		t.Fatal("commute data is not planar")
 	}
 	// Hotspots concentrate most of the mass in few cells.
-	if p.TopDecileShare < 0.5 {
-		t.Fatalf("top decile share = %g, want ≥ 0.5 (hotspot skew)", p.TopDecileShare)
-	}
-	if !ruleFired(t, p, "planar-2d") || !ruleFired(t, p, "ub-cost-model") {
-		t.Fatalf("commute profile must fire planar-2d and ub-cost-model")
+	if s.topDecileShare < 0.5 {
+		t.Fatalf("top decile share = %g, want ≥ 0.5 (hotspot skew)", s.topDecileShare)
 	}
 }
 
@@ -116,16 +173,4 @@ func TestAdversarialMapScalesAndValidates(t *testing.T) {
 	if full["Sparse"].N() <= sets["Sparse"].N() {
 		t.Fatal("scale factor does not scale object counts")
 	}
-}
-
-func ruleFired(t *testing.T, p *tune.Profile, rule string) bool {
-	t.Helper()
-	tn := tune.Select(p, tune.Env{MaxProcs: 4})
-	for _, r := range tn.Rules {
-		if r == rule {
-			return true
-		}
-	}
-	t.Logf("rules fired: %v", tn.Rules)
-	return false
 }

@@ -16,7 +16,6 @@ import (
 	"mio/internal/fault"
 	"mio/internal/server/metrics"
 	"mio/internal/shard"
-	"mio/internal/tune"
 )
 
 // Wire DTOs. Query results reuse the json-tagged core types; the
@@ -138,10 +137,11 @@ type ShardStats struct {
 	HedgesTotal   uint64  `json:"hedges_total"`
 	RetriesTotal  uint64  `json:"retries_total"`
 	DownsTotal    uint64  `json:"downs_total"`
-	// StaleTotal counts remote responses rejected by the dataset
-	// generation guard; BadResponsesTotal counts responses rejected by
-	// strict validation (corrupt envelope, malformed or out-of-range
-	// payload). Always 0 for in-process shards.
+	// StaleTotal counts remote bound attempts that failed on a worker
+	// serving another dataset generation (shard.Metrics.Stale);
+	// BadResponsesTotal counts responses rejected by strict validation
+	// (corrupt envelope, malformed or out-of-range payload). Always 0
+	// for in-process shards.
 	StaleTotal        uint64              `json:"stale_total"`
 	BadResponsesTotal uint64              `json:"bad_responses_total"`
 	ScatterLatency    metrics.Snapshot    `json:"scatter_latency"`
@@ -149,14 +149,6 @@ type ShardStats struct {
 	HedgeLatency      metrics.Snapshot    `json:"hedge_latency"`
 	PrunedPerQuery    metrics.IntSnapshot `json:"pruned_per_query"`
 	PerShard          []shard.Health      `json:"per_shard"`
-}
-
-// TuningStats is the auto-tuning section of MetricsSnapshot: the
-// measured profile of the dataset currently served and the knob
-// assignment selected from it (with the rule trail that produced it).
-type TuningStats struct {
-	Profile *tune.Profile `json:"profile"`
-	Tuning  tune.Tuning   `json:"tuning"`
 }
 
 // MetricsSnapshot is the /metrics document. cmd/mioload decodes it to
@@ -183,7 +175,6 @@ type MetricsSnapshot struct {
 	FaultsFired       map[string]uint64           `json:"faults_fired,omitempty"`
 	Batch             *batch.Stats                `json:"batch,omitempty"`
 	Shards            *ShardStats                 `json:"shards,omitempty"`
-	Tuning            *TuningStats                `json:"tuning,omitempty"`
 	Cache             CacheStats                  `json:"cache"`
 	HTTPLatency       map[string]metrics.Snapshot `json:"http_latency"`
 	PhaseLatency      map[string]metrics.Snapshot `json:"phase_latency"`
@@ -517,7 +508,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		FaultsFired: s.cfg.Faults.Counts(),
 		Batch:       s.batchStats(withBuckets),
 		Shards:      s.shardStats(withBuckets),
-		Tuning:      s.tuningStats(),
 		Cache: CacheStats{
 			Enabled: !s.cfg.DisableCache, Hits: hits, Misses: misses,
 			Evictions: evictions, Size: s.cache.Len(), Capacity: s.cache.Cap(),
@@ -558,16 +548,6 @@ func (s *Server) shardStats(withBuckets bool) *ShardStats {
 		PrunedPerQuery:    m.Pruned.Snapshot(withBuckets),
 		PerShard:          co.Health(),
 	}
-}
-
-// tuningStats reports the current autotune state for /metrics, or nil
-// when AutoTune is off.
-func (s *Server) tuningStats() *TuningStats {
-	ts := s.tuneState.Load()
-	if ts == nil {
-		return nil
-	}
-	return &TuningStats{Profile: ts.profile, Tuning: ts.tuning}
 }
 
 // batchStats snapshots the batch engine for /metrics, or nil when

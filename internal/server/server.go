@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,7 +42,6 @@ import (
 	"mio/internal/server/metrics"
 	"mio/internal/shard"
 	"mio/internal/shard/remote"
-	"mio/internal/tune"
 )
 
 // Config tunes the serving machinery. The zero value selects sensible
@@ -153,18 +151,6 @@ type Config struct {
 	// ShardProbeInterval is the remote worker health-probe cadence.
 	// 0 selects 1s. Ignored unless ShardAddrs is set.
 	ShardProbeInterval time.Duration
-	// AutoTune profiles the dataset at construction (and again on every
-	// swap) and lets internal/tune pick the engine knobs — worker count,
-	// grid dimensionality, parallel partitioning, freeze threshold —
-	// plus, when their Config fields are unset, MaxInFlight and the
-	// batch gather window. Tuning is answer-invariant: queries return
-	// the identical results under any knob assignment (DESIGN.md §16).
-	// Pool size and batch knobs are fixed at construction; a swap
-	// re-tunes only the per-engine knobs.
-	AutoTune bool
-	// Logf, when non-nil, receives the server's operational log lines
-	// (today: the autotune profile and knob selection). Nil discards.
-	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
@@ -190,12 +176,6 @@ func (c Config) withDefaults() Config {
 		c.SwapBreakCooldown = 5 * time.Second
 	}
 	return c
-}
-
-func (c Config) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
-	}
 }
 
 // Validate reports settings that contradict each other. BatchExecution,
@@ -255,11 +235,6 @@ type Server struct {
 	// admission, panic quarantine and swap drain apply to batched work
 	// exactly as to solo queries.
 	batch *batch.Engine
-
-	// tuneState, when AutoTune is on, is the profile and knob
-	// assignment currently serving; swapped atomically with the dataset
-	// and reported under /metrics "tuning".
-	tuneState atomic.Pointer[tuningState]
 
 	// coord, when non-nil, is the scatter–gather coordinator behind
 	// runSharded. It owns its own per-shard engine pools; SwapDataset
@@ -321,58 +296,13 @@ func (m *serverMetrics) init() {
 	}
 }
 
-// tuningState pairs a dataset profile with the knob assignment selected
-// from it. Immutable once published.
-type tuningState struct {
-	profile *tune.Profile
-	tuning  tune.Tuning
-}
-
-// tuneFor profiles ds and selects its knob assignment for this host.
-func tuneFor(ds *data.Dataset, cfg Config) *tuningState {
-	prof := tune.Profiler(ds)
-	tn := tune.Select(prof, tune.Env{MaxProcs: runtime.GOMAXPROCS(0)})
-	cfg.logf("autotune: dataset %q: %s", ds.Name, prof.String())
-	cfg.logf("autotune: selected %s", tn.String())
-	return &tuningState{profile: prof, tuning: tn}
-}
-
-// applyTuned overwrites the tuner-owned engine knobs in opts. The
-// caller keeps everything the tuner has no opinion on — Labels, Faults,
-// and an explicit freeze disable.
-func applyTuned(opts core.Options, tn tune.Tuning) core.Options {
-	opts.Workers = tn.Opts.Workers
-	opts.Dims = tn.Opts.Dims
-	opts.LB = tn.Opts.LB
-	opts.UB = tn.Opts.UB
-	if !opts.DisableFreeze {
-		opts.FreezeMinPoints = tn.Opts.FreezeMinPoints
-	}
-	return opts
-}
-
 // New builds a server over ds with a pool of cfg.MaxInFlight engines
 // configured from engOpts. When engOpts.Labels is non-nil the same
 // store is shared across the pool.
 func New(ds *data.Dataset, engOpts core.Options, cfg Config) (*Server, error) {
-	poolUnset := cfg.MaxInFlight < 1
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	var ts *tuningState
-	if cfg.AutoTune {
-		ts = tuneFor(ds, cfg)
-		engOpts = applyTuned(engOpts, ts.tuning)
-		if poolUnset {
-			cfg.MaxInFlight = ts.tuning.PoolSize
-		}
-		if cfg.BatchWindow == 0 {
-			cfg.BatchWindow = ts.tuning.BatchWindow
-		}
-		if cfg.BatchMaxSize == 0 {
-			cfg.BatchMaxSize = ts.tuning.BatchMaxSize
-		}
 	}
 	if engOpts.Faults == nil {
 		engOpts.Faults = cfg.Faults
@@ -382,9 +312,6 @@ func New(ds *data.Dataset, engOpts core.Options, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s := newFromPool(pool, cfg)
-	if ts != nil {
-		s.tuneState.Store(ts)
-	}
 	if cfg.Shards > 0 || len(cfg.ShardAddrs) > 0 {
 		co, err := s.newCoordinator(ds, engOpts)
 		if err != nil {
@@ -584,8 +511,7 @@ func (s *Server) runGroup(specs []core.GroupSpec) (outs []core.GroupOutcome, rep
 // Dataset returns the currently served dataset.
 func (s *Server) Dataset() *data.Dataset { return s.pool.Dataset() }
 
-// MaxInFlight returns the engine-pool size actually in effect (it may
-// have been chosen by the auto-tuner rather than Config.MaxInFlight).
+// MaxInFlight returns the engine-pool size in effect.
 func (s *Server) MaxInFlight() int { return s.pool.Cap() }
 
 // Epoch returns the dataset generation; it increments on every swap.
@@ -605,14 +531,6 @@ func (s *Server) SwapDataset(ds *data.Dataset) error {
 		return fmt.Errorf("server: swap rejected: %w", err)
 	}
 	opts := s.pool.Options()
-	// Re-tune for the incoming dataset before anything is built from it.
-	// Only the per-engine knobs move: the pool size and the batch
-	// engine's gather window were fixed at construction.
-	var ts *tuningState
-	if s.cfg.AutoTune {
-		ts = tuneFor(ds, s.cfg)
-		opts = applyTuned(opts, ts.tuning)
-	}
 	// Durability first: the new dataset must be committed as a
 	// generation before anything serves it, so a crash mid-swap
 	// recovers to either the old or the complete new dataset — never to
@@ -668,9 +586,6 @@ func (s *Server) SwapDataset(ds *data.Dataset) error {
 			coord.Close()
 		}
 		return reject(err)
-	}
-	if ts != nil {
-		s.tuneState.Store(ts)
 	}
 	if coord != nil {
 		s.coord.Store(coord)

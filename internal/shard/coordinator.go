@@ -103,7 +103,10 @@ type Metrics struct {
 	Retries  *metrics.Counter
 	Downs    *metrics.Counter // shard outcomes that ended down or late
 	Degraded *metrics.Counter
-	// Stale counts responses rejected by the dataset-generation guard;
+	// Stale counts bound attempts that failed on a worker serving
+	// another dataset generation: the attempt's own response was
+	// rejected by the generation guard, or the client already knew from
+	// a probe or an earlier attempt and refused without a round trip.
 	// Bad counts responses rejected by strict validation (corrupt
 	// envelope, malformed payload). Both are remote-transport failures
 	// that degrade the shard instead of poisoning the merge.

@@ -81,6 +81,7 @@ type Client struct {
 	state     string // ProbeUp / ProbeSuspect / ProbeDown
 	fails     int    // consecutive probe/query failures
 	lastErr   string
+	stale     bool      // the last failure was a stale generation
 	lastProbe time.Time // zero: never probed
 	objects   int       // from the last good /shardz
 	primaries int
@@ -135,10 +136,18 @@ func (c *Client) Info() shard.BackendInfo {
 
 // Bound runs the worker's bound phase. When the prober considers the
 // worker down it fast-fails without a round trip; the prober, not the
-// query path, is then responsible for noticing recovery.
+// query path, is then responsible for noticing recovery. A worker that
+// is down for a stale generation fails the attempt as
+// ErrStaleGeneration as well, whichever of prober and query saw the
+// stamp first: the coordinator counts stale attempts, and the count
+// must not depend on who won that race.
 func (c *Client) Bound(ctx context.Context, r float64, k int) (shard.Bounds, error) {
-	if st, lastErr := c.snapshotState(); st == shard.ProbeDown {
-		return nil, fmt.Errorf("%w: %s (last error: %s)", shard.ErrUnreachable, c.cfg.Addr, lastErr)
+	if st, lastErr, stale := c.snapshotState(); st == shard.ProbeDown {
+		err := fmt.Errorf("%w: %s (last error: %s)", shard.ErrUnreachable, c.cfg.Addr, lastErr)
+		if stale {
+			err = fmt.Errorf("%w: %w", shard.ErrStaleGeneration, err)
+		}
+		return nil, err
 	}
 	payload, err := c.post(ctx, PathBound, BoundRequest{R: r, K: k})
 	if err != nil {
@@ -213,10 +222,10 @@ func (c *Client) post(ctx context.Context, path string, body any) ([]byte, error
 
 // snapshotState reads the prober state without holding the lock across
 // any I/O.
-func (c *Client) snapshotState() (string, string) {
+func (c *Client) snapshotState() (state, lastErr string, stale bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.state, c.lastErr
+	return c.state, c.lastErr, c.stale
 }
 
 // noteSuccess records a healthy exchange: the worker is up and the
@@ -227,6 +236,7 @@ func (c *Client) noteSuccess() {
 	c.state = shard.ProbeUp
 	c.fails = 0
 	c.lastErr = ""
+	c.stale = false
 }
 
 // noteFailure records a failed exchange. Stale generations mark the
@@ -240,7 +250,8 @@ func (c *Client) noteFailure(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lastErr = err.Error()
-	if isStale(err) {
+	c.stale = errors.Is(err, shard.ErrStaleGeneration)
+	if c.stale {
 		c.state = shard.ProbeDown
 		c.fails = c.cfg.DownAfter
 		return
@@ -251,20 +262,6 @@ func (c *Client) noteFailure(err error) {
 	} else {
 		c.state = shard.ProbeSuspect
 	}
-}
-
-func isStale(err error) bool {
-	for e := err; e != nil; {
-		if e == shard.ErrStaleGeneration {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }
 
 // probeLoop polls /shardz until Close. A successful probe with a

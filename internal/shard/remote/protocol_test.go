@@ -197,7 +197,7 @@ func FuzzRemoteShardResponse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		mu.Lock()
-		body = append(body[:0], in...)
+		body = append([]byte(nil), in...) // a fresh array: the handler writes its copy of the slice after unlocking
 		mu.Unlock()
 		c.mu.Lock()
 		c.state = shard.ProbeSuspect

@@ -508,9 +508,17 @@ func TestFaultPointsDegrade(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(co.Close)
+		// A stale generation is not a transient: the first stale stamp —
+		// here the prober's /shardz read — marks the worker down at once
+		// instead of retrying it to death. Waiting for that fixes the
+		// order: the query below never reaches the worker, and must be
+		// counted as stale all the same. (The order where the query sees
+		// the stamp first is the "stale generation" row of the
+		// hostile-response table, whose /shardz stays healthy.)
+		waitFor(t, 2*time.Second, "prober to see the stale stamp", func() bool {
+			return flapping.Info().State == shard.ProbeDown
+		})
 		check(t, co, reg, fault.PointStaleGen, func(m *shard.Metrics) uint64 { return m.Stale.Value() })
-		// A stale generation is not a transient: the client marks the
-		// worker down immediately instead of retrying it to death.
 		if st := flapping.Info().State; st != shard.ProbeDown {
 			t.Errorf("stale worker state %q, want %q", st, shard.ProbeDown)
 		}

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"mio/internal/core"
 	"mio/internal/core/labelstore"
 	"mio/internal/data"
 	"mio/internal/geom"
-	"mio/internal/tune"
 )
 
 // Point is a point in 3-D space; planar data uses Z = 0.
@@ -77,53 +75,27 @@ func LoadDataset(path string) (*Dataset, error) { return data.LoadFile(path) }
 func SaveDataset(path string, ds *Dataset) error { return data.SaveFile(path, ds) }
 
 // Option configures an Engine or TemporalEngine.
-type Option func(*config) error
-
-type config struct {
-	opts core.Options
-	// autoTune enables profile-driven knob selection at engine build
-	// time; the set* flags record explicitly chosen knobs, which the
-	// tuner never overrides.
-	autoTune   bool
-	setWorkers bool
-	setDims    bool
-	setLB      bool
-	setUB      bool
-}
-
-// WithAutoTune profiles the dataset when the engine is built and picks
-// the engine knobs (worker count, 2-D vs 3-D grid, parallel
-// partitioning strategies, freeze threshold) from its measured shape —
-// skew, density, extent, object sizes (DESIGN.md §16). Knobs fixed
-// explicitly by other options are respected. Tuning is
-// answer-invariant: whatever it picks, queries return the identical
-// top-k, and no knob ever increases the distance-computation count.
-func WithAutoTune() Option {
-	return func(c *config) error {
-		c.autoTune = true
-		return nil
-	}
-}
+type Option func(*core.Options) error
 
 // WithWorkers enables the parallel algorithms of §IV on t cores
 // (t < 2 selects the single-core pipeline).
 func WithWorkers(t int) Option {
-	return func(c *config) error {
+	return func(o *core.Options) error {
 		if t < 0 {
 			return fmt.Errorf("mio: negative worker count %d", t)
 		}
-		c.opts.Workers = t
-		c.setWorkers = true
+		o.Workers = t
 		return nil
 	}
 }
 
 // With2D declares the dataset planar, widening the small-grid cells
-// from r/√3 to r/√2 for tighter lower bounds.
+// from r/√3 to r/√2 for tighter lower bounds. NewEngine refuses it
+// unless every point has the same Z: on other data the wider cells
+// would silently prune the true answer.
 func With2D() Option {
-	return func(c *config) error {
-		c.opts.Dims = 2
-		c.setDims = true
+	return func(o *core.Options) error {
+		o.Dims = 2
 		return nil
 	}
 }
@@ -132,8 +104,8 @@ func With2D() Option {
 // store: the first query for each ⌈r⌉ records per-point labels, and
 // every later query sharing that ceiling skips the labelled points.
 func WithLabels() Option {
-	return func(c *config) error {
-		c.opts.Labels = labelstore.NewStore()
+	return func(o *core.Options) error {
+		o.Labels = labelstore.NewStore()
 		return nil
 	}
 }
@@ -142,68 +114,40 @@ func WithLabels() Option {
 // labels survive the process — the external-memory deployment the paper
 // analyses (O(nm/B) label I/O per query).
 func WithDiskLabels(dir string) Option {
-	return func(c *config) error {
+	return func(o *core.Options) error {
 		s, err := labelstore.NewDiskStore(dir)
 		if err != nil {
 			return err
 		}
-		c.opts.Labels = s
+		o.Labels = s
 		return nil
 	}
 }
 
 // WithLBStrategy selects the parallel lower-bounding partition.
 func WithLBStrategy(s LBStrategy) Option {
-	return func(c *config) error {
-		c.opts.LB = s
-		c.setLB = true
+	return func(o *core.Options) error {
+		o.LB = s
 		return nil
 	}
 }
 
 // WithUBStrategy selects the parallel upper-bounding partition.
 func WithUBStrategy(s UBStrategy) Option {
-	return func(c *config) error {
-		c.opts.UB = s
-		c.setUB = true
+	return func(o *core.Options) error {
+		o.UB = s
 		return nil
 	}
 }
 
-func buildConfig(opts []Option) (config, error) {
-	var c config
-	for _, o := range opts {
-		if err := o(&c); err != nil {
-			return config{}, err
+func buildOptions(opts []Option) (core.Options, error) {
+	var o core.Options
+	for _, apply := range opts {
+		if err := apply(&o); err != nil {
+			return core.Options{}, err
 		}
 	}
-	return c, nil
-}
-
-// resolve finalises the engine options for ds: under WithAutoTune it
-// profiles the dataset and fills every knob the caller did not fix.
-func (c *config) resolve(ds *Dataset) core.Options {
-	if !c.autoTune {
-		return c.opts
-	}
-	tn := tune.Select(tune.Profiler(ds), tune.Env{MaxProcs: runtime.GOMAXPROCS(0)})
-	out := c.opts
-	if !c.setWorkers {
-		out.Workers = tn.Opts.Workers
-	}
-	if !c.setDims {
-		out.Dims = tn.Opts.Dims
-	}
-	if !c.setLB {
-		out.LB = tn.Opts.LB
-	}
-	if !c.setUB {
-		out.UB = tn.Opts.UB
-	}
-	if out.FreezeMinPoints == 0 && !out.DisableFreeze {
-		out.FreezeMinPoints = tn.Opts.FreezeMinPoints
-	}
-	return out
+	return o, nil
 }
 
 // Engine processes MIO queries over one dataset. It is safe to issue
@@ -216,11 +160,11 @@ type Engine struct {
 // NewEngine returns an engine over ds. The dataset must not be mutated
 // afterwards.
 func NewEngine(ds *Dataset, opts ...Option) (*Engine, error) {
-	c, err := buildConfig(opts)
+	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := core.NewEngine(ds, c.resolve(ds))
+	inner, err := core.NewEngine(ds, o)
 	if err != nil {
 		return nil, err
 	}
@@ -245,11 +189,11 @@ type TemporalEngine struct {
 
 // NewTemporalEngine returns a temporal engine over ds.
 func NewTemporalEngine(ds *Dataset, opts ...Option) (*TemporalEngine, error) {
-	c, err := buildConfig(opts)
+	o, err := buildOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := core.NewTemporalEngine(ds, c.resolve(ds))
+	inner, err := core.NewTemporalEngine(ds, o)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package mio
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -82,6 +83,68 @@ func TestPublicAPIOptionsCombine(t *testing.T) {
 		}
 		if !reflect.DeepEqual(scores(got.TopK), scores(want.TopK)) {
 			t.Fatalf("pass %d: %v != %v", pass, scores(got.TopK), scores(want.TopK))
+		}
+	}
+}
+
+// TestWith2DRefusesNonPlanarData: on 3-D data the r/√2 cell of With2D
+// puts points up to 1.22·r apart in one small-grid cell, so Lemma 1
+// counts pairs that do not interact. Here three such pairs (1.195 apart
+// at r = 1) lift object 0's lower bound to 3, above every true score,
+// and the one interacting pair {4, 5} used to be pruned: object 0 with
+// score 0 came back instead of score 1, without any error. The engine
+// must refuse the option on such data and keep accepting it on a plane.
+func TestWith2DRefusesNonPlanarData(t *testing.T) {
+	const r = 1.0
+	w := r / math.Sqrt2
+	objects := [][]Point{
+		{Pt(0.01, 0.01, 0.01), Pt(20*w+0.01, 0.01, 0.01), Pt(40*w+0.01, 0.01, 0.01)},
+		{Pt(0.70, 0.70, 0.70)},
+		{Pt(20*w+0.70, 0.70, 0.70)},
+		{Pt(40*w+0.70, 0.70, 0.70)},
+		{Pt(100, 100, 100)},
+		{Pt(100.5, 100, 100)},
+	}
+	ds, err := NewDataset("tilted", objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := NewEngine(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Query(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Scored{Obj: 4, Score: 1}); res.Best != want {
+		t.Fatalf("default engine: best = %+v, want %+v", res.Best, want)
+	}
+	if _, err := NewEngine(ds, With2D()); err == nil || !strings.Contains(err.Error(), "planar") {
+		t.Fatalf("With2D on non-planar data: err = %v, want a refusal naming the planar requirement", err)
+	}
+
+	// The same points on the plane z = 7: accepted, same answer as 3-D.
+	for _, pts := range objects {
+		for i := range pts {
+			pts[i].Z = 7
+		}
+	}
+	flat, err := NewDataset("flat", objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range [][]Option{nil, {With2D()}} {
+		eng, err := NewEngine(flat, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Query(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (Scored{Obj: 0, Score: 3}); res.Best != want {
+			t.Fatalf("planar data, %d options: best = %+v, want %+v", len(opts), res.Best, want)
 		}
 	}
 }

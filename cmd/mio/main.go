@@ -62,8 +62,25 @@ func main() {
 	}
 	fmt.Println(ds.Summary())
 
-	if *delta >= 0 {
-		runTemporal(ds, *r, *delta, *k, *workers)
+	// Engine options common to the spatial and the temporal variant.
+	var opts []mio.Option
+	if *workers > 1 {
+		opts = append(opts, mio.WithWorkers(*workers))
+	}
+	if *dims == 2 {
+		opts = append(opts, mio.With2D())
+	}
+
+	if !(*delta < 0) { // NaN goes to the temporal engine, which refuses it
+		eng, err := mio.NewTemporalEngine(ds, opts...)
+		if err != nil {
+			fatal(err)
+		}
+		res, err := eng.QueryTopK(*r, *delta, *k)
+		if err != nil {
+			fatal(err)
+		}
+		printTopK(res.TopK)
 		return
 	}
 
@@ -96,13 +113,6 @@ func main() {
 
 	switch *algo {
 	case "bigrid":
-		var opts []mio.Option
-		if *workers > 1 {
-			opts = append(opts, mio.WithWorkers(*workers))
-		}
-		if *dims == 2 {
-			opts = append(opts, mio.With2D())
-		}
 		if *labels != "" {
 			opts = append(opts, mio.WithDiskLabels(*labels))
 		}
@@ -134,22 +144,6 @@ func main() {
 	default:
 		fatal(fmt.Sprintf("unknown algorithm %q", *algo))
 	}
-}
-
-func runTemporal(ds *mio.Dataset, r, delta float64, k, workers int) {
-	var opts []mio.Option
-	if workers > 1 {
-		opts = append(opts, mio.WithWorkers(workers))
-	}
-	eng, err := mio.NewTemporalEngine(ds, opts...)
-	if err != nil {
-		fatal(err)
-	}
-	res, err := eng.QueryTopK(r, delta, k)
-	if err != nil {
-		fatal(err)
-	}
-	printTopK(res.TopK)
 }
 
 func printTopK(top []mio.Scored) {

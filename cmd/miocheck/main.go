@@ -28,7 +28,7 @@ import (
 func main() {
 	var (
 		dataPath = flag.String("data", "", "dataset file to check")
-		gen      = flag.String("gen", "", "generate a stand-in instead: neuron, neuron2, bird, bird2, syn")
+		gen      = flag.String("gen", "", "generate a dataset instead: "+data.Names())
 		scale    = flag.Float64("scale", 0.05, "scale for -gen")
 		rs       = flag.String("r", "4", "comma-separated thresholds")
 		k        = flag.Int("k", 5, "top-k depth to compare")
@@ -36,7 +36,13 @@ func main() {
 	)
 	flag.Parse()
 
-	ds, err := loadOrGen(*dataPath, *gen, *scale)
+	var ds *mio.Dataset
+	var err error
+	if *dataPath != "" {
+		ds, err = mio.LoadDataset(*dataPath)
+	} else {
+		ds, err = data.ByName(*gen, *scale, 0, 0, 0)
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -57,21 +63,6 @@ func main() {
 		fatal(fmt.Sprintf("%d check(s) FAILED", failures))
 	}
 	fmt.Println("all algorithms agree")
-}
-
-func loadOrGen(path, gen string, scale float64) (*mio.Dataset, error) {
-	if path != "" {
-		return mio.LoadDataset(path)
-	}
-	sets := data.Standard(scale)
-	name := map[string]string{
-		"neuron": "Neuron", "neuron2": "Neuron-2",
-		"bird": "Bird", "bird2": "Bird-2", "syn": "Syn",
-	}[gen]
-	if name == "" {
-		return nil, fmt.Errorf("need -data or a valid -gen (got %q)", gen)
-	}
-	return sets[name], nil
 }
 
 // checkOne validates one threshold and returns the number of failed

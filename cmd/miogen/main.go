@@ -19,7 +19,7 @@ import (
 
 func main() {
 	var (
-		dataset = flag.String("dataset", "all", "dataset to generate: neuron, neuron2, bird, bird2, syn, uniform, the adversarial onecell, sparse, powersize, commute, or all (adversarial sets need an explicit -dataset)")
+		dataset = flag.String("dataset", "all", "dataset to generate: "+data.Names()+", or all (the five stand-ins neuron … syn)")
 		n       = flag.Int("n", 0, "override object count (0 = dataset default)")
 		m       = flag.Int("m", 0, "override points per object (0 = dataset default)")
 		seed    = flag.Int64("seed", 0, "override RNG seed (0 = dataset default)")
@@ -47,7 +47,7 @@ func main() {
 		return
 	}
 
-	ds, err := generate(*dataset, *n, *m, *seed, *scale)
+	ds, err := data.ByName(*dataset, *scale, *n, *m, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -62,119 +62,6 @@ func main() {
 		fatal(err)
 	}
 	fmt.Printf("wrote %s  %s\n", path, ds.Summary())
-}
-
-func generate(name string, n, m int, seed int64, scale float64) (*data.Dataset, error) {
-	applyN := func(def int) int {
-		if n > 0 {
-			return n
-		}
-		v := int(float64(def) * scale)
-		if v < 8 {
-			v = 8
-		}
-		return v
-	}
-	switch name {
-	case "neuron":
-		cfg := data.DefaultNeuron()
-		cfg.N = applyN(cfg.N)
-		if m > 0 {
-			cfg.M = m
-		}
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return data.GenNeuron(cfg), nil
-	case "neuron2":
-		cfg := data.DefaultNeuron2()
-		cfg.N = applyN(cfg.N)
-		if m > 0 {
-			cfg.M = m
-		}
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return data.GenNeuron(cfg), nil
-	case "bird":
-		cfg := data.DefaultBird()
-		cfg.N = applyN(cfg.N)
-		if m > 0 {
-			cfg.M = m
-		}
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return data.GenTrajectory(cfg), nil
-	case "bird2":
-		cfg := data.DefaultBird2()
-		cfg.N = applyN(cfg.N)
-		if m > 0 {
-			cfg.M = m
-		}
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return data.GenTrajectory(cfg), nil
-	case "syn":
-		cfg := data.DefaultSyn()
-		cfg.N = applyN(cfg.N)
-		if m > 0 {
-			cfg.M = m
-		}
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return data.GenPowerLaw(cfg), nil
-	case "uniform":
-		cfg := data.UniformConfig{N: applyN(1000), M: 10, FieldSize: 1000, Spread: 10, Seed: 1}
-		if m > 0 {
-			cfg.M = m
-		}
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return data.GenUniform(cfg), nil
-	case "onecell":
-		cfg := data.DefaultOneCell()
-		cfg.N = applyN(cfg.N)
-		if m > 0 {
-			cfg.M = m
-		}
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return data.GenOneCell(cfg), nil
-	case "sparse":
-		cfg := data.DefaultUniformSparse()
-		cfg.N = applyN(cfg.N)
-		if m > 0 {
-			cfg.M = m
-		}
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return data.GenUniformSparse(cfg), nil
-	case "powersize":
-		cfg := data.DefaultPowerLawSizes()
-		cfg.N = applyN(cfg.N)
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return data.GenPowerLawSizes(cfg), nil
-	case "commute":
-		cfg := data.DefaultHotspotCommute()
-		cfg.N = applyN(cfg.N)
-		if m > 0 {
-			cfg.M = m
-		}
-		if seed != 0 {
-			cfg.Seed = seed
-		}
-		return data.GenHotspotCommute(cfg), nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", name)
-	}
 }
 
 func fatal(v any) {

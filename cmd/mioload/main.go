@@ -61,7 +61,7 @@ func main() {
 		burst   = flag.Bool("burst", false, "closed-loop waves: all -c workers fire simultaneously and wait for the slowest (with -compare: batch execution vs query-major)")
 		kspread = flag.Int("kspread", 0, "cycle each worker's k over 1..kspread instead of fixed -k (>1 enables)")
 		shards  = flag.Int("shards", 0, "with -compare: A/B a healthy sharded cluster vs the same cluster under injected shard faults (>0 enables)")
-		dataset = flag.String("dataset", "syn", "dataset generated for -compare: syn, or adversarial onecell, sparse, powersize, commute")
+		dataset = flag.String("dataset", "syn", "dataset generated for -compare: "+data.Names())
 	)
 	flag.Parse()
 
@@ -87,13 +87,17 @@ func main() {
 		fatal("-shards requires -compare (point -url at a sharded miosrv for live runs)")
 	}
 	if *compare {
+		ds, err := data.ByName(*dataset, *scale, 0, 0, 0)
+		if err != nil {
+			fatal(err)
+		}
 		switch {
 		case *shards > 0:
-			runCompareShards(cfg, *dataset, *scale, *workers, *pool, *shards)
+			runCompareShards(cfg, ds, *workers, *pool, *shards)
 		case *burst:
-			runCompareBatch(cfg, *dataset, *scale, *workers, *pool)
+			runCompareBatch(cfg, ds, *workers, *pool)
 		default:
-			runCompare(cfg, *dataset, *scale, *workers, *pool)
+			runCompare(cfg, ds, *workers, *pool)
 		}
 		return
 	}
@@ -110,8 +114,7 @@ func main() {
 // (no cache, no coalescing) on the same generated dataset and
 // workload. Both keep the label store, so the delta isolates what the
 // serving layer itself contributes.
-func runCompare(cfg loadgen.Config, dataset string, scale float64, workers, pool int) {
-	ds := genDataset(dataset, scale)
+func runCompare(cfg loadgen.Config, ds *data.Dataset, workers, pool int) {
 	fmt.Printf("mioload -compare: %q dataset, %d objects, %d points; %d requests, %d workers, rs=%v skew=%g\n",
 		ds.Name, ds.N(), ds.TotalPoints(), cfg.Requests, cfg.Concurrency, cfg.RValues, cfg.Skew)
 
@@ -160,7 +163,7 @@ func runCompare(cfg loadgen.Config, dataset string, scale float64, workers, pool
 // request coalescing: it is the strongest non-batch configuration
 // (identical (r, k) requests still collapse), so the delta isolates
 // what cross-query cell sharing itself buys.
-func runCompareBatch(cfg loadgen.Config, dataset string, scale float64, workers, pool int) {
+func runCompareBatch(cfg loadgen.Config, ds *data.Dataset, workers, pool int) {
 	if !cfg.Burst {
 		fatal("batch compare requires -burst")
 	}
@@ -186,7 +189,6 @@ func runCompareBatch(cfg loadgen.Config, dataset string, scale float64, workers,
 		}
 	}
 	cfg.RValues = expanded
-	ds := genDataset(dataset, scale)
 	fmt.Printf("mioload -compare -burst: %q dataset, %d objects, %d points; %d requests in waves of %d, %d distinct thresholds, kspread=%d\n",
 		ds.Name, ds.N(), ds.TotalPoints(), cfg.Requests, cfg.Concurrency, len(cfg.RValues), cfg.KSpread)
 
@@ -243,8 +245,7 @@ func runCompareBatch(cfg loadgen.Config, dataset string, scale float64, workers,
 // sides so every request exercises the scatter path; the delta
 // surfaces what fault tolerance costs (retries, hedges) and what it
 // preserves (200s with certified intervals instead of 5xx).
-func runCompareShards(cfg loadgen.Config, dataset string, scale float64, workers, pool, shards int) {
-	ds := genDataset(dataset, scale)
+func runCompareShards(cfg loadgen.Config, ds *data.Dataset, workers, pool, shards int) {
 	fmt.Printf("mioload -compare -shards: %q dataset, %d objects, %d points; %d requests, %d workers, rs=%v skew=%g, %d shards\n",
 		ds.Name, ds.N(), ds.TotalPoints(), cfg.Requests, cfg.Concurrency, cfg.RValues, cfg.Skew, shards)
 
@@ -337,41 +338,6 @@ func parseRS(list string) ([]float64, error) {
 		rs = append(rs, r)
 	}
 	return rs, nil
-}
-
-// genDataset resolves the -dataset flag for the -compare modes: the
-// Syn stand-in by default, or one of the adversarial tuning stresses.
-func genDataset(name string, scale float64) *data.Dataset {
-	clamp := func(n int) int {
-		if n < 1 {
-			return 1
-		}
-		return n
-	}
-	switch name {
-	case "syn":
-		cfg := data.DefaultSyn()
-		cfg.N = clamp(int(float64(cfg.N) * scale))
-		return data.GenPowerLaw(cfg)
-	case "onecell":
-		cfg := data.DefaultOneCell()
-		cfg.N = clamp(int(float64(cfg.N) * scale))
-		return data.GenOneCell(cfg)
-	case "sparse":
-		cfg := data.DefaultUniformSparse()
-		cfg.N = clamp(int(float64(cfg.N) * scale))
-		return data.GenUniformSparse(cfg)
-	case "powersize":
-		cfg := data.DefaultPowerLawSizes()
-		cfg.N = clamp(int(float64(cfg.N) * scale))
-		return data.GenPowerLawSizes(cfg)
-	case "commute":
-		cfg := data.DefaultHotspotCommute()
-		cfg.N = clamp(int(float64(cfg.N) * scale))
-		return data.GenHotspotCommute(cfg)
-	}
-	fatal(fmt.Sprintf("unknown -dataset %q (syn, onecell, sparse, powersize, commute)", name))
-	panic("unreachable")
 }
 
 func fatal(v any) {

@@ -58,6 +58,7 @@ import (
 	"strings"
 	"syscall"
 	"time"
+	"unicode"
 
 	"mio/internal/core"
 	"mio/internal/core/labelstore"
@@ -68,153 +69,155 @@ import (
 	"mio/internal/shard/remote"
 )
 
-func main() {
-	var (
-		dataPath = flag.String("data", "", "dataset file to serve")
-		gen      = flag.String("gen", "", "serve a generated dataset instead: neuron, bird, syn, uniform, or adversarial onecell, sparse, powersize, commute")
-		scale    = flag.Float64("scale", 1, "size multiplier for -gen")
-		seed     = flag.Int64("seed", 1, "RNG seed for -gen")
-		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 1, "CPU cores per engine (≥2 enables parallel processing)")
-		dims     = flag.Int("dims", 3, "data dimensionality (2 or 3)")
-		inflight = flag.Int("inflight", 1, "max concurrent engine runs (sizes the engine pool)")
-		labelDir = flag.String("labels", "", "directory for a persistent label store (default in-memory)")
-		stateDir = flag.String("state-dir", "", "durable state directory: crash-safe dataset generations + per-generation labels")
-		noLabels = flag.Bool("no-labels", false, "disable the §III-D label store")
-		cacheSz  = flag.Int("cache", 256, "result cache capacity in entries")
-		noCache  = flag.Bool("no-cache", false, "disable the result cache")
-		noCoal   = flag.Bool("no-coalesce", false, "disable request coalescing")
-		timeout  = flag.Duration("timeout", 30*time.Second, "per-request engine deadline (0 disables)")
-		admWait  = flag.Duration("admission-wait", 100*time.Millisecond, "max time a request queues for an engine slot")
-		swap     = flag.Bool("allow-swap", false, "enable POST /v1/dataset (reads server-local paths)")
-		faults   = flag.String("faults", "", "arm fault injection for chaos testing, e.g. 'seed=42;engine.verification=panic:0.01;server.run=latency:0.1:5ms'")
-		batchOn  = flag.Bool("batch", false, "route /v1/query through epoch-driven batch execution (queries sharing ⌈r⌉ share one index build and cell walk)")
-		batchWin = flag.Duration("batch-window", 0, "batch epoch gather window (0 selects the default 2ms; needs -batch)")
-		batchMax = flag.Int("batch-max", 0, "seal a batch epoch early at this many queries (0 selects the default 128; needs -batch)")
-		shards   = flag.Int("shards", 0, "partition the dataset across this many shard engines behind a fault-tolerant scatter–gather coordinator (0 disables)")
-		shardR   = flag.Float64("shard-max-r", 0, "replica horizon: largest r the shards answer exactly, larger radii fall back to the solo pool (0 selects 10; needs -shards)")
-		shardTO  = flag.Duration("shard-timeout", 0, "per-shard attempt deadline (0 selects 2s; needs -shards)")
-		shardTry = flag.Int("shard-retries", 0, "per-shard retry budget after a failed attempt (0 selects 1, negative disables; needs -shards)")
-		shardHdg = flag.Duration("shard-hedge", 0, "launch a speculative extra attempt against a straggling shard after this long (0 selects timeout/4, negative disables; needs -shards)")
-		shardSrv = flag.Bool("shard-serve", false, "run as one shard WORKER of a multi-process cluster: serve this shard's bound/verify phases plus /shardz (needs -shards for the partition count and -shard-index)")
-		shardIdx = flag.Int("shard-index", 0, "this worker's shard id in [0, shards) (needs -shard-serve)")
-		shardsAt = flag.String("shards-at", "", "run as the COORDINATOR of a multi-process cluster: comma-separated worker base URLs in shard-id order, e.g. http://h1:7001,http://h2:7001")
-		shardPrb = flag.Duration("shard-probe", 0, "remote worker health-probe interval (0 selects 1s; needs -shards-at)")
-	)
-	flag.Parse()
+// options is what the command line decides: the server configuration
+// plus everything main needs before a server exists.
+type options struct {
+	dataPath, gen      string
+	scale              float64
+	seed               int64
+	addr               string
+	workers, dims      int
+	labelDir, stateDir string
+	noLabels           bool
+	faults             string
+	shardServe         bool
+	shardIndex         int
+	timeout            time.Duration // flag convention; cfg.QueryTimeout has the server's
+	shardsAt           string        // raw list; cfg.ShardAddrs has it split
+	cfg                server.Config // Faults and State are attached by main
+}
 
-	// Validate every flag combination up front, before any dataset is
-	// loaded or generated: a bad invocation must fail in milliseconds
-	// with one clear line, not after minutes of generation.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	switch {
-	case (*batchWin != 0 || *batchMax != 0) && !*batchOn:
-		fatal("-batch-window/-batch-max require -batch")
-	case (*shardR != 0 || *shardTO != 0 || *shardTry != 0 || *shardHdg != 0) && *shards == 0 && *shardsAt == "":
-		fatal("-shard-max-r/-shard-timeout/-shard-retries/-shard-hedge require -shards or -shards-at")
-	case *shardSrv && *shardsAt != "":
-		fatal("-shard-serve and -shards-at cannot be combined (one process is a worker or a coordinator, not both)")
-	case *shardSrv && *shards < 2:
-		fatal("-shard-serve requires -shards ≥ 2 (the cluster's total partition count)")
-	case *shardSrv && (*shardIdx < 0 || *shardIdx >= *shards):
-		fatal(fmt.Sprintf("-shard-index %d outside [0, %d)", *shardIdx, *shards))
-	case explicit["shard-index"] && !*shardSrv:
-		fatal("-shard-index requires -shard-serve")
-	case *shardSrv && (*batchOn || *swap || *stateDir != ""):
-		fatal("-shard-serve is a bare shard worker: incompatible with -batch, -allow-swap, -state-dir")
-	case *shardPrb != 0 && *shardsAt == "":
-		fatal("-shard-probe requires -shards-at")
-	case *labelDir != "" && *stateDir != "":
-		fatal("-labels and -state-dir are mutually exclusive (labels live inside the state directory)")
-	case *dataPath != "" && *gen != "":
-		fatal("-data and -gen are mutually exclusive")
+// flagSet registers every miosrv flag on o.
+func flagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("miosrv", flag.ContinueOnError)
+	fs.StringVar(&o.dataPath, "data", "", "dataset file to serve")
+	fs.StringVar(&o.gen, "gen", "", "serve a generated dataset instead: "+data.Names())
+	fs.Float64Var(&o.scale, "scale", 1, "size multiplier for -gen")
+	fs.Int64Var(&o.seed, "seed", 0, "RNG seed for -gen (0 = the dataset's default)")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.workers, "workers", 1, "CPU cores per engine (≥2 enables parallel processing)")
+	fs.IntVar(&o.dims, "dims", 3, "data dimensionality (2 or 3)")
+	fs.IntVar(&o.cfg.MaxInFlight, "inflight", 1, "max concurrent engine runs (sizes the engine pool)")
+	fs.StringVar(&o.labelDir, "labels", "", "directory for a persistent label store (default in-memory)")
+	fs.StringVar(&o.stateDir, "state-dir", "", "durable state directory: crash-safe dataset generations + per-generation labels")
+	fs.BoolVar(&o.noLabels, "no-labels", false, "disable the §III-D label store")
+	fs.IntVar(&o.cfg.CacheSize, "cache", 256, "result cache capacity in entries")
+	fs.BoolVar(&o.cfg.DisableCache, "no-cache", false, "disable the result cache")
+	fs.BoolVar(&o.cfg.DisableCoalesce, "no-coalesce", false, "disable request coalescing")
+	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request engine deadline (0 disables)")
+	fs.DurationVar(&o.cfg.AdmissionWait, "admission-wait", 100*time.Millisecond, "max time a request queues for an engine slot")
+	fs.BoolVar(&o.cfg.AllowSwap, "allow-swap", false, "enable POST /v1/dataset (reads server-local paths)")
+	fs.StringVar(&o.faults, "faults", "", "arm fault injection for chaos testing, e.g. 'seed=42;engine.verification=panic:0.01;server.run=latency:0.1:5ms'")
+	fs.BoolVar(&o.cfg.BatchExecution, "batch", false, "route /v1/query through epoch-driven batch execution (queries sharing ⌈r⌉ share one index build and cell walk)")
+	fs.IntVar(&o.cfg.Shards, "shards", 0, "partition the dataset across this many shard engines behind a fault-tolerant scatter–gather coordinator (0 disables)")
+	fs.Float64Var(&o.cfg.ShardMaxR, "shard-max-r", 0, "replica horizon: largest r the shards answer exactly, larger radii fall back to the solo pool (0 selects 10; needs -shards)")
+	fs.IntVar(&o.cfg.ShardRetries, "shard-retries", 0, "per-shard retry budget after a failed attempt (0 selects 1, negative disables; needs -shards)")
+	fs.DurationVar(&o.cfg.ShardHedgeAfter, "shard-hedge", 0, "launch a speculative extra attempt against a straggling shard after this long (0 selects a quarter of the per-shard deadline, negative disables; needs -shards)")
+	fs.BoolVar(&o.shardServe, "shard-serve", false, "run as one shard WORKER of a multi-process cluster: serve this shard's bound/verify phases plus /shardz (needs -shards for the partition count and -shard-index)")
+	fs.IntVar(&o.shardIndex, "shard-index", 0, "this worker's shard id in [0, shards) (needs -shard-serve)")
+	fs.StringVar(&o.shardsAt, "shards-at", "", "run as the COORDINATOR of a multi-process cluster: comma-separated worker base URLs in shard-id order, e.g. http://h1:7001,http://h2:7001")
+	return fs
+}
+
+// parseFlags parses the command line and validates every flag
+// combination, server.Config.Validate included, before any dataset is
+// loaded: a bad invocation fails in milliseconds with one clear line.
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	fs := flagSet(o)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
+	o.cfg.QueryTimeout = queryTimeout(o.timeout)
+	// Comma-separated; whitespace and empty entries are dropped.
+	o.cfg.ShardAddrs = strings.FieldsFunc(o.shardsAt, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
 
+	explicit := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	c := &o.cfg
+	switch {
+	case (c.ShardMaxR != 0 || c.ShardRetries != 0 || c.ShardHedgeAfter != 0) && c.Shards == 0 && o.shardsAt == "":
+		return nil, errors.New("-shard-max-r/-shard-retries/-shard-hedge require -shards or -shards-at")
+	case o.shardServe && o.shardsAt != "":
+		return nil, errors.New("-shard-serve and -shards-at cannot be combined (one process is a worker or a coordinator, not both)")
+	case o.shardServe && c.Shards < 2:
+		return nil, errors.New("-shard-serve requires -shards ≥ 2 (the cluster's total partition count)")
+	case o.shardServe && (o.shardIndex < 0 || o.shardIndex >= c.Shards):
+		return nil, fmt.Errorf("-shard-index %d outside [0, %d)", o.shardIndex, c.Shards)
+	case explicit["shard-index"] && !o.shardServe:
+		return nil, errors.New("-shard-index requires -shard-serve")
+	case o.shardServe && (c.BatchExecution || c.AllowSwap || o.stateDir != ""):
+		return nil, errors.New("-shard-serve is a bare shard worker: incompatible with -batch, -allow-swap, -state-dir")
+	case o.labelDir != "" && o.stateDir != "":
+		return nil, errors.New("-labels and -state-dir are mutually exclusive (labels live inside the state directory)")
+	case o.dataPath != "" && o.gen != "":
+		return nil, errors.New("-data and -gen are mutually exclusive")
+	}
+	return o, c.Validate()
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fatal(err)
+	}
 	var reg *fault.Registry
-	if *faults != "" {
-		var err error
-		reg, err = fault.Parse(*faults)
+	if o.faults != "" {
+		reg, err = fault.Parse(o.faults)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "miosrv: FAULT INJECTION ARMED: %s\n", reg)
 	}
-
-	// The server config takes part in the up-front validation; its
-	// durable state is attached once the dataset is resolved.
-	cfg := server.Config{
-		MaxInFlight:        *inflight,
-		AdmissionWait:      *admWait,
-		QueryTimeout:       queryTimeout(*timeout),
-		CacheSize:          *cacheSz,
-		DisableCache:       *noCache,
-		DisableCoalesce:    *noCoal,
-		AllowSwap:          *swap,
-		Faults:             reg,
-		BatchExecution:     *batchOn,
-		BatchWindow:        *batchWin,
-		BatchMaxSize:       *batchMax,
-		Shards:             *shards,
-		ShardMaxR:          *shardR,
-		ShardTimeout:       *shardTO,
-		ShardRetries:       *shardTry,
-		ShardHedgeAfter:    *shardHdg,
-		ShardAddrs:         splitAddrs(*shardsAt),
-		ShardProbeInterval: *shardPrb,
-	}
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
+	cfg := o.cfg
+	cfg.Faults = reg
 
 	// Resolve the served dataset. With -state-dir a committed generation
 	// wins over -data/-gen (warm restart); an empty state directory gets
 	// its first generation from them.
 	var (
 		ds         *data.Dataset
-		st         *server.DurableState
 		stateStore *labelstore.Store
 	)
-	if *stateDir != "" {
-		var err error
-		st, err = server.OpenState(*stateDir, durable.IO{Faults: reg})
+	if o.stateDir != "" {
+		cfg.State, err = server.OpenState(o.stateDir, durable.IO{Faults: reg})
 		if err != nil {
 			fatal(err)
 		}
-		rec, err := st.Recover()
+		rec, err := cfg.State.Recover()
 		if err != nil {
 			fatal(err)
 		}
 		if rec != nil {
-			if *dataPath != "" || *gen != "" {
+			if o.dataPath != "" || o.gen != "" {
 				fmt.Fprintln(os.Stderr, "miosrv: state dir holds a committed generation; ignoring -data/-gen (POST /v1/dataset to replace)")
 			}
 			ds, stateStore = rec.Dataset, rec.Labels
-			fmt.Fprintf(os.Stderr, "miosrv: recovered generation %d from %s\n", rec.Generation, *stateDir)
+			fmt.Fprintf(os.Stderr, "miosrv: recovered generation %d from %s\n", rec.Generation, o.stateDir)
 		} else {
-			if ds, err = loadOrGen(*dataPath, *gen, *scale, *seed); err != nil {
+			if ds, err = loadOrGen(o); err != nil {
 				fatal(err)
 			}
 			var genNum uint64
-			if stateStore, genNum, err = st.CommitDataset(ds); err != nil {
+			if stateStore, genNum, err = cfg.State.CommitDataset(ds); err != nil {
 				fatal(err)
 			}
-			fmt.Fprintf(os.Stderr, "miosrv: committed generation %d to %s\n", genNum, *stateDir)
+			fmt.Fprintf(os.Stderr, "miosrv: committed generation %d to %s\n", genNum, o.stateDir)
 		}
-	} else {
-		var err error
-		if ds, err = loadOrGen(*dataPath, *gen, *scale, *seed); err != nil {
-			fatal(err)
-		}
+	} else if ds, err = loadOrGen(o); err != nil {
+		fatal(err)
 	}
 
-	opts := core.Options{Dims: *dims, Workers: *workers}
-	if !*noLabels {
+	opts := core.Options{Dims: o.dims, Workers: o.workers}
+	if !o.noLabels {
 		switch {
 		case stateStore != nil:
 			opts.Labels = stateStore
-		case *labelDir != "":
-			store, err := labelstore.NewDiskStore(*labelDir)
+		case o.labelDir != "":
+			store, err := labelstore.NewDiskStore(o.labelDir)
 			if err != nil {
 				fatal(err)
 			}
@@ -223,27 +226,26 @@ func main() {
 			opts.Labels = labelstore.NewStore()
 		}
 	}
-	if *shardSrv {
+	if o.shardServe {
 		// One shard worker. Its engine pool gets two slots per
 		// coordinator-side in-flight query (original + hedge), mirroring
 		// the in-process provisioning rule.
 		w, err := remote.NewWorker(ds, opts, remote.WorkerConfig{
-			Index:  *shardIdx,
-			Shards: *shards,
-			MaxR:   *shardR,
-			Pool:   2 * *inflight,
+			Index:  o.shardIndex,
+			Shards: cfg.Shards,
+			MaxR:   cfg.ShardMaxR,
+			Pool:   2 * cfg.MaxInFlight,
 			Faults: reg,
 		})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("miosrv: shard worker %d/%d serving %q on %s (generation %d)\n",
-			*shardIdx, *shards, ds.Name, *addr, w.Stamp().Generation)
-		serve(*addr, w.Handler(), w.Close)
+			o.shardIndex, cfg.Shards, ds.Name, o.addr, w.Stamp().Generation)
+		serve(o.addr, w.Handler(), w.Close)
 		return
 	}
 
-	cfg.State = st
 	srv, err := server.New(ds, opts, cfg)
 	if err != nil {
 		fatal(err)
@@ -251,8 +253,8 @@ func main() {
 
 	fmt.Printf("miosrv: serving %q (%d objects, %d points) on %s  "+
 		"(pool %d, cache %v, coalesce %v, batch %v, shards %d)\n",
-		ds.Name, ds.N(), ds.TotalPoints(), *addr, srv.MaxInFlight(), !*noCache, !*noCoal, *batchOn, *shards)
-	serve(*addr, srv.Handler(), srv.Drain)
+		ds.Name, ds.N(), ds.TotalPoints(), o.addr, srv.MaxInFlight(), !cfg.DisableCache, !cfg.DisableCoalesce, cfg.BatchExecution, cfg.Shards)
+	serve(o.addr, srv.Handler(), srv.Drain)
 }
 
 // serve runs handler on addr until SIGINT/SIGTERM, then calls drain
@@ -288,21 +290,6 @@ func serve(addr string, handler http.Handler, drain func()) {
 	fmt.Fprintln(os.Stderr, "miosrv: bye")
 }
 
-// splitAddrs parses the -shards-at list, trimming whitespace and
-// dropping empty entries.
-func splitAddrs(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // queryTimeout maps the flag convention (0 disables) onto the server
 // convention (0 means default, negative disables).
 func queryTimeout(d time.Duration) time.Duration {
@@ -312,62 +299,15 @@ func queryTimeout(d time.Duration) time.Duration {
 	return d
 }
 
-func loadOrGen(path, gen string, scale float64, seed int64) (*data.Dataset, error) {
+// loadOrGen resolves -data / -gen (parseFlags has refused both).
+func loadOrGen(o *options) (*data.Dataset, error) {
 	switch {
-	case path != "" && gen != "":
-		return nil, errors.New("-data and -gen are mutually exclusive")
-	case path != "":
-		return data.LoadFile(path)
-	case gen == "":
+	case o.dataPath != "":
+		return data.LoadFile(o.dataPath)
+	case o.gen == "":
 		return nil, errors.New("one of -data or -gen is required")
 	}
-	clamp := func(v float64) int {
-		if v < 1 {
-			return 1
-		}
-		return int(v)
-	}
-	switch gen {
-	case "neuron":
-		cfg := data.DefaultNeuron()
-		cfg.N = clamp(float64(cfg.N) * scale)
-		cfg.Seed = seed
-		return data.GenNeuron(cfg), nil
-	case "bird":
-		cfg := data.DefaultBird()
-		cfg.N = clamp(float64(cfg.N) * scale)
-		cfg.Seed = seed
-		return data.GenTrajectory(cfg), nil
-	case "syn":
-		cfg := data.DefaultSyn()
-		cfg.N = clamp(float64(cfg.N) * scale)
-		cfg.Seed = seed
-		return data.GenPowerLaw(cfg), nil
-	case "uniform":
-		cfg := data.UniformConfig{N: clamp(2000 * scale), M: 16, FieldSize: 1000, Spread: 8, Seed: seed}
-		return data.GenUniform(cfg), nil
-	case "onecell":
-		cfg := data.DefaultOneCell()
-		cfg.N = clamp(float64(cfg.N) * scale)
-		cfg.Seed = seed
-		return data.GenOneCell(cfg), nil
-	case "sparse":
-		cfg := data.DefaultUniformSparse()
-		cfg.N = clamp(float64(cfg.N) * scale)
-		cfg.Seed = seed
-		return data.GenUniformSparse(cfg), nil
-	case "powersize":
-		cfg := data.DefaultPowerLawSizes()
-		cfg.N = clamp(float64(cfg.N) * scale)
-		cfg.Seed = seed
-		return data.GenPowerLawSizes(cfg), nil
-	case "commute":
-		cfg := data.DefaultHotspotCommute()
-		cfg.N = clamp(float64(cfg.N) * scale)
-		cfg.Seed = seed
-		return data.GenHotspotCommute(cfg), nil
-	}
-	return nil, fmt.Errorf("unknown -gen dataset %q", gen)
+	return data.ByName(o.gen, o.scale, 0, 0, o.seed)
 }
 
 func fatal(v any) {

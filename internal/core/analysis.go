@@ -112,7 +112,7 @@ func (e *Engine) Sweep(rs []float64, k int) ([]SweepResult, error) {
 func (e *Engine) SweepContext(ctx context.Context, rs []float64, k int) ([]SweepResult, error) {
 	out := make([]SweepResult, 0, len(rs))
 	for _, r := range rs {
-		res, err := e.RunTopKContext(ctx, r, k)
+		res, err := e.RunTopKContext(ctx, r, k, false)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, ctxErr

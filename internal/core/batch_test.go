@@ -78,10 +78,7 @@ func soloOracle(t *testing.T, ds *data.Dataset, opts Options, warm func(Options)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if sp.Degrade {
-		return eng.RunTopKDegradedContext(ctx, sp.R, sp.K)
-	}
-	return eng.RunTopKContext(ctx, sp.R, sp.K)
+	return eng.RunTopKContext(ctx, sp.R, sp.K, sp.Degrade)
 }
 
 // TestRunGroupParityExact is the core parity theorem: a group of
@@ -323,7 +320,7 @@ func TestRunGroupMemberDetachment(t *testing.T) {
 
 	// The healthy member is untouched by its neighbours' failures:
 	// exact parity with a solo run.
-	want, err := eng.RunTopKContext(context.Background(), 10, 2)
+	want, err := eng.RunTopKContext(context.Background(), 10, 2, false)
 	if err != nil {
 		t.Fatalf("solo: %v", err)
 	}
@@ -348,7 +345,7 @@ func TestRunGroupMemberDetachment(t *testing.T) {
 	if outs[2].Err == nil {
 		// The member may still have completed before the poll noticed —
 		// then it must be the exact answer.
-		soloR, err := eng.RunTopKContext(context.Background(), 9.5, 1)
+		soloR, err := eng.RunTopKContext(context.Background(), 9.5, 1, false)
 		if err != nil {
 			t.Fatalf("solo r=9.5: %v", err)
 		}

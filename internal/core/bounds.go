@@ -5,6 +5,7 @@ import (
 
 	"mio/internal/bitmap"
 	"mio/internal/core/labelstore"
+	"mio/internal/parallel"
 )
 
 // ctrSet accumulates work counters. Each worker owns one; they are
@@ -30,25 +31,16 @@ func (q *query) lowerBounding() int {
 	if q.labels != nil {
 		q.lbBits = make([]*bitmap.Compressed, q.n)
 	}
-	if q.e.opts.workers() > 1 {
-		// The parallel strategies have no early-out: once entered, every
-		// object's bound is computed.
-		q.parallelLowerBounding()
+	if q.e.opts.workers() > 1 && q.e.opts.LB == LBHashP {
+		q.lowerBoundHashP()
 		q.lbDone = true
 	} else {
-		complete := true
-		scratch := bitmap.NewScratch(q.n)
-		for i := 0; i < q.n; i++ {
-			if i&1023 == 0 && q.cancelled() {
-				complete = false
-				break
-			}
-			q.lowerBoundObject(i, scratch)
-		}
 		// A partial tauLow (zeros past the break) is still a sound
 		// per-object lower bound, but only a complete pass certifies
 		// the degraded answer's "best candidate" choice.
-		q.lbDone = complete
+		q.lbDone = q.eachObject(
+			func(i int) int { return len(q.idx.keyLists[i]) },
+			func(i int, scratch *bitmap.Scratch, _ *ctrSet) { q.lowerBoundObject(i, scratch) })
 	}
 	return q.kthHighest(q.tauLow)
 }
@@ -117,26 +109,56 @@ type candidate struct {
 // shared-⌈r⌉ group and share the vector across every member.
 func (q *query) computeUpperBounds() {
 	q.tauUpp = make([]int32, q.n)
-	if q.e.opts.workers() > 1 {
-		q.parallelUpperBounding()
+	if q.e.opts.workers() > 1 && q.e.opts.UB != UBGreedyD {
+		q.upperBoundGreedyP()
 		q.ubDone = true
 	} else {
-		complete := true
+		// Unlike tauLow, a partial tauUpp is NOT sound (zeros are not
+		// upper bounds), so the degraded path must know it is unusable.
+		q.ubDone = q.eachObject(q.pointCount, q.upperBoundObject)
+	}
+}
+
+// eachObject runs one(i, scratch, ctr) for every object, the loop every
+// bounding pass is. On one core it goes in index order and polls for
+// cancellation; complete is false when that cut the sweep short. With
+// workers configured it is §IV's "dividing O": the objects are
+// partitioned greedily by weight, every worker owns a scratch bitset
+// and a counter set, and there is no early-out. The counters are summed
+// into q.stats.
+func (q *query) eachObject(weight func(i int) int, one func(i int, scratch *bitmap.Scratch, ctr *ctrSet)) (complete bool) {
+	t := q.e.opts.workers()
+	ctrs := make([]ctrSet, t)
+	complete = true
+	if t == 1 {
 		scratch := bitmap.NewScratch(q.n)
-		ctr := ctrSet{}
 		for i := 0; i < q.n; i++ {
 			if i&1023 == 0 && q.cancelled() {
 				complete = false
 				break
 			}
-			q.upperBoundObject(i, scratch, &ctr)
+			one(i, scratch, &ctrs[0])
 		}
-		// Unlike tauLow, a partial tauUpp is NOT sound (zeros are not
-		// upper bounds), so the degraded path must know it is unusable.
-		q.ubDone = complete
-		q.addCounters([]ctrSet{ctr})
+	} else {
+		weights := make([]int, q.n)
+		for i := range weights {
+			weights[i] = weight(i)
+		}
+		buckets := parallel.Greedy(weights, t)
+		parallel.Run(t, func(w int) {
+			scratch := bitmap.NewScratch(q.n)
+			for _, i := range buckets[w] {
+				one(i, scratch, &ctrs[w])
+			}
+		})
 	}
+	q.addCounters(ctrs)
+	return complete
 }
+
+// pointCount is |P_i|, eachObject's weight where a pass walks every
+// point of an object.
+func (q *query) pointCount(i int) int { return len(q.e.ds.Objects[i].Pts) }
 
 // assembleCandidates builds O_cand from the bound vectors: every
 // object with τ^upp ≥ threshold, sorted by descending upper bound

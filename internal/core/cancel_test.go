@@ -172,7 +172,7 @@ func TestCancelPromptWallClock(t *testing.T) {
 		cancel()
 	}()
 	t0 = time.Now()
-	_, err = e.RunTopKContext(ctx, 9, ds.N())
+	_, err = e.RunTopKContext(ctx, 9, ds.N(), false)
 	cancelledDur := time.Since(t0)
 	if err != context.Canceled {
 		t.Fatalf("cancelled run returned err=%v, want context.Canceled", err)

@@ -197,8 +197,8 @@ type Result struct {
 	Stats PhaseStats `json:"stats"`
 
 	// Degraded marks a partial answer produced because the context
-	// deadline expired mid-pipeline (RunTopKDegradedContext): Best is
-	// the most promising candidate by certified lower bound, and
+	// deadline expired mid-pipeline (RunTopKContext with degrade set):
+	// Best is the most promising candidate by certified lower bound, and
 	// Interval brackets its exact score.
 	Degraded bool      `json:"degraded,omitempty"`
 	Interval *Interval `json:"interval,omitempty"`
@@ -289,40 +289,25 @@ func (e *Engine) Options() Options { return e.opts }
 // interactive object.
 func (e *Engine) Run(r float64) (*Result, error) { return e.RunTopK(r, 1) }
 
-// RunTopK processes the top-k variant: the k objects with the highest
-// scores (§III-C). k is clamped to the dataset size.
+// RunTopK is RunTopKContext without cancellation.
 func (e *Engine) RunTopK(r float64, k int) (*Result, error) {
-	return e.RunTopKContext(context.Background(), r, k)
+	return e.RunTopKContext(context.Background(), r, k, false)
 }
 
-// RunContext is Run with cancellation: the query checks ctx between
-// pipeline phases and periodically inside them, returning ctx.Err()
-// once observed.
-func (e *Engine) RunContext(ctx context.Context, r float64) (*Result, error) {
-	return e.RunTopKContext(ctx, r, 1)
-}
-
-// RunTopKContext is RunTopK with cancellation.
-func (e *Engine) RunTopKContext(ctx context.Context, r float64, k int) (*Result, error) {
-	return e.runTopK(ctx, r, k, false)
-}
-
-// RunTopKDegradedContext is RunTopKContext with deadline degradation:
-// when ctx expires after the lower-bounding phase has completed, the
-// work already done is not discarded — instead of ctx.Err() the call
-// returns a Result with Degraded set, holding the best candidate by
-// certified lower bound and the [LB, UB] interval that provably
-// contains its exact score. Expiry before lower bounding completes
-// still returns ctx.Err(): no sound bound exists yet.
-func (e *Engine) RunTopKDegradedContext(ctx context.Context, r float64, k int) (*Result, error) {
-	return e.runTopK(ctx, r, k, true)
-}
-
-func (e *Engine) runTopK(ctx context.Context, r float64, k int, degrade bool) (*Result, error) {
+// RunTopKContext processes the top-k variant: the k objects with the
+// highest scores (§III-C), k clamped to the dataset size. The query
+// checks ctx between pipeline phases and periodically inside them and
+// returns ctx.Err() once it has expired — unless degrade is set and the
+// lower-bounding phase has completed: then the work already done is not
+// discarded and the call returns a Result with Degraded set, holding
+// the best candidate by certified lower bound and the [LB, UB] interval
+// that provably contains its exact score. Expiry before lower bounding
+// completes returns ctx.Err() either way: no sound bound exists yet.
+func (e *Engine) RunTopKContext(ctx context.Context, r float64, k int, degrade bool) (*Result, error) {
 	if err := e.validate(r, k); err != nil {
 		return nil, err
 	}
-	q := newQuery(e, r, min(k, e.ds.N()))
+	q := newQuery(e, r, k)
 	q.ctx = ctx
 	q.degradeOK = degrade
 	return q.run()

@@ -354,18 +354,18 @@ func TestQueryCancellation(t *testing.T) {
 	// Already-cancelled context fails fast with the context error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.RunTopKContext(ctx, 12, 3); !errors.Is(err, context.Canceled) {
+	if _, err := eng.RunTopKContext(ctx, 12, 3, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// A background context behaves like the plain call.
-	res, err := eng.RunTopKContext(context.Background(), 12, 3)
+	res, err := eng.RunTopKContext(context.Background(), 12, 3, false)
 	if err != nil || len(res.TopK) != 3 {
 		t.Fatalf("background run: %v %v", res, err)
 	}
 	// A deadline in the past cancels too.
 	dctx, dcancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer dcancel()
-	if _, err := eng.RunContext(dctx, 12); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := eng.RunTopKContext(dctx, 12, 1, false); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline err = %v", err)
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 // degraded assembles a partial answer after the context expired
-// mid-pipeline (RunTopKDegradedContext). The contract: the returned
+// mid-pipeline (RunTopKContext with degrade set). The contract: the returned
 // Best object's true score lies inside Interval, and Best.Score equals
 // Interval.LB, the best certified lower bound available.
 //

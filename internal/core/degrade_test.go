@@ -56,7 +56,7 @@ func TestDegradedIntervalSweep(t *testing.T) {
 	budgets = append(budgets, 1<<30)
 	for _, budget := range budgets {
 		ctx := newPollCtx(budget)
-		res, err := e.RunTopKDegradedContext(ctx, r, 1)
+		res, err := e.RunTopKContext(ctx, r, 1, true)
 		switch {
 		case err != nil:
 			if err != context.Canceled {
@@ -128,7 +128,7 @@ func TestDegradedParallelWorkers(t *testing.T) {
 	sawDegraded := false
 	for budget := int64(1); budget <= 150; budget += 3 {
 		ctx := newPollCtx(budget)
-		res, err := e.RunTopKDegradedContext(ctx, r, 1)
+		res, err := e.RunTopKContext(ctx, r, 1, true)
 		if err != nil {
 			if err != context.Canceled {
 				t.Fatalf("budget %d: err = %v", budget, err)
@@ -167,7 +167,7 @@ func TestDegradedRequiresOptIn(t *testing.T) {
 	}
 	for budget := int64(1); budget <= 120; budget += 7 {
 		ctx := newPollCtx(budget)
-		res, err := e.RunTopKContext(ctx, 8, 1)
+		res, err := e.RunTopKContext(ctx, 8, 1, false)
 		if err == nil {
 			continue // completed before tripping; fine
 		}
@@ -193,10 +193,10 @@ func TestCancelDoesNotPoisonEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, budget := range []int64{1, 2, 5, 10, 20, 40, 80} {
-		if _, err := e.RunTopKContext(newPollCtx(budget), r, 1); err != nil && err != context.Canceled {
+		if _, err := e.RunTopKContext(newPollCtx(budget), r, 1, false); err != nil && err != context.Canceled {
 			t.Fatalf("budget %d: unexpected error %v", budget, err)
 		}
-		if _, err := e.RunTopKDegradedContext(newPollCtx(budget), r, 1); err != nil && err != context.Canceled {
+		if _, err := e.RunTopKContext(newPollCtx(budget), r, 1, true); err != nil && err != context.Canceled {
 			t.Fatalf("budget %d (degraded): unexpected error %v", budget, err)
 		}
 		res, err := e.Run(r)

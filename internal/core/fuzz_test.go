@@ -152,16 +152,20 @@ func TestRandomizedTemporalCrossCheck(t *testing.T) {
 
 		oracle := baseline.TemporalNLScores(ds, r, delta)
 		want := baselineScores(baseline.TopKFromScores(oracle, k))
-		eng, err := NewTemporalEngine(ds, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.RunTopK(r, delta, k)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if got := scoreMultiset(res.TopK); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (r=%g δ=%g k=%d): %v vs %v", trial, r, delta, k, got, want)
+		// Trajectories are planar, so Dims 2 is on the accepted side of
+		// NewEngine's rule.
+		for _, opts := range []Options{{}, {Workers: 4}, {Dims: 2}} {
+			eng, err := NewTemporalEngine(ds, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.RunTopK(r, delta, k)
+			if err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+			if got := scoreMultiset(res.TopK); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (r=%g δ=%g k=%d, %+v): %v vs %v", trial, r, delta, k, opts, got, want)
+			}
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"mio/internal/bitmap"
 	"mio/internal/core/labelstore"
+	"mio/internal/data"
 	"mio/internal/fault"
 	"mio/internal/grid"
 )
@@ -101,6 +102,10 @@ type query struct {
 	vShare []*bitmap.Scratch
 	vPts   []int32
 
+	// exactOf, when non-nil, replaces the BIGrid exact score in
+	// verification: Appendix B's time-filtered score (temporal.go).
+	exactOf func(i int) int
+
 	// ctx carries the caller's cancellation; nil means background.
 	ctx context.Context
 	// cancelCheck, when non-nil, is consulted by cancelled() before
@@ -118,7 +123,7 @@ type query struct {
 	adjMu   sync.Mutex
 	adjSeen map[grid.Key]struct{}
 
-	// Degraded-answer bookkeeping (RunTopKDegradedContext). degradeOK
+	// Degraded-answer bookkeeping (RunTopKContext). degradeOK
 	// opts in; the completion flags record which phases ran to the end
 	// (an early cancellation break leaves them false, so partial bound
 	// vectors are never certified); trunc captures a verification
@@ -140,11 +145,13 @@ type truncCand struct {
 	lb, ub int
 }
 
+// newQuery returns the carrier for one validated (r, k), clamping k to
+// the dataset size.
 func newQuery(e *Engine, r float64, k int) *query {
 	return &query{
 		e:         e,
 		r:         r,
-		k:         k,
+		k:         min(k, e.ds.N()),
 		n:         e.ds.N(),
 		r2:        r * r,
 		freezeMin: e.opts.freezeMin(),
@@ -183,6 +190,16 @@ func (q *query) run() (*Result, error) {
 		return res, err
 	}
 	return q.complete(0)
+}
+
+// objectPointWeights returns per-object point counts, the weights of
+// every partition "by |P_i|".
+func objectPointWeights(ds *data.Dataset) []int {
+	w := make([]int, ds.N())
+	for i := range ds.Objects {
+		w[i] = len(ds.Objects[i].Pts)
+	}
+	return w
 }
 
 // labelInput is Algorithm 2's first step (§III-D) for a query or group

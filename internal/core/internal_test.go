@@ -80,12 +80,6 @@ func TestKthHighest(t *testing.T) {
 	if got := q.kthHighest([]int32{3, 9, 1}); got != 0 {
 		t.Fatalf("k>n: %d", got)
 	}
-	if got := kthHighestInt32([]int32{5, 2, 8}, 2); got != 5 {
-		t.Fatalf("kthHighestInt32: %d", got)
-	}
-	if got := kthHighestInt32([]int32{5, 2, 8}, 1); got != 8 {
-		t.Fatalf("kthHighestInt32 k=1: %d", got)
-	}
 }
 
 func TestCandidateOrdering(t *testing.T) {

@@ -65,132 +65,98 @@ func (e *Engine) mapGrids(rs []float64, labels *labelstore.Labels, stop func() b
 	return base.smalls, base.large, !broke.Load()
 }
 
-// parallelLowerBounding implements PARALLEL-LOWER-BOUNDING(O, r) with
-// either of the two §IV strategies.
-func (q *query) parallelLowerBounding() {
+// lowerBoundHashP implements PARALLEL-LOWER-BOUNDING(O, r) by "dividing
+// P_i": each object's key list is split across cores; local bitsets
+// avoid synchronization on b(o_i) and are merged per object. (The other
+// §IV strategy, "dividing O", is eachObject weighted by key-list size.)
+func (q *query) lowerBoundHashP() {
 	t := q.e.opts.workers()
-	switch q.e.opts.LB {
-	case LBHashP:
-		// Divide each object's key list across cores; local bitsets
-		// avoid synchronization on b(o_i) and are merged per object.
-		locals := make([]*bitmap.Scratch, t)
-		for w := range locals {
-			locals[w] = bitmap.NewScratch(q.n)
+	locals := make([]*bitmap.Scratch, t)
+	for w := range locals {
+		locals[w] = bitmap.NewScratch(q.n)
+	}
+	for i := 0; i < q.n; i++ {
+		keys := q.idx.keyLists[i]
+		if len(keys) == 0 {
+			q.tauLow[i] = 0
+			continue
 		}
-		for i := 0; i < q.n; i++ {
-			keys := q.idx.keyLists[i]
-			if len(keys) == 0 {
-				q.tauLow[i] = 0
-				continue
-			}
-			parallel.Run(t, func(w int) {
-				locals[w].Reset()
-				for j := w; j < len(keys); j += t {
-					locals[w].OrCompressed(q.idx.small.Cell(keys[j]).B)
-				}
-			})
-			for w := 1; w < t; w++ {
-				locals[0].OrScratch(locals[w])
-			}
-			q.tauLow[i] = int32(locals[0].Cardinality() - 1)
-			if q.lbBits != nil {
-				q.lbBits[i] = locals[0].ToCompressed()
-			}
-		}
-	default: // LBGreedyD
-		// Divide O across cores with the greedy multiway partition on
-		// key-list sizes; no synchronization at all.
-		weights := make([]int, q.n)
-		for i := range weights {
-			weights[i] = len(q.idx.keyLists[i])
-		}
-		buckets := parallel.Greedy(weights, t)
 		parallel.Run(t, func(w int) {
-			scratch := bitmap.NewScratch(q.n)
-			for _, i := range buckets[w] {
-				q.lowerBoundObject(i, scratch)
+			locals[w].Reset()
+			for j := w; j < len(keys); j += t {
+				locals[w].OrCompressed(q.idx.small.Cell(keys[j]).B)
 			}
 		})
+		for w := 1; w < t; w++ {
+			locals[0].OrScratch(locals[w])
+		}
+		q.tauLow[i] = int32(locals[0].Cardinality() - 1)
+		if q.lbBits != nil {
+			q.lbBits[i] = locals[0].ToCompressed()
+		}
 	}
 }
 
-// parallelUpperBounding implements PARALLEL-UPPER-BOUNDING with either
-// the cost-based point-group partition (UB-greedy-p) or the object
-// partition strawman (UB-greedy-d).
-func (q *query) parallelUpperBounding() {
+// upperBoundGreedyP implements PARALLEL-UPPER-BOUNDING with the
+// cost-based point-group partition (UB-greedy-p). Cost model of Eq. (3):
+// a group whose cell lacks b^adj costs a 27-cell union; one whose cell
+// has it costs a single OR. The labeling term |P_{i,K}| is omitted when
+// labels are in use. (The object-partition strawman UB-greedy-d, kept
+// for Fig. 8, is eachObject weighted by |P_i|.)
+func (q *query) upperBoundGreedyP() {
 	t := q.e.opts.workers()
 	ctrs := make([]ctrSet, t)
-	switch q.e.opts.UB {
-	case UBGreedyD:
-		// Greedy partition of O by |P_i|, ignoring the per-point cost
-		// differences — the paper's competitor, kept for Fig. 8.
-		weights := make([]int, q.n)
-		for i := range q.e.ds.Objects {
-			weights[i] = len(q.e.ds.Objects[i].Pts)
-		}
-		buckets := parallel.Greedy(weights, t)
-		parallel.Run(t, func(w int) {
-			scratch := bitmap.NewScratch(q.n)
-			for _, i := range buckets[w] {
-				q.upperBoundObject(i, scratch, &ctrs[w])
-			}
-		})
-	default: // UBGreedyP
-		// Cost model of Eq. (3): a group whose cell lacks b^adj costs a
-		// 27-cell union; one whose cell has it costs a single OR. The
-		// labeling term |P_{i,K}| is omitted when labels are in use.
-		locals := make([]*bitmap.Scratch, t)
-		for w := range locals {
-			locals[w] = bitmap.NewScratch(q.n)
-		}
-		var replay *bitmap.Scratch
-		if q.newLabels != nil {
-			replay = bitmap.NewScratch(q.n)
-		}
-		costs := make([]int, 0, 64)
-		active := make([]int, 0, 64)
-		for i := 0; i < q.n; i++ {
-			costs = costs[:0]
-			active = active[:0]
-			for gi, g := range q.idx.groups[i] {
-				if q.labels != nil && !q.groupActiveUpper(i, g) {
-					continue
-				}
-				cost := 1 // Cost(b): one bitwise OR
-				if q.idx.large.Cell(g.key).Adj() == nil {
-					cost = 27
-				}
-				if q.labels == nil {
-					cost += len(g.pts) // per-point labeling cost
-				}
-				active = append(active, gi)
-				costs = append(costs, cost)
-			}
-			if len(active) == 0 {
-				q.tauUpp[i] = 0
+	locals := make([]*bitmap.Scratch, t)
+	for w := range locals {
+		locals[w] = bitmap.NewScratch(q.n)
+	}
+	var replay *bitmap.Scratch
+	if q.newLabels != nil {
+		replay = bitmap.NewScratch(q.n)
+	}
+	costs := make([]int, 0, 64)
+	active := make([]int, 0, 64)
+	for i := 0; i < q.n; i++ {
+		costs = costs[:0]
+		active = active[:0]
+		for gi, g := range q.idx.groups[i] {
+			if q.labels != nil && !q.groupActiveUpper(i, g) {
 				continue
 			}
-			buckets := parallel.Greedy(costs, t)
-			parallel.Run(t, func(w int) {
-				locals[w].Reset()
-				for _, ai := range buckets[w] {
-					// label2=false: each worker's bucket order differs
-					// from the serial group order, so the prefix-dependent
-					// Labeling-2 decision is replayed serially below.
-					q.orGroupAdj(i, q.idx.groups[i][active[ai]], locals[w], &ctrs[w], false)
-				}
-			})
-			for w := 1; w < t; w++ {
-				locals[0].OrScratch(locals[w])
+			cost := 1 // Cost(b): one bitwise OR
+			if q.idx.large.Cell(g.key).Adj() == nil {
+				cost = 27
 			}
-			tau := locals[0].Cardinality() - 1
-			if tau < 0 {
-				tau = 0
+			if q.labels == nil {
+				cost += len(g.pts) // per-point labeling cost
 			}
-			q.tauUpp[i] = int32(tau)
-			if replay != nil {
-				q.labelUpperReplay(i, replay)
+			active = append(active, gi)
+			costs = append(costs, cost)
+		}
+		if len(active) == 0 {
+			q.tauUpp[i] = 0
+			continue
+		}
+		buckets := parallel.Greedy(costs, t)
+		parallel.Run(t, func(w int) {
+			locals[w].Reset()
+			for _, ai := range buckets[w] {
+				// label2=false: each worker's bucket order differs
+				// from the serial group order, so the prefix-dependent
+				// Labeling-2 decision is replayed serially below.
+				q.orGroupAdj(i, q.idx.groups[i][active[ai]], locals[w], &ctrs[w], false)
 			}
+		})
+		for w := 1; w < t; w++ {
+			locals[0].OrScratch(locals[w])
+		}
+		tau := locals[0].Cardinality() - 1
+		if tau < 0 {
+			tau = 0
+		}
+		q.tauUpp[i] = int32(tau)
+		if replay != nil {
+			q.labelUpperReplay(i, replay)
 		}
 	}
 	q.addCounters(ctrs)

@@ -10,7 +10,6 @@ import (
 	"mio/internal/data"
 	"mio/internal/geom"
 	"mio/internal/grid"
-	"mio/internal/parallel"
 )
 
 // This file implements the temporal extension of Appendix B: objects
@@ -22,6 +21,11 @@ import (
 // upper-bounding and verification consult a bucket and its two
 // neighbours. δ = 0 is the special case the appendix calls out: one
 // structure per distinct generation time, consulted alone.
+//
+// Only what the appendix changes lives here: the (bucket, cell) maps
+// and three per-object functions over them. Everything else is the
+// spatial engine's, run on a borrowed query: NewEngine, validate,
+// kthHighest, assembleCandidates, verification, eachObject.
 
 // tKey addresses a cell of one time bucket's grid.
 type tKey struct {
@@ -52,78 +56,93 @@ func (c *tCell) posting(obj int) *tPosting {
 // TemporalEngine processes spatio-temporal MIO queries over a dataset
 // whose points carry generation times.
 type TemporalEngine struct {
-	ds   *data.Dataset
-	opts Options
+	e *Engine
+	// maxAbsT is the largest |timestamp|; RunTopK holds δ against it the
+	// way validate holds r against maxAbs.
+	maxAbsT float64
 }
 
-// NewTemporalEngine returns an engine over ds, whose objects must all
-// carry timestamps.
+// NewTemporalEngine returns an engine over ds, which must satisfy
+// NewEngine and whose objects must all carry timestamps.
 func NewTemporalEngine(ds *data.Dataset, opts Options) (*TemporalEngine, error) {
-	if err := ds.Validate(); err != nil {
+	e, err := NewEngine(ds, opts)
+	if err != nil {
 		return nil, err
 	}
-	if ds.N() == 0 {
-		return nil, fmt.Errorf("core: empty dataset")
-	}
+	te := &TemporalEngine{e: e}
 	for i := range ds.Objects {
 		if !ds.Objects[i].Temporal() {
 			return nil, fmt.Errorf("core: object %d has no timestamps", i)
 		}
+		for _, t := range ds.Objects[i].Times {
+			if t = math.Abs(t); t > te.maxAbsT {
+				te.maxAbsT = t
+			}
+		}
 	}
-	return &TemporalEngine{ds: ds, opts: opts}, nil
+	return te, nil
 }
 
-// tQuery is the per-query state of the temporal pipeline.
+// tQuery is the per-query state Appendix B adds to a query, which
+// carries r, k, the bound vectors and the stats.
 type tQuery struct {
-	e     *TemporalEngine
-	r, r2 float64
+	*query
 	delta float64
-	k     int
-	n     int
+	// halo is how many buckets either side of a point's own can hold
+	// its temporal neighbours: 1, or 0 when δ = 0.
+	halo           int32
+	smallW, largeW float64 // cell widths, as the spatial grids'
 
-	small map[tKey]*bitmap.Compressed
-	large map[tKey]*tCell
-	adj   map[tKey]*bitmap.Compressed // memoised 27-cell unions per bucket
-	adjMu sync.Mutex                  // guards adj during parallel phases
-
+	small   map[tKey]*bitmap.Compressed
+	large   map[tKey]*tCell
+	union   map[tKey]*bitmap.Compressed // memoised 27-cell unions per bucket
+	unionMu sync.Mutex                  // guards union during parallel phases
 	// exactTimes maps distinct timestamps to bucket ids when δ = 0.
 	exactTimes map[float64]int32
-
-	tauUpp []int32
 }
 
 // Run processes a spatio-temporal MIO query.
-func (e *TemporalEngine) Run(r, delta float64) (*Result, error) { return e.RunTopK(r, delta, 1) }
+func (te *TemporalEngine) Run(r, delta float64) (*Result, error) { return te.RunTopK(r, delta, 1) }
 
 // RunTopK processes the top-k spatio-temporal variant. delta may be
-// zero (points must share their generation time exactly).
-func (e *TemporalEngine) RunTopK(r, delta float64, k int) (*Result, error) {
-	if r <= 0 {
-		return nil, fmt.Errorf("core: distance threshold must be positive, got %g", r)
+// zero (points must share their generation time exactly). A refused
+// (r, δ, k) is an ErrInvalidQuery.
+func (te *TemporalEngine) RunTopK(r, delta float64, k int) (*Result, error) {
+	if err := te.e.validate(r, k); err != nil {
+		return nil, err
 	}
-	if delta < 0 {
-		return nil, fmt.Errorf("core: temporal threshold must be non-negative, got %g", delta)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: k must be at least 1, got %d", k)
-	}
-	if k > e.ds.N() {
-		k = e.ds.N()
+	if !(delta >= 0) {
+		return nil, fmt.Errorf("%w: temporal threshold must be non-negative, got %g", ErrInvalidQuery, delta)
 	}
 	q := &tQuery{
-		e: e, r: r, r2: r * r, delta: delta, k: k, n: e.ds.N(),
-		small: make(map[tKey]*bitmap.Compressed),
-		large: make(map[tKey]*tCell),
-		adj:   make(map[tKey]*bitmap.Compressed),
+		query:      newQuery(te.e, r, k),
+		delta:      delta,
+		smallW:     grid.SmallWidth(r, te.e.opts.dims()),
+		largeW:     grid.LargeWidth(r),
+		small:      make(map[tKey]*bitmap.Compressed),
+		large:      make(map[tKey]*tCell),
+		union:      make(map[tKey]*bitmap.Compressed),
+		exactTimes: make(map[float64]int32),
 	}
-	if delta == 0 {
-		q.exactTimes = make(map[float64]int32)
+	if delta > 0 {
+		// Bucket ids floor(t/δ) and their ±1 neighbours must stay inside
+		// int32, as cell coordinates must (validate).
+		if !(te.maxAbsT/delta < math.MaxInt32-1) {
+			return nil, fmt.Errorf("%w: δ=%g is too small for timestamps up to ±%g: bucket ids would overflow int32", ErrInvalidQuery, delta, te.maxAbsT)
+		}
+		q.halo = 1
 	}
+	q.exactOf = q.tExactScore
+	q.sBOi, q.sMask = bitmap.NewScratch(q.n), bitmap.NewScratch(q.n)
 	q.build()
-	threshold := q.lowerBound()
-	cand := q.upperBound(threshold)
-	top := q.verify(cand)
-	res := &Result{TopK: top}
+	q.tauLow = make([]int32, q.n)
+	q.eachObject(q.pointCount, q.tLowerBound)
+	q.tauUpp = make([]int32, q.n)
+	q.eachObject(q.pointCount, q.tUpperBound)
+	cand := q.assembleCandidates(q.kthHighest(q.tauLow))
+	q.stats.Candidates = len(cand)
+	top := q.verification(cand)
+	res := &Result{TopK: top, Stats: q.stats}
 	if len(top) > 0 {
 		res.Best = top[0]
 	}
@@ -134,106 +153,58 @@ func (e *TemporalEngine) RunTopK(r, delta float64, k int) (*Result, error) {
 // distinct timestamps; every timestamp is registered during build, so
 // later phases (including parallel ones) only read the map.
 func (q *tQuery) bucketOf(t float64) int32 {
-	if q.delta == 0 {
-		id, ok := q.exactTimes[t]
-		if !ok {
-			id = int32(len(q.exactTimes))
-			q.exactTimes[t] = id
-		}
-		return id
+	if q.delta != 0 {
+		return int32(math.Floor(t / q.delta))
 	}
-	return int32(math.Floor(t / q.delta))
-}
-
-// bucketWindow returns the buckets that can hold temporal neighbours of
-// bucket b.
-func (q *tQuery) bucketWindow(b int32) [3]int32 {
-	if q.delta == 0 {
-		return [3]int32{b, b, b}
+	id, ok := q.exactTimes[t]
+	if !ok {
+		id = int32(len(q.exactTimes))
+		q.exactTimes[t] = id
 	}
-	return [3]int32{b - 1, b, b + 1}
+	return id
 }
 
 func (q *tQuery) build() {
-	dims := q.e.opts.dims()
-	smallW := grid.SmallWidth(q.r, dims)
-	largeW := grid.LargeWidth(q.r)
 	for i := range q.e.ds.Objects {
 		o := &q.e.ds.Objects[i]
 		for j, p := range o.Pts {
 			b := q.bucketOf(o.Times[j])
-			sk := tKey{bucket: b, cell: grid.KeyFor(p, smallW)}
+			sk := tKey{bucket: b, cell: grid.KeyFor(p, q.smallW)}
 			sb, ok := q.small[sk]
 			if !ok {
 				sb = bitmap.New()
 				q.small[sk] = sb
 			}
 			sb.Set(i)
-			lk := tKey{bucket: b, cell: grid.KeyFor(p, largeW)}
+			lk := tKey{bucket: b, cell: grid.KeyFor(p, q.largeW)}
 			lc, ok := q.large[lk]
 			if !ok {
 				lc = &tCell{b: bitmap.New()}
 				q.large[lk] = lc
 			}
 			lc.b.Set(i)
-			if n := len(lc.postings); n > 0 && int(lc.postings[n-1].obj) == i {
-				lc.postings[n-1].pts = append(lc.postings[n-1].pts, p)
-				lc.postings[n-1].times = append(lc.postings[n-1].times, o.Times[j])
-			} else {
-				lc.postings = append(lc.postings, tPosting{
-					obj: int32(i), pts: []geom.Point{p}, times: []float64{o.Times[j]},
-				})
+			if n := len(lc.postings); n == 0 || int(lc.postings[n-1].obj) != i {
+				lc.postings = append(lc.postings, tPosting{obj: int32(i)})
 			}
+			post := &lc.postings[len(lc.postings)-1]
+			post.pts = append(post.pts, p)
+			post.times = append(post.times, o.Times[j])
 		}
 	}
 }
 
-// lowerBound ORs the same-bucket small-grid cells of every point: those
-// pairs satisfy both constraints unconditionally. With multiple workers
-// configured, objects are partitioned greedily by point count and each
-// worker uses a local scratch bitset (§IV applied to Appendix B).
-func (q *tQuery) lowerBound() int {
-	dims := q.e.opts.dims()
-	smallW := grid.SmallWidth(q.r, dims)
-	tauLow := make([]int32, q.n)
-	one := func(i int, scratch *bitmap.Scratch) {
-		o := &q.e.ds.Objects[i]
-		scratch.Reset()
-		for j, p := range o.Pts {
-			sk := tKey{bucket: q.bucketOf(o.Times[j]), cell: grid.KeyFor(p, smallW)}
-			if sb := q.small[sk]; sb != nil && sb.Cardinality() >= 2 {
-				scratch.OrCompressed(sb)
-			}
-		}
-		if c := scratch.Cardinality(); c > 0 {
-			tauLow[i] = int32(c - 1)
+// tLowerBound ORs the same-bucket small-grid cells of every point
+// of o_i: those pairs satisfy both constraints unconditionally.
+func (q *tQuery) tLowerBound(i int, scratch *bitmap.Scratch, _ *ctrSet) {
+	o := &q.e.ds.Objects[i]
+	scratch.Reset()
+	for j, p := range o.Pts {
+		sk := tKey{bucket: q.bucketOf(o.Times[j]), cell: grid.KeyFor(p, q.smallW)}
+		if sb := q.small[sk]; sb != nil && sb.Cardinality() >= 2 {
+			scratch.OrCompressed(sb)
 		}
 	}
-	if t := q.e.opts.workers(); t > 1 {
-		buckets := parallel.Greedy(objectPointWeights(q.e.ds), t)
-		parallel.Run(t, func(w int) {
-			scratch := bitmap.NewScratch(q.n)
-			for _, i := range buckets[w] {
-				one(i, scratch)
-			}
-		})
-	} else {
-		scratch := bitmap.NewScratch(q.n)
-		for i := 0; i < q.n; i++ {
-			one(i, scratch)
-		}
-	}
-	return kthHighestInt32(tauLow, q.k)
-}
-
-// objectPointWeights returns per-object point counts for greedy
-// partitioning.
-func objectPointWeights(ds *data.Dataset) []int {
-	w := make([]int, ds.N())
-	for i := range ds.Objects {
-		w[i] = len(ds.Objects[i].Pts)
-	}
-	return w
+	q.tauLow[i] = int32(max(scratch.Cardinality()-1, 0))
 }
 
 // adjUnion returns the OR of b(c) over the 27-cell neighbourhood of
@@ -242,12 +213,12 @@ func objectPointWeights(ds *data.Dataset) []int {
 // cells). Safe for concurrent use: duplicated computation is possible
 // under contention but the published value is deterministic.
 func (q *tQuery) adjUnion(k tKey) *bitmap.Compressed {
-	q.adjMu.Lock()
-	if a, ok := q.adj[k]; ok {
-		q.adjMu.Unlock()
+	q.unionMu.Lock()
+	a, ok := q.union[k]
+	q.unionMu.Unlock()
+	if ok {
 		return a
 	}
-	q.adjMu.Unlock()
 	var neigh [27]grid.Key
 	bms := make([]*bitmap.Compressed, 0, 27)
 	for _, nk := range k.cell.NeighborsAndSelf(neigh[:0]) {
@@ -255,151 +226,74 @@ func (q *tQuery) adjUnion(k tKey) *bitmap.Compressed {
 			bms = append(bms, c.b)
 		}
 	}
-	a := bitmap.OrAll(bms)
-	q.adjMu.Lock()
-	if prev, ok := q.adj[k]; ok {
-		a = prev
-	} else {
-		q.adj[k] = a
+	a = bitmap.OrAll(bms)
+	q.unionMu.Lock()
+	defer q.unionMu.Unlock()
+	if prev, ok := q.union[k]; ok {
+		return prev
 	}
-	q.adjMu.Unlock()
+	q.union[k] = a
 	return a
 }
 
-// upperBound ORs the adjacency unions of each point's cell across its
-// temporal bucket window, in parallel when workers are configured.
-func (q *tQuery) upperBound(threshold int) []candidate {
-	largeW := grid.LargeWidth(q.r)
-	q.tauUpp = make([]int32, q.n)
-	one := func(i int, scratch *bitmap.Scratch) {
-		o := &q.e.ds.Objects[i]
-		scratch.Reset()
-		for j, p := range o.Pts {
-			b := q.bucketOf(o.Times[j])
-			ck := grid.KeyFor(p, largeW)
-			win := q.bucketWindow(b)
-			for wi, wb := range win {
-				if wi > 0 && wb == win[wi-1] {
-					continue // δ=0 collapses the window
-				}
-				scratch.OrCompressed(q.adjUnion(tKey{bucket: wb, cell: ck}))
-			}
-		}
-		if c := scratch.Cardinality(); c > 0 {
-			q.tauUpp[i] = int32(c - 1)
+// tUpperBound ORs the adjacency unions of each point's cell across
+// its temporal bucket window.
+func (q *tQuery) tUpperBound(i int, scratch *bitmap.Scratch, _ *ctrSet) {
+	o := &q.e.ds.Objects[i]
+	scratch.Reset()
+	for j, p := range o.Pts {
+		ck := grid.KeyFor(p, q.largeW)
+		b := q.bucketOf(o.Times[j])
+		for wb := b - q.halo; wb <= b+q.halo; wb++ {
+			scratch.OrCompressed(q.adjUnion(tKey{bucket: wb, cell: ck}))
 		}
 	}
-	if t := q.e.opts.workers(); t > 1 {
-		buckets := parallel.Greedy(objectPointWeights(q.e.ds), t)
-		parallel.Run(t, func(w int) {
-			scratch := bitmap.NewScratch(q.n)
-			for _, i := range buckets[w] {
-				one(i, scratch)
-			}
-		})
-	} else {
-		scratch := bitmap.NewScratch(q.n)
-		for i := 0; i < q.n; i++ {
-			one(i, scratch)
-		}
-	}
-	cand := make([]candidate, 0, q.n/4+1)
-	for i := 0; i < q.n; i++ {
-		if int(q.tauUpp[i]) >= threshold {
-			cand = append(cand, candidate{obj: int32(i), tauUpp: q.tauUpp[i]})
-		}
-	}
-	sort.Slice(cand, func(a, b int) bool {
-		if cand[a].tauUpp != cand[b].tauUpp {
-			return cand[a].tauUpp > cand[b].tauUpp
-		}
-		return cand[a].obj < cand[b].obj
-	})
-	return cand
+	q.tauUpp[i] = int32(max(scratch.Cardinality()-1, 0))
 }
 
-// verify computes exact scores best-first with the Corollary 1 cut.
-func (q *tQuery) verify(cand []candidate) []Scored {
-	top := make([]Scored, 0, q.k)
-	kthScore := func() int {
-		if len(top) < q.k {
-			return -1
-		}
-		return top[q.k-1].Score
-	}
-	largeW := grid.LargeWidth(q.r)
-	bOi := bitmap.NewScratch(q.n)
-	mask := bitmap.NewScratch(q.n)
+// tExactScore computes τ(o_i) under both thresholds: Algorithm 6's
+// masked probe over each point's bucket window, with the time test
+// beside the distance test.
+func (q *tQuery) tExactScore(i int) int {
+	bOi, mask := q.sBOi, q.sMask
 	var neigh [27]grid.Key
-	for _, c := range cand {
-		if int(c.tauUpp) < kthScore() {
-			break // strict, tie-complete cut; see verification()
-		}
-		i := int(c.obj)
-		o := &q.e.ds.Objects[i]
-		bOi.Reset()
-		bOi.Set(i)
-		for j, p := range o.Pts {
-			pt := o.Times[j]
-			b := q.bucketOf(pt)
-			ck := grid.KeyFor(p, largeW)
-			win := q.bucketWindow(b)
-			for wi, wb := range win {
-				if wi > 0 && wb == win[wi-1] {
+	o := &q.e.ds.Objects[i]
+	bOi.Reset()
+	bOi.Set(i)
+	for j, p := range o.Pts {
+		pt := o.Times[j]
+		ck := grid.KeyFor(p, q.largeW)
+		b := q.bucketOf(pt)
+		for wb := b - q.halo; wb <= b+q.halo; wb++ {
+			mask.AndNotFromCompressed(q.adjUnion(tKey{bucket: wb, cell: ck}), bOi)
+			if mask.Cardinality() == 0 {
+				continue
+			}
+			for _, nk := range ck.NeighborsAndSelf(neigh[:0]) {
+				cell := q.large[tKey{bucket: wb, cell: nk}]
+				if cell == nil {
 					continue
 				}
-				mask.AndNotFromCompressed(q.adjUnion(tKey{bucket: wb, cell: ck}), bOi)
-				if mask.Cardinality() == 0 {
-					continue
-				}
-				for _, nk := range ck.NeighborsAndSelf(neigh[:0]) {
-					cell := q.large[tKey{bucket: wb, cell: nk}]
-					if cell == nil {
-						continue
-					}
-					mask.ForEach(func(jj int) bool {
-						post := cell.posting(jj)
-						if post == nil {
-							return true
-						}
-						for pi, pp := range post.pts {
-							//lint:ignore dist2 temporal filter interleaves the per-point time check, which the spatial batch kernel cannot express
-							if geom.Dist2(p, pp) <= q.r2 && math.Abs(pt-post.times[pi]) <= q.delta {
-								bOi.Set(jj)
-								mask.Clear(jj)
-								break
-							}
-						}
+				mask.ForEach(func(jj int) bool {
+					post := cell.posting(jj)
+					if post == nil {
 						return true
-					})
-					if mask.Cardinality() == 0 {
-						break
 					}
+					for pi, pp := range post.pts {
+						//lint:ignore dist2 temporal filter interleaves the per-point time check, which the spatial batch kernel cannot express
+						if geom.Dist2(p, pp) <= q.r2 && math.Abs(pt-post.times[pi]) <= q.delta {
+							bOi.Set(jj)
+							mask.Clear(jj)
+							break
+						}
+					}
+					return true
+				})
+				if mask.Cardinality() == 0 {
+					break
 				}
 			}
 		}
-		top = insertTopK(top, Scored{Obj: i, Score: bOi.Cardinality() - 1}, q.k)
 	}
-	return top
-}
-
-// kthHighestInt32 returns the k-th highest value of vals (0 when out of
-// range).
-func kthHighestInt32(vals []int32, k int) int {
-	if k == 1 {
-		best := int32(0)
-		for _, v := range vals {
-			if v > best {
-				best = v
-			}
-		}
-		return int(best)
-	}
-	cp := make([]int32, len(vals))
-	copy(cp, vals)
-	sort.Slice(cp, func(a, b int) bool { return cp[a] > cp[b] })
-	if k-1 < len(cp) {
-		return int(cp[k-1])
-	}
-	return 0
+	return bOi.Cardinality() - 1
 }

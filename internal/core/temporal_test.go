@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mio/internal/baseline"
 	"mio/internal/data"
+	"mio/internal/geom"
 )
 
 func temporalDataset(tb testing.TB) *data.Dataset {
@@ -92,21 +96,96 @@ func TestTemporalLargeDeltaEqualsSpatial(t *testing.T) {
 	}
 }
 
+// stamped returns a dataset of one object per point list, every point
+// generated at time t.
+func stamped(t float64, objects ...[]geom.Point) *data.Dataset {
+	ds := &data.Dataset{Name: "stamped"}
+	for i, pts := range objects {
+		ds.Objects = append(ds.Objects, data.Object{ID: i, Pts: pts, Times: make([]float64, len(pts))})
+		for j := range pts {
+			ds.Objects[i].Times[j] = t
+		}
+	}
+	return ds
+}
+
+// TestTemporalErrors: the temporal engine refuses what NewEngine and
+// Engine.validate refuse, through them, plus a bad δ. The Dims, far-r,
+// NaN and tiny-δ rows used to be answered with a nil error, the first
+// two wrongly (object 0 score 0 both times).
 func TestTemporalErrors(t *testing.T) {
 	ds := temporalDataset(t)
-	eng, _ := NewTemporalEngine(ds, Options{})
-	if _, err := eng.Run(0, 5); err == nil {
-		t.Error("r=0 accepted")
+	eng, err := NewTemporalEngine(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := eng.Run(5, -1); err == nil {
-		t.Error("negative δ accepted")
+	// Objects 3 and 4 are 5e-4 apart, everything else at least 10: at
+	// r = 1e-3 the small-grid cell coordinates (±8.7e9) leave int32.
+	far := stamped(7,
+		[]geom.Point{{X: 5e6, Y: 5e6}}, []geom.Point{{X: 5e6 - 10, Y: 5e6}}, []geom.Point{{X: 5e6 - 20, Y: 5e6}},
+		[]geom.Point{{X: -5e6, Y: -5e6}}, []geom.Point{{X: -5e6 + 5e-4, Y: -5e6}})
+	farEng, err := NewTemporalEngine(far, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := eng.RunTopK(5, 5, 0); err == nil {
-		t.Error("k=0 accepted")
+	nan := math.NaN()
+	for _, c := range []struct {
+		name        string
+		eng         *TemporalEngine
+		r, delta    float64
+		k           int
+		wantMessage string
+	}{
+		{"r=0", eng, 0, 5, 1, "distance threshold"},
+		{"r=NaN", eng, nan, 5, 1, "distance threshold"},
+		{"r too small for the extent", farEng, 1e-3, 5, 1, "int32"},
+		{"delta<0", eng, 5, -1, 1, "temporal threshold"},
+		{"delta=NaN", eng, 5, nan, 1, "temporal threshold"},
+		{"delta too small for the timestamps", eng, 5, 1e-9, 1, "int32"},
+		{"k=0", eng, 5, 5, 0, "k must be"},
+	} {
+		_, err := c.eng.RunTopK(c.r, c.delta, c.k)
+		if !errors.Is(err, ErrInvalidQuery) || !strings.Contains(err.Error(), c.wantMessage) {
+			t.Errorf("%s: err = %v, want an ErrInvalidQuery about %q", c.name, err, c.wantMessage)
+		}
 	}
+	// The far dataset at a legal r, and k clamped to n.
+	res, err := farEng.RunTopK(0.5, 5, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := baseline.TemporalNL(far, 0.5, 5, 1)[0]; res.Best.Obj != 3 || res.Best.Score != 1 || want.Obj != 3 || want.Score != 1 || len(res.TopK) != far.N() {
+		t.Errorf("far dataset at r=0.5: best %+v of %d, oracle %+v, want object 3 score 1 of 5", res.Best, len(res.TopK), want)
+	}
+
 	noTimes := data.GenUniform(data.UniformConfig{N: 5, M: 3, FieldSize: 10, Spread: 2, Seed: 3})
 	if _, err := NewTemporalEngine(noTimes, Options{}); err == nil {
 		t.Error("dataset without timestamps accepted")
+	}
+	if _, err := NewTemporalEngine(&data.Dataset{}, Options{}); err == nil {
+		t.Error("empty dataset accepted")
+	}
+	if _, err := NewTemporalEngine(ds, Options{Dims: 4}); err == nil {
+		t.Error("Dims 4 accepted")
+	}
+
+	// Dims 2 on non-planar data (mio_test.go's six objects): r/√2 cells
+	// put three non-interacting pairs in one cell each, lift object 0's
+	// lower bound to 3 and prune the one true pair {4, 5}.
+	w := 1 / math.Sqrt2
+	tilted := stamped(0,
+		[]geom.Point{geom.Pt(0.01, 0.01, 0.01), geom.Pt(20*w+0.01, 0.01, 0.01), geom.Pt(40*w+0.01, 0.01, 0.01)},
+		[]geom.Point{geom.Pt(0.70, 0.70, 0.70)}, []geom.Point{geom.Pt(20*w+0.70, 0.70, 0.70)}, []geom.Point{geom.Pt(40*w+0.70, 0.70, 0.70)},
+		[]geom.Point{geom.Pt(100, 100, 100)}, []geom.Point{geom.Pt(100.5, 100, 100)})
+	if _, err := NewTemporalEngine(tilted, Options{Dims: 2}); err == nil || !strings.Contains(err.Error(), "planar") {
+		t.Errorf("Dims 2 on non-planar data: err = %v, want a refusal naming the planar requirement", err)
+	}
+	te, err := NewTemporalEngine(tilted, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := te.Run(1, 0); err != nil || res.Best != (Scored{Obj: 4, Score: 1}) {
+		t.Errorf("non-planar data, default Dims: best %+v, err %v, want object 4 score 1", res.Best, err)
 	}
 }
 

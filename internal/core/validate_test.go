@@ -41,6 +41,12 @@ func TestValidateRejectsInt32KeyOverflow(t *testing.T) {
 	_, err = eng.AllScores(tiny)
 	wantErr("AllScores", err)
 	wantErr("Pool.ValidateR", NewPoolOf(eng).ValidateR(tiny))
+	teng, err := NewTemporalEngine(data.WithTimestamps(ds, 1, 10, 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = teng.RunTopK(tiny, 100, 1)
+	wantErr("TemporalEngine.RunTopK", err)
 	outs, _ := eng.RunGroup(ctx, []GroupSpec{{R: tiny, K: 1}, {R: 0.5, K: 1}})
 	wantErr("RunGroup member", outs[0].Err)
 	// r=0.5 still overflows (1e9/0.29 = 3.5e9 > 2^31): refused as well.
@@ -55,6 +61,9 @@ func TestValidateRejectsInt32KeyOverflow(t *testing.T) {
 	}
 	if res.Best.Score != 3 {
 		t.Errorf("r=%g: best score %d, want 3 (all four objects within 0.2)", fine, res.Best.Score)
+	}
+	if res, err := teng.RunTopK(fine, 100, 1); err != nil || res.Best.Score != 3 {
+		t.Errorf("TemporalEngine.RunTopK at r=%g: %+v, %v, want score 3", fine, res, err)
 	}
 	outs, _ = eng.RunGroup(ctx, []GroupSpec{{R: tiny, K: 1}, {R: fine, K: 1}})
 	wantErr("mixed RunGroup member", outs[0].Err)

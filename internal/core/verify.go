@@ -61,6 +61,9 @@ func (q *query) verification(cand []candidate) []Scored {
 // work to q.stats. The serial scratch bitsets are allocated on the first
 // call and reused by later ones.
 func (q *query) exact(i int) int {
+	if q.exactOf != nil {
+		return q.exactOf(i)
+	}
 	if q.e.opts.workers() > 1 {
 		return q.parallelExactScore(i)
 	}

@@ -1,7 +1,6 @@
 package data
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -232,35 +231,4 @@ func GenHotspotCommute(cfg HotspotCommuteConfig) *Dataset {
 		ds.Objects = append(ds.Objects, Object{ID: i, Pts: pts})
 	}
 	return ds
-}
-
-// Adversarial returns the four adversarial datasets of DESIGN.md §5
-// at the given scale factor (object counts scale like Standard's).
-func Adversarial(scale float64) map[string]*Dataset {
-	scaleN := func(n int) int {
-		v := int(float64(n) * scale)
-		return maxInt(v, 8)
-	}
-	oc := DefaultOneCell()
-	oc.N = scaleN(oc.N)
-	us := DefaultUniformSparse()
-	us.N = scaleN(us.N)
-	ps := DefaultPowerLawSizes()
-	ps.N = scaleN(ps.N)
-	hc := DefaultHotspotCommute()
-	hc.N = scaleN(hc.N)
-
-	out := map[string]*Dataset{
-		"OneCell":   GenOneCell(oc),
-		"Sparse":    GenUniformSparse(us),
-		"PowerSize": GenPowerLawSizes(ps),
-		"Commute":   GenHotspotCommute(hc),
-	}
-	for name, ds := range out {
-		ds.Name = name
-		if err := ds.Validate(); err != nil {
-			panic(fmt.Sprintf("data: adversarial generator %s produced invalid dataset: %v", name, err))
-		}
-	}
-	return out
 }

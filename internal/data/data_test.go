@@ -155,15 +155,8 @@ func TestGenPowerLawClusterSkew(t *testing.T) {
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
 	if len(sizes) < 5 || sizes[0] < 4*sizes[len(sizes)/2] {
-		t.Fatalf("no power-law skew: sizes %v...", sizes[:minInt(len(sizes), 8)])
+		t.Fatalf("no power-law skew: sizes %v...", sizes[:min(len(sizes), 8)])
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestWithTimestamps(t *testing.T) {
@@ -322,5 +315,39 @@ func TestStandardDatasets(t *testing.T) {
 	}
 	if sets["Bird"].N() <= sets["Bird-2"].N() {
 		t.Error("Bird should have larger n than Bird-2")
+	}
+}
+
+// TestByName: every flag name generates, the three overrides apply, and
+// Standard is the same table under its display names.
+func TestByName(t *testing.T) {
+	names := strings.Split(Names(), ", ")
+	if len(names) != 10 {
+		t.Fatalf("Names() = %q, want ten names", Names())
+	}
+	for _, name := range names {
+		ds, err := ByName(name, 0.01, 0, 0, 0)
+		if err != nil || ds.Validate() != nil || ds.N() < 8 {
+			t.Fatalf("%s: %v, %v", name, ds.Summary(), err)
+		}
+		if again, _ := ByName(name, 0.01, 0, 0, 0); !reflect.DeepEqual(ds, again) {
+			t.Errorf("%s is not deterministic", name)
+		}
+		// m is a target for the neuron arbors and no parameter of
+		// powersize; everywhere else it is exact.
+		sized, err := ByName(name, 0.01, 11, 7, 5)
+		if err != nil || sized.N() != 11 || (!strings.HasPrefix(name, "neuron") && name != "powersize" && sized.TotalPoints() != 77) {
+			t.Errorf("%s with n=11 m=7: %v, %v", name, sized.Summary(), err)
+		}
+		if reseeded, _ := ByName(name, 0.01, 0, 0, 12345); reflect.DeepEqual(pointsOf(ds), pointsOf(reseeded)) {
+			t.Errorf("%s ignores the seed", name)
+		}
+	}
+	if _, err := ByName("nope", 1, 0, 0, 0); err == nil || !strings.Contains(err.Error(), "neuron2") {
+		t.Errorf("unknown name: err = %v, want one listing the names", err)
+	}
+	bird2, _ := ByName("bird2", 0.1, 0, 0, 0)
+	if !reflect.DeepEqual(pointsOf(bird2), pointsOf(Standard(0.1)["Bird-2"])) {
+		t.Error(`ByName("bird2") differs from Standard's Bird-2`)
 	}
 }

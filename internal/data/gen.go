@@ -1,7 +1,6 @@
 package data
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -72,7 +71,7 @@ func GenNeuron(cfg NeuronConfig) *Dataset {
 		}
 		pts := make([]geom.Point, 0, m)
 		pts = append(pts, soma)
-		perBranch := (m - 1) / maxInt(cfg.Branches, 1)
+		perBranch := (m - 1) / max(cfg.Branches, 1)
 		for b := 0; b < cfg.Branches && len(pts) < m; b++ {
 			cur := soma
 			dir := randUnit(rng)
@@ -327,46 +326,4 @@ func randUnit(rng *rand.Rand) geom.Point {
 			return v.Scale(1 / n)
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Standard returns the five stand-in datasets of DESIGN.md §5 at the
-// given scale factor (1.0 = defaults; 0.25 shrinks object counts for
-// quick tests). The names follow the paper's Table I.
-func Standard(scale float64) map[string]*Dataset {
-	scaleN := func(n int) int {
-		v := int(float64(n) * scale)
-		return maxInt(v, 8)
-	}
-	nc := DefaultNeuron()
-	nc.N = scaleN(nc.N)
-	n2 := DefaultNeuron2()
-	n2.N = scaleN(n2.N)
-	b := DefaultBird()
-	b.N = scaleN(b.N)
-	b2 := DefaultBird2()
-	b2.N = scaleN(b2.N)
-	sy := DefaultSyn()
-	sy.N = scaleN(sy.N)
-
-	out := map[string]*Dataset{
-		"Neuron":   GenNeuron(nc),
-		"Neuron-2": GenNeuron(n2),
-		"Bird":     GenTrajectory(b),
-		"Bird-2":   GenTrajectory(b2),
-		"Syn":      GenPowerLaw(sy),
-	}
-	for name, ds := range out {
-		ds.Name = name
-		if err := ds.Validate(); err != nil {
-			panic(fmt.Sprintf("data: generator %s produced invalid dataset: %v", name, err))
-		}
-	}
-	return out
 }

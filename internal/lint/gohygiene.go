@@ -1,124 +1,31 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
-// syncNoCopy lists the sync types that must never be copied once used.
-var syncNoCopy = map[string]bool{
-	"WaitGroup": true,
-	"Mutex":     true,
-	"RWMutex":   true,
-	"Once":      true,
-	"Cond":      true,
-	"Pool":      true,
-	"Map":       true,
-}
-
-// GoHygieneAnalyzer enforces the conventions the §IV parallel phases
-// rely on:
-//
-//  1. a `go func(){...}()` literal spawned inside a loop must not
-//     reference the loop variables directly — pass them as arguments.
-//     (Go ≥1.22 makes the capture per-iteration, but the repository
-//     convention keeps worker inputs explicit so the data flow into
-//     each goroutine is visible at the spawn site.)
-//  2. sync.WaitGroup, sync.Mutex and friends must not be passed,
-//     declared as parameters, or re-assigned by value — a copied lock
-//     or wait-counter silently diverges from the original;
-//  3. wg.Add must be called before the goroutine is spawned, never
-//     inside it — an Add racing Wait can let Wait return early.
+// GoHygieneAnalyzer enforces the one goroutine convention of the §IV
+// parallel phases that neither the language nor go vet does: wg.Add
+// must be called before the goroutine is spawned, never inside it — an
+// Add racing Wait can let Wait return early. (Loop-variable capture is
+// per-iteration since Go 1.22; by-value sync primitives are vet's
+// copylocks.)
 func GoHygieneAnalyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "gohygiene",
-		Doc:  "loop-variable capture, by-value sync primitives and wg.Add placement",
+		Doc:  "wg.Add placement",
 	}
 	a.Run = func(p *Pass) {
 		walkFiles(p, func(f *ast.File) {
-			checkGoStmts(p, f)
-			checkSyncCopies(p, f)
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					if lit, ok := g.Call.Fun.(*ast.FuncLit); ok {
+						checkAddInside(p, lit)
+					}
+				}
+				return true
+			})
 		})
 	}
 	return a
-}
-
-// checkGoStmts walks with an explicit stack of enclosing loop
-// variables so go-statement literals can be checked for captures and
-// Add placement.
-func checkGoStmts(p *Pass, f *ast.File) {
-	var loopVars []map[types.Object]bool
-
-	var visit func(n ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			vars := map[types.Object]bool{}
-			for _, e := range []ast.Expr{n.Key, n.Value} {
-				if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-					if obj := p.Pkg.Info.Defs[id]; obj != nil {
-						vars[obj] = true
-					}
-				}
-			}
-			loopVars = append(loopVars, vars)
-			ast.Inspect(n.Body, visit)
-			loopVars = loopVars[:len(loopVars)-1]
-			return false
-		case *ast.ForStmt:
-			vars := map[types.Object]bool{}
-			if init, ok := n.Init.(*ast.AssignStmt); ok {
-				for _, e := range init.Lhs {
-					if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-						if obj := p.Pkg.Info.Defs[id]; obj != nil {
-							vars[obj] = true
-						}
-					}
-				}
-			}
-			loopVars = append(loopVars, vars)
-			if n.Cond != nil {
-				ast.Inspect(n.Cond, visit)
-			}
-			ast.Inspect(n.Body, visit)
-			loopVars = loopVars[:len(loopVars)-1]
-			return false
-		case *ast.GoStmt:
-			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-				checkCapture(p, lit, loopVars)
-				checkAddInside(p, lit)
-			}
-			return true
-		}
-		return true
-	}
-	ast.Inspect(f, visit)
-}
-
-// checkCapture flags references inside the goroutine body to any
-// enclosing loop variable.
-func checkCapture(p *Pass, lit *ast.FuncLit, loopVars []map[types.Object]bool) {
-	if len(loopVars) == 0 {
-		return
-	}
-	reported := map[types.Object]bool{}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := p.Pkg.Info.Uses[id]
-		if obj == nil || reported[obj] {
-			return true
-		}
-		for _, vars := range loopVars {
-			if vars[obj] {
-				reported[obj] = true
-				p.Reportf(id.Pos(), "goroutine captures loop variable %q: pass it as an argument to the func literal", id.Name)
-			}
-		}
-		return true
-	})
 }
 
 // checkAddInside flags wg.Add calls in the spawned body.
@@ -135,111 +42,19 @@ func checkAddInside(p *Pass, lit *ast.FuncLit) {
 		if !ok || sel.Sel.Name != "Add" {
 			return true
 		}
-		if name, ok := syncTypeOf(p, sel.X); ok && name == "WaitGroup" {
+		if isWaitGroup(p, sel.X) {
 			p.Reportf(call.Pos(), "WaitGroup.Add inside the spawned goroutine races Wait: call Add before the go statement")
 		}
 		return true
 	})
 }
 
-// checkSyncCopies flags by-value uses of sync primitives: parameters,
-// call arguments and plain assignments. Taking a fresh composite
-// literal or address is fine.
-func checkSyncCopies(p *Pass, f *ast.File) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncType:
-			if n.Params == nil {
-				return true
-			}
-			for _, field := range n.Params.List {
-				if name, ok := syncValueType(p, field.Type); ok {
-					p.Reportf(field.Type.Pos(), "sync.%s parameter passed by value: use *sync.%s", name, name)
-				}
-			}
-		case *ast.CallExpr:
-			for _, arg := range n.Args {
-				if isFreshSyncValue(arg) {
-					continue
-				}
-				if name, ok := syncTypeOf(p, arg); ok && !isPointerExpr(p, arg) {
-					p.Reportf(arg.Pos(), "sync.%s argument copied by value: pass a pointer", name)
-				}
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if i >= len(n.Lhs) || isFreshSyncValue(rhs) {
-					continue
-				}
-				switch ast.Unparen(rhs).(type) {
-				case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
-					if name, ok := syncTypeOf(p, rhs); ok && !isPointerExpr(p, rhs) {
-						p.Reportf(rhs.Pos(), "sync.%s copied by assignment: share one instance via a pointer", name)
-					}
-				}
-			}
-		}
-		return true
-	})
-}
-
-// syncTypeOf returns the no-copy sync type name of e's (dereferenced)
-// type, if any.
-func syncTypeOf(p *Pass, e ast.Expr) (string, bool) {
-	tv, ok := p.Pkg.Info.Types[e]
-	if !ok || tv.Type == nil {
-		return "", false
-	}
-	t := tv.Type
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return "", false
-	}
-	name := named.Obj().Name()
-	return name, syncNoCopy[name]
-}
-
-// syncValueType reports whether the type expression denotes a bare
-// (non-pointer) no-copy sync type.
-func syncValueType(p *Pass, te ast.Expr) (string, bool) {
-	if _, isPtr := te.(*ast.StarExpr); isPtr {
-		return "", false
-	}
-	tv, ok := p.Pkg.Info.Types[te]
-	if !ok || tv.Type == nil {
-		return "", false
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return "", false
-	}
-	name := named.Obj().Name()
-	return name, syncNoCopy[name]
-}
-
-// isFreshSyncValue reports whether e constructs a brand-new value
-// (composite literal), which is safe to move.
-func isFreshSyncValue(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.UnaryExpr:
-		return true // &x is a pointer, handled elsewhere
-	default:
-		_ = e
-	}
-	return false
-}
-
-// isPointerExpr reports whether e's static type is a pointer.
-func isPointerExpr(p *Pass, e ast.Expr) bool {
+// isWaitGroup reports whether e is a sync.WaitGroup or a pointer to one.
+func isWaitGroup(p *Pass, e ast.Expr) bool {
 	tv, ok := p.Pkg.Info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
 	}
-	_, isPtr := tv.Type.Underlying().(*types.Pointer)
-	return isPtr
+	s := tv.Type.String()
+	return s == "sync.WaitGroup" || s == "*sync.WaitGroup"
 }

@@ -3,50 +3,6 @@ package fixture
 
 import "sync"
 
-func capture(items []int) {
-	for i := range items {
-		go func() {
-			_ = i // want "captures loop variable"
-		}()
-		go func(i int) { _ = i }(i) // passed as argument: fine
-	}
-	for j := 0; j < 4; j++ {
-		go func() {
-			use(j) // want "captures loop variable"
-		}()
-	}
-}
-
-func use(int) {}
-
-func byValueParam(wg sync.WaitGroup) { // want "passed by value"
-	wg.Wait()
-}
-
-func pointerParamOK(wg *sync.WaitGroup) {
-	wg.Wait()
-}
-
-func takesMu(mu sync.Mutex) { // want "passed by value"
-	mu.Lock()
-}
-
-func callByValue() {
-	var mu sync.Mutex
-	takesMu(mu) // want "copied by value"
-	takesPtr(&mu)
-}
-
-func takesPtr(*sync.Mutex) {}
-
-func copyAssign() {
-	var mu sync.Mutex
-	mu2 := mu // want "copied by assignment"
-	mu2.Lock()
-	p := &mu // pointer: fine
-	p.Lock()
-}
-
 func addInside() {
 	var wg sync.WaitGroup
 	go func() {

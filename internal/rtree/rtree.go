@@ -96,26 +96,19 @@ func strPack(entries []Entry, fanout int, emit func([]Entry) int32) []int32 {
 	var ids []int32
 	slabSize := (n + slabCount - 1) / slabCount
 	for x := 0; x < n; x += slabSize {
-		xe := entries[x:minInt(x+slabSize, n)]
+		xe := entries[x:min(x+slabSize, n)]
 		sort.Slice(xe, func(i, j int) bool { return center(xe[i], geom.AxisY) < center(xe[j], geom.AxisY) })
 		runCount := int(math.Ceil(math.Sqrt(float64((len(xe) + fanout - 1) / fanout))))
 		runSize := (len(xe) + runCount - 1) / runCount
 		for y := 0; y < len(xe); y += runSize {
-			ye := xe[y:minInt(y+runSize, len(xe))]
+			ye := xe[y:min(y+runSize, len(xe))]
 			sort.Slice(ye, func(i, j int) bool { return center(ye[i], geom.AxisZ) < center(ye[j], geom.AxisZ) })
 			for z := 0; z < len(ye); z += fanout {
-				ids = append(ids, emit(ye[z:minInt(z+fanout, len(ye))]))
+				ids = append(ids, emit(ye[z:min(z+fanout, len(ye))]))
 			}
 		}
 	}
 	return ids
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Len returns the number of indexed entries.

@@ -221,8 +221,8 @@ func TestSwapBreakerRecovery(t *testing.T) {
 	const cooldown = 80 * time.Millisecond
 	s, err := New(testDataset(80, 7), core.Options{}, Config{
 		AllowSwap:          true,
-		SwapBreakThreshold: 2,
-		SwapBreakCooldown:  cooldown,
+		swapBreakThreshold: 2,
+		swapBreakCooldown:  cooldown,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -73,14 +73,6 @@ type Config struct {
 	// MaxSweep bounds the number of thresholds a single /v1/sweep may
 	// request. 0 selects 64.
 	MaxSweep int
-	// SwapBreakThreshold is how many consecutive dataset-swap failures
-	// (load or engine build) trip the swap circuit breaker, after which
-	// swap requests fail fast with 503 + Retry-After instead of
-	// re-reading a broken file. 0 selects 3.
-	SwapBreakThreshold int
-	// SwapBreakCooldown is how long a tripped swap breaker refuses
-	// requests before admitting a probe. 0 selects 5s.
-	SwapBreakCooldown time.Duration
 	// State, when non-nil, makes the served dataset durable: SwapDataset
 	// commits the replacement as a new generation (dataset enveloped and
 	// fsync'd, MANIFEST updated) before any engine serves it, and the
@@ -124,21 +116,16 @@ type Config struct {
 	// ShardMaxR is the partition's replica horizon: the largest radius
 	// the shards can answer exactly. 0 selects 10.
 	ShardMaxR float64
-	// ShardTimeout bounds each per-shard attempt. 0 selects 2s.
-	ShardTimeout time.Duration
 	// ShardRetries is the per-shard retry budget after the first failed
 	// attempt. 0 selects 1; negative disables retries.
 	ShardRetries int
 	// ShardHedgeAfter launches one speculative extra attempt against a
-	// straggling shard after this duration. 0 selects ShardTimeout/4;
-	// negative disables hedging.
+	// straggling shard after this duration. 0 selects
+	// shard.DefaultTimeout/4; negative disables hedging.
 	ShardHedgeAfter time.Duration
-	// ShardBreakThreshold / ShardBreakCooldown configure each shard's
-	// circuit breaker: consecutive failures to trip, and how long an
-	// open breaker refuses attempts before its half-open probe.
-	// 0 selects 3 failures / 5s.
-	ShardBreakThreshold int
-	ShardBreakCooldown  time.Duration
+	// ShardBreakCooldown is how long a shard's open circuit breaker
+	// refuses attempts before its half-open probe. 0 selects 5s.
+	ShardBreakCooldown time.Duration
 	// ShardAddrs routes /v1/query through REMOTE shard worker processes
 	// at these base URLs (one per partition slot, in shard-id order, ≥ 2)
 	// instead of in-process shard engines — the multi-process deployment
@@ -149,9 +136,26 @@ type Config struct {
 	// combines with.
 	ShardAddrs []string
 	// ShardProbeInterval is the remote worker health-probe cadence.
-	// 0 selects 1s. Ignored unless ShardAddrs is set.
+	// 0 selects remote.DefaultProbeInterval. Ignored unless ShardAddrs is
+	// set.
 	ShardProbeInterval time.Duration
+
+	// In-package tests shorten the breakers through these; 0 selects
+	// swapBreakThreshold, swapBreakCooldown and
+	// shard.DefaultBreakThreshold.
+	swapBreakThreshold  int
+	swapBreakCooldown   time.Duration
+	shardBreakThreshold int
 }
+
+// The swap circuit breaker: this many consecutive dataset-swap failures
+// (load, engine build or durable commit) trip it, after which swap
+// requests fail fast with 503 + Retry-After instead of re-reading a
+// broken file, until the cooldown admits a probe.
+const (
+	swapBreakThreshold = 3
+	swapBreakCooldown  = 5 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight < 1 {
@@ -169,11 +173,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxSweep < 1 {
 		c.MaxSweep = 64
 	}
-	if c.SwapBreakThreshold < 1 {
-		c.SwapBreakThreshold = 3
+	if c.swapBreakThreshold < 1 {
+		c.swapBreakThreshold = swapBreakThreshold
 	}
-	if c.SwapBreakCooldown <= 0 {
-		c.SwapBreakCooldown = 5 * time.Second
+	if c.swapBreakCooldown <= 0 {
+		c.swapBreakCooldown = swapBreakCooldown
 	}
 	return c
 }
@@ -374,11 +378,10 @@ func (s *Server) shardConfig() shard.Config {
 	return shard.Config{
 		Shards:         s.cfg.Shards,
 		MaxR:           s.cfg.ShardMaxR,
-		Timeout:        s.cfg.ShardTimeout,
 		Retries:        s.cfg.ShardRetries,
 		HedgeAfter:     s.cfg.ShardHedgeAfter,
 		Pool:           2 * s.cfg.MaxInFlight,
-		BreakThreshold: s.cfg.ShardBreakThreshold,
+		BreakThreshold: s.cfg.shardBreakThreshold,
 		BreakCooldown:  s.cfg.ShardBreakCooldown,
 		Faults:         s.cfg.Faults,
 	}
@@ -398,7 +401,7 @@ func newFromPool(pool *core.Pool, cfg Config) *Server {
 		cfg:         cfg,
 		pool:        pool,
 		cache:       cache.New(cfg.CacheSize),
-		swapBreaker: breaker.New(cfg.SwapBreakThreshold, cfg.SwapBreakCooldown),
+		swapBreaker: breaker.New(cfg.swapBreakThreshold, cfg.swapBreakCooldown),
 		start:       time.Now(),
 	}
 	s.m.init()
@@ -419,11 +422,7 @@ func newFromPool(pool *core.Pool, cfg Config) *Server {
 // runSolo answers a query from one pooled engine.
 func (s *Server) runSolo(ctx context.Context, r float64, k int, degrade bool) (*core.Result, *shard.Report, error) {
 	v, err := s.withEngine(ctx, func(ctx context.Context, eng *core.Engine) (any, error) {
-		run := eng.RunTopKContext
-		if degrade {
-			run = eng.RunTopKDegradedContext
-		}
-		res, err := run(ctx, r, k)
+		res, err := eng.RunTopKContext(ctx, r, k, degrade)
 		if err == nil {
 			s.observePhases(res.Stats)
 		}

@@ -233,7 +233,7 @@ func TestSwapDurableCommitBreaker(t *testing.T) {
 	cooldown := 150 * time.Millisecond
 	s, err := New(ds, *opts, Config{
 		State: st, AllowSwap: true,
-		SwapBreakThreshold: 2, SwapBreakCooldown: cooldown,
+		swapBreakThreshold: 2, swapBreakCooldown: cooldown,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ func TestUnanswerableThresholdIsBadRequest(t *testing.T) {
 	}{
 		{"solo", Config{}},
 		{"batch", Config{BatchExecution: true, BatchWindow: time.Millisecond}},
-		{"sharded", Config{Shards: 2, ShardMaxR: 5, ShardBreakThreshold: 1}},
+		{"sharded", Config{Shards: 2, ShardMaxR: 5, shardBreakThreshold: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestServer(t, tc.cfg)

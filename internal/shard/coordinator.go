@@ -33,7 +33,7 @@ type Config struct {
 	// by the shards; larger radii return ErrBeyondHorizon. Default 10.
 	MaxR float64
 	// Timeout bounds each per-shard attempt (bound phase and
-	// verification separately). Default 2s.
+	// verification separately). Default DefaultTimeout.
 	Timeout time.Duration
 	// Retries is how many times a failed bound attempt is relaunched
 	// after jittered backoff. Default 1; -1 disables retries.
@@ -51,7 +51,7 @@ type Config struct {
 	// healthy ones out of slots. Default 2.
 	Pool int
 	// BreakThreshold / BreakCooldown configure each shard's circuit
-	// breaker. Defaults 3 failures / 5s.
+	// breaker. Defaults DefaultBreakThreshold failures / 5s.
 	BreakThreshold int
 	BreakCooldown  time.Duration
 	// Faults, when non-nil, is consulted at the scatter/merge/shard
@@ -59,12 +59,20 @@ type Config struct {
 	Faults *fault.Registry
 }
 
+// DefaultTimeout is the per-shard attempt deadline and
+// DefaultBreakThreshold the consecutive failures that open a shard's
+// breaker; miosrv serves with both.
+const (
+	DefaultTimeout        = 2 * time.Second
+	DefaultBreakThreshold = 3
+)
+
 func (c Config) withDefaults() Config {
 	if c.MaxR <= 0 {
 		c.MaxR = DefaultMaxR
 	}
 	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
+		c.Timeout = DefaultTimeout
 	}
 	if c.Retries < 0 {
 		c.Retries = 0
@@ -81,7 +89,7 @@ func (c Config) withDefaults() Config {
 		c.Pool = poolPerShard
 	}
 	if c.BreakThreshold <= 0 {
-		c.BreakThreshold = 3
+		c.BreakThreshold = DefaultBreakThreshold
 	}
 	if c.BreakCooldown <= 0 {
 		c.BreakCooldown = 5 * time.Second
@@ -486,7 +494,7 @@ func (c *Coordinator) gather(ctx context.Context, r float64, k int, bounds []sha
 		if b.hedged {
 			retries-- // the hedge launch is not a retry
 		}
-		rep.Retries += maxInt(0, retries)
+		rep.Retries += max(0, retries)
 		if b.hedged {
 			rep.Hedges++
 		}
@@ -647,11 +655,4 @@ func better(a, b core.Scored) bool {
 		return true
 	}
 	return canonicalLess(a, b)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

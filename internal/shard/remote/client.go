@@ -33,7 +33,7 @@ type ClientConfig struct {
 	// are range-checked against it.
 	Objects int
 	// ProbeInterval / ProbeTimeout drive the background health prober.
-	// Defaults 1s / 1s.
+	// Defaults DefaultProbeInterval / 1s.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	// DownAfter is how many consecutive failures (probe or query) mark
@@ -50,9 +50,12 @@ type ClientConfig struct {
 	HTTPClient *http.Client
 }
 
+// DefaultProbeInterval is the health-probe cadence miosrv serves with.
+const DefaultProbeInterval = time.Second
+
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = time.Second
+		c.ProbeInterval = DefaultProbeInterval
 	}
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
@@ -169,10 +172,8 @@ func (c *Client) Bound(ctx context.Context, r float64, k int) (shard.Bounds, err
 }
 
 // post sends a strict-JSON request and returns the validated envelope
-// payload of a 200 response. Network failures, non-200 statuses,
-// oversized bodies and corrupt envelopes all come back as errors; the
-// injected net_send/net_recv points fail the exchange at the
-// respective boundary.
+// payload of a 200 response (roundTrip); the injected net_send and
+// net_recv points fail the exchange at the respective boundary.
 func (c *Client) post(ctx context.Context, path string, body any) ([]byte, error) {
 	if err := c.cfg.Faults.Fire(fault.PointNetSend); err != nil {
 		return nil, fmt.Errorf("%s%s: send: %w", c.cfg.Addr, path, err)
@@ -186,36 +187,59 @@ func (c *Client) post(ctx context.Context, path string, body any) ([]byte, error
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	payload, err := c.roundTrip(req, path, c.cfg.Faults)
+	var se *statusError
+	if errors.As(err, &se) && se.code == http.StatusBadRequest {
+		// The worker is alive and turned the request itself down.
+		err = fmt.Errorf("%w: %w", core.ErrInvalidQuery, err)
+	}
+	return payload, err
+}
+
+// statusError is a non-200 answer: the worker is reachable and said no.
+type statusError struct {
+	where string // addr + path
+	code  int
+	msg   string // the worker's own error text, when it sent one
+}
+
+func (e *statusError) Error() string {
+	if e.msg == "" {
+		return fmt.Sprintf("%s: worker answered %d", e.where, e.code)
+	}
+	return fmt.Sprintf("%s: worker answered %d: %s", e.where, e.code, e.msg)
+}
+
+// roundTrip sends req and returns the envelope payload of a 200
+// response. Network failures, oversized bodies and corrupt envelopes
+// (both ErrBadResponse) and non-200 statuses (a *statusError) all come
+// back as errors. recv is fired at net_recv once the body has been read;
+// the prober, whose exchanges are not injection points, passes nil.
+func (c *Client) roundTrip(req *http.Request, path string, recv *fault.Registry) ([]byte, error) {
+	where := c.cfg.Addr + path
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("%s%s: %w", c.cfg.Addr, path, err)
+		return nil, fmt.Errorf("%s: %w", where, err)
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxResponseBytes+1))
 	if err != nil {
-		return nil, fmt.Errorf("%s%s: read: %w", c.cfg.Addr, path, err)
+		return nil, fmt.Errorf("%s: read: %w", where, err)
 	}
-	if err := c.cfg.Faults.Fire(fault.PointNetRecv); err != nil {
-		return nil, fmt.Errorf("%s%s: recv: %w", c.cfg.Addr, path, err)
+	if err := recv.Fire(fault.PointNetRecv); err != nil {
+		return nil, fmt.Errorf("%s: recv: %w", where, err)
 	}
 	if int64(len(data)) > c.cfg.MaxResponseBytes {
-		return nil, fmt.Errorf("%w: %s%s: response exceeds %d bytes", shard.ErrBadResponse, c.cfg.Addr, path, c.cfg.MaxResponseBytes)
+		return nil, fmt.Errorf("%w: %s: response exceeds %d bytes", shard.ErrBadResponse, where, c.cfg.MaxResponseBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
-		err := fmt.Errorf("%s%s: worker answered %d", c.cfg.Addr, path, resp.StatusCode)
 		var we wireError
-		if jerr := json.Unmarshal(data, &we); jerr == nil && we.Error != "" {
-			err = fmt.Errorf("%w: %s", err, we.Error)
-		}
-		if resp.StatusCode == http.StatusBadRequest {
-			// The worker is alive and turned the request itself down.
-			err = fmt.Errorf("%w: %w", core.ErrInvalidQuery, err)
-		}
-		return nil, err
+		_ = json.Unmarshal(data, &we) // a body that is no wireError leaves msg empty
+		return nil, &statusError{where: where, code: resp.StatusCode, msg: we.Error}
 	}
 	payload, err := durable.Open(data)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s%s: %v", shard.ErrBadResponse, c.cfg.Addr, path, err)
+		return nil, fmt.Errorf("%w: %s: %v", shard.ErrBadResponse, where, err)
 	}
 	return payload, nil
 }
@@ -307,24 +331,9 @@ func (c *Client) fetchShardz(ctx context.Context) (*ShardzResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	hresp, err := c.cfg.HTTPClient.Do(req)
+	payload, err := c.roundTrip(req, PathShardz, nil)
 	if err != nil {
-		return nil, fmt.Errorf("%s%s: %w", c.cfg.Addr, PathShardz, err)
-	}
-	defer hresp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hresp.Body, c.cfg.MaxResponseBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("%s%s: read: %w", c.cfg.Addr, PathShardz, err)
-	}
-	if int64(len(data)) > c.cfg.MaxResponseBytes {
-		return nil, fmt.Errorf("%w: %s%s: response exceeds %d bytes", shard.ErrBadResponse, c.cfg.Addr, PathShardz, c.cfg.MaxResponseBytes)
-	}
-	if hresp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s%s: worker answered %d", c.cfg.Addr, PathShardz, hresp.StatusCode)
-	}
-	payload, err := durable.Open(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s%s: %v", shard.ErrBadResponse, c.cfg.Addr, PathShardz, err)
+		return nil, err
 	}
 	var resp ShardzResponse
 	if err := decodeStrict(payload, &resp); err != nil {

@@ -20,18 +20,21 @@ import (
 	"mio/internal/shard/remote"
 )
 
-// The chaos cluster serves `-gen uniform -scale 0.1 -seed 7`; this is
+// The chaos cluster serves `-gen uniform -scale 0.2 -seed 7`; this is
 // the identical dataset the test's in-process oracle and coordinator
 // build, exercising the content-fingerprint generation guard across
 // real process boundaries.
 const (
-	chaosScale = "0.1"
-	chaosSeed  = "7"
-	chaosN     = 200 // clamp(2000 * 0.1)
+	chaosScale = 0.2
+	chaosSeed  = 7
 )
 
-func chaosDataset() *data.Dataset {
-	return data.GenUniform(data.UniformConfig{N: chaosN, M: 16, FieldSize: 1000, Spread: 8, Seed: 7})
+func chaosDataset(t *testing.T) *data.Dataset {
+	ds, err := data.ByName("uniform", chaosScale, 0, 0, chaosSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
 }
 
 func buildMiosrv(t *testing.T) string {
@@ -74,7 +77,7 @@ func (p *workerProc) kill() {
 func startWorkerProc(t *testing.T, bin string, idx int, addr string, extra ...string) *workerProc {
 	t.Helper()
 	args := []string{
-		"-gen", "uniform", "-scale", chaosScale, "-seed", chaosSeed,
+		"-gen", "uniform", "-scale", fmt.Sprint(chaosScale), "-seed", fmt.Sprint(chaosSeed),
 		"-shards", "3", "-shard-serve", "-shard-index", strconv.Itoa(idx),
 		"-addr", addr,
 	}
@@ -167,7 +170,7 @@ func TestMultiProcessChaos(t *testing.T) {
 		t.Skip("multi-process chaos test (spawns real worker processes)")
 	}
 	bin := buildMiosrv(t)
-	ds := chaosDataset()
+	ds := chaosDataset(t)
 
 	addrs := []string{freeAddr(t), freeAddr(t), freeAddr(t)}
 	workers := make([]*workerProc, 3)

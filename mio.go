@@ -231,10 +231,10 @@ func LoadCSVFile(path string, cols CSVColumns) (*Dataset, error) {
 // QueryContext is Query with cancellation: the engine checks ctx
 // between pipeline phases and periodically inside them.
 func (e *Engine) QueryContext(ctx context.Context, r float64) (*Result, error) {
-	return e.inner.RunContext(ctx, r)
+	return e.inner.RunTopKContext(ctx, r, 1, false)
 }
 
 // QueryTopKContext is QueryTopK with cancellation.
 func (e *Engine) QueryTopKContext(ctx context.Context, r float64, k int) (*Result, error) {
-	return e.inner.RunTopKContext(ctx, r, k)
+	return e.inner.RunTopKContext(ctx, r, k, false)
 }

@@ -123,6 +123,9 @@ func TestWith2DRefusesNonPlanarData(t *testing.T) {
 	if _, err := NewEngine(ds, With2D()); err == nil || !strings.Contains(err.Error(), "planar") {
 		t.Fatalf("With2D on non-planar data: err = %v, want a refusal naming the planar requirement", err)
 	}
+	if _, err := NewTemporalEngine(WithTimestamps(ds, 1, 10, 1), With2D()); err == nil || !strings.Contains(err.Error(), "planar") {
+		t.Fatalf("temporal With2D on non-planar data: err = %v, want the same refusal", err)
+	}
 
 	// The same points on the plane z = 7: accepted, same answer as 3-D.
 	for _, pts := range objects {

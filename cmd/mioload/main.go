@@ -171,8 +171,8 @@ func runCompareBatch(cfg loadgen.Config, ds *data.Dataset, workers, pool int) {
 	// many clients, few radii, varying k. Each base threshold is split
 	// into a handful of nearby variants that keep its ⌈r⌉, and each
 	// worker cycles k, so a wave mixes every tier of the grouping
-	// algebra: identical ⌈r⌉ shares the large grid, upper-bounding and
-	// cell walk; identical r shares the small grid and lower bounds;
+	// algebra: identical ⌈r⌉ shares the large grid and upper-bounding;
+	// identical r shares the small grid and lower bounds;
 	// identical (r, k) shares one result — which the query-major side
 	// matches through request coalescing, keeping the comparison about
 	// execution strategy rather than result reuse.
@@ -217,15 +217,14 @@ func runCompareBatch(cfg loadgen.Config, ds *data.Dataset, workers, pool int) {
 	// trailing wave, so it can be generous without adding gather latency.
 	batchCfg.BatchMaxSize = cfg.Concurrency
 	batchCfg.BatchWindow = 250 * time.Millisecond
-	batched := run("batch execution (epochs share builds and cell walks):", batchCfg)
-	plain := run("query-major (each query builds and walks alone):", base)
+	batched := run("batch execution (epochs share builds and bounds):", batchCfg)
+	plain := run("query-major (each query builds alone):", base)
 
 	fmt.Printf("\nsummary:\n")
 	if batched.BatchEpochs > 0 {
 		fmt.Printf("  epochs        %d (avg %.1f queries/epoch), %d plans for %d queries (%d shared)\n",
 			batched.BatchEpochs, float64(batched.BatchQueries)/float64(batched.BatchEpochs),
 			batched.BatchPlans, batched.BatchQueries, batched.BatchShared)
-		fmt.Printf("  cell visits   %d deduped by shared walks\n", batched.BatchCellsDeduped)
 	}
 	fmt.Printf("  engine runs   %d vs %d\n", batched.EngineRuns, plain.EngineRuns)
 	if plain.QPS > 0 {

@@ -108,7 +108,7 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.DurationVar(&o.cfg.AdmissionWait, "admission-wait", 100*time.Millisecond, "max time a request queues for an engine slot")
 	fs.BoolVar(&o.cfg.AllowSwap, "allow-swap", false, "enable POST /v1/dataset (reads server-local paths)")
 	fs.StringVar(&o.faults, "faults", "", "arm fault injection for chaos testing, e.g. 'seed=42;engine.verification=panic:0.01;server.run=latency:0.1:5ms'")
-	fs.BoolVar(&o.cfg.BatchExecution, "batch", false, "route /v1/query through epoch-driven batch execution (queries sharing ⌈r⌉ share one index build and cell walk)")
+	fs.BoolVar(&o.cfg.BatchExecution, "batch", false, "route /v1/query through epoch-driven batch execution (queries sharing ⌈r⌉ share one index build and upper-bounding pass)")
 	fs.IntVar(&o.cfg.Shards, "shards", 0, "partition the dataset across this many shard engines behind a fault-tolerant scatter–gather coordinator (0 disables)")
 	fs.Float64Var(&o.cfg.ShardMaxR, "shard-max-r", 0, "replica horizon: largest r the shards answer exactly, larger radii fall back to the solo pool (0 selects 10; needs -shards)")
 	fs.IntVar(&o.cfg.ShardRetries, "shard-retries", 0, "per-shard retry budget after a failed attempt (0 selects 1, negative disables; needs -shards)")

@@ -119,6 +119,24 @@ func TestSGIndexAccounting(t *testing.T) {
 	}
 }
 
+// TestPostingBlockEmpty covers cells and postings with no points.
+func TestPostingBlockEmpty(t *testing.T) {
+	b := NewPostingBlock(nil)
+	if len(b.Off) != 1 || len(b.Boxes) != 0 || len(b.Xs) != 0 {
+		t.Fatalf("empty block: %+v", b)
+	}
+	if b.SizeBytes() <= 0 {
+		t.Fatal("SizeBytes must count headers")
+	}
+	b = NewPostingBlock([]Posting{{Obj: 3}})
+	if xs, _, _ := b.Points(0); len(xs) != 0 {
+		t.Fatalf("pointless posting has %d points", len(xs))
+	}
+	if !b.Boxes[0].Empty() {
+		t.Fatalf("pointless posting AABB not empty: %+v", b.Boxes[0])
+	}
+}
+
 func TestTemporalOracleConstraints(t *testing.T) {
 	ds := &data.Dataset{
 		Objects: []data.Object{

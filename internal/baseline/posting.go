@@ -1,18 +1,27 @@
-package grid
+package baseline
 
 import "mio/internal/geom"
+
+// Posting is one posting list of a simple-grid cell's inverted list: the
+// points of a single object that fall into the cell. Idx holds each
+// point's index within its object, parallel to Pts.
+type Posting struct {
+	Obj int32
+	Pts []geom.Point
+	Idx []int32
+}
 
 // PostingBlock is the frozen, cache-friendly image of a cell's posting
 // lists: every point of the cell in one structure-of-arrays block
 // (posting-major, so each posting owns a contiguous coordinate range),
 // plus a per-posting offset table and axis-aligned bounding box.
 //
-// The AoS postings ([]Posting with []geom.Point payloads) remain the
-// source of truth while a grid is under construction or being merged;
-// a PostingBlock is derived once, after mapping finishes, and is
-// immutable from then on. Verification probes the block with the
-// geom batch kernels and skips a whole posting when
-// Boxes[p].Dist2To(q) > r² — one comparison instead of a point scan.
+// The AoS postings ([]Posting with []geom.Point payloads) are the
+// source of truth while the simple grid is under construction; a
+// PostingBlock is derived once, after mapping finishes, and is
+// immutable from then on. SG probes the block with the geom batch
+// kernels and skips a whole posting when Boxes[p].Dist2To(q) > r² — one
+// comparison instead of a point scan.
 type PostingBlock struct {
 	// Xs, Ys, Zs hold the coordinates of all cell points,
 	// posting-major: posting p occupies index range [Off[p], Off[p+1]).
@@ -56,9 +65,6 @@ func (b *PostingBlock) Points(p int) (xs, ys, zs []float64) {
 	lo, hi := b.Off[p], b.Off[p+1]
 	return b.Xs[lo:hi], b.Ys[lo:hi], b.Zs[lo:hi]
 }
-
-// Len returns the number of points of posting p.
-func (b *PostingBlock) Len(p int) int { return int(b.Off[p+1] - b.Off[p]) }
 
 // SizeBytes estimates the block's memory footprint.
 func (b *PostingBlock) SizeBytes() int {

@@ -11,13 +11,12 @@ import (
 // sgCell is a simple-grid cell: posting lists only, no bitsets — SG is
 // the state-of-the-art spatial-join competitor (TOUCH-style) optimised
 // for the MIO problem, but without BIGrid's bounding machinery. soa is
-// the frozen SoA image of postings, built eagerly at the end of
-// BuildSG: unlike the core engine's per-query grid, SG scans its whole
-// grid once per object, so every cell repays the flattening n times
-// over.
+// the frozen SoA image of postings, built at the end of BuildSG: SG
+// scans its whole grid once per object, so every cell repays the
+// flattening and the per-posting boxes n times over.
 type sgCell struct {
-	postings []grid.Posting
-	soa      *grid.PostingBlock
+	postings []Posting
+	soa      *PostingBlock
 }
 
 // SGIndex is the simple grid the SG algorithm builds online: one
@@ -52,14 +51,14 @@ func BuildSG(ds *data.Dataset, r float64) *SGIndex {
 				c.postings[n-1].Pts = append(c.postings[n-1].Pts, p)
 				c.postings[n-1].Idx = append(c.postings[n-1].Idx, int32(j))
 			} else {
-				c.postings = append(c.postings, grid.Posting{
+				c.postings = append(c.postings, Posting{
 					Obj: int32(i), Pts: []geom.Point{p}, Idx: []int32{int32(j)},
 				})
 			}
 		}
 	}
 	for _, c := range idx.cells {
-		c.soa = grid.NewPostingBlock(c.postings)
+		c.soa = NewPostingBlock(c.postings)
 	}
 	return idx
 }

@@ -1,15 +1,14 @@
-// Package batch is the cell-major cross-query execution layer between
-// the HTTP handlers and the engine pool: an epoch-driven executor that
-// gathers the in-flight query set, groups it by ⌈r⌉, and runs each
-// group through core.RunGroup so one shared pass over the BIGrid cells
-// feeds every interested query.
+// Package batch is the cross-query execution layer between the HTTP
+// handlers and the engine pool: an epoch-driven executor that gathers
+// the in-flight query set, groups it by ⌈r⌉, and runs each group
+// through core.RunGroup so one large grid and one upper-bounding pass
+// feed every interested query.
 //
 // It generalises request coalescing (internal/server/flight): flight
 // collapses *identical* requests into one engine run; an epoch
 // collapses *similar* requests — same ⌈r⌉, any (r, k) — into one
-// shared build, one upper-bounding pass, and one walk over the union
-// of touched cells, while still returning per-query results bitwise
-// identical to the query-major path.
+// shared build and one upper-bounding pass, while still returning
+// per-query results bitwise identical to the query-major path.
 //
 // Epoch lifecycle: the first Submit after a dispatch opens a fresh
 // epoch and arms its gather window; the epoch seals when the window
@@ -100,9 +99,8 @@ type Engine struct {
 	failures   metrics.Counter // group runs that returned an error
 	panics     metrics.Counter // group runs that panicked (recovered)
 
-	batchSize    *metrics.IntHistogram
-	cellsDeduped *metrics.IntHistogram
-	gatherWait   *metrics.Histogram
+	batchSize  *metrics.IntHistogram
+	gatherWait *metrics.Histogram
 }
 
 // New returns an Engine; Config.Run is required.
@@ -117,10 +115,9 @@ func New(cfg Config) (*Engine, error) {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
 	return &Engine{
-		cfg:          cfg,
-		batchSize:    metrics.NewIntHistogram(metrics.PowerOfTwoBounds(int64(cfg.MaxBatch))),
-		cellsDeduped: metrics.NewIntHistogram(nil),
-		gatherWait:   metrics.NewHistogram(nil),
+		cfg:        cfg,
+		batchSize:  metrics.NewIntHistogram(metrics.PowerOfTwoBounds(int64(cfg.MaxBatch))),
+		gatherWait: metrics.NewHistogram(nil),
 	}, nil
 }
 
@@ -285,7 +282,6 @@ func (b *Engine) runGroup(ep *epoch, members []int) {
 	if extra := len(members) - rep.Plans; extra > 0 {
 		b.sharedWork.Add(uint64(extra))
 	}
-	b.cellsDeduped.Observe(int64(rep.CellsDeduped))
 
 	delivered = true
 	for j, i := range members {
@@ -309,9 +305,8 @@ type Stats struct {
 	Failures   uint64 `json:"failures"`
 	Panics     uint64 `json:"panics"`
 
-	BatchSize    metrics.IntSnapshot `json:"batch_size"`
-	CellsDeduped metrics.IntSnapshot `json:"cells_deduped"`
-	GatherWait   metrics.Snapshot    `json:"gather_wait"`
+	BatchSize  metrics.IntSnapshot `json:"batch_size"`
+	GatherWait metrics.Snapshot    `json:"gather_wait"`
 }
 
 // Stats snapshots the engine; withBuckets includes raw histogram
@@ -326,8 +321,7 @@ func (b *Engine) Stats(withBuckets bool) Stats {
 		Failures:   b.failures.Value(),
 		Panics:     b.panics.Value(),
 
-		BatchSize:    b.batchSize.Snapshot(withBuckets),
-		CellsDeduped: b.cellsDeduped.Snapshot(withBuckets),
-		GatherWait:   b.gatherWait.Snapshot(withBuckets),
+		BatchSize:  b.batchSize.Snapshot(withBuckets),
+		GatherWait: b.gatherWait.Snapshot(withBuckets),
 	}
 }

@@ -80,5 +80,4 @@ func BenchmarkBatchEpoch(b *testing.B) {
 	st := be.Stats(false)
 	b.ReportMetric(float64(st.Plans)/float64(st.Epochs), "plans/epoch")
 	b.ReportMetric(float64(st.SharedWork)/float64(st.Epochs), "shared/epoch")
-	b.ReportMetric(float64(st.CellsDeduped.Sum)/float64(st.Epochs), "cellsDeduped/epoch")
 }

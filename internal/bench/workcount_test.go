@@ -122,9 +122,8 @@ func measureWorkCounts(t *testing.T, out workCounts, name string, ds *data.Datas
 		}
 	}
 	out[fmt.Sprintf("BatchEpoch/%s/q=%d", name, epochMembers)] = map[string]int{
-		"dist_comps":    dist,
-		"plans":         grp.Plans,
-		"cells_deduped": grp.CellsDeduped,
+		"dist_comps": dist,
+		"plans":      grp.Plans,
 	}
 
 	// Healthy in-process cluster, hedging off (a hedge doubles a

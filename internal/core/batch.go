@@ -11,12 +11,11 @@ import (
 	"mio/internal/core/labelstore"
 	"mio/internal/fault"
 	"mio/internal/grid"
-	"mio/internal/parallel"
 )
 
 // This file implements the engine's multi-query entry point used by
-// the cell-major batch executor (internal/batch): one shared pass over
-// the dataset serves a whole group of queries with equal ⌈r⌉.
+// the batch executor (internal/batch): one shared pass over the
+// dataset serves a whole group of queries with equal ⌈r⌉.
 //
 // The grouping algebra that makes sharing sound:
 //
@@ -63,11 +62,6 @@ type GroupReport struct {
 	Members   int `json:"members"`
 	Plans     int `json:"plans"`
 	RVariants int `json:"r_variants"`
-	// CellsWalked counts the cells frozen by the shared cell walk;
-	// CellsDeduped counts the per-plan candidate-cell visits the walk
-	// collapsed (Σ per-plan touched cells − their union).
-	CellsWalked  int `json:"cells_walked"`
-	CellsDeduped int `json:"cells_deduped"`
 }
 
 // RunGroup processes specs as one shared-⌈r⌉ batch group. ctx bounds
@@ -185,7 +179,6 @@ type groupRun struct {
 	adjShared int // AdjComputed by the shared upper-bounding pass
 	adjBase   map[grid.Key]struct{}
 
-	walkDur       time.Duration
 	persistFailed bool
 
 	outs []GroupOutcome
@@ -381,21 +374,6 @@ func (g *groupRun) run() {
 
 	g.buildPlanQueries()
 
-	// Shared cell walk: freeze the union of every plan's candidate
-	// cells exactly once, balanced across the worker pool by posting
-	// size (the Eq. 3 cost currency).
-	if g.aborted() {
-		g.assemble()
-		return
-	}
-	if err := g.fire(fault.PointCellWalk); err != nil {
-		g.failAllLive(err)
-		return
-	}
-	t0 = time.Now()
-	g.cellWalk()
-	g.walkDur = time.Since(t0)
-
 	// Verification, once per distinct (r, k).
 	for _, pl := range g.plans {
 		if g.aborted() {
@@ -530,69 +508,6 @@ func (g *groupRun) buildPlanQueries() {
 	}
 }
 
-// cellWalk is the cell-major heart of the batch engine: it unions the
-// candidate cells of every plan, counts the per-plan visits the union
-// collapses, and freezes each cell of the union exactly once — a
-// greedy Eq. 3-style partition by posting size balances the freezing
-// across the worker pool, so the one pass that flattens each
-// PostingBlock serves all interested plans.
-func (g *groupRun) cellWalk() {
-	var neigh [27]grid.Key
-	union := make(map[grid.Key]struct{})
-	visits := 0
-	for _, pl := range g.plans {
-		if pl.qp == nil {
-			continue
-		}
-		planCells := make(map[grid.Key]struct{})
-		for _, c := range pl.cand {
-			for _, pg := range g.groups[c.obj] {
-				for _, nk := range pg.key.NeighborsAndSelf(neigh[:0]) {
-					if g.large.Cell(nk) == nil {
-						continue
-					}
-					planCells[nk] = struct{}{}
-				}
-			}
-		}
-		visits += len(planCells)
-		for k := range planCells {
-			union[k] = struct{}{}
-		}
-	}
-	g.rep.CellsDeduped = visits - len(union)
-
-	freezeMin := g.e.opts.freezeMin()
-	if freezeMin <= 0 {
-		return
-	}
-	keys := make([]grid.Key, 0, len(union))
-	for k := range union {
-		c := g.large.Cell(k)
-		if c.NumPoints() >= freezeMin && c.Frozen() == nil {
-			keys = append(keys, k)
-		}
-	}
-	g.rep.CellsWalked = len(keys)
-	if len(keys) == 0 {
-		return
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a].Less(keys[b]) })
-	weights := make([]int, len(keys))
-	for i, k := range keys {
-		weights[i] = g.large.Cell(k).NumPoints()
-	}
-	buckets := parallel.Greedy(weights, g.e.opts.workers())
-	parallel.Run(len(buckets), func(w int) {
-		for _, ci := range buckets[w] {
-			g.large.Cell(keys[ci]).EnsureFrozen()
-		}
-	})
-	// Pre-freezing is result-neutral: probeCell picks the frozen path
-	// by cell size, not by whether a frozen image exists, and the
-	// distComps accounting is layout-independent by construction.
-}
-
 // assemble turns the group state into per-member outcomes.
 func (g *groupRun) assemble() {
 	for i := range g.specs {
@@ -657,9 +572,7 @@ func (g *groupRun) fillSharedStats(qp *query, pl *plan) {
 	qp.stats.UpperBounding = g.ubDur
 	qp.stats.AdjComputed += g.adjShared
 	qp.stats.Candidates = len(pl.cand)
-	// The shared cell walk is verification work paid up front; charge
-	// it to the phase that benefits, like the solo lazy freeze does.
-	qp.stats.Verification = pl.verDur + g.walkDur
+	qp.stats.Verification = pl.verDur
 }
 
 // memberDegraded builds the detached member's answer: a certified

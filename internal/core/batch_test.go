@@ -54,14 +54,13 @@ func stripVolatile(r *Result) *comparableResult {
 }
 
 // groupParityOptions are the engine configurations the parity suite
-// sweeps: serial and parallel, labels on and off, freezing on and off.
+// sweeps: serial and parallel, labels on and off.
 func groupParityOptions(withStore func() *labelstore.Store) []Options {
 	return []Options{
 		{},
 		{Workers: 4},
-		{freezeMinPoints: -1},
 		{Labels: withStore()},
-		{Workers: 4, Labels: withStore(), freezeMinPoints: 8},
+		{Workers: 4, Labels: withStore()},
 	}
 }
 
@@ -408,7 +407,7 @@ func TestRunGroupFaultPoints(t *testing.T) {
 	ds := data.GenUniform(data.UniformConfig{N: 120, M: 8, FieldSize: 500, Spread: 12, Seed: 5})
 	specs := []GroupSpec{{R: 8, K: 1}, {R: 7.5, K: 2}}
 
-	for _, point := range []string{fault.PointGroupBuild, fault.PointGridMapping, fault.PointUpperBounding, fault.PointCellWalk} {
+	for _, point := range []string{fault.PointGroupBuild, fault.PointGridMapping, fault.PointUpperBounding} {
 		reg := fault.New(1)
 		reg.Arm(fault.Rule{Point: point, Kind: fault.KindError, P: 1})
 		eng, _ := NewEngine(ds, Options{Faults: reg})

@@ -218,9 +218,9 @@ func (q *query) orGroupAdj(i int, g pointGroup, scratch *bitmap.Scratch, ctr *ct
 		// same ⌈r⌉ (Lemma 3).
 		if q.newLabels != nil && adj.Cardinality() == 1 {
 			cell := q.idx.large.Cell(g.key)
-			for _, post := range cell.Postings {
-				for _, pt := range post.Idx {
-					q.newLabels.ClearBit(int(post.Obj), int(pt), labelstore.BitMapped)
+			for pi, obj := range cell.Objs {
+				for _, pt := range cell.PointIdx(pi) {
+					q.newLabels.ClearBit(int(obj), int(pt), labelstore.BitMapped)
 				}
 			}
 		}

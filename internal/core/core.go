@@ -85,11 +85,6 @@ type Options struct {
 	// errors and panics into a running engine. Nil costs one pointer
 	// check per phase.
 	Faults *fault.Registry
-
-	// freezeMinPoints overrides freezeMinDefault for the in-package
-	// layout-parity tests: positive sets the threshold, negative
-	// disables freezing. Callers cannot set it.
-	freezeMinPoints int
 }
 
 func (o Options) dims() int {
@@ -104,27 +99,6 @@ func (o Options) workers() int {
 		return 1
 	}
 	return o.Workers
-}
-
-// freezeMinDefault is the number of points a large-grid cell must hold
-// before verification freezes it into SoA form on first probe
-// (grid.LargeCell.EnsureFrozen). Cell point counts are heavily skewed
-// (the p50 cell holds a few points, the p99 cell hundreds) and
-// verification time concentrates in the big cells, so only those repay
-// the one-time flattening; smaller cells keep the AoS posting walk. The
-// answer and the distance-computation count are the same either way.
-const freezeMinDefault = 32
-
-// freezeMin resolves the effective freeze threshold; 0 disables
-// freezing entirely.
-func (o Options) freezeMin() int {
-	switch {
-	case o.freezeMinPoints < 0:
-		return 0
-	case o.freezeMinPoints > 0:
-		return o.freezeMinPoints
-	}
-	return freezeMinDefault
 }
 
 // Scored pairs an object id with its exact MIO score.
@@ -154,10 +128,11 @@ type PhaseStats struct {
 	LabelBytes         int  `json:"label_bytes"` // size of the label set read (O(nm) per §III-D)
 	Candidates         int  `json:"candidates"`  // |O_cand| after upper-bounding
 	Verified           int  `json:"verified"`    // objects whose exact score was computed
-	// DistanceComps counts point pairs resolved during verification:
-	// pairs whose distance was evaluated plus pairs rejected in bulk by
-	// a frozen posting's AABB. The count is layout-independent — frozen
-	// and AoS runs of the same query report the same number.
+	// DistanceComps counts the point pairs a scalar break-on-first-hit
+	// scan of each probed posting touches during verification: up to and
+	// including the first point within r, or the whole posting on a
+	// miss. The 4-wide kernel may evaluate a few pairs past a hit; they
+	// are not counted, so the number is a function of the query alone.
 	DistanceComps int `json:"distance_comps"`
 	AdjComputed   int `json:"adj_computed"` // b^adj cells materialised
 

@@ -14,7 +14,9 @@ import (
 )
 
 // testDatasets builds small versions of all five stand-in datasets plus
-// a uniform control.
+// a uniform control and the two extremes of the posting layout: sparse
+// (every posting shorter than the distance kernel's 4-wide stride) and
+// onecell (at r ≥ 6 one large-grid cell holding a posting per object).
 func testDatasets(tb testing.TB) map[string]*data.Dataset {
 	tb.Helper()
 	sets := map[string]*data.Dataset{
@@ -30,6 +32,10 @@ func testDatasets(tb testing.TB) map[string]*data.Dataset {
 		"uniform": data.GenUniform(data.UniformConfig{
 			N: 150, M: 8, FieldSize: 500, Spread: 12, Seed: 14,
 		}),
+		"sparse": data.GenUniformSparse(data.UniformSparseConfig{
+			N: 300, M: 3, FieldSize: 1500, Spread: 15, Seed: 15,
+		}),
+		"onecell": data.GenOneCell(data.OneCellConfig{N: 60, M: 20, Side: 6, Seed: 16}),
 	}
 	for name, ds := range sets {
 		if err := ds.Validate(); err != nil {
@@ -49,6 +55,8 @@ func rValues(name string) []float64 {
 		return []float64{15, 40, 90}
 	case "syn":
 		return []float64{5, 12, 30}
+	case "onecell":
+		return []float64{0.5, 1.5, 6}
 	default:
 		return []float64{4, 10, 25}
 	}
@@ -312,6 +320,30 @@ func TestSingleObjectDataset(t *testing.T) {
 	}
 	if res.Best.Obj != 0 || res.Best.Score != 0 {
 		t.Fatalf("single-object result = %+v", res.Best)
+	}
+}
+
+// TestIndexBytesIndependentOfK pins that the reported index footprint
+// is a function of (dataset, r): k only changes how much verification
+// runs, and verification adds nothing to the grid. Without a label
+// store, upper bounding materialises b^adj for every cell at any k.
+func TestIndexBytesIndependentOfK(t *testing.T) {
+	ds := testDatasets(t)["bird"]
+	eng, _ := NewEngine(ds, Options{})
+	one, err := eng.RunTopK(40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := eng.RunTopK(40, ds.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.Stats.Verified <= one.Stats.Verified {
+		t.Fatalf("k=n verified %d objects, k=1 %d: the runs must differ in verification work", all.Stats.Verified, one.Stats.Verified)
+	}
+	if one.Stats.LargeGridBytes != all.Stats.LargeGridBytes || one.Stats.IndexBytes != all.Stats.IndexBytes {
+		t.Errorf("k=1 reports large grid %d B / index %d B, k=n %d B / %d B",
+			one.Stats.LargeGridBytes, one.Stats.IndexBytes, all.Stats.LargeGridBytes, all.Stats.IndexBytes)
 	}
 }
 

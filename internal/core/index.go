@@ -43,10 +43,8 @@ func (b *bigrid) sizeBytes() int {
 		total += 24 + len(kl)*12
 	}
 	for _, gs := range b.groups {
-		total += 24
-		for _, g := range gs {
-			total += 12 + 24 + len(g.pts)*4
-		}
+		// A group's pts alias the large grid's Idx, counted there.
+		total += 24 + len(gs)*(12+24)
 	}
 	return total
 }
@@ -59,9 +57,6 @@ type query struct {
 	n int
 
 	r2 float64 // r²
-	// freezeMin caches Options.freezeMin(): the cell size at which
-	// verification freezes a probed cell into SoA form (0 = never).
-	freezeMin int
 
 	idx *bigrid
 
@@ -149,12 +144,11 @@ type truncCand struct {
 // the dataset size.
 func newQuery(e *Engine, r float64, k int) *query {
 	return &query{
-		e:         e,
-		r:         r,
-		k:         min(k, e.ds.N()),
-		n:         e.ds.N(),
-		r2:        r * r,
-		freezeMin: e.opts.freezeMin(),
+		e:  e,
+		r:  r,
+		k:  min(k, e.ds.N()),
+		n:  e.ds.N(),
+		r2: r * r,
 	}
 }
 
@@ -346,10 +340,6 @@ func (q *query) gridMapping() {
 	} else {
 		q.idx = q.buildSerial()
 	}
-	// The large grid is NOT frozen here: verification freezes probed
-	// cells lazily (probeCell), so the one-time SoA flattening cost is
-	// paid only for the small fraction of cells a query actually
-	// touches, and lands in the verification phase it benefits.
 }
 
 // buildSerial builds the BIGrid in one sweep over the objects,
@@ -403,15 +393,16 @@ func mergedBigrid(small *grid.SmallGrid, large *grid.LargeGrid, groups [][]point
 // deriveGroups derives the point groups P_{i,K} from the inverted
 // lists — each posting is exactly one group, so the grouping the
 // parallel phases need comes for free from grid building (§IV). The
-// group's point slice aliases the posting's index slice; both are
-// read-only after construction. Cells are visited in sorted key order,
-// NOT map order: group order drives the parallel phases' greedy
-// partitions and the round-robin point assignment of parallel
-// verification, so map-order iteration would make work counters
-// (distComps in particular) differ run to run for identical queries —
-// and differ between the solo and group (batch.go) paths, which both
-// call this. Group order is the same whether derived from a worker's
-// partial grid or after the merge: each object lives in one part.
+// group's point slice aliases the posting's range of the cell's index
+// array; both are read-only after construction. Cells are visited in
+// sorted key order, NOT map order: group order drives the parallel
+// phases' greedy partitions and the round-robin point assignment of
+// parallel verification, so map-order iteration would make work
+// counters (distComps in particular) differ run to run for identical
+// queries — and differ between the solo and group (batch.go) paths,
+// which both call this. Group order is the same whether derived from a
+// worker's partial grid or after the merge: each object lives in one
+// part.
 func deriveGroups(large *grid.LargeGrid, n int) [][]pointGroup {
 	groups := make([][]pointGroup, n)
 	keys := make([]grid.Key, 0, large.Len())
@@ -419,9 +410,8 @@ func deriveGroups(large *grid.LargeGrid, n int) [][]pointGroup {
 	sort.Slice(keys, func(a, b int) bool { return keys[a].Less(keys[b]) })
 	for _, k := range keys {
 		c := large.Cell(k)
-		for pi := range c.Postings {
-			post := &c.Postings[pi]
-			groups[post.Obj] = append(groups[post.Obj], pointGroup{key: k, pts: post.Idx})
+		for pi, obj := range c.Objs {
+			groups[obj] = append(groups[obj], pointGroup{key: k, pts: c.PointIdx(pi)})
 		}
 	}
 	return groups

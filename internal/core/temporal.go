@@ -33,7 +33,7 @@ type tKey struct {
 	cell   grid.Key
 }
 
-// tPosting mirrors grid.Posting with per-point generation times.
+// tPosting is one object's points in a cell, with their generation times.
 type tPosting struct {
 	obj   int32
 	pts   []geom.Point

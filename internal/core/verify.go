@@ -229,96 +229,34 @@ func (q *query) noteAdj(k grid.Key, fresh bool) bool {
 }
 
 // probeCell runs the distance computations of Algorithm 6 lines 13-17:
-// for every object still in the mask, scan its posting list in the cell
+// for every object still in the mask, scan its posting in the cell
 // until one point within r is found. The posting-list/mask intersection
-// runs in whichever direction is cheaper: over mask bits (binary search
-// per posting lookup) when the mask is small, over the cell's posting
-// lists (O(1) mask test each) when the cell is small.
-//
-// Cells holding at least freezeMin points are frozen into SoA form on
-// first probe (grid.LargeCell.EnsureFrozen) and probed with the geom
-// batch kernels, pruning whole postings via their AABB. Small cells
-// keep the AoS walk: verification time concentrates in the few big
-// cells, and flattening a handful of points costs more than it saves.
+// runs in whichever direction is cheaper: over the cell's postings
+// (O(1) mask test each) when the cell is small, over mask bits (binary
+// search per posting lookup) when the mask is small.
 func (q *query) probeCell(c *grid.LargeCell, p geom.Point, bOi, mask *bitmap.Scratch, ctr *ctrSet) {
-	if q.freezeMin > 0 && c.NumPoints() >= q.freezeMin {
-		soa := c.EnsureFrozen()
-		if len(c.Postings) <= mask.Cardinality() {
-			for pi := range c.Postings {
-				j := int(c.Postings[pi].Obj)
-				if mask.Test(j) {
-					q.probePosting(soa, pi, j, p, bOi, mask, ctr)
-				}
-			}
-			return
-		}
-		mask.ForEach(func(j int) bool {
-			if pi := c.PostingIndex(j); pi >= 0 {
-				q.probePosting(soa, pi, j, p, bOi, mask, ctr)
-			}
-			return true
-		})
-		return
-	}
-	if len(c.Postings) <= mask.Cardinality() {
-		for pi := range c.Postings {
-			post := &c.Postings[pi]
-			j := int(post.Obj)
-			if !mask.Test(j) {
-				continue
-			}
-			for _, pp := range post.Pts {
-				ctr.distComps++
-				//lint:ignore dist2 AoS fallback for unfrozen grids; the frozen path uses geom.FirstWithin2
-				if geom.Dist2(p, pp) <= q.r2 {
-					bOi.Set(j)
-					mask.Clear(j)
-					break
-				}
+	if len(c.Objs) <= mask.Cardinality() {
+		for pi, obj := range c.Objs {
+			if j := int(obj); mask.Test(j) {
+				q.probePosting(c, pi, j, p, bOi, mask, ctr)
 			}
 		}
 		return
 	}
 	mask.ForEach(func(j int) bool {
-		pts := c.Posting(j)
-		if pts == nil {
-			return true
-		}
-		for _, pp := range pts {
-			ctr.distComps++
-			//lint:ignore dist2 AoS fallback for unfrozen grids; the frozen path uses geom.FirstWithin2
-			if geom.Dist2(p, pp) <= q.r2 {
-				bOi.Set(j)
-				mask.Clear(j)
-				break
-			}
+		if pi := c.PostingIndex(j); pi >= 0 {
+			q.probePosting(c, pi, j, p, bOi, mask, ctr)
 		}
 		return true
 	})
 }
 
-// aabbMinPoints is the posting length below which probePosting skips
-// the AABB test: one box distance costs about three point distances,
-// so rejecting a two-point posting in bulk is no cheaper than scanning
-// it.
-const aabbMinPoints = 8
-
-// probePosting resolves one posting of a frozen cell against p: the
-// per-posting AABB first (one comparison rejects the whole posting),
-// then the 4-wide FirstWithin2 kernel over the contiguous coordinate
-// block. distComps accounting is layout-independent: a posting counts
-// the pairs the scalar break-on-first-hit loop would have touched
-// (idx+1 on a hit, the full posting on a miss), and an AABB rejection
-// counts the full posting it resolved in bulk (the box can never
-// reject a posting containing a hit, since box distance is a lower
-// bound on point distance) — so identical queries report identical
-// distComps whatever mix of layouts and pruning paths resolved them.
-func (q *query) probePosting(soa *grid.PostingBlock, pi, j int, p geom.Point, bOi, mask *bitmap.Scratch, ctr *ctrSet) {
-	if n := soa.Len(pi); n >= aabbMinPoints && soa.Boxes[pi].Dist2To(p) > q.r2 {
-		ctr.distComps += n
-		return
-	}
-	xs, ys, zs := soa.Points(pi)
+// probePosting resolves posting pi of c (object j) against p with the
+// 4-wide FirstWithin2 kernel over the posting's contiguous coordinates.
+// distComps counts the pairs a scalar break-on-first-hit loop would
+// have touched: idx+1 on a hit, the full posting on a miss.
+func (q *query) probePosting(c *grid.LargeCell, pi, j int, p geom.Point, bOi, mask *bitmap.Scratch, ctr *ctrSet) {
+	xs, ys, zs := c.Points(pi)
 	if idx := geom.FirstWithin2(p.X, p.Y, p.Z, xs, ys, zs, q.r2); idx >= 0 {
 		ctr.distComps += idx + 1
 		bOi.Set(j)

@@ -28,14 +28,13 @@ func standin(b *testing.B, name string) *data.Dataset {
 	return ds
 }
 
-// BenchmarkProbeCellDenseMask is the regression benchmark for the
-// inner-loop costs probeCell has shed: the O(n/64)-per-call mask
-// cardinality scan (now an O(1) counter maintained by bitmap.Scratch)
-// and the pointer-chased AoS point walk (now a flat SoA block behind
-// per-posting AABBs). It probes the biggest cell — where verification
-// time concentrates — with a dense mask and a probe point one cell
-// over, so most postings need a full scan or an AABB rejection rather
-// than an early first-point hit.
+// BenchmarkProbeCellDenseMask is the regression benchmark for
+// probeCell's inner loop: the O(1) mask cardinality (a counter
+// maintained by bitmap.Scratch) and the FirstWithin2 scan over each
+// posting's contiguous coordinates. It probes the biggest cell — where
+// verification time concentrates — with a dense mask and a probe point
+// one cell over, so every posting is scanned to its end rather than
+// resolved by an early first-point hit.
 func BenchmarkProbeCellDenseMask(b *testing.B) {
 	eng, err := NewEngine(standin(b, "Neuron"), Options{Workers: 1})
 	if err != nil {
@@ -56,23 +55,14 @@ func BenchmarkProbeCellDenseMask(b *testing.B) {
 	adj, _ := q.idx.large.ComputeAdj(bestKey)
 	// Probe from 1.5 cell widths past the cell's centre: every point of
 	// the cell is between 1.0 and 2.5 widths away, so with r = width the
-	// probes are misses — near postings scan to the end, far postings
-	// are AABB-rejected. That is the expensive regime probeCell is
-	// optimised for; first-point hits are cheap under any layout.
+	// probes are misses and every posting scans to the end: the expensive
+	// regime. First-point hits are cheap under any layout.
 	w := q.idx.large.Width()
 	p := geom.Pt((float64(bestKey.X)+2.0)*w, (float64(bestKey.Y)+0.5)*w, (float64(bestKey.Z)+0.5)*w)
 
 	bOi := bitmap.NewScratch(q.n)
 	mask := bitmap.NewScratch(q.n)
 	ctr := ctrSet{}
-	// Warm-up probe: triggers the lazy freeze outside the timed loop.
-	// That mirrors steady state — a hot cell is probed many times per
-	// query, so the one-time flattening is not what this benchmark
-	// measures (BenchmarkEngineQuery* charges it end to end).
-	bOi.Set(0)
-	mask.AndNotFromCompressed(adj, bOi)
-	q.probeCell(cell, p, bOi, mask, &ctr)
-	ctr = ctrSet{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

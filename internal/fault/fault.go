@@ -61,10 +61,6 @@ const (
 	// PointGroupBuild fires at the start of one shared-⌈r⌉ group run,
 	// before the group's shared label input and grid build.
 	PointGroupBuild = "batch.group_build"
-	// PointCellWalk fires before a group's shared cell walk — the pass
-	// that freezes the union of every member's candidate cells exactly
-	// once.
-	PointCellWalk = "batch.cell_walk"
 
 	// PointScatter fires in the coordinator before a query fans out to
 	// its shards; an error here fails the query before any shard runs.

@@ -195,20 +195,136 @@ func TestLargeGridPostings(t *testing.T) {
 	if c == nil {
 		t.Fatal("cell missing")
 	}
-	if got := c.Posting(0); len(got) != 2 {
-		t.Fatalf("posting(0) = %d pts", len(got))
+	if xs, _, _ := c.Points(c.PostingIndex(0)); len(xs) != 2 {
+		t.Fatalf("posting(0) = %d pts", len(xs))
 	}
-	if got := c.Posting(2); len(got) != 1 {
-		t.Fatalf("posting(2) = %d pts", len(got))
+	if xs, _, _ := c.Points(c.PostingIndex(2)); len(xs) != 1 {
+		t.Fatalf("posting(2) = %d pts", len(xs))
 	}
-	if got := c.Posting(1); got != nil {
-		t.Fatalf("posting(1) = %v", got)
+	if pi := c.PostingIndex(1); pi != -1 {
+		t.Fatalf("PostingIndex(1) = %d", pi)
 	}
 	if c.B.Cardinality() != 2 {
 		t.Fatalf("cell bitset card = %d", c.B.Cardinality())
 	}
-	if len(c.Postings[0].Idx) != 2 || c.Postings[0].Idx[1] != 1 {
-		t.Fatalf("point indices wrong: %v", c.Postings[0].Idx)
+	if idx := c.PointIdx(0); len(idx) != 2 || idx[1] != 1 {
+		t.Fatalf("point indices wrong: %v", idx)
+	}
+}
+
+// TestPostingIndex pins the binary-search lookup.
+func TestPostingIndex(t *testing.T) {
+	g := NewLargeGrid(4, 16)
+	for _, obj := range []int{1, 4, 9} {
+		g.Add(obj, 0, geom.Pt(0.5, 0.5, 0.5))
+	}
+	c := g.Cell(g.KeyFor(geom.Pt(0.5, 0.5, 0.5)))
+	for _, tc := range []struct{ obj, want int }{{1, 0}, {4, 1}, {9, 2}, {0, -1}, {5, -1}, {100, -1}} {
+		if got := c.PostingIndex(tc.obj); got != tc.want {
+			t.Errorf("PostingIndex(%d) = %d, want %d", tc.obj, got, tc.want)
+		}
+	}
+}
+
+// TestFlatPostingLayout pins the one posting layout: whether the cells
+// were filled by id-ordered Adds alone or by MergeFrom of
+// range-partitioned parts, every cell's Objs is strictly increasing,
+// Off is monotone and ends at NumPoints, PostingIndex finds exactly the
+// objects present, and each posting holds its object's points of that
+// cell with their indices, in insertion order.
+func TestFlatPostingLayout(t *testing.T) {
+	const nObj, width = 120, 2.0
+	rng := rand.New(rand.NewSource(31))
+	objs := make([][]geom.Point, nObj)
+	for i := range objs {
+		// Path-like, so consecutive points share cells.
+		p := geom.Pt(rng.Float64()*30, rng.Float64()*30, rng.Float64()*30)
+		for j := 0; j < 1+rng.Intn(30); j++ {
+			p = p.Add(geom.Pt(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()))
+			objs[i] = append(objs[i], p)
+		}
+	}
+	// The reference inverted list, built without the grid.
+	type ref struct {
+		pts []geom.Point
+		idx []int32
+	}
+	want := map[Key]map[int]*ref{}
+	for i, pts := range objs {
+		for j, p := range pts {
+			k := KeyFor(p, width)
+			if want[k] == nil {
+				want[k] = map[int]*ref{}
+			}
+			if want[k][i] == nil {
+				want[k][i] = &ref{}
+			}
+			want[k][i].pts = append(want[k][i].pts, p)
+			want[k][i].idx = append(want[k][i].idx, int32(j))
+		}
+	}
+	build := func(lo, hi int) *LargeGrid {
+		g := NewLargeGrid(width, nObj)
+		for i := lo; i < hi; i++ {
+			for j, p := range objs[i] {
+				g.Add(i, j, p)
+			}
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name  string
+		parts int
+	}{{"serial", 1}, {"merged/2", 2}, {"merged/3", 3}, {"merged/7", 7}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := build(0, nObj/tc.parts)
+			for w := 1; w < tc.parts; w++ {
+				g.MergeFrom(build(w*nObj/tc.parts, (w+1)*nObj/tc.parts))
+			}
+			if g.Len() != len(want) {
+				t.Fatalf("cells = %d, want %d", g.Len(), len(want))
+			}
+			g.ForEach(func(k Key, c *LargeCell) {
+				if len(c.Off) != len(c.Objs)+1 || c.Off[0] != 0 || int(c.Off[len(c.Objs)]) != c.NumPoints() {
+					t.Fatalf("cell %v: Off = %v for %d postings, %d points", k, c.Off, len(c.Objs), c.NumPoints())
+				}
+				if len(c.Objs) != len(want[k]) || c.B.Cardinality() != len(want[k]) {
+					t.Fatalf("cell %v: %d postings, b(c) card %d, want %d", k, len(c.Objs), c.B.Cardinality(), len(want[k]))
+				}
+				for pi, obj := range c.Objs {
+					if pi > 0 && obj <= c.Objs[pi-1] {
+						t.Fatalf("cell %v: Objs not strictly increasing: %v", k, c.Objs)
+					}
+					if c.Off[pi+1] <= c.Off[pi] {
+						t.Fatalf("cell %v: Off not increasing: %v", k, c.Off)
+					}
+					if got := c.PostingIndex(int(obj)); got != pi {
+						t.Fatalf("cell %v: PostingIndex(%d) = %d, want %d", k, obj, got, pi)
+					}
+					w := want[k][int(obj)]
+					if w == nil {
+						t.Fatalf("cell %v: posting for absent object %d", k, obj)
+					}
+					xs, ys, zs := c.Points(pi)
+					if len(xs) != len(w.pts) || len(ys) != len(xs) || len(zs) != len(xs) {
+						t.Fatalf("cell %v obj %d: %d points, want %d", k, obj, len(xs), len(w.pts))
+					}
+					for j, p := range w.pts {
+						if geom.Pt(xs[j], ys[j], zs[j]) != p {
+							t.Fatalf("cell %v obj %d point %d: got %v, want %v", k, obj, j, geom.Pt(xs[j], ys[j], zs[j]), p)
+						}
+					}
+					if !reflect.DeepEqual(c.PointIdx(pi), w.idx) {
+						t.Fatalf("cell %v obj %d: Idx = %v, want %v", k, obj, c.PointIdx(pi), w.idx)
+					}
+				}
+				for obj := 0; obj < nObj; obj++ {
+					if want[k][obj] == nil && c.PostingIndex(obj) != -1 {
+						t.Fatalf("cell %v: PostingIndex(%d) hit for an absent object", k, obj)
+					}
+				}
+			})
+		})
 	}
 }
 
@@ -287,13 +403,8 @@ func TestGridMerge(t *testing.T) {
 		if mc == nil {
 			t.Fatalf("merged large grid missing %v", k)
 		}
-		if len(mc.Postings) != len(c.Postings) {
-			t.Fatalf("cell %v postings %d vs %d", k, len(mc.Postings), len(c.Postings))
-		}
-		for i := range c.Postings {
-			if mc.Postings[i].Obj != c.Postings[i].Obj {
-				t.Fatalf("cell %v posting order differs", k)
-			}
+		if !reflect.DeepEqual(mc.Objs, c.Objs) {
+			t.Fatalf("cell %v postings %v vs %v", k, mc.Objs, c.Objs)
 		}
 	})
 }
@@ -391,12 +502,7 @@ func TestMergeFromDisjointAndOverlapping(t *testing.T) {
 	lb.Add(2, 0, geom.Pt(0.7, 0.7, 0.7))
 	la.MergeFrom(lb)
 	c := la.Cell(la.KeyFor(geom.Pt(0.5, 0.5, 0.5)))
-	if len(c.Postings) != 3 {
-		t.Fatalf("postings = %d", len(c.Postings))
-	}
-	for i := 1; i < len(c.Postings); i++ {
-		if c.Postings[i].Obj <= c.Postings[i-1].Obj {
-			t.Fatal("postings unsorted after merge")
-		}
+	if !reflect.DeepEqual(c.Objs, []int32{0, 1, 2}) {
+		t.Fatalf("postings after merge = %v", c.Objs)
 	}
 }

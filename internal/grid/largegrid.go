@@ -9,16 +9,6 @@ import (
 	"mio/internal/geom"
 )
 
-// Posting is one posting list of a large-grid cell's inverted list: the
-// points of a single object that fall into the cell. Idx holds each
-// point's index within its object, parallel to Pts; the labeling scheme
-// of §III-D addresses points by (object, index).
-type Posting struct {
-	Obj int32
-	Pts []geom.Point
-	Idx []int32
-}
-
 // LargeCell is a large-grid cell (Definition 3): an inverted list of
 // postings, the membership bitset b(c), and the lazily computed
 // adjacency bitset b^adj(c) = OR of b over the cell and its 26
@@ -27,74 +17,51 @@ type Posting struct {
 // to avoid the cell access cost the paper calls out. It is stored
 // behind an atomic pointer so concurrent phases can memoise it without
 // locks.
+//
+// The inverted list is flat: posting p is the points of object Objs[p]
+// that fall into the cell, stored at [Off[p], Off[p+1]) of the
+// coordinate arrays and of Idx, which holds each point's index within
+// its object (the labeling scheme of §III-D addresses points by
+// (object, index)). Objects are added in id order, so append order is
+// already posting-major and Objs is strictly increasing. The arrays are
+// written by Add and MergeFrom only and read-only once construction
+// has finished.
 type LargeCell struct {
-	B        *bitmap.Compressed
-	adj      atomic.Pointer[bitmap.Compressed]
-	Postings []Posting
-	// npts counts the cell's points across all postings, maintained by
-	// Add/MergeFrom. Callers use it to decide whether a cell is big
-	// enough to be worth freezing.
-	npts int32
-	// soa is the frozen structure-of-arrays image of Postings, built
-	// lazily by EnsureFrozen (or eagerly by LargeGrid.Freeze) and nil
-	// before then. Any later mutation (Add, MergeFrom) invalidates it,
-	// so a non-nil image is always consistent with Postings. The atomic
-	// pointer lets concurrent verification workers freeze a shared cell
-	// without locks: both may build the (identical, immutable) block,
-	// one publishes, the loser's copy is garbage.
-	soa atomic.Pointer[PostingBlock]
+	B   *bitmap.Compressed
+	adj atomic.Pointer[bitmap.Compressed]
+	// Objs has one entry per posting; Off has len(Objs)+1.
+	Objs []int32
+	Off  []int32
+	// Xs, Ys, Zs and Idx are parallel, one entry per point of the cell.
+	Xs, Ys, Zs []float64
+	Idx        []int32
 }
 
 // Adj returns the memoised b^adj(c), or nil if not yet computed.
 func (c *LargeCell) Adj() *bitmap.Compressed { return c.adj.Load() }
 
 // NumPoints returns the total number of points in the cell.
-func (c *LargeCell) NumPoints() int { return int(c.npts) }
+func (c *LargeCell) NumPoints() int { return len(c.Idx) }
 
-// Frozen returns the cell's frozen SoA image, or nil if none exists.
-func (c *LargeCell) Frozen() *PostingBlock { return c.soa.Load() }
-
-// EnsureFrozen returns the cell's frozen SoA image, building and
-// memoising it on first call. Safe for concurrent use once grid
-// construction has finished; must not run concurrently with mutation.
-func (c *LargeCell) EnsureFrozen() *PostingBlock {
-	if b := c.soa.Load(); b != nil {
-		return b
-	}
-	b := NewPostingBlock(c.Postings)
-	if c.soa.CompareAndSwap(nil, b) {
-		return b
-	}
-	return c.soa.Load()
-}
-
-// invalidateFrozen drops a stale SoA image after mutation. The load
-// keeps the common construction path (no image exists yet) to a plain
-// read instead of an atomic store per point.
-func (c *LargeCell) invalidateFrozen() {
-	if c.soa.Load() != nil {
-		c.soa.Store(nil)
-	}
-}
-
-// PostingIndex returns the index of obj's posting in Postings, or -1.
-// Postings are sorted by object id (construction visits objects in id
-// order), so lookup is a binary search.
+// PostingIndex returns the index of obj's posting, or -1. Postings are
+// sorted by object id, so lookup is a binary search.
 func (c *LargeCell) PostingIndex(obj int) int {
-	i := sort.Search(len(c.Postings), func(i int) bool { return int(c.Postings[i].Obj) >= obj })
-	if i < len(c.Postings) && int(c.Postings[i].Obj) == obj {
+	i := sort.Search(len(c.Objs), func(i int) bool { return int(c.Objs[i]) >= obj })
+	if i < len(c.Objs) && int(c.Objs[i]) == obj {
 		return i
 	}
 	return -1
 }
 
-// Posting returns the posting list for obj, or nil.
-func (c *LargeCell) Posting(obj int) []geom.Point {
-	if i := c.PostingIndex(obj); i >= 0 {
-		return c.Postings[i].Pts
-	}
-	return nil
+// Points returns the coordinate sub-arrays of posting p.
+func (c *LargeCell) Points(p int) (xs, ys, zs []float64) {
+	lo, hi := c.Off[p], c.Off[p+1]
+	return c.Xs[lo:hi], c.Ys[lo:hi], c.Zs[lo:hi]
 }
+
+// PointIdx returns, for each point of posting p, its index within its
+// object. The slice aliases the cell's storage and must not be written.
+func (c *LargeCell) PointIdx(p int) []int32 { return c.Idx[c.Off[p]:c.Off[p+1]:c.Off[p+1]] }
 
 // LargeGrid is the upper-bounding and verification grid of a BIGrid.
 type LargeGrid struct {
@@ -128,7 +95,7 @@ func (g *LargeGrid) KeyFor(p geom.Point) Key { return KeyFor(p, g.width) }
 // Add maps point ptIdx of object obj into the grid, creating the cell
 // on demand, setting the obj bit and appending to the inverted list
 // (Algorithm 3 lines 15-21). Objects must be added in non-decreasing id
-// order, which keeps the posting lists sorted.
+// order, which keeps the postings sorted and each one contiguous.
 func (g *LargeGrid) Add(obj, ptIdx int, p geom.Point) (Key, *LargeCell) {
 	k := g.KeyFor(p)
 	c := g.lastCell
@@ -136,24 +103,21 @@ func (g *LargeGrid) Add(obj, ptIdx int, p geom.Point) (Key, *LargeCell) {
 		var ok bool
 		c, ok = g.cells[k]
 		if !ok {
-			c = &LargeCell{B: bitmap.New()}
+			c = &LargeCell{B: bitmap.New(), Off: []int32{0}}
 			g.cells[k] = c
 		}
 		g.lastKey, g.lastCell = k, c
 	}
 	c.B.Set(obj)
-	c.npts++
-	c.invalidateFrozen()
-	if n := len(c.Postings); n > 0 && int(c.Postings[n-1].Obj) == obj {
-		c.Postings[n-1].Pts = append(c.Postings[n-1].Pts, p)
-		c.Postings[n-1].Idx = append(c.Postings[n-1].Idx, int32(ptIdx))
-	} else {
-		c.Postings = append(c.Postings, Posting{
-			Obj: int32(obj),
-			Pts: []geom.Point{p},
-			Idx: []int32{int32(ptIdx)},
-		})
+	if n := len(c.Objs); n == 0 || int(c.Objs[n-1]) != obj {
+		c.Objs = append(c.Objs, int32(obj))
+		c.Off = append(c.Off, int32(len(c.Idx)))
 	}
+	c.Xs = append(c.Xs, p.X)
+	c.Ys = append(c.Ys, p.Y)
+	c.Zs = append(c.Zs, p.Z)
+	c.Idx = append(c.Idx, int32(ptIdx))
+	c.Off[len(c.Objs)]++
 	return k, c
 }
 
@@ -200,11 +164,12 @@ func (g *LargeGrid) ComputeAdj(k Key) (adj *bitmap.Compressed, fresh bool) {
 	return c.adj.Load(), false
 }
 
-// MergeFrom merges other into g: bitsets are OR-ed and posting lists
-// concatenated. Merges must be applied in ascending object-range order
-// (the parallel grid builder partitions objects into contiguous ranges)
-// so posting lists stay sorted by object id. Adjacency bitsets must not
-// have been computed yet on either grid.
+// MergeFrom merges other into g: bitsets are OR-ed and the flat posting
+// arrays concatenated, other's offsets shifted past g's points. Merges
+// must be applied in ascending object-range order (the parallel grid
+// builder partitions objects into contiguous ranges) so postings stay
+// sorted by object id. Adjacency bitsets must not have been computed
+// yet on either grid.
 func (g *LargeGrid) MergeFrom(other *LargeGrid) {
 	for k, oc := range other.cells {
 		c, ok := g.cells[k]
@@ -213,43 +178,29 @@ func (g *LargeGrid) MergeFrom(other *LargeGrid) {
 			continue
 		}
 		c.B = bitmap.Or(c.B, oc.B)
-		c.Postings = append(c.Postings, oc.Postings...)
-		c.npts += oc.npts
-		c.invalidateFrozen()
-	}
-}
-
-// Freeze eagerly derives the structure-of-arrays image of every cell's
-// posting lists (see PostingBlock). The query pipeline does NOT call
-// this — it freezes cells lazily and selectively at probe time
-// (LargeCell.EnsureFrozen), because an online per-query grid touches
-// only a small fraction of its cells during verification and flattening
-// the rest is pure overhead. Freeze exists for grids that outlive one
-// query (offline/reused indexes) and for tests. It is idempotent —
-// cells that already carry a consistent image are skipped — and must
-// not run concurrently with mutation.
-func (g *LargeGrid) Freeze() {
-	for _, c := range g.cells {
-		c.EnsureFrozen()
+		base := int32(len(c.Idx))
+		c.Objs = append(c.Objs, oc.Objs...)
+		for _, off := range oc.Off[1:] {
+			c.Off = append(c.Off, base+off)
+		}
+		c.Xs = append(c.Xs, oc.Xs...)
+		c.Ys = append(c.Ys, oc.Ys...)
+		c.Zs = append(c.Zs, oc.Zs...)
+		c.Idx = append(c.Idx, oc.Idx...)
 	}
 }
 
 // SizeBytes estimates the memory footprint of the grid: bitsets,
-// adjacency bitsets, postings and per-entry map overhead.
+// adjacency bitsets, the flat posting arrays and per-entry map overhead.
 func (g *LargeGrid) SizeBytes() int {
-	const entryOverhead = 16 + 8 + 48
+	const entryOverhead = 16 + 8 + /* cell: two pointers, six slice headers */ 160
 	total := 0
 	for _, c := range g.cells {
 		total += entryOverhead + c.B.SizeBytes()
 		if a := c.adj.Load(); a != nil {
 			total += a.SizeBytes()
 		}
-		for _, p := range c.Postings {
-			total += 16 /* posting header */ + len(p.Pts)*24 + len(p.Idx)*4
-		}
-		if b := c.soa.Load(); b != nil {
-			total += b.SizeBytes()
-		}
+		total += (len(c.Objs)+len(c.Off)+len(c.Idx))*4 + len(c.Idx)*24
 	}
 	return total
 }

@@ -30,10 +30,10 @@ var squaredNameRe = regexp.MustCompile(`(2|[sS]q|[sS]quared|RR)$|^rr$`)
 var defaultHotPathRe = regexp.MustCompile(`internal/(core|grid|bitmap)(/|$)`)
 
 // postingLoopRe marks the packages whose posting loops must use the
-// geom batch kernels: the core pipeline probes frozen SoA blocks with
-// FirstWithin2/AnyWithin2, so a scalar Dist2 inside a range over
-// []Point there is either the deliberate AoS fallback (suppress it
-// with a reason) or a performance bug.
+// geom batch kernels: the core pipeline probes each posting's flat
+// coordinate arrays with FirstWithin2/AnyWithin2, so a scalar Dist2
+// inside a range over []Point there is either a loop the kernels cannot
+// express (suppress it with a reason) or a performance bug.
 var postingLoopRe = regexp.MustCompile(`internal/core(/|$)`)
 
 // Dist2Analyzer enforces the squared-distance convention:
@@ -45,7 +45,7 @@ var postingLoopRe = regexp.MustCompile(`internal/core(/|$)`)
 //     default internal/core, internal/grid, internal/bitmap);
 //  3. in internal/core (non-test files), a Dist2-family call inside a
 //     loop ranging over a []Point is flagged: posting loops belong on
-//     the batch kernels over frozen SoA blocks.
+//     the batch kernels over flat coordinate arrays.
 //
 // Pass nil for hotRe to use the default hot-path set.
 func Dist2Analyzer(hotRe *regexp.Regexp) *Analyzer {
@@ -112,7 +112,7 @@ func checkPostingLoop(p *Pass, r *ast.RangeStmt, reported map[token.Pos]bool) {
 			return true
 		}
 		reported[call.Pos()] = true
-		p.Reportf(call.Pos(), "scalar %s in a posting loop over []Point: probe a frozen SoA block with the geom batch kernels (FirstWithin2/AnyWithin2) instead", name)
+		p.Reportf(call.Pos(), "scalar %s in a posting loop over []Point: probe the posting's flat coordinate arrays with the geom batch kernels (FirstWithin2/AnyWithin2) instead", name)
 		return true
 	})
 }

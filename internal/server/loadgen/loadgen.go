@@ -114,11 +114,10 @@ type Report struct {
 
 	// Batch-execution deltas, zero unless the server runs with
 	// Config.BatchExecution (the /metrics batch section).
-	BatchEpochs       uint64
-	BatchQueries      uint64
-	BatchPlans        uint64
-	BatchShared       uint64 // queries answered by a groupmate's plan
-	BatchCellsDeduped int64  // duplicate cell visits avoided by shared walks
+	BatchEpochs  uint64
+	BatchQueries uint64
+	BatchPlans   uint64
+	BatchShared  uint64 // queries answered by a groupmate's plan
 
 	// Sharded-serving deltas, zero unless the server runs with
 	// Config.Shards (the /metrics shards section). Sharded is true when
@@ -164,8 +163,7 @@ func (r Report) String() string {
 		avg := float64(r.BatchQueries) / float64(r.BatchEpochs)
 		fmt.Fprintf(&b, "  batch         %d epochs, %d queries (avg %.1f/epoch)\n",
 			r.BatchEpochs, r.BatchQueries, avg)
-		fmt.Fprintf(&b, "  batch plans   %d (%d shared), %d cell visits deduped\n",
-			r.BatchPlans, r.BatchShared, r.BatchCellsDeduped)
+		fmt.Fprintf(&b, "  batch plans   %d (%d shared)\n", r.BatchPlans, r.BatchShared)
 	}
 	if r.Sharded {
 		rate := 0.0
@@ -347,7 +345,6 @@ func Run(cfg Config) (*Report, error) {
 		rep.BatchQueries = after.Batch.Queries - before.Batch.Queries
 		rep.BatchPlans = after.Batch.Plans - before.Batch.Plans
 		rep.BatchShared = after.Batch.SharedWork - before.Batch.SharedWork
-		rep.BatchCellsDeduped = after.Batch.CellsDeduped.Sum - before.Batch.CellsDeduped.Sum
 	}
 	if before.Shards != nil && after.Shards != nil {
 		rep.Sharded = true

@@ -91,8 +91,8 @@ type Config struct {
 	Faults *fault.Registry
 	// BatchExecution routes /v1/query through the epoch-driven batch
 	// engine (internal/batch): concurrent queries gather into epochs,
-	// group by ⌈r⌉ and share one index build and cell walk per group.
-	// It generalises request coalescing — flight collapses identical
+	// group by ⌈r⌉ and share one index build and upper-bounding pass per
+	// group. It generalises request coalescing — flight collapses identical
 	// requests, an epoch collapses similar ones — and per-query results
 	// stay bitwise identical to the query-major path. Other endpoints
 	// keep the solo path.

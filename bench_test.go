@@ -312,7 +312,7 @@ func BenchmarkAppendixA(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = res
 		}
-		b.ReportMetric(float64(res.Stats.SmallGridBytes), "small-compressed-bytes")
+		b.ReportMetric(float64(res.Stats.SmallGridBytes), "small-idrun-bytes")
 		b.ReportMetric(float64(res.Stats.SmallGridUncompressedBytes), "small-dense-bytes")
 	})
 }

@@ -354,16 +354,16 @@ func (s *Suite) Table3() error {
 }
 
 // AppendixA quantifies the two design rationales of Appendix A and
-// footnote 4: (a) the compressed bitsets' memory advantage over dense
-// ones, and (b) the cell-access blow-up an offline grid built for r'
+// footnote 4: (a) the memory advantage of a sparse b(c) — here the
+// small grid's sorted object-id runs — over dense n-bit bitsets, and (b) the cell-access blow-up an offline grid built for r'
 // would suffer when queried with r > r' (the 27-cell neighbourhood
 // grows as (2⌈r/r'⌉+1)³).
 func (s *Suite) AppendixA() error {
 	r := s.Rs[0]
 	sets := s.Datasets()
 	t := &table{
-		title:  fmt.Sprintf("Appendix A (a): compressed vs dense small-grid bitsets, r=%g", r),
-		header: []string{"Dataset", "compressed [MiB]", "dense [MiB]", "saved"},
+		title:  fmt.Sprintf("Appendix A (a): small-grid b(c) as sorted id runs vs dense bitsets, r=%g", r),
+		header: []string{"Dataset", "id runs [MiB]", "dense [MiB]", "saved"},
 	}
 	for _, name := range DatasetNames {
 		ds := sets[name]
@@ -438,22 +438,16 @@ func (s *Suite) AppendixA() error {
 // buildLargeGrid builds a standalone large-grid with the given cell
 // width (the Appendix-A offline-grid stand-in).
 func buildLargeGrid(ds *data.Dataset, width float64) *grid.LargeGrid {
-	g := grid.NewLargeGrid(width, ds.N())
-	for i := range ds.Objects {
-		for j, p := range ds.Objects[i].Pts {
-			g.Add(i, j, p)
-		}
-	}
+	g, _, _ := grid.Build(ds, width, nil, 1, nil, nil)
 	return g
 }
 
-// sampleCellKeys returns up to limit cell keys of the grid.
+// sampleCellKeys returns up to limit cell keys of the grid, evenly
+// spaced over the directory so the sample is not all boundary cells.
 func sampleCellKeys(g *grid.LargeGrid, limit int) []grid.Key {
-	keys := make([]grid.Key, 0, limit)
-	g.ForEach(func(k grid.Key, _ *grid.LargeCell) {
-		if len(keys) < limit {
-			keys = append(keys, k)
-		}
-	})
+	keys := make([]grid.Key, min(limit, g.Len()))
+	for i := range keys {
+		keys[i] = g.Key(i * g.Len() / len(keys))
+	}
 	return keys
 }

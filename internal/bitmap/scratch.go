@@ -99,6 +99,23 @@ func (s *Scratch) OrCompressed(c *Compressed) {
 	})
 }
 
+// OrIDs sets the bit of every id. Consecutive ids that share a word —
+// a sorted run does throughout — cost one accumulator update between
+// them.
+func (s *Scratch) OrIDs(ids []int32) {
+	for i := 0; i < len(ids); {
+		idx := int(ids[i]) >> 6
+		w := uint64(0)
+		for ; i < len(ids) && int(ids[i])>>6 == idx; i++ {
+			w |= 1 << uint(ids[i]&63)
+		}
+		old := s.word(idx)
+		if nw := old | w; nw != old {
+			s.setWord(idx, nw)
+		}
+	}
+}
+
 // OrScratch sets s |= t.
 func (s *Scratch) OrScratch(t *Scratch) {
 	for i := 0; i <= t.maxWord; i++ {
@@ -163,7 +180,22 @@ func (s *Scratch) Bits() []int {
 
 // ToCompressed compresses the current contents.
 func (s *Scratch) ToCompressed() *Compressed {
+	// Size the encoding first — a word per non-zero word plus a marker
+	// wherever one follows a gap — so it is built in one allocation.
+	need, gap := 0, true
+	for i := 0; i <= s.maxWord; i++ {
+		if s.word(i) == 0 {
+			gap = true
+			continue
+		}
+		need++
+		if gap {
+			need++
+			gap = false
+		}
+	}
 	c := New()
+	c.words = make([]uint64, 0, need)
 	zeros := 0
 	lastBit := -1
 	for i := 0; i <= s.maxWord; i++ {

@@ -3,6 +3,7 @@ package bitmap
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -72,6 +73,46 @@ func TestScratchOrCompressed(t *testing.T) {
 	}
 	if s.Cardinality() != 3 {
 		t.Fatalf("card = %d", s.Cardinality())
+	}
+}
+
+// TestScratchOrIDs: a run ORs in as Set of each id does — sorted (a
+// cell's b(c)) or not (adjacent cells' runs back to back), onto existing
+// bits, duplicates included — and the pre-sized ToCompressed of the
+// result round-trips whatever mix of gaps, literals and full words the
+// ids leave.
+func TestScratchOrIDs(t *testing.T) {
+	f := func(seed int64, full bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(3000)
+		s, want := NewScratch(n), NewScratch(n)
+		s.Set(rng.Intn(n))
+		want.OrScratch(s)
+		for run := 0; run < 4; run++ {
+			ids := make([]int32, rng.Intn(200))
+			for i := range ids {
+				ids[i] = int32(rng.Intn(n))
+			}
+			if full && n >= 256 {
+				// Two all-ones words after a gap, then a literal.
+				for i := 128; i < 258 && i < n; i++ {
+					ids = append(ids, int32(i))
+				}
+			}
+			if run%2 == 0 {
+				sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+			}
+			s.OrIDs(ids)
+			for _, id := range ids {
+				want.Set(int(id))
+			}
+		}
+		c := s.ToCompressed()
+		return s.Cardinality() == want.Cardinality() && reflect.DeepEqual(s.Bits(), want.Bits()) &&
+			c.Cardinality() == want.Cardinality() && reflect.DeepEqual(c.Bits(), want.Bits())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

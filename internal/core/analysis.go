@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"mio/internal/bitmap"
-	"mio/internal/grid"
 )
 
 // This file provides the analytical companions to the MIO query that
@@ -53,8 +52,7 @@ func (e *Engine) InteractingSetContext(ctx context.Context, r float64, obj int) 
 	bOi := bitmap.NewScratch(q.n)
 	mask := bitmap.NewScratch(q.n)
 	ctr := ctrSet{}
-	var neigh [27]grid.Key
-	q.exactScore(obj, bOi, mask, neigh[:0], &ctr)
+	q.exactScore(obj, bOi, mask, &ctr)
 	if q.cancelled() {
 		return nil, ctx.Err()
 	}

@@ -177,7 +177,7 @@ type groupRun struct {
 	tauUpp    []int32
 	ubDone    bool
 	adjShared int // AdjComputed by the shared upper-bounding pass
-	adjBase   map[grid.Key]struct{}
+	adjBase   []bool
 
 	persistFailed bool
 
@@ -365,12 +365,10 @@ func (g *groupRun) run() {
 	g.adjShared = qU.stats.AdjComputed
 	// Snapshot the cells holding b^adj after the shared pass: the
 	// baseline for per-plan AdjComputed replay (query.noteAdj).
-	g.adjBase = make(map[grid.Key]struct{})
-	g.large.ForEach(func(k grid.Key, c *grid.LargeCell) {
-		if c.Adj() != nil {
-			g.adjBase[k] = struct{}{}
-		}
-	})
+	g.adjBase = make([]bool, g.large.Len())
+	for c := range g.adjBase {
+		g.adjBase[c] = g.large.Adj(c) != nil
+	}
 
 	g.buildPlanQueries()
 
@@ -469,11 +467,11 @@ func (g *groupRun) buildIndex() {
 	for si, rp := range g.rPlans {
 		rs[si] = rp.r
 	}
-	smalls, large, complete := g.e.mapGrids(rs, g.labels, g.aborted)
+	large, smalls, complete := g.e.mapGrids(rs, g.labels, g.aborted)
 	g.large, g.gmBroke = large, !complete
-	g.groups = deriveGroups(g.large, g.n)
+	g.groups = groupsOf(g.large, g.n)
 	for si, rp := range g.rPlans {
-		rp.q.idx = mergedBigrid(smalls[si], g.large, g.groups)
+		rp.q.idx = newBigrid(smalls[si], g.large, g.groups)
 		rp.q.labels = g.labels
 		rp.q.newLabels = g.newLabels
 	}

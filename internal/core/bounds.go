@@ -54,8 +54,8 @@ func (q *query) lowerBoundObject(i int, scratch *bitmap.Scratch) {
 		return
 	}
 	scratch.Reset()
-	for _, k := range keys {
-		scratch.OrCompressed(q.idx.small.Cell(k).B)
+	for _, c := range keys {
+		scratch.OrIDs(q.idx.small.CellObjs(int(c)))
 	}
 	q.tauLow[i] = int32(scratch.Cardinality() - 1)
 	if q.lbBits != nil {
@@ -209,7 +209,8 @@ func (q *query) upperBoundObject(i int, scratch *bitmap.Scratch, ctr *ctrSet) {
 // Labeling-1 stays here: it fires on the one fresh computation of a
 // cell and clears that cell's own points, which is order-independent.
 func (q *query) orGroupAdj(i int, g pointGroup, scratch *bitmap.Scratch, ctr *ctrSet, label2 bool) {
-	adj, fresh := q.idx.large.ComputeAdj(g.key)
+	large := q.idx.large
+	adj, fresh := large.ComputeAdj(int(g.cell))
 	if fresh {
 		ctr.adjComputed++
 		// Labeling-1 (Observation 1): a cell whose adjacency bitset
@@ -217,10 +218,9 @@ func (q *query) orGroupAdj(i int, g pointGroup, scratch *bitmap.Scratch, ctr *ct
 		// mapped into it can be pruned from all future queries with the
 		// same ⌈r⌉ (Lemma 3).
 		if q.newLabels != nil && adj.Cardinality() == 1 {
-			cell := q.idx.large.Cell(g.key)
-			for pi, obj := range cell.Objs {
-				for _, pt := range cell.PointIdx(pi) {
-					q.newLabels.ClearBit(int(obj), int(pt), labelstore.BitMapped)
+			for p := int(large.CellOff[g.cell]); p < int(large.CellOff[g.cell+1]); p++ {
+				for _, pt := range large.PointIdx(p) {
+					q.newLabels.ClearBit(int(large.Objs[p]), int(pt), labelstore.BitMapped)
 				}
 			}
 		}
@@ -232,7 +232,7 @@ func (q *query) orGroupAdj(i int, g pointGroup, scratch *bitmap.Scratch, ctr *ct
 		// unchanged are skippable in future upper-bounding. When the OR
 		// did contribute, the group's first point is the contributor
 		// and keeps its label.
-		pts := g.pts
+		pts := large.PointIdx(int(g.post))
 		if scratch.Cardinality() != prev {
 			pts = pts[1:]
 		}
@@ -249,10 +249,10 @@ func (q *query) orGroupAdj(i int, g pointGroup, scratch *bitmap.Scratch, ctr *ct
 func (q *query) labelUpperReplay(i int, scratch *bitmap.Scratch) {
 	scratch.Reset()
 	for _, g := range q.idx.groups[i] {
-		adj, _ := q.idx.large.ComputeAdj(g.key)
+		adj, _ := q.idx.large.ComputeAdj(int(g.cell))
 		prev := scratch.Cardinality()
 		scratch.OrCompressed(adj) //lint:ignore scratch accumulation across one object's groups is the point (prefix-dependent contribution test); Reset runs per object, before this loop
-		pts := g.pts
+		pts := q.idx.large.PointIdx(int(g.post))
 		if scratch.Cardinality() != prev {
 			pts = pts[1:]
 		}
@@ -266,7 +266,7 @@ func (q *query) labelUpperReplay(i int, scratch *bitmap.Scratch) {
 // the upper-bounding label bit (the WITH-LABEL filter of Algorithm 5
 // line 5).
 func (q *query) groupActiveUpper(i int, g pointGroup) bool {
-	for _, pt := range g.pts {
+	for _, pt := range q.idx.large.PointIdx(int(g.post)) {
 		if q.labels.Get(i, int(pt))&labelstore.BitUpper != 0 {
 			return true
 		}

@@ -139,9 +139,9 @@ type PhaseStats struct {
 	SmallCells int `json:"small_cells"`
 	LargeCells int `json:"large_cells"`
 	IndexBytes int `json:"index_bytes"` // BIGrid memory footprint
-	// Compression accounting (footnote 4 of the paper): the small-grid
-	// bitset payload as stored vs what dense n-bit-per-cell bitsets
-	// would occupy.
+	// Compression accounting (footnote 4 of the paper): the small grid
+	// as stored — a key and a sorted object-id run per cell — vs what
+	// dense n-bit-per-cell bitsets would occupy.
 	SmallGridBytes             int `json:"small_grid_bytes"`
 	SmallGridUncompressedBytes int `json:"small_grid_uncompressed_bytes"`
 	LargeGridBytes             int `json:"large_grid_bytes"`

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -15,12 +14,13 @@ import (
 )
 
 // pointGroup is P_{i,K}: the points of one object sharing a large-grid
-// key. Grouping is established during grid mapping (for free, as the
-// paper notes in §IV) and drives both the per-object key deduplication
-// of upper-bounding and the cost-based parallel partitioning.
+// cell, i.e. one posting. Grouping is established during grid mapping
+// (for free, as the paper notes in §IV) and drives both the per-object
+// key deduplication of upper-bounding and the cost-based parallel
+// partitioning.
 type pointGroup struct {
-	key grid.Key
-	pts []int32 // indices into the object's point slice
+	cell int32
+	post int32 // the posting; its point indices are large.PointIdx(post)
 }
 
 // bigrid is the BIGrid built online for one query, together with the
@@ -28,23 +28,22 @@ type pointGroup struct {
 type bigrid struct {
 	small *grid.SmallGrid
 	large *grid.LargeGrid
-	// keyLists[i] is o_i.L: the small-grid keys of cells that o_i
-	// shares with at least one other object.
-	keyLists [][]grid.Key
-	// groups[i] are o_i's large-grid point groups P_{i,K}, in first-
-	// occurrence order.
+	// keyLists[i] is o_i.L: the small-grid cells that o_i shares with
+	// at least one other object, in cell order.
+	keyLists [][]int32
+	// groups[i] are o_i's large-grid point groups P_{i,K}, in cell
+	// order.
 	groups [][]pointGroup
 }
 
-// sizeBytes estimates the BIGrid memory footprint.
-func (b *bigrid) sizeBytes() int {
-	total := b.small.SizeBytes() + b.large.SizeBytes()
+// sizeBytes returns the BIGrid memory footprint given its two grids'.
+func (b *bigrid) sizeBytes(smallBytes, largeBytes int) int {
+	total := smallBytes + largeBytes
 	for _, kl := range b.keyLists {
-		total += 24 + len(kl)*12
+		total += 24 + len(kl)*4
 	}
 	for _, gs := range b.groups {
-		// A group's pts alias the large grid's Idx, counted there.
-		total += 24 + len(gs)*(12+24)
+		total += 24 + len(gs)*8
 	}
 	return total
 }
@@ -110,13 +109,14 @@ type query struct {
 	cancelCheck func() bool
 
 	// adjBase, when non-nil, switches verification's AdjComputed
-	// accounting to group mode (see noteAdj): it holds the cells whose
-	// b^adj already existed when the group's shared upper-bounding pass
-	// finished. adjSeen (guarded by adjMu: parallel verification
-	// workers race on it) dedupes the cells this query has counted.
-	adjBase map[grid.Key]struct{}
+	// accounting to group mode (see noteAdj): it flags, per large-grid
+	// cell, whether b^adj already existed when the group's shared
+	// upper-bounding pass finished. adjSeen (guarded by adjMu: parallel
+	// verification workers race on it) flags the cells this query has
+	// counted.
+	adjBase []bool
 	adjMu   sync.Mutex
-	adjSeen map[grid.Key]struct{}
+	adjSeen []bool
 
 	// Degraded-answer bookkeeping (RunTopKContext). degradeOK
 	// opts in; the completion flags record which phases ran to the end
@@ -317,10 +317,10 @@ func (q *query) complete(floor int) (*Result, error) {
 // finishGridStats records the index-footprint numbers; split out so
 // the degraded path can report them too once the grid exists.
 func (q *query) finishGridStats() {
-	q.stats.IndexBytes = q.idx.sizeBytes()
 	q.stats.SmallGridBytes = q.idx.small.SizeBytes()
 	q.stats.SmallGridUncompressedBytes = q.idx.small.UncompressedSizeBytes(q.n)
 	q.stats.LargeGridBytes = q.idx.large.SizeBytes()
+	q.stats.IndexBytes = q.idx.sizeBytes(q.stats.SmallGridBytes, q.stats.LargeGridBytes)
 }
 
 // pruned reports whether labels prune point pt of object obj entirely
@@ -329,110 +329,103 @@ func pruned(labels *labelstore.Labels, obj, pt int) bool {
 	return labels != nil && labels.Get(obj, pt)&labelstore.BitMapped == 0
 }
 
-// gridMapping implements GRID-MAPPING(O, r) (Algorithm 3) and its
-// WITH-LABEL variant, dispatching to the parallel builder when
-// configured.
+// gridMapping implements GRID-MAPPING(O, r) (Algorithm 3), its
+// WITH-LABEL variant and PARALLEL-GRID-MAPPING: one build whatever the
+// configuration.
 func (q *query) gridMapping() {
-	if q.e.opts.workers() > 1 {
-		smalls, large, complete := q.e.mapGrids([]float64{q.r}, q.labels, q.cancelled)
-		q.idx = mergedBigrid(smalls[0], large, deriveGroups(large, q.n))
-		q.gmBroke = !complete
-	} else {
-		q.idx = q.buildSerial()
-	}
+	large, smalls, complete := q.e.mapGrids([]float64{q.r}, q.labels, q.cancelled)
+	q.idx = newBigrid(smalls[0], large, groupsOf(large, q.n))
+	// The truncated grid is discarded by bound()'s post-phase ctx check;
+	// gmBroke records the truncation so a degraded answer is never
+	// certified from a partial grid.
+	q.gmBroke = !complete
 }
 
-// buildSerial builds the BIGrid in one sweep over the objects,
-// maintaining the key lists incrementally as Algorithm 3 does.
-func (q *query) buildSerial() *bigrid {
-	b := &bigrid{
-		small:    grid.NewSmallGrid(grid.SmallWidth(q.r, q.e.opts.dims())),
-		large:    grid.NewLargeGrid(grid.LargeWidth(q.r), q.n),
-		keyLists: make([][]grid.Key, q.n),
+// mapGrids builds the grids of one or several exact thresholds sharing
+// one ⌈r⌉ — a solo query passes its one r, a group run (batch.go) every
+// distinct r of the group — in one sweep over the points: the large
+// grid they all share and one small grid per entry of rs. labels, when
+// non-nil, filter the points (WITH-LABEL). Grid mapping is the
+// first long phase, so the sweep polls stop to let an abandoned query
+// return promptly; complete is false when that cut it short.
+func (e *Engine) mapGrids(rs []float64, labels *labelstore.Labels, stop func() bool) (large *grid.LargeGrid, smalls []*grid.SmallGrid, complete bool) {
+	widths := make([]float64, len(rs))
+	for i, r := range rs {
+		widths[i] = grid.SmallWidth(r, e.opts.dims())
 	}
-	for i := 0; i < q.n; i++ {
-		// Grid mapping is the first long phase; poll so a query abandoned
-		// during index construction returns promptly. The truncated grid
-		// is discarded by bound()'s post-phase ctx check; gmBroke records
-		// the truncation so a degraded answer is never certified from a
-		// partial grid.
-		if i&127 == 127 && q.cancelled() {
-			q.gmBroke = true
-			break
-		}
-		obj := &q.e.ds.Objects[i]
-		for j, p := range obj.Pts {
-			if pruned(q.labels, i, j) {
-				continue
-			}
-			// Small-grid side (Algorithm 3 lines 3-13).
-			k, before, after, cell := b.small.Add(i, p)
-			if after == 2 && before == 1 {
-				first := cell.FirstObject()
-				b.keyLists[first] = append(b.keyLists[first], k)
-				b.keyLists[i] = append(b.keyLists[i], k)
-			} else if after > 2 && after != before {
-				b.keyLists[i] = append(b.keyLists[i], k)
-			}
-			// Large-grid side (lines 14-21).
-			b.large.Add(i, j, p)
-		}
+	var keep func(obj, pt int) bool
+	if labels != nil {
+		keep = func(obj, pt int) bool { return !pruned(labels, obj, pt) }
 	}
-	b.groups = deriveGroups(b.large, q.n)
-	return b
+	return grid.Build(e.ds, grid.LargeWidth(rs[0]), widths, e.opts.workers(), keep, stop)
 }
 
-// mergedBigrid assembles the BIGrid for one exact r from grids merged
-// out of per-worker parts (mapGrids), deriving the key lists the serial
-// sweep maintains incrementally. large and groups may be shared with
-// the other exact r of a group run.
-func mergedBigrid(small *grid.SmallGrid, large *grid.LargeGrid, groups [][]pointGroup) *bigrid {
-	return &bigrid{small: small, large: large, keyLists: deriveKeyLists(small, len(groups)), groups: groups}
+// newBigrid assembles the BIGrid for one exact r. large and groups may
+// be shared with the other exact r of a group run.
+func newBigrid(small *grid.SmallGrid, large *grid.LargeGrid, groups [][]pointGroup) *bigrid {
+	return &bigrid{small: small, large: large, keyLists: keyListsOf(small, len(groups)), groups: groups}
 }
 
-// deriveGroups derives the point groups P_{i,K} from the inverted
-// lists — each posting is exactly one group, so the grouping the
-// parallel phases need comes for free from grid building (§IV). The
-// group's point slice aliases the posting's range of the cell's index
-// array; both are read-only after construction. Cells are visited in
-// sorted key order, NOT map order: group order drives the parallel
-// phases' greedy partitions and the round-robin point assignment of
-// parallel verification, so map-order iteration would make work
-// counters (distComps in particular) differ run to run for identical
-// queries — and differ between the solo and group (batch.go) paths,
-// which both call this. Group order is the same whether derived from a
-// worker's partial grid or after the merge: each object lives in one
-// part.
-func deriveGroups(large *grid.LargeGrid, n int) [][]pointGroup {
+// groupsOf derives the point groups P_{i,K} from the inverted lists —
+// each posting is exactly one group, so the grouping the parallel
+// phases need comes for free from grid building (§IV). Postings are
+// stored in cell order, so every object's groups come out in cell
+// order: group order drives the parallel phases' greedy partitions, the
+// prefix-dependent Labeling-2 decision and the round-robin point
+// assignment of parallel verification, so it must be a function of the
+// query alone for the work counters to repeat.
+func groupsOf(large *grid.LargeGrid, n int) [][]pointGroup {
+	next := make([]int32, n+1)
+	for _, obj := range large.Objs {
+		next[obj+1]++
+	}
+	for i := 0; i < n; i++ {
+		next[i+1] += next[i]
+	}
+	flat := make([]pointGroup, len(large.Objs))
 	groups := make([][]pointGroup, n)
-	keys := make([]grid.Key, 0, large.Len())
-	large.ForEach(func(k grid.Key, _ *grid.LargeCell) { keys = append(keys, k) })
-	sort.Slice(keys, func(a, b int) bool { return keys[a].Less(keys[b]) })
-	for _, k := range keys {
-		c := large.Cell(k)
-		for pi, obj := range c.Objs {
-			groups[obj] = append(groups[obj], pointGroup{key: k, pts: c.PointIdx(pi)})
+	for i := range groups {
+		groups[i] = flat[next[i]:next[i+1]:next[i+1]]
+	}
+	for c := 0; c < large.Len(); c++ {
+		for p := int(large.CellOff[c]); p < int(large.CellOff[c+1]); p++ {
+			obj := large.Objs[p]
+			flat[next[obj]] = pointGroup{cell: int32(c), post: int32(p)}
+			next[obj]++
 		}
 	}
 	return groups
 }
 
-// deriveKeyLists derives the per-object key lists from a merged small
-// grid: o_i.L = {K : i ∈ b(c_K), |b(c_K)| ≥ 2}, the invariant
-// Algorithm 3 maintains incrementally on full builds. List order
-// follows map iteration and so differs run to run, but nothing
-// observable depends on it: the lists feed set unions, and the
-// parallel partitions they weight only move work between cores.
-func deriveKeyLists(small *grid.SmallGrid, n int) [][]grid.Key {
-	keyLists := make([][]grid.Key, n)
-	small.ForEach(func(k grid.Key, c *grid.SmallCell) {
-		if c.B.Cardinality() < 2 {
-			return
+// keyListsOf derives the per-object key lists from a small grid:
+// o_i.L = {c : i ∈ b(c), |b(c)| ≥ 2}, the invariant Algorithm 3
+// maintains incrementally, in cell order.
+func keyListsOf(small *grid.SmallGrid, n int) [][]int32 {
+	next := make([]int32, n+1)
+	shared := 0
+	for c := 0; c < small.Len(); c++ {
+		if objs := small.CellObjs(c); len(objs) >= 2 {
+			shared += len(objs)
+			for _, obj := range objs {
+				next[obj+1]++
+			}
 		}
-		c.B.ForEach(func(obj int) bool {
-			keyLists[obj] = append(keyLists[obj], k)
-			return true
-		})
-	})
+	}
+	for i := 0; i < n; i++ {
+		next[i+1] += next[i]
+	}
+	flat := make([]int32, shared)
+	keyLists := make([][]int32, n)
+	for i := range keyLists {
+		keyLists[i] = flat[next[i]:next[i+1]:next[i+1]]
+	}
+	for c := 0; c < small.Len(); c++ {
+		if objs := small.CellObjs(c); len(objs) >= 2 {
+			for _, obj := range objs {
+				flat[next[obj]] = int32(c)
+				next[obj]++
+			}
+		}
+	}
 	return keyLists
 }

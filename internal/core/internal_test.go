@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -148,8 +149,9 @@ func TestLabelsActuallyPrunePoints(t *testing.T) {
 }
 
 func TestParallelGridMappingEquivalence(t *testing.T) {
-	// The merged parallel BIGrid must be structurally identical to the
-	// serial one: same cells, same bitsets, same key-list sets.
+	// The BIGrid built with the quantising sweep split over four
+	// workers must be the serial one: same cells, same key lists, same
+	// groups.
 	ds := data.GenNeuron(data.NeuronConfig{
 		N: 30, M: 80, Clusters: 3, FieldSize: 120, ClusterStd: 15, StepLen: 1, Branches: 3, Seed: 91,
 	})
@@ -161,42 +163,93 @@ func TestParallelGridMappingEquivalence(t *testing.T) {
 	qp := newQuery(engP, 5, 1)
 	qp.gridMapping()
 
-	if qs.idx.small.Len() != qp.idx.small.Len() {
-		t.Fatalf("small cells: %d vs %d", qs.idx.small.Len(), qp.idx.small.Len())
-	}
-	if qs.idx.large.Len() != qp.idx.large.Len() {
-		t.Fatalf("large cells: %d vs %d", qs.idx.large.Len(), qp.idx.large.Len())
-	}
-	// Key lists may differ in order but must be equal as sets.
-	for i := range qs.idx.keyLists {
-		a := keySet(qs.idx.keyLists[i])
-		b := keySet(qp.idx.keyLists[i])
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("object %d key lists differ", i)
-		}
-	}
-	// Groups must cover the same points per object.
-	for i := range qs.idx.groups {
-		if groupPointCount(qs.idx.groups[i]) != groupPointCount(qp.idx.groups[i]) {
-			t.Fatalf("object %d group coverage differs", i)
-		}
+	if !reflect.DeepEqual(shapeOf(qs.idx), shapeOf(qp.idx)) {
+		t.Fatal("serial and 4-worker builds differ")
 	}
 }
 
-func keySet(keys []grid.Key) map[grid.Key]bool {
-	m := make(map[grid.Key]bool, len(keys))
-	for _, k := range keys {
-		m[k] = true
-	}
-	return m
+// indexShape is everything the phases read of a bigrid's access
+// structures, with cell indices resolved to keys.
+type indexShape struct {
+	SmallCells, LargeCells int
+	KeyLists               [][]grid.Key
+	GroupCells             [][]grid.Key
+	GroupPts               [][][]int32
 }
 
-func groupPointCount(gs []pointGroup) int {
-	n := 0
-	for _, g := range gs {
-		n += len(g.pts)
+func shapeOf(b *bigrid) indexShape {
+	sh := indexShape{SmallCells: b.small.Len(), LargeCells: b.large.Len()}
+	for _, kl := range b.keyLists {
+		keys := []grid.Key{}
+		for _, c := range kl {
+			keys = append(keys, b.small.Key(int(c)))
+		}
+		sh.KeyLists = append(sh.KeyLists, keys)
 	}
-	return n
+	for _, gs := range b.groups {
+		cells, pts := []grid.Key{}, [][]int32{}
+		for _, g := range gs {
+			cells = append(cells, b.large.Key(int(g.cell)))
+			pts = append(pts, b.large.PointIdx(int(g.post)))
+		}
+		sh.GroupCells = append(sh.GroupCells, cells)
+		sh.GroupPts = append(sh.GroupPts, pts)
+	}
+	return sh
+}
+
+// TestIndexBuildDeterministic pins that keyLists and groups are a
+// function of (dataset, r, labels) alone: identical at Workers 1 and 2,
+// across two builds of one query and between the solo and the group
+// (RunGroup) build, with and without a label set. LB-hash-p splits
+// keyLists[i] by j mod t and the parallel phases partition by group
+// order, so any other order moves work between runs.
+func TestIndexBuildDeterministic(t *testing.T) {
+	for name, ds := range testDatasets(t) {
+		r := rValues(name)[1]
+		// A label set collected by a real run: Labeling-1 prunes points
+		// on every one of these datasets but onecell.
+		store := labelstore.NewStore()
+		warm, _ := NewEngine(ds, Options{Labels: store})
+		if _, err := warm.Run(r); err != nil {
+			t.Fatal(err)
+		}
+		labels, ok := store.Get(int(math.Ceil(r)))
+		if !ok {
+			t.Fatalf("%s: no labels collected", name)
+		}
+		for _, l := range []*labelstore.Labels{nil, labels} {
+			build := func(workers int) indexShape {
+				eng, _ := NewEngine(ds, Options{Workers: workers})
+				q := newQuery(eng, r, 1)
+				q.labels = l
+				q.gridMapping()
+				return shapeOf(q.idx)
+			}
+			want := build(1)
+			if n := len(want.KeyLists); n != ds.N() || len(want.GroupCells) != n {
+				t.Fatalf("%s: %d key lists, %d group lists for %d objects", name, n, len(want.GroupCells), ds.N())
+			}
+			for i, cells := range want.GroupCells {
+				if !sort.SliceIsSorted(cells, func(a, b int) bool { return cells[a].Less(cells[b]) }) {
+					t.Fatalf("%s: object %d groups not in cell order", name, i)
+				}
+			}
+			for _, workers := range []int{1, 2} {
+				if got := build(workers); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s labels=%v: Workers=%d build differs from the first Workers=1 build", name, l != nil, workers)
+				}
+			}
+			eng, _ := NewEngine(ds, Options{Workers: 2})
+			large, smalls, complete := eng.mapGrids([]float64{r - 0.25, r}, l, func() bool { return false })
+			if !complete {
+				t.Fatalf("%s: group build incomplete", name)
+			}
+			if got := shapeOf(newBigrid(smalls[1], large, groupsOf(large, ds.N()))); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s labels=%v: group build differs from the solo build", name, l != nil)
+			}
+		}
+	}
 }
 
 func TestScoreStateMaskReuse(t *testing.T) {

@@ -2,68 +2,17 @@ package core
 
 import (
 	"math/bits"
-	"sync/atomic"
 
 	"mio/internal/bitmap"
 	"mio/internal/core/labelstore"
-	"mio/internal/grid"
 	"mio/internal/parallel"
 )
 
 // This file implements §IV — parallel MIO query processing. Every phase
 // follows the paper's local-bitset design: each worker owns private
 // scratch bitsets and counters, so no synchronization happens inside
-// the loops; results are merged after each barrier.
-
-// mapGrids implements PARALLEL-GRID-MAPPING(O, r), generalised to
-// several exact thresholds sharing one ⌈r⌉: a solo query passes its
-// one r, a group run (batch.go) every distinct r of the group. Workers
-// map contiguous, point-count-balanced object ranges (keeping the
-// monotone object order the compressed bitsets rely on) into partial
-// grids — one small grid per entry of rs plus the large grid they all
-// share — and the parts are merged. labels, when non-nil, filter the
-// points (WITH-LABEL). stop is polled as buildSerial polls cancelled;
-// complete is false when it cut the sweep short.
-func (e *Engine) mapGrids(rs []float64, labels *labelstore.Labels, stop func() bool) (smalls []*grid.SmallGrid, large *grid.LargeGrid, complete bool) {
-	type part struct {
-		smalls []*grid.SmallGrid
-		large  *grid.LargeGrid
-	}
-	n, dims := e.ds.N(), e.opts.dims()
-	ranges := parallel.Ranges(objectPointWeights(e.ds), e.opts.workers())
-	parts := make([]part, len(ranges))
-	var broke atomic.Bool
-	parallel.Run(len(ranges), func(w int) {
-		p := part{smalls: make([]*grid.SmallGrid, len(rs)), large: grid.NewLargeGrid(grid.LargeWidth(rs[0]), n)}
-		for si, r := range rs {
-			p.smalls[si] = grid.NewSmallGrid(grid.SmallWidth(r, dims))
-		}
-		for i := ranges[w][0]; i < ranges[w][1]; i++ {
-			if i&127 == 127 && stop() {
-				broke.Store(true)
-				break
-			}
-			for j, pt := range e.ds.Objects[i].Pts {
-				if pruned(labels, i, j) {
-					continue
-				}
-				for _, sg := range p.smalls {
-					sg.Add(i, pt)
-				}
-				p.large.Add(i, j, pt)
-			}
-		}
-		parts[w] = p
-	})
-	base := parts[0]
-	for _, p := range parts[1:] {
-		base.large.MergeFrom(p.large)
-		for si := range base.smalls {
-			base.smalls[si].MergeFrom(p.smalls[si])
-		}
-	}
-	return base.smalls, base.large, !broke.Load()
-}
+// the loops; results are merged after each barrier. (PARALLEL-GRID-
+// MAPPING is grid.Build with workers > 1; see mapGrids.)
 
 // lowerBoundHashP implements PARALLEL-LOWER-BOUNDING(O, r) by "dividing
 // P_i": each object's key list is split across cores; local bitsets
@@ -84,7 +33,7 @@ func (q *query) lowerBoundHashP() {
 		parallel.Run(t, func(w int) {
 			locals[w].Reset()
 			for j := w; j < len(keys); j += t {
-				locals[w].OrCompressed(q.idx.small.Cell(keys[j]).B)
+				locals[w].OrIDs(q.idx.small.CellObjs(int(keys[j])))
 			}
 		})
 		for w := 1; w < t; w++ {
@@ -124,11 +73,11 @@ func (q *query) upperBoundGreedyP() {
 				continue
 			}
 			cost := 1 // Cost(b): one bitwise OR
-			if q.idx.large.Cell(g.key).Adj() == nil {
+			if q.idx.large.Adj(int(g.cell)) == nil {
 				cost = 27
 			}
 			if q.labels == nil {
-				cost += len(g.pts) // per-point labeling cost
+				cost += len(q.idx.large.PointIdx(int(g.post))) // per-point labeling cost
 			}
 			active = append(active, gi)
 			costs = append(costs, cost)
@@ -225,7 +174,6 @@ func (q *query) parallelExactScore(i int) int {
 		if q.lbBits != nil && q.lbBits[i] != nil {
 			bOi.OrCompressed(q.lbBits[i])
 		}
-		var neigh [27]grid.Key
 		st := scoreState{share: q.vShare[w]}
 		if empty != nil {
 			st.emptyAt = empty[w]
@@ -237,7 +185,7 @@ func (q *query) parallelExactScore(i int) int {
 			if pi&255 == 255 && q.cancelled() {
 				break
 			}
-			q.scorePoint(i, int(pt), obj.Pts[pt], bOi, mask, neigh[:0], &ctrs[w], &st)
+			q.scorePoint(i, int(pt), obj.Pts[pt], bOi, mask, &ctrs[w], &st)
 		}
 	})
 	for w := 1; w < t; w++ {

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"mio/internal/baseline"
 	"mio/internal/data"
 	"mio/internal/geom"
 )
@@ -69,5 +71,49 @@ func TestValidateRejectsInt32KeyOverflow(t *testing.T) {
 	wantErr("mixed RunGroup member", outs[0].Err)
 	if outs[1].Err != nil || outs[1].Result.Best.Score != 3 {
 		t.Errorf("mixed RunGroup: valid member got %+v, want score 3", outs[1])
+	}
+}
+
+// TestFullKeyRangeMatchesNL: the sort keeps all 96 key bits, so a
+// dataset at the far end of the accepted domain — planar, |coord| ≈
+// 1e9, r = 1: small-grid cell coordinates ±1.7e9 of int32's ±2.1e9, on
+// both sides of zero — is answered as the nested loop answers it, at
+// both dimensionalities and worker counts.
+func TestFullKeyRangeMatchesNL(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	ds := &data.Dataset{Name: "corners"}
+	for i := 0; i < 80; i++ {
+		// Four flocks, one per quadrant corner.
+		x, y := 1e9-float64(rng.Intn(12)), 1e9-float64(rng.Intn(12))
+		if i&1 != 0 {
+			x = -x
+		}
+		if i&2 != 0 {
+			y = -y
+		}
+		var pts []geom.Point
+		for j := 0; j < 6; j++ {
+			pts = append(pts, geom.Pt(x+rng.Float64()*2, y+rng.Float64()*2, 0))
+		}
+		ds.Objects = append(ds.Objects, data.Object{ID: i, Pts: pts})
+	}
+	want := baseline.NL(ds, 1, 10)
+	if want[0].Score == 0 {
+		t.Fatal("setup: nothing interacts at r=1")
+	}
+	for _, opts := range []Options{{}, {Dims: 2}, {Workers: 2}} {
+		eng, err := NewEngine(ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.RunTopK(1, 10)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		for i, s := range res.TopK {
+			if s.Obj != want[i].Obj || s.Score != want[i].Score {
+				t.Fatalf("%+v: top-%d = %+v, NL says %+v", opts, i+1, s, want[i])
+			}
+		}
 	}
 }

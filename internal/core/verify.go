@@ -4,7 +4,6 @@ import (
 	"mio/internal/bitmap"
 	"mio/internal/core/labelstore"
 	"mio/internal/geom"
-	"mio/internal/grid"
 )
 
 // verification implements VERIFICATION(O_cand, r) (Algorithm 6) with
@@ -70,15 +69,14 @@ func (q *query) exact(i int) int {
 	if q.sBOi == nil {
 		q.sBOi, q.sMask = bitmap.NewScratch(q.n), bitmap.NewScratch(q.n)
 	}
-	var neigh [27]grid.Key
 	ctr := ctrSet{}
-	tau := q.exactScore(i, q.sBOi, q.sMask, neigh[:0], &ctr)
+	tau := q.exactScore(i, q.sBOi, q.sMask, &ctr)
 	q.addCounters([]ctrSet{ctr})
 	return tau
 }
 
 // exactScore computes τ(o_i) with the BIGrid (Algorithm 6 lines 6-19).
-func (q *query) exactScore(i int, bOi, mask *bitmap.Scratch, neigh []grid.Key, ctr *ctrSet) int {
+func (q *query) exactScore(i int, bOi, mask *bitmap.Scratch, ctr *ctrSet) int {
 	bOi.Reset()
 	bOi.Set(i)
 	if q.lbBits != nil && q.lbBits[i] != nil {
@@ -102,7 +100,7 @@ func (q *query) exactScore(i int, bOi, mask *bitmap.Scratch, neigh []grid.Key, c
 		if q.skipVerifyPoint(i, j) {
 			continue
 		}
-		q.scorePoint(i, j, p, bOi, mask, neigh, ctr, &st)
+		q.scorePoint(i, j, p, bOi, mask, ctr, &st)
 	}
 	return bOi.Cardinality() - 1
 }
@@ -128,8 +126,13 @@ func (q *query) skipVerifyPoint(obj, pt int) bool {
 // found bits from both mask and adds them to b(o_i)), so it need not be
 // rebuilt.
 type scoreState struct {
-	lastKey   grid.Key
+	cell      int
 	maskValid bool
+	// neigh is cell's 27-cell neighbourhood in probe order, looked
+	// up once per same-cell run, and only if a point of the run has a
+	// non-empty mask to probe with.
+	neigh      [27]int32
+	neighValid bool
 	// share, when non-nil, restricts the candidate mask to the objects
 	// this worker owns (object-partitioned parallel verification,
 	// parallelExactScore). The restriction composes with the mask-reuse
@@ -147,26 +150,28 @@ type scoreState struct {
 
 // scorePoint processes one point of o_i: builds the candidate mask
 // b = b^adj(c_K) − b(o_i), then probes posting lists of the cell and
-// its neighbours only for objects whose mask bit survives.
-func (q *query) scorePoint(i, j int, p geom.Point, bOi, mask *bitmap.Scratch, neigh []grid.Key, ctr *ctrSet, st *scoreState) {
-	k := q.idx.large.KeyFor(p)
-	if !st.maskValid || k != st.lastKey {
-		cell := q.idx.large.Cell(k)
-		if cell == nil {
+// its neighbours only for objects whose mask bit survives. The
+// neighbours are probed in Key.NeighborsAndSelf order: probing stops
+// once the mask empties, so DistanceComps depends on the order.
+func (q *query) scorePoint(i, j int, p geom.Point, bOi, mask *bitmap.Scratch, ctr *ctrSet, st *scoreState) {
+	large := q.idx.large
+	c := large.CellOf(i, j)
+	if !st.maskValid || c != st.cell {
+		if c < 0 {
 			st.maskValid = false
 			return
 		}
-		adj := cell.Adj()
+		adj := large.Adj(c)
 		if adj == nil {
 			// WITH-LABEL runs may reach cells whose b^adj was never
 			// needed during (label-filtered) upper-bounding; compute it
 			// now (§III-D, VERIFICATION-WITH-LABEL).
 			var fresh bool
-			adj, fresh = q.idx.large.ComputeAdj(k)
-			if q.noteAdj(k, fresh) {
+			adj, fresh = large.ComputeAdj(c)
+			if q.noteAdj(c, fresh) {
 				ctr.adjComputed++
 			}
-		} else if q.adjBase != nil && q.noteAdj(k, false) {
+		} else if q.adjBase != nil && q.noteAdj(c, false) {
 			// On a shared grid another plan may have materialised this
 			// cell's b^adj already; the replay accounting still charges
 			// it to this query if a private grid would have.
@@ -176,7 +181,7 @@ func (q *query) scorePoint(i, j int, p geom.Point, bOi, mask *bitmap.Scratch, ne
 		if st.share != nil {
 			mask.AndScratch(st.share)
 		}
-		st.lastKey, st.maskValid = k, true
+		st.cell, st.maskValid, st.neighValid = c, true, false
 	}
 	if mask.Cardinality() == 0 {
 		if st.emptyAt != nil {
@@ -188,75 +193,80 @@ func (q *query) scorePoint(i, j int, p geom.Point, bOi, mask *bitmap.Scratch, ne
 		}
 		return
 	}
-	for _, nk := range k.NeighborsAndSelf(neigh[:0]) {
-		nc := q.idx.large.Cell(nk)
-		if nc == nil {
+	if !st.neighValid {
+		large.Neighbors(c, &st.neigh)
+		st.neighValid = true
+	}
+	for _, nc := range st.neigh {
+		if nc < 0 {
 			continue
 		}
-		q.probeCell(nc, p, bOi, mask, ctr)
+		q.probeCell(int(nc), p, bOi, mask, ctr)
 		if mask.Cardinality() == 0 {
 			return
 		}
 	}
 }
 
-// noteAdj decides whether a verification-phase visit to cell k's
+// noteAdj decides whether a verification-phase visit to cell c's
 // adjacency bitset counts toward this query's AdjComputed. A solo
 // query owns its grid, so grid freshness is the answer. Group runs
 // (batch.go) share one large grid across member plans: freshness would
 // credit whichever plan reached the cell first, so accounting switches
 // to a per-query replay — every visit to a cell outside adjBase (the
-// set whose b^adj existed when the shared upper-bounding pass
+// cells whose b^adj existed when the shared upper-bounding pass
 // finished) counts exactly once per query, which is what a private
 // grid would have charged.
-func (q *query) noteAdj(k grid.Key, fresh bool) bool {
+func (q *query) noteAdj(c int, fresh bool) bool {
 	if q.adjBase == nil {
 		return fresh
 	}
-	if _, had := q.adjBase[k]; had {
+	if q.adjBase[c] {
 		return false
 	}
 	q.adjMu.Lock()
 	defer q.adjMu.Unlock()
-	if _, dup := q.adjSeen[k]; dup {
+	if q.adjSeen == nil {
+		q.adjSeen = make([]bool, len(q.adjBase))
+	}
+	if q.adjSeen[c] {
 		return false
 	}
-	if q.adjSeen == nil {
-		q.adjSeen = make(map[grid.Key]struct{})
-	}
-	q.adjSeen[k] = struct{}{}
+	q.adjSeen[c] = true
 	return true
 }
 
-// probeCell runs the distance computations of Algorithm 6 lines 13-17:
-// for every object still in the mask, scan its posting in the cell
-// until one point within r is found. The posting-list/mask intersection
-// runs in whichever direction is cheaper: over the cell's postings
-// (O(1) mask test each) when the cell is small, over mask bits (binary
-// search per posting lookup) when the mask is small.
-func (q *query) probeCell(c *grid.LargeCell, p geom.Point, bOi, mask *bitmap.Scratch, ctr *ctrSet) {
-	if len(c.Objs) <= mask.Cardinality() {
-		for pi, obj := range c.Objs {
+// probeCell runs the distance computations of Algorithm 6 lines 13-17
+// against cell c: for every object still in the mask, scan its posting
+// in the cell until one point within r is found. The posting-list/mask
+// intersection runs in whichever direction is cheaper: over the cell's
+// postings (O(1) mask test each) when the cell is small, over mask bits
+// (binary search per posting lookup) when the mask is small.
+func (q *query) probeCell(c int, p geom.Point, bOi, mask *bitmap.Scratch, ctr *ctrSet) {
+	large := q.idx.large
+	if objs := large.CellObjs(c); len(objs) <= mask.Cardinality() {
+		first := int(large.CellOff[c])
+		for pi, obj := range objs {
 			if j := int(obj); mask.Test(j) {
-				q.probePosting(c, pi, j, p, bOi, mask, ctr)
+				q.probePosting(first+pi, j, p, bOi, mask, ctr)
 			}
 		}
 		return
 	}
 	mask.ForEach(func(j int) bool {
-		if pi := c.PostingIndex(j); pi >= 0 {
-			q.probePosting(c, pi, j, p, bOi, mask, ctr)
+		if pi := large.PostingIndex(c, j); pi >= 0 {
+			q.probePosting(pi, j, p, bOi, mask, ctr)
 		}
 		return true
 	})
 }
 
-// probePosting resolves posting pi of c (object j) against p with the
+// probePosting resolves posting pi (object j) against p with the
 // 4-wide FirstWithin2 kernel over the posting's contiguous coordinates.
 // distComps counts the pairs a scalar break-on-first-hit loop would
 // have touched: idx+1 on a hit, the full posting on a miss.
-func (q *query) probePosting(c *grid.LargeCell, pi, j int, p geom.Point, bOi, mask *bitmap.Scratch, ctr *ctrSet) {
-	xs, ys, zs := c.Points(pi)
+func (q *query) probePosting(pi, j int, p geom.Point, bOi, mask *bitmap.Scratch, ctr *ctrSet) {
+	xs, ys, zs := q.idx.large.Points(pi)
 	if idx := geom.FirstWithin2(p.X, p.Y, p.Z, xs, ys, zs, q.r2); idx >= 0 {
 		ctr.distComps += idx + 1
 		bOi.Set(j)

@@ -8,7 +8,6 @@ import (
 	"mio/internal/bitmap"
 	"mio/internal/data"
 	"mio/internal/geom"
-	"mio/internal/grid"
 )
 
 var benchStandins = struct {
@@ -44,20 +43,20 @@ func BenchmarkProbeCellDenseMask(b *testing.B) {
 	q.gridMapping()
 
 	// The cell with the most points gives the worst-case posting scan.
-	var bestKey grid.Key
-	bestPts := -1
-	q.idx.large.ForEach(func(k grid.Key, c *grid.LargeCell) {
-		if c.NumPoints() > bestPts {
-			bestPts, bestKey = c.NumPoints(), k
+	large := q.idx.large
+	cell, bestPts := 0, -1
+	for c := 0; c < large.Len(); c++ {
+		if large.NumPoints(c) > bestPts {
+			cell, bestPts = c, large.NumPoints(c)
 		}
-	})
-	cell := q.idx.large.Cell(bestKey)
-	adj, _ := q.idx.large.ComputeAdj(bestKey)
+	}
+	bestKey := large.Key(cell)
+	adj, _ := large.ComputeAdj(cell)
 	// Probe from 1.5 cell widths past the cell's centre: every point of
 	// the cell is between 1.0 and 2.5 widths away, so with r = width the
 	// probes are misses and every posting scans to the end: the expensive
 	// regime. First-point hits are cheap under any layout.
-	w := q.idx.large.Width()
+	w := large.Width()
 	p := geom.Pt((float64(bestKey.X)+2.0)*w, (float64(bestKey.Y)+0.5)*w, (float64(bestKey.Z)+0.5)*w)
 
 	bOi := bitmap.NewScratch(q.n)

@@ -6,7 +6,7 @@ package geom
 // query point against a whole posting list at a time. Walking a
 // []Point slice pays a 24-byte stride and a branch per point; these
 // kernels instead take the coordinates as three flat []float64 blocks
-// (the layout of grid.LargeCell's postings), which keeps the loads
+// (the layout of grid.LargeGrid's postings), which keeps the loads
 // sequential, lets the compiler eliminate bounds checks, and unrolls
 // the squared-distance evaluation 4-wide. All kernels are
 // allocation-free and evaluate exactly dx*dx + dy*dy + dz*dz per

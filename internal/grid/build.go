@@ -1,0 +1,285 @@
+package grid
+
+import (
+	"math"
+	"sync/atomic"
+
+	"mio/internal/data"
+	"mio/internal/parallel"
+)
+
+// rec is one sort record: a cell key packed so that unsigned order on
+// (hi, lo) equals Key.Less, and the point it came from. All 96 key bits
+// are kept, so the accepted (dataset, r) domain is KeyFor's.
+type rec struct {
+	hi  uint64 // X<<32 | Y, each offset-binary
+	lo  uint32 // Z, offset-binary
+	ord uint32 // the point's number in (object, point index) order
+}
+
+const signBit = 1 << 31
+
+func pack(k Key) (hi uint64, lo uint32) {
+	return uint64(uint32(k.X)^signBit)<<32 | uint64(uint32(k.Y)^signBit), uint32(k.Z) ^ signBit
+}
+
+func unpack(hi uint64, lo uint32) Key {
+	return Key{X: int32(uint32(hi>>32) ^ signBit), Y: int32(uint32(hi) ^ signBit), Z: int32(lo ^ signBit)}
+}
+
+// points is what every grid of one Build shares: the dataset, each
+// object's first point number, and the object of each point number.
+type points struct {
+	ds    *data.Dataset
+	start []int32 // len n+1
+	objOf []int32 // len start[n]
+}
+
+// Build is GRID-MAPPING (Algorithm 3) by sort and scan: it maps the
+// points of ds into one large grid of cell width largeWidth and one
+// small grid per entry of smallWidths, which all see the same points.
+// Grid by grid, every point is quantised as KeyFor does, the (key,
+// point number) records are radix-sorted, and the sorted stream is
+// run-length encoded into the grid's flat arrays; the two record
+// buffers are shared by all the grids.
+//
+// keep, when non-nil, filters the points (the WITH-LABEL variant maps
+// only points whose label is not 0**) and must answer the same every
+// time it is asked. stop, when non-nil, is polled every 128 objects of
+// the first grid's sweep; once it reports true the sweep ends, the
+// grids hold only what was mapped so far, and complete is false. With
+// workers > 1 the quantising sweeps are split over contiguous,
+// point-count-balanced object ranges; the sorts are not.
+func Build(ds *data.Dataset, largeWidth float64, smallWidths []float64, workers int, keep func(obj, pt int) bool, stop func() bool) (large *LargeGrid, smalls []*SmallGrid, complete bool) {
+	n := ds.N()
+	weights := make([]int, n)
+	src := points{ds: ds, start: make([]int32, n+1)}
+	for i := range ds.Objects {
+		weights[i] = len(ds.Objects[i].Pts)
+		src.start[i+1] = src.start[i] + int32(weights[i])
+	}
+	total := int(src.start[n])
+	src.objOf = make([]int32, total)
+	for i := range ds.Objects {
+		for g := src.start[i]; g < src.start[i+1]; g++ {
+			src.objOf[g] = int32(i)
+		}
+	}
+
+	ranges := parallel.Ranges(weights, workers)
+	recs := make([]rec, total)
+	m, complete := src.quantise(recs, largeWidth, ranges, keep, stop)
+	tmp := make([]rec, m)
+	large = newLargeGrid(largeWidth, &src, sortRecs(recs[:m], tmp))
+	smalls = make([]*SmallGrid, len(smallWidths))
+	for si, width := range smallWidths {
+		// ranges now end where a stopped first sweep did.
+		m, _ = src.quantise(recs, width, ranges, keep, nil)
+		smalls[si] = newSmallGrid(width, &src, sortRecs(recs[:m], tmp))
+	}
+	return large, smalls, complete
+}
+
+// quantise writes one record per kept point of the given object ranges
+// into recs, in point number order, and returns their count. One worker
+// per range polls stop every 128 objects; a range cut short is
+// truncated in place and complete is false.
+func (src *points) quantise(recs []rec, width float64, ranges [][2]int, keep func(obj, pt int) bool, stop func() bool) (m int, complete bool) {
+	// Worker w writes from its range's first point number on; a
+	// filtered or interrupted range leaves a gap behind its records,
+	// closed below.
+	counts := make([]int, len(ranges))
+	var broke atomic.Bool
+	parallel.Run(len(ranges), func(w int) {
+		first := int(src.start[ranges[w][0]])
+		at := first
+		for i := ranges[w][0]; i < ranges[w][1]; i++ {
+			if i&127 == 127 && stop != nil && stop() {
+				broke.Store(true)
+				ranges[w][1] = i
+				break
+			}
+			g := int(src.start[i])
+			for j, p := range src.ds.Objects[i].Pts {
+				if keep != nil && !keep(i, j) {
+					continue
+				}
+				hi, lo := pack(KeyFor(p, width))
+				recs[at] = rec{hi: hi, lo: lo, ord: uint32(g + j)}
+				at++
+			}
+		}
+		counts[w] = at - first
+	})
+	for w, cnt := range counts {
+		if from := int(src.start[ranges[w][0]]); from != m {
+			copy(recs[m:], recs[from:from+cnt])
+		}
+		m += cnt
+	}
+	return m, !broke.Load()
+}
+
+// field returns key field f of the record, least significant first: Z,
+// Y, X.
+func (r rec) field(f int) uint32 {
+	switch f {
+	case 0:
+		return r.lo
+	case 1:
+		return uint32(r.hi)
+	}
+	return uint32(r.hi >> 32)
+}
+
+// sortRecs sorts a by (hi, lo) with a stable LSD radix sort over 8-bit
+// digits and returns the slice holding the result, a or tmp. Digits are
+// taken from each key field's offset from its minimum, so only the
+// bytes the field's range spans cost a pass: a planar dataset pays
+// nothing for Z, and cell coordinates straddling zero cost no more than
+// positive ones. Stability keeps the records of one cell in point
+// number order, which is object-major.
+func sortRecs(a, tmp []rec) []rec {
+	if len(a) < 2 {
+		return a
+	}
+	var minF, maxF [3]uint32
+	for f := range minF {
+		minF[f], maxF[f] = math.MaxUint32, 0
+		for _, r := range a {
+			minF[f] = min(minF[f], r.field(f))
+			maxF[f] = max(maxF[f], r.field(f))
+		}
+	}
+	for f := range minF {
+		base, span := minF[f], maxF[f]-minF[f]
+		for shift := uint(0); shift < 32 && span>>shift != 0; shift += 8 {
+			var next [256]int
+			for _, r := range a {
+				next[(r.field(f)-base)>>shift&0xff]++
+			}
+			pos := 0
+			for d, c := range next {
+				next[d] = pos
+				pos += c
+			}
+			for _, r := range a {
+				d := (r.field(f) - base) >> shift & 0xff
+				tmp[next[d]] = r
+				next[d]++
+			}
+			a, tmp = tmp, a
+		}
+	}
+	return a
+}
+
+// directory is what the two grids share: the sorted key list of the
+// non-empty cells, packed as the sort records are — a cell is its index
+// in it — and per cell b(c), the objects with a point in the cell, as
+// the strictly increasing id run [CellOff[c], CellOff[c+1]) of Objs
+// (footnote 3 of the paper leaves the set representation open).
+type directory struct {
+	hi []uint64
+	lo []uint32
+
+	CellOff []int32 // len Len()+1
+	Objs    []int32
+}
+
+// countRuns returns the number of distinct keys in sorted and the number
+// of (key, object) runs, so the grids can size their arrays exactly.
+func countRuns(src *points, sorted []rec) (cells, runs int) {
+	for i, r := range sorted {
+		newCell := i == 0 || r.hi != sorted[i-1].hi || r.lo != sorted[i-1].lo
+		if newCell {
+			cells++
+		}
+		if newCell || src.objOf[r.ord] != src.objOf[sorted[i-1].ord] {
+			runs++
+		}
+	}
+	return cells, runs
+}
+
+func newDirectory(cells, runs int) directory {
+	return directory{
+		hi:      make([]uint64, cells),
+		lo:      make([]uint32, cells),
+		CellOff: make([]int32, cells+1),
+		Objs:    make([]int32, runs),
+	}
+}
+
+// CellObjs returns b(c). The slice aliases the grid's storage and must
+// not be written.
+func (d *directory) CellObjs(c int) []int32 { return d.Objs[d.CellOff[c]:d.CellOff[c+1]] }
+
+// Len returns the number of non-empty cells.
+func (d *directory) Len() int { return len(d.hi) }
+
+// Key returns the key of cell c. Cells are numbered in Key.Less order.
+func (d *directory) Key(c int) Key { return unpack(d.hi[c], d.lo[c]) }
+
+// Find returns the cell with key k, or -1.
+func (d *directory) Find(k Key) int {
+	hi, lo := pack(k)
+	if c := d.search(0, hi, lo); c < len(d.hi) && d.hi[c] == hi && d.lo[c] == lo {
+		return c
+	}
+	return -1
+}
+
+// search returns the first cell at or after from whose key is not less
+// than (hi, lo). It gallops before it bisects: the columns of one
+// neighbourhood are looked up in key order, each from where the last
+// one ended, and those of one X are a few cells apart.
+func (d *directory) search(from int, hi uint64, lo uint32) int {
+	less := func(c int) bool { return d.hi[c] < hi || (d.hi[c] == hi && d.lo[c] < lo) }
+	l, r := from, len(d.hi)
+	for step := 1; l+step <= r; step <<= 1 {
+		if !less(l + step - 1) {
+			r = l + step - 1
+			break
+		}
+		l += step
+	}
+	for l < r {
+		m := int(uint(l+r) >> 1)
+		if less(m) {
+			l = m + 1
+		} else {
+			r = m
+		}
+	}
+	return l
+}
+
+// columns calls fn for every (X+dx, Y+dy), |dx|, |dy| ≤ radius, in
+// increasing key order, with the range [lo, hi) of cells in that column
+// whose Z is within radius of k.Z: the Z-neighbours of one (X, Y) are
+// adjacent in the directory, so a neighbourhood costs (2·radius+1)²
+// binary searches and no hashing. Coordinates outside int32 name no
+// cell.
+func (d *directory) columns(k Key, radius int32, fn func(dx, dy int32, lo, hi int)) {
+	first := uint32(max(int64(k.Z)-int64(radius), math.MinInt32)) ^ signBit
+	last := uint32(min(int64(k.Z)+int64(radius), math.MaxInt32)) ^ signBit
+	from := 0
+	for dx := -radius; dx <= radius; dx++ {
+		x := int64(k.X) + int64(dx)
+		for dy := -radius; dy <= radius; dy++ {
+			y := int64(k.Y) + int64(dy)
+			if x < math.MinInt32 || x > math.MaxInt32 || y < math.MinInt32 || y > math.MaxInt32 {
+				continue
+			}
+			hi, _ := pack(Key{X: int32(x), Y: int32(y)})
+			c := d.search(from, hi, first)
+			end := c
+			for end < len(d.hi) && d.hi[end] == hi && d.lo[end] <= last {
+				end++
+			}
+			fn(dx, dy, c, end)
+			from = end
+		}
+	}
+}

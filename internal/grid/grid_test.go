@@ -1,12 +1,20 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"mio/internal/bitmap"
+	"mio/internal/data"
 	"mio/internal/geom"
 )
 
@@ -133,280 +141,389 @@ func TestSmallWidth2D(t *testing.T) {
 	}
 }
 
-func TestSmallGridAddTransitions(t *testing.T) {
-	g := NewSmallGrid(1)
-	p := geom.Pt(0.5, 0.5, 0.5)
-	k, before, after, cell := g.Add(0, p)
-	if before != 0 || after != 1 {
-		t.Fatalf("first add: %d -> %d", before, after)
+// dataset wraps point slices as a dataset, object i holding objs[i].
+func dataset(objs ...[]geom.Point) *data.Dataset {
+	ds := &data.Dataset{}
+	for i, pts := range objs {
+		ds.Objects = append(ds.Objects, data.Object{ID: i, Pts: pts})
 	}
-	if cell.FirstObject() != 0 {
-		t.Fatalf("first object = %d", cell.FirstObject())
-	}
-	// Same object again: no transition.
-	_, before, after, _ = g.Add(0, geom.Pt(0.6, 0.6, 0.6))
-	if before != 1 || after != 1 {
-		t.Fatalf("same-object re-add: %d -> %d", before, after)
-	}
-	// Second object: 1 -> 2.
-	_, before, after, _ = g.Add(3, geom.Pt(0.7, 0.7, 0.7))
-	if before != 1 || after != 2 {
-		t.Fatalf("second object: %d -> %d", before, after)
-	}
-	// Third object: 2 -> 3.
-	_, before, after, _ = g.Add(5, geom.Pt(0.2, 0.2, 0.2))
-	if before != 2 || after != 3 {
-		t.Fatalf("third object: %d -> %d", before, after)
-	}
-	if g.Len() != 1 {
-		t.Fatalf("cells = %d", g.Len())
-	}
-	if g.Cell(k) != cell {
-		t.Fatal("Cell lookup mismatch")
-	}
-	if g.Cell(Key{9, 9, 9}) != nil {
-		t.Fatal("phantom cell")
-	}
-	if g.SizeBytes() <= 0 || g.UncompressedSizeBytes(1000) <= g.SizeBytes() {
-		t.Error("size accounting implausible")
-	}
-	count := 0
-	g.ForEach(func(Key, *SmallCell) { count++ })
-	if count != 1 {
-		t.Fatalf("ForEach visited %d", count)
-	}
-	if g.Width() != 1 {
-		t.Fatal("width")
-	}
+	return ds
 }
 
-func TestLargeGridPostings(t *testing.T) {
-	g := NewLargeGrid(2, 8)
-	pts := []geom.Point{
-		geom.Pt(0.5, 0.5, 0.5),
-		geom.Pt(1.0, 1.0, 1.0),
-		geom.Pt(1.5, 0.5, 0.5),
-	}
-	g.Add(0, 0, pts[0])
-	g.Add(0, 1, pts[1])
-	g.Add(2, 0, pts[2])
-	k := g.KeyFor(pts[0])
-	c := g.Cell(k)
-	if c == nil {
-		t.Fatal("cell missing")
-	}
-	if xs, _, _ := c.Points(c.PostingIndex(0)); len(xs) != 2 {
-		t.Fatalf("posting(0) = %d pts", len(xs))
-	}
-	if xs, _, _ := c.Points(c.PostingIndex(2)); len(xs) != 1 {
-		t.Fatalf("posting(2) = %d pts", len(xs))
-	}
-	if pi := c.PostingIndex(1); pi != -1 {
-		t.Fatalf("PostingIndex(1) = %d", pi)
-	}
-	if c.B.Cardinality() != 2 {
-		t.Fatalf("cell bitset card = %d", c.B.Cardinality())
-	}
-	if idx := c.PointIdx(0); len(idx) != 2 || idx[1] != 1 {
-		t.Fatalf("point indices wrong: %v", idx)
-	}
+// buildLarge builds the large grid alone, on one worker, unfiltered.
+func buildLarge(ds *data.Dataset, width float64) *LargeGrid {
+	g, _, _ := Build(ds, width, nil, 1, nil, nil)
+	return g
 }
 
 // TestPostingIndex pins the binary-search lookup.
 func TestPostingIndex(t *testing.T) {
-	g := NewLargeGrid(4, 16)
-	for _, obj := range []int{1, 4, 9} {
-		g.Add(obj, 0, geom.Pt(0.5, 0.5, 0.5))
+	objs := make([][]geom.Point, 10)
+	for i := range objs {
+		objs[i] = []geom.Point{geom.Pt(100, 100, 100)}
 	}
-	c := g.Cell(g.KeyFor(geom.Pt(0.5, 0.5, 0.5)))
-	for _, tc := range []struct{ obj, want int }{{1, 0}, {4, 1}, {9, 2}, {0, -1}, {5, -1}, {100, -1}} {
-		if got := c.PostingIndex(tc.obj); got != tc.want {
+	for _, obj := range []int{1, 4, 9} {
+		objs[obj] = []geom.Point{geom.Pt(0.5, 0.5, 0.5)}
+	}
+	g := buildLarge(dataset(objs...), 4)
+	c := g.Find(KeyFor(geom.Pt(0.5, 0.5, 0.5), 4))
+	if c < 0 {
+		t.Fatal("cell missing")
+	}
+	first := int(g.CellOff[c])
+	for _, tc := range []struct{ obj, want int }{{1, first}, {4, first + 1}, {9, first + 2}, {0, -1}, {5, -1}, {100, -1}} {
+		if got := g.PostingIndex(c, tc.obj); got != tc.want {
 			t.Errorf("PostingIndex(%d) = %d, want %d", tc.obj, got, tc.want)
 		}
 	}
 }
 
-// TestFlatPostingLayout pins the one posting layout: whether the cells
-// were filled by id-ordered Adds alone or by MergeFrom of
-// range-partitioned parts, every cell's Objs is strictly increasing,
-// Off is monotone and ends at NumPoints, PostingIndex finds exactly the
-// objects present, and each posting holds its object's points of that
-// cell with their indices, in insertion order.
-func TestFlatPostingLayout(t *testing.T) {
-	const nObj, width = 120, 2.0
-	rng := rand.New(rand.NewSource(31))
-	objs := make([][]geom.Point, nObj)
-	for i := range objs {
-		// Path-like, so consecutive points share cells.
-		p := geom.Pt(rng.Float64()*30, rng.Float64()*30, rng.Float64()*30)
-		for j := 0; j < 1+rng.Intn(30); j++ {
-			p = p.Add(geom.Pt(rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()))
-			objs[i] = append(objs[i], p)
-		}
-	}
-	// The reference inverted list, built without the grid.
-	type ref struct {
-		pts []geom.Point
-		idx []int32
-	}
-	want := map[Key]map[int]*ref{}
-	for i, pts := range objs {
-		for j, p := range pts {
+// refPosting is one posting of the reference inverted index: an
+// object's points in one cell with their indices, in point order.
+type refPosting struct {
+	pts []geom.Point
+	idx []int32
+}
+
+// refIndex is the reference the sort-built grids are held against: an
+// inverted index built with plain maps, one point at a time.
+type refIndex map[Key]map[int]*refPosting
+
+func reference(ds *data.Dataset, width float64, keep func(obj, pt int) bool) refIndex {
+	ref := refIndex{}
+	for i := range ds.Objects {
+		for j, p := range ds.Objects[i].Pts {
+			if keep != nil && !keep(i, j) {
+				continue
+			}
 			k := KeyFor(p, width)
-			if want[k] == nil {
-				want[k] = map[int]*ref{}
+			if ref[k] == nil {
+				ref[k] = map[int]*refPosting{}
 			}
-			if want[k][i] == nil {
-				want[k][i] = &ref{}
+			if ref[k][i] == nil {
+				ref[k][i] = &refPosting{}
 			}
-			want[k][i].pts = append(want[k][i].pts, p)
-			want[k][i].idx = append(want[k][i].idx, int32(j))
+			ref[k][i].pts = append(ref[k][i].pts, p)
+			ref[k][i].idx = append(ref[k][i].idx, int32(j))
 		}
 	}
-	build := func(lo, hi int) *LargeGrid {
-		g := NewLargeGrid(width, nObj)
-		for i := lo; i < hi; i++ {
-			for j, p := range objs[i] {
-				g.Add(i, j, p)
+	return ref
+}
+
+// objects returns the ascending ids of the objects in the given cells.
+func (ref refIndex) objects(keys []Key) []int {
+	seen := map[int]bool{}
+	for _, k := range keys {
+		for obj := range ref[k] {
+			seen[obj] = true
+		}
+	}
+	out := make([]int, 0, len(seen))
+	for obj := range seen {
+		out = append(out, obj)
+	}
+	sort.Ints(out)
+	return out
+}
+
+func ints(ids []int32) []int {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		out[i] = int(id)
+	}
+	return out
+}
+
+// checkDirectory holds a grid's directory against the reference's
+// cells: the same keys, in strictly increasing Key.Less order, each
+// found at its own index, and no absent key found.
+func checkDirectory(t *testing.T, d *directory, ref refIndex) {
+	t.Helper()
+	if d.Len() != len(ref) {
+		t.Fatalf("cells = %d, want %d", d.Len(), len(ref))
+	}
+	for c := 0; c < d.Len(); c++ {
+		k := d.Key(c)
+		if ref[k] == nil {
+			t.Fatalf("cell %d has key %v, which holds no point", c, k)
+		}
+		if c > 0 && !d.Key(c-1).Less(k) {
+			t.Fatalf("directory not in Key.Less order at %d: %v then %v", c, d.Key(c-1), k)
+		}
+		if got := d.Find(k); got != c {
+			t.Fatalf("Find(%v) = %d, want %d", k, got, c)
+		}
+		for _, nk := range k.Neighbors(nil) {
+			if ref[nk] == nil && d.Find(nk) != -1 {
+				t.Fatalf("Find(%v) hit for an empty cell", nk)
 			}
 		}
-		return g
 	}
-	for _, tc := range []struct {
+}
+
+// checkLarge holds every observable of a large grid against the
+// reference.
+func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, ref refIndex, keep func(obj, pt int) bool) {
+	t.Helper()
+	checkDirectory(t, &g.directory, ref)
+	if len(g.CellOff) != g.Len()+1 || g.CellOff[0] != 0 || int(g.CellOff[g.Len()]) != len(g.Objs) {
+		t.Fatalf("CellOff spans [%d, %d] for %d postings", g.CellOff[0], g.CellOff[g.Len()], len(g.Objs))
+	}
+	if len(g.Off) != len(g.Objs)+1 || g.Off[0] != 0 || int(g.Off[len(g.Objs)]) != len(g.Idx) {
+		t.Fatalf("Off spans [%d, %d] for %d points", g.Off[0], g.Off[len(g.Objs)], len(g.Idx))
+	}
+	for c := 0; c < g.Len(); c++ {
+		k := g.Key(c)
+		want := ref[k]
+		objs := g.CellObjs(c)
+		if !reflect.DeepEqual(ints(objs), ref.objects([]Key{k})) {
+			t.Fatalf("cell %v: b(c) = %v, want %v", k, objs, ref.objects([]Key{k}))
+		}
+		points := 0
+		for i, obj := range objs {
+			p := int(g.CellOff[c]) + i
+			if i > 0 && obj <= objs[i-1] {
+				t.Fatalf("cell %v: object run not strictly increasing: %v", k, objs)
+			}
+			if got := g.PostingIndex(c, int(obj)); got != p {
+				t.Fatalf("cell %v: PostingIndex(%d) = %d, want %d", k, obj, got, p)
+			}
+			w := want[int(obj)]
+			xs, ys, zs := g.Points(p)
+			if len(xs) != len(w.pts) || len(ys) != len(xs) || len(zs) != len(xs) {
+				t.Fatalf("cell %v obj %d: %d points, want %d", k, obj, len(xs), len(w.pts))
+			}
+			for j, q := range w.pts {
+				if geom.Pt(xs[j], ys[j], zs[j]) != q {
+					t.Fatalf("cell %v obj %d point %d: got %v, want %v", k, obj, j, geom.Pt(xs[j], ys[j], zs[j]), q)
+				}
+			}
+			if !reflect.DeepEqual(g.PointIdx(p), w.idx) {
+				t.Fatalf("cell %v obj %d: Idx = %v, want %v", k, obj, g.PointIdx(p), w.idx)
+			}
+			points += len(w.pts)
+		}
+		if g.NumPoints(c) != points {
+			t.Fatalf("cell %v: NumPoints = %d, want %d", k, g.NumPoints(c), points)
+		}
+		for obj := 0; obj < ds.N(); obj++ {
+			if want[obj] == nil && g.PostingIndex(c, obj) != -1 {
+				t.Fatalf("cell %v: PostingIndex(%d) hit for an absent object", k, obj)
+			}
+		}
+
+		// The neighbourhood, its union, and the two ways to ask for it.
+		var neigh [27]int32
+		g.Neighbors(c, &neigh)
+		keys := k.NeighborsAndSelf(nil)
+		for i, nk := range keys {
+			if int(neigh[i]) != g.Find(nk) {
+				t.Fatalf("cell %v: Neighbors[%d] = %d, want Find(%v) = %d", k, i, neigh[i], nk, g.Find(nk))
+			}
+		}
+		union := ref.objects(keys)
+		if got := g.ComputeAdjRadius(k, 1).Bits(); !reflect.DeepEqual(got, union) {
+			t.Fatalf("cell %v: ComputeAdjRadius(1) = %v, want the 27-cell union %v", k, got, union)
+		}
+		if g.Adj(c) != nil {
+			t.Fatalf("cell %v: b^adj set before anything asked for it", k)
+		}
+		adj, fresh := g.ComputeAdj(c)
+		if !fresh || !reflect.DeepEqual(adj.Bits(), union) {
+			t.Fatalf("cell %v: ComputeAdj = %v (fresh %v), want %v", k, adj.Bits(), fresh, union)
+		}
+		if again, fresh := g.ComputeAdj(c); fresh || again != adj || g.Adj(c) != adj {
+			t.Fatalf("cell %v: b^adj not memoised", k)
+		}
+		if c%7 == 0 {
+			want := ref.objects(k.NeighborhoodRadius(nil, 2))
+			if got := g.ComputeAdjRadius(k, 2).Bits(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("cell %v: ComputeAdjRadius(2) = %v, want %v", k, got, want)
+			}
+		}
+	}
+	for i := range ds.Objects {
+		for j, p := range ds.Objects[i].Pts {
+			want := -1
+			if keep == nil || keep(i, j) {
+				want = g.Find(KeyFor(p, g.Width()))
+			}
+			if got := g.CellOf(i, j); got != want {
+				t.Fatalf("CellOf(%d, %d) = %d, want %d", i, j, got, want)
+			}
+		}
+	}
+}
+
+// checkSmall holds a small grid against the reference: the same cells,
+// each with the ascending run of its distinct objects.
+func checkSmall(t *testing.T, g *SmallGrid, ref refIndex) {
+	t.Helper()
+	checkDirectory(t, &g.directory, ref)
+	if len(g.CellOff) != g.Len()+1 || g.CellOff[0] != 0 || int(g.CellOff[g.Len()]) != len(g.Objs) {
+		t.Fatalf("CellOff spans [%d, %d] for %d run entries", g.CellOff[0], g.CellOff[g.Len()], len(g.Objs))
+	}
+	for c := 0; c < g.Len(); c++ {
+		if k := g.Key(c); !reflect.DeepEqual(ints(g.CellObjs(c)), ref.objects([]Key{k})) {
+			t.Fatalf("small cell %v: b(c) = %v, want %v", k, g.CellObjs(c), ref.objects([]Key{k}))
+		}
+	}
+}
+
+// TestFlatIndexAgainstReference is the differential test of the one
+// grid builder: every grid Build returns must be, observable for
+// observable, the inverted index a point-at-a-time map build gives —
+// cells, object runs, postings in point order, directory order, point
+// to cell, every neighbourhood and every b^adj — however many workers
+// quantised the points and whether or not a filter dropped some.
+func TestFlatIndexAgainstReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	walk := func(n, steps int, origin, span, step float64) *data.Dataset {
+		objs := make([][]geom.Point, n)
+		for i := range objs {
+			// Path-like, so consecutive points share cells.
+			p := geom.Pt(origin+rng.Float64()*span, origin+rng.Float64()*span, origin+rng.Float64()*span)
+			for j := 0; j < 1+rng.Intn(steps); j++ {
+				p = p.Add(geom.Pt(rng.NormFloat64()*step, rng.NormFloat64()*step, rng.NormFloat64()*step))
+				objs[i] = append(objs[i], p)
+			}
+		}
+		return dataset(objs...)
+	}
+	// Points exactly on cell boundaries, either side of zero: every
+	// coordinate is a multiple of the width or half of it.
+	var lattice [][]geom.Point
+	for i := 0; i < 40; i++ {
+		var pts []geom.Point
+		for j := 0; j < 6; j++ {
+			pts = append(pts, geom.Pt(float64(rng.Intn(13)-6), float64(rng.Intn(13)-6), float64(rng.Intn(5)-2)))
+		}
+		lattice = append(lattice, pts)
+	}
+	// Planar, at the far end of the int32 key range.
+	var huge [][]geom.Point
+	for i := 0; i < 60; i++ {
+		x, y := 1e9-float64(rng.Intn(40)), -1e9+float64(rng.Intn(40))
+		if i%2 == 1 {
+			x, y = -x, -y
+		}
+		var pts []geom.Point
+		for j := 0; j < 5; j++ {
+			pts = append(pts, geom.Pt(x+rng.Float64()*3, y+rng.Float64()*3, 0))
+		}
+		huge = append(huge, pts)
+	}
+	everyThird := func(obj, pt int) bool { return obj%5 != 0 && (obj+pt)%3 != 0 }
+
+	cases := []struct {
 		name  string
-		parts int
-	}{{"serial", 1}, {"merged/2", 2}, {"merged/3", 3}, {"merged/7", 7}} {
-		t.Run(tc.name, func(t *testing.T) {
-			g := build(0, nObj/tc.parts)
-			for w := 1; w < tc.parts; w++ {
-				g.MergeFrom(build(w*nObj/tc.parts, (w+1)*nObj/tc.parts))
-			}
-			if g.Len() != len(want) {
-				t.Fatalf("cells = %d, want %d", g.Len(), len(want))
-			}
-			g.ForEach(func(k Key, c *LargeCell) {
-				if len(c.Off) != len(c.Objs)+1 || c.Off[0] != 0 || int(c.Off[len(c.Objs)]) != c.NumPoints() {
-					t.Fatalf("cell %v: Off = %v for %d postings, %d points", k, c.Off, len(c.Objs), c.NumPoints())
+		ds    *data.Dataset
+		r     float64
+		width float64 // large-grid width; 0 means LargeWidth(r)
+		keep  func(obj, pt int) bool
+	}{
+		// The datasets of core's testDatasets, at a middle radius each.
+		{name: "neuron", r: 5, ds: data.GenNeuron(data.NeuronConfig{
+			N: 40, M: 120, Clusters: 4, FieldSize: 250, ClusterStd: 25, StepLen: 1.5, Branches: 4, Seed: 11})},
+		{name: "bird", r: 40, ds: data.GenTrajectory(data.TrajectoryConfig{
+			N: 120, M: 30, Groups: 6, FieldSize: 4000, Speed: 25, FollowStd: 10, Solo: 0.4, Seed: 12})},
+		{name: "syn", r: 12, ds: data.GenPowerLaw(data.PowerLawConfig{
+			N: 300, M: 6, Alpha: 1.5, Clusters: 30, FieldSize: 8000, HubStd: 6, Seed: 13})},
+		{name: "uniform", r: 10, ds: data.GenUniform(data.UniformConfig{
+			N: 150, M: 8, FieldSize: 500, Spread: 12, Seed: 14})},
+		{name: "sparse", r: 10, ds: data.GenUniformSparse(data.UniformSparseConfig{
+			N: 300, M: 3, FieldSize: 1500, Spread: 15, Seed: 15})},
+		{name: "onecell", r: 6, ds: data.GenOneCell(data.OneCellConfig{N: 60, M: 20, Side: 6, Seed: 16})},
+		{name: "paths", r: 2, ds: walk(120, 30, 0, 30, 1)},
+		{name: "negative", r: 3.3, ds: walk(80, 20, -25, 30, 1.5)},
+		{name: "boundary", r: 2, width: 1, ds: dataset(lattice...)},
+		{name: "pruned", r: 2, ds: walk(90, 25, -10, 30, 1), keep: everyThird},
+		{name: "huge", r: 1, ds: dataset(huge...)},
+	}
+	for _, tc := range cases {
+		width := tc.width
+		if width == 0 {
+			width = LargeWidth(tc.r)
+		}
+		smallWidths := []float64{SmallWidth(tc.r, 3), SmallWidth(tc.r*0.9, 3)}
+		refLarge := reference(tc.ds, width, tc.keep)
+		for _, workers := range []int{1, 2, 3, 7} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				var polls atomic.Int64
+				large, smalls, complete := Build(tc.ds, width, smallWidths, workers, tc.keep, func() bool { polls.Add(1); return false })
+				if !complete || len(smalls) != len(smallWidths) {
+					t.Fatalf("Build: complete = %v, %d small grids", complete, len(smalls))
 				}
-				if len(c.Objs) != len(want[k]) || c.B.Cardinality() != len(want[k]) {
-					t.Fatalf("cell %v: %d postings, b(c) card %d, want %d", k, len(c.Objs), c.B.Cardinality(), len(want[k]))
+				if got := int(polls.Load()); got != tc.ds.N()/128 {
+					t.Fatalf("stop polled %d times over %d objects, want once per 128", got, tc.ds.N())
 				}
-				for pi, obj := range c.Objs {
-					if pi > 0 && obj <= c.Objs[pi-1] {
-						t.Fatalf("cell %v: Objs not strictly increasing: %v", k, c.Objs)
+				checkLarge(t, large, tc.ds, refLarge, tc.keep)
+				for i, sw := range smallWidths {
+					if smalls[i].Width() != sw {
+						t.Fatalf("small grid %d has width %v, want %v", i, smalls[i].Width(), sw)
 					}
-					if c.Off[pi+1] <= c.Off[pi] {
-						t.Fatalf("cell %v: Off not increasing: %v", k, c.Off)
-					}
-					if got := c.PostingIndex(int(obj)); got != pi {
-						t.Fatalf("cell %v: PostingIndex(%d) = %d, want %d", k, obj, got, pi)
-					}
-					w := want[k][int(obj)]
-					if w == nil {
-						t.Fatalf("cell %v: posting for absent object %d", k, obj)
-					}
-					xs, ys, zs := c.Points(pi)
-					if len(xs) != len(w.pts) || len(ys) != len(xs) || len(zs) != len(xs) {
-						t.Fatalf("cell %v obj %d: %d points, want %d", k, obj, len(xs), len(w.pts))
-					}
-					for j, p := range w.pts {
-						if geom.Pt(xs[j], ys[j], zs[j]) != p {
-							t.Fatalf("cell %v obj %d point %d: got %v, want %v", k, obj, j, geom.Pt(xs[j], ys[j], zs[j]), p)
-						}
-					}
-					if !reflect.DeepEqual(c.PointIdx(pi), w.idx) {
-						t.Fatalf("cell %v obj %d: Idx = %v, want %v", k, obj, c.PointIdx(pi), w.idx)
-					}
-				}
-				for obj := 0; obj < nObj; obj++ {
-					if want[k][obj] == nil && c.PostingIndex(obj) != -1 {
-						t.Fatalf("cell %v: PostingIndex(%d) hit for an absent object", k, obj)
-					}
+					checkSmall(t, smalls[i], reference(tc.ds, sw, tc.keep))
 				}
 			})
-		})
+		}
+	}
+}
+
+// TestBuildStops pins the cancellation poll: once stop reports true the
+// sweep ends, complete is false and the grids hold only what the
+// objects before the poll mapped.
+func TestBuildStops(t *testing.T) {
+	objs := make([][]geom.Point, 600)
+	for i := range objs {
+		objs[i] = []geom.Point{geom.Pt(float64(i), 0, 0), geom.Pt(float64(i), 1, 0)}
+	}
+	ds := dataset(objs...)
+	polls := 0
+	large, smalls, complete := Build(ds, 1, []float64{0.5}, 1, nil, func() bool { polls++; return polls == 2 })
+	if complete {
+		t.Fatal("a stopped build reported complete")
+	}
+	// The second poll is at object 255: objects 0..254 are mapped.
+	ref := reference(dataset(objs[:255]...), 1, nil)
+	checkDirectory(t, &large.directory, ref)
+	if len(large.Idx) != 2*255 || smalls[0].Len() != 2*255 {
+		t.Fatalf("stopped build mapped %d points into %d small cells, want %d", len(large.Idx), smalls[0].Len(), 2*255)
+	}
+	if large.CellOf(254, 1) < 0 || large.CellOf(255, 0) != -1 {
+		t.Fatal("CellOf disagrees with where the sweep stopped")
 	}
 }
 
 func TestComputeAdj(t *testing.T) {
-	g := NewLargeGrid(1, 8)
 	// Objects 0,1 in adjacent cells; object 2 far away.
-	g.Add(0, 0, geom.Pt(0.5, 0.5, 0.5))
-	g.Add(1, 0, geom.Pt(1.5, 0.5, 0.5))
-	g.Add(2, 0, geom.Pt(50, 50, 50))
+	g := buildLarge(dataset(
+		[]geom.Point{geom.Pt(0.5, 0.5, 0.5)},
+		[]geom.Point{geom.Pt(1.5, 0.5, 0.5)},
+		[]geom.Point{geom.Pt(50, 50, 50)},
+	), 1)
 
-	k0 := g.KeyFor(geom.Pt(0.5, 0.5, 0.5))
-	adj, fresh := g.ComputeAdj(k0)
+	c0 := g.Find(KeyFor(geom.Pt(0.5, 0.5, 0.5), 1))
+	adj, fresh := g.ComputeAdj(c0)
 	if !fresh {
 		t.Fatal("first ComputeAdj not fresh")
 	}
 	if got := adj.Bits(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("adj bits = %v", got)
 	}
-	if g.Cell(k0).Adj() != adj {
+	if g.Adj(c0) != adj {
 		t.Fatal("Adj not memoised")
 	}
-	adj2, fresh2 := g.ComputeAdj(k0)
+	adj2, fresh2 := g.ComputeAdj(c0)
 	if fresh2 || adj2 != adj {
 		t.Fatal("second ComputeAdj recomputed")
 	}
-	kFar := g.KeyFor(geom.Pt(50, 50, 50))
-	adjFar, _ := g.ComputeAdj(kFar)
+	adjFar, _ := g.ComputeAdj(g.Find(KeyFor(geom.Pt(50, 50, 50), 1)))
 	if got := adjFar.Bits(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("isolated adj = %v", got)
 	}
-	if a, fresh := g.ComputeAdj(Key{99, 99, 99}); a != nil || fresh {
-		t.Fatal("ComputeAdj on missing cell")
+	if g.Find(Key{99, 99, 99}) != -1 {
+		t.Fatal("Find hit a missing cell")
 	}
-}
-
-func TestGridMerge(t *testing.T) {
-	// Partial grids over object ranges [0,2) and [2,4) merge into the
-	// same structure a serial build produces.
-	pts := [][]geom.Point{
-		{geom.Pt(0.5, 0.5, 0.5)},
-		{geom.Pt(0.6, 0.6, 0.6), geom.Pt(5.5, 0.5, 0.5)},
-		{geom.Pt(0.7, 0.7, 0.7)},
-		{geom.Pt(5.6, 0.6, 0.6)},
-	}
-	build := func(lo, hi int) (*SmallGrid, *LargeGrid) {
-		sg := NewSmallGrid(1)
-		lg := NewLargeGrid(2, 8)
-		for i := lo; i < hi; i++ {
-			for j, p := range pts[i] {
-				sg.Add(i, p)
-				lg.Add(i, j, p)
-			}
-		}
-		return sg, lg
-	}
-	s1, l1 := build(0, 2)
-	s2, l2 := build(2, 4)
-	s1.MergeFrom(s2)
-	l1.MergeFrom(l2)
-	sFull, lFull := build(0, 4)
-
-	if s1.Len() != sFull.Len() || l1.Len() != lFull.Len() {
-		t.Fatalf("cell counts differ: %d/%d vs %d/%d", s1.Len(), l1.Len(), sFull.Len(), lFull.Len())
-	}
-	sFull.ForEach(func(k Key, c *SmallCell) {
-		mc := s1.Cell(k)
-		if mc == nil {
-			t.Fatalf("merged small grid missing %v", k)
-		}
-		if got, want := mc.B.Bits(), c.B.Bits(); len(got) != len(want) {
-			t.Fatalf("cell %v bits %v vs %v", k, got, want)
-		}
-	})
-	lFull.ForEach(func(k Key, c *LargeCell) {
-		mc := l1.Cell(k)
-		if mc == nil {
-			t.Fatalf("merged large grid missing %v", k)
-		}
-		if !reflect.DeepEqual(mc.Objs, c.Objs) {
-			t.Fatalf("cell %v postings %v vs %v", k, mc.Objs, c.Objs)
-		}
-	})
 }
 
 func TestNeighborhoodRadius(t *testing.T) {
@@ -431,78 +548,119 @@ func TestNeighborhoodRadius(t *testing.T) {
 }
 
 func TestComputeAdjRadiusMatchesAdjAtOne(t *testing.T) {
-	g := NewLargeGrid(1, 8)
-	g.Add(0, 0, geom.Pt(0.5, 0.5, 0.5))
-	g.Add(1, 0, geom.Pt(1.5, 0.5, 0.5))
-	g.Add(2, 0, geom.Pt(3.5, 0.5, 0.5)) // two cells away
-	k := g.KeyFor(geom.Pt(0.5, 0.5, 0.5))
-	adj1, lookups := g.ComputeAdjRadius(k, 1)
-	if lookups != 27 {
-		t.Fatalf("lookups = %d", lookups)
-	}
-	want, _ := g.ComputeAdj(k)
+	g := buildLarge(dataset(
+		[]geom.Point{geom.Pt(0.5, 0.5, 0.5)},
+		[]geom.Point{geom.Pt(1.5, 0.5, 0.5)},
+		[]geom.Point{geom.Pt(3.5, 0.5, 0.5)}, // two cells away
+	), 1)
+	k := KeyFor(geom.Pt(0.5, 0.5, 0.5), 1)
+	adj1 := g.ComputeAdjRadius(k, 1)
+	want, _ := g.ComputeAdj(g.Find(k))
 	if !reflect.DeepEqual(adj1.Bits(), want.Bits()) {
 		t.Fatalf("radius-1 union %v vs ComputeAdj %v", adj1.Bits(), want.Bits())
 	}
-	adj3, lookups3 := g.ComputeAdjRadius(k, 3)
-	if lookups3 != 343 {
-		t.Fatalf("radius-3 lookups = %d", lookups3)
-	}
-	if got := adj3.Bits(); len(got) != 3 {
+	if got := g.ComputeAdjRadius(k, 3).Bits(); len(got) != 3 {
 		t.Fatalf("radius-3 union = %v", got)
+	}
+	// The centre need not be a cell of the grid.
+	if got := g.ComputeAdjRadius(Key{2, 0, 0}, 1).Bits(); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("union around an empty cell = %v", got)
 	}
 }
 
+// TestGridAccessorsAndSizes pins the O(1) size accounting: array
+// lengths plus the b^adj bytes memoised so far.
 func TestGridAccessorsAndSizes(t *testing.T) {
-	g := NewLargeGrid(3, 8)
+	ds := dataset(
+		[]geom.Point{geom.Pt(1, 1, 1)},
+		[]geom.Point{geom.Pt(1.5, 1, 1)},
+	)
+	g, smalls, _ := Build(ds, 3, []float64{0.5}, 1, nil, nil)
 	if g.Width() != 3 {
 		t.Fatal("width")
 	}
-	g.Add(0, 0, geom.Pt(1, 1, 1))
-	g.Add(1, 0, geom.Pt(1.5, 1, 1))
-	if g.SizeBytes() <= 0 {
+	before := g.SizeBytes()
+	if before <= 0 {
 		t.Fatal("SizeBytes")
 	}
-	g.ComputeAdj(g.KeyFor(geom.Pt(1, 1, 1)))
-	szWithAdj := g.SizeBytes()
-	if szWithAdj <= 0 {
-		t.Fatal("SizeBytes with adj")
+	adj, _ := g.ComputeAdj(g.Find(KeyFor(geom.Pt(1, 1, 1), 3)))
+	if got := g.SizeBytes(); got != before+adj.SizeBytes() {
+		t.Fatalf("SizeBytes with adj = %d, want %d + %d", got, before, adj.SizeBytes())
 	}
-	cards := 0
-	g.ForEachCard(func(card int) { cards += card })
-	if cards != 2 {
-		t.Fatalf("ForEachCard sum = %d", cards)
+	if cards := len(g.CellObjs(0)); g.Len() != 1 || cards != 2 {
+		t.Fatalf("%d cells, first with %d objects", g.Len(), cards)
+	}
+	s := smalls[0]
+	if s.Len() != 2 || s.SizeBytes() <= 0 || s.UncompressedSizeBytes(1000) <= s.SizeBytes() {
+		t.Errorf("small grid: %d cells, %d B, %d B dense", s.Len(), s.SizeBytes(), s.UncompressedSizeBytes(1000))
 	}
 }
 
-func TestMergeFromDisjointAndOverlapping(t *testing.T) {
-	// Small grid: overlapping cell ORs bitsets; disjoint cell adopted.
-	a := NewSmallGrid(1)
-	b := NewSmallGrid(1)
-	a.Add(0, geom.Pt(0.5, 0.5, 0.5))
-	b.Add(2, geom.Pt(0.5, 0.5, 0.5)) // same cell
-	b.Add(3, geom.Pt(9.5, 0.5, 0.5)) // new cell
-	a.MergeFrom(b)
-	shared := a.Cell(KeyFor(geom.Pt(0.5, 0.5, 0.5), 1))
-	if got := shared.B.Bits(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Fatalf("merged bits = %v", got)
+// TestComputeAdjConcurrent races the lazy b^adj publish: whichever
+// goroutine wins a cell, every caller sees one pointer per cell, exactly
+// one call per cell reports fresh, and the sizes add up once.
+func TestComputeAdjConcurrent(t *testing.T) {
+	ds := data.GenUniform(data.UniformConfig{N: 150, M: 8, FieldSize: 500, Spread: 12, Seed: 14})
+	g := buildLarge(ds, 10)
+	before := g.SizeBytes()
+	const workers = 4
+	got := make([][]*bitmap.Compressed, workers)
+	var fresh atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = make([]*bitmap.Compressed, g.Len())
+			for i := 0; i < g.Len(); i++ {
+				c := (i + w*g.Len()/workers) % g.Len()
+				adj, f := g.ComputeAdj(c)
+				if f {
+					fresh.Add(1)
+				}
+				got[w][c] = adj
+			}
+		}(w)
 	}
-	if shared.FirstObject() != 0 {
-		t.Fatalf("first = %d", shared.FirstObject())
+	wg.Wait()
+	if int(fresh.Load()) != g.Len() {
+		t.Fatalf("%d fresh computations for %d cells", fresh.Load(), g.Len())
 	}
-	adopted := a.Cell(KeyFor(geom.Pt(9.5, 0.5, 0.5), 1))
-	if adopted == nil || adopted.FirstObject() != 3 {
-		t.Fatal("adopted cell wrong")
+	adjBytes := 0
+	for c := 0; c < g.Len(); c++ {
+		for w := range got {
+			if got[w][c] != g.Adj(c) {
+				t.Fatalf("cell %d: worker %d holds a b^adj that was not the one published", c, w)
+			}
+		}
+		adjBytes += g.Adj(c).SizeBytes()
 	}
-	// Large grid overlapping postings stay sorted.
-	la := NewLargeGrid(2, 8)
-	lb := NewLargeGrid(2, 8)
-	la.Add(0, 0, geom.Pt(0.5, 0.5, 0.5))
-	lb.Add(1, 0, geom.Pt(0.6, 0.6, 0.6))
-	lb.Add(2, 0, geom.Pt(0.7, 0.7, 0.7))
-	la.MergeFrom(lb)
-	c := la.Cell(la.KeyFor(geom.Pt(0.5, 0.5, 0.5)))
-	if !reflect.DeepEqual(c.Objs, []int32{0, 1, 2}) {
-		t.Fatalf("postings after merge = %v", c.Objs)
+	if g.SizeBytes() != before+adjBytes {
+		t.Fatalf("SizeBytes = %d, want %d + %d", g.SizeBytes(), before, adjBytes)
+	}
+}
+
+// TestGridCollectableAfterUse pins that a grid whose b^adj was asked for
+// is garbage at the first collection after its owner lets go of it.
+// Package sync keeps every Pool that has been used in a global list
+// until the second collection after; a Pool embedded in the grid (not
+// behind a pointer) made that list hold the whole grid, so every
+// query's index outlived the query by a GC cycle and the heap goal fed
+// on its own garbage.
+func TestGridCollectableAfterUse(t *testing.T) {
+	ds := data.GenUniform(data.UniformConfig{N: 50, M: 8, FieldSize: 200, Spread: 12, Seed: 3})
+	freed := make(chan struct{})
+	func() {
+		g := buildLarge(ds, 10)
+		for c := 0; c < g.Len(); c++ {
+			g.ComputeAdj(c)
+		}
+		runtime.SetFinalizer(g, func(*LargeGrid) { close(freed) })
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a used grid survived the collection after it was dropped")
 	}
 }

@@ -1,10 +1,12 @@
-// Package grid implements the two uniform hash grids that make up a
-// BIGrid (§III-A of the paper): the small-grid, whose cell width
-// r/√3 guarantees that any two points sharing a cell are within r of
-// each other, and the large-grid, whose cell width ⌈r⌉ guarantees that
-// all points within r of a point lie in its cell or one of the 26
-// adjacent cells. Cells are created on demand — no empty cells are ever
-// materialised — and a point maps to exactly one cell per grid.
+// Package grid implements the two uniform grids that make up a BIGrid
+// (§III-A of the paper): the small-grid, whose cell width r/√3
+// guarantees that any two points sharing a cell are within r of each
+// other, and the large-grid, whose cell width ⌈r⌉ guarantees that all
+// points within r of a point lie in its cell or one of the 26 adjacent
+// cells. A point maps to exactly one cell per grid and no empty cell is
+// ever materialised: Build sorts the points by cell key and each grid
+// is the run-length encoding of that order — a sorted key directory
+// over grid-wide flat arrays.
 package grid
 
 import (
@@ -13,14 +15,13 @@ import (
 	"mio/internal/geom"
 )
 
-// Key identifies a grid cell by its integer cell coordinates. Keys are
-// comparable and used directly as hash-map keys.
+// Key identifies a grid cell by its integer cell coordinates.
 type Key struct {
 	X, Y, Z int32
 }
 
-// Less orders keys lexicographically by (X, Y, Z), giving callers a
-// deterministic cell iteration order independent of map layout.
+// Less orders keys lexicographically by (X, Y, Z): the order of a
+// grid's cell directory.
 func (k Key) Less(o Key) bool {
 	if k.X != o.X {
 		return k.X < o.X

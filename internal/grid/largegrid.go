@@ -6,228 +6,193 @@ import (
 	"sync/atomic"
 
 	"mio/internal/bitmap"
-	"mio/internal/geom"
 )
 
-// LargeCell is a large-grid cell (Definition 3): an inverted list of
-// postings, the membership bitset b(c), and the lazily computed
-// adjacency bitset b^adj(c) = OR of b over the cell and its 26
-// neighbours. The adjacency bitset stays unset until the upper-bounding
-// phase computes it (Algorithm 5 line 9) — never during grid mapping,
-// to avoid the cell access cost the paper calls out. It is stored
-// behind an atomic pointer so concurrent phases can memoise it without
-// locks.
+// LargeGrid is the upper-bounding and verification grid of a BIGrid
+// (Definition 3), built by Build and read-only afterwards except for
+// the memoised adjacency bitsets. A cell is its index c in the sorted
+// key directory; everything a cell owns is a range of grid-wide arrays:
 //
-// The inverted list is flat: posting p is the points of object Objs[p]
-// that fall into the cell, stored at [Off[p], Off[p+1]) of the
-// coordinate arrays and of Idx, which holds each point's index within
-// its object (the labeling scheme of §III-D addresses points by
-// (object, index)). Objects are added in id order, so append order is
-// already posting-major and Objs is strictly increasing. The arrays are
-// written by Add and MergeFrom only and read-only once construction
-// has finished.
-type LargeCell struct {
-	B   *bitmap.Compressed
-	adj atomic.Pointer[bitmap.Compressed]
-	// Objs has one entry per posting; Off has len(Objs)+1.
-	Objs []int32
-	Off  []int32
-	// Xs, Ys, Zs and Idx are parallel, one entry per point of the cell.
+//   - its inverted list is postings [CellOff[c], CellOff[c+1]), one per
+//     object of b(c): posting p belongs to object Objs[p];
+//   - posting p holds the points of that object that fall into the
+//     cell, at [Off[p], Off[p+1]) of Xs, Ys, Zs and of Idx, each point's
+//     index within its object (the labeling scheme of §III-D addresses
+//     points by (object, index)), in index order.
+//
+// b^adj(c), the OR of b over the cell and its 26 neighbours, stays
+// unset until the upper-bounding phase asks for it (Algorithm 5 line
+// 9) — never during grid mapping, to avoid the cell access cost the
+// paper calls out. It is published through an atomic pointer so
+// concurrent phases can memoise it without locks.
+type LargeGrid struct {
+	directory
+	width float64
+
+	Off []int32 // len(Objs)+1
+	// Xs, Ys, Zs and Idx are parallel, one entry per mapped point.
 	Xs, Ys, Zs []float64
 	Idx        []int32
+
+	// cellOf[start[obj]+pt] is the cell the point was mapped to, -1 for
+	// a point Build's filter dropped.
+	start  []int32
+	cellOf []int32
+
+	adj      []atomic.Pointer[bitmap.Compressed]
+	adjBytes atomic.Int64
+	// scratches pools per-goroutine accumulators for the adjacency
+	// unions. It is a pointer because package sync keeps every Pool it
+	// has seen in a global list until the second GC after: embedded in
+	// the grid, the Pool would keep the whole grid reachable that long
+	// after its query was over.
+	scratches *sync.Pool
 }
 
-// Adj returns the memoised b^adj(c), or nil if not yet computed.
-func (c *LargeCell) Adj() *bitmap.Compressed { return c.adj.Load() }
-
-// NumPoints returns the total number of points in the cell.
-func (c *LargeCell) NumPoints() int { return len(c.Idx) }
-
-// PostingIndex returns the index of obj's posting, or -1. Postings are
-// sorted by object id, so lookup is a binary search.
-func (c *LargeCell) PostingIndex(obj int) int {
-	i := sort.Search(len(c.Objs), func(i int) bool { return int(c.Objs[i]) >= obj })
-	if i < len(c.Objs) && int(c.Objs[i]) == obj {
-		return i
+// newLargeGrid run-length encodes the sorted records into the flat
+// arrays. Within a cell the records are in point number order, so each
+// object's points are contiguous and the objects ascend.
+func newLargeGrid(width float64, src *points, sorted []rec) *LargeGrid {
+	cells, postings := countRuns(src, sorted)
+	m, nObjects := len(sorted), len(src.start)-1
+	g := &LargeGrid{
+		directory: newDirectory(cells, postings),
+		width:     width,
+		Off:       make([]int32, postings+1),
+		Xs:        make([]float64, m),
+		Ys:        make([]float64, m),
+		Zs:        make([]float64, m),
+		Idx:       make([]int32, m),
+		start:     src.start,
+		cellOf:    make([]int32, len(src.objOf)),
+		adj:       make([]atomic.Pointer[bitmap.Compressed], cells),
+		scratches: &sync.Pool{New: func() any { return bitmap.NewScratch(nObjects) }},
 	}
-	return -1
-}
-
-// Points returns the coordinate sub-arrays of posting p.
-func (c *LargeCell) Points(p int) (xs, ys, zs []float64) {
-	lo, hi := c.Off[p], c.Off[p+1]
-	return c.Xs[lo:hi], c.Ys[lo:hi], c.Zs[lo:hi]
-}
-
-// PointIdx returns, for each point of posting p, its index within its
-// object. The slice aliases the cell's storage and must not be written.
-func (c *LargeCell) PointIdx(p int) []int32 { return c.Idx[c.Off[p]:c.Off[p+1]:c.Off[p+1]] }
-
-// LargeGrid is the upper-bounding and verification grid of a BIGrid.
-type LargeGrid struct {
-	width    float64
-	nObjects int
-	cells    map[Key]*LargeCell
-	// scratches pools per-goroutine accumulators for ComputeAdj so the
-	// 27-cell unions run without chained compressed merges.
-	scratches sync.Pool
-	// lastKey/lastCell memoise the most recent Add target: consecutive
-	// points of arbor- and trajectory-like objects usually fall into
-	// the same cell, skipping the hash lookup.
-	lastKey  Key
-	lastCell *LargeCell
-}
-
-// NewLargeGrid returns an empty large-grid with the given cell width
-// over a dataset of nObjects objects.
-func NewLargeGrid(width float64, nObjects int) *LargeGrid {
-	g := &LargeGrid{width: width, nObjects: nObjects, cells: make(map[Key]*LargeCell)}
-	g.scratches.New = func() any { return bitmap.NewScratch(nObjects) }
+	if m < len(g.cellOf) {
+		for i := range g.cellOf {
+			g.cellOf[i] = -1
+		}
+	}
+	c, p := -1, -1
+	for i, r := range sorted {
+		obj := src.objOf[r.ord]
+		newCell := i == 0 || r.hi != sorted[i-1].hi || r.lo != sorted[i-1].lo
+		if newCell {
+			c++
+			g.hi[c], g.lo[c] = r.hi, r.lo
+			g.CellOff[c] = int32(p + 1)
+		}
+		if newCell || obj != g.Objs[p] {
+			p++
+			g.Objs[p] = obj
+			g.Off[p] = int32(i)
+		}
+		pt := int32(r.ord) - src.start[obj]
+		q := src.ds.Objects[obj].Pts[pt]
+		g.Xs[i], g.Ys[i], g.Zs[i] = q.X, q.Y, q.Z
+		g.Idx[i] = pt
+		g.cellOf[r.ord] = int32(c)
+	}
+	g.CellOff[cells] = int32(postings)
+	g.Off[postings] = int32(m)
 	return g
 }
 
 // Width returns the cell width.
 func (g *LargeGrid) Width() float64 { return g.width }
 
-// KeyFor returns the large-grid key of p.
-func (g *LargeGrid) KeyFor(p geom.Point) Key { return KeyFor(p, g.width) }
+// CellOf returns the cell point pt of object obj was mapped to, or -1
+// if Build's filter dropped the point.
+func (g *LargeGrid) CellOf(obj, pt int) int { return int(g.cellOf[int(g.start[obj])+pt]) }
 
-// Add maps point ptIdx of object obj into the grid, creating the cell
-// on demand, setting the obj bit and appending to the inverted list
-// (Algorithm 3 lines 15-21). Objects must be added in non-decreasing id
-// order, which keeps the postings sorted and each one contiguous.
-func (g *LargeGrid) Add(obj, ptIdx int, p geom.Point) (Key, *LargeCell) {
-	k := g.KeyFor(p)
-	c := g.lastCell
-	if c == nil || k != g.lastKey {
-		var ok bool
-		c, ok = g.cells[k]
-		if !ok {
-			c = &LargeCell{B: bitmap.New(), Off: []int32{0}}
-			g.cells[k] = c
+// NumPoints returns the total number of points in cell c.
+func (g *LargeGrid) NumPoints(c int) int { return int(g.Off[g.CellOff[c+1]] - g.Off[g.CellOff[c]]) }
+
+// PostingIndex returns the index of obj's posting in cell c, or -1.
+// Postings are sorted by object id, so lookup is a binary search.
+func (g *LargeGrid) PostingIndex(c, obj int) int {
+	objs := g.CellObjs(c)
+	i := sort.Search(len(objs), func(i int) bool { return int(objs[i]) >= obj })
+	if i < len(objs) && int(objs[i]) == obj {
+		return int(g.CellOff[c]) + i
+	}
+	return -1
+}
+
+// Points returns the coordinate sub-arrays of posting p.
+func (g *LargeGrid) Points(p int) (xs, ys, zs []float64) {
+	lo, hi := g.Off[p], g.Off[p+1]
+	return g.Xs[lo:hi], g.Ys[lo:hi], g.Zs[lo:hi]
+}
+
+// PointIdx returns, for each point of posting p, its index within its
+// object. The slice aliases the grid's storage and must not be written.
+func (g *LargeGrid) PointIdx(p int) []int32 { return g.Idx[g.Off[p]:g.Off[p+1]:g.Off[p+1]] }
+
+// Neighbors fills out with cell c and its 26 adjacent cells in
+// Key.NeighborsAndSelf order (c first), -1 where the directory has no
+// such cell.
+func (g *LargeGrid) Neighbors(c int, out *[27]int32) {
+	for i := range out {
+		out[i] = -1
+	}
+	g.columns(g.Key(c), 1, func(dx, dy int32, lo, hi int) {
+		for n := lo; n < hi; n++ {
+			// Slot 0 is the cell itself; the others keep (dx, dy, dz)
+			// order with the centre taken out.
+			slot := (dx+1)*9 + (dy+1)*3 + int32(g.lo[n]-g.lo[c]) + 1
+			switch {
+			case slot == 13:
+				slot = 0
+			case slot < 13:
+				slot++
+			}
+			out[slot] = int32(n)
 		}
-		g.lastKey, g.lastCell = k, c
-	}
-	c.B.Set(obj)
-	if n := len(c.Objs); n == 0 || int(c.Objs[n-1]) != obj {
-		c.Objs = append(c.Objs, int32(obj))
-		c.Off = append(c.Off, int32(len(c.Idx)))
-	}
-	c.Xs = append(c.Xs, p.X)
-	c.Ys = append(c.Ys, p.Y)
-	c.Zs = append(c.Zs, p.Z)
-	c.Idx = append(c.Idx, int32(ptIdx))
-	c.Off[len(c.Objs)]++
-	return k, c
+	})
 }
 
-// Cell returns the cell with the given key, or nil.
-func (g *LargeGrid) Cell(k Key) *LargeCell { return g.cells[k] }
+// Adj returns the memoised b^adj(c), or nil if not yet computed.
+func (g *LargeGrid) Adj(c int) *bitmap.Compressed { return g.adj[c].Load() }
 
-// Len returns the number of non-empty cells.
-func (g *LargeGrid) Len() int { return len(g.cells) }
-
-// ForEach calls fn for every cell. Iteration order is unspecified.
-func (g *LargeGrid) ForEach(fn func(k Key, c *LargeCell)) {
-	for k, c := range g.cells {
-		fn(k, c)
-	}
-}
-
-// ComputeAdj computes and memoises b^adj for the cell with key k: the
-// OR of b(c') over k and its 26 adjacent cells. fresh reports whether
-// this call did the computation (false when it was already memoised or
-// another goroutine won the publish race). Safe for concurrent use
-// once grid construction has finished.
-func (g *LargeGrid) ComputeAdj(k Key) (adj *bitmap.Compressed, fresh bool) {
-	c := g.cells[k]
-	if c == nil {
-		return nil, false
-	}
-	if a := c.adj.Load(); a != nil {
+// ComputeAdj computes and memoises b^adj for cell c: the OR of b(c')
+// over c and its 26 adjacent cells. fresh reports whether this call
+// did the computation (false when it was already memoised or another
+// goroutine won the publish race). Safe for concurrent use.
+func (g *LargeGrid) ComputeAdj(c int) (adj *bitmap.Compressed, fresh bool) {
+	if a := g.adj[c].Load(); a != nil {
 		return a, false
 	}
-	var neigh [27]Key
-	keys := k.NeighborsAndSelf(neigh[:0])
-	s := g.scratches.Get().(*bitmap.Scratch)
-	s.Reset()
-	for _, nk := range keys {
-		if nc := g.cells[nk]; nc != nil {
-			s.OrCompressed(nc.B)
-		}
-	}
-	a := s.ToCompressed()
-	g.scratches.Put(s)
-	if c.adj.CompareAndSwap(nil, a) {
+	a := g.ComputeAdjRadius(g.Key(c), 1)
+	if g.adj[c].CompareAndSwap(nil, a) {
+		g.adjBytes.Add(int64(a.SizeBytes()))
 		return a, true
 	}
-	return c.adj.Load(), false
-}
-
-// MergeFrom merges other into g: bitsets are OR-ed and the flat posting
-// arrays concatenated, other's offsets shifted past g's points. Merges
-// must be applied in ascending object-range order (the parallel grid
-// builder partitions objects into contiguous ranges) so postings stay
-// sorted by object id. Adjacency bitsets must not have been computed
-// yet on either grid.
-func (g *LargeGrid) MergeFrom(other *LargeGrid) {
-	for k, oc := range other.cells {
-		c, ok := g.cells[k]
-		if !ok {
-			g.cells[k] = oc
-			continue
-		}
-		c.B = bitmap.Or(c.B, oc.B)
-		base := int32(len(c.Idx))
-		c.Objs = append(c.Objs, oc.Objs...)
-		for _, off := range oc.Off[1:] {
-			c.Off = append(c.Off, base+off)
-		}
-		c.Xs = append(c.Xs, oc.Xs...)
-		c.Ys = append(c.Ys, oc.Ys...)
-		c.Zs = append(c.Zs, oc.Zs...)
-		c.Idx = append(c.Idx, oc.Idx...)
-	}
-}
-
-// SizeBytes estimates the memory footprint of the grid: bitsets,
-// adjacency bitsets, the flat posting arrays and per-entry map overhead.
-func (g *LargeGrid) SizeBytes() int {
-	const entryOverhead = 16 + 8 + /* cell: two pointers, six slice headers */ 160
-	total := 0
-	for _, c := range g.cells {
-		total += entryOverhead + c.B.SizeBytes()
-		if a := c.adj.Load(); a != nil {
-			total += a.SizeBytes()
-		}
-		total += (len(c.Objs)+len(c.Off)+len(c.Idx))*4 + len(c.Idx)*24
-	}
-	return total
-}
-
-// ForEachCard calls fn with each cell's object cardinality (diagnostic).
-func (g *LargeGrid) ForEachCard(fn func(card int)) {
-	for _, c := range g.cells {
-		fn(c.B.Cardinality())
-	}
+	return g.adj[c].Load(), false
 }
 
 // ComputeAdjRadius computes (without memoising) the union of b(c')
-// over every cell within Chebyshev distance radius of k. radius 1
-// matches ComputeAdj; larger radii implement the widened
-// neighbourhoods an offline grid built for r' < r must visit to stay
-// correct (Appendix A). It returns the union and the number of cell
-// lookups performed.
-func (g *LargeGrid) ComputeAdjRadius(k Key, radius int32) (*bitmap.Compressed, int) {
-	keys := k.NeighborhoodRadius(nil, radius)
+// over every cell within Chebyshev distance radius of k, which need
+// not be a cell of the grid. radius 1 matches ComputeAdj; larger radii
+// implement the widened neighbourhoods an offline grid built for
+// r' < r must visit to stay correct (Appendix A).
+func (g *LargeGrid) ComputeAdjRadius(k Key, radius int32) *bitmap.Compressed {
 	s := g.scratches.Get().(*bitmap.Scratch)
 	s.Reset()
-	for _, nk := range keys {
-		if nc := g.cells[nk]; nc != nil {
-			s.OrCompressed(nc.B)
-		}
-	}
+	g.columns(k, radius, func(_, _ int32, lo, hi int) {
+		// Adjacent cells' object runs are adjacent in Objs.
+		s.OrIDs(g.Objs[g.CellOff[lo]:g.CellOff[hi]])
+	})
 	a := s.ToCompressed()
 	g.scratches.Put(s)
-	return a, len(keys)
+	return a
+}
+
+// SizeBytes returns the memory footprint of the grid: the directory,
+// the flat posting arrays, the point-to-cell table and the adjacency
+// bitsets memoised so far.
+func (g *LargeGrid) SizeBytes() int {
+	const perCell = 8 + 4 + /* CellOff */ 4 + /* adj pointer */ 8
+	return g.Len()*perCell + len(g.Objs)*(4+4) + len(g.Idx)*(24+4) +
+		(len(g.cellOf)+len(g.start))*4 + int(g.adjBytes.Load())
 }

@@ -1,107 +1,50 @@
 package grid
 
-import (
-	"mio/internal/bitmap"
-	"mio/internal/geom"
-)
-
-// SmallCell is a small-grid cell: a compressed bitset whose i-th bit is
-// set iff object i has a point in the cell (Definition 2). first
-// remembers the first object mapped into the cell so that the "bitset
-// cardinality becomes 2" transition of Algorithm 3 can retro-actively
-// register that object's key list entry.
-type SmallCell struct {
-	B     *bitmap.Compressed
-	first int32
-}
-
-// FirstObject returns the id of the first object mapped into the cell.
-func (c *SmallCell) FirstObject() int { return int(c.first) }
-
-// SmallGrid is the lower-bounding grid of a BIGrid.
+// SmallGrid is the lower-bounding grid of a BIGrid (Definition 2),
+// built by Build and read-only afterwards: a cell directory with each
+// cell's b(c), nothing else.
 type SmallGrid struct {
+	directory
 	width float64
-	cells map[Key]*SmallCell
-	// lastKey/lastCell memoise the most recent Add target; consecutive
-	// points of path-like objects usually share a cell.
-	lastKey  Key
-	lastCell *SmallCell
 }
 
-// NewSmallGrid returns an empty small-grid with the given cell width.
-func NewSmallGrid(width float64) *SmallGrid {
-	return &SmallGrid{width: width, cells: make(map[Key]*SmallCell)}
+// newSmallGrid run-length encodes the sorted records: a cell per
+// distinct key, and per cell its distinct objects, which ascend because
+// the records of one cell are in point number order.
+func newSmallGrid(width float64, src *points, sorted []rec) *SmallGrid {
+	g := &SmallGrid{directory: newDirectory(countRuns(src, sorted)), width: width}
+	c, p := -1, -1
+	for i, r := range sorted {
+		obj := src.objOf[r.ord]
+		newCell := i == 0 || r.hi != sorted[i-1].hi || r.lo != sorted[i-1].lo
+		if newCell {
+			c++
+			g.hi[c], g.lo[c] = r.hi, r.lo
+			g.CellOff[c] = int32(p + 1)
+		}
+		if newCell || obj != g.Objs[p] {
+			p++
+			g.Objs[p] = obj
+		}
+	}
+	g.CellOff[g.Len()] = int32(len(g.Objs))
+	return g
 }
 
 // Width returns the cell width.
 func (g *SmallGrid) Width() float64 { return g.width }
 
-// KeyFor returns the small-grid key of p.
-func (g *SmallGrid) KeyFor(p geom.Point) Key { return KeyFor(p, g.width) }
+// smallCellBytes is what the grid spends per cell besides b(c): the key
+// and the run offset.
+const smallCellBytes = 8 + 4 + 4
 
-// Add maps one point of object obj into the grid, creating the cell on
-// demand. It returns the cell key and the number of distinct objects in
-// the cell before and after the insertion, which drives the key-list
-// bookkeeping of Algorithm 3 (lines 7-10).
-func (g *SmallGrid) Add(obj int, p geom.Point) (k Key, before, after int, cell *SmallCell) {
-	k = g.KeyFor(p)
-	c := g.lastCell
-	if c == nil || k != g.lastKey {
-		var ok bool
-		c, ok = g.cells[k]
-		if !ok {
-			c = &SmallCell{B: bitmap.New(), first: int32(obj)}
-			g.cells[k] = c
-		}
-		g.lastKey, g.lastCell = k, c
-	}
-	before = c.B.Cardinality()
-	c.B.Set(obj)
-	after = c.B.Cardinality()
-	return k, before, after, c
-}
+// SizeBytes returns the memory footprint of the grid: the directory and
+// the object-id runs.
+func (g *SmallGrid) SizeBytes() int { return g.Len()*smallCellBytes + len(g.Objs)*4 }
 
-// Cell returns the cell with the given key, or nil.
-func (g *SmallGrid) Cell(k Key) *SmallCell { return g.cells[k] }
-
-// Len returns the number of non-empty cells.
-func (g *SmallGrid) Len() int { return len(g.cells) }
-
-// ForEach calls fn for every cell. Iteration order is unspecified.
-func (g *SmallGrid) ForEach(fn func(k Key, c *SmallCell)) {
-	for k, c := range g.cells {
-		fn(k, c)
-	}
-}
-
-// MergeFrom merges other into g by OR-ing cell bitsets. Merges must be
-// applied in ascending object-range order so that each cell's first
-// object stays the globally first one.
-func (g *SmallGrid) MergeFrom(other *SmallGrid) {
-	for k, oc := range other.cells {
-		c, ok := g.cells[k]
-		if !ok {
-			g.cells[k] = oc
-			continue
-		}
-		c.B = bitmap.Or(c.B, oc.B)
-	}
-}
-
-// SizeBytes estimates the memory footprint of the grid: cell bitsets
-// plus per-entry map overhead.
-func (g *SmallGrid) SizeBytes() int {
-	const entryOverhead = 16 /* key */ + 8 /* ptr */ + 24 /* cell header */
-	total := 0
-	for _, c := range g.cells {
-		total += entryOverhead + c.B.SizeBytes()
-	}
-	return total
-}
-
-// UncompressedSizeBytes estimates the footprint if every cell used a
-// dense n-bit bitset, for compression-ratio reporting.
+// UncompressedSizeBytes returns the footprint if every b(c) were a
+// dense n-bit bitset instead of an id run, for compression-ratio
+// reporting.
 func (g *SmallGrid) UncompressedSizeBytes(n int) int {
-	const entryOverhead = 16 + 8 + 24
-	return g.Len() * (entryOverhead + (n+63)/64*8)
+	return g.Len() * (smallCellBytes + (n+63)/64*8)
 }

@@ -11,7 +11,7 @@ import (
 // OrScratch is deliberately excluded from the result reads because the
 // destination of a merge is *supposed* to accumulate.
 var (
-	scratchWrites = map[string]bool{"Set": true, "Clear": true, "OrCompressed": true, "OrScratch": true}
+	scratchWrites = map[string]bool{"Set": true, "Clear": true, "OrCompressed": true, "OrIDs": true, "OrScratch": true}
 	scratchReads  = map[string]bool{"Cardinality": true, "Bits": true, "ToCompressed": true}
 	scratchResets = map[string]bool{"Reset": true, "AndNotFromCompressed": true}
 )

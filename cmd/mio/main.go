@@ -5,11 +5,12 @@
 //	mio -data birds.bin -r 4
 //	mio -data birds.bin -r 4 -k 10 -workers 8 -algo bigrid
 //	mio -data birds.bin -r 4 -algo sg            # simple-grid baseline
-//	mio -data birds.bin -r 4 -delta 2            # temporal variant
+//	mio -data birds.bin -r 4 -delta 2 -v         # temporal variant
 //	mio -data birds.bin -r 4 -labels ./labelcache -repeat 3
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -19,30 +20,66 @@ import (
 	"mio/internal/baseline"
 )
 
+// options is the parsed command line.
+type options struct {
+	dataPath, algo, labels, csvCols string
+	r, delta                        float64
+	k, workers, dims, repeat        int
+	interact                        int
+	verbose, hist                   bool
+}
+
+// temporal reports whether -delta selects the spatio-temporal variant.
+// NaN does: the temporal engine refuses it with its own message.
+func (o *options) temporal() bool { return !(o.delta < 0) }
+
+// parseFlags parses the command line and refuses the flag combinations
+// that would otherwise be silently ignored.
+func parseFlags(args []string) (*options, error) {
+	o := &options{}
+	fs := flag.NewFlagSet("mio", flag.ContinueOnError)
+	fs.StringVar(&o.dataPath, "data", "", "dataset file (.txt or binary)")
+	fs.Float64Var(&o.r, "r", 4, "distance threshold")
+	fs.IntVar(&o.k, "k", 1, "top-k")
+	fs.IntVar(&o.workers, "workers", 1, "CPU cores (≥2 enables parallel processing)")
+	fs.StringVar(&o.algo, "algo", "bigrid", "algorithm: bigrid, nl, nlkd, sg")
+	fs.StringVar(&o.labels, "labels", "", "directory for the persistent label store (enables BIGrid-label)")
+	fs.Float64Var(&o.delta, "delta", -1, "temporal threshold δ (≥0 selects the spatio-temporal variant)")
+	fs.IntVar(&o.dims, "dims", 3, "data dimensionality (2 or 3)")
+	fs.IntVar(&o.repeat, "repeat", 1, "repeat the query (labels pay off from the 2nd run)")
+	fs.BoolVar(&o.verbose, "v", false, "print per-phase statistics")
+	fs.IntVar(&o.interact, "interacting", -1, "print the interacting set of this object and exit")
+	fs.BoolVar(&o.hist, "hist", false, "print the score distribution histogram and exit")
+	fs.StringVar(&o.csvCols, "csv", "", `column mapping "obj,x,y[,z[,t]]" for .csv inputs`)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	switch {
+	case o.dataPath == "":
+		return nil, errors.New("missing -data")
+	case o.algo != "bigrid" && o.algo != "nl" && o.algo != "nlkd" && o.algo != "sg":
+		return nil, fmt.Errorf("unknown algorithm %q", o.algo)
+	case o.temporal() && o.algo != "bigrid":
+		return nil, fmt.Errorf("-delta runs the temporal BIGrid engine: -algo %s has no temporal variant", o.algo)
+	case o.temporal() && o.labels != "":
+		return nil, errors.New("-delta cannot be combined with -labels: the temporal engine takes no label store")
+	case o.temporal() && (o.interact >= 0 || o.hist):
+		return nil, errors.New("-interacting and -hist have no temporal variant")
+	}
+	return o, nil
+}
+
 func main() {
-	var (
-		dataPath = flag.String("data", "", "dataset file (.txt or binary)")
-		r        = flag.Float64("r", 4, "distance threshold")
-		k        = flag.Int("k", 1, "top-k")
-		workers  = flag.Int("workers", 1, "CPU cores (≥2 enables parallel processing)")
-		algo     = flag.String("algo", "bigrid", "algorithm: bigrid, nl, nlkd, sg")
-		labels   = flag.String("labels", "", "directory for the persistent label store (enables BIGrid-label)")
-		delta    = flag.Float64("delta", -1, "temporal threshold δ (≥0 selects the spatio-temporal variant)")
-		dims     = flag.Int("dims", 3, "data dimensionality (2 or 3)")
-		repeat   = flag.Int("repeat", 1, "repeat the query (labels pay off from the 2nd run)")
-		verbose  = flag.Bool("v", false, "print per-phase statistics")
-		interact = flag.Int("interacting", -1, "print the interacting set of this object and exit")
-		hist     = flag.Bool("hist", false, "print the score distribution histogram and exit")
-		csvCols  = flag.String("csv", "", `column mapping "obj,x,y[,z[,t]]" for .csv inputs`)
-	)
-	flag.Parse()
-	if *dataPath == "" {
-		fatal("missing -data")
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fatal(err)
 	}
 	var ds *mio.Dataset
-	var err error
-	if *csvCols != "" {
-		parts := strings.Split(*csvCols, ",")
+	if o.csvCols != "" {
+		parts := strings.Split(o.csvCols, ",")
 		if len(parts) < 3 || len(parts) > 5 {
 			fatal(`-csv wants "obj,x,y[,z[,t]]"`)
 		}
@@ -53,9 +90,9 @@ func main() {
 		if len(parts) == 5 {
 			cols.T = parts[4]
 		}
-		ds, err = mio.LoadCSVFile(*dataPath, cols)
+		ds, err = mio.LoadCSVFile(o.dataPath, cols)
 	} else {
-		ds, err = mio.LoadDataset(*dataPath)
+		ds, err = mio.LoadDataset(o.dataPath)
 	}
 	if err != nil {
 		fatal(err)
@@ -64,40 +101,27 @@ func main() {
 
 	// Engine options common to the spatial and the temporal variant.
 	var opts []mio.Option
-	if *workers > 1 {
-		opts = append(opts, mio.WithWorkers(*workers))
+	if o.workers > 1 {
+		opts = append(opts, mio.WithWorkers(o.workers))
 	}
-	if *dims == 2 {
+	if o.dims == 2 {
 		opts = append(opts, mio.With2D())
 	}
 
-	if !(*delta < 0) { // NaN goes to the temporal engine, which refuses it
-		eng, err := mio.NewTemporalEngine(ds, opts...)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := eng.QueryTopK(*r, *delta, *k)
-		if err != nil {
-			fatal(err)
-		}
-		printTopK(res.TopK)
-		return
-	}
-
-	if *interact >= 0 || *hist {
+	if o.interact >= 0 || o.hist {
 		eng, err := mio.NewEngine(ds)
 		if err != nil {
 			fatal(err)
 		}
-		if *interact >= 0 {
-			set, err := eng.InteractingSet(*r, *interact)
+		if o.interact >= 0 {
+			set, err := eng.InteractingSet(o.r, o.interact)
 			if err != nil {
 				fatal(err)
 			}
-			fmt.Printf("object %d interacts with %d objects: %v\n", *interact, len(set), set)
+			fmt.Printf("object %d interacts with %d objects: %v\n", o.interact, len(set), set)
 			return
 		}
-		scores, err := eng.AllScores(*r)
+		scores, err := eng.AllScores(o.r)
 		if err != nil {
 			fatal(err)
 		}
@@ -111,38 +135,47 @@ func main() {
 		return
 	}
 
-	switch *algo {
-	case "bigrid":
-		if *labels != "" {
-			opts = append(opts, mio.WithDiskLabels(*labels))
+	var query func() (*mio.Result, error)
+	switch {
+	case o.temporal():
+		eng, err := mio.NewTemporalEngine(ds, opts...)
+		if err != nil {
+			fatal(err)
+		}
+		query = func() (*mio.Result, error) { return eng.QueryTopK(o.r, o.delta, o.k) }
+	case o.algo == "bigrid":
+		if o.labels != "" {
+			opts = append(opts, mio.WithDiskLabels(o.labels))
 		}
 		eng, err := mio.NewEngine(ds, opts...)
 		if err != nil {
 			fatal(err)
 		}
-		for run := 0; run < *repeat; run++ {
-			res, err := eng.QueryTopK(*r, *k)
-			if err != nil {
-				fatal(err)
-			}
-			printTopK(res.TopK)
-			fmt.Printf("run %d: total %v (labels: %v)\n", run+1, res.Stats.Total(), res.Stats.UsedLabels)
-			if *verbose {
-				st := res.Stats
-				fmt.Printf("  label-input    %v\n  grid-mapping   %v\n  lower-bounding %v\n  upper-bounding %v\n  verification   %v\n",
-					st.LabelInput, st.GridMapping, st.LowerBounding, st.UpperBounding, st.Verification)
-				fmt.Printf("  candidates %d, verified %d, dist-comps %d, index %.2f MiB\n",
-					st.Candidates, st.Verified, st.DistanceComps, float64(st.IndexBytes)/(1<<20))
-			}
-		}
-	case "nl":
-		printBaseline(baseline.NL(ds, *r, *k))
-	case "nlkd":
-		printBaseline(baseline.NLKD(ds, *r, *k))
-	case "sg":
-		printBaseline(baseline.SG(ds, *r, *k))
+		query = func() (*mio.Result, error) { return eng.QueryTopK(o.r, o.k) }
+	case o.algo == "nl":
+		printBaseline(baseline.NL(ds, o.r, o.k))
+		return
+	case o.algo == "nlkd":
+		printBaseline(baseline.NLKD(ds, o.r, o.k))
+		return
 	default:
-		fatal(fmt.Sprintf("unknown algorithm %q", *algo))
+		printBaseline(baseline.SG(ds, o.r, o.k))
+		return
+	}
+	for run := 0; run < o.repeat; run++ {
+		res, err := query()
+		if err != nil {
+			fatal(err)
+		}
+		printTopK(res.TopK)
+		fmt.Printf("run %d: total %v (labels: %v)\n", run+1, res.Stats.Total(), res.Stats.UsedLabels)
+		if o.verbose {
+			st := res.Stats
+			fmt.Printf("  label-input    %v\n  grid-mapping   %v\n  lower-bounding %v\n  upper-bounding %v\n  verification   %v\n",
+				st.LabelInput, st.GridMapping, st.LowerBounding, st.UpperBounding, st.Verification)
+			fmt.Printf("  candidates %d, verified %d, dist-comps %d, index %.2f MiB\n",
+				st.Candidates, st.Verified, st.DistanceComps, float64(st.IndexBytes)/(1<<20))
+		}
 	}
 }
 

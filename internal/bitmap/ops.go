@@ -212,20 +212,3 @@ func And(a, b *Compressed) *Compressed { return merge(a, b, opAnd) }
 
 // AndNot returns a &^ b as a new compressed bitmap.
 func AndNot(a, b *Compressed) *Compressed { return merge(a, b, opAndNot) }
-
-// OrAll returns the union of the given bitmaps. Nil entries are treated
-// as empty. The result is freshly allocated.
-func OrAll(bms []*Compressed) *Compressed {
-	out := New()
-	for _, b := range bms {
-		if b == nil || b.Empty() {
-			continue
-		}
-		if out.Empty() {
-			out = b.Clone()
-			continue
-		}
-		out = Or(out, b)
-	}
-	return out
-}

@@ -96,25 +96,6 @@ func TestMergeWithPendingWords(t *testing.T) {
 	}
 }
 
-func TestOrAll(t *testing.T) {
-	n := 500
-	bms := []*Compressed{
-		FromBits(n, 1, 2),
-		nil,
-		New(),
-		FromBits(n, 2, 3, 400),
-		FromBits(n, 100),
-	}
-	got := OrAll(bms).Bits()
-	want := []int{1, 2, 3, 100, 400}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("OrAll = %v, want %v", got, want)
-	}
-	if got := OrAll(nil); !got.Empty() {
-		t.Fatal("OrAll(nil) not empty")
-	}
-}
-
 // quick.Check property: compressed ops agree with dense reference ops
 // for arbitrary bit sets.
 func TestMergeOpsQuick(t *testing.T) {

@@ -467,7 +467,7 @@ func (g *groupRun) buildIndex() {
 	for si, rp := range g.rPlans {
 		rs[si] = rp.r
 	}
-	large, smalls, complete := g.e.mapGrids(rs, g.labels, g.aborted)
+	large, smalls, complete := g.e.mapGrids(rs, g.labels, nil, 0, g.aborted)
 	g.large, g.gmBroke = large, !complete
 	g.groups = groupsOf(g.large, g.n)
 	for si, rp := range g.rPlans {

@@ -96,9 +96,13 @@ type query struct {
 	vShare []*bitmap.Scratch
 	vPts   []int32
 
-	// exactOf, when non-nil, replaces the BIGrid exact score in
-	// verification: Appendix B's time-filtered score (temporal.go).
-	exactOf func(i int) int
+	// Appendix B's time axis (temporal.go), zero on a spatial query:
+	// every point number's time bucket for grid mapping, how many
+	// buckets either side of its own a neighbourhood spans, and δ, which
+	// pairs across buckets are held to in verification (probePosting).
+	bucket []int32
+	halo   int32
+	delta  float64
 
 	// ctx carries the caller's cancellation; nil means background.
 	ctx context.Context
@@ -333,7 +337,7 @@ func pruned(labels *labelstore.Labels, obj, pt int) bool {
 // WITH-LABEL variant and PARALLEL-GRID-MAPPING: one build whatever the
 // configuration.
 func (q *query) gridMapping() {
-	large, smalls, complete := q.e.mapGrids([]float64{q.r}, q.labels, q.cancelled)
+	large, smalls, complete := q.e.mapGrids([]float64{q.r}, q.labels, q.bucket, q.halo, q.cancelled)
 	q.idx = newBigrid(smalls[0], large, groupsOf(large, q.n))
 	// The truncated grid is discarded by bound()'s post-phase ctx check;
 	// gmBroke records the truncation so a degraded answer is never
@@ -345,10 +349,12 @@ func (q *query) gridMapping() {
 // one ⌈r⌉ — a solo query passes its one r, a group run (batch.go) every
 // distinct r of the group — in one sweep over the points: the large
 // grid they all share and one small grid per entry of rs. labels, when
-// non-nil, filter the points (WITH-LABEL). Grid mapping is the
-// first long phase, so the sweep polls stop to let an abandoned query
-// return promptly; complete is false when that cut it short.
-func (e *Engine) mapGrids(rs []float64, labels *labelstore.Labels, stop func() bool) (large *grid.LargeGrid, smalls []*grid.SmallGrid, complete bool) {
+// non-nil, filter the points (WITH-LABEL); bucket and halo are
+// grid.Build's time axis, nil and 0 but on a temporal query. Grid
+// mapping is the first long phase, so the sweep polls stop to let an
+// abandoned query return promptly; complete is false when that cut it
+// short.
+func (e *Engine) mapGrids(rs []float64, labels *labelstore.Labels, bucket []int32, halo int32, stop func() bool) (large *grid.LargeGrid, smalls []*grid.SmallGrid, complete bool) {
 	widths := make([]float64, len(rs))
 	for i, r := range rs {
 		widths[i] = grid.SmallWidth(r, e.opts.dims())
@@ -357,7 +363,7 @@ func (e *Engine) mapGrids(rs []float64, labels *labelstore.Labels, stop func() b
 	if labels != nil {
 		keep = func(obj, pt int) bool { return !pruned(labels, obj, pt) }
 	}
-	return grid.Build(e.ds, grid.LargeWidth(rs[0]), widths, e.opts.workers(), keep, stop)
+	return grid.Build(e.ds, grid.LargeWidth(rs[0]), widths, bucket, halo, e.opts.workers(), keep, stop)
 }
 
 // newBigrid assembles the BIGrid for one exact r. large and groups may

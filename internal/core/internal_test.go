@@ -241,7 +241,7 @@ func TestIndexBuildDeterministic(t *testing.T) {
 				}
 			}
 			eng, _ := NewEngine(ds, Options{Workers: 2})
-			large, smalls, complete := eng.mapGrids([]float64{r - 0.25, r}, l, func() bool { return false })
+			large, smalls, complete := eng.mapGrids([]float64{r - 0.25, r}, l, nil, 0, func() bool { return false })
 			if !complete {
 				t.Fatalf("%s: group build incomplete", name)
 			}

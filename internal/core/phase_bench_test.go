@@ -110,19 +110,46 @@ func BenchmarkPhaseAdjacencyUnion(b *testing.B) {
 // the Kronecker sequence over [3, 9], k cycling 1..5. It reports the
 // mean of each phase beside ns/op.
 func BenchmarkWorkloadBird(b *testing.B) {
+	ds := workloadBird()
+	benchmarkStream(b, func(i int, u float64) (*Result, error) {
+		eng, err := NewEngine(ds, Options{})
+		if err != nil {
+			return nil, err
+		}
+		return eng.RunTopK(3+6*u, 1+i%5)
+	})
+}
+
+// BenchmarkWorkloadBirdTemporal is BenchmarkWorkloadBird's stream on the
+// temporal engine: the same points stamped by data.WithTimestamps(·, 1,
+// 100, 5), δ drawn from the same sequence over [2, 10].
+func BenchmarkWorkloadBirdTemporal(b *testing.B) {
+	ds := data.WithTimestamps(workloadBird(), 1, 100, 5)
+	benchmarkStream(b, func(i int, u float64) (*Result, error) {
+		eng, err := NewTemporalEngine(ds, Options{})
+		if err != nil {
+			return nil, err
+		}
+		return eng.RunTopK(3+6*u, 2+8*u, 1+i%5)
+	})
+}
+
+// workloadBird is the oneshot_bird dataset: Bird at 1 000 × 50.
+func workloadBird() *data.Dataset {
 	c := data.DefaultBird()
 	c.N, c.M = 1000, 50
-	ds := data.GenTrajectory(c)
+	return data.GenTrajectory(c)
+}
+
+// benchmarkStream runs query i of a Kronecker stream, u = frac(i/φ), per
+// iteration and reports the mean of each phase beside ns/op.
+func benchmarkStream(b *testing.B, query func(i int, u float64) (*Result, error)) {
 	var sum PhaseStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, u := math.Modf(float64(i) * 0.6180339887498949)
-		eng, err := NewEngine(ds, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := eng.RunTopK(3+6*u, 1+i%5)
+		res, err := query(i, u)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,57 +1,27 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"slices"
 
-	"mio/internal/bitmap"
 	"mio/internal/data"
-	"mio/internal/geom"
-	"mio/internal/grid"
 )
 
-// This file implements the temporal extension of Appendix B: objects
-// interact iff they have a point pair within distance r generated
-// within δ time of each other. The time domain is decomposed into δ
-// buckets and a BIGrid-style structure is built per bucket; two points
-// in the same bucket always satisfy the temporal constraint (bucket
-// span < δ), so same-bucket small-grid cells give lower bounds, while
-// upper-bounding and verification consult a bucket and its two
-// neighbours. δ = 0 is the special case the appendix calls out: one
-// structure per distinct generation time, consulted alone.
-//
-// Only what the appendix changes lives here: the (bucket, cell) maps
-// and three per-object functions over them. Everything else is the
-// spatial engine's, run on a borrowed query: NewEngine, validate,
-// kthHighest, assembleCandidates, verification, eachObject.
-
-// tKey addresses a cell of one time bucket's grid.
-type tKey struct {
-	bucket int32
-	cell   grid.Key
-}
-
-// tPosting is one object's points in a cell, with their generation times.
-type tPosting struct {
-	obj   int32
-	pts   []geom.Point
-	times []float64
-}
-
-type tCell struct {
-	b        *bitmap.Compressed
-	postings []tPosting
-}
-
-func (c *tCell) posting(obj int) *tPosting {
-	i := sort.Search(len(c.postings), func(i int) bool { return int(c.postings[i].obj) >= obj })
-	if i < len(c.postings) && int(c.postings[i].obj) == obj {
-		return &c.postings[i]
-	}
-	return nil
-}
+// This file is the temporal extension of Appendix B: objects interact
+// iff they have a point pair within distance r generated within δ time
+// of each other. Time is cut into δ-wide buckets, floor(t/δ), and the
+// bucket is the most significant component of every grid key
+// (grid.Build), so a temporal query is the spatial pipeline on bucketed
+// grids. Two points of one bucket are less than δ apart, so same-bucket
+// small-grid cells give the lower bound as they stand. A point's
+// temporal neighbours lie in its own bucket or the next one either
+// side, so the large-grid neighbourhoods of upper bounding and
+// verification span three buckets (halo 1), and only pairs across
+// buckets take the time test (probePosting). δ = 0 is the special case
+// the appendix calls out: one bucket per distinct generation time,
+// consulted alone (halo 0).
 
 // TemporalEngine processes spatio-temporal MIO queries over a dataset
 // whose points carry generation times.
@@ -63,8 +33,14 @@ type TemporalEngine struct {
 }
 
 // NewTemporalEngine returns an engine over ds, which must satisfy
-// NewEngine and whose objects must all carry timestamps.
+// NewEngine and whose points must all carry a timestamp that is a
+// number. It takes no label store: §III-D's labels are kept per ⌈r⌉,
+// and under a time constraint what a point contributes to the bounds
+// also depends on δ.
 func NewTemporalEngine(ds *data.Dataset, opts Options) (*TemporalEngine, error) {
+	if opts.Labels != nil {
+		return nil, errors.New("core: the temporal engine takes no label store: labels are kept per ⌈r⌉, and under a time constraint what they record also depends on δ")
+	}
 	e, err := NewEngine(ds, opts)
 	if err != nil {
 		return nil, err
@@ -75,30 +51,15 @@ func NewTemporalEngine(ds *data.Dataset, opts Options) (*TemporalEngine, error) 
 			return nil, fmt.Errorf("core: object %d has no timestamps", i)
 		}
 		for _, t := range ds.Objects[i].Times {
+			if t != t {
+				return nil, fmt.Errorf("core: object %d has a NaN timestamp", i)
+			}
 			if t = math.Abs(t); t > te.maxAbsT {
 				te.maxAbsT = t
 			}
 		}
 	}
 	return te, nil
-}
-
-// tQuery is the per-query state Appendix B adds to a query, which
-// carries r, k, the bound vectors and the stats.
-type tQuery struct {
-	*query
-	delta float64
-	// halo is how many buckets either side of a point's own can hold
-	// its temporal neighbours: 1, or 0 when δ = 0.
-	halo           int32
-	smallW, largeW float64 // cell widths, as the spatial grids'
-
-	small   map[tKey]*bitmap.Compressed
-	large   map[tKey]*tCell
-	union   map[tKey]*bitmap.Compressed // memoised 27-cell unions per bucket
-	unionMu sync.Mutex                  // guards union during parallel phases
-	// exactTimes maps distinct timestamps to bucket ids when δ = 0.
-	exactTimes map[float64]int32
 }
 
 // Run processes a spatio-temporal MIO query.
@@ -114,16 +75,8 @@ func (te *TemporalEngine) RunTopK(r, delta float64, k int) (*Result, error) {
 	if !(delta >= 0) {
 		return nil, fmt.Errorf("%w: temporal threshold must be non-negative, got %g", ErrInvalidQuery, delta)
 	}
-	q := &tQuery{
-		query:      newQuery(te.e, r, k),
-		delta:      delta,
-		smallW:     grid.SmallWidth(r, te.e.opts.dims()),
-		largeW:     grid.LargeWidth(r),
-		small:      make(map[tKey]*bitmap.Compressed),
-		large:      make(map[tKey]*tCell),
-		union:      make(map[tKey]*bitmap.Compressed),
-		exactTimes: make(map[float64]int32),
-	}
+	q := newQuery(te.e, r, k)
+	q.delta = delta
 	if delta > 0 {
 		// Bucket ids floor(t/δ) and their ±1 neighbours must stay inside
 		// int32, as cell coordinates must (validate).
@@ -132,168 +85,31 @@ func (te *TemporalEngine) RunTopK(r, delta float64, k int) (*Result, error) {
 		}
 		q.halo = 1
 	}
-	q.exactOf = q.tExactScore
-	q.sBOi, q.sMask = bitmap.NewScratch(q.n), bitmap.NewScratch(q.n)
-	q.build()
-	q.tauLow = make([]int32, q.n)
-	q.eachObject(q.pointCount, q.tLowerBound)
-	q.tauUpp = make([]int32, q.n)
-	q.eachObject(q.pointCount, q.tUpperBound)
-	cand := q.assembleCandidates(q.kthHighest(q.tauLow))
-	q.stats.Candidates = len(cand)
-	top := q.verification(cand)
-	res := &Result{TopK: top, Stats: q.stats}
-	if len(top) > 0 {
-		res.Best = top[0]
-	}
-	return res, nil
+	q.bucket = te.buckets(delta)
+	return q.run()
 }
 
-// bucketOf maps a timestamp to its bucket id. With δ = 0 it interns
-// distinct timestamps; every timestamp is registered during build, so
-// later phases (including parallel ones) only read the map.
-func (q *tQuery) bucketOf(t float64) int32 {
-	if q.delta != 0 {
-		return int32(math.Floor(t / q.delta))
+// buckets returns the time bucket of every point number: floor(t/δ),
+// or for δ = 0 the rank of t among the distinct timestamps.
+func (te *TemporalEngine) buckets(delta float64) []int32 {
+	var times []float64
+	for i := range te.e.ds.Objects {
+		times = append(times, te.e.ds.Objects[i].Times...)
 	}
-	id, ok := q.exactTimes[t]
-	if !ok {
-		id = int32(len(q.exactTimes))
-		q.exactTimes[t] = id
+	var distinct []float64
+	if delta == 0 {
+		distinct = slices.Clone(times)
+		slices.Sort(distinct)
+		distinct = slices.Compact(distinct)
 	}
-	return id
-}
-
-func (q *tQuery) build() {
-	for i := range q.e.ds.Objects {
-		o := &q.e.ds.Objects[i]
-		for j, p := range o.Pts {
-			b := q.bucketOf(o.Times[j])
-			sk := tKey{bucket: b, cell: grid.KeyFor(p, q.smallW)}
-			sb, ok := q.small[sk]
-			if !ok {
-				sb = bitmap.New()
-				q.small[sk] = sb
-			}
-			sb.Set(i)
-			lk := tKey{bucket: b, cell: grid.KeyFor(p, q.largeW)}
-			lc, ok := q.large[lk]
-			if !ok {
-				lc = &tCell{b: bitmap.New()}
-				q.large[lk] = lc
-			}
-			lc.b.Set(i)
-			if n := len(lc.postings); n == 0 || int(lc.postings[n-1].obj) != i {
-				lc.postings = append(lc.postings, tPosting{obj: int32(i)})
-			}
-			post := &lc.postings[len(lc.postings)-1]
-			post.pts = append(post.pts, p)
-			post.times = append(post.times, o.Times[j])
+	bucket := make([]int32, len(times))
+	for g, t := range times {
+		if delta > 0 {
+			bucket[g] = int32(math.Floor(t / delta))
+		} else {
+			rank, _ := slices.BinarySearch(distinct, t)
+			bucket[g] = int32(rank)
 		}
 	}
-}
-
-// tLowerBound ORs the same-bucket small-grid cells of every point
-// of o_i: those pairs satisfy both constraints unconditionally.
-func (q *tQuery) tLowerBound(i int, scratch *bitmap.Scratch, _ *ctrSet) {
-	o := &q.e.ds.Objects[i]
-	scratch.Reset()
-	for j, p := range o.Pts {
-		sk := tKey{bucket: q.bucketOf(o.Times[j]), cell: grid.KeyFor(p, q.smallW)}
-		if sb := q.small[sk]; sb != nil && sb.Cardinality() >= 2 {
-			scratch.OrCompressed(sb)
-		}
-	}
-	q.tauLow[i] = int32(max(scratch.Cardinality()-1, 0))
-}
-
-// adjUnion returns the OR of b(c) over the 27-cell neighbourhood of
-// (bucket, cell), memoised. It works even when the anchor cell itself
-// is empty (a temporal neighbour bucket may populate only nearby
-// cells). Safe for concurrent use: duplicated computation is possible
-// under contention but the published value is deterministic.
-func (q *tQuery) adjUnion(k tKey) *bitmap.Compressed {
-	q.unionMu.Lock()
-	a, ok := q.union[k]
-	q.unionMu.Unlock()
-	if ok {
-		return a
-	}
-	var neigh [27]grid.Key
-	bms := make([]*bitmap.Compressed, 0, 27)
-	for _, nk := range k.cell.NeighborsAndSelf(neigh[:0]) {
-		if c := q.large[tKey{bucket: k.bucket, cell: nk}]; c != nil {
-			bms = append(bms, c.b)
-		}
-	}
-	a = bitmap.OrAll(bms)
-	q.unionMu.Lock()
-	defer q.unionMu.Unlock()
-	if prev, ok := q.union[k]; ok {
-		return prev
-	}
-	q.union[k] = a
-	return a
-}
-
-// tUpperBound ORs the adjacency unions of each point's cell across
-// its temporal bucket window.
-func (q *tQuery) tUpperBound(i int, scratch *bitmap.Scratch, _ *ctrSet) {
-	o := &q.e.ds.Objects[i]
-	scratch.Reset()
-	for j, p := range o.Pts {
-		ck := grid.KeyFor(p, q.largeW)
-		b := q.bucketOf(o.Times[j])
-		for wb := b - q.halo; wb <= b+q.halo; wb++ {
-			scratch.OrCompressed(q.adjUnion(tKey{bucket: wb, cell: ck}))
-		}
-	}
-	q.tauUpp[i] = int32(max(scratch.Cardinality()-1, 0))
-}
-
-// tExactScore computes τ(o_i) under both thresholds: Algorithm 6's
-// masked probe over each point's bucket window, with the time test
-// beside the distance test.
-func (q *tQuery) tExactScore(i int) int {
-	bOi, mask := q.sBOi, q.sMask
-	var neigh [27]grid.Key
-	o := &q.e.ds.Objects[i]
-	bOi.Reset()
-	bOi.Set(i)
-	for j, p := range o.Pts {
-		pt := o.Times[j]
-		ck := grid.KeyFor(p, q.largeW)
-		b := q.bucketOf(pt)
-		for wb := b - q.halo; wb <= b+q.halo; wb++ {
-			mask.AndNotFromCompressed(q.adjUnion(tKey{bucket: wb, cell: ck}), bOi)
-			if mask.Cardinality() == 0 {
-				continue
-			}
-			for _, nk := range ck.NeighborsAndSelf(neigh[:0]) {
-				cell := q.large[tKey{bucket: wb, cell: nk}]
-				if cell == nil {
-					continue
-				}
-				mask.ForEach(func(jj int) bool {
-					post := cell.posting(jj)
-					if post == nil {
-						return true
-					}
-					for pi, pp := range post.pts {
-						//lint:ignore dist2 temporal filter interleaves the per-point time check, which the spatial batch kernel cannot express
-						if geom.Dist2(p, pp) <= q.r2 && math.Abs(pt-post.times[pi]) <= q.delta {
-							bOi.Set(jj)
-							mask.Clear(jj)
-							break
-						}
-					}
-					return true
-				})
-				if mask.Cardinality() == 0 {
-					break
-				}
-			}
-		}
-	}
-	return bOi.Cardinality() - 1
+	return bucket
 }

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"mio/internal/baseline"
+	"mio/internal/core/labelstore"
 	"mio/internal/data"
 	"mio/internal/geom"
 )
@@ -168,6 +170,14 @@ func TestTemporalErrors(t *testing.T) {
 	if _, err := NewTemporalEngine(ds, Options{Dims: 4}); err == nil {
 		t.Error("Dims 4 accepted")
 	}
+	// Labels were silently ignored; Labeling-2/-3 are not sound under a
+	// time constraint, so a store is refused.
+	if _, err := NewTemporalEngine(ds, Options{Labels: labelstore.NewStore()}); err == nil || !strings.Contains(err.Error(), "label store") {
+		t.Errorf("label store: err = %v, want a refusal naming the label store", err)
+	}
+	if _, err := NewTemporalEngine(stamped(math.NaN(), []geom.Point{{X: 1}}, []geom.Point{{X: 1.5}}), Options{}); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Errorf("NaN timestamp: err = %v, want a refusal", err)
+	}
 
 	// Dims 2 on non-planar data (mio_test.go's six objects): r/√2 cells
 	// put three non-interacting pairs in one cell each, lift object 0's
@@ -222,4 +232,197 @@ func TestTemporalParallelMatchesSerial(t *testing.T) {
 	if !reflect.DeepEqual(scoreMultiset(res.TopK), wantScores) {
 		t.Fatalf("δ=0 parallel: %v vs %v", scoreMultiset(res.TopK), wantScores)
 	}
+}
+
+// TestTemporalOneBucketStatsMatchSpatial: every point stamped with one
+// time and δ = 0 is one bucket with halo 0, the spatial index itself, so
+// the temporal engine must do the spatial engine's work count for
+// count. A δ > 0 query reports its work too.
+func TestTemporalOneBucketStatsMatchSpatial(t *testing.T) {
+	base := temporalDataset(t)
+	var objs [][]geom.Point
+	spatial := &data.Dataset{Name: base.Name}
+	for i := range base.Objects {
+		objs = append(objs, base.Objects[i].Pts)
+		spatial.Objects = append(spatial.Objects, data.Object{ID: i, Pts: base.Objects[i].Pts})
+	}
+	oneTime := stamped(7, objs...)
+	const r, k = 40.0, 3
+	for _, workers := range []int{1, 2} {
+		se, _ := NewEngine(spatial, Options{Workers: workers})
+		want, err := se.RunTopK(r, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		te, _ := NewTemporalEngine(oneTime, Options{Workers: workers})
+		got, err := te.RunTopK(r, 0, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, g := want.Stats, got.Stats
+		for _, c := range []struct {
+			name      string
+			got, want int
+		}{
+			{"Candidates", g.Candidates, w.Candidates},
+			{"Verified", g.Verified, w.Verified},
+			{"DistanceComps", g.DistanceComps, w.DistanceComps},
+			{"AdjComputed", g.AdjComputed, w.AdjComputed},
+			{"SmallCells", g.SmallCells, w.SmallCells},
+			{"LargeCells", g.LargeCells, w.LargeCells},
+			{"IndexBytes", g.IndexBytes, w.IndexBytes},
+		} {
+			if c.got != c.want {
+				t.Errorf("Workers %d: temporal %s = %d, spatial %d", workers, c.name, c.got, c.want)
+			}
+		}
+		if !reflect.DeepEqual(got.TopK, want.TopK) {
+			t.Errorf("Workers %d: temporal top-%d %v, spatial %v", workers, k, got.TopK, want.TopK)
+		}
+	}
+
+	eng, _ := NewTemporalEngine(base, Options{})
+	res, err := eng.RunTopK(50, 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats; st.DistanceComps == 0 || st.AdjComputed == 0 || st.IndexBytes == 0 ||
+		st.GridMapping == 0 || st.LowerBounding == 0 || st.UpperBounding == 0 || st.Verification == 0 {
+		t.Errorf("δ = 8: stats %+v, want work counts, index bytes and phase times", st)
+	}
+}
+
+// track is one hand-built object: its points and their generation
+// times.
+type track struct {
+	pts   []geom.Point
+	times []float64
+}
+
+func tracks(ts ...track) *data.Dataset {
+	ds := &data.Dataset{Name: "tracks"}
+	for i, tr := range ts {
+		ds.Objects = append(ds.Objects, data.Object{ID: i, Pts: tr.pts, Times: tr.times})
+	}
+	return ds
+}
+
+// TestTemporalBucketEdges pins the bucket arithmetic on hand-built
+// datasets at r = 1: every point is within r of every other, so each
+// score is decided by time alone, and every object is verified (k = n).
+func TestTemporalBucketEdges(t *testing.T) {
+	at := func(x float64) geom.Point { return geom.Pt(x, 0.5, 0.5) }
+	one := func(tm float64) track { return track{[]geom.Point{at(0.5)}, []float64{tm}} }
+	down := func(x float64) float64 { return math.Nextafter(x, math.Inf(-1)) }
+	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	each := func(ts ...float64) *data.Dataset {
+		var trs []track
+		for _, tm := range ts {
+			trs = append(trs, one(tm))
+		}
+		return tracks(trs...)
+	}
+	for _, c := range []struct {
+		name  string
+		delta float64
+		ds    *data.Dataset
+		want  []int // nil: the oracle is the only reference
+	}{
+		// Object 1's posting in bucket 0 holds t = 0.1, then 0.9. Probed
+		// from object 0 (t = 1.5, bucket 1) its first point is within r
+		// but 1.4 apart in time; the kernel resumes and the second point,
+		// 0.6 apart, resolves the pair. Object 2's one point is 1.3 from
+		// object 0: a miss after a spatial hit.
+		{"resume after a hit outside δ", 1, tracks(
+			one(1.5),
+			track{[]geom.Point{at(0.6), at(0.7)}, []float64{0.1, 0.9}},
+			track{[]geom.Point{at(0.55)}, []float64{0.2}}), []int{1, 2, 1}},
+		// t = 1 and t = 3 are buckets 0 and 1, exactly δ apart; 3.5 is
+		// 2.5 from 1.
+		{"|Δt| = δ across adjacent buckets", 2, each(1, 3, 3.5), []int{1, 2, 1}},
+		// Buckets -2, -1, -3 and 0: floor, not truncation toward zero.
+		{"negative timestamps", 2, each(-3, -1.5, -5, 0.5), []int{2, 2, 1, 1}},
+		{"one ulp either side of a boundary, δ = 1", 1, each(down(3), 3, up(3), 2, down(2), 4, up(4)), nil},
+		{"one ulp either side of a boundary, δ = 0.1", 0.1, each(down(0.3), 0.3, up(0.3), 0.2, down(0.2), 0.4, up(0.4)), nil},
+	} {
+		oracle := baseline.TemporalNLScores(c.ds, 1, c.delta)
+		if c.want != nil && !reflect.DeepEqual(oracle, c.want) {
+			t.Fatalf("%s: oracle %v, the row expects %v", c.name, oracle, c.want)
+		}
+		for _, workers := range []int{1, 2} {
+			eng, err := NewTemporalEngine(c.ds, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.RunTopK(1, c.delta, c.ds.N())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]int, c.ds.N())
+			for _, s := range res.TopK {
+				got[s.Obj] = s.Score
+			}
+			if len(res.TopK) != c.ds.N() || !reflect.DeepEqual(got, oracle) {
+				t.Errorf("%s, Workers %d: scores %v, oracle %v", c.name, workers, got, oracle)
+			}
+		}
+	}
+}
+
+// FuzzTemporalAgainstOracle is the temporal engine's native fuzz target
+// (go test -fuzz=FuzzTemporalAgainstOracle -fuzztime=30s): the fuzzer
+// steers TestRandomizedTemporalCrossCheck's trajectory generator, r, δ
+// (below 0.25 it becomes δ = 0 over timestamps floored to integers, so
+// exact matches exist), k, Workers 1 or 2 and Dims, and every execution
+// is checked against the brute-force oracle.
+func FuzzTemporalAgainstOracle(f *testing.F) {
+	f.Add(uint8(30), uint8(10), int64(1), 40.0, 5.0, uint8(2), uint8(0))
+	f.Add(uint8(50), uint8(6), int64(7), 80.0, 0.0, uint8(1), uint8(1))
+	f.Add(uint8(15), uint8(18), int64(9), 5.0, 20.0, uint8(4), uint8(2))
+	f.Add(uint8(63), uint8(3), int64(3), 200.0, 1.5, uint8(3), uint8(3))
+	f.Fuzz(func(t *testing.T, n, m uint8, seed int64, r, delta float64, k, mode uint8) {
+		if !(r > 0 && r <= 500) || !(delta >= 0 && delta <= 100) {
+			t.Skip("thresholds out of the meaningful range")
+		}
+		rng := rand.New(rand.NewSource(seed))
+		base := data.GenTrajectory(data.TrajectoryConfig{
+			N: 2 + int(n%64), M: 2 + int(m%18),
+			Groups: 1 + rng.Intn(4), FieldSize: 300 + rng.Float64()*1500,
+			Speed: 2 + rng.Float64()*20, FollowStd: 1 + rng.Float64()*8,
+			Solo: rng.Float64() / 2, Seed: rng.Int63(),
+		})
+		horizon := 10 + rng.Float64()*50
+		ds := data.WithTimestamps(base, 0.5+rng.Float64()*2, horizon, rng.Int63())
+		if delta < 0.25 {
+			delta = 0
+			for i := range ds.Objects {
+				for j, tm := range ds.Objects[i].Times {
+					ds.Objects[i].Times[j] = math.Floor(tm)
+				}
+			}
+		}
+		// Trajectories are planar, so Dims 2 is accepted.
+		opts := Options{Workers: 1 + int(mode&1)}
+		if mode&2 != 0 {
+			opts.Dims = 2
+		}
+		kk := 1 + int(k%5)
+		eng, err := NewTemporalEngine(ds, opts)
+		if err != nil {
+			t.Fatalf("NewTemporalEngine: %v", err)
+		}
+		res, err := eng.RunTopK(r, delta, kk)
+		if err != nil {
+			t.Fatalf("RunTopK: %v", err)
+		}
+		want := baseline.TopKFromScores(baseline.TemporalNLScores(ds, r, delta), kk)
+		if len(res.TopK) != len(want) {
+			t.Fatalf("top-k length %d, oracle %d", len(res.TopK), len(want))
+		}
+		for i := range want {
+			if res.TopK[i].Score != want[i].Score {
+				t.Fatalf("opts=%+v r=%g δ=%g: rank %d score %d, oracle %d", opts, r, delta, i, res.TopK[i].Score, want[i].Score)
+			}
+		}
+	})
 }

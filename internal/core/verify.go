@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
+
 	"mio/internal/bitmap"
 	"mio/internal/core/labelstore"
 	"mio/internal/geom"
+	"mio/internal/grid"
 )
 
 // verification implements VERIFICATION(O_cand, r) (Algorithm 6) with
@@ -60,9 +63,6 @@ func (q *query) verification(cand []candidate) []Scored {
 // work to q.stats. The serial scratch bitsets are allocated on the first
 // call and reused by later ones.
 func (q *query) exact(i int) int {
-	if q.exactOf != nil {
-		return q.exactOf(i)
-	}
 	if q.e.opts.workers() > 1 {
 		return q.parallelExactScore(i)
 	}
@@ -128,10 +128,11 @@ func (q *query) skipVerifyPoint(obj, pt int) bool {
 type scoreState struct {
 	cell      int
 	maskValid bool
-	// neigh is cell's 27-cell neighbourhood in probe order, looked
-	// up once per same-cell run, and only if a point of the run has a
+	// neigh[:nNeigh] is cell's neighbourhood in probe order, looked up
+	// once per same-cell run, and only if a point of the run has a
 	// non-empty mask to probe with.
-	neigh      [27]int32
+	neigh      [grid.MaxNeighbors]int32
+	nNeigh     int
 	neighValid bool
 	// share, when non-nil, restricts the candidate mask to the objects
 	// this worker owns (object-partitioned parallel verification,
@@ -149,10 +150,11 @@ type scoreState struct {
 }
 
 // scorePoint processes one point of o_i: builds the candidate mask
-// b = b^adj(c_K) − b(o_i), then probes posting lists of the cell and
-// its neighbours only for objects whose mask bit survives. The
-// neighbours are probed in Key.NeighborsAndSelf order: probing stops
-// once the mask empties, so DistanceComps depends on the order.
+// b = b^adj(c_K) − b(o_i), then probes posting lists of the cell's
+// neighbourhood only for objects whose mask bit survives. The
+// neighbours are probed in Key.NeighborsAndSelf order, bucket by bucket
+// on a temporal query (LargeGrid.Neighbors): probing stops once the
+// mask empties, so DistanceComps depends on the order.
 func (q *query) scorePoint(i, j int, p geom.Point, bOi, mask *bitmap.Scratch, ctr *ctrSet, st *scoreState) {
 	large := q.idx.large
 	c := large.CellOf(i, j)
@@ -194,14 +196,20 @@ func (q *query) scorePoint(i, j int, p geom.Point, bOi, mask *bitmap.Scratch, ct
 		return
 	}
 	if !st.neighValid {
-		large.Neighbors(c, &st.neigh)
+		st.nNeigh = large.Neighbors(c, &st.neigh)
 		st.neighValid = true
 	}
-	for _, nc := range st.neigh {
+	// Block q.halo of the neighbourhood is the point's own time bucket;
+	// pairs with the cells of the others must pass the time test too.
+	var t float64
+	if q.halo > 0 {
+		t = q.e.ds.Objects[i].Times[j]
+	}
+	for s, nc := range st.neigh[:st.nNeigh] {
 		if nc < 0 {
 			continue
 		}
-		q.probeCell(int(nc), p, bOi, mask, ctr)
+		q.probeCell(int(nc), p, t, s/27 != int(q.halo), bOi, mask, ctr)
 		if mask.Cardinality() == 0 {
 			return
 		}
@@ -241,21 +249,22 @@ func (q *query) noteAdj(c int, fresh bool) bool {
 // in the cell until one point within r is found. The posting-list/mask
 // intersection runs in whichever direction is cheaper: over the cell's
 // postings (O(1) mask test each) when the cell is small, over mask bits
-// (binary search per posting lookup) when the mask is small.
-func (q *query) probeCell(c int, p geom.Point, bOi, mask *bitmap.Scratch, ctr *ctrSet) {
+// (binary search per posting lookup) when the mask is small. t and
+// cross are probePosting's.
+func (q *query) probeCell(c int, p geom.Point, t float64, cross bool, bOi, mask *bitmap.Scratch, ctr *ctrSet) {
 	large := q.idx.large
 	if objs := large.CellObjs(c); len(objs) <= mask.Cardinality() {
 		first := int(large.CellOff[c])
 		for pi, obj := range objs {
 			if j := int(obj); mask.Test(j) {
-				q.probePosting(first+pi, j, p, bOi, mask, ctr)
+				q.probePosting(first+pi, j, p, t, cross, bOi, mask, ctr)
 			}
 		}
 		return
 	}
 	mask.ForEach(func(j int) bool {
 		if pi := large.PostingIndex(c, j); pi >= 0 {
-			q.probePosting(pi, j, p, bOi, mask, ctr)
+			q.probePosting(pi, j, p, t, cross, bOi, mask, ctr)
 		}
 		return true
 	})
@@ -263,17 +272,29 @@ func (q *query) probeCell(c int, p geom.Point, bOi, mask *bitmap.Scratch, ctr *c
 
 // probePosting resolves posting pi (object j) against p with the
 // 4-wide FirstWithin2 kernel over the posting's contiguous coordinates.
-// distComps counts the pairs a scalar break-on-first-hit loop would
-// have touched: idx+1 on a hit, the full posting on a miss.
-func (q *query) probePosting(pi, j int, p geom.Point, bOi, mask *bitmap.Scratch, ctr *ctrSet) {
+// A posting from another time bucket (cross) also needs its point
+// within δ of p's generation time t (Appendix B): a spatial hit outside
+// δ resumes the kernel after it. Times are the dataset's, reached
+// through the posting's point indices. distComps counts the pairs a
+// scalar break-on-first-hit loop would have touched: up to and
+// including the hit that resolves the posting, the full posting on a
+// miss.
+func (q *query) probePosting(pi, j int, p geom.Point, t float64, cross bool, bOi, mask *bitmap.Scratch, ctr *ctrSet) {
 	xs, ys, zs := q.idx.large.Points(pi)
-	if idx := geom.FirstWithin2(p.X, p.Y, p.Z, xs, ys, zs, q.r2); idx >= 0 {
-		ctr.distComps += idx + 1
-		bOi.Set(j)
-		mask.Clear(j)
-	} else {
-		ctr.distComps += len(xs)
+	for at := 0; at < len(xs); {
+		idx := geom.FirstWithin2(p.X, p.Y, p.Z, xs[at:], ys[at:], zs[at:], q.r2)
+		if idx < 0 {
+			break
+		}
+		at += idx + 1
+		if !cross || math.Abs(t-q.e.ds.Objects[j].Times[q.idx.large.PointIdx(pi)[at-1]]) <= q.delta {
+			ctr.distComps += at
+			bOi.Set(j)
+			mask.Clear(j)
+			return
+		}
 	}
+	ctr.distComps += len(xs)
 }
 
 // insertTopK inserts s into the canonically-sorted top list (score

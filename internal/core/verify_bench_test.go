@@ -68,7 +68,7 @@ func BenchmarkProbeCellDenseMask(b *testing.B) {
 		bOi.Reset()
 		bOi.Set(0)
 		mask.AndNotFromCompressed(adj, bOi)
-		q.probeCell(cell, p, bOi, mask, &ctr)
+		q.probeCell(cell, p, 0, false, bOi, mask, &ctr)
 	}
 	b.ReportMetric(float64(ctr.distComps)/float64(b.N), "distComps/op")
 }

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"sort"
 	"sync/atomic"
 
 	"mio/internal/data"
@@ -10,7 +11,8 @@ import (
 
 // rec is one sort record: a cell key packed so that unsigned order on
 // (hi, lo) equals Key.Less, and the point it came from. All 96 key bits
-// are kept, so the accepted (dataset, r) domain is KeyFor's.
+// are kept, so the accepted (dataset, r) domain is KeyFor's. A bucketed
+// build's fourth key component is read through ord, not stored.
 type rec struct {
 	hi  uint64 // X<<32 | Y, each offset-binary
 	lo  uint32 // Z, offset-binary
@@ -28,11 +30,26 @@ func unpack(hi uint64, lo uint32) Key {
 }
 
 // points is what every grid of one Build shares: the dataset, each
-// object's first point number, and the object of each point number.
+// object's first point number, the object of each point number and,
+// in a bucketed build, the time bucket of each point number.
 type points struct {
-	ds    *data.Dataset
-	start []int32 // len n+1
-	objOf []int32 // len start[n]
+	ds     *data.Dataset
+	start  []int32 // len n+1
+	objOf  []int32 // len start[n]
+	bucket []int32 // len start[n], or nil: every point in bucket 0
+}
+
+func (src *points) bucketOf(ord uint32) int32 {
+	if src.bucket == nil {
+		return 0
+	}
+	return src.bucket[ord]
+}
+
+// sameCell reports whether two records fall into one cell: one key in
+// one bucket.
+func (src *points) sameCell(a, b rec) bool {
+	return a.hi == b.hi && a.lo == b.lo && (src.bucket == nil || src.bucket[a.ord] == src.bucket[b.ord])
 }
 
 // Build is GRID-MAPPING (Algorithm 3) by sort and scan: it maps the
@@ -43,6 +60,14 @@ type points struct {
 // run-length encoded into the grid's flat arrays; the two record
 // buffers are shared by all the grids.
 //
+// bucket, when non-nil, is the time axis of Appendix B: one bucket id
+// per point number (object-major, as the points are numbered), the most
+// significant component of every cell key, so each bucket's cells are
+// one contiguous directory range. halo, 0 or 1, is how many buckets
+// either side of a cell's own its large-grid neighbourhood spans
+// (Neighbors, ComputeAdj). A nil bucket puts every point in bucket 0
+// and wants halo 0: the spatial grids.
+//
 // keep, when non-nil, filters the points (the WITH-LABEL variant maps
 // only points whose label is not 0**) and must answer the same every
 // time it is asked. stop, when non-nil, is polled every 128 objects of
@@ -50,10 +75,10 @@ type points struct {
 // grids hold only what was mapped so far, and complete is false. With
 // workers > 1 the quantising sweeps are split over contiguous,
 // point-count-balanced object ranges; the sorts are not.
-func Build(ds *data.Dataset, largeWidth float64, smallWidths []float64, workers int, keep func(obj, pt int) bool, stop func() bool) (large *LargeGrid, smalls []*SmallGrid, complete bool) {
+func Build(ds *data.Dataset, largeWidth float64, smallWidths []float64, bucket []int32, halo int32, workers int, keep func(obj, pt int) bool, stop func() bool) (large *LargeGrid, smalls []*SmallGrid, complete bool) {
 	n := ds.N()
 	weights := make([]int, n)
-	src := points{ds: ds, start: make([]int32, n+1)}
+	src := points{ds: ds, start: make([]int32, n+1), bucket: bucket}
 	for i := range ds.Objects {
 		weights[i] = len(ds.Objects[i].Pts)
 		src.start[i+1] = src.start[i] + int32(weights[i])
@@ -70,12 +95,12 @@ func Build(ds *data.Dataset, largeWidth float64, smallWidths []float64, workers 
 	recs := make([]rec, total)
 	m, complete := src.quantise(recs, largeWidth, ranges, keep, stop)
 	tmp := make([]rec, m)
-	large = newLargeGrid(largeWidth, &src, sortRecs(recs[:m], tmp))
+	large = newLargeGrid(largeWidth, halo, &src, src.sortRecs(recs[:m], tmp))
 	smalls = make([]*SmallGrid, len(smallWidths))
 	for si, width := range smallWidths {
 		// ranges now end where a stopped first sweep did.
 		m, _ = src.quantise(recs, width, ranges, keep, nil)
-		smalls[si] = newSmallGrid(width, &src, sortRecs(recs[:m], tmp))
+		smalls[si] = newSmallGrid(width, &src, src.sortRecs(recs[:m], tmp))
 	}
 	return large, smalls, complete
 }
@@ -121,42 +146,49 @@ func (src *points) quantise(recs []rec, width float64, ranges [][2]int, keep fun
 }
 
 // field returns key field f of the record, least significant first: Z,
-// Y, X.
-func (r rec) field(f int) uint32 {
+// Y, X and, in a bucketed build, the bucket, offset-binary.
+func (src *points) field(r rec, f int) uint32 {
 	switch f {
 	case 0:
 		return r.lo
 	case 1:
 		return uint32(r.hi)
+	case 2:
+		return uint32(r.hi >> 32)
 	}
-	return uint32(r.hi >> 32)
+	return uint32(src.bucket[r.ord]) ^ signBit
 }
 
-// sortRecs sorts a by (hi, lo) with a stable LSD radix sort over 8-bit
-// digits and returns the slice holding the result, a or tmp. Digits are
-// taken from each key field's offset from its minimum, so only the
-// bytes the field's range spans cost a pass: a planar dataset pays
-// nothing for Z, and cell coordinates straddling zero cost no more than
-// positive ones. Stability keeps the records of one cell in point
-// number order, which is object-major.
-func sortRecs(a, tmp []rec) []rec {
+// sortRecs sorts a by (bucket, hi, lo) with a stable LSD radix sort over
+// 8-bit digits and returns the slice holding the result, a or tmp.
+// Digits are taken from each key field's offset from its minimum, so
+// only the bytes the field's range spans cost a pass: a planar dataset
+// pays nothing for Z, a spatial build has no bucket field, and cell
+// coordinates straddling zero cost no more than positive ones.
+// Stability keeps the records of one cell in point number order, which
+// is object-major.
+func (src *points) sortRecs(a, tmp []rec) []rec {
 	if len(a) < 2 {
 		return a
 	}
-	var minF, maxF [3]uint32
-	for f := range minF {
+	fields := 3
+	if src.bucket != nil {
+		fields = 4
+	}
+	var minF, maxF [4]uint32
+	for f := 0; f < fields; f++ {
 		minF[f], maxF[f] = math.MaxUint32, 0
 		for _, r := range a {
-			minF[f] = min(minF[f], r.field(f))
-			maxF[f] = max(maxF[f], r.field(f))
+			minF[f] = min(minF[f], src.field(r, f))
+			maxF[f] = max(maxF[f], src.field(r, f))
 		}
 	}
-	for f := range minF {
+	for f := 0; f < fields; f++ {
 		base, span := minF[f], maxF[f]-minF[f]
 		for shift := uint(0); shift < 32 && span>>shift != 0; shift += 8 {
 			var next [256]int
 			for _, r := range a {
-				next[(r.field(f)-base)>>shift&0xff]++
+				next[(src.field(r, f)-base)>>shift&0xff]++
 			}
 			pos := 0
 			for d, c := range next {
@@ -164,7 +196,7 @@ func sortRecs(a, tmp []rec) []rec {
 				pos += c
 			}
 			for _, r := range a {
-				d := (r.field(f) - base) >> shift & 0xff
+				d := (src.field(r, f) - base) >> shift & 0xff
 				tmp[next[d]] = r
 				next[d]++
 			}
@@ -176,40 +208,70 @@ func sortRecs(a, tmp []rec) []rec {
 
 // directory is what the two grids share: the sorted key list of the
 // non-empty cells, packed as the sort records are — a cell is its index
-// in it — and per cell b(c), the objects with a point in the cell, as
-// the strictly increasing id run [CellOff[c], CellOff[c+1]) of Objs
-// (footnote 3 of the paper leaves the set representation open).
+// in it — the cell range of each time bucket, and per cell b(c), the
+// objects with a point in the cell, as the strictly increasing id run
+// [CellOff[c], CellOff[c+1]) of Objs (footnote 3 of the paper leaves
+// the set representation open).
 type directory struct {
 	hi []uint64
 	lo []uint32
+	// Bucket bucketID[i] holds cells [bucketOff[i], bucketOff[i+1]);
+	// the ids ascend. A spatial grid is the one bucket 0.
+	bucketID  []int32
+	bucketOff []int32
 
 	CellOff []int32 // len Len()+1
 	Objs    []int32
 }
 
-// countRuns returns the number of distinct keys in sorted and the number
-// of (key, object) runs, so the grids can size their arrays exactly.
-func countRuns(src *points, sorted []rec) (cells, runs int) {
+// countRuns returns the number of distinct buckets and cells in sorted
+// and the number of (cell, object) runs, so the grids can size their
+// arrays exactly.
+func countRuns(src *points, sorted []rec) (buckets, cells, runs int) {
 	for i, r := range sorted {
-		newCell := i == 0 || r.hi != sorted[i-1].hi || r.lo != sorted[i-1].lo
+		newCell := i == 0 || !src.sameCell(r, sorted[i-1])
 		if newCell {
 			cells++
+			if i == 0 || src.bucketOf(r.ord) != src.bucketOf(sorted[i-1].ord) {
+				buckets++
+			}
 		}
 		if newCell || src.objOf[r.ord] != src.objOf[sorted[i-1].ord] {
 			runs++
 		}
 	}
-	return cells, runs
+	return buckets, cells, runs
 }
 
-func newDirectory(cells, runs int) directory {
+func newDirectory(buckets, cells, runs int) directory {
 	return directory{
-		hi:      make([]uint64, cells),
-		lo:      make([]uint32, cells),
-		CellOff: make([]int32, cells+1),
-		Objs:    make([]int32, runs),
+		hi:        make([]uint64, cells),
+		lo:        make([]uint32, cells),
+		bucketID:  make([]int32, 0, buckets),
+		bucketOff: make([]int32, 0, buckets+1),
+		CellOff:   make([]int32, cells+1),
+		Objs:      make([]int32, runs),
 	}
 }
+
+// open makes c, the next cell of the sorted stream, the cell of key
+// (hi, lo) in bucket b, and b's first cell if it has none yet.
+func (d *directory) open(c int, hi uint64, lo uint32, b int32) {
+	d.hi[c], d.lo[c] = hi, lo
+	if n := len(d.bucketID); n == 0 || d.bucketID[n-1] != b {
+		d.bucketID = append(d.bucketID, b)
+		d.bucketOff = append(d.bucketOff, int32(c))
+	}
+}
+
+// finish closes the last cell's object run and the last bucket's range.
+func (d *directory) finish() {
+	d.CellOff[d.Len()] = int32(len(d.Objs))
+	d.bucketOff = append(d.bucketOff, int32(d.Len()))
+}
+
+// bucketBytes is what the bucket ranges occupy.
+func (d *directory) bucketBytes() int { return 4 * (len(d.bucketID) + len(d.bucketOff)) }
 
 // CellObjs returns b(c). The slice aliases the grid's storage and must
 // not be written.
@@ -218,25 +280,42 @@ func (d *directory) CellObjs(c int) []int32 { return d.Objs[d.CellOff[c]:d.CellO
 // Len returns the number of non-empty cells.
 func (d *directory) Len() int { return len(d.hi) }
 
-// Key returns the key of cell c. Cells are numbered in Key.Less order.
+// Key returns the spatial key of cell c. Cells are numbered in (Bucket,
+// Key.Less) order.
 func (d *directory) Key(c int) Key { return unpack(d.hi[c], d.lo[c]) }
 
-// Find returns the cell with key k, or -1.
-func (d *directory) Find(k Key) int {
+// Bucket returns the time bucket of cell c, 0 in a spatial grid.
+func (d *directory) Bucket(c int) int32 {
+	return d.bucketID[sort.Search(len(d.bucketID), func(i int) bool { return int(d.bucketOff[i+1]) > c })]
+}
+
+// cells returns the cell range of bucket b, empty if no point fell in
+// it.
+func (d *directory) cells(b int32) (from, to int) {
+	i := sort.Search(len(d.bucketID), func(i int) bool { return d.bucketID[i] >= b })
+	if i == len(d.bucketID) || d.bucketID[i] != b {
+		return 0, 0
+	}
+	return int(d.bucketOff[i]), int(d.bucketOff[i+1])
+}
+
+// Find returns the cell with key k in bucket b, or -1.
+func (d *directory) Find(b int32, k Key) int {
+	from, to := d.cells(b)
 	hi, lo := pack(k)
-	if c := d.search(0, hi, lo); c < len(d.hi) && d.hi[c] == hi && d.lo[c] == lo {
+	if c := d.search(from, to, hi, lo); c < to && d.hi[c] == hi && d.lo[c] == lo {
 		return c
 	}
 	return -1
 }
 
-// search returns the first cell at or after from whose key is not less
-// than (hi, lo). It gallops before it bisects: the columns of one
-// neighbourhood are looked up in key order, each from where the last
-// one ended, and those of one X are a few cells apart.
-func (d *directory) search(from int, hi uint64, lo uint32) int {
+// search returns the first cell in [from, to) whose key is not less
+// than (hi, lo), or to. It gallops before it bisects: the columns of
+// one neighbourhood are looked up in key order, each from where the
+// last one ended, and those of one X are a few cells apart.
+func (d *directory) search(from, to int, hi uint64, lo uint32) int {
 	less := func(c int) bool { return d.hi[c] < hi || (d.hi[c] == hi && d.lo[c] < lo) }
-	l, r := from, len(d.hi)
+	l, r := from, to
 	for step := 1; l+step <= r; step <<= 1 {
 		if !less(l + step - 1) {
 			r = l + step - 1
@@ -255,31 +334,38 @@ func (d *directory) search(from int, hi uint64, lo uint32) int {
 	return l
 }
 
-// columns calls fn for every (X+dx, Y+dy), |dx|, |dy| ≤ radius, in
-// increasing key order, with the range [lo, hi) of cells in that column
-// whose Z is within radius of k.Z: the Z-neighbours of one (X, Y) are
-// adjacent in the directory, so a neighbourhood costs (2·radius+1)²
+// columns calls fn for every bucket b+dt, |dt| ≤ halo, and in it every
+// (X+dx, Y+dy), |dx|, |dy| ≤ radius, in increasing directory order,
+// with the range [lo, hi) of cells in that column whose Z is within
+// radius of k.Z: the Z-neighbours of one (bucket, X, Y) are adjacent in
+// the directory, so a neighbourhood costs (2·halo+1)·(2·radius+1)²
 // binary searches and no hashing. Coordinates outside int32 name no
 // cell.
-func (d *directory) columns(k Key, radius int32, fn func(dx, dy int32, lo, hi int)) {
+func (d *directory) columns(b int32, k Key, radius, halo int32, fn func(dt, dx, dy int32, lo, hi int)) {
 	first := uint32(max(int64(k.Z)-int64(radius), math.MinInt32)) ^ signBit
 	last := uint32(min(int64(k.Z)+int64(radius), math.MaxInt32)) ^ signBit
-	from := 0
-	for dx := -radius; dx <= radius; dx++ {
-		x := int64(k.X) + int64(dx)
-		for dy := -radius; dy <= radius; dy++ {
-			y := int64(k.Y) + int64(dy)
-			if x < math.MinInt32 || x > math.MaxInt32 || y < math.MinInt32 || y > math.MaxInt32 {
-				continue
+	for dt := -halo; dt <= halo; dt++ {
+		t := int64(b) + int64(dt)
+		if t < math.MinInt32 || t > math.MaxInt32 {
+			continue
+		}
+		from, to := d.cells(int32(t))
+		for dx := -radius; dx <= radius; dx++ {
+			x := int64(k.X) + int64(dx)
+			for dy := -radius; dy <= radius; dy++ {
+				y := int64(k.Y) + int64(dy)
+				if x < math.MinInt32 || x > math.MaxInt32 || y < math.MinInt32 || y > math.MaxInt32 {
+					continue
+				}
+				hi, _ := pack(Key{X: int32(x), Y: int32(y)})
+				c := d.search(from, to, hi, first)
+				end := c
+				for end < to && d.hi[end] == hi && d.lo[end] <= last {
+					end++
+				}
+				fn(dt, dx, dy, c, end)
+				from = end
 			}
-			hi, _ := pack(Key{X: int32(x), Y: int32(y)})
-			c := d.search(from, hi, first)
-			end := c
-			for end < len(d.hi) && d.hi[end] == hi && d.lo[end] <= last {
-				end++
-			}
-			fn(dx, dy, c, end)
-			from = end
 		}
 	}
 }

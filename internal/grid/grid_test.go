@@ -152,7 +152,7 @@ func dataset(objs ...[]geom.Point) *data.Dataset {
 
 // buildLarge builds the large grid alone, on one worker, unfiltered.
 func buildLarge(ds *data.Dataset, width float64) *LargeGrid {
-	g, _, _ := Build(ds, width, nil, 1, nil, nil)
+	g, _, _ := Build(ds, width, nil, nil, 0, 1, nil, nil)
 	return g
 }
 
@@ -166,7 +166,7 @@ func TestPostingIndex(t *testing.T) {
 		objs[obj] = []geom.Point{geom.Pt(0.5, 0.5, 0.5)}
 	}
 	g := buildLarge(dataset(objs...), 4)
-	c := g.Find(KeyFor(geom.Pt(0.5, 0.5, 0.5), 4))
+	c := g.Find(0, KeyFor(geom.Pt(0.5, 0.5, 0.5), 4))
 	if c < 0 {
 		t.Fatal("cell missing")
 	}
@@ -185,18 +185,58 @@ type refPosting struct {
 	idx []int32
 }
 
+// bkey addresses a cell of the reference index: a time bucket and a
+// key.
+type bkey struct {
+	b int32
+	k Key
+}
+
+// less is the directory order: bucket, then Key.Less.
+func (a bkey) less(o bkey) bool { return a.b < o.b || a.b == o.b && a.k.Less(o.k) }
+
+// inBucket returns the keys as cells of bucket b.
+func inBucket(b int32, keys []Key) []bkey {
+	out := make([]bkey, len(keys))
+	for i, k := range keys {
+		out[i] = bkey{b, k}
+	}
+	return out
+}
+
+// around is the neighbourhood Neighbors reports for the cell of key k
+// in bucket b: per bucket b+dt, |dt| ≤ halo, in that order, k and its
+// 26 neighbours in Key.NeighborsAndSelf order.
+func around(b int32, k Key, halo int32) []bkey {
+	var out []bkey
+	for dt := -halo; dt <= halo; dt++ {
+		out = append(out, inBucket(b+dt, k.NeighborsAndSelf(nil))...)
+	}
+	return out
+}
+
+// bucketAt is the bucket of point number ord in a build over bucket.
+func bucketAt(bucket []int32, ord int) int32 {
+	if bucket == nil {
+		return 0
+	}
+	return bucket[ord]
+}
+
 // refIndex is the reference the sort-built grids are held against: an
 // inverted index built with plain maps, one point at a time.
-type refIndex map[Key]map[int]*refPosting
+type refIndex map[bkey]map[int]*refPosting
 
-func reference(ds *data.Dataset, width float64, keep func(obj, pt int) bool) refIndex {
+func reference(ds *data.Dataset, width float64, keep func(obj, pt int) bool, bucket []int32) refIndex {
 	ref := refIndex{}
+	ord := -1
 	for i := range ds.Objects {
 		for j, p := range ds.Objects[i].Pts {
+			ord++
 			if keep != nil && !keep(i, j) {
 				continue
 			}
-			k := KeyFor(p, width)
+			k := bkey{bucketAt(bucket, ord), KeyFor(p, width)}
 			if ref[k] == nil {
 				ref[k] = map[int]*refPosting{}
 			}
@@ -211,9 +251,9 @@ func reference(ds *data.Dataset, width float64, keep func(obj, pt int) bool) ref
 }
 
 // objects returns the ascending ids of the objects in the given cells.
-func (ref refIndex) objects(keys []Key) []int {
+func (ref refIndex) objects(cells []bkey) []int {
 	seen := map[int]bool{}
-	for _, k := range keys {
+	for _, k := range cells {
 		for obj := range ref[k] {
 			seen[obj] = true
 		}
@@ -235,35 +275,57 @@ func ints(ids []int32) []int {
 }
 
 // checkDirectory holds a grid's directory against the reference's
-// cells: the same keys, in strictly increasing Key.Less order, each
-// found at its own index, and no absent key found.
+// cells: the same (bucket, key) pairs, in strictly increasing directory
+// order, each found at its own index, no absent key found, and each
+// bucket's cells one range.
 func checkDirectory(t *testing.T, d *directory, ref refIndex) {
 	t.Helper()
 	if d.Len() != len(ref) {
 		t.Fatalf("cells = %d, want %d", d.Len(), len(ref))
 	}
+	perBucket := map[int32]int{}
 	for c := 0; c < d.Len(); c++ {
-		k := d.Key(c)
-		if ref[k] == nil {
-			t.Fatalf("cell %d has key %v, which holds no point", c, k)
+		bk := bkey{d.Bucket(c), d.Key(c)}
+		if ref[bk] == nil {
+			t.Fatalf("cell %d has key %v in bucket %d, which holds no point", c, bk.k, bk.b)
 		}
-		if c > 0 && !d.Key(c-1).Less(k) {
-			t.Fatalf("directory not in Key.Less order at %d: %v then %v", c, d.Key(c-1), k)
-		}
-		if got := d.Find(k); got != c {
-			t.Fatalf("Find(%v) = %d, want %d", k, got, c)
-		}
-		for _, nk := range k.Neighbors(nil) {
-			if ref[nk] == nil && d.Find(nk) != -1 {
-				t.Fatalf("Find(%v) hit for an empty cell", nk)
+		if c > 0 {
+			if prev := (bkey{d.Bucket(c - 1), d.Key(c - 1)}); !prev.less(bk) {
+				t.Fatalf("directory not in (bucket, Key.Less) order at %d: %v then %v", c, prev, bk)
 			}
 		}
+		if got := d.Find(bk.b, bk.k); got != c {
+			t.Fatalf("Find(%v) = %d, want %d", bk, got, c)
+		}
+		for _, nk := range bk.k.Neighbors(nil) {
+			if ref[bkey{bk.b, nk}] == nil && d.Find(bk.b, nk) != -1 {
+				t.Fatalf("Find(%d, %v) hit for an empty cell", bk.b, nk)
+			}
+		}
+		perBucket[bk.b]++
+	}
+	if len(d.bucketID) != len(perBucket) {
+		t.Fatalf("%d bucket ranges for %d buckets", len(d.bucketID), len(perBucket))
+	}
+	for b, n := range perBucket {
+		from, to := d.cells(b)
+		if to-from != n {
+			t.Fatalf("bucket %d: cells [%d, %d) for %d cells", b, from, to, n)
+		}
+		for c := from; c < to; c++ {
+			if d.Bucket(c) != b {
+				t.Fatalf("cell %d in bucket %d's range reports bucket %d", c, b, d.Bucket(c))
+			}
+		}
+	}
+	if from, to := d.cells(math.MaxInt32); from != to {
+		t.Fatalf("a bucket no point fell in has cells [%d, %d)", from, to)
 	}
 }
 
 // checkLarge holds every observable of a large grid against the
 // reference.
-func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, ref refIndex, keep func(obj, pt int) bool) {
+func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, ref refIndex, keep func(obj, pt int) bool, bucket []int32) {
 	t.Helper()
 	checkDirectory(t, &g.directory, ref)
 	if len(g.CellOff) != g.Len()+1 || g.CellOff[0] != 0 || int(g.CellOff[g.Len()]) != len(g.Objs) {
@@ -273,11 +335,11 @@ func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, ref refIndex, keep
 		t.Fatalf("Off spans [%d, %d] for %d points", g.Off[0], g.Off[len(g.Objs)], len(g.Idx))
 	}
 	for c := 0; c < g.Len(); c++ {
-		k := g.Key(c)
+		k := bkey{g.Bucket(c), g.Key(c)}
 		want := ref[k]
 		objs := g.CellObjs(c)
-		if !reflect.DeepEqual(ints(objs), ref.objects([]Key{k})) {
-			t.Fatalf("cell %v: b(c) = %v, want %v", k, objs, ref.objects([]Key{k}))
+		if !reflect.DeepEqual(ints(objs), ref.objects([]bkey{k})) {
+			t.Fatalf("cell %v: b(c) = %v, want %v", k, objs, ref.objects([]bkey{k}))
 		}
 		points := 0
 		for i, obj := range objs {
@@ -312,18 +374,22 @@ func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, ref refIndex, keep
 			}
 		}
 
-		// The neighbourhood, its union, and the two ways to ask for it.
-		var neigh [27]int32
-		g.Neighbors(c, &neigh)
-		keys := k.NeighborsAndSelf(nil)
-		for i, nk := range keys {
-			if int(neigh[i]) != g.Find(nk) {
-				t.Fatalf("cell %v: Neighbors[%d] = %d, want Find(%v) = %d", k, i, neigh[i], nk, g.Find(nk))
+		// The neighbourhood, its union, and the ways to ask for it.
+		var neigh [MaxNeighbors]int32
+		cells := around(k.b, k.k, g.halo)
+		if n := g.Neighbors(c, &neigh); n != len(cells) {
+			t.Fatalf("cell %v: Neighbors covers %d cells, want (2·halo+1)·27 = %d", k, n, len(cells))
+		}
+		for i, nk := range cells {
+			if int(neigh[i]) != g.Find(nk.b, nk.k) {
+				t.Fatalf("cell %v: Neighbors[%d] = %d, want Find(%v) = %d", k, i, neigh[i], nk, g.Find(nk.b, nk.k))
 			}
 		}
-		union := ref.objects(keys)
-		if got := g.ComputeAdjRadius(k, 1).Bits(); !reflect.DeepEqual(got, union) {
-			t.Fatalf("cell %v: ComputeAdjRadius(1) = %v, want the 27-cell union %v", k, got, union)
+		union := ref.objects(cells)
+		if bucket == nil {
+			if got := g.ComputeAdjRadius(k.k, 1).Bits(); !reflect.DeepEqual(got, union) {
+				t.Fatalf("cell %v: ComputeAdjRadius(1) = %v, want the 27-cell union %v", k, got, union)
+			}
 		}
 		if g.Adj(c) != nil {
 			t.Fatalf("cell %v: b^adj set before anything asked for it", k)
@@ -335,18 +401,20 @@ func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, ref refIndex, keep
 		if again, fresh := g.ComputeAdj(c); fresh || again != adj || g.Adj(c) != adj {
 			t.Fatalf("cell %v: b^adj not memoised", k)
 		}
-		if c%7 == 0 {
-			want := ref.objects(k.NeighborhoodRadius(nil, 2))
-			if got := g.ComputeAdjRadius(k, 2).Bits(); !reflect.DeepEqual(got, want) {
+		if bucket == nil && c%7 == 0 {
+			want := ref.objects(inBucket(0, k.k.NeighborhoodRadius(nil, 2)))
+			if got := g.ComputeAdjRadius(k.k, 2).Bits(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("cell %v: ComputeAdjRadius(2) = %v, want %v", k, got, want)
 			}
 		}
 	}
+	ord := -1
 	for i := range ds.Objects {
 		for j, p := range ds.Objects[i].Pts {
+			ord++
 			want := -1
 			if keep == nil || keep(i, j) {
-				want = g.Find(KeyFor(p, g.Width()))
+				want = g.Find(bucketAt(bucket, ord), KeyFor(p, g.Width()))
 			}
 			if got := g.CellOf(i, j); got != want {
 				t.Fatalf("CellOf(%d, %d) = %d, want %d", i, j, got, want)
@@ -364,8 +432,8 @@ func checkSmall(t *testing.T, g *SmallGrid, ref refIndex) {
 		t.Fatalf("CellOff spans [%d, %d] for %d run entries", g.CellOff[0], g.CellOff[g.Len()], len(g.Objs))
 	}
 	for c := 0; c < g.Len(); c++ {
-		if k := g.Key(c); !reflect.DeepEqual(ints(g.CellObjs(c)), ref.objects([]Key{k})) {
-			t.Fatalf("small cell %v: b(c) = %v, want %v", k, g.CellObjs(c), ref.objects([]Key{k}))
+		if k := (bkey{g.Bucket(c), g.Key(c)}); !reflect.DeepEqual(ints(g.CellObjs(c)), ref.objects([]bkey{k})) {
+			t.Fatalf("small cell %v: b(c) = %v, want %v", k, g.CellObjs(c), ref.objects([]bkey{k}))
 		}
 	}
 }
@@ -375,7 +443,8 @@ func checkSmall(t *testing.T, g *SmallGrid, ref refIndex) {
 // observable, the inverted index a point-at-a-time map build gives —
 // cells, object runs, postings in point order, directory order, point
 // to cell, every neighbourhood and every b^adj — however many workers
-// quantised the points and whether or not a filter dropped some.
+// quantised the points, whether or not a filter dropped some, and with
+// or without the time-bucket axis.
 func TestFlatIndexAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	walk := func(n, steps int, origin, span, step float64) *data.Dataset {
@@ -415,13 +484,16 @@ func TestFlatIndexAgainstReference(t *testing.T) {
 	}
 	everyThird := func(obj, pt int) bool { return obj%5 != 0 && (obj+pt)%3 != 0 }
 
-	cases := []struct {
-		name  string
-		ds    *data.Dataset
-		r     float64
-		width float64 // large-grid width; 0 means LargeWidth(r)
-		keep  func(obj, pt int) bool
-	}{
+	type row struct {
+		name   string
+		ds     *data.Dataset
+		r      float64
+		width  float64 // large-grid width; 0 means LargeWidth(r)
+		keep   func(obj, pt int) bool
+		bucket []int32
+		halo   int32
+	}
+	cases := []row{
 		// The datasets of core's testDatasets, at a middle radius each.
 		{name: "neuron", r: 5, ds: data.GenNeuron(data.NeuronConfig{
 			N: 40, M: 120, Clusters: 4, FieldSize: 250, ClusterStd: 25, StepLen: 1.5, Branches: 4, Seed: 11})},
@@ -440,29 +512,47 @@ func TestFlatIndexAgainstReference(t *testing.T) {
 		{name: "pruned", r: 2, ds: walk(90, 25, -10, 30, 1), keep: everyThird},
 		{name: "huge", r: 1, ds: dataset(huge...)},
 	}
+	// Bucketed builds (Appendix B's time axis): each object starts in a
+	// bucket either side of zero and moves on to the next one now and
+	// then, as timestamps would put it.
+	timed := walk(100, 25, -10, 20, 1)
+	var stamps []int32
+	for i := range timed.Objects {
+		b := int32(rng.Intn(7) - 3)
+		for range timed.Objects[i].Pts {
+			if rng.Intn(5) == 0 {
+				b++
+			}
+			stamps = append(stamps, b)
+		}
+	}
+	cases = append(cases,
+		row{name: "bucketed/halo=1", r: 2, ds: timed, bucket: stamps, halo: 1},
+		row{name: "bucketed/halo=0", r: 2, ds: timed, bucket: stamps},
+		row{name: "bucketed/pruned", r: 2, ds: timed, keep: everyThird, bucket: stamps, halo: 1})
 	for _, tc := range cases {
 		width := tc.width
 		if width == 0 {
 			width = LargeWidth(tc.r)
 		}
 		smallWidths := []float64{SmallWidth(tc.r, 3), SmallWidth(tc.r*0.9, 3)}
-		refLarge := reference(tc.ds, width, tc.keep)
+		refLarge := reference(tc.ds, width, tc.keep, tc.bucket)
 		for _, workers := range []int{1, 2, 3, 7} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
 				var polls atomic.Int64
-				large, smalls, complete := Build(tc.ds, width, smallWidths, workers, tc.keep, func() bool { polls.Add(1); return false })
+				large, smalls, complete := Build(tc.ds, width, smallWidths, tc.bucket, tc.halo, workers, tc.keep, func() bool { polls.Add(1); return false })
 				if !complete || len(smalls) != len(smallWidths) {
 					t.Fatalf("Build: complete = %v, %d small grids", complete, len(smalls))
 				}
 				if got := int(polls.Load()); got != tc.ds.N()/128 {
 					t.Fatalf("stop polled %d times over %d objects, want once per 128", got, tc.ds.N())
 				}
-				checkLarge(t, large, tc.ds, refLarge, tc.keep)
+				checkLarge(t, large, tc.ds, refLarge, tc.keep, tc.bucket)
 				for i, sw := range smallWidths {
 					if smalls[i].Width() != sw {
 						t.Fatalf("small grid %d has width %v, want %v", i, smalls[i].Width(), sw)
 					}
-					checkSmall(t, smalls[i], reference(tc.ds, sw, tc.keep))
+					checkSmall(t, smalls[i], reference(tc.ds, sw, tc.keep, tc.bucket))
 				}
 			})
 		}
@@ -479,12 +569,12 @@ func TestBuildStops(t *testing.T) {
 	}
 	ds := dataset(objs...)
 	polls := 0
-	large, smalls, complete := Build(ds, 1, []float64{0.5}, 1, nil, func() bool { polls++; return polls == 2 })
+	large, smalls, complete := Build(ds, 1, []float64{0.5}, nil, 0, 1, nil, func() bool { polls++; return polls == 2 })
 	if complete {
 		t.Fatal("a stopped build reported complete")
 	}
 	// The second poll is at object 255: objects 0..254 are mapped.
-	ref := reference(dataset(objs[:255]...), 1, nil)
+	ref := reference(dataset(objs[:255]...), 1, nil, nil)
 	checkDirectory(t, &large.directory, ref)
 	if len(large.Idx) != 2*255 || smalls[0].Len() != 2*255 {
 		t.Fatalf("stopped build mapped %d points into %d small cells, want %d", len(large.Idx), smalls[0].Len(), 2*255)
@@ -502,7 +592,7 @@ func TestComputeAdj(t *testing.T) {
 		[]geom.Point{geom.Pt(50, 50, 50)},
 	), 1)
 
-	c0 := g.Find(KeyFor(geom.Pt(0.5, 0.5, 0.5), 1))
+	c0 := g.Find(0, KeyFor(geom.Pt(0.5, 0.5, 0.5), 1))
 	adj, fresh := g.ComputeAdj(c0)
 	if !fresh {
 		t.Fatal("first ComputeAdj not fresh")
@@ -517,11 +607,11 @@ func TestComputeAdj(t *testing.T) {
 	if fresh2 || adj2 != adj {
 		t.Fatal("second ComputeAdj recomputed")
 	}
-	adjFar, _ := g.ComputeAdj(g.Find(KeyFor(geom.Pt(50, 50, 50), 1)))
+	adjFar, _ := g.ComputeAdj(g.Find(0, KeyFor(geom.Pt(50, 50, 50), 1)))
 	if got := adjFar.Bits(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("isolated adj = %v", got)
 	}
-	if g.Find(Key{99, 99, 99}) != -1 {
+	if g.Find(0, Key{99, 99, 99}) != -1 {
 		t.Fatal("Find hit a missing cell")
 	}
 }
@@ -555,7 +645,7 @@ func TestComputeAdjRadiusMatchesAdjAtOne(t *testing.T) {
 	), 1)
 	k := KeyFor(geom.Pt(0.5, 0.5, 0.5), 1)
 	adj1 := g.ComputeAdjRadius(k, 1)
-	want, _ := g.ComputeAdj(g.Find(k))
+	want, _ := g.ComputeAdj(g.Find(0, k))
 	if !reflect.DeepEqual(adj1.Bits(), want.Bits()) {
 		t.Fatalf("radius-1 union %v vs ComputeAdj %v", adj1.Bits(), want.Bits())
 	}
@@ -575,7 +665,7 @@ func TestGridAccessorsAndSizes(t *testing.T) {
 		[]geom.Point{geom.Pt(1, 1, 1)},
 		[]geom.Point{geom.Pt(1.5, 1, 1)},
 	)
-	g, smalls, _ := Build(ds, 3, []float64{0.5}, 1, nil, nil)
+	g, smalls, _ := Build(ds, 3, []float64{0.5}, nil, 0, 1, nil, nil)
 	if g.Width() != 3 {
 		t.Fatal("width")
 	}
@@ -583,7 +673,7 @@ func TestGridAccessorsAndSizes(t *testing.T) {
 	if before <= 0 {
 		t.Fatal("SizeBytes")
 	}
-	adj, _ := g.ComputeAdj(g.Find(KeyFor(geom.Pt(1, 1, 1), 3)))
+	adj, _ := g.ComputeAdj(g.Find(0, KeyFor(geom.Pt(1, 1, 1), 3)))
 	if got := g.SizeBytes(); got != before+adj.SizeBytes() {
 		t.Fatalf("SizeBytes with adj = %d, want %d + %d", got, before, adj.SizeBytes())
 	}

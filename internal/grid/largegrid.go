@@ -20,7 +20,7 @@ import (
 //     index within its object (the labeling scheme of §III-D addresses
 //     points by (object, index)), in index order.
 //
-// b^adj(c), the OR of b over the cell and its 26 neighbours, stays
+// b^adj(c), the OR of b over the cell's neighbourhood (Neighbors), stays
 // unset until the upper-bounding phase asks for it (Algorithm 5 line
 // 9) — never during grid mapping, to avoid the cell access cost the
 // paper calls out. It is published through an atomic pointer so
@@ -28,6 +28,9 @@ import (
 type LargeGrid struct {
 	directory
 	width float64
+	// halo is how many buckets either side of a cell's own its
+	// neighbourhood spans: 0 in a spatial grid.
+	halo int32
 
 	Off []int32 // len(Objs)+1
 	// Xs, Ys, Zs and Idx are parallel, one entry per mapped point.
@@ -52,12 +55,13 @@ type LargeGrid struct {
 // newLargeGrid run-length encodes the sorted records into the flat
 // arrays. Within a cell the records are in point number order, so each
 // object's points are contiguous and the objects ascend.
-func newLargeGrid(width float64, src *points, sorted []rec) *LargeGrid {
-	cells, postings := countRuns(src, sorted)
+func newLargeGrid(width float64, halo int32, src *points, sorted []rec) *LargeGrid {
+	buckets, cells, postings := countRuns(src, sorted)
 	m, nObjects := len(sorted), len(src.start)-1
 	g := &LargeGrid{
-		directory: newDirectory(cells, postings),
+		directory: newDirectory(buckets, cells, postings),
 		width:     width,
+		halo:      halo,
 		Off:       make([]int32, postings+1),
 		Xs:        make([]float64, m),
 		Ys:        make([]float64, m),
@@ -76,10 +80,10 @@ func newLargeGrid(width float64, src *points, sorted []rec) *LargeGrid {
 	c, p := -1, -1
 	for i, r := range sorted {
 		obj := src.objOf[r.ord]
-		newCell := i == 0 || r.hi != sorted[i-1].hi || r.lo != sorted[i-1].lo
+		newCell := i == 0 || !src.sameCell(r, sorted[i-1])
 		if newCell {
 			c++
-			g.hi[c], g.lo[c] = r.hi, r.lo
+			g.open(c, r.hi, r.lo, src.bucketOf(r.ord))
 			g.CellOff[c] = int32(p + 1)
 		}
 		if newCell || obj != g.Objs[p] {
@@ -93,7 +97,7 @@ func newLargeGrid(width float64, src *points, sorted []rec) *LargeGrid {
 		g.Idx[i] = pt
 		g.cellOf[r.ord] = int32(c)
 	}
-	g.CellOff[cells] = int32(postings)
+	g.finish()
 	g.Off[postings] = int32(m)
 	return g
 }
@@ -129,41 +133,50 @@ func (g *LargeGrid) Points(p int) (xs, ys, zs []float64) {
 // object. The slice aliases the grid's storage and must not be written.
 func (g *LargeGrid) PointIdx(p int) []int32 { return g.Idx[g.Off[p]:g.Off[p+1]:g.Off[p+1]] }
 
-// Neighbors fills out with cell c and its 26 adjacent cells in
-// Key.NeighborsAndSelf order (c first), -1 where the directory has no
-// such cell.
-func (g *LargeGrid) Neighbors(c int, out *[27]int32) {
-	for i := range out {
+// MaxNeighbors is the size of the largest neighbourhood: 27 cells in
+// each of three buckets (halo 1).
+const MaxNeighbors = 3 * 27
+
+// Neighbors fills out with the neighbourhood of cell c and returns its
+// size, (2·halo+1)·27, with -1 where the directory has no such cell.
+// Block dt+halo of 27 slots is bucket Bucket(c)+dt, in
+// Key.NeighborsAndSelf order of c's key (the key itself first): a
+// spatial grid's neighbourhood is c and its 26 adjacent cells.
+func (g *LargeGrid) Neighbors(c int, out *[MaxNeighbors]int32) int {
+	n := int(2*g.halo+1) * 27
+	for i := range out[:n] {
 		out[i] = -1
 	}
-	g.columns(g.Key(c), 1, func(dx, dy int32, lo, hi int) {
-		for n := lo; n < hi; n++ {
-			// Slot 0 is the cell itself; the others keep (dx, dy, dz)
+	g.columns(g.Bucket(c), g.Key(c), 1, g.halo, func(dt, dx, dy int32, lo, hi int) {
+		for m := lo; m < hi; m++ {
+			// Slot 0 of a block is c's key; the others keep (dx, dy, dz)
 			// order with the centre taken out.
-			slot := (dx+1)*9 + (dy+1)*3 + int32(g.lo[n]-g.lo[c]) + 1
+			slot := (dx+1)*9 + (dy+1)*3 + int32(g.lo[m]-g.lo[c]) + 1
 			switch {
 			case slot == 13:
 				slot = 0
 			case slot < 13:
 				slot++
 			}
-			out[slot] = int32(n)
+			out[(dt+g.halo)*27+slot] = int32(m)
 		}
 	})
+	return n
 }
 
 // Adj returns the memoised b^adj(c), or nil if not yet computed.
 func (g *LargeGrid) Adj(c int) *bitmap.Compressed { return g.adj[c].Load() }
 
 // ComputeAdj computes and memoises b^adj for cell c: the OR of b(c')
-// over c and its 26 adjacent cells. fresh reports whether this call
+// over c's neighbourhood, c and its 26 adjacent cells in its own bucket
+// and in the halo buckets either side. fresh reports whether this call
 // did the computation (false when it was already memoised or another
 // goroutine won the publish race). Safe for concurrent use.
 func (g *LargeGrid) ComputeAdj(c int) (adj *bitmap.Compressed, fresh bool) {
 	if a := g.adj[c].Load(); a != nil {
 		return a, false
 	}
-	a := g.ComputeAdjRadius(g.Key(c), 1)
+	a := g.union(g.Bucket(c), g.Key(c), 1, g.halo)
 	if g.adj[c].CompareAndSwap(nil, a) {
 		g.adjBytes.Add(int64(a.SizeBytes()))
 		return a, true
@@ -172,14 +185,20 @@ func (g *LargeGrid) ComputeAdj(c int) (adj *bitmap.Compressed, fresh bool) {
 }
 
 // ComputeAdjRadius computes (without memoising) the union of b(c')
-// over every cell within Chebyshev distance radius of k, which need
-// not be a cell of the grid. radius 1 matches ComputeAdj; larger radii
-// implement the widened neighbourhoods an offline grid built for
-// r' < r must visit to stay correct (Appendix A).
+// over every cell of bucket 0 — all of a spatial grid — within
+// Chebyshev distance radius of k, which need not be a cell of the grid.
+// radius 1 matches ComputeAdj on a spatial grid; larger radii implement
+// the widened neighbourhoods an offline grid built for r' < r must
+// visit to stay correct (Appendix A).
 func (g *LargeGrid) ComputeAdjRadius(k Key, radius int32) *bitmap.Compressed {
+	return g.union(0, k, radius, 0)
+}
+
+// union ORs b(c') over the cells columns visits into a pooled scratch.
+func (g *LargeGrid) union(b int32, k Key, radius, halo int32) *bitmap.Compressed {
 	s := g.scratches.Get().(*bitmap.Scratch)
 	s.Reset()
-	g.columns(k, radius, func(_, _ int32, lo, hi int) {
+	g.columns(b, k, radius, halo, func(_, _, _ int32, lo, hi int) {
 		// Adjacent cells' object runs are adjacent in Objs.
 		s.OrIDs(g.Objs[g.CellOff[lo]:g.CellOff[hi]])
 	})
@@ -189,10 +208,10 @@ func (g *LargeGrid) ComputeAdjRadius(k Key, radius int32) *bitmap.Compressed {
 }
 
 // SizeBytes returns the memory footprint of the grid: the directory,
-// the flat posting arrays, the point-to-cell table and the adjacency
-// bitsets memoised so far.
+// the bucket ranges, the flat posting arrays, the point-to-cell table
+// and the adjacency bitsets memoised so far.
 func (g *LargeGrid) SizeBytes() int {
 	const perCell = 8 + 4 + /* CellOff */ 4 + /* adj pointer */ 8
-	return g.Len()*perCell + len(g.Objs)*(4+4) + len(g.Idx)*(24+4) +
+	return g.Len()*perCell + g.bucketBytes() + len(g.Objs)*(4+4) + len(g.Idx)*(24+4) +
 		(len(g.cellOf)+len(g.start))*4 + int(g.adjBytes.Load())
 }

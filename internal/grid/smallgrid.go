@@ -9,17 +9,17 @@ type SmallGrid struct {
 }
 
 // newSmallGrid run-length encodes the sorted records: a cell per
-// distinct key, and per cell its distinct objects, which ascend because
-// the records of one cell are in point number order.
+// distinct (bucket, key), and per cell its distinct objects, which
+// ascend because the records of one cell are in point number order.
 func newSmallGrid(width float64, src *points, sorted []rec) *SmallGrid {
 	g := &SmallGrid{directory: newDirectory(countRuns(src, sorted)), width: width}
 	c, p := -1, -1
 	for i, r := range sorted {
 		obj := src.objOf[r.ord]
-		newCell := i == 0 || r.hi != sorted[i-1].hi || r.lo != sorted[i-1].lo
+		newCell := i == 0 || !src.sameCell(r, sorted[i-1])
 		if newCell {
 			c++
-			g.hi[c], g.lo[c] = r.hi, r.lo
+			g.open(c, r.hi, r.lo, src.bucketOf(r.ord))
 			g.CellOff[c] = int32(p + 1)
 		}
 		if newCell || obj != g.Objs[p] {
@@ -27,7 +27,7 @@ func newSmallGrid(width float64, src *points, sorted []rec) *SmallGrid {
 			g.Objs[p] = obj
 		}
 	}
-	g.CellOff[g.Len()] = int32(len(g.Objs))
+	g.finish()
 	return g
 }
 
@@ -38,13 +38,15 @@ func (g *SmallGrid) Width() float64 { return g.width }
 // and the run offset.
 const smallCellBytes = 8 + 4 + 4
 
-// SizeBytes returns the memory footprint of the grid: the directory and
-// the object-id runs.
-func (g *SmallGrid) SizeBytes() int { return g.Len()*smallCellBytes + len(g.Objs)*4 }
+// SizeBytes returns the memory footprint of the grid: the directory,
+// the bucket ranges and the object-id runs.
+func (g *SmallGrid) SizeBytes() int {
+	return g.Len()*smallCellBytes + g.bucketBytes() + len(g.Objs)*4
+}
 
 // UncompressedSizeBytes returns the footprint if every b(c) were a
 // dense n-bit bitset instead of an id run, for compression-ratio
 // reporting.
 func (g *SmallGrid) UncompressedSizeBytes(n int) int {
-	return g.Len() * (smallCellBytes + (n+63)/64*8)
+	return g.Len()*(smallCellBytes+(n+63)/64*8) + g.bucketBytes()
 }

@@ -243,6 +243,10 @@ func TestPublicAPITemporal(t *testing.T) {
 	if _, err := NewTemporalEngine(testDataset(t)); err == nil {
 		t.Error("untimestamped dataset accepted")
 	}
+	// So is a label store, which the engine used to ignore.
+	if _, err := NewTemporalEngine(ds, WithLabels()); err == nil || !strings.Contains(err.Error(), "label store") {
+		t.Errorf("WithLabels: err = %v, want a refusal naming the label store", err)
+	}
 }
 
 func TestStandardDatasetsPublic(t *testing.T) {

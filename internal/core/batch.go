@@ -491,7 +491,6 @@ func (g *groupRun) buildPlanQueries() {
 		qp.idx = pl.rp.q.idx
 		qp.labels = g.labels
 		qp.newLabels = g.newLabels
-		qp.lbBits = pl.rp.q.lbBits
 		qp.tauLow = pl.rp.q.tauLow
 		qp.tauUpp = g.tauUpp
 		qp.lbDone = pl.rp.q.lbDone

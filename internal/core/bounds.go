@@ -28,9 +28,6 @@ func (q *query) addCounters(cs []ctrSet) {
 // top-k variant (§III-C).
 func (q *query) lowerBounding() int {
 	q.tauLow = make([]int32, q.n)
-	if q.labels != nil {
-		q.lbBits = make([]*bitmap.Compressed, q.n)
-	}
 	if q.e.opts.workers() > 1 && q.e.opts.LB == LBHashP {
 		q.lowerBoundHashP()
 		q.lbDone = true
@@ -48,19 +45,8 @@ func (q *query) lowerBounding() int {
 // lowerBoundObject computes τ^low(o_i) = |⋁_{K∈o_i.L} b(c_K)| − 1
 // (Lemma 1) into q.tauLow[i] using the provided scratch bitset.
 func (q *query) lowerBoundObject(i int, scratch *bitmap.Scratch) {
-	keys := q.idx.keyLists[i]
-	if len(keys) == 0 {
-		q.tauLow[i] = 0
-		return
-	}
-	scratch.Reset()
-	for _, c := range keys {
-		scratch.OrIDs(q.idx.small.CellObjs(int(c)))
-	}
+	q.lemma1(i, scratch)
 	q.tauLow[i] = int32(scratch.Cardinality() - 1)
-	if q.lbBits != nil {
-		q.lbBits[i] = scratch.ToCompressed()
-	}
 }
 
 // kthHighest returns the k-th highest value in vals (k = q.k) among

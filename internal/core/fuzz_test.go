@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -249,14 +250,18 @@ func TestFractionalThresholds(t *testing.T) {
 // drives (go test -fuzz=FuzzEngineAgainstOracle -fuzztime=30s): the
 // fuzzer steers dataset shape, threshold, k and worker count, and
 // every execution cross-checks the full pipeline against the
-// brute-force oracle. The seeds cover the serial engine, both
-// parallel partitioning strategy combinations, and a sub-cell-width
-// threshold.
+// brute-force oracle. strat bits 1 and 2 pick the parallel strategies;
+// bits 4 and 8 add a label store: the first run collects at r, bit 4
+// then consumes at the same r, bit 8 at an r′ with ⌈r′⌉ = ⌈r⌉. The
+// seeds cover the serial engine, both parallel partitioning strategy
+// combinations, a sub-cell-width threshold and both label runs.
 func FuzzEngineAgainstOracle(f *testing.F) {
 	f.Add(uint8(40), uint8(6), int64(1), 4.0, uint8(1), uint8(0), uint8(0))
 	f.Add(uint8(20), uint8(3), int64(7), 2.5, uint8(3), uint8(4), uint8(1))
 	f.Add(uint8(63), uint8(7), int64(9), 0.7, uint8(2), uint8(3), uint8(2))
 	f.Add(uint8(8), uint8(1), int64(5), 12.0, uint8(5), uint8(2), uint8(3))
+	f.Add(uint8(50), uint8(5), int64(11), 5.5, uint8(4), uint8(0), uint8(4))
+	f.Add(uint8(45), uint8(6), int64(13), 3.0, uint8(2), uint8(2), uint8(12))
 	f.Fuzz(func(t *testing.T, n, m uint8, seed int64, r float64, k, workers, strat uint8) {
 		if r <= 0 || r != r || r > 100 {
 			t.Skip("threshold out of the meaningful range")
@@ -272,24 +277,47 @@ func FuzzEngineAgainstOracle(f *testing.F) {
 		if strat&2 != 0 {
 			opts.UB = UBGreedyD
 		}
+		rs := []float64{r}
+		if strat&(4|8) != 0 {
+			opts.Labels = labelstore.NewStore()
+		}
+		if strat&4 != 0 {
+			rs = append(rs, r)
+		}
+		if strat&8 != 0 {
+			// Between r and ⌈r⌉, or just below an integral r.
+			r2 := (r + math.Ceil(r)) / 2
+			if r2 == r {
+				r2 = r - 0.25
+			}
+			rs = append(rs, r2)
+		}
 		eng, err := NewEngine(ds, opts)
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
 		}
+		if err := eng.validate(r, 1); err != nil {
+			// A tiny r whose cell keys would leave int32 is refused by
+			// contract (TestValidateRejectsInt32KeyOverflow pins that);
+			// every r of rs is at least min(r, 0.75).
+			t.Skip(err)
+		}
 		kk := int(k%5) + 1
-		res, err := eng.RunTopK(r, kk)
-		if err != nil {
-			t.Fatalf("RunTopK: %v", err)
-		}
-		oracle := baseline.NLScores(ds, r)
-		want := baseline.TopKFromScores(oracle, kk)
-		if len(res.TopK) != len(want) {
-			t.Fatalf("top-k length %d, oracle %d", len(res.TopK), len(want))
-		}
-		for i := range want {
-			if res.TopK[i].Score != want[i].Score {
-				t.Fatalf("opts=%+v r=%g: rank %d score %d, oracle %d",
-					opts, r, i, res.TopK[i].Score, want[i].Score)
+		for _, r := range rs {
+			res, err := eng.RunTopK(r, kk)
+			if err != nil {
+				t.Fatalf("RunTopK: %v", err)
+			}
+			oracle := baseline.NLScores(ds, r)
+			want := baseline.TopKFromScores(oracle, kk)
+			if len(res.TopK) != len(want) {
+				t.Fatalf("top-k length %d, oracle %d", len(res.TopK), len(want))
+			}
+			for i := range want {
+				if res.TopK[i].Score != want[i].Score {
+					t.Fatalf("opts=%+v r=%g labels=%v: rank %d score %d, oracle %d",
+						opts, r, res.Stats.UsedLabels, i, res.TopK[i].Score, want[i].Score)
+				}
 			}
 		}
 	})

@@ -64,11 +64,6 @@ type query struct {
 	labels    *labelstore.Labels
 	newLabels *labelstore.Labels
 
-	// Lower-bound bitsets kept for the label-aware verification
-	// (§III-D: "we maintain b(o_i) to utilize this in the verification
-	// step"). Only populated on label-aware runs.
-	lbBits []*bitmap.Compressed
-
 	tauLow []int32
 	tauUpp []int32
 	// threshold is the k-th highest τ^low among reportable objects: the
@@ -87,14 +82,12 @@ type query struct {
 	// Scratch bitsets for serial exact scoring (see exact), then the
 	// per-worker ones for parallel verification, all allocated lazily on
 	// the first verified candidate. vShare[w] is worker w's
-	// object share {j : j mod t == w}, constant for the whole query;
-	// vPts is the reusable label-filtered point-sequence buffer.
+	// object share {j : j mod t == w}, constant for the whole query.
 	sBOi   *bitmap.Scratch
 	sMask  *bitmap.Scratch
 	vBOi   []*bitmap.Scratch
 	vMask  []*bitmap.Scratch
 	vShare []*bitmap.Scratch
-	vPts   []int32
 
 	// Appendix B's time axis (temporal.go), zero on a spatial query:
 	// every point number's time bucket for grid mapping, how many

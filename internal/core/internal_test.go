@@ -2,12 +2,14 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"mio/internal/baseline"
+	"mio/internal/bitmap"
 	"mio/internal/core/labelstore"
 	"mio/internal/data"
 	"mio/internal/geom"
@@ -275,6 +277,182 @@ func TestScoreStateMaskReuse(t *testing.T) {
 	for _, s := range res.TopK {
 		if oracle[s.Obj] != s.Score {
 			t.Fatalf("obj %d: %d vs oracle %d", s.Obj, s.Score, oracle[s.Obj])
+		}
+	}
+}
+
+// checkAllScores compares every exact score the group walk computes —
+// AllScores, InteractingSet and a top-n query — with the oracle, at
+// Workers 1 and 2.
+func checkAllScores(t *testing.T, name string, ds *data.Dataset, r float64) {
+	t.Helper()
+	oracle := baseline.NLScores(ds, r)
+	for _, workers := range []int{1, 2} {
+		eng, err := NewEngine(ds, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scores, err := eng.AllScores(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(scores, oracle) {
+			t.Fatalf("%s Workers=%d: AllScores %v, oracle %v", name, workers, scores, oracle)
+		}
+		for i := range oracle {
+			set, err := eng.InteractingSet(r, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(set) != oracle[i] {
+				t.Fatalf("%s Workers=%d: InteractingSet(%d) = %v, oracle score %d", name, workers, i, set, oracle[i])
+			}
+		}
+		res, err := eng.RunTopK(r, ds.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range res.TopK {
+			if oracle[s.Obj] != s.Score {
+				t.Fatalf("%s Workers=%d: obj %d scored %d, oracle %d", name, workers, s.Obj, s.Score, oracle[s.Obj])
+			}
+		}
+	}
+}
+
+// walkDistComps returns the distance computations of one serial exact
+// score of object i.
+func walkDistComps(t *testing.T, ds *data.Dataset, r float64, i int) int {
+	t.Helper()
+	eng, err := NewEngine(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := newQuery(eng, r, 1)
+	q.gridMapping()
+	ctr := ctrSet{}
+	q.exactScore(i, bitmap.NewScratch(q.n), bitmap.NewScratch(q.n), &ctr)
+	return ctr.distComps
+}
+
+// TestGroupWalkLastPointHits: object 0's three points share one large
+// cell and only the last is within r of object 1's point in the next
+// cell, so the group's posting scan misses twice before it hits.
+func TestGroupWalkLastPointHits(t *testing.T) {
+	ds := &data.Dataset{Objects: []data.Object{
+		{ID: 0, Pts: []geom.Point{geom.Pt(0.1, 0.5, 0.5), geom.Pt(0.5, 0.5, 0.5), geom.Pt(0.9, 0.5, 0.5)}},
+		{ID: 1, Pts: []geom.Point{geom.Pt(1.8, 0.5, 0.5)}},
+		{ID: 2, Pts: []geom.Point{geom.Pt(9, 9, 9)}},
+	}}
+	checkAllScores(t, "last point hits", ds, 1)
+	// Two misses charge the one-point posting in full, the hit charges
+	// up to and including itself.
+	if got := walkDistComps(t, ds, 1, 0); got != 3 {
+		t.Fatalf("object 0: %d distance computations, want 3", got)
+	}
+}
+
+// TestGroupWalkDiagonalNeighbour: the two objects sit in large cells
+// that touch only at a corner and in different small cells, so only
+// the walk's diagonal neighbour probe finds the pair.
+func TestGroupWalkDiagonalNeighbour(t *testing.T) {
+	ds := &data.Dataset{Objects: []data.Object{
+		{ID: 0, Pts: []geom.Point{geom.Pt(0.99, 0.99, 0.99), geom.Pt(0.2, 0.2, 0.2)}},
+		{ID: 1, Pts: []geom.Point{geom.Pt(1.16, 1.16, 1.16), geom.Pt(1.9, 1.9, 1.9)}},
+		{ID: 2, Pts: []geom.Point{geom.Pt(-3, 5, 0)}},
+	}}
+	eng, _ := NewEngine(ds, Options{})
+	q := newQuery(eng, 1, 1)
+	q.gridMapping()
+	if len(q.idx.keyLists[0]) != 0 {
+		t.Fatal("setup: the pair shares a small cell, so Lemma 1 finds it without the walk")
+	}
+	a, b := q.idx.large.Key(q.idx.large.CellOf(0, 0)), q.idx.large.Key(q.idx.large.CellOf(1, 0))
+	if a.X+1 != b.X || a.Y+1 != b.Y || a.Z+1 != b.Z {
+		t.Fatalf("setup: cells %v and %v are not diagonal neighbours", a, b)
+	}
+	checkAllScores(t, "diagonal neighbour", ds, 1)
+}
+
+// TestGroupWalkOneLargeCell: every point of object 0 falls into one
+// large cell, so its exact score is a single group, longer than the
+// cancellation poll period. The score must match the oracle, and a
+// poll that fires inside that one group must stop the walk.
+func TestGroupWalkOneLargeCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var big []geom.Point
+	for j := 0; j < 700; j++ {
+		big = append(big, geom.Pt(rng.Float64()*8, rng.Float64()*8, rng.Float64()*8))
+	}
+	objs := []data.Object{{ID: 0, Pts: big}}
+	for i := 1; i < 12; i++ {
+		// Partners one cell over, in every direction and at every
+		// distance from the big cell's faces.
+		objs = append(objs, data.Object{ID: i, Pts: []geom.Point{
+			geom.Pt(-8+rng.Float64()*24, -8+rng.Float64()*24, -8+rng.Float64()*24),
+			geom.Pt(-8+rng.Float64()*24, -8+rng.Float64()*24, -8+rng.Float64()*24),
+		}})
+	}
+	ds := &data.Dataset{Objects: objs}
+	eng, _ := NewEngine(ds, Options{})
+	q := newQuery(eng, 8, 1)
+	q.gridMapping()
+	if len(q.idx.groups[0]) != 1 {
+		t.Fatalf("setup: object 0 has %d groups, want 1", len(q.idx.groups[0]))
+	}
+	checkAllScores(t, "one large cell", ds, 8)
+
+	// A far partner no point reaches makes every group point scan its
+	// posting to the end; the first poll (the 256th probe) cancels.
+	miss := &data.Dataset{Objects: []data.Object{{ID: 0, Pts: big}, {ID: 1, Pts: []geom.Point{geom.Pt(15.9, 15.9, 15.9)}}}}
+	full := walkDistComps(t, miss, 8, 0)
+	eng, _ = NewEngine(miss, Options{})
+	q = newQuery(eng, 8, 1)
+	q.gridMapping()
+	q.ctx = newPollCtx(1)
+	ctr := ctrSet{}
+	q.exactScore(0, bitmap.NewScratch(q.n), bitmap.NewScratch(q.n), &ctr)
+	if full != len(big) || ctr.distComps != 255 {
+		t.Fatalf("distance computations: %d cancelled, %d full; want 255 of %d", ctr.distComps, full, len(big))
+	}
+}
+
+// TestLabeling3PerGroup runs Labeling-3 on TestLabelsActuallyPrunePoints'
+// dataset: collect at r, then consume at r and at an r′ with the same
+// ⌈r⌉. Both answers are the oracle's, and the consuming run at r does
+// no more distance computations than the collecting one.
+func TestLabeling3PerGroup(t *testing.T) {
+	ds := data.GenTrajectory(data.TrajectoryConfig{
+		N: 200, M: 30, Groups: 6, FieldSize: 2500, Speed: 20, FollowStd: 8, Solo: 0.4, Seed: 88,
+	})
+	const r, rr, k = 10, 9.4, 5
+	for _, workers := range []int{1, 2} {
+		store := labelstore.NewStore()
+		eng, _ := NewEngine(ds, Options{Workers: workers, Labels: store})
+		runs := map[float64]*Result{}
+		for _, x := range []float64{r, r, rr} {
+			res, err := eng.RunTopK(x, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := baselineScores(baseline.TopKFromScores(baseline.NLScores(ds, x), k))
+			if got := scoreMultiset(res.TopK); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Workers=%d r=%g labels=%v: %v, oracle %v", workers, x, res.Stats.UsedLabels, got, want)
+			}
+			if runs[x] != nil {
+				if !res.Stats.UsedLabels {
+					t.Fatalf("Workers=%d: the second run at r=%g did not use the labels", workers, x)
+				}
+				if res.Stats.DistanceComps > runs[x].Stats.DistanceComps {
+					t.Fatalf("Workers=%d: consuming run did %d distance computations, collecting run %d",
+						workers, res.Stats.DistanceComps, runs[x].Stats.DistanceComps)
+				}
+			}
+			runs[x] = res
+		}
+		l, _ := store.Get(r)
+		if _, _, verify := l.Counts(); verify == 0 {
+			t.Errorf("Workers=%d: Labeling-3 never fired", workers)
 		}
 	}
 }

@@ -6,8 +6,8 @@
 //	  grid mapping (Lemma 3).
 //	bit 1 (Labeling-2): 0 ⇒ the point's b^adj OR contributed nothing
 //	  during upper-bounding — skip it there.
-//	bit 2 (Labeling-3): 0 ⇒ the point's candidate mask was empty during
-//	  verification — skip it there.
+//	bit 2 (Labeling-3): 0 ⇒ the candidate mask of the point's group
+//	  P_{i,K} was empty during verification — skip it there.
 //
 // Labeling-1 and -2 are specific to the large-grid, i.e. to ⌈r⌉: every
 // query whose threshold shares the ceiling can reuse them. Labeling-3

@@ -40,9 +40,6 @@ func (q *query) lowerBoundHashP() {
 			locals[0].OrScratch(locals[w])
 		}
 		q.tauLow[i] = int32(locals[0].Cardinality() - 1)
-		if q.lbBits != nil {
-			q.lbBits[i] = locals[0].ToCompressed()
-		}
 	}
 }
 
@@ -113,14 +110,13 @@ func (q *query) upperBoundGreedyP() {
 
 // parallelExactScore implements PARALLEL-VERIFICATION's per-candidate
 // work with an object partition: worker w owns the candidate objects
-// {j : j mod t == w}. Every worker walks the full label-filtered point
-// sequence in index order — the same order the serial scan uses — but
-// keeps its per-cell candidate mask intersected with its share, so it
-// probes only the objects it owns.
+// {j : j mod t == w}. Every worker runs the serial group walk — the
+// same groups in the same order — with its masks intersected with its
+// share, so it probes only the objects it owns.
 //
 // The partition is what makes tuning answer-invariant (DESIGN.md §16):
-// whether object j is probed at point p depends only on j's own
-// found-state (a pure function of the point order, the grid, r, and
+// whether object j is probed for a group depends only on j's own
+// found-state (a pure function of the group order, the grid, r, and
 // the seed bitset), never on what other workers have found. Summing
 // the per-worker counters therefore reproduces the serial
 // DistanceComps bit for bit at every worker count — unlike a
@@ -141,25 +137,13 @@ func (q *query) parallelExactScore(i int) int {
 			}
 		}
 	}
-	obj := &q.e.ds.Objects[i]
-
-	// Label-filtered point sequence, shared by every worker. Walking
-	// points in index order keeps each worker's same-cell mask reuse
-	// (scoreState) aligned with the serial scan.
-	pts := q.vPts[:0]
-	for j := range obj.Pts {
-		if !q.skipVerifyPoint(i, j) {
-			pts = append(pts, int32(j))
-		}
-	}
-	q.vPts = pts
 
 	// When collecting labels, each worker records per-point share-empty
-	// bits instead of clearing label bits directly (see scoreState).
+	// bits instead of clearing label bits directly (see scoreWalk).
 	var empty [][]uint64
 	if q.newLabels != nil {
 		empty = make([][]uint64, t)
-		nw := (len(obj.Pts) + 63) / 64
+		nw := (len(q.e.ds.Objects[i].Pts) + 63) / 64
 		for w := range empty {
 			empty[w] = make([]uint64, nw)
 		}
@@ -167,36 +151,22 @@ func (q *query) parallelExactScore(i int) int {
 
 	ctrs := make([]ctrSet, t)
 	parallel.Run(t, func(w int) {
-		bOi := q.vBOi[w]
-		mask := q.vMask[w]
-		bOi.Reset()
-		bOi.Set(i)
-		if q.lbBits != nil && q.lbBits[i] != nil {
-			bOi.OrCompressed(q.lbBits[i])
-		}
-		st := scoreState{share: q.vShare[w]}
+		sw := scoreWalk{q: q, i: i, bOi: q.vBOi[w], mask: q.vMask[w], share: q.vShare[w]}
 		if empty != nil {
-			st.emptyAt = empty[w]
+			sw.emptyAt = empty[w]
 		}
-		for pi, pt := range pts {
-			// Same mid-object cancellation polling as exactScore; each
-			// worker polls independently so abort stays prompt on every
-			// core. ctx.Done() is safe to poll concurrently.
-			if pi&255 == 255 && q.cancelled() {
-				break
-			}
-			q.scorePoint(i, int(pt), obj.Pts[pt], bOi, mask, &ctrs[w], &st)
-		}
+		sw.run()
+		ctrs[w] = sw.ctr
 	})
 	for w := 1; w < t; w++ {
 		q.vBOi[0].OrScratch(q.vBOi[w])
 	}
 	if empty != nil {
 		// A point is skippable for future ⌈r⌉ runs iff every worker's
-		// share of its mask emptied — the conjunction is exactly the
-		// serial full-mask condition, so collected label stores are
+		// share of its group's mask emptied — the conjunction is exactly
+		// the serial full-mask condition, so collected label stores are
 		// identical at every worker count. A worker that broke early on
-		// cancellation leaves its unprocessed bits zero, which can only
+		// cancellation leaves its unvisited bits zero, which can only
 		// suppress clears, never fabricate one.
 		for wi := range empty[0] {
 			m := empty[0][wi]

@@ -134,6 +134,29 @@ func BenchmarkWorkloadBirdTemporal(b *testing.B) {
 	})
 }
 
+// BenchmarkWorkloadNeuron2 is the engine stream of the benchmark's
+// serve_solo_neuron2 workload, the one where verification does the
+// work: Neuron-2 at 360 × 300, one long-lived engine, r drawn from the
+// Kronecker sequence over [5, 8] (three ⌈r⌉ buckets), k cycling 1..5.
+// Beside the phase means it reports the distance computations per query.
+func BenchmarkWorkloadNeuron2(b *testing.B) {
+	c := data.DefaultNeuron2()
+	c.N, c.M = 360, 300
+	eng, err := NewEngine(data.GenNeuron(c), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	distComps := 0
+	benchmarkStream(b, func(i int, u float64) (*Result, error) {
+		res, err := eng.RunTopK(5+3*u, 1+i%5)
+		if err == nil {
+			distComps += res.Stats.DistanceComps
+		}
+		return res, err
+	})
+	b.ReportMetric(float64(distComps)/float64(b.N), "dist-comps/op")
+}
+
 // workloadBird is the oneshot_bird dataset: Bird at 1 000 × 50.
 func workloadBird() *data.Dataset {
 	c := data.DefaultBird()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"mio/internal/bitmap"
 	"mio/internal/core/labelstore"
@@ -75,42 +76,36 @@ func (q *query) exact(i int) int {
 	return tau
 }
 
-// exactScore computes τ(o_i) with the BIGrid (Algorithm 6 lines 6-19).
+// exactScore computes τ(o_i) with the BIGrid (Algorithm 6 lines 6-19)
+// on one core.
 func (q *query) exactScore(i int, bOi, mask *bitmap.Scratch, ctr *ctrSet) int {
-	bOi.Reset()
-	bOi.Set(i)
-	if q.lbBits != nil && q.lbBits[i] != nil {
-		// WITH-LABEL: start from the lower-bounding bitset — those
-		// objects are certain interactions, so candidate masks empty
-		// out earlier (§III-D).
-		bOi.OrCompressed(q.lbBits[i])
-	}
-	obj := &q.e.ds.Objects[i]
-	st := scoreState{}
-	for j, p := range obj.Pts {
-		// Point-heavy objects (Neuron has thousands of points each) make
-		// a single exact score long enough that the per-candidate check
-		// in verification() is not prompt; poll inside the loop too. A
-		// cancelled run returns a truncated score, which is still a valid
-		// lower bound (bOi only grows); verification() records it as such
-		// and never reports it as exact.
-		if j&255 == 255 && q.cancelled() {
-			break
-		}
-		if q.skipVerifyPoint(i, j) {
-			continue
-		}
-		q.scorePoint(i, j, p, bOi, mask, ctr, &st)
-	}
+	w := scoreWalk{q: q, i: i, bOi: bOi, mask: mask}
+	w.run()
+	ctr.adjComputed += w.ctr.adjComputed
+	ctr.distComps += w.ctr.distComps
 	return bOi.Cardinality() - 1
+}
+
+// lemma1 sets b to {i} and the objects Lemma 1 certifies interact with
+// o_i: the OR of b(c) over the small-grid cells of o_i.L. Lower bounding
+// counts it, and every exact score starts from it, so candidate masks
+// start without the certain interactions. keyLists come from the
+// label-filtered small grid on a WITH-LABEL run and from same-bucket
+// cells on a temporal one, so the seed is sound on both.
+func (q *query) lemma1(i int, b *bitmap.Scratch) {
+	b.Reset()
+	b.Set(i)
+	for _, c := range q.idx.keyLists[i] {
+		b.OrIDs(q.idx.small.CellObjs(int(c)))
+	}
 }
 
 // skipVerifyPoint reports whether loaded labels let verification skip
 // point pt of object obj because it cannot add interactions: label 0**
 // at any r with this ⌈r⌉ (Lemma 3), label 1*0 only at the r the set was
 // collected at. Labeling-3 observed "b^adj(c) − b(o_i) was empty", and
-// b(o_i) — the small-grid seed plus what earlier points found — is a
-// function of the exact r: at another r the same point may be the only
+// b(o_i) — the small-grid seed plus what earlier groups found — is a
+// function of the exact r: at another r the same group may be the only
 // one that reaches some object.
 func (q *query) skipVerifyPoint(obj, pt int) bool {
 	if q.labels == nil {
@@ -120,100 +115,136 @@ func (q *query) skipVerifyPoint(obj, pt int) bool {
 	return l&labelstore.BitMapped == 0 || (l&labelstore.BitVerify == 0 && q.labels.R == q.r)
 }
 
-// scoreState carries verification state across the points of one
-// object: while consecutive points share a large-grid cell, the
-// candidate mask b = b^adj(c) − b(o_i) stays exact (probing clears
-// found bits from both mask and adds them to b(o_i)), so it need not be
-// rebuilt.
-type scoreState struct {
-	cell      int
-	maskValid bool
-	// neigh[:nNeigh] is cell's neighbourhood in probe order, looked up
-	// once per same-cell run, and only if a point of the run has a
-	// non-empty mask to probe with.
-	neigh      [grid.MaxNeighbors]int32
-	nNeigh     int
-	neighValid bool
-	// share, when non-nil, restricts the candidate mask to the objects
-	// this worker owns (object-partitioned parallel verification,
-	// parallelExactScore). The restriction composes with the mask-reuse
-	// invariant: probing only ever clears bits, so a share-restricted
-	// mask stays exact across a same-cell run of points.
+// scoreWalk is one exact score in progress: the group walk over o_i's
+// point groups P_{i,K} in cell order. For each group (cell c) it builds
+// the candidate mask b = b^adj(c) − b(o_i) once, looks c's
+// neighbourhood up once, and scans each posting that survives the mask
+// once against the group's points. Probing stops once the mask empties,
+// so DistanceComps depends on the probe order: groups in cell order ×
+// neighbours in Key.NeighborsAndSelf order (bucket by bucket on a
+// temporal query) × objects ascending × group points in index order.
+type scoreWalk struct {
+	q         *query
+	i         int
+	bOi, mask *bitmap.Scratch
+	// ctr is a value: the walk's pointers escape with q, and a pointer
+	// here would cost every exact score a heap-allocated counter.
+	ctr ctrSet
+	// share, when non-nil, restricts every mask to the objects this
+	// worker owns (parallelExactScore). Whether object j is probed then
+	// depends on j's found-state alone, so the workers' counters sum to
+	// the serial walk's.
 	share *bitmap.Scratch
-	// emptyAt, when non-nil, diverts the Labeling-3 empty-mask signal:
-	// instead of clearing the label bit directly (which would be wrong —
-	// a worker's share-mask can empty while other workers still have
-	// survivors), bit j records that *this worker's share* of point j's
-	// mask was empty. The workers' vectors are ANDed after the merge;
-	// the conjunction is exactly the serial full-mask-empty condition.
+	// emptyAt, when non-nil, diverts Labeling-3: bit pt records that
+	// this worker's share of point pt's group mask was empty. Clearing
+	// the label directly would be wrong — other workers may still have
+	// survivors; parallelExactScore ANDs the workers' vectors instead.
 	emptyAt []uint64
+	// probes counts group points scanned against a posting; the walk
+	// polls for cancellation every 256, so an object whose points all
+	// fall into one cell stays cancellable. stopped records a poll that
+	// fired: the walk unwinds, and b(o_i) is a lower bound only.
+	probes  int
+	stopped bool
+	// kept holds a group's active points on a WITH-LABEL run.
+	kept group
 }
 
-// scorePoint processes one point of o_i: builds the candidate mask
-// b = b^adj(c_K) − b(o_i), then probes posting lists of the cell's
-// neighbourhood only for objects whose mask bit survives. The
-// neighbours are probed in Key.NeighborsAndSelf order, bucket by bucket
-// on a temporal query (LargeGrid.Neighbors): probing stops once the
-// mask empties, so DistanceComps depends on the order.
-func (q *query) scorePoint(i, j int, p geom.Point, bOi, mask *bitmap.Scratch, ctr *ctrSet, st *scoreState) {
-	large := q.idx.large
-	c := large.CellOf(i, j)
-	if !st.maskValid || c != st.cell {
-		if c < 0 {
-			st.maskValid = false
-			return
-		}
-		adj := large.Adj(c)
-		if adj == nil {
-			// WITH-LABEL runs may reach cells whose b^adj was never
-			// needed during (label-filtered) upper-bounding; compute it
-			// now (§III-D, VERIFICATION-WITH-LABEL).
-			var fresh bool
-			adj, fresh = large.ComputeAdj(c)
-			if q.noteAdj(c, fresh) {
-				ctr.adjComputed++
-			}
-		} else if q.adjBase != nil && q.noteAdj(c, false) {
-			// On a shared grid another plan may have materialised this
-			// cell's b^adj already; the replay accounting still charges
-			// it to this query if a private grid would have.
-			ctr.adjComputed++
-		}
-		mask.AndNotFromCompressed(adj, bOi)
-		if st.share != nil {
-			mask.AndScratch(st.share)
-		}
-		st.cell, st.maskValid, st.neighValid = c, true, false
-	}
-	if mask.Cardinality() == 0 {
-		if st.emptyAt != nil {
-			st.emptyAt[j>>6] |= 1 << uint(j&63)
-		} else if q.newLabels != nil {
-			// Labeling-3 (Observation 3): this point's mask is empty;
-			// future verifications with the same ⌈r⌉ can skip it.
-			q.newLabels.ClearBit(i, j, labelstore.BitVerify)
-		}
-		return
-	}
-	if !st.neighValid {
-		st.nNeigh = large.Neighbors(c, &st.neigh)
-		st.neighValid = true
-	}
-	// Block q.halo of the neighbourhood is the point's own time bucket;
-	// pairs with the cells of the others must pass the time test too.
-	var t float64
-	if q.halo > 0 {
-		t = q.e.ds.Objects[i].Times[j]
-	}
-	for s, nc := range st.neigh[:st.nNeigh] {
-		if nc < 0 {
+// group is the active part of a point group: its points' coordinates
+// and their indices within o_i, in index order.
+type group struct {
+	xs, ys, zs []float64
+	idx        []int32
+}
+
+// run seeds b(o_i) with Lemma 1 and walks o_i's groups.
+func (w *scoreWalk) run() {
+	q, large := w.q, w.q.idx.large
+	q.lemma1(w.i, w.bOi)
+	var neigh [grid.MaxNeighbors]int32
+	for _, g := range q.idx.groups[w.i] {
+		grp := w.active(int(g.post))
+		if len(grp.idx) == 0 {
 			continue
 		}
-		q.probeCell(int(nc), p, t, s/27 != int(q.halo), bOi, mask, ctr)
-		if mask.Cardinality() == 0 {
-			return
+		c := int(g.cell)
+		w.mask.AndNotFromCompressed(q.verifyAdj(c, &w.ctr), w.bOi)
+		if w.share != nil {
+			w.mask.AndScratch(w.share)
+		}
+		if w.mask.Cardinality() == 0 {
+			w.labelEmpty(grp.idx)
+			continue
+		}
+		// Block q.halo of the neighbourhood is the group's own time
+		// bucket; pairs with the cells of the others take the time test.
+		for s, nc := range neigh[:large.Neighbors(c, &neigh)] {
+			if nc >= 0 {
+				w.probeCell(int(nc), &grp, s/27 != int(q.halo))
+			}
+			if w.stopped {
+				return
+			}
+			if w.mask.Cardinality() == 0 {
+				break
+			}
 		}
 	}
+}
+
+// active returns the points of posting p that skipVerifyPoint keeps: the
+// whole posting without labels, else a copy in w.kept. A group with
+// none is not visited.
+func (w *scoreWalk) active(p int) group {
+	large := w.q.idx.large
+	xs, ys, zs := large.Points(p)
+	g := group{xs: xs, ys: ys, zs: zs, idx: large.PointIdx(p)}
+	if w.q.labels == nil {
+		return g
+	}
+	k := &w.kept
+	k.xs, k.ys, k.zs, k.idx = k.xs[:0], k.ys[:0], k.zs[:0], k.idx[:0]
+	for n, pt := range g.idx {
+		if !w.q.skipVerifyPoint(w.i, int(pt)) {
+			k.xs, k.ys, k.zs = append(k.xs, g.xs[n]), append(k.ys, g.ys[n]), append(k.zs, g.zs[n])
+			k.idx = append(k.idx, pt)
+		}
+	}
+	return *k
+}
+
+// labelEmpty is Labeling-3 (Observation 3) lifted to P_{i,K}: the
+// group's mask was empty before any probe, so future verifications at
+// this r can skip its points.
+func (w *scoreWalk) labelEmpty(idx []int32) {
+	for _, pt := range idx {
+		if w.emptyAt != nil {
+			w.emptyAt[pt>>6] |= 1 << uint(pt&63)
+		} else if w.q.newLabels != nil {
+			w.q.newLabels.ClearBit(w.i, int(pt), labelstore.BitVerify)
+		}
+	}
+}
+
+// verifyAdj returns b^adj(c) for a group visit. WITH-LABEL runs may
+// reach cells whose b^adj (label-filtered) upper bounding never needed;
+// it is computed now (§III-D, VERIFICATION-WITH-LABEL).
+func (q *query) verifyAdj(c int, ctr *ctrSet) *bitmap.Compressed {
+	large := q.idx.large
+	adj := large.Adj(c)
+	if adj == nil {
+		var fresh bool
+		adj, fresh = large.ComputeAdj(c)
+		if q.noteAdj(c, fresh) {
+			ctr.adjComputed++
+		}
+	} else if q.adjBase != nil && q.noteAdj(c, false) {
+		// On a shared grid another plan may have materialised this
+		// cell's b^adj already; the replay accounting still charges it
+		// to this query if a private grid would have.
+		ctr.adjComputed++
+	}
+	return adj
 }
 
 // noteAdj decides whether a verification-phase visit to cell c's
@@ -245,56 +276,74 @@ func (q *query) noteAdj(c int, fresh bool) bool {
 }
 
 // probeCell runs the distance computations of Algorithm 6 lines 13-17
-// against cell c: for every object still in the mask, scan its posting
-// in the cell until one point within r is found. The posting-list/mask
+// for group g against cell c: every object still in the mask has its
+// posting in c scanned once against the group. The posting-list/mask
 // intersection runs in whichever direction is cheaper: over the cell's
 // postings (O(1) mask test each) when the cell is small, over mask bits
-// (binary search per posting lookup) when the mask is small. t and
-// cross are probePosting's.
-func (q *query) probeCell(c int, p geom.Point, t float64, cross bool, bOi, mask *bitmap.Scratch, ctr *ctrSet) {
-	large := q.idx.large
-	if objs := large.CellObjs(c); len(objs) <= mask.Cardinality() {
-		first := int(large.CellOff[c])
+// when the mask is small. Both ascend, so each bit's lookup searches
+// only the part of the run after the previous bit's posting. cross is
+// probePosting's.
+func (w *scoreWalk) probeCell(c int, g *group, cross bool) {
+	large := w.q.idx.large
+	objs, first := large.CellObjs(c), int(large.CellOff[c])
+	if len(objs) <= w.mask.Cardinality() {
 		for pi, obj := range objs {
-			if j := int(obj); mask.Test(j) {
-				q.probePosting(first+pi, j, p, t, cross, bOi, mask, ctr)
+			if j := int(obj); w.mask.Test(j) {
+				if w.probePosting(first+pi, j, g, cross); w.stopped {
+					return
+				}
 			}
 		}
 		return
 	}
-	mask.ForEach(func(j int) bool {
-		if pi := large.PostingIndex(c, j); pi >= 0 {
-			q.probePosting(pi, j, p, t, cross, bOi, mask, ctr)
+	at := 0
+	w.mask.ForEach(func(j int) bool {
+		k, found := slices.BinarySearch(objs[at:], int32(j))
+		at += k
+		if found {
+			w.probePosting(first+at, j, g, cross)
+			at++
 		}
-		return true
+		return at < len(objs) && !w.stopped
 	})
 }
 
-// probePosting resolves posting pi (object j) against p with the
-// 4-wide FirstWithin2 kernel over the posting's contiguous coordinates.
-// A posting from another time bucket (cross) also needs its point
-// within δ of p's generation time t (Appendix B): a spatial hit outside
-// δ resumes the kernel after it. Times are the dataset's, reached
-// through the posting's point indices. distComps counts the pairs a
-// scalar break-on-first-hit loop would have touched: up to and
-// including the hit that resolves the posting, the full posting on a
-// miss.
-func (q *query) probePosting(pi, j int, p geom.Point, t float64, cross bool, bOi, mask *bitmap.Scratch, ctr *ctrSet) {
+// probePosting resolves posting pi (object j) against group g: one
+// 4-wide FirstWithin2 scan of the posting's contiguous coordinates per
+// active group point, in index order, until one point within r is
+// found. A posting from another time bucket (cross) also needs its
+// point within δ of the group point's generation time (Appendix B): a
+// spatial hit outside δ resumes the kernel after it. Times are the
+// dataset's, reached through point indices. distComps counts the pairs
+// a scalar break-on-first-hit loop would have touched: the full posting
+// for every group point that misses, then up to and including the hit.
+func (w *scoreWalk) probePosting(pi, j int, g *group, cross bool) {
+	q := w.q
 	xs, ys, zs := q.idx.large.Points(pi)
-	for at := 0; at < len(xs); {
-		idx := geom.FirstWithin2(p.X, p.Y, p.Z, xs[at:], ys[at:], zs[at:], q.r2)
-		if idx < 0 {
-			break
-		}
-		at += idx + 1
-		if !cross || math.Abs(t-q.e.ds.Objects[j].Times[q.idx.large.PointIdx(pi)[at-1]]) <= q.delta {
-			ctr.distComps += at
-			bOi.Set(j)
-			mask.Clear(j)
+	for k, pt := range g.idx {
+		if w.probes++; w.probes&255 == 0 && q.cancelled() {
+			w.stopped = true
 			return
 		}
+		var t float64
+		if cross {
+			t = q.e.ds.Objects[w.i].Times[pt]
+		}
+		for at := 0; at < len(xs); {
+			idx := geom.FirstWithin2(g.xs[k], g.ys[k], g.zs[k], xs[at:], ys[at:], zs[at:], q.r2)
+			if idx < 0 {
+				break
+			}
+			at += idx + 1
+			if !cross || math.Abs(t-q.e.ds.Objects[j].Times[q.idx.large.PointIdx(pi)[at-1]]) <= q.delta {
+				w.ctr.distComps += at
+				w.bOi.Set(j)
+				w.mask.Clear(j)
+				return
+			}
+		}
+		w.ctr.distComps += len(xs)
 	}
-	ctr.distComps += len(xs)
 }
 
 // insertTopK inserts s into the canonically-sorted top list (score

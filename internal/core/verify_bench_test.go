@@ -31,9 +31,9 @@ func standin(b *testing.B, name string) *data.Dataset {
 // probeCell's inner loop: the O(1) mask cardinality (a counter
 // maintained by bitmap.Scratch) and the FirstWithin2 scan over each
 // posting's contiguous coordinates. It probes the biggest cell — where
-// verification time concentrates — with a dense mask and a probe point
-// one cell over, so every posting is scanned to its end rather than
-// resolved by an early first-point hit.
+// verification time concentrates — with a dense mask and a one-point
+// group one cell over, so every posting is scanned to its end rather
+// than resolved by an early first-point hit.
 func BenchmarkProbeCellDenseMask(b *testing.B) {
 	eng, err := NewEngine(standin(b, "Neuron"), Options{Workers: 1})
 	if err != nil {
@@ -59,18 +59,17 @@ func BenchmarkProbeCellDenseMask(b *testing.B) {
 	w := large.Width()
 	p := geom.Pt((float64(bestKey.X)+2.0)*w, (float64(bestKey.Y)+0.5)*w, (float64(bestKey.Z)+0.5)*w)
 
-	bOi := bitmap.NewScratch(q.n)
-	mask := bitmap.NewScratch(q.n)
-	ctr := ctrSet{}
+	g := group{xs: []float64{p.X}, ys: []float64{p.Y}, zs: []float64{p.Z}, idx: []int32{0}}
+	sw := scoreWalk{q: q, bOi: bitmap.NewScratch(q.n), mask: bitmap.NewScratch(q.n)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bOi.Reset()
-		bOi.Set(0)
-		mask.AndNotFromCompressed(adj, bOi)
-		q.probeCell(cell, p, 0, false, bOi, mask, &ctr)
+		sw.bOi.Reset()
+		sw.bOi.Set(0)
+		sw.mask.AndNotFromCompressed(adj, sw.bOi)
+		sw.probeCell(cell, &g, false)
 	}
-	b.ReportMetric(float64(ctr.distComps)/float64(b.N), "distComps/op")
+	b.ReportMetric(float64(sw.ctr.distComps)/float64(b.N), "distComps/op")
 }
 
 // benchmarkEngineQuery times the full pipeline (online grid build +

@@ -1,9 +1,11 @@
-// Package bitmap implements the bitset machinery behind BIGrid: an
-// EWAH-style 64-bit word-aligned compressed bitmap (run-length encoded
-// fills plus literal words), a plain dense bitset, and an
-// epoch-versioned "scratch" accumulator used for the per-object
+// Package bitmap implements the bitset machinery behind BIGrid: the
+// EWAH-style 64-bit word-aligned compressed bitmap that holds each
+// memoised b^adj(c) (run-length encoded fills plus literal words), and
+// an epoch-versioned "scratch" accumulator used for the per-object
 // temporary bitsets of the lower-bounding, upper-bounding and
-// verification phases.
+// verification phases. A Compressed is written once, by
+// Scratch.ToCompressed, and read by one decoder, iterate, behind
+// Scratch.OrCompressed and Scratch.AndNotFromCompressed.
 //
 // The compressed format follows the word-aligned hybrid of Lemire,
 // Kaser and Aouiche (EWAH): the payload is a sequence of marker words,
@@ -18,15 +20,9 @@
 // the skew the paper exploits (§III-A).
 package bitmap
 
-import (
-	"fmt"
-	"math/bits"
-)
-
 const (
 	maxRunLen = 1<<32 - 1 // run length field is 32 bits
 	maxLitLen = 1<<31 - 1 // literal count field is 31 bits
-	wordBits  = 64
 )
 
 func makeMarker(fill bool, runLen, lit uint64) uint64 {
@@ -41,300 +37,49 @@ func markerFields(m uint64) (fill bool, runLen, lit uint64) {
 	return m&1 == 1, (m >> 1) & maxRunLen, m >> 33
 }
 
-// Compressed is an EWAH-compressed bitmap. Bits must be set in
-// non-decreasing order (repeating the most recent bit is allowed),
-// which matches how BIGrid construction scans objects: grid mapping
-// visits objects in increasing id order, so each cell's bitset is
-// appended to monotonically. Arbitrary-order construction goes through
-// Dense followed by FromDense.
-//
-// The zero value is an empty bitmap ready to use.
+// Compressed is an immutable EWAH-compressed bitmap, built by
+// Scratch.ToCompressed. The zero value is the empty bitmap.
 type Compressed struct {
 	words []uint64 // marker + literal words
 	card  int      // number of set bits
-	// Append state. pendingIdx is the logical word index the pending
-	// word will occupy, or -1 when there is no pending word. fullWords
-	// counts logical words already encoded into words.
-	pending    uint64
-	pendingIdx int
-	fullWords  int
-	lastBit    int // highest bit set so far, -1 when empty
-	// lastMarker is the index in words of the marker currently being
-	// extended, or -1 when none exists yet.
-	lastMarker int
-}
-
-// New returns an empty compressed bitmap.
-func New() *Compressed {
-	return &Compressed{pendingIdx: -1, lastBit: -1, lastMarker: -1}
-}
-
-func (c *Compressed) init() {
-	if c.lastMarker == 0 && c.pendingIdx == 0 && c.lastBit == 0 && len(c.words) == 0 && c.card == 0 && c.fullWords == 0 {
-		// Zero value: fix the sentinel fields.
-		c.pendingIdx = -1
-		c.lastBit = -1
-		c.lastMarker = -1
-	}
-}
-
-// Set sets bit i. i must be greater than or equal to the last bit set;
-// setting the same bit repeatedly is a no-op. Set panics on
-// out-of-order calls, which would silently corrupt the encoding.
-func (c *Compressed) Set(i int) {
-	c.init()
-	if i < 0 {
-		panic(fmt.Sprintf("bitmap: negative bit %d", i))
-	}
-	if i == c.lastBit {
-		return
-	}
-	if i < c.lastBit {
-		panic(fmt.Sprintf("bitmap: out-of-order Set(%d) after %d", i, c.lastBit))
-	}
-	w := i >> 6
-	if c.pendingIdx < 0 {
-		c.pendingIdx = w
-	} else if w > c.pendingIdx {
-		c.flushPending()
-		c.appendFill(false, uint64(w-c.fullWords))
-		c.pending = 0
-		c.pendingIdx = w
-	}
-	c.pending |= 1 << uint(i&63)
-	c.lastBit = i
-	c.card++
-}
-
-// flushPending encodes the pending literal word, including any zero-run
-// gap that precedes it.
-func (c *Compressed) flushPending() {
-	if c.pendingIdx < 0 {
-		return
-	}
-	if gap := c.pendingIdx - c.fullWords; gap > 0 {
-		c.appendFill(false, uint64(gap))
-	}
-	c.appendWord(c.pending)
-	c.pending = 0
-	c.pendingIdx = -1
-}
-
-// appendWord encodes one logical 64-bit word at position fullWords.
-func (c *Compressed) appendWord(w uint64) {
-	switch w {
-	case 0:
-		c.appendFill(false, 1)
-	case ^uint64(0):
-		c.appendFill(true, 1)
-	default:
-		c.appendLiteral(w)
-	}
-	// appendFill/appendLiteral update fullWords themselves.
-}
-
-func (c *Compressed) appendFill(fill bool, n uint64) {
-	if n == 0 {
-		return
-	}
-	c.fullWords += int(n)
-	for n > 0 {
-		take := n
-		if c.lastMarker >= 0 {
-			f, runLen, lit := markerFields(c.words[c.lastMarker])
-			if lit == 0 && (f == fill || runLen == 0) && runLen < maxRunLen {
-				room := uint64(maxRunLen) - runLen
-				if take > room {
-					take = room
-				}
-				c.words[c.lastMarker] = makeMarker(fill, runLen+take, 0)
-				n -= take
-				continue
-			}
-		}
-		if take > maxRunLen {
-			take = maxRunLen
-		}
-		c.words = append(c.words, makeMarker(fill, take, 0))
-		c.lastMarker = len(c.words) - 1
-		n -= take
-	}
-}
-
-func (c *Compressed) appendLiteral(w uint64) {
-	c.fullWords++
-	if c.lastMarker >= 0 {
-		f, runLen, lit := markerFields(c.words[c.lastMarker])
-		if lit < maxLitLen {
-			c.words[c.lastMarker] = makeMarker(f, runLen, lit+1)
-			c.words = append(c.words, w)
-			return
-		}
-	}
-	c.words = append(c.words, makeMarker(false, 0, 1), w)
-	c.lastMarker = len(c.words) - 2
 }
 
 // Cardinality returns the number of set bits. It is O(1).
 func (c *Compressed) Cardinality() int { return c.card }
 
-// Empty reports whether no bit is set.
-func (c *Compressed) Empty() bool { return c.card == 0 }
-
-// MaxBit returns the highest set bit, or -1 when the bitmap is empty.
-func (c *Compressed) MaxBit() int { return c.lastBit }
-
 // SizeBytes returns the in-memory payload size of the compressed
-// encoding in bytes (markers, literals and the pending word).
-func (c *Compressed) SizeBytes() int {
-	n := len(c.words) * 8
-	if c.pendingIdx >= 0 {
-		n += 8
-	}
-	return n
-}
-
-// UncompressedSizeBytes returns the size a dense encoding of the same
-// logical length would occupy. The ratio against SizeBytes is the
-// compression ratio reported in the paper (footnote 4).
-func (c *Compressed) UncompressedSizeBytes() int {
-	return c.logicalWords() * 8
-}
-
-func (c *Compressed) logicalWords() int {
-	if c.pendingIdx >= 0 {
-		return c.pendingIdx + 1
-	}
-	return c.fullWords
-}
-
-// Test reports whether bit i is set. It decodes the bitmap and is meant
-// for tests and assertions, not hot paths.
-func (c *Compressed) Test(i int) bool {
-	if i < 0 || c == nil {
-		return false
-	}
-	target := i >> 6
-	found := uint64(0)
-	c.iterate(func(idx int, w uint64) bool {
-		if idx == target {
-			found = w
-			return false
-		}
-		return idx < target
-	})
-	return found&(1<<uint(i&63)) != 0
-}
+// encoding in bytes (markers and literals).
+func (c *Compressed) SizeBytes() int { return len(c.words) * 8 }
 
 // iterate calls fn for every non-zero logical word in order, with its
-// logical index. fn returning false stops the iteration. Zero runs are
-// skipped in O(1).
-func (c *Compressed) iterate(fn func(idx int, w uint64) bool) {
+// logical index. Zero runs are skipped in O(1).
+func (c *Compressed) iterate(fn func(idx int, w uint64)) {
 	idx := 0
 	pos := 0
 	for pos < len(c.words) {
 		fill, runLen, lit := markerFields(c.words[pos])
 		pos++
-		if fill && runLen > 0 {
+		if fill {
 			for k := 0; k < int(runLen); k++ {
-				if !fn(idx+k, ^uint64(0)) {
-					return
-				}
+				fn(idx+k, ^uint64(0))
 			}
 		}
 		idx += int(runLen)
 		for k := 0; k < int(lit); k++ {
-			if !fn(idx+k, c.words[pos+k]) {
-				return
-			}
+			fn(idx+k, c.words[pos+k])
 		}
 		idx += int(lit)
 		pos += int(lit)
 	}
-	if c.pendingIdx >= 0 && c.pending != 0 {
-		fn(c.pendingIdx, c.pending)
-	}
 }
 
-// ForEach calls fn with the index of every set bit in increasing order.
-// fn returning false stops the iteration early.
-func (c *Compressed) ForEach(fn func(bit int) bool) {
-	c.iterate(func(idx int, w uint64) bool {
-		base := idx << 6
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			if !fn(base + b) {
-				return false
-			}
-			w &= w - 1
-		}
-		return true
-	})
-}
-
-// Bits returns the set bits in increasing order. Intended for tests.
-func (c *Compressed) Bits() []int {
-	out := make([]int, 0, c.card)
-	c.ForEach(func(b int) bool { out = append(out, b); return true })
-	return out
-}
-
-// Clone returns a deep copy of c.
-func (c *Compressed) Clone() *Compressed {
-	d := *c
-	d.words = append([]uint64(nil), c.words...)
-	return &d
-}
-
-// Reset restores c to the empty state, retaining allocated capacity.
-func (c *Compressed) Reset() {
-	c.words = c.words[:0]
-	c.card = 0
-	c.pending = 0
-	c.pendingIdx = -1
-	c.fullWords = 0
-	c.lastBit = -1
-	c.lastMarker = -1
-}
-
-// FromDense compresses a dense bitset. Trailing zero words are
-// dropped.
-func FromDense(d *Dense) *Compressed {
-	c := New()
-	last := -1
-	for i := len(d.words) - 1; i >= 0; i-- {
-		if d.words[i] != 0 {
-			last = i
-			break
-		}
-	}
-	zeros := 0
-	for i := 0; i <= last; i++ {
-		w := d.words[i]
-		if w == 0 {
-			zeros++
-			continue
-		}
-		if zeros > 0 {
-			c.appendFill(false, uint64(zeros))
-			zeros = 0
-		}
-		c.appendWord(w)
-		c.card += bits.OnesCount64(w)
-	}
-	if last >= 0 {
-		w := d.words[last]
-		c.lastBit = last<<6 + 63 - bits.LeadingZeros64(w)
-	}
-	return c
-}
-
-// FromBits builds a compressed bitmap from a sorted-or-unsorted list of
-// bit positions. Intended for tests and small fixtures.
+// FromBits builds a compressed bitmap over [0, n) from a list of bit
+// positions in any order, repeats allowed. It encodes through a
+// Scratch, so it gives the encoding the engine's b^adj unions have.
 func FromBits(n int, bitsSet ...int) *Compressed {
-	d := NewDense(n)
+	s := NewScratch(n)
 	for _, b := range bitsSet {
-		d.Set(b)
+		s.Set(b)
 	}
-	return FromDense(d)
+	return s.ToCompressed()
 }

@@ -7,148 +7,224 @@ import (
 	"testing"
 )
 
-func TestCompressedEmpty(t *testing.T) {
-	c := New()
-	if c.Cardinality() != 0 || !c.Empty() {
-		t.Fatalf("new bitmap not empty: card=%d", c.Cardinality())
+// scratchBits returns the set bits of s in increasing order, never nil.
+func scratchBits(s *Scratch) []int {
+	out := make([]int, 0, 8)
+	s.ForEach(func(b int) bool { out = append(out, b); return true })
+	return out
+}
+
+// compressedBits decodes c, a bitmap over [0, n), through OrCompressed.
+func compressedBits(c *Compressed, n int) []int {
+	s := NewScratch(n)
+	s.OrCompressed(c)
+	return scratchBits(s)
+}
+
+// checkDecoders holds c, a bitmap over [0, n), against its dense
+// reference want through both decoders: OrCompressed onto an empty and
+// onto a non-empty accumulator, and AndNotFromCompressed against a
+// subtrahend that takes out every third bit of want and one bit want
+// does not have.
+func checkDecoders(t *testing.T, c *Compressed, want *Dense) {
+	t.Helper()
+	n := want.Len()
+	if c.Cardinality() != want.Cardinality() {
+		t.Fatalf("Cardinality = %d, want %d", c.Cardinality(), want.Cardinality())
 	}
-	if c.MaxBit() != -1 {
-		t.Fatalf("MaxBit of empty = %d, want -1", c.MaxBit())
+	s := NewScratch(n)
+	s.OrCompressed(c)
+	if got := scratchBits(s); !reflect.DeepEqual(got, want.Bits()) || s.Cardinality() != want.Cardinality() {
+		t.Fatalf("OrCompressed = %v, want %v", got, want.Bits())
 	}
-	if got := c.Bits(); len(got) != 0 {
-		t.Fatalf("Bits of empty = %v", got)
+	if n > 0 {
+		s.Reset()
+		s.Set(n - 1)
+		s.OrCompressed(c)
+		union := want.Clone()
+		union.Set(n - 1)
+		if got := scratchBits(s); !reflect.DeepEqual(got, union.Bits()) || s.Cardinality() != union.Cardinality() {
+			t.Fatalf("OrCompressed onto {%d} = %v, want %v", n-1, got, union.Bits())
+		}
 	}
-	if c.Test(0) || c.Test(100) {
-		t.Fatal("Test on empty bitmap returned true")
+	sub, subRef := NewScratch(n), NewDense(n)
+	i := 0
+	want.ForEach(func(b int) bool {
+		if i%3 == 0 {
+			sub.Set(b)
+			subRef.Set(b)
+		}
+		i++
+		return true
+	})
+	if n > 0 && !want.test(0) {
+		sub.Set(0)
+		subRef.Set(0)
+	}
+	diff := want.Clone()
+	diff.AndNot(subRef)
+	out := NewScratch(n)
+	if n > 0 {
+		out.Set(n / 2) // stale content must be replaced
+	}
+	out.AndNotFromCompressed(c, sub)
+	if got := scratchBits(out); !reflect.DeepEqual(got, diff.Bits()) || out.Cardinality() != diff.Cardinality() {
+		t.Fatalf("AndNotFromCompressed = %v, want %v", got, diff.Bits())
 	}
 }
 
+// dense returns the reference bitset over [0, n) holding bits.
+func dense(n int, bits ...int) *Dense {
+	d := NewDense(n)
+	for _, b := range bits {
+		d.Set(b)
+	}
+	return d
+}
+
+func TestCompressedEmpty(t *testing.T) {
+	for _, c := range []*Compressed{FromBits(0), FromBits(1000), NewScratch(1000).ToCompressed()} {
+		if c.Cardinality() != 0 || c.SizeBytes() != 0 {
+			t.Fatalf("empty bitmap: card=%d, %d bytes", c.Cardinality(), c.SizeBytes())
+		}
+		checkDecoders(t, c, NewDense(1000))
+	}
+}
+
+// TestCompressedZeroValue: the zero Compressed is the empty bitmap.
 func TestCompressedZeroValue(t *testing.T) {
 	var c Compressed
-	c.Set(5)
-	c.Set(7)
-	if got := c.Bits(); !reflect.DeepEqual(got, []int{5, 7}) {
-		t.Fatalf("zero-value bitmap Bits = %v, want [5 7]", got)
+	if c.Cardinality() != 0 || c.SizeBytes() != 0 {
+		t.Fatalf("zero value: card=%d, %d bytes", c.Cardinality(), c.SizeBytes())
 	}
+	checkDecoders(t, &c, NewDense(300))
 }
 
 func TestCompressedSetBasic(t *testing.T) {
-	c := New()
 	in := []int{0, 1, 63, 64, 65, 127, 128, 1000, 1001, 70000}
-	for _, b := range in {
-		c.Set(b)
+	c := FromBits(70001, in...)
+	if got := compressedBits(c, 70001); !reflect.DeepEqual(got, in) {
+		t.Fatalf("bits = %v, want %v", got, in)
 	}
-	if got := c.Bits(); !reflect.DeepEqual(got, in) {
-		t.Fatalf("Bits = %v, want %v", got, in)
-	}
-	if c.Cardinality() != len(in) {
-		t.Fatalf("Cardinality = %d, want %d", c.Cardinality(), len(in))
-	}
-	if c.MaxBit() != 70000 {
-		t.Fatalf("MaxBit = %d, want 70000", c.MaxBit())
-	}
-	for _, b := range in {
-		if !c.Test(b) {
-			t.Fatalf("Test(%d) = false", b)
-		}
-	}
-	for _, b := range []int{2, 62, 66, 129, 999, 69999, 70001} {
-		if c.Test(b) {
-			t.Fatalf("Test(%d) = true, want false", b)
-		}
-	}
+	checkDecoders(t, c, dense(70001, in...))
 }
 
+// TestCompressedSetIdempotent: FromBits takes bits in any order and
+// repeated bits count once, so every ordering of one set encodes to the
+// same words.
 func TestCompressedSetIdempotent(t *testing.T) {
-	c := New()
-	c.Set(10)
-	c.Set(10)
-	c.Set(10)
-	if c.Cardinality() != 1 {
-		t.Fatalf("Cardinality after repeated Set = %d, want 1", c.Cardinality())
+	want := FromBits(200, 10, 70, 130)
+	for _, in := range [][]int{{10, 10, 10, 70, 130}, {130, 70, 10}, {70, 130, 10, 130, 70}} {
+		c := FromBits(200, in...)
+		if c.Cardinality() != 3 || !reflect.DeepEqual(c.words, want.words) {
+			t.Fatalf("FromBits(%v): card %d, words %x, want 3 and %x", in, c.Cardinality(), c.words, want.words)
+		}
 	}
-}
-
-func TestCompressedSetOutOfOrderPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-order Set did not panic")
-		}
-	}()
-	c := New()
-	c.Set(10)
-	c.Set(9)
-}
-
-func TestCompressedSetNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative Set did not panic")
-		}
-	}()
-	New().Set(-1)
 }
 
 func TestCompressedLongRuns(t *testing.T) {
-	// A single bit far out forces a long zero run; a dense block forces
-	// a one-fill after FromDense.
-	c := New()
-	c.Set(1 << 20)
+	// A single bit far out forces a long zero run.
+	c := FromBits(1<<20+1, 1<<20)
 	if c.SizeBytes() >= (1<<20)/8 {
 		t.Fatalf("sparse bitmap not compressed: %d bytes", c.SizeBytes())
 	}
-	if got := c.Bits(); !reflect.DeepEqual(got, []int{1 << 20}) {
-		t.Fatalf("Bits = %v", got)
-	}
+	checkDecoders(t, c, dense(1<<20+1, 1<<20))
 
+	// 32 full one-words after a gap: a zero fill, then one one-fill.
 	d := NewDense(4096)
-	for i := 256; i < 2304; i++ { // 32 full one-words
+	var in []int
+	for i := 256; i < 2304; i++ {
 		d.Set(i)
+		in = append(in, i)
 	}
-	cc := FromDense(d)
+	cc := FromBits(4096, in...)
 	if cc.Cardinality() != 2048 {
-		t.Fatalf("FromDense cardinality = %d, want 2048", cc.Cardinality())
+		t.Fatalf("cardinality = %d, want 2048", cc.Cardinality())
 	}
-	if cc.SizeBytes() >= d.SizeBytes() {
-		t.Fatalf("dense block not compressed: %d >= %d", cc.SizeBytes(), d.SizeBytes())
+	if cc.SizeBytes() != 16 {
+		t.Fatalf("a gap and a one-run take %d bytes, want two markers", cc.SizeBytes())
 	}
-	if !reflect.DeepEqual(cc.Bits(), d.Bits()) {
-		t.Fatal("FromDense bits mismatch")
+	checkDecoders(t, cc, d)
+}
+
+// TestCompressedEdgeCases holds the encoder's boundary shapes against
+// the dense reference through both decoders.
+func TestCompressedEdgeCases(t *testing.T) {
+	ones := func(from, to int) []int {
+		var out []int
+		for i := from; i < to; i++ {
+			out = append(out, i)
+		}
+		return out
+	}
+	cases := []struct {
+		name  string
+		n     int
+		bits  []int
+		words int // encoded words
+	}{
+		{"lone bit at n-1", 1000, []int{999}, 2},
+		{"lone bit at n-1, word-aligned n", 1024, []int{1023}, 2},
+		{"one all-ones word", 64, ones(0, 64), 1},
+		// ≥ 64 consecutive objects interacting, as in a Neuron b^adj.
+		{"fill-true run", 1000, ones(64, 512), 2},
+		{"fill-true run to the end", 512, ones(0, 512), 1},
+		{"literals with no gap between them", 256, []int{1, 65, 129, 193}, 5},
+		{"literal right after a one-run", 300, append(ones(0, 128), 130), 2},
+		{"one-run right after a literal", 300, append([]int{5}, ones(64, 192)...), 3},
+		{"one-run, gap, one-run", 1000, append(ones(0, 64), ones(640, 768)...), 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := FromBits(tc.n, tc.bits...)
+			if len(c.words) != tc.words {
+				t.Fatalf("encoded in %d words (%x), want %d", len(c.words), c.words, tc.words)
+			}
+			checkDecoders(t, c, dense(tc.n, tc.bits...))
+		})
 	}
 }
 
+// TestCompressedClone: ToCompressed copies the bits out. The pooled
+// scratch an adjacency union is built in goes on to the next union, so
+// writing, resetting or reusing it must not touch a bitmap published
+// from it.
 func TestCompressedClone(t *testing.T) {
-	c := New()
-	c.Set(3)
-	c.Set(100)
-	d := c.Clone()
-	d.Set(200)
-	if c.Cardinality() != 2 || d.Cardinality() != 3 {
-		t.Fatalf("clone not independent: %d, %d", c.Cardinality(), d.Cardinality())
+	s := NewScratch(300)
+	s.Set(3)
+	s.Set(100)
+	c := s.ToCompressed()
+	s.Set(200)
+	s.Clear(3)
+	if c.Cardinality() != 2 || s.Cardinality() != 2 {
+		t.Fatalf("copy not independent: %d, %d", c.Cardinality(), s.Cardinality())
 	}
+	checkDecoders(t, c, dense(300, 3, 100))
 }
 
+// TestCompressedReset: after a Reset the scratch encodes only what was
+// set since, and the bitmap encoded before is unchanged.
 func TestCompressedReset(t *testing.T) {
-	c := New()
-	c.Set(5)
-	c.Set(500)
-	c.Reset()
-	if !c.Empty() || c.MaxBit() != -1 {
-		t.Fatal("Reset did not empty the bitmap")
+	s := NewScratch(1000)
+	s.Set(5)
+	s.Set(500)
+	before := s.ToCompressed()
+	s.Reset()
+	if c := s.ToCompressed(); c.Cardinality() != 0 || c.SizeBytes() != 0 {
+		t.Fatal("Reset did not empty the encoding")
 	}
-	c.Set(2)
-	if got := c.Bits(); !reflect.DeepEqual(got, []int{2}) {
-		t.Fatalf("Bits after Reset+Set = %v", got)
-	}
+	s.Set(2)
+	checkDecoders(t, s.ToCompressed(), dense(1000, 2))
+	checkDecoders(t, before, dense(1000, 5, 500))
 }
 
 func TestForEachEarlyStop(t *testing.T) {
-	c := New()
+	s := NewScratch(100)
 	for i := 0; i < 100; i += 3 {
-		c.Set(i)
+		s.Set(i)
 	}
 	count := 0
-	c.ForEach(func(int) bool {
+	s.ForEach(func(int) bool {
 		count++
 		return count < 5
 	})
@@ -175,80 +251,9 @@ func TestCompressedRandomAgainstDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
 		n := 64 + rng.Intn(5000)
-		k := rng.Intn(n)
-		bits := randomSortedBits(rng, n, k)
-		c := New()
-		d := NewDense(n)
-		for _, b := range bits {
-			c.Set(b)
-			d.Set(b)
-		}
-		if c.Cardinality() != d.Cardinality() {
-			t.Fatalf("trial %d: card %d vs %d", trial, c.Cardinality(), d.Cardinality())
-		}
-		if !reflect.DeepEqual(c.Bits(), d.Bits()) {
-			t.Fatalf("trial %d: bits mismatch", trial)
-		}
-		// FromDense round-trip.
-		c2 := FromDense(d)
-		if !reflect.DeepEqual(c2.Bits(), d.Bits()) || c2.Cardinality() != d.Cardinality() {
-			t.Fatalf("trial %d: FromDense mismatch", trial)
-		}
-		if c2.MaxBit() != c.MaxBit() {
-			t.Fatalf("trial %d: MaxBit %d vs %d", trial, c2.MaxBit(), c.MaxBit())
-		}
-	}
-}
-
-func TestCompressedMarshalRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		n := 64 + rng.Intn(3000)
-		c := New()
-		for _, b := range randomSortedBits(rng, n, rng.Intn(n/2+1)) {
-			c.Set(b)
-		}
-		data, err := c.MarshalBinary()
-		if err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		var back Compressed
-		if err := back.UnmarshalBinary(data); err != nil {
-			t.Fatalf("unmarshal: %v", err)
-		}
-		if !reflect.DeepEqual(back.Bits(), c.Bits()) {
-			t.Fatalf("trial %d: round-trip bits mismatch", trial)
-		}
-		if back.Cardinality() != c.Cardinality() || back.MaxBit() != c.MaxBit() {
-			t.Fatalf("trial %d: round-trip metadata mismatch", trial)
-		}
-		// The decoded bitmap must still be appendable.
-		if c.MaxBit() >= 0 {
-			back.Set(c.MaxBit() + 100)
-			if !back.Test(c.MaxBit() + 100) {
-				t.Fatalf("trial %d: append after unmarshal failed", trial)
-			}
-		}
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	var c Compressed
-	if err := c.UnmarshalBinary(nil); err == nil {
-		t.Fatal("nil payload accepted")
-	}
-	if err := c.UnmarshalBinary(make([]byte, 23)); err == nil {
-		t.Fatal("short payload accepted")
-	}
-	good, _ := FromBits(100, 1, 2, 3).MarshalBinary()
-	bad := append([]byte(nil), good...)
-	bad[0] = 99 // version
-	if err := c.UnmarshalBinary(bad); err == nil {
-		t.Fatal("bad version accepted")
-	}
-	bad2 := append([]byte(nil), good...)
-	if err := c.UnmarshalBinary(bad2[:len(bad2)-8]); err == nil {
-		t.Fatal("truncated payload accepted")
+		bits := randomSortedBits(rng, n, rng.Intn(n))
+		rng.Shuffle(len(bits), func(i, j int) { bits[i], bits[j] = bits[j], bits[i] })
+		checkDecoders(t, FromBits(n, bits...), dense(n, bits...))
 	}
 }
 
@@ -259,10 +264,12 @@ func TestCompressionRatioOnSkewedData(t *testing.T) {
 	// 80-99.9%).
 	n := 100000
 	d := NewDense(n)
+	var in []int
 	for i := 5000; i < 5600; i++ {
 		d.Set(i)
+		in = append(in, i)
 	}
-	c := FromDense(d)
+	c := FromBits(n, in...)
 	ratio := 1 - float64(c.SizeBytes())/float64(d.SizeBytes())
 	if ratio < 0.8 {
 		t.Fatalf("compression ratio %.3f < 0.8", ratio)

@@ -5,14 +5,23 @@ import (
 	"testing"
 )
 
-// decodeBits turns fuzz bytes into a bounded ascending bit sequence;
-// each byte is a gap from the previous bit.
+// decodeBits turns fuzz bytes into a bounded bit set. A byte with the
+// high bit clear is a gap of that many bits before the next set bit; a
+// byte with it set is a run of 2·(b&0x7f)+1 consecutive set bits, so
+// all-ones words — one-fill runs — are a few bytes away.
 func decodeBits(data []byte) []int {
 	bits := make([]int, 0, len(data))
 	cur := -1
 	for _, b := range data {
-		cur += int(b) + 1
-		bits = append(bits, cur)
+		if b&0x80 == 0 {
+			cur += int(b) + 1
+			bits = append(bits, cur)
+		} else {
+			for k := 0; k <= 2*int(b&0x7f); k++ {
+				cur++
+				bits = append(bits, cur)
+			}
+		}
 		if cur > 1<<20 {
 			break
 		}
@@ -20,109 +29,34 @@ func decodeBits(data []byte) []int {
 	return bits
 }
 
-// FuzzCompressedSet checks the EWAH append path against the dense
-// reference for arbitrary ascending bit sequences.
+// FuzzCompressedSet checks the one encoder and the one decoder against
+// the dense reference: a random bit set over a random n goes through
+// FromBits and ToCompressed, in a shuffled order, and comes back out
+// through OrCompressed and AndNotFromCompressed.
 func FuzzCompressedSet(f *testing.F) {
-	f.Add([]byte{0, 0, 63, 1, 255})
-	f.Add([]byte{255, 255, 255, 255})
-	f.Add([]byte{})
-	f.Add([]byte{1})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{0, 0, 63, 1, 255}, uint16(0))
+	f.Add([]byte{255, 255, 255, 255}, uint16(7))
+	f.Add([]byte{}, uint16(100))
+	f.Add([]byte{1, 0xa0, 2, 0xff, 0, 0xbf, 64}, uint16(1))
+	f.Fuzz(func(t *testing.T, data []byte, pad uint16) {
 		bits := decodeBits(data)
-		c := New()
-		maxBit := 0
-		for _, b := range bits {
-			c.Set(b)
-			if b > maxBit {
-				maxBit = b
+		n := int(pad % 1024)
+		if len(bits) > 0 {
+			n += bits[len(bits)-1] + 1
+		}
+		// FromBits takes any order: reverse every other stretch of 5.
+		for i := 0; i+5 <= len(bits); i += 10 {
+			for a, b := i, i+4; a < b; a, b = a+1, b-1 {
+				bits[a], bits[b] = bits[b], bits[a]
 			}
 		}
-		d := NewDense(maxBit + 1)
-		for _, b := range bits {
-			d.Set(b)
-		}
-		if c.Cardinality() != d.Cardinality() {
-			t.Fatalf("card %d vs %d", c.Cardinality(), d.Cardinality())
-		}
-		if !reflect.DeepEqual(c.Bits(), d.Bits()) {
-			t.Fatal("bits mismatch")
-		}
-		// Marshal round-trip must preserve everything.
-		payload, err := c.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back Compressed
-		if err := back.UnmarshalBinary(payload); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(back.Bits(), c.Bits()) {
-			t.Fatal("round-trip mismatch")
-		}
-	})
-}
-
-// FuzzMergeOps checks the three compressed merges against dense
-// references.
-func FuzzMergeOps(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, []byte{3, 2, 1})
-	f.Add([]byte{}, []byte{0})
-	f.Add([]byte{255, 0, 255}, []byte{0, 255, 0})
-	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
-		bitsA, bitsB := decodeBits(rawA), decodeBits(rawB)
-		n := 2
-		for _, b := range append(append([]int{}, bitsA...), bitsB...) {
-			if b >= n {
-				n = b + 1
-			}
-		}
-		da, db := NewDense(n), NewDense(n)
-		for _, b := range bitsA {
-			da.Set(b)
-		}
-		for _, b := range bitsB {
-			db.Set(b)
-		}
-		ca, cb := FromDense(da), FromDense(db)
-
-		check := func(name string, got []int, ref func(x, y *Dense)) {
-			want := da.Clone()
-			ref(want, db)
-			if !reflect.DeepEqual(got, want.Bits()) {
-				t.Fatalf("%s mismatch", name)
-			}
-		}
-		check("ewah-or", Or(ca, cb).Bits(), (*Dense).Or)
-		check("ewah-and", And(ca, cb).Bits(), (*Dense).And)
-		check("ewah-andnot", AndNot(ca, cb).Bits(), (*Dense).AndNot)
-	})
-}
-
-// FuzzUnmarshal throws arbitrary bytes at the decoder: it must reject
-// or accept without panicking, and anything accepted must re-encode to
-// equivalent content.
-func FuzzUnmarshal(f *testing.F) {
-	seed, _ := FromBits(100, 1, 50, 99).MarshalBinary()
-	f.Add(seed)
-	f.Add(seed[:len(seed)-1]) // truncated payload
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var c Compressed
-		if err := c.UnmarshalBinary(data); err == nil {
-			if c.Cardinality() > 1<<22 {
-				t.Skip("accepted huge bitmap; content comparison too big")
-			}
-			again, err := c.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var back Compressed
-			if err := back.UnmarshalBinary(again); err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
-			if !reflect.DeepEqual(back.Bits(), c.Bits()) {
-				t.Fatal("re-encode changed contents")
-			}
+		want := dense(n, bits...)
+		c := FromBits(n, bits...)
+		checkDecoders(t, c, want)
+		s := NewScratch(n)
+		s.OrCompressed(c)
+		if again := s.ToCompressed(); again.Cardinality() != c.Cardinality() || !reflect.DeepEqual(again.words, c.words) {
+			t.Fatalf("re-encoding a decoded bitmap gave %x, want %x", again.words, c.words)
 		}
 	})
 }

@@ -90,12 +90,11 @@ func (s *Scratch) Cardinality() int { return s.card }
 // OrCompressed sets s |= c. Zero runs of c are skipped without touching
 // the accumulator.
 func (s *Scratch) OrCompressed(c *Compressed) {
-	c.iterate(func(idx int, w uint64) bool {
+	c.iterate(func(idx int, w uint64) {
 		old := s.word(idx)
 		if nw := old | w; nw != old {
 			s.setWord(idx, nw)
 		}
-		return true
 	})
 }
 
@@ -147,11 +146,10 @@ func (s *Scratch) AndScratch(t *Scratch) {
 // (Algorithm 6, line 10).
 func (s *Scratch) AndNotFromCompressed(c *Compressed, sub *Scratch) {
 	s.Reset()
-	c.iterate(func(idx int, w uint64) bool {
+	c.iterate(func(idx int, w uint64) {
 		if masked := w &^ sub.word(idx); masked != 0 {
 			s.setWord(idx, masked)
 		}
-		return true
 	})
 }
 
@@ -171,14 +169,10 @@ func (s *Scratch) ForEach(fn func(bit int) bool) {
 	}
 }
 
-// Bits returns the set bits in increasing order.
-func (s *Scratch) Bits() []int {
-	out := make([]int, 0, s.card)
-	s.ForEach(func(b int) bool { out = append(out, b); return true })
-	return out
-}
-
-// ToCompressed compresses the current contents.
+// ToCompressed compresses the current contents: the one EWAH encoder.
+// Zero gaps become zero-fill markers, all-ones words extend a one-fill
+// run, and every other word is a literal counted by the marker before
+// it.
 func (s *Scratch) ToCompressed() *Compressed {
 	// Size the encoding first — a word per non-zero word plus a marker
 	// wherever one follows a gap — so it is built in one allocation.
@@ -194,10 +188,10 @@ func (s *Scratch) ToCompressed() *Compressed {
 			gap = false
 		}
 	}
-	c := New()
-	c.words = make([]uint64, 0, need)
-	zeros := 0
-	lastBit := -1
+	c := &Compressed{words: make([]uint64, 0, need), card: s.card}
+	// last is the index in c.words of the marker being extended, -1
+	// before the first.
+	last, zeros := -1, uint64(0)
 	for i := 0; i <= s.maxWord; i++ {
 		w := s.word(i)
 		if w == 0 {
@@ -205,13 +199,50 @@ func (s *Scratch) ToCompressed() *Compressed {
 			continue
 		}
 		if zeros > 0 {
-			c.appendFill(false, uint64(zeros))
+			last = c.appendFill(last, false, zeros)
 			zeros = 0
 		}
-		c.appendWord(w)
-		c.card += bits.OnesCount64(w)
-		lastBit = i<<6 + 63 - bits.LeadingZeros64(w)
+		if w == ^uint64(0) {
+			last = c.appendFill(last, true, 1)
+		} else {
+			last = c.appendLiteral(last, w)
+		}
 	}
-	c.lastBit = lastBit
 	return c
+}
+
+// appendFill encodes n fill words, extending the marker at last while
+// it has no literals and the same fill bit, and returns the index of
+// the marker now being extended.
+func (c *Compressed) appendFill(last int, fill bool, n uint64) int {
+	for n > 0 {
+		if last >= 0 {
+			if f, runLen, lit := markerFields(c.words[last]); lit == 0 && f == fill && runLen < maxRunLen {
+				take := min(n, maxRunLen-runLen)
+				c.words[last] = makeMarker(fill, runLen+take, 0)
+				n -= take
+				continue
+			}
+		}
+		take := min(n, maxRunLen)
+		c.words = append(c.words, makeMarker(fill, take, 0))
+		last = len(c.words) - 1
+		n -= take
+	}
+	return last
+}
+
+// appendLiteral encodes one literal word after the marker at last, or
+// after a new marker when last has no room, and returns the index of
+// the marker now being extended.
+func (c *Compressed) appendLiteral(last int, w uint64) int {
+	if last >= 0 {
+		if f, runLen, lit := markerFields(c.words[last]); lit < maxLitLen {
+			c.words[last] = makeMarker(f, runLen, lit+1)
+			c.words = append(c.words, w)
+			return last
+		}
+	}
+	c.words = append(c.words, makeMarker(false, 0, 1), w)
+	return len(c.words) - 2
 }

@@ -23,7 +23,7 @@ func TestScratchBasic(t *testing.T) {
 	if s.Cardinality() != 2 || s.Test(64) {
 		t.Fatal("Clear failed")
 	}
-	if got := s.Bits(); !reflect.DeepEqual(got, []int{1, 999}) {
+	if got := scratchBits(s); !reflect.DeepEqual(got, []int{1, 999}) {
 		t.Fatalf("Bits = %v", got)
 	}
 }
@@ -43,7 +43,7 @@ func TestScratchResetIsCheapAndComplete(t *testing.T) {
 		}
 	}
 	s.Set(10)
-	if got := s.Bits(); !reflect.DeepEqual(got, []int{10}) {
+	if got := scratchBits(s); !reflect.DeepEqual(got, []int{10}) {
 		t.Fatalf("Bits after reuse = %v", got)
 	}
 }
@@ -68,7 +68,7 @@ func TestScratchOrCompressed(t *testing.T) {
 	s.Set(3)
 	c := FromBits(n, 3, 100, 2000)
 	s.OrCompressed(c)
-	if got := s.Bits(); !reflect.DeepEqual(got, []int{3, 100, 2000}) {
+	if got := scratchBits(s); !reflect.DeepEqual(got, []int{3, 100, 2000}) {
 		t.Fatalf("Bits = %v", got)
 	}
 	if s.Cardinality() != 3 {
@@ -108,8 +108,8 @@ func TestScratchOrIDs(t *testing.T) {
 			}
 		}
 		c := s.ToCompressed()
-		return s.Cardinality() == want.Cardinality() && reflect.DeepEqual(s.Bits(), want.Bits()) &&
-			c.Cardinality() == want.Cardinality() && reflect.DeepEqual(c.Bits(), want.Bits())
+		return s.Cardinality() == want.Cardinality() && reflect.DeepEqual(scratchBits(s), scratchBits(want)) &&
+			c.Cardinality() == want.Cardinality() && reflect.DeepEqual(compressedBits(c, n), scratchBits(want))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestScratchOrScratch(t *testing.T) {
 	b.Set(200)
 	b.Set(300)
 	a.OrScratch(b)
-	if got := a.Bits(); !reflect.DeepEqual(got, []int{1, 200, 300}) {
+	if got := scratchBits(a); !reflect.DeepEqual(got, []int{1, 200, 300}) {
 		t.Fatalf("Bits = %v", got)
 	}
 }
@@ -138,7 +138,7 @@ func TestScratchAndNotFromCompressed(t *testing.T) {
 	out := NewScratch(n)
 	out.Set(499) // stale content must be replaced
 	out.AndNotFromCompressed(c, sub)
-	if got := out.Bits(); !reflect.DeepEqual(got, []int{30, 400}) {
+	if got := scratchBits(out); !reflect.DeepEqual(got, []int{30, 400}) {
 		t.Fatalf("Bits = %v", got)
 	}
 	if out.Cardinality() != 2 {
@@ -154,11 +154,11 @@ func TestScratchToCompressed(t *testing.T) {
 	}
 	s.Set(4000)
 	c := s.ToCompressed()
-	if !reflect.DeepEqual(c.Bits(), s.Bits()) {
+	if !reflect.DeepEqual(compressedBits(c, n), scratchBits(s)) {
 		t.Fatal("ToCompressed bits mismatch")
 	}
-	if c.Cardinality() != s.Cardinality() || c.MaxBit() != 4000 {
-		t.Fatalf("metadata mismatch: card=%d max=%d", c.Cardinality(), c.MaxBit())
+	if c.Cardinality() != s.Cardinality() {
+		t.Fatalf("card = %d, want %d", c.Cardinality(), s.Cardinality())
 	}
 }
 
@@ -179,7 +179,7 @@ func TestScratchQuickAgainstDense(t *testing.T) {
 				d.Set(bit)
 			}
 		}
-		return s.Cardinality() == d.Cardinality() && reflect.DeepEqual(s.Bits(), d.Bits())
+		return s.Cardinality() == d.Cardinality() && reflect.DeepEqual(scratchBits(s), d.Bits())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestScratchReuseAcrossManyEpochs(t *testing.T) {
 		if s.Cardinality() != d.Cardinality() {
 			t.Fatalf("epoch %d: card %d vs %d", epoch, s.Cardinality(), d.Cardinality())
 		}
-		if !reflect.DeepEqual(s.Bits(), d.Bits()) {
+		if !reflect.DeepEqual(scratchBits(s), d.Bits()) {
 			t.Fatalf("epoch %d: bits mismatch", epoch)
 		}
 	}
@@ -231,5 +231,26 @@ func TestDenseOps(t *testing.T) {
 	d.ForEach(func(int) bool { visited++; return visited < 2 })
 	if visited != 2 {
 		t.Fatalf("ForEach early stop visited %d", visited)
+	}
+}
+
+func BenchmarkOrCompressedSparse(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	n := 1 << 20
+	bms := make([]*Compressed, 64)
+	for i := range bms {
+		bits := make([]int, 200)
+		for j := range bits {
+			bits[j] = rng.Intn(n)
+		}
+		bms[i] = FromBits(n, bits...)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewScratch(n)
+		for _, bm := range bms {
+			s.OrCompressed(bm)
+		}
+		_ = s.Cardinality()
 	}
 }

@@ -198,6 +198,9 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 	if ds.N() == 0 {
 		return nil, fmt.Errorf("core: empty dataset")
 	}
+	if n := ds.TotalPoints(); n > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d points, at most %d", ErrTooManyPoints, n, math.MaxInt32)
+	}
 	if opts.Dims != 0 && opts.Dims != 2 && opts.Dims != 3 {
 		return nil, fmt.Errorf("core: invalid Dims %d (want 2 or 3)", opts.Dims)
 	}
@@ -229,6 +232,11 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 	}
 	return e, nil
 }
+
+// ErrTooManyPoints is what NewEngine returns for a dataset of more than
+// math.MaxInt32 points, the most the grids' int32 point numbers and
+// posting offsets can address.
+var ErrTooManyPoints = errors.New("core: too many points")
 
 // ErrInvalidQuery marks a query the engine refuses for its parameters:
 // the caller's mistake, not a fault of the engine, shard or worker that

@@ -367,7 +367,17 @@ func TestGroupWalkDiagonalNeighbour(t *testing.T) {
 	if len(q.idx.keyLists[0]) != 0 {
 		t.Fatal("setup: the pair shares a small cell, so Lemma 1 finds it without the walk")
 	}
-	a, b := q.idx.large.Key(q.idx.large.CellOf(0, 0)), q.idx.large.Key(q.idx.large.CellOf(1, 0))
+	// The cell of an object's point 0 is that of the group holding index 0.
+	cellOfFirst := func(i int) grid.Key {
+		for _, g := range q.idx.groups[i] {
+			if idx := q.idx.large.PointIdx(int(g.post)); len(idx) > 0 && idx[0] == 0 {
+				return q.idx.large.Key(int(g.cell))
+			}
+		}
+		t.Fatalf("setup: object %d's point 0 is in no group", i)
+		return grid.Key{}
+	}
+	a, b := cellOfFirst(0), cellOfFirst(1)
 	if a.X+1 != b.X || a.Y+1 != b.Y || a.Z+1 != b.Z {
 		t.Fatalf("setup: cells %v and %v are not diagonal neighbours", a, b)
 	}

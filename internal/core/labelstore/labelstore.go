@@ -233,16 +233,6 @@ func (s *Store) Has(ceil int) bool {
 	return err == nil
 }
 
-// Drop removes the labels for the given ⌈r⌉ from memory and disk.
-func (s *Store) Drop(ceil int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.mem, ceil)
-	if s.dir != "" {
-		os.Remove(s.path(ceil))
-	}
-}
-
 // A label payload is magic | [r] | object count | rows. labelMagic2
 // carries the collection r after the magic; labelMagic1 is the layout
 // from before r was recorded and still the layout of a set whose r is

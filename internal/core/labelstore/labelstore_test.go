@@ -51,10 +51,6 @@ func TestStoreInMemory(t *testing.T) {
 	if !ok || got.Get(1, 0)&BitVerify != 0 {
 		t.Fatal("Get mismatch")
 	}
-	s.Drop(4)
-	if s.Has(4) {
-		t.Fatal("Drop failed")
-	}
 }
 
 func TestStoreDiskRoundTrip(t *testing.T) {
@@ -86,13 +82,6 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 	}
 	if got.Get(0, 0) != Initial {
 		t.Fatal("disk round-trip corrupted untouched label")
-	}
-	s2.Drop(7)
-	if s2.Has(7) {
-		t.Fatal("Drop on disk store failed")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "labels-7.bin")); !os.IsNotExist(err) {
-		t.Fatal("label file survived Drop")
 	}
 }
 

@@ -117,3 +117,21 @@ func TestFullKeyRangeMatchesNL(t *testing.T) {
 		}
 	}
 }
+
+// TestNewEngineRefusesTooManyPoints: the grids number points with
+// int32, so a dataset past math.MaxInt32 points would wrap silently.
+// 2 048 objects share one 2²⁰-point slice — 2³¹ points in 24 MiB — and
+// both constructors must refuse them before scanning a point.
+func TestNewEngineRefusesTooManyPoints(t *testing.T) {
+	pts := make([]geom.Point, 1<<20)
+	ds := &data.Dataset{Name: "huge", Objects: make([]data.Object, 2048)}
+	for i := range ds.Objects {
+		ds.Objects[i] = data.Object{ID: i, Pts: pts}
+	}
+	if _, err := NewEngine(ds, Options{}); !errors.Is(err, ErrTooManyPoints) {
+		t.Errorf("NewEngine over %d points: err = %v, want ErrTooManyPoints", ds.TotalPoints(), err)
+	}
+	if _, err := NewTemporalEngine(ds, Options{}); !errors.Is(err, ErrTooManyPoints) {
+		t.Errorf("NewTemporalEngine over %d points: err = %v, want ErrTooManyPoints", ds.TotalPoints(), err)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"mio/internal/bitmap"
 	"mio/internal/data"
 	"mio/internal/geom"
+	"mio/internal/grid"
 )
 
 var benchStandins = struct {
@@ -46,8 +47,8 @@ func BenchmarkProbeCellDenseMask(b *testing.B) {
 	large := q.idx.large
 	cell, bestPts := 0, -1
 	for c := 0; c < large.Len(); c++ {
-		if large.NumPoints(c) > bestPts {
-			cell, bestPts = c, large.NumPoints(c)
+		if pts := int(large.Off[large.CellOff[c+1]] - large.Off[large.CellOff[c]]); pts > bestPts {
+			cell, bestPts = c, pts
 		}
 	}
 	bestKey := large.Key(cell)
@@ -56,7 +57,7 @@ func BenchmarkProbeCellDenseMask(b *testing.B) {
 	// the cell is between 1.0 and 2.5 widths away, so with r = width the
 	// probes are misses and every posting scans to the end: the expensive
 	// regime. First-point hits are cheap under any layout.
-	w := large.Width()
+	w := grid.LargeWidth(8)
 	p := geom.Pt((float64(bestKey.X)+2.0)*w, (float64(bestKey.Y)+0.5)*w, (float64(bestKey.Z)+0.5)*w)
 
 	g := group{xs: []float64{p.X}, ys: []float64{p.Y}, zs: []float64{p.Z}, idx: []int32{0}}

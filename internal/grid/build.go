@@ -75,6 +75,9 @@ func (src *points) sameCell(a, b rec) bool {
 // grids hold only what was mapped so far, and complete is false. With
 // workers > 1 the quantising sweeps are split over contiguous,
 // point-count-balanced object ranges; the sorts are not.
+//
+// ds must hold at most math.MaxInt32 points: point numbers and posting
+// offsets are int32, and a larger dataset would wrap them silently.
 func Build(ds *data.Dataset, largeWidth float64, smallWidths []float64, bucket []int32, halo int32, workers int, keep func(obj, pt int) bool, stop func() bool) (large *LargeGrid, smalls []*SmallGrid, complete bool) {
 	n := ds.N()
 	weights := make([]int, n)
@@ -95,12 +98,12 @@ func Build(ds *data.Dataset, largeWidth float64, smallWidths []float64, bucket [
 	recs := make([]rec, total)
 	m, complete := src.quantise(recs, largeWidth, ranges, keep, stop)
 	tmp := make([]rec, m)
-	large = newLargeGrid(largeWidth, halo, &src, src.sortRecs(recs[:m], tmp))
+	large = newLargeGrid(halo, &src, src.sortRecs(recs[:m], tmp))
 	smalls = make([]*SmallGrid, len(smallWidths))
 	for si, width := range smallWidths {
 		// ranges now end where a stopped first sweep did.
 		m, _ = src.quantise(recs, width, ranges, keep, nil)
-		smalls[si] = newSmallGrid(width, &src, src.sortRecs(recs[:m], tmp))
+		smalls[si] = newSmallGrid(&src, src.sortRecs(recs[:m], tmp))
 	}
 	return large, smalls, complete
 }

@@ -156,28 +156,6 @@ func buildLarge(ds *data.Dataset, width float64) *LargeGrid {
 	return g
 }
 
-// TestPostingIndex pins the binary-search lookup.
-func TestPostingIndex(t *testing.T) {
-	objs := make([][]geom.Point, 10)
-	for i := range objs {
-		objs[i] = []geom.Point{geom.Pt(100, 100, 100)}
-	}
-	for _, obj := range []int{1, 4, 9} {
-		objs[obj] = []geom.Point{geom.Pt(0.5, 0.5, 0.5)}
-	}
-	g := buildLarge(dataset(objs...), 4)
-	c := g.Find(0, KeyFor(geom.Pt(0.5, 0.5, 0.5), 4))
-	if c < 0 {
-		t.Fatal("cell missing")
-	}
-	first := int(g.CellOff[c])
-	for _, tc := range []struct{ obj, want int }{{1, first}, {4, first + 1}, {9, first + 2}, {0, -1}, {5, -1}, {100, -1}} {
-		if got := g.PostingIndex(c, tc.obj); got != tc.want {
-			t.Errorf("PostingIndex(%d) = %d, want %d", tc.obj, got, tc.want)
-		}
-	}
-}
-
 // refPosting is one posting of the reference inverted index: an
 // object's points in one cell with their indices, in point order.
 type refPosting struct {
@@ -266,6 +244,29 @@ func (ref refIndex) objects(cells []bkey) []int {
 	return out
 }
 
+// bitsOf decodes c, a set of object ids below n.
+func bitsOf(c *bitmap.Compressed, n int) []int {
+	s := bitmap.NewScratch(n)
+	s.OrCompressed(c)
+	out := []int{}
+	s.ForEach(func(b int) bool { out = append(out, b); return true })
+	return out
+}
+
+// pointCells maps every point a large grid holds, as (object, index
+// within the object), to its cell, read off the postings.
+func pointCells(g *LargeGrid) map[[2]int]int {
+	at := map[[2]int]int{}
+	for c := 0; c < g.Len(); c++ {
+		for p := int(g.CellOff[c]); p < int(g.CellOff[c+1]); p++ {
+			for _, idx := range g.PointIdx(p) {
+				at[[2]int{int(g.Objs[p]), int(idx)}] = c
+			}
+		}
+	}
+	return at
+}
+
 func ints(ids []int32) []int {
 	out := make([]int, len(ids))
 	for i, id := range ids {
@@ -325,7 +326,7 @@ func checkDirectory(t *testing.T, d *directory, ref refIndex) {
 
 // checkLarge holds every observable of a large grid against the
 // reference.
-func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, ref refIndex, keep func(obj, pt int) bool, bucket []int32) {
+func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, width float64, ref refIndex, keep func(obj, pt int) bool, bucket []int32) {
 	t.Helper()
 	checkDirectory(t, &g.directory, ref)
 	if len(g.CellOff) != g.Len()+1 || g.CellOff[0] != 0 || int(g.CellOff[g.Len()]) != len(g.Objs) {
@@ -347,9 +348,6 @@ func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, ref refIndex, keep
 			if i > 0 && obj <= objs[i-1] {
 				t.Fatalf("cell %v: object run not strictly increasing: %v", k, objs)
 			}
-			if got := g.PostingIndex(c, int(obj)); got != p {
-				t.Fatalf("cell %v: PostingIndex(%d) = %d, want %d", k, obj, got, p)
-			}
 			w := want[int(obj)]
 			xs, ys, zs := g.Points(p)
 			if len(xs) != len(w.pts) || len(ys) != len(xs) || len(zs) != len(xs) {
@@ -365,13 +363,8 @@ func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, ref refIndex, keep
 			}
 			points += len(w.pts)
 		}
-		if g.NumPoints(c) != points {
-			t.Fatalf("cell %v: NumPoints = %d, want %d", k, g.NumPoints(c), points)
-		}
-		for obj := 0; obj < ds.N(); obj++ {
-			if want[obj] == nil && g.PostingIndex(c, obj) != -1 {
-				t.Fatalf("cell %v: PostingIndex(%d) hit for an absent object", k, obj)
-			}
+		if got := int(g.Off[g.CellOff[c+1]] - g.Off[g.CellOff[c]]); got != points {
+			t.Fatalf("cell %v: postings span %d points, want %d", k, got, points)
 		}
 
 		// The neighbourhood, its union, and the ways to ask for it.
@@ -387,7 +380,7 @@ func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, ref refIndex, keep
 		}
 		union := ref.objects(cells)
 		if bucket == nil {
-			if got := g.ComputeAdjRadius(k.k, 1).Bits(); !reflect.DeepEqual(got, union) {
+			if got := bitsOf(g.ComputeAdjRadius(k.k, 1), ds.N()); !reflect.DeepEqual(got, union) {
 				t.Fatalf("cell %v: ComputeAdjRadius(1) = %v, want the 27-cell union %v", k, got, union)
 			}
 		}
@@ -395,31 +388,40 @@ func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, ref refIndex, keep
 			t.Fatalf("cell %v: b^adj set before anything asked for it", k)
 		}
 		adj, fresh := g.ComputeAdj(c)
-		if !fresh || !reflect.DeepEqual(adj.Bits(), union) {
-			t.Fatalf("cell %v: ComputeAdj = %v (fresh %v), want %v", k, adj.Bits(), fresh, union)
+		if !fresh || !reflect.DeepEqual(bitsOf(adj, ds.N()), union) {
+			t.Fatalf("cell %v: ComputeAdj = %v (fresh %v), want %v", k, bitsOf(adj, ds.N()), fresh, union)
 		}
 		if again, fresh := g.ComputeAdj(c); fresh || again != adj || g.Adj(c) != adj {
 			t.Fatalf("cell %v: b^adj not memoised", k)
 		}
 		if bucket == nil && c%7 == 0 {
 			want := ref.objects(inBucket(0, k.k.NeighborhoodRadius(nil, 2)))
-			if got := g.ComputeAdjRadius(k.k, 2).Bits(); !reflect.DeepEqual(got, want) {
+			if got := bitsOf(g.ComputeAdjRadius(k.k, 2), ds.N()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("cell %v: ComputeAdjRadius(2) = %v, want %v", k, got, want)
 			}
 		}
 	}
-	ord := -1
+	// Every kept point is in the one cell its key names, a dropped one
+	// in none.
+	at, ord, kept := pointCells(g), -1, 0
 	for i := range ds.Objects {
 		for j, p := range ds.Objects[i].Pts {
 			ord++
-			want := -1
-			if keep == nil || keep(i, j) {
-				want = g.Find(bucketAt(bucket, ord), KeyFor(p, g.Width()))
+			got, ok := at[[2]int{i, j}]
+			if keep != nil && !keep(i, j) {
+				if ok {
+					t.Fatalf("dropped point (%d, %d) mapped to cell %d", i, j, got)
+				}
+				continue
 			}
-			if got := g.CellOf(i, j); got != want {
-				t.Fatalf("CellOf(%d, %d) = %d, want %d", i, j, got, want)
+			kept++
+			if want := g.Find(bucketAt(bucket, ord), KeyFor(p, width)); !ok || got != want {
+				t.Fatalf("point (%d, %d) in cell %d (mapped %v), want %d", i, j, got, ok, want)
 			}
 		}
+	}
+	if len(at) != kept || len(g.Idx) != kept {
+		t.Fatalf("%d points in postings, %d in Idx, want %d", len(at), len(g.Idx), kept)
 	}
 }
 
@@ -547,11 +549,9 @@ func TestFlatIndexAgainstReference(t *testing.T) {
 				if got := int(polls.Load()); got != tc.ds.N()/128 {
 					t.Fatalf("stop polled %d times over %d objects, want once per 128", got, tc.ds.N())
 				}
-				checkLarge(t, large, tc.ds, refLarge, tc.keep, tc.bucket)
+				checkLarge(t, large, tc.ds, width, refLarge, tc.keep, tc.bucket)
 				for i, sw := range smallWidths {
-					if smalls[i].Width() != sw {
-						t.Fatalf("small grid %d has width %v, want %v", i, smalls[i].Width(), sw)
-					}
+					// The reference keys every point with KeyFor(p, sw).
 					checkSmall(t, smalls[i], reference(tc.ds, sw, tc.keep, tc.bucket))
 				}
 			})
@@ -579,8 +579,12 @@ func TestBuildStops(t *testing.T) {
 	if len(large.Idx) != 2*255 || smalls[0].Len() != 2*255 {
 		t.Fatalf("stopped build mapped %d points into %d small cells, want %d", len(large.Idx), smalls[0].Len(), 2*255)
 	}
-	if large.CellOf(254, 1) < 0 || large.CellOf(255, 0) != -1 {
-		t.Fatal("CellOf disagrees with where the sweep stopped")
+	at := pointCells(large)
+	if _, ok := at[[2]int{254, 1}]; !ok {
+		t.Fatal("the last point before the stop is not mapped")
+	}
+	if _, ok := at[[2]int{255, 0}]; ok {
+		t.Fatal("the first point after the stop is mapped")
 	}
 }
 
@@ -597,7 +601,7 @@ func TestComputeAdj(t *testing.T) {
 	if !fresh {
 		t.Fatal("first ComputeAdj not fresh")
 	}
-	if got := adj.Bits(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+	if got := bitsOf(adj, 3); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("adj bits = %v", got)
 	}
 	if g.Adj(c0) != adj {
@@ -608,7 +612,7 @@ func TestComputeAdj(t *testing.T) {
 		t.Fatal("second ComputeAdj recomputed")
 	}
 	adjFar, _ := g.ComputeAdj(g.Find(0, KeyFor(geom.Pt(50, 50, 50), 1)))
-	if got := adjFar.Bits(); len(got) != 1 || got[0] != 2 {
+	if got := bitsOf(adjFar, 3); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("isolated adj = %v", got)
 	}
 	if g.Find(0, Key{99, 99, 99}) != -1 {
@@ -646,14 +650,14 @@ func TestComputeAdjRadiusMatchesAdjAtOne(t *testing.T) {
 	k := KeyFor(geom.Pt(0.5, 0.5, 0.5), 1)
 	adj1 := g.ComputeAdjRadius(k, 1)
 	want, _ := g.ComputeAdj(g.Find(0, k))
-	if !reflect.DeepEqual(adj1.Bits(), want.Bits()) {
-		t.Fatalf("radius-1 union %v vs ComputeAdj %v", adj1.Bits(), want.Bits())
+	if !reflect.DeepEqual(bitsOf(adj1, 3), bitsOf(want, 3)) {
+		t.Fatalf("radius-1 union %v vs ComputeAdj %v", bitsOf(adj1, 3), bitsOf(want, 3))
 	}
-	if got := g.ComputeAdjRadius(k, 3).Bits(); len(got) != 3 {
+	if got := bitsOf(g.ComputeAdjRadius(k, 3), 3); len(got) != 3 {
 		t.Fatalf("radius-3 union = %v", got)
 	}
 	// The centre need not be a cell of the grid.
-	if got := g.ComputeAdjRadius(Key{2, 0, 0}, 1).Bits(); !reflect.DeepEqual(got, []int{1, 2}) {
+	if got := bitsOf(g.ComputeAdjRadius(Key{2, 0, 0}, 1), 3); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Fatalf("union around an empty cell = %v", got)
 	}
 }
@@ -666,9 +670,6 @@ func TestGridAccessorsAndSizes(t *testing.T) {
 		[]geom.Point{geom.Pt(1.5, 1, 1)},
 	)
 	g, smalls, _ := Build(ds, 3, []float64{0.5}, nil, 0, 1, nil, nil)
-	if g.Width() != 3 {
-		t.Fatal("width")
-	}
 	before := g.SizeBytes()
 	if before <= 0 {
 		t.Fatal("SizeBytes")

@@ -1,7 +1,6 @@
 package grid
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -27,7 +26,6 @@ import (
 // concurrent phases can memoise it without locks.
 type LargeGrid struct {
 	directory
-	width float64
 	// halo is how many buckets either side of a cell's own its
 	// neighbourhood spans: 0 in a spatial grid.
 	halo int32
@@ -36,11 +34,6 @@ type LargeGrid struct {
 	// Xs, Ys, Zs and Idx are parallel, one entry per mapped point.
 	Xs, Ys, Zs []float64
 	Idx        []int32
-
-	// cellOf[start[obj]+pt] is the cell the point was mapped to, -1 for
-	// a point Build's filter dropped.
-	start  []int32
-	cellOf []int32
 
 	adj      []atomic.Pointer[bitmap.Compressed]
 	adjBytes atomic.Int64
@@ -55,27 +48,19 @@ type LargeGrid struct {
 // newLargeGrid run-length encodes the sorted records into the flat
 // arrays. Within a cell the records are in point number order, so each
 // object's points are contiguous and the objects ascend.
-func newLargeGrid(width float64, halo int32, src *points, sorted []rec) *LargeGrid {
+func newLargeGrid(halo int32, src *points, sorted []rec) *LargeGrid {
 	buckets, cells, postings := countRuns(src, sorted)
 	m, nObjects := len(sorted), len(src.start)-1
 	g := &LargeGrid{
 		directory: newDirectory(buckets, cells, postings),
-		width:     width,
 		halo:      halo,
 		Off:       make([]int32, postings+1),
 		Xs:        make([]float64, m),
 		Ys:        make([]float64, m),
 		Zs:        make([]float64, m),
 		Idx:       make([]int32, m),
-		start:     src.start,
-		cellOf:    make([]int32, len(src.objOf)),
 		adj:       make([]atomic.Pointer[bitmap.Compressed], cells),
 		scratches: &sync.Pool{New: func() any { return bitmap.NewScratch(nObjects) }},
-	}
-	if m < len(g.cellOf) {
-		for i := range g.cellOf {
-			g.cellOf[i] = -1
-		}
 	}
 	c, p := -1, -1
 	for i, r := range sorted {
@@ -95,32 +80,10 @@ func newLargeGrid(width float64, halo int32, src *points, sorted []rec) *LargeGr
 		q := src.ds.Objects[obj].Pts[pt]
 		g.Xs[i], g.Ys[i], g.Zs[i] = q.X, q.Y, q.Z
 		g.Idx[i] = pt
-		g.cellOf[r.ord] = int32(c)
 	}
 	g.finish()
 	g.Off[postings] = int32(m)
 	return g
-}
-
-// Width returns the cell width.
-func (g *LargeGrid) Width() float64 { return g.width }
-
-// CellOf returns the cell point pt of object obj was mapped to, or -1
-// if Build's filter dropped the point.
-func (g *LargeGrid) CellOf(obj, pt int) int { return int(g.cellOf[int(g.start[obj])+pt]) }
-
-// NumPoints returns the total number of points in cell c.
-func (g *LargeGrid) NumPoints(c int) int { return int(g.Off[g.CellOff[c+1]] - g.Off[g.CellOff[c]]) }
-
-// PostingIndex returns the index of obj's posting in cell c, or -1.
-// Postings are sorted by object id, so lookup is a binary search.
-func (g *LargeGrid) PostingIndex(c, obj int) int {
-	objs := g.CellObjs(c)
-	i := sort.Search(len(objs), func(i int) bool { return int(objs[i]) >= obj })
-	if i < len(objs) && int(objs[i]) == obj {
-		return int(g.CellOff[c]) + i
-	}
-	return -1
 }
 
 // Points returns the coordinate sub-arrays of posting p.
@@ -208,10 +171,9 @@ func (g *LargeGrid) union(b int32, k Key, radius, halo int32) *bitmap.Compressed
 }
 
 // SizeBytes returns the memory footprint of the grid: the directory,
-// the bucket ranges, the flat posting arrays, the point-to-cell table
-// and the adjacency bitsets memoised so far.
+// the bucket ranges, the flat posting arrays and the adjacency bitsets
+// memoised so far.
 func (g *LargeGrid) SizeBytes() int {
 	const perCell = 8 + 4 + /* CellOff */ 4 + /* adj pointer */ 8
-	return g.Len()*perCell + g.bucketBytes() + len(g.Objs)*(4+4) + len(g.Idx)*(24+4) +
-		(len(g.cellOf)+len(g.start))*4 + int(g.adjBytes.Load())
+	return g.Len()*perCell + g.bucketBytes() + len(g.Objs)*(4+4) + len(g.Idx)*(24+4) + int(g.adjBytes.Load())
 }

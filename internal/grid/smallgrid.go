@@ -5,14 +5,13 @@ package grid
 // cell's b(c), nothing else.
 type SmallGrid struct {
 	directory
-	width float64
 }
 
 // newSmallGrid run-length encodes the sorted records: a cell per
 // distinct (bucket, key), and per cell its distinct objects, which
 // ascend because the records of one cell are in point number order.
-func newSmallGrid(width float64, src *points, sorted []rec) *SmallGrid {
-	g := &SmallGrid{directory: newDirectory(countRuns(src, sorted)), width: width}
+func newSmallGrid(src *points, sorted []rec) *SmallGrid {
+	g := &SmallGrid{directory: newDirectory(countRuns(src, sorted))}
 	c, p := -1, -1
 	for i, r := range sorted {
 		obj := src.objOf[r.ord]
@@ -30,9 +29,6 @@ func newSmallGrid(width float64, src *points, sorted []rec) *SmallGrid {
 	g.finish()
 	return g
 }
-
-// Width returns the cell width.
-func (g *SmallGrid) Width() float64 { return g.width }
 
 // smallCellBytes is what the grid spends per cell besides b(c): the key
 // and the run offset.

@@ -12,14 +12,14 @@ import (
 // destination of a merge is *supposed* to accumulate.
 var (
 	scratchWrites = map[string]bool{"Set": true, "Clear": true, "OrCompressed": true, "OrIDs": true, "OrScratch": true}
-	scratchReads  = map[string]bool{"Cardinality": true, "Bits": true, "ToCompressed": true}
+	scratchReads  = map[string]bool{"Cardinality": true, "ToCompressed": true}
 	scratchResets = map[string]bool{"Reset": true, "AndNotFromCompressed": true}
 )
 
 // ScratchAnalyzer enforces the bitmap.Scratch epoch discipline:
 //
 //  1. a loop whose every iteration both writes into and reads a result
-//     (Cardinality/Bits/ToCompressed) from a scratch declared outside
+//     (Cardinality/ToCompressed) from a scratch declared outside
 //     the loop must Reset it inside the loop — otherwise iteration k
 //     observes the union of iterations 1..k and the τ bounds inflate;
 //  2. NewScratch must not be called inside a loop body (that re-buys

@@ -29,25 +29,6 @@ func Greedy(weights []int, t int) [][]int {
 	return buckets
 }
 
-// GreedyLoads returns the final bucket loads that Greedy would produce,
-// for load-balance diagnostics and tests.
-func GreedyLoads(weights []int, t int) []int64 {
-	if t < 1 {
-		t = 1
-	}
-	loads := make([]int64, t)
-	for _, w := range weights {
-		best := 0
-		for b := 1; b < t; b++ {
-			if loads[b] < loads[best] {
-				best = b
-			}
-		}
-		loads[best] += int64(w)
-	}
-	return loads
-}
-
 // Ranges splits items 0..n-1 into at most t contiguous ranges with
 // near-equal total weight, preserving order. It returns (lo, hi) pairs;
 // every item belongs to exactly one range. Used where processing order
@@ -92,25 +73,6 @@ func Ranges(weights []int, t int) [][2]int {
 		out = append(out, [2]int{lo, n})
 	}
 	return out
-}
-
-// RoundRobin splits items 0..n-1 into t interleaved buckets
-// (item i goes to bucket i mod t). Used for the verification-phase
-// point splitting, which assigns points with the same key uniformly to
-// each core.
-func RoundRobin(n, t int) [][]int {
-	if t < 1 {
-		t = 1
-	}
-	if t > n && n > 0 {
-		t = n
-	}
-	buckets := make([][]int, t)
-	for i := 0; i < n; i++ {
-		b := i % t
-		buckets[b] = append(buckets[b], i)
-	}
-	return buckets
 }
 
 // Run executes fn(worker) on t goroutines and waits for all of them.

@@ -33,13 +33,24 @@ func TestGreedyCoversAllItems(t *testing.T) {
 	}
 }
 
+// greedyLoads sums each of Greedy's buckets' weights.
+func greedyLoads(buckets [][]int, weights []int) []int64 {
+	loads := make([]int64, len(buckets))
+	for b, items := range buckets {
+		for _, i := range items {
+			loads[b] += int64(weights[i])
+		}
+	}
+	return loads
+}
+
 func TestGreedyBalances(t *testing.T) {
 	// Equal weights must split perfectly.
 	ws := make([]int, 100)
 	for i := range ws {
 		ws[i] = 10
 	}
-	loads := GreedyLoads(ws, 4)
+	loads := greedyLoads(Greedy(ws, 4), ws)
 	for _, l := range loads {
 		if l != 250 {
 			t.Fatalf("loads = %v", loads)
@@ -49,7 +60,7 @@ func TestGreedyBalances(t *testing.T) {
 	// mean (classic greedy guarantee for this arrival order is weaker,
 	// but the bound max <= mean + maxW holds).
 	ws = []int{100, 1, 1, 1, 1, 1, 1, 50, 50, 3}
-	loads = GreedyLoads(ws, 3)
+	loads = greedyLoads(Greedy(ws, 3), ws)
 	total := int64(0)
 	maxLoad := int64(0)
 	for _, l := range loads {
@@ -141,27 +152,6 @@ func TestRangesQuickCoverage(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRoundRobin(t *testing.T) {
-	b := RoundRobin(10, 3)
-	if len(b) != 3 {
-		t.Fatalf("buckets = %d", len(b))
-	}
-	counts := map[int]int{}
-	for _, bk := range b {
-		for _, i := range bk {
-			counts[i]++
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if counts[i] != 1 {
-			t.Fatalf("item %d count %d", i, counts[i])
-		}
-	}
-	if got := RoundRobin(2, 8); len(got) != 2 {
-		t.Fatalf("t>n buckets = %d", len(got))
 	}
 }
 

@@ -44,7 +44,7 @@ func TestRunStressRace(t *testing.T) {
 	}
 }
 
-// TestPartitionersConcurrentUse runs the three partitioners from many
+// TestPartitionersConcurrentUse runs the two partitioners from many
 // goroutines at once over shared inputs. They are pure functions; any
 // hidden shared state (memoization, scratch reuse) would trip -race.
 func TestPartitionersConcurrentUse(t *testing.T) {
@@ -61,17 +61,27 @@ func TestPartitionersConcurrentUse(t *testing.T) {
 		for round := 0; round < rounds; round++ {
 			tgt := w%4 + 1
 			buckets := Greedy(weights, tgt)
-			loads := GreedyLoads(weights, tgt)
-			if len(buckets) != len(loads) {
-				t.Errorf("Greedy/GreedyLoads bucket count mismatch: %d vs %d", len(buckets), len(loads))
+			if len(buckets) != tgt {
+				t.Errorf("Greedy made %d buckets, want %d", len(buckets), tgt)
 				return
 			}
 			covered := 0
+			var total, maxLoad int64
+			for _, l := range greedyLoads(buckets, weights) {
+				total += l
+				maxLoad = max(maxLoad, l)
+			}
 			for _, b := range buckets {
 				covered += len(b)
 			}
 			if covered != len(weights) {
 				t.Errorf("Greedy dropped items: %d of %d", covered, len(weights))
+				return
+			}
+			// Greedy's guarantee: no bucket exceeds the mean by more than
+			// the heaviest item (97 here).
+			if maxLoad > total/int64(tgt)+97 {
+				t.Errorf("Greedy over %d buckets: max load %d, mean %d", tgt, maxLoad, total/int64(tgt))
 				return
 			}
 			ranges := Ranges(weights, tgt)
@@ -85,15 +95,6 @@ func TestPartitionersConcurrentUse(t *testing.T) {
 			}
 			if last != len(weights) {
 				t.Errorf("Ranges covered %d of %d items", last, len(weights))
-				return
-			}
-			rr := RoundRobin(len(weights), tgt)
-			covered = 0
-			for _, b := range rr {
-				covered += len(b)
-			}
-			if covered != len(weights) {
-				t.Errorf("RoundRobin dropped items: %d of %d", covered, len(weights))
 				return
 			}
 		}

@@ -363,12 +363,9 @@ func (g *groupRun) run() {
 	g.tauUpp = qU.tauUpp
 	g.ubDone = qU.ubDone
 	g.adjShared = qU.stats.AdjComputed
-	// Snapshot the cells holding b^adj after the shared pass: the
-	// baseline for per-plan AdjComputed replay (query.noteAdj).
-	g.adjBase = make([]bool, g.large.Len())
-	for c := range g.adjBase {
-		g.adjBase[c] = g.large.Adj(c) != nil
-	}
+	// The cells holding b^adj after the shared pass: the baseline for
+	// per-plan AdjComputed replay (query.noteAdj).
+	g.adjBase = qU.adjBaseline()
 
 	g.buildPlanQueries()
 

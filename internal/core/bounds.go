@@ -5,6 +5,7 @@ import (
 
 	"mio/internal/bitmap"
 	"mio/internal/core/labelstore"
+	"mio/internal/grid"
 	"mio/internal/parallel"
 )
 
@@ -89,11 +90,29 @@ type candidate struct {
 // computeUpperBounds is the bound-computing half of UPPER-BOUNDING(O,
 // r, τ^low_max) (Algorithm 5) and its WITH-LABEL variant;
 // assembleCandidates is the other. It fills q.tauUpp (Lemma 2). τ^upp is
-// a function of
-// the large grid and the labels alone — both determined by ⌈r⌉, not
-// the exact r — so group runs (batch.go) execute this once per
-// shared-⌈r⌉ group and share the vector across every member.
+// a function of the large grid and the labels alone — both determined
+// by ⌈r⌉, not the exact r — so group runs (batch.go) execute this once
+// per shared-⌈r⌉ group and share the vector across every member, and a
+// label-free spatial query takes it from the engine's cache
+// (ubcache.go) when an earlier query with its ⌈r⌉ completed the pass.
+//
+// A hit leaves the work counters as the cold pass would have: that pass
+// materialises b^adj for every large cell, so the hit charges
+// AdjComputed = LargeCells and marks every cell as built in adjBase,
+// which keeps verification's lazy builds (verifyAdj) uncharged.
 func (q *query) computeUpperBounds() {
+	cache := q.ubCache()
+	if cache != nil {
+		if v := cache.get(grid.LargeWidth(q.r)); v != nil {
+			q.tauUpp, q.ubDone = v, true
+			q.stats.AdjComputed += q.idx.large.Len()
+			q.adjBase = make([]bool, q.idx.large.Len())
+			for c := range q.adjBase {
+				q.adjBase[c] = true
+			}
+			return
+		}
+	}
 	q.tauUpp = make([]int32, q.n)
 	if q.e.opts.workers() > 1 && q.e.opts.UB != UBGreedyD {
 		q.upperBoundGreedyP()
@@ -103,6 +122,34 @@ func (q *query) computeUpperBounds() {
 		// upper bounds), so the degraded path must know it is unusable.
 		q.ubDone = q.eachObject(q.pointCount, q.upperBoundObject)
 	}
+	if cache != nil && q.ubDone && !q.gmBroke {
+		cache.put(grid.LargeWidth(q.r), q.tauUpp)
+	}
+}
+
+// ubCache returns the engine's τ^upp cache, or nil when the query must
+// bypass it: labels (used or collected) filter the large grid, and a
+// temporal query's grid depends on δ's bucketing.
+func (q *query) ubCache() *ubCache {
+	if q.labels != nil || q.newLabels != nil || q.bucket != nil {
+		return nil
+	}
+	return q.e.ub
+}
+
+// adjBaseline returns, per large cell, whether b^adj counts as built
+// once this query's upper-bounding pass has finished: the cells the
+// pass did build, or every cell after a cache hit. Group runs (batch.go)
+// replay their members' verification-phase AdjComputed against it.
+func (q *query) adjBaseline() []bool {
+	if q.adjBase != nil {
+		return q.adjBase
+	}
+	base := make([]bool, q.idx.large.Len())
+	for c := range base {
+		base[c] = q.idx.large.Adj(c) != nil
+	}
+	return base
 }
 
 // eachObject runs one(i, scratch, ctr) for every object, the loop every

@@ -134,7 +134,12 @@ type PhaseStats struct {
 	// miss. The 4-wide kernel may evaluate a few pairs past a hit; they
 	// are not counted, so the number is a function of the query alone.
 	DistanceComps int `json:"distance_comps"`
-	AdjComputed   int `json:"adj_computed"` // b^adj cells materialised
+	// AdjComputed counts the b^adj cells a cold run of the query
+	// materialises: the cells upper bounding builds plus those only
+	// verification reaches. A query that takes τ^upp from the engine's
+	// cache (ubcache.go) builds fewer and reports the cold number all
+	// the same, so the counter is a function of the query alone.
+	AdjComputed int `json:"adj_computed"`
 
 	SmallCells int `json:"small_cells"`
 	LargeCells int `json:"large_cells"`
@@ -187,6 +192,8 @@ type Engine struct {
 	// maxAbs is the largest |coordinate| in ds; validate holds every r
 	// against it. A Pool scans for it once and copies it to every slot.
 	maxAbs float64
+	// ub is the τ^upp cache (ubcache.go), shared by every clone.
+	ub *ubCache
 }
 
 // NewEngine returns an engine over ds. The dataset must satisfy
@@ -218,7 +225,7 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 			}
 		}
 	}
-	e := &Engine{ds: ds, opts: opts}
+	e := &Engine{ds: ds, opts: opts, ub: &ubCache{}}
 	for i := range ds.Objects {
 		for _, p := range ds.Objects[i].Pts {
 			// Plain comparisons: engines are built per query by one-shot
@@ -267,6 +274,10 @@ func (e *Engine) Dataset() *data.Dataset { return e.ds }
 
 // Options returns the engine's configuration.
 func (e *Engine) Options() Options { return e.opts }
+
+// IndexCache reports the lookups of the τ^upp cache this engine shares
+// with every engine cloned from the same template.
+func (e *Engine) IndexCache() IndexCacheStats { return e.ub.stats() }
 
 // Run processes an MIO query with threshold r and returns the most
 // interactive object.

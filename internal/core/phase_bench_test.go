@@ -138,7 +138,9 @@ func BenchmarkWorkloadBirdTemporal(b *testing.B) {
 // serve_solo_neuron2 workload, the one where verification does the
 // work: Neuron-2 at 360 × 300, one long-lived engine, r drawn from the
 // Kronecker sequence over [5, 8] (three ⌈r⌉ buckets), k cycling 1..5.
-// Beside the phase means it reports the distance computations per query.
+// It is warm by design, as the served workload is: after the first
+// query of each ⌈r⌉ the engine takes τ^upp from its cache. Beside the
+// phase means it reports the distance computations per query.
 func BenchmarkWorkloadNeuron2(b *testing.B) {
 	c := data.DefaultNeuron2()
 	c.N, c.M = 360, 300

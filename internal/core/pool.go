@@ -61,7 +61,8 @@ func newPool(tmpl *Engine, size int) *Pool {
 
 // clone returns a separate engine over the same dataset and options. An
 // engine is immutable once built, so a copy is as good as a rebuild and
-// skips NewEngine's scans of the dataset.
+// skips NewEngine's scans of the dataset. The copy shares e's τ^upp
+// cache.
 func (e *Engine) clone() *Engine {
 	c := *e
 	return &c
@@ -75,6 +76,10 @@ func (p *Pool) Idle() int { return len(p.slots) }
 // built from.
 func (p *Pool) Dataset() *data.Dataset { return p.tmpl.Load().ds }
 func (p *Pool) Options() Options       { return p.tmpl.Load().opts }
+
+// IndexCache reports the τ^upp cache every engine of the pool shares.
+// Swap starts a new one.
+func (p *Pool) IndexCache() IndexCacheStats { return p.tmpl.Load().IndexCache() }
 
 // ValidateR reports, as an ErrInvalidQuery, an r the pool's engines
 // would refuse, so a caller can turn the request away before it queues

@@ -1,0 +1,393 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"sync"
+	"testing"
+
+	"mio/internal/core/labelstore"
+	"mio/internal/data"
+	"mio/internal/fault"
+	"mio/internal/geom"
+)
+
+// ubCacheStrategies are the execution options whose τ^upp vectors one
+// cache must serve interchangeably: the serial pipeline and every LB/UB
+// strategy at two workers.
+var ubCacheStrategies = []Options{
+	{Workers: 1},
+	{Workers: 2, LB: LBGreedyD, UB: UBGreedyP},
+	{Workers: 2, LB: LBHashP, UB: UBGreedyP},
+	{Workers: 2, LB: LBGreedyD, UB: UBGreedyD},
+	{Workers: 2, LB: LBHashP, UB: UBGreedyD},
+}
+
+// ubCacheStream is a query stream that revisits every ⌈r⌉ of the
+// dataset's thresholds with other exact r and k, so a reused engine
+// answers most of it from the cache.
+func ubCacheStream(name string) []GroupSpec {
+	var specs []GroupSpec
+	for _, base := range rValues(name) {
+		ceil := math.Ceil(base)
+		for i, d := range []float64{0, 0.3, 0, 0.6} {
+			specs = append(specs, GroupSpec{R: ceil - d, K: 1 + i%3})
+		}
+	}
+	return specs
+}
+
+// warmColdStream runs specs on one reused engine and on a fresh engine
+// per query and fails on the first Result that differs after
+// stripVolatile. It returns the reused engine for the caller to inspect.
+func warmColdStream(t *testing.T, at string, ds *data.Dataset, opts Options, specs []GroupSpec) *Engine {
+	t.Helper()
+	warm, err := NewEngine(ds, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", at, err)
+	}
+	for _, sp := range specs {
+		got, err := warm.RunTopK(sp.R, sp.K)
+		if err != nil {
+			t.Fatalf("%s r=%g k=%d warm: %v", at, sp.R, sp.K, err)
+		}
+		cold, _ := NewEngine(ds, opts)
+		want, err := cold.RunTopK(sp.R, sp.K)
+		if err != nil {
+			t.Fatalf("%s r=%g k=%d cold: %v", at, sp.R, sp.K, err)
+		}
+		if g, w := stripVolatile(got), stripVolatile(want); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s r=%g k=%d: warm %+v, cold %+v", at, sp.R, sp.K, g, w)
+		}
+	}
+	return warm
+}
+
+// TestUpperBoundCacheWarmEqualsCold pins the τ^upp cache's contract: a
+// query answered from the cache returns what a fresh engine returns,
+// work counters included — AdjComputed too, which a hit charges as the
+// cold pass would have.
+func TestUpperBoundCacheWarmEqualsCold(t *testing.T) {
+	for name, ds := range testDatasets(t) {
+		specs := ubCacheStream(name)
+		for _, opts := range ubCacheStrategies {
+			at := fmt.Sprintf("%s w=%d %v %v", name, opts.Workers, opts.LB, opts.UB)
+			warm := warmColdStream(t, at, ds, opts, specs)
+			// Three ⌈r⌉ per dataset: every other query of the stream hits.
+			if st := warm.IndexCache(); st.Misses != 3 || st.Hits != uint64(len(specs)-3) || st.Entries != 3 {
+				t.Errorf("%s: index cache %+v, want 3 misses, %d hits, 3 entries", at, st, len(specs)-3)
+			}
+		}
+		if planar(ds) {
+			warmColdStream(t, name+" dims=2", ds, Options{Dims: 2}, specs)
+		}
+	}
+}
+
+// TestUpperBoundCacheBoundComplete runs the split-phase path the sharded
+// coordinator uses, with a restrict mask and a verification floor, on a
+// reused engine and on fresh ones.
+func TestUpperBoundCacheBoundComplete(t *testing.T) {
+	bg := context.Background()
+	run := func(e *Engine, sp GroupSpec, allowed []bool, floor int) *Result {
+		t.Helper()
+		bs, err := e.Bound(bg, sp.R, sp.K, allowed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := bs.Complete(bg, floor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for name, ds := range testDatasets(t) {
+		allowed := make([]bool, ds.N())
+		for i := range allowed {
+			allowed[i] = i%3 != 1
+		}
+		for _, opts := range []Options{{}, {Workers: 2}} {
+			warm, _ := NewEngine(ds, opts)
+			for _, sp := range ubCacheStream(name) {
+				fresh := func() *Engine { e, _ := NewEngine(ds, opts); return e }
+				own := run(fresh(), sp, allowed, 0)
+				// The k-th exact score among the allowed objects is the
+				// highest floor that is still sound.
+				floor := own.TopK[len(own.TopK)-1].Score
+				for _, c := range []struct {
+					floor     int
+					got, want *Result
+				}{
+					{0, run(warm, sp, allowed, 0), own},
+					{floor, run(warm, sp, allowed, floor), run(fresh(), sp, allowed, floor)},
+				} {
+					if g, w := stripVolatile(c.got), stripVolatile(c.want); !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s w=%d r=%g k=%d floor=%d: warm %+v, cold %+v", name, opts.Workers, sp.R, sp.K, c.floor, g, w)
+					}
+				}
+			}
+			if warm.IndexCache().Hits == 0 {
+				t.Errorf("%s w=%d: the reused engine never hit", name, opts.Workers)
+			}
+		}
+	}
+}
+
+// TestUpperBoundCacheRunGroup runs one shared-⌈r⌉ group twice on one
+// engine: the second run's shared upper-bounding pass is a hit, and its
+// members must still equal a fresh engine's.
+func TestUpperBoundCacheRunGroup(t *testing.T) {
+	bg := context.Background()
+	for name, ds := range testDatasets(t) {
+		ceil := math.Ceil(rValues(name)[1])
+		specs := []GroupSpec{{R: ceil, K: 1}, {R: ceil - 0.3, K: 3}, {R: ceil - 0.7, K: 2}}
+		for _, opts := range []Options{{}, {Workers: 2}} {
+			warm, _ := NewEngine(ds, opts)
+			for pass := 0; pass < 2; pass++ {
+				got, _ := warm.RunGroup(bg, specs)
+				cold, _ := NewEngine(ds, opts)
+				want, _ := cold.RunGroup(bg, specs)
+				for i := range specs {
+					if got[i].Err != nil || want[i].Err != nil {
+						t.Fatalf("%s pass %d member %d: errors %v / %v", name, pass, i, got[i].Err, want[i].Err)
+					}
+					if g, w := stripVolatile(got[i].Result), stripVolatile(want[i].Result); !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s w=%d pass %d member %d: warm %+v, cold %+v", name, opts.Workers, pass, i, g, w)
+					}
+				}
+			}
+			if st := warm.IndexCache(); st.Hits != 1 || st.Misses != 1 {
+				t.Errorf("%s w=%d: index cache %+v, want one miss then one hit", name, opts.Workers, st)
+			}
+		}
+	}
+}
+
+// TestUpperBoundCacheBypass checks that label and temporal queries
+// neither read nor fill the cache.
+func TestUpperBoundCacheBypass(t *testing.T) {
+	ds := testDatasets(t)["bird"]
+	labelled, _ := NewEngine(ds, Options{Labels: labelstore.NewStore()})
+	te, err := NewTemporalEngine(data.WithTimestamps(ds, 1, 100, 5), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := labelled.RunTopK(40, 2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := te.RunTopK(40, 4, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for what, st := range map[string]IndexCacheStats{"labelled": labelled.IndexCache(), "temporal": te.e.IndexCache()} {
+		if st != (IndexCacheStats{}) {
+			t.Errorf("%s engine: index cache %+v, want untouched", what, st)
+		}
+	}
+}
+
+// TestUpperBoundCacheSwapInvalidates swaps a pool to a dataset with the
+// same n whose true answer a stale vector would prune: every object of
+// the first dataset is isolated (τ^upp = 0), every object of the second
+// interacts with all others. Only a cache that Swap replaces answers
+// the second dataset right.
+func TestUpperBoundCacheSwapInvalidates(t *testing.T) {
+	const n = 6
+	isolated, clumped := &data.Dataset{Name: "isolated"}, &data.Dataset{Name: "clumped"}
+	for i := 0; i < n; i++ {
+		var far, near []geom.Point
+		for j := 0; j < 3; j++ {
+			far = append(far, geom.Pt(1000*float64(i)+0.1*float64(j), 0, 0))
+			near = append(near, geom.Pt(0.5+0.001*float64(i), 0.5+0.001*float64(j), 0.5))
+		}
+		isolated.Objects = append(isolated.Objects, data.Object{ID: i, Pts: far})
+		clumped.Objects = append(clumped.Objects, data.Object{ID: i, Pts: near})
+	}
+	p, err := NewPool(isolated, Options{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(r float64) *Result {
+		t.Helper()
+		e, err := p.Acquire(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Release(e)
+		res, err := e.RunTopK(r, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if res := query(2.5); res.Best.Score != 0 {
+		t.Fatalf("isolated objects: best %+v, want score 0", res.Best)
+	}
+	if err := p.Swap(clumped, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	got := query(2.2) // the ⌈r⌉ cached before the swap
+	fresh, _ := NewEngine(clumped, Options{})
+	want, _ := fresh.RunTopK(2.2, 1)
+	if want.Best.Score != n-1 {
+		t.Fatalf("clumped objects: fresh engine best %+v, want score %d", want.Best, n-1)
+	}
+	if g, w := stripVolatile(got), stripVolatile(want); !reflect.DeepEqual(g, w) {
+		t.Errorf("after Swap: %+v, fresh engine %+v", g, w)
+	}
+	if st := p.IndexCache(); st.Hits != 0 || st.Misses != 1 {
+		t.Errorf("after Swap: index cache %+v, want one miss on a new cache", st)
+	}
+}
+
+// cancelAtUpperBounding is a context that is cancelled from the moment
+// the registry's upper-bounding point has fired: the first poll inside
+// the pass sees it, so the pass is cut short.
+type cancelAtUpperBounding struct {
+	context.Context
+	reg *fault.Registry
+}
+
+func (c cancelAtUpperBounding) Done() <-chan struct{} {
+	if c.reg.Fired(fault.PointUpperBounding) > 0 {
+		ch := make(chan struct{})
+		close(ch)
+		return ch
+	}
+	return nil
+}
+
+func (c cancelAtUpperBounding) Err() error {
+	if c.reg.Fired(fault.PointUpperBounding) > 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestUpperBoundCacheCancelledPublishesNothing cancels a query inside
+// upper bounding: the partial vector must not enter the cache, so the
+// next query at that ⌈r⌉ is exact and counts a cold run's work.
+func TestUpperBoundCacheCancelledPublishesNothing(t *testing.T) {
+	ds := testDatasets(t)["syn"]
+	const r, k = 12.0, 2
+	reg := fault.New(1)
+	reg.Arm(fault.Rule{Point: fault.PointUpperBounding, Kind: fault.KindLatency, P: 1})
+	eng, _ := NewEngine(ds, Options{Faults: reg})
+	ctx := cancelAtUpperBounding{Context: context.Background(), reg: reg}
+	if _, err := eng.RunTopKContext(ctx, r, k, false); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled query: err %v, want context.Canceled", err)
+	}
+	if st := eng.IndexCache(); st.Entries != 0 {
+		t.Fatalf("cancelled query published: index cache %+v", st)
+	}
+	got, err := eng.RunTopK(r, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := NewEngine(ds, Options{})
+	want, _ := fresh.RunTopK(r, k)
+	if g, w := stripVolatile(got), stripVolatile(want); !reflect.DeepEqual(g, w) {
+		t.Errorf("after a cancelled pass: %+v, fresh engine %+v", g, w)
+	}
+}
+
+// TestUpperBoundCacheHitFiresFault checks that the upper-bounding fault
+// point guards a hit as it guards a computed pass.
+func TestUpperBoundCacheHitFiresFault(t *testing.T) {
+	ds := testDatasets(t)["bird"]
+	reg := fault.New(1)
+	eng, _ := NewEngine(ds, Options{Faults: reg})
+	if _, err := eng.RunTopK(40, 1); err != nil {
+		t.Fatal(err)
+	}
+	reg.Arm(fault.Rule{Point: fault.PointUpperBounding, Kind: fault.KindError, P: 1})
+	if _, err := eng.RunTopK(39.5, 1); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("hit with an armed upper-bounding fault: err %v, want ErrInjected", err)
+	}
+	reg.Clear(fault.PointUpperBounding)
+	if _, err := eng.RunTopK(39.5, 1); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.IndexCache(); st.Hits != 1 {
+		t.Errorf("index cache %+v, want the last query to hit", st)
+	}
+}
+
+// TestUpperBoundCacheConcurrentFirstTouch has two pooled engines miss
+// on one ⌈r⌉ at once; both publish, the cache keeps one vector, and
+// every answer equals a fresh engine's. Run under -race.
+func TestUpperBoundCacheConcurrentFirstTouch(t *testing.T) {
+	ds := testDatasets(t)["syn"]
+	p, err := NewPool(ds, Options{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := NewEngine(ds, Options{})
+	specs := []GroupSpec{{R: 12, K: 1}, {R: 11.5, K: 3}}
+	want := make([]*comparableResult, len(specs))
+	for i, sp := range specs {
+		res, _ := fresh.RunTopK(sp.R, sp.K)
+		want[i] = stripVolatile(res)
+	}
+	engs := make([]*Engine, len(specs))
+	for i := range engs {
+		if engs[i], err = p.Acquire(context.Background(), -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]*comparableResult, len(specs))
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i, sp := range specs {
+		wg.Add(1)
+		go func(i int, sp GroupSpec) {
+			defer wg.Done()
+			start.Wait()
+			res, err := engs[i].RunTopK(sp.R, sp.K)
+			if err == nil {
+				got[i] = stripVolatile(res)
+			}
+		}(i, sp)
+	}
+	start.Done()
+	wg.Wait()
+	for i, e := range engs {
+		p.Release(e)
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("engine %d: %+v, fresh engine %+v", i, got[i], want[i])
+		}
+	}
+	e, _ := p.Acquire(context.Background(), -1)
+	defer p.Release(e)
+	res, err := e.RunTopK(12, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := stripVolatile(res); !reflect.DeepEqual(g, want[0]) {
+		t.Errorf("after the concurrent first touch: %+v, fresh engine %+v", g, want[0])
+	}
+	if st := p.IndexCache(); st.Entries != 1 || st.Hits+st.Misses != 3 || st.Hits == 0 {
+		t.Errorf("index cache %+v, want one entry and a hit after the first touch", st)
+	}
+}
+
+// TestUpperBoundCacheEviction walks more distinct ⌈r⌉ than the cache
+// holds, then returns to the first: it was evicted, is computed again,
+// and the answer is still exact.
+func TestUpperBoundCacheEviction(t *testing.T) {
+	ds := testDatasets(t)["uniform"]
+	var specs []GroupSpec
+	for c := 1; c <= ubCacheCap+1; c++ {
+		specs = append(specs, GroupSpec{R: float64(c) - 0.5, K: 2})
+	}
+	specs = append(specs, GroupSpec{R: 0.75, K: 1}, GroupSpec{R: float64(ubCacheCap+1) - 0.25, K: 1})
+	eng := warmColdStream(t, "uniform", ds, Options{}, specs)
+	want := IndexCacheStats{Misses: ubCacheCap + 2, Hits: 1, Entries: ubCacheCap}
+	if st := eng.IndexCache(); st != want {
+		t.Errorf("index cache %+v, want %+v", st, want)
+	}
+}

@@ -176,6 +176,7 @@ type MetricsSnapshot struct {
 	Batch             *batch.Stats                `json:"batch,omitempty"`
 	Shards            *ShardStats                 `json:"shards,omitempty"`
 	Cache             CacheStats                  `json:"cache"`
+	IndexCache        core.IndexCacheStats        `json:"index_cache"`
 	HTTPLatency       map[string]metrics.Snapshot `json:"http_latency"`
 	PhaseLatency      map[string]metrics.Snapshot `json:"phase_latency"`
 }
@@ -512,8 +513,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 			Enabled: !s.cfg.DisableCache, Hits: hits, Misses: misses,
 			Evictions: evictions, Size: s.cache.Len(), Capacity: s.cache.Cap(),
 		},
+		IndexCache:   s.pool.IndexCache(),
 		HTTPLatency:  make(map[string]metrics.Snapshot, len(endpointKinds)),
 		PhaseLatency: make(map[string]metrics.Snapshot, len(phaseNames)),
+	}
+	if co := s.coord.Load(); co != nil {
+		// Shard pools count on top of the server's own, which serves
+		// the radii beyond the replica horizon.
+		snap.IndexCache = snap.IndexCache.Add(co.IndexCache())
 	}
 	for _, k := range endpointKinds {
 		snap.Requests[k] = s.m.requests[k].Value()

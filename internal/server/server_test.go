@@ -490,3 +490,39 @@ func TestMetricsShape(t *testing.T) {
 		t.Errorf("phase_latency[total] = %+v, want count 1 with buckets", hist)
 	}
 }
+
+// TestMetricsIndexCache checks the index_cache section of /metrics: two
+// queries with one ⌈r⌉ and distinct exact r miss the result cache, and
+// the second takes τ^upp from the engines' cache — in every shard pool
+// on the sharded strategy, summed. Label queries bypass the cache.
+func TestMetricsIndexCache(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts core.Options
+		cfg  Config
+		want core.IndexCacheStats
+	}{
+		{"solo", core.Options{}, Config{}, core.IndexCacheStats{Hits: 1, Misses: 1, Entries: 1}},
+		{"sharded", core.Options{}, Config{Shards: 2, ShardMaxR: 5}, core.IndexCacheStats{Hits: 2, Misses: 2, Entries: 2}},
+		{"labels", core.Options{Labels: labelstore.NewStore()}, Config{}, core.IndexCacheStats{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := New(testDataset(80, 7), tc.opts, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Drain()
+			h := s.Handler()
+			for _, url := range []string{"/v1/query?r=4.5", "/v1/query?r=4.2&k=2"} {
+				if rec := get(t, h, url, nil); rec.Code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", url, rec.Code, rec.Body)
+				}
+			}
+			var snap MetricsSnapshot
+			get(t, h, "/metrics", &snap)
+			if snap.IndexCache != tc.want {
+				t.Errorf("index_cache = %+v, want %+v", snap.IndexCache, tc.want)
+			}
+		})
+	}
+}

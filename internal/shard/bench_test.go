@@ -1,0 +1,46 @@
+package shard
+
+import (
+	"context"
+	"math"
+	"testing"
+	"time"
+
+	"mio/internal/core"
+	"mio/internal/data"
+)
+
+// BenchmarkWorkloadBird2Sharded is the engine stream of the benchmark's
+// serve_sharded_bird2 workload, without the server: Bird-2 at 200 × 100
+// over 4 in-process shards with hedging off, r drawn from the Kronecker
+// sequence over [3, 9], k cycling 1..5, one caller. The shards' pools
+// live across iterations as a server's do, so after the first query of
+// each ⌈r⌉ every shard takes τ^upp from its cache. Beside ns/op and
+// allocs/op it reports ms/op and the distance computations per query
+// summed over the shards.
+func BenchmarkWorkloadBird2Sharded(b *testing.B) {
+	c := data.DefaultBird2()
+	c.N, c.M = 200, 100
+	co, err := New(data.GenTrajectory(c), core.Options{}, Config{Shards: 4, HedgeAfter: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer co.Close()
+	distComps := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	t0 := time.Now()
+	for i := 0; i < b.N; i++ {
+		_, u := math.Modf(float64(i) * 0.6180339887498949)
+		res, rep, err := co.Query(context.Background(), 3+6*u, 1+i%5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Degraded || rep.Failed != 0 {
+			b.Fatalf("query %d degraded on a healthy cluster: %+v", i, rep)
+		}
+		distComps += res.Stats.DistanceComps
+	}
+	b.ReportMetric(float64(time.Since(t0).Microseconds())/1e3/float64(b.N), "ms/op")
+	b.ReportMetric(float64(distComps)/float64(b.N), "dist-comps/op")
+}

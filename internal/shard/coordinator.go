@@ -233,6 +233,19 @@ func (c *Coordinator) AdoptMetrics(m *Metrics) {
 	}
 }
 
+// IndexCache sums the τ^upp caches of the in-process shards' engine
+// pools. A remote worker's pool lives in its own process and is not
+// counted.
+func (c *Coordinator) IndexCache() core.IndexCacheStats {
+	var sum core.IndexCacheStats
+	for _, sh := range c.shards {
+		if lb, ok := sh.backend.(*LocalBackend); ok {
+			sum = sum.Add(lb.pool.IndexCache())
+		}
+	}
+	return sum
+}
+
 // Health snapshots every shard's status, ordered by id.
 func (c *Coordinator) Health() []Health {
 	hs := make([]Health, 0, len(c.shards))

@@ -4,36 +4,38 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"mio/internal/core/labelstore"
 	"mio/internal/fault"
-	"mio/internal/grid"
 )
 
 // This file implements the engine's multi-query entry point used by
 // the batch executor (internal/batch): one shared pass over the
 // dataset serves a whole group of queries with equal ⌈r⌉.
 //
-// The grouping algebra that makes sharing sound:
+// A group runs each distinct (r, k) — a plan — as an ordinary query,
+// bound then complete, on an index the group builds once:
 //
-//   - The large grid, its adjacency bitsets, the labels, and with them
-//     the whole upper-bounding phase depend only on ⌈r⌉
-//     (grid.LargeWidth rounds up), so one build + one τ^upp pass
-//     serves every member.
-//   - The small grid and lower bounding depend on the exact r
-//     (grid.SmallWidth divides by √dims), so the group keeps one
-//     "r-plan" per distinct threshold, all sharing the large grid.
-//   - Verification depends on (r, k); members with equal (r, k) share
-//     one plan and receive the same *Result.
+//   - Label input and grid mapping run once: the labels and the large
+//     grid depend only on ⌈r⌉ (grid.LargeWidth rounds up), and one
+//     mapGrids sweep adds one small grid per distinct exact r
+//     (grid.SmallWidth divides by √dims).
+//   - A plan with the same exact r as the plan before it takes over
+//     that plan's lower-bounding pass (its tauLow).
+//   - Every plan after the first completed upper-bounding pass takes
+//     that pass over (ubPass): τ^upp depends only on the large grid and
+//     the labels.
+//   - Members with equal (r, k) share one plan and receive the same
+//     *Result.
 //
 // Per-member results are bitwise-identical to the query-major path —
-// including the DistanceComps and AdjComputed counters — because every
-// stage either reuses the solo code verbatim on shared inputs, or
-// (AdjComputed on the shared grid) replays per-query what a private
-// grid would have charged; see query.noteAdj.
+// including the DistanceComps and AdjComputed counters — because each
+// plan is the solo pipeline, skipping only work whose output it is
+// handed, and AdjComputed counts the cells a query reads (readSet),
+// which no other query on the shared grid changes.
 
 // GroupSpec describes one member of a batch group. All members of one
 // RunGroup call must share ⌈R⌉.
@@ -73,120 +75,69 @@ type GroupReport struct {
 // byte sizes (shared structures amortise differently). Members whose
 // context expires mid-group get the same treatment the solo path gives
 // them: ctx.Err(), or a certified degraded answer when Degrade is set
-// and the completed phases can certify one.
+// and their plan's completed phases can certify one.
 func (e *Engine) RunGroup(ctx context.Context, specs []GroupSpec) ([]GroupOutcome, GroupReport) {
 	g := &groupRun{
 		e:     e,
 		ctx:   ctx,
 		specs: make([]GroupSpec, len(specs)),
-		n:     e.ds.N(),
 		outs:  make([]GroupOutcome, len(specs)),
 		done:  make([]bool, len(specs)),
 		dead:  make([]bool, len(specs)),
-		live:  len(specs),
 	}
 	copy(g.specs, specs)
 	g.rep.Members = len(specs)
+	ceil := 0
 	for i := range g.specs {
 		sp := &g.specs[i]
 		if err := e.validate(sp.R, sp.K); err != nil {
 			g.fail(i, err)
 			continue
 		}
-		sp.K = min(sp.K, g.n)
-		ceil := int(math.Ceil(sp.R))
-		if g.ceil == 0 {
-			g.ceil = ceil
-		} else if ceil != g.ceil {
-			g.fail(i, fmt.Errorf("core: group member ⌈r⌉=%d does not match the group's ⌈r⌉=%d", ceil, g.ceil))
+		sp.K = min(sp.K, e.ds.N())
+		if c := int(math.Ceil(sp.R)); ceil == 0 {
+			ceil = c
+		} else if c != ceil {
+			g.fail(i, fmt.Errorf("core: group member ⌈r⌉=%d does not match the group's ⌈r⌉=%d", c, ceil))
 		}
 	}
-	if g.live > 0 {
-		g.run()
+	if ceil != 0 {
+		g.run(ceil)
 	}
 	return g.outs, g.rep
 }
 
-// rPlan carries the exact-r state shared by every member with the same
-// threshold: the small grid, key lists, and the lower-bounding pass.
-// Its query q is the carrier for that state so the solo lowerBounding
-// code runs unchanged.
-type rPlan struct {
-	r       float64
-	members []int
-	q       *query
-	lbDur   time.Duration
-	failed  bool // phase fault consumed this r-plan's members
-}
-
-// plan is one distinct (r, k) verification pipeline. Members with
-// equal (r, k) share the plan and its Result pointer, the in-group
-// analogue of request coalescing.
+// plan is one distinct (r, k): the members that share it, and the
+// query that answers them once it has run.
 type plan struct {
 	r       float64
 	k       int
-	rp      *rPlan
 	members []int
-	qp      *query
-	cand    []candidate
-	top     []Scored
-	verDur  time.Duration
-	ranFull bool // verification ran to completion (no cancel, no fault)
-	result  *Result
+	q       *query
+	res     *Result // the query's answer; nil when it declined
 }
 
-type planKey struct {
-	r float64
-	k int
-}
-
-// groupRun orchestrates one shared-⌈r⌉ group through the Algorithm 2
-// phase framework.
+// groupRun holds one shared-⌈r⌉ group's members and plans.
 type groupRun struct {
 	e     *Engine
 	ctx   context.Context
 	specs []GroupSpec
-	n     int
-	ceil  int
 
-	// mu guards dead/live/done. Parallel verification workers poll
-	// member liveness concurrently.
+	// mu guards dead and done. Parallel verification workers poll
+	// member liveness concurrently. dead marks a member that no longer
+	// waits for work: its context expired, or it has its outcome
+	// (done).
 	mu   sync.Mutex
 	dead []bool
-	live int
 	done []bool
-	// deadAtStart marks members whose context was already expired when
-	// the group began: the solo path returns ctx.Err() for those
-	// before any bound exists, so the group must too.
-	deadAtStart []bool
 
-	labels    *labelstore.Labels
-	newLabels *labelstore.Labels
-	labelDur  time.Duration
-
-	large   *grid.LargeGrid
-	groups  [][]pointGroup
-	gmBroke bool
-	gridDur time.Duration
-
-	rPlans     []*rPlan
-	plans      []*plan
-	memberPlan []*plan
-
-	ubDur     time.Duration
-	tauUpp    []int32
-	ubDone    bool
-	adjShared int // AdjComputed by the shared upper-bounding pass
-	adjBase   []bool
-
-	persistFailed bool
+	plans []*plan
 
 	outs []GroupOutcome
 	rep  GroupReport
 }
 
-// fail delivers a terminal error to member i and removes it from the
-// live set.
+// fail delivers a terminal error to member i.
 func (g *groupRun) fail(i int, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -194,11 +145,7 @@ func (g *groupRun) fail(i int, err error) {
 		return
 	}
 	g.outs[i] = GroupOutcome{Err: err}
-	g.done[i] = true
-	if !g.dead[i] {
-		g.dead[i] = true
-		g.live--
-	}
+	g.done[i], g.dead[i] = true, true
 }
 
 func (g *groupRun) failMembers(members []int, err error) {
@@ -207,45 +154,51 @@ func (g *groupRun) failMembers(members []int, err error) {
 	}
 }
 
-func (g *groupRun) failAllLive(err error) {
+func (g *groupRun) failAll(err error) {
 	for i := range g.specs {
 		g.fail(i, err) // a no-op for members already answered
 	}
 }
 
-// sweepDead refreshes the liveness of every member and returns the
-// live count. Called from cancellation polls, possibly concurrently.
-func (g *groupRun) sweepDead() int {
+// alive reports whether member i still waits for work, marking it dead
+// once its context has expired. Callers hold mu.
+func (g *groupRun) alive(i int) bool {
+	if g.dead[i] {
+		return false
+	}
+	if c := g.specs[i].Ctx; c != nil && c.Err() != nil {
+		g.dead[i] = true
+		return false
+	}
+	return true
+}
+
+// allDead reports whether every listed member has detached. It polls
+// contexts only up to the first live member, so a plan's cancellation
+// poll — per candidate and every 256 probes — costs one context check
+// while the plan has someone to answer.
+func (g *groupRun) allDead(members []int) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for i := range g.specs {
-		if g.dead[i] {
-			continue
-		}
-		if c := g.specs[i].Ctx; c != nil && c.Err() != nil {
-			g.dead[i] = true
-			g.live--
+	for _, i := range members {
+		if g.alive(i) {
+			return false
 		}
 	}
-	return g.live
+	return true
 }
 
 // aborted reports whether the whole group should stop: the epoch
-// context expired, or no member is still waiting for work.
+// context expired, or no member is still waiting for work. It runs
+// between plans and as grid mapping's stop.
 func (g *groupRun) aborted() bool {
 	if g.ctx != nil && g.ctx.Err() != nil {
 		return true
 	}
-	return g.sweepDead() == 0
-}
-
-// membersAllDead reports whether every listed member has detached.
-func (g *groupRun) membersAllDead(members []int) bool {
-	g.sweepDead()
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	for _, i := range members {
-		if !g.dead[i] {
+	for i := range g.specs {
+		if g.alive(i) {
 			return false
 		}
 	}
@@ -276,334 +229,177 @@ func (g *groupRun) fire(point string) error {
 	return g.e.opts.Faults.Fire(point)
 }
 
-// run executes the Algorithm 2 framework once for the whole group.
-func (g *groupRun) run() {
+// run builds the group's index once and runs every plan on it.
+func (g *groupRun) run(ceil int) {
 	if err := g.fire(fault.PointGroupBuild); err != nil {
-		g.failAllLive(err)
+		g.failAll(err)
+		return
+	}
+	// A member whose context expired before the group began gets
+	// ctx.Err(), as a solo query expiring before lower bounding does.
+	for i, sp := range g.specs {
+		if sp.Ctx != nil {
+			if err := sp.Ctx.Err(); err != nil {
+				g.fail(i, err)
+			}
+		}
+	}
+	rs := g.setupPlans()
+	if len(rs) == 0 {
 		return
 	}
 
-	// Record which members were dead on arrival: they get ctx.Err()
-	// like a solo query whose context expired before lower bounding.
-	g.sweepDead()
-	g.mu.Lock()
-	g.deadAtStart = append([]bool(nil), g.dead...)
-	g.mu.Unlock()
-
-	g.setupPlans()
-
-	// Label input (§III-D), once per group: every member shares ⌈r⌉,
-	// the label key.
-	if err := g.fire(fault.PointLabelInput); err != nil {
-		g.failAllLive(err)
-		return
-	}
+	// Label input (§III-D): every member shares ⌈r⌉, the label key.
 	// Labeling-3 bits are valid at one exact r; a set collected over
-	// several r-plans records none.
-	collectR := 0.0
-	if len(g.rPlans) == 1 {
-		collectR = g.rPlans[0].r
+	// several records none.
+	if err := g.fire(fault.PointLabelInput); err != nil {
+		g.failAll(err)
+		return
 	}
-	g.labels, g.newLabels, g.labelDur = g.e.labelInput(g.ceil, collectR)
+	collectR := 0.0
+	if len(rs) == 1 {
+		collectR = rs[0]
+	}
+	labels, newLabels, labelDur := g.e.labelInput(ceil, collectR)
 
-	// Grid mapping: one pass over the objects fills the shared large
-	// grid and one small grid per distinct exact r.
+	// Grid mapping: one sweep fills the large grid and one small grid
+	// per distinct exact r.
 	if err := g.fire(fault.PointGridMapping); err != nil {
-		g.failAllLive(err)
+		g.failAll(err)
 		return
 	}
 	t0 := time.Now()
-	g.buildIndex()
-	g.gridDur = time.Since(t0)
-	if g.gmBroke || g.aborted() {
-		g.assemble()
-		return
-	}
+	large, smalls, complete := g.e.mapGrids(rs, labels, nil, 0, g.aborted)
+	groups := groupsOf(large, g.e.ds.N())
+	gridDur := time.Since(t0)
 
-	// Lower bounding, once per distinct exact r.
-	for _, rp := range g.rPlans {
-		if g.aborted() {
-			g.assemble()
-			return
-		}
-		if g.membersAllDead(rp.members) {
-			continue
-		}
-		if err := g.fire(fault.PointLowerBounding); err != nil {
-			g.failMembers(rp.members, err)
-			rp.failed = true
-			continue
-		}
-		t0 = time.Now()
-		rp.q.lowerBounding()
-		rp.lbDur = time.Since(t0)
-	}
-
-	// Upper bounding, once for the whole group: τ^upp depends only on
-	// the shared large grid and labels.
-	if g.aborted() {
-		g.assemble()
-		return
-	}
-	if err := g.fire(fault.PointUpperBounding); err != nil {
-		g.failAllLive(err)
-		return
-	}
-	// The τ^upp carrier gets a group-scoped cancel check: the pass
-	// serves every member, so it must not stop when the first r-plan's
-	// members happen to detach.
-	qU := newQuery(g.e, g.rPlans[0].r, 1)
-	qU.idx = g.rPlans[0].q.idx
-	qU.labels = g.labels
-	qU.newLabels = g.newLabels
-	qU.cancelCheck = func() bool { return g.aborted() }
-	t0 = time.Now()
-	qU.computeUpperBounds()
-	g.ubDur = time.Since(t0)
-	g.tauUpp = qU.tauUpp
-	g.ubDone = qU.ubDone
-	g.adjShared = qU.stats.AdjComputed
-	// The cells holding b^adj after the shared pass: the baseline for
-	// per-plan AdjComputed replay (query.noteAdj).
-	g.adjBase = qU.adjBaseline()
-
-	g.buildPlanQueries()
-
-	// Verification, once per distinct (r, k).
+	var prev *query // the last plan's query that ran
+	var pass *ubPass
+	exact := true
 	for _, pl := range g.plans {
-		if g.aborted() {
+		if !complete || g.aborted() {
+			exact = false
 			break
 		}
-		if pl.qp == nil || pl.rp.failed || !pl.rp.q.lbDone || g.membersAllDead(pl.members) {
-			// Nobody needs the exact answer, or its inputs never
-			// completed; degraded members assemble from the bound
-			// vectors alone.
+		if g.allDead(pl.members) {
+			exact = false
 			continue
 		}
-		if err := g.fire(fault.PointVerification); err != nil {
+		q := newQuery(g.e, pl.r, pl.k)
+		q.ctx = g.ctx
+		q.cancelCheck = func() bool { return g.allDead(pl.members) }
+		q.labels, q.newLabels, q.pass = labels, newLabels, pass
+		q.stats.LabelInput, q.stats.GridMapping = labelDur, gridDur
+		if prev != nil && prev.r == pl.r {
+			q.useIndex(prev.idx)
+			if prev.lbDone {
+				q.tauLow, q.lbDone = prev.tauLow, true
+			}
+		} else {
+			q.useIndex(newBigrid(smalls[slices.Index(rs, pl.r)], large, groups))
+		}
+		for _, i := range pl.members {
+			q.degradeOK = q.degradeOK || g.specs[i].Degrade
+		}
+		pl.q, prev = q, q
+
+		res, err := q.bound()
+		if pass == nil {
+			pass = q.takeOver()
+		}
+		if res == nil && err == nil {
+			res, err = q.complete(0)
+		}
+		if err != nil && !q.cancelled() {
+			// An injected fault fails the plan's members only.
 			g.failMembers(pl.members, err)
-			continue
 		}
-		t0 = time.Now()
-		pl.top = pl.qp.verification(pl.cand)
-		pl.verDur = time.Since(t0)
-		pl.ranFull = !pl.qp.cancelled()
+		pl.res = res
+		exact = exact && err == nil && !res.Degraded
 	}
 
-	// Post-processing: publish collected labels iff every pipeline ran
-	// to completion, so the published set is a deterministic function
-	// of (dataset, ⌈r⌉) — the same invariant the solo path keeps by
-	// not publishing after a cancellation.
-	complete := !g.aborted() && g.ubDone
+	// Post-processing: publish collected labels iff every plan ran to
+	// completion, so the published set is a deterministic function of
+	// (dataset, ⌈r⌉) — the invariant the solo path keeps by not
+	// publishing after a cancellation.
+	if exact {
+		failed := g.e.publishLabels(ceil, newLabels)
+		for _, pl := range g.plans {
+			pl.res.Stats.LabelPersistFailed = failed
+			pl.q.stats.LabelPersistFailed = failed
+		}
+	}
 	for _, pl := range g.plans {
-		if !pl.ranFull {
-			complete = false
+		for _, i := range pl.members {
+			g.mu.Lock()
+			delivered := g.done[i]
+			g.mu.Unlock()
+			if !delivered {
+				g.outs[i] = g.outcome(i, pl)
+			}
 		}
 	}
-	if complete {
-		g.persistFailed = g.e.publishLabels(g.ceil, g.newLabels)
-	}
-
-	g.assemble()
 }
 
-// setupPlans derives the r-plans (distinct exact r) and plans
-// (distinct (r, k)) from the live members, in sorted order so phase
-// sequencing is deterministic.
-func (g *groupRun) setupPlans() {
-	rIdx := map[float64]*rPlan{}
-	pIdx := map[planKey]*plan{}
-	g.memberPlan = make([]*plan, len(g.specs))
+// setupPlans derives the plans (distinct (r, k)) of the members still
+// waiting, in sorted order so the sequence is deterministic, and
+// returns the distinct exact r in that order.
+func (g *groupRun) setupPlans() []float64 {
+	type planKey struct {
+		r float64
+		k int
+	}
+	idx := map[planKey]*plan{}
 	for i := range g.specs {
 		if g.done[i] {
 			continue
 		}
 		sp := &g.specs[i]
-		rp := rIdx[sp.R]
-		if rp == nil {
-			rp = &rPlan{r: sp.R}
-			rIdx[sp.R] = rp
-			g.rPlans = append(g.rPlans, rp)
-		}
-		rp.members = append(rp.members, i)
-		pk := planKey{r: sp.R, k: sp.K}
-		pl := pIdx[pk]
+		key := planKey{sp.R, sp.K}
+		pl := idx[key]
 		if pl == nil {
-			pl = &plan{r: sp.R, k: sp.K, rp: rp}
-			pIdx[pk] = pl
+			pl = &plan{r: sp.R, k: sp.K}
+			idx[key] = pl
 			g.plans = append(g.plans, pl)
 		}
 		pl.members = append(pl.members, i)
-		g.memberPlan[i] = pl
 	}
-	sort.Slice(g.rPlans, func(a, b int) bool { return g.rPlans[a].r < g.rPlans[b].r })
 	sort.Slice(g.plans, func(a, b int) bool {
 		if g.plans[a].r != g.plans[b].r {
 			return g.plans[a].r < g.plans[b].r
 		}
 		return g.plans[a].k < g.plans[b].k
 	})
-	g.rep.RVariants = len(g.rPlans)
-	g.rep.Plans = len(g.plans)
-
-	for _, rp := range g.rPlans {
-		rp := rp
-		q := newQuery(g.e, rp.r, 1)
-		q.cancelCheck = func() bool {
-			return g.aborted() || g.membersAllDead(rp.members)
-		}
-		rp.q = q
-	}
-}
-
-// buildIndex runs the shared grid-mapping pass: one sweep over the
-// objects (mapGrids) populates the shared large grid and one small
-// grid per r-plan.
-func (g *groupRun) buildIndex() {
-	rs := make([]float64, len(g.rPlans))
-	for si, rp := range g.rPlans {
-		rs[si] = rp.r
-	}
-	large, smalls, complete := g.e.mapGrids(rs, g.labels, nil, 0, g.aborted)
-	g.large, g.gmBroke = large, !complete
-	g.groups = groupsOf(g.large, g.n)
-	for si, rp := range g.rPlans {
-		rp.q.idx = newBigrid(smalls[si], g.large, g.groups)
-		rp.q.labels = g.labels
-		rp.q.newLabels = g.newLabels
-	}
-}
-
-// buildPlanQueries materialises the per-plan query carriers after the
-// shared bounds exist: each inherits its r-plan's small-grid state and
-// the group's shared upper bounds, then computes its own threshold and
-// candidate list (both functions of (r, k)).
-func (g *groupRun) buildPlanQueries() {
+	var rs []float64
 	for _, pl := range g.plans {
-		pl := pl
-		if pl.rp.failed || !pl.rp.q.lbDone {
-			continue
+		if len(rs) == 0 || rs[len(rs)-1] != pl.r {
+			rs = append(rs, pl.r)
 		}
-		qp := newQuery(g.e, pl.r, pl.k)
-		qp.idx = pl.rp.q.idx
-		qp.labels = g.labels
-		qp.newLabels = g.newLabels
-		qp.tauLow = pl.rp.q.tauLow
-		qp.tauUpp = g.tauUpp
-		qp.lbDone = pl.rp.q.lbDone
-		qp.ubDone = g.ubDone
-		qp.adjBase = g.adjBase
-		qp.cancelCheck = func() bool {
-			return g.aborted() || g.membersAllDead(pl.members)
-		}
-		threshold := qp.kthHighest(qp.tauLow)
-		pl.cand = qp.assembleCandidates(threshold)
-		pl.qp = qp
 	}
+	g.rep.RVariants = len(rs)
+	g.rep.Plans = len(g.plans)
+	return rs
 }
 
-// assemble turns the group state into per-member outcomes.
-func (g *groupRun) assemble() {
-	for i := range g.specs {
-		g.mu.Lock()
-		delivered := g.done[i]
-		g.mu.Unlock()
-		if delivered {
-			continue
-		}
-		g.outs[i] = g.memberOutcome(i)
-	}
-}
-
-func (g *groupRun) memberOutcome(i int) GroupOutcome {
-	if g.deadAtStart[i] {
-		return GroupOutcome{Err: g.specs[i].Ctx.Err()}
-	}
-	pl := g.memberPlan[i]
-	if pl != nil && pl.ranFull && g.ctxErr(i) == nil {
-		return GroupOutcome{Result: g.planResult(pl)}
-	}
-	res, err := g.memberDegraded(i, pl)
-	if res == nil && err == nil {
-		err = g.errFor(i)
-	}
-	return GroupOutcome{Result: res, Err: err}
-}
-
-// planResult assembles the shared exact Result of a completed plan,
-// built once and shared by every member — the same aliasing a
-// coalesced flight leader's result gets.
-func (g *groupRun) planResult(pl *plan) *Result {
-	if pl.result != nil {
-		return pl.result
-	}
-	qp := pl.qp
-	g.fillSharedStats(qp, pl)
-	qp.finishGridStats()
-	res := &Result{TopK: pl.top, Stats: qp.stats}
-	if len(pl.top) > 0 {
-		res.Best = pl.top[0]
-	}
-	pl.result = res
-	return res
-}
-
-// fillSharedStats folds the group-phase measurements into a plan
-// query's stats, mirroring what the solo run() records phase by
-// phase. The verification-phase counters (Verified, DistanceComps,
-// the per-plan AdjComputed replay) are already in qp.stats.
-func (g *groupRun) fillSharedStats(qp *query, pl *plan) {
-	qp.stats.LabelInput = g.labelDur
-	if g.labels != nil {
-		qp.stats.UsedLabels = true
-		qp.stats.LabelBytes = g.labels.SizeBytes()
-	}
-	qp.stats.LabelPersistFailed = g.persistFailed
-	qp.stats.GridMapping = g.gridDur
-	qp.stats.SmallCells = pl.rp.q.idx.small.Len()
-	qp.stats.LargeCells = g.large.Len()
-	qp.stats.LowerBounding = pl.rp.lbDur
-	qp.stats.UpperBounding = g.ubDur
-	qp.stats.AdjComputed += g.adjShared
-	qp.stats.Candidates = len(pl.cand)
-	qp.stats.Verification = pl.verDur
-}
-
-// memberDegraded builds the detached member's answer: a certified
-// degraded result when the member opted in and the completed phases
-// can certify one (same soundness ladder as query.degraded), else the
+// outcome is member i's answer from its plan: the exact result while
+// the member is live, else what the plan's query certifies for a
+// member that opted into degradation (query.degraded), else the
 // member's context error.
-func (g *groupRun) memberDegraded(i int, pl *plan) (*Result, error) {
-	sp := &g.specs[i]
-	if !sp.Degrade || pl == nil {
-		return nil, g.errFor(i)
+func (g *groupRun) outcome(i int, pl *plan) GroupOutcome {
+	res := pl.res
+	switch {
+	case res == nil:
+	case !res.Degraded && g.ctxErr(i) == nil:
+		return GroupOutcome{Result: res}
+	case !g.specs[i].Degrade:
+	case res.Degraded:
+		return GroupOutcome{Result: res}
+	default:
+		// The plan finished after the member detached: the exact top
+		// certifies a point interval.
+		if d, err := pl.q.degraded(res.TopK); err == nil {
+			return GroupOutcome{Result: d}
+		}
 	}
-	rp := pl.rp
-	if rp.q == nil || rp.q.idx == nil {
-		return nil, g.errFor(i)
-	}
-	qd := newQuery(g.e, sp.R, sp.K)
-	qd.ctx = sp.Ctx
-	if qd.ctx == nil || qd.ctx.Err() == nil {
-		qd.ctx = g.ctx
-	}
-	if qd.ctx == nil {
-		return nil, g.errFor(i)
-	}
-	qd.degradeOK = true
-	qd.gmBroke = g.gmBroke
-	qd.idx = rp.q.idx
-	qd.labels = g.labels
-	qd.lbDone = rp.q.lbDone
-	qd.tauLow = rp.q.tauLow
-	qd.ubDone = g.ubDone
-	qd.tauUpp = g.tauUpp
-	var top []Scored
-	if pl.qp != nil {
-		qd.trunc = pl.qp.trunc
-		qd.stats = pl.qp.stats
-		top = pl.top
-		g.fillSharedStats(qd, pl)
-	}
-	return qd.degraded(top)
+	return GroupOutcome{Err: g.errFor(i)}
 }

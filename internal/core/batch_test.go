@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mio/internal/baseline"
 	"mio/internal/core/labelstore"
@@ -54,14 +56,16 @@ func stripVolatile(r *Result) *comparableResult {
 }
 
 // groupParityOptions are the engine configurations the parity suite
-// sweeps: serial and parallel, labels on and off.
+// sweeps: serial, four workers, and every LB/UB strategy at two
+// (ubCacheStrategies), each with labels off and on.
 func groupParityOptions(withStore func() *labelstore.Store) []Options {
-	return []Options{
-		{},
-		{Workers: 4},
-		{Labels: withStore()},
-		{Workers: 4, Labels: withStore()},
+	var opts []Options
+	for _, o := range append([]Options{{Workers: 4}}, ubCacheStrategies...) {
+		opts = append(opts, o)
+		o.Labels = withStore()
+		opts = append(opts, o)
 	}
+	return opts
 }
 
 // soloOracle runs one spec through the query-major path on a fresh
@@ -165,8 +169,11 @@ func TestRunGroupParityWarmLabels(t *testing.T) {
 			{R: ceil - 0.5, K: 1},
 			{R: ceil - 0.3, K: 4},
 		}
-		for _, workers := range []int{1, 4} {
-			opts := Options{Workers: workers, Labels: mkWarmStore()}
+		for _, opts := range groupParityOptions(mkWarmStore) {
+			if opts.Labels == nil {
+				continue
+			}
+			at := fmt.Sprintf("w=%d %v %v", opts.Workers, opts.LB, opts.UB)
 			eng, err := NewEngine(ds, opts)
 			if err != nil {
 				t.Fatalf("%s: NewEngine: %v", name, err)
@@ -178,18 +185,18 @@ func TestRunGroupParityWarmLabels(t *testing.T) {
 			}
 			for i, sp := range specs {
 				if outs[i].Err != nil {
-					t.Fatalf("%s w=%d member %d: %v", name, workers, i, outs[i].Err)
+					t.Fatalf("%s %s member %d: %v", name, at, i, outs[i].Err)
 				}
 				if !outs[i].Result.Stats.UsedLabels {
-					t.Fatalf("%s w=%d member %d: group run did not use warm labels", name, workers, i)
+					t.Fatalf("%s %s member %d: group run did not use warm labels", name, at, i)
 				}
 				want, err := soloOracle(t, ds, opts, warm, sp)
 				if err != nil {
-					t.Fatalf("%s w=%d member %d solo: %v", name, workers, i, err)
+					t.Fatalf("%s %s member %d solo: %v", name, at, i, err)
 				}
 				if got, exp := stripVolatile(outs[i].Result), stripVolatile(want); !reflect.DeepEqual(got, exp) {
-					t.Errorf("%s w=%d member %d (r=%g k=%d): group %+v != solo %+v",
-						name, workers, i, sp.R, sp.K, got, exp)
+					t.Errorf("%s %s member %d (r=%g k=%d): group %+v != solo %+v",
+						name, at, i, sp.R, sp.K, got, exp)
 				}
 			}
 		}
@@ -464,5 +471,71 @@ func TestRunGroupEmptyAndSingle(t *testing.T) {
 	}
 	if rep.Plans != 1 || rep.RVariants != 1 {
 		t.Errorf("single-member report: %+v", rep)
+	}
+}
+
+// firedCtx is a member context that expires once the registry has
+// fired point: a client hanging up while its plan runs that phase,
+// without any timing race.
+type firedCtx struct {
+	context.Context
+	reg   *fault.Registry
+	point string
+}
+
+func (c firedCtx) Err() error {
+	if c.reg.Fired(c.point) > 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunGroupFirstPlanDetachesInUpperBounding detaches the first plan's
+// only member as its upper-bounding pass starts. A serial pass stops on
+// its first poll, incomplete, so the next plan must run its own rather
+// than take over the partial vector; a parallel pass completes and is
+// taken over. Either way the second plan's Result equals the solo one,
+// AdjComputed included, and the group, not having run every plan to
+// completion, publishes no labels.
+func TestRunGroupFirstPlanDetachesInUpperBounding(t *testing.T) {
+	for name, ds := range testDatasets(t) {
+		ceil := math.Ceil(rValues(name)[1])
+		for _, base := range []Options{{}, {Workers: 2}} {
+			for _, store := range []*labelstore.Store{nil, labelstore.NewStore()} {
+				at := fmt.Sprintf("%s w=%d labels=%v", name, base.Workers, store != nil)
+				reg := fault.New(1)
+				reg.Arm(fault.Rule{Point: fault.PointUpperBounding, Kind: fault.KindLatency, P: 1, Delay: time.Millisecond})
+				opts := base
+				opts.Labels, opts.Faults = store, reg
+				eng, err := NewEngine(ds, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := firedCtx{Context: context.Background(), reg: reg, point: fault.PointUpperBounding}
+				specs := []GroupSpec{{R: ceil - 0.5, K: 1, Ctx: ctx}, {R: ceil, K: 2}}
+				outs, _ := eng.RunGroup(context.Background(), specs)
+				if !errors.Is(outs[0].Err, context.Canceled) {
+					t.Errorf("%s: detached member got (%v, %v), want context.Canceled", at, outs[0].Result, outs[0].Err)
+				}
+				if outs[1].Err != nil {
+					t.Fatalf("%s: second plan: %v", at, outs[1].Err)
+				}
+				base.Labels = nil
+				if store != nil {
+					base.Labels = labelstore.NewStore()
+				}
+				solo, _ := NewEngine(ds, base)
+				want, err := solo.RunTopK(specs[1].R, specs[1].K)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, exp := stripVolatile(outs[1].Result), stripVolatile(want); !reflect.DeepEqual(got, exp) {
+					t.Errorf("%s: second plan %+v != solo %+v", at, got, exp)
+				}
+				if store != nil && store.Has(int(ceil)) {
+					t.Errorf("%s: labels published by a group whose first plan detached", at)
+				}
+			}
+		}
 	}
 }

@@ -109,10 +109,11 @@ func (b *BoundSet) Stats() PhaseStats { return b.q.stats }
 
 // Complete resumes the paused query under ctx (query.complete): the
 // result is finalised exactly as a solo run would — collected labels
-// are published as a side effect. Raising the threshold to a sound
-// global floor never changes the answer for objects that belong in the
-// global top-k, it only skips verifying locals that provably do not.
+// are published as a side effect (query.publish). Raising the
+// threshold to a sound global floor never changes the answer for
+// objects that belong in the global top-k, it only skips verifying
+// locals that provably do not.
 func (b *BoundSet) Complete(ctx context.Context, floor int) (*Result, error) {
 	b.q.ctx = ctx
-	return b.q.complete(floor)
+	return b.q.publish(b.q.complete(floor))
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math/bits"
 	"sort"
+	"sync/atomic"
 
 	"mio/internal/bitmap"
 	"mio/internal/core/labelstore"
@@ -24,10 +26,9 @@ func (q *query) addCounters(cs []ctrSet) {
 }
 
 // lowerBounding implements LOWER-BOUNDING(O, r) (Algorithm 4) and its
-// WITH-LABEL variant. It fills q.tauLow and returns the pruning
-// threshold: the maximum lower bound, or the k-th highest for the
-// top-k variant (§III-C).
-func (q *query) lowerBounding() int {
+// WITH-LABEL variant. It fills q.tauLow; the pruning threshold is its
+// k-th highest entry (kthHighest, §III-C).
+func (q *query) lowerBounding() {
 	q.tauLow = make([]int32, q.n)
 	if q.e.opts.workers() > 1 && q.e.opts.LB == LBHashP {
 		q.lowerBoundHashP()
@@ -40,7 +41,6 @@ func (q *query) lowerBounding() int {
 			func(i int) int { return len(q.idx.keyLists[i]) },
 			func(i int, scratch *bitmap.Scratch, _ *ctrSet) { q.lowerBoundObject(i, scratch) })
 	}
-	return q.kthHighest(q.tauLow)
 }
 
 // lowerBoundObject computes τ^low(o_i) = |⋁_{K∈o_i.L} b(c_K)| − 1
@@ -91,27 +91,23 @@ type candidate struct {
 // r, τ^low_max) (Algorithm 5) and its WITH-LABEL variant;
 // assembleCandidates is the other. It fills q.tauUpp (Lemma 2). τ^upp is
 // a function of the large grid and the labels alone — both determined
-// by ⌈r⌉, not the exact r — so group runs (batch.go) execute this once
-// per shared-⌈r⌉ group and share the vector across every member, and a
-// label-free spatial query takes it from the engine's cache
-// (ubcache.go) when an earlier query with its ⌈r⌉ completed the pass.
-//
-// A hit leaves the work counters as the cold pass would have: that pass
-// materialises b^adj for every large cell, so the hit charges
-// AdjComputed = LargeCells and marks every cell as built in adjBase,
-// which keeps verification's lazy builds (verifyAdj) uncharged.
+// by ⌈r⌉, not the exact r — so a query takes over a complete pass over
+// its grid instead of running its own when it has one: the pass a group
+// run (batch.go) hands from its first plan to the others (q.pass), or,
+// on a label-free spatial query, the engine's cached vector for its ⌈r⌉
+// (ubcache.go).
 func (q *query) computeUpperBounds() {
 	cache := q.ubCache()
-	if cache != nil {
+	if q.pass == nil && cache != nil {
 		if v := cache.get(grid.LargeWidth(q.r)); v != nil {
-			q.tauUpp, q.ubDone = v, true
-			q.stats.AdjComputed += q.idx.large.Len()
-			q.adjBase = make([]bool, q.idx.large.Len())
-			for c := range q.adjBase {
-				q.adjBase[c] = true
-			}
-			return
+			q.pass = &ubPass{tauUpp: v}
 		}
+	}
+	if p := q.pass; p != nil {
+		q.tauUpp, q.ubDone = p.tauUpp, true
+		q.read.copyFrom(p.read, q.idx.large.Len())
+		q.stats.AdjComputed += q.read.count()
+		return
 	}
 	q.tauUpp = make([]int32, q.n)
 	if q.e.opts.workers() > 1 && q.e.opts.UB != UBGreedyD {
@@ -127,6 +123,28 @@ func (q *query) computeUpperBounds() {
 	}
 }
 
+// ubPass is a complete upper-bounding pass that a query on the same
+// large grid takes over: τ^upp, and the read-set the pass left behind,
+// so the taker's AdjComputed and its verification-phase charges are
+// those of a query that ran the pass itself. A cached vector has no
+// read-set (nil): a label-free pass reads every cell's b^adj.
+type ubPass struct {
+	tauUpp []int32
+	read   readSet
+}
+
+// takeOver returns q's upper-bounding pass for another query on the
+// same grid, or nil when the pass did not complete. Call it before
+// verification adds to the read-set.
+func (q *query) takeOver() *ubPass {
+	if !q.ubDone {
+		return nil
+	}
+	read := newReadSet(q.idx.large.Len())
+	read.copyFrom(q.read, 0)
+	return &ubPass{tauUpp: q.tauUpp, read: read}
+}
+
 // ubCache returns the engine's τ^upp cache, or nil when the query must
 // bypass it: labels (used or collected) filter the large grid, and a
 // temporal query's grid depends on δ's bucketing.
@@ -137,19 +155,61 @@ func (q *query) ubCache() *ubCache {
 	return q.e.ub
 }
 
-// adjBaseline returns, per large cell, whether b^adj counts as built
-// once this query's upper-bounding pass has finished: the cells the
-// pass did build, or every cell after a cache hit. Group runs (batch.go)
-// replay their members' verification-phase AdjComputed against it.
-func (q *query) adjBaseline() []bool {
-	if q.adjBase != nil {
-		return q.adjBase
+// readSet holds one bit per large cell: whether a query has read that
+// cell's b^adj. AdjComputed is the number of set bits, the distinct
+// cells the query read, which on a private grid is the number of b^adj
+// it builds. Counting reads rather than builds makes the counter a
+// function of the query alone wherever b^adj came from: a grid another
+// query built on, a pass taken over, or a cache hit.
+type readSet []atomic.Uint32
+
+func newReadSet(cells int) readSet { return make(readSet, (cells+31)/32) }
+
+// first marks cell c read and reports whether this is the first read.
+// Parallel workers share the set: the word is loaded before any atomic
+// write, so a re-read, nearly every read, costs one load.
+func (s readSet) first(c int) bool {
+	w, bit := &s[c>>5], uint32(1)<<(c&31)
+	for {
+		old := w.Load()
+		if old&bit != 0 {
+			return false
+		}
+		if w.CompareAndSwap(old, old|bit) {
+			return true
+		}
 	}
-	base := make([]bool, q.idx.large.Len())
-	for c := range base {
-		base[c] = q.idx.large.Adj(c) != nil
+}
+
+// count returns the number of cells read.
+func (s readSet) count() int {
+	n := 0
+	for w := range s {
+		n += bits.OnesCount32(s[w].Load())
 	}
-	return base
+	return n
+}
+
+// copyFrom sets s to o, or, when o is nil, to all of a grid's cells.
+func (s readSet) copyFrom(o readSet, cells int) {
+	for w := range s {
+		if o != nil {
+			s[w].Store(o[w].Load())
+		} else {
+			s[w].Store(^uint32(0) >> max(0, (w+1)*32-cells))
+		}
+	}
+}
+
+// readAdj returns b^adj(c), building and memoising it on first need,
+// and charges ctr.adjComputed on the query's first read of c. fresh
+// reports that this call built it.
+func (q *query) readAdj(c int, ctr *ctrSet) (adj *bitmap.Compressed, fresh bool) {
+	adj, fresh = q.idx.large.ComputeAdj(c)
+	if q.read.first(c) {
+		ctr.adjComputed++
+	}
+	return adj, fresh
 }
 
 // eachObject runs one(i, scratch, ctr) for every object, the loop every
@@ -243,9 +303,8 @@ func (q *query) upperBoundObject(i int, scratch *bitmap.Scratch, ctr *ctrSet) {
 // cell and clears that cell's own points, which is order-independent.
 func (q *query) orGroupAdj(i int, g pointGroup, scratch *bitmap.Scratch, ctr *ctrSet, label2 bool) {
 	large := q.idx.large
-	adj, fresh := large.ComputeAdj(int(g.cell))
+	adj, fresh := q.readAdj(int(g.cell), ctr)
 	if fresh {
-		ctr.adjComputed++
 		// Labeling-1 (Observation 1): a cell whose adjacency bitset
 		// holds a single object interacts with nobody; every point
 		// mapped into it can be pruned from all future queries with the

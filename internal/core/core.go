@@ -134,11 +134,13 @@ type PhaseStats struct {
 	// miss. The 4-wide kernel may evaluate a few pairs past a hit; they
 	// are not counted, so the number is a function of the query alone.
 	DistanceComps int `json:"distance_comps"`
-	// AdjComputed counts the b^adj cells a cold run of the query
-	// materialises: the cells upper bounding builds plus those only
-	// verification reaches. A query that takes τ^upp from the engine's
-	// cache (ubcache.go) builds fewer and reports the cold number all
-	// the same, so the counter is a function of the query alone.
+	// AdjComputed counts the distinct large cells whose b^adj the query
+	// read, in upper bounding and verification: the number a run on a
+	// private grid builds. The rule holds wherever the bitsets came
+	// from — a group's shared grid, an upper-bounding pass taken over
+	// from another plan, which brings the cells it read, or the
+	// engine's τ^upp cache (ubcache.go), whose hit brings every cell —
+	// so the counter is a function of the query alone.
 	AdjComputed int `json:"adj_computed"`
 
 	SmallCells int `json:"small_cells"`

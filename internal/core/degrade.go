@@ -19,10 +19,10 @@ package core
 //
 // If lower bounding itself did not complete (or grid mapping was
 // truncated, leaving bounds computed over a partial grid), no sound
-// bound exists and the caller gets the plain context error.
+// bound exists and the caller gets the plain context error (stopErr).
 func (q *query) degraded(top []Scored) (*Result, error) {
 	if !q.degradeOK || q.gmBroke || !q.lbDone {
-		return nil, q.ctx.Err()
+		return nil, q.stopErr()
 	}
 
 	best := -1
@@ -33,7 +33,7 @@ func (q *query) degraded(top []Scored) (*Result, error) {
 	}
 	if best < 0 {
 		// A restriction that allows nobody cannot certify an answer.
-		return nil, q.ctx.Err()
+		return nil, q.stopErr()
 	}
 	lb := int(q.tauLow[best])
 	ub := q.n - 1

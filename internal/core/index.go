@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math"
-	"sync"
 	"time"
 
 	"mio/internal/bitmap"
@@ -100,20 +99,17 @@ type query struct {
 	// ctx carries the caller's cancellation; nil means background.
 	ctx context.Context
 	// cancelCheck, when non-nil, is consulted by cancelled() before
-	// ctx. Group runs (batch.go) install it so a shared pass is
-	// abandoned once every member that needs it has detached, without
-	// tying the pass to any single member's context.
+	// ctx. Group runs (batch.go) install it so a plan's query stops once
+	// every member it serves has detached, without tying it to any
+	// single member's context.
 	cancelCheck func() bool
 
-	// adjBase, when non-nil, switches verification's AdjComputed
-	// accounting to group mode (see noteAdj): it flags, per large-grid
-	// cell, whether b^adj already existed when the group's shared
-	// upper-bounding pass finished. adjSeen (guarded by adjMu: parallel
-	// verification workers race on it) flags the cells this query has
-	// counted.
-	adjBase []bool
-	adjMu   sync.Mutex
-	adjSeen []bool
+	// read is the read-set: bit c is set once the query has read
+	// b^adj(c) (readAdj). pass, when non-nil, is a complete
+	// upper-bounding pass over idx.large that computeUpperBounds takes
+	// over instead of running its own (ubPass).
+	read readSet
+	pass *ubPass
 
 	// Degraded-answer bookkeeping (RunTopKContext). degradeOK
 	// opts in; the completion flags record which phases ran to the end
@@ -169,6 +165,18 @@ func (q *query) cancelled() bool {
 	}
 }
 
+// stopErr is the error a stopped query declines with: its context's,
+// or context.Canceled when a group's liveness check stopped it while
+// the context (the group's epoch, possibly nil) is still live.
+func (q *query) stopErr() error {
+	if q.ctx != nil {
+		if err := q.ctx.Err(); err != nil {
+			return err
+		}
+	}
+	return context.Canceled
+}
+
 // fire triggers the named fault-injection point when a registry is
 // configured; a nil registry is one pointer check.
 func (q *query) fire(point string) error {
@@ -180,7 +188,17 @@ func (q *query) run() (*Result, error) {
 	if res, err := q.bound(); res != nil || err != nil {
 		return res, err
 	}
-	return q.complete(0)
+	return q.publish(q.complete(0))
+}
+
+// publish is the post-processing step of an exact answer: it outputs
+// the labels the query collected (publishLabels) and passes its
+// arguments through. A degraded answer or an error publishes nothing.
+func (q *query) publish(res *Result, err error) (*Result, error) {
+	if err == nil && !res.Degraded {
+		res.Stats.LabelPersistFailed = q.e.publishLabels(q.ceilR(), q.newLabels)
+	}
+	return res, err
 }
 
 // objectPointWeights returns per-object point counts, the weights of
@@ -231,24 +249,31 @@ func (e *Engine) publishLabels(ceil int, l *labelstore.Labels) (persistFailed bo
 // bounding, leaving tauLow, tauUpp and threshold set. It returns
 // (nil, nil) when all four completed and the query can go on to
 // complete; otherwise the query ends here with what it returns: an
-// injected fault, or — the context having expired — whatever degraded
-// makes of the phases that did finish.
+// injected fault, or — the query having been stopped — whatever
+// degraded makes of the phases that did finish.
+//
+// bound skips the work it is handed, which is how a group run
+// (batch.go) shares it between the queries of its plans: a pre-set idx
+// (with labels) skips label input and grid mapping, their fault points
+// included; a pre-set tauLow from a complete pass skips lower
+// bounding's pass; a pre-set pass skips upper bounding's.
 func (q *query) bound() (*Result, error) {
-	if err := q.fire(fault.PointLabelInput); err != nil {
-		return nil, err
+	if q.idx == nil {
+		if err := q.fire(fault.PointLabelInput); err != nil {
+			return nil, err
+		}
+		q.labels, q.newLabels, q.stats.LabelInput = q.e.labelInput(q.ceilR(), q.r)
+		if err := q.fire(fault.PointGridMapping); err != nil {
+			return nil, err
+		}
+		t0 := time.Now()
+		q.gridMapping()
+		q.stats.GridMapping = time.Since(t0)
 	}
-	q.labels, q.newLabels, q.stats.LabelInput = q.e.labelInput(q.ceilR(), q.r)
 	if q.labels != nil {
 		q.stats.UsedLabels = true
 		q.stats.LabelBytes = q.labels.SizeBytes()
 	}
-
-	if err := q.fire(fault.PointGridMapping); err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	q.gridMapping()
-	q.stats.GridMapping = time.Since(t0)
 	q.stats.SmallCells = q.idx.small.Len()
 	q.stats.LargeCells = q.idx.large.Len()
 	if q.cancelled() {
@@ -259,8 +284,11 @@ func (q *query) bound() (*Result, error) {
 	if err := q.fire(fault.PointLowerBounding); err != nil {
 		return nil, err
 	}
-	t0 = time.Now()
-	q.threshold = q.lowerBounding()
+	t0 := time.Now()
+	if q.tauLow == nil {
+		q.lowerBounding()
+	}
+	q.threshold = q.kthHighest(q.tauLow)
 	q.stats.LowerBounding = time.Since(t0)
 	if q.cancelled() {
 		return q.degraded(nil)
@@ -279,10 +307,11 @@ func (q *query) bound() (*Result, error) {
 }
 
 // complete finishes a bounded query: candidates are assembled against
-// max(threshold, floor), verified best-first with the Corollary 1 cut,
-// and collected labels are published. floor must be a sound threshold
-// (at least k reportable objects anywhere score ≥ floor); 0 asks for
-// the query's own.
+// max(threshold, floor) and verified best-first with the Corollary 1
+// cut. floor must be a sound threshold (at least k reportable objects
+// anywhere score ≥ floor); 0 asks for the query's own. Publishing the
+// collected labels is the caller's step (publish): a group run
+// publishes once for all its plans.
 func (q *query) complete(floor int) (*Result, error) {
 	t0 := time.Now()
 	cand := q.assembleCandidates(max(q.threshold, floor))
@@ -303,7 +332,6 @@ func (q *query) complete(floor int) (*Result, error) {
 	}
 
 	q.finishGridStats()
-	q.stats.LabelPersistFailed = q.e.publishLabels(q.ceilR(), q.newLabels)
 	res := &Result{TopK: topk, Stats: q.stats}
 	if len(topk) > 0 {
 		res.Best = topk[0]
@@ -331,11 +359,19 @@ func pruned(labels *labelstore.Labels, obj, pt int) bool {
 // configuration.
 func (q *query) gridMapping() {
 	large, smalls, complete := q.e.mapGrids([]float64{q.r}, q.labels, q.bucket, q.halo, q.cancelled)
-	q.idx = newBigrid(smalls[0], large, groupsOf(large, q.n))
+	q.useIndex(newBigrid(smalls[0], large, groupsOf(large, q.n)))
 	// The truncated grid is discarded by bound()'s post-phase ctx check;
 	// gmBroke records the truncation so a degraded answer is never
 	// certified from a partial grid.
 	q.gmBroke = !complete
+}
+
+// useIndex installs the query's BIGrid, with an empty read-set over its
+// large grid: the index is the query's own even when its grids are
+// shared (a group run's plans).
+func (q *query) useIndex(idx *bigrid) {
+	q.idx = idx
+	q.read = newReadSet(idx.large.Len())
 }
 
 // mapGrids builds the grids of one or several exact thresholds sharing

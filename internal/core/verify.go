@@ -167,8 +167,12 @@ func (w *scoreWalk) run() {
 		if len(grp.idx) == 0 {
 			continue
 		}
+		// WITH-LABEL runs may reach cells whose b^adj (label-filtered)
+		// upper bounding never needed; readAdj builds it now (§III-D,
+		// VERIFICATION-WITH-LABEL).
 		c := int(g.cell)
-		w.mask.AndNotFromCompressed(q.verifyAdj(c, &w.ctr), w.bOi)
+		adj, _ := q.readAdj(c, &w.ctr)
+		w.mask.AndNotFromCompressed(adj, w.bOi)
 		if w.share != nil {
 			w.mask.AndScratch(w.share)
 		}
@@ -224,55 +228,6 @@ func (w *scoreWalk) labelEmpty(idx []int32) {
 			w.q.newLabels.ClearBit(w.i, int(pt), labelstore.BitVerify)
 		}
 	}
-}
-
-// verifyAdj returns b^adj(c) for a group visit. WITH-LABEL runs may
-// reach cells whose b^adj (label-filtered) upper bounding never needed;
-// it is computed now (§III-D, VERIFICATION-WITH-LABEL).
-func (q *query) verifyAdj(c int, ctr *ctrSet) *bitmap.Compressed {
-	large := q.idx.large
-	adj := large.Adj(c)
-	if adj == nil {
-		var fresh bool
-		adj, fresh = large.ComputeAdj(c)
-		if q.noteAdj(c, fresh) {
-			ctr.adjComputed++
-		}
-	} else if q.adjBase != nil && q.noteAdj(c, false) {
-		// On a shared grid another plan may have materialised this
-		// cell's b^adj already; the replay accounting still charges it
-		// to this query if a private grid would have.
-		ctr.adjComputed++
-	}
-	return adj
-}
-
-// noteAdj decides whether a verification-phase visit to cell c's
-// adjacency bitset counts toward this query's AdjComputed. A solo
-// query owns its grid, so grid freshness is the answer. Group runs
-// (batch.go) share one large grid across member plans: freshness would
-// credit whichever plan reached the cell first, so accounting switches
-// to a per-query replay — every visit to a cell outside adjBase (the
-// cells whose b^adj existed when the shared upper-bounding pass
-// finished) counts exactly once per query, which is what a private
-// grid would have charged.
-func (q *query) noteAdj(c int, fresh bool) bool {
-	if q.adjBase == nil {
-		return fresh
-	}
-	if q.adjBase[c] {
-		return false
-	}
-	q.adjMu.Lock()
-	defer q.adjMu.Unlock()
-	if q.adjSeen == nil {
-		q.adjSeen = make([]bool, len(q.adjBase))
-	}
-	if q.adjSeen[c] {
-		return false
-	}
-	q.adjSeen[c] = true
-	return true
 }
 
 // probeCell runs the distance computations of Algorithm 6 lines 13-17

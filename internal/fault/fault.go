@@ -47,7 +47,11 @@ const (
 	// PointSwapBuild fires before a swap builds its engine pool.
 	PointSwapBuild = "swap.build"
 	// PointLabelInput .. PointVerification fire at the entry of the
-	// corresponding §III/§IV pipeline phase inside the engine.
+	// corresponding §III/§IV pipeline phase inside the engine. Inside a
+	// batch group (core.RunGroup) label input and grid mapping are the
+	// group's and fire once, failing every member; lower bounding,
+	// upper bounding and verification fire once per plan — one
+	// distinct (r, k) — and fail that plan's members only.
 	PointLabelInput    = "engine.label_input"
 	PointGridMapping   = "engine.grid_mapping"
 	PointLowerBounding = "engine.lower_bounding"

@@ -25,17 +25,19 @@ import (
 //     (grid.SmallWidth divides by √dims).
 //   - A plan with the same exact r as the plan before it takes over
 //     that plan's lower-bounding pass (its tauLow).
-//   - Every plan after the first completed upper-bounding pass takes
-//     that pass over (ubPass): τ^upp depends only on the large grid and
-//     the labels.
+//   - Every plan reads and fills the upper-bounding entry (ubEntry)
+//     the first plan to reach upper bounding found in the engine's
+//     cache or made: the count bounds and τ^upp depend only on the
+//     large grid and the labels. A plan computes τ^upp only for its
+//     survivors that the entry still lacks.
 //   - Members with equal (r, k) share one plan and receive the same
 //     *Result.
 //
 // Per-member results are bitwise-identical to the query-major path —
 // including the DistanceComps and AdjComputed counters — because each
 // plan is the solo pipeline, skipping only work whose output it is
-// handed, and AdjComputed counts the cells a query reads (readSet),
-// which no other query on the shared grid changes.
+// handed, and AdjComputed counts the cells a query reads (readSet,
+// markRead), which no other query on the shared grid changes.
 
 // GroupSpec describes one member of a batch group. All members of one
 // RunGroup call must share ⌈R⌉.
@@ -274,7 +276,7 @@ func (g *groupRun) run(ceil int) {
 	gridDur := time.Since(t0)
 
 	var prev *query // the last plan's query that ran
-	var pass *ubPass
+	var ub *ubEntry
 	exact := true
 	for _, pl := range g.plans {
 		if !complete || g.aborted() {
@@ -288,7 +290,7 @@ func (g *groupRun) run(ceil int) {
 		q := newQuery(g.e, pl.r, pl.k)
 		q.ctx = g.ctx
 		q.cancelCheck = func() bool { return g.allDead(pl.members) }
-		q.labels, q.newLabels, q.pass = labels, newLabels, pass
+		q.labels, q.newLabels, q.ub = labels, newLabels, ub
 		q.stats.LabelInput, q.stats.GridMapping = labelDur, gridDur
 		if prev != nil && prev.r == pl.r {
 			q.useIndex(prev.idx)
@@ -304,8 +306,8 @@ func (g *groupRun) run(ceil int) {
 		pl.q, prev = q, q
 
 		res, err := q.bound()
-		if pass == nil {
-			pass = q.takeOver()
+		if ub == nil {
+			ub = q.ub
 		}
 		if res == nil && err == nil {
 			res, err = q.complete(0)

@@ -426,9 +426,10 @@ func TestRunGroupFaultPoints(t *testing.T) {
 		}
 	}
 
-	// Lower bounding fires once per r-plan: with the rule held back for
-	// one draw, only the second r-plan's members fail and the first
-	// survives with an exact result — the plan-scoped blast radius.
+	// Lower bounding fires once per plan, also where a plan takes the
+	// previous same-r plan's τ^low over: with the rule held back for one
+	// draw, only the second plan's members fail and the first survives
+	// with an exact result — the plan-scoped blast radius.
 	reg := fault.New(1)
 	reg.Arm(fault.Rule{Point: fault.PointLowerBounding, Kind: fault.KindError, P: 1, After: 1})
 	eng, _ := NewEngine(ds, Options{Faults: reg})
@@ -492,11 +493,11 @@ func (c firedCtx) Err() error {
 
 // TestRunGroupFirstPlanDetachesInUpperBounding detaches the first plan's
 // only member as its upper-bounding pass starts. A serial pass stops on
-// its first poll, incomplete, so the next plan must run its own rather
-// than take over the partial vector; a parallel pass completes and is
-// taken over. Either way the second plan's Result equals the solo one,
-// AdjComputed included, and the group, not having run every plan to
-// completion, publishes no labels.
+// its first poll, incomplete, so the next plan must compute what the
+// shared entry lacks; a parallel pass completes and fills it. Either
+// way the second plan's Result equals the solo one, AdjComputed
+// included, and the group, not having run every plan to completion,
+// publishes no labels.
 func TestRunGroupFirstPlanDetachesInUpperBounding(t *testing.T) {
 	for name, ds := range testDatasets(t) {
 		ceil := math.Ceil(rValues(name)[1])

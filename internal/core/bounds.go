@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -89,25 +88,28 @@ type candidate struct {
 
 // computeUpperBounds is the bound-computing half of UPPER-BOUNDING(O,
 // r, τ^low_max) (Algorithm 5) and its WITH-LABEL variant;
-// assembleCandidates is the other. It fills q.tauUpp (Lemma 2). τ^upp is
-// a function of the large grid and the labels alone — both determined
-// by ⌈r⌉, not the exact r — so a query takes over a complete pass over
-// its grid instead of running its own when it has one: the pass a group
-// run (batch.go) hands from its first plan to the others (q.pass), or,
-// on a label-free spatial query, the engine's cached vector for its ⌈r⌉
-// (ubcache.go).
+// assembleCandidates is the other. It fills q.tauUpp as a cascade in
+// front of Lemma 2: every object first gets its count bound B_i
+// (countBounds), and only the survivors (survives), whose B_i reaches
+// the threshold, get Lemma 2's bound. An object below the threshold is
+// never a candidate, never the shard's MaxUB (the allowed object with
+// the highest τ^low survives with τ^upp ≥ τ^low ≥ threshold) and never
+// degraded's best, so answers and candidates are those of a full pass.
+//
+// Both bounds are functions of the large grid alone, so they live in a
+// ubEntry that queries on the same grid share: the engine's cached entry
+// for its ⌈r⌉ on a label-free spatial query (ubcache.go), the entry the
+// first plan of a group run made (batch.go), or else one of its own. A
+// survivor whose τ^upp the entry holds is not computed again; one it
+// lacks is computed on q's grid and stored. An entry of its own is
+// published only from a pass that completed on a complete grid.
 func (q *query) computeUpperBounds() {
 	cache := q.ubCache()
-	if q.pass == nil && cache != nil {
-		if v := cache.get(grid.LargeWidth(q.r)); v != nil {
-			q.pass = &ubPass{tauUpp: v}
-		}
+	if q.ub == nil && cache != nil {
+		q.ub = cache.get(grid.LargeWidth(q.r))
 	}
-	if p := q.pass; p != nil {
-		q.tauUpp, q.ubDone = p.tauUpp, true
-		q.read.copyFrom(p.read, q.idx.large.Len())
-		q.stats.AdjComputed += q.read.count()
-		return
+	if q.ub == nil {
+		q.ub = newUBEntry(grid.LargeWidth(q.r), countBounds(q.idx, q.n))
 	}
 	q.tauUpp = make([]int32, q.n)
 	if q.e.opts.workers() > 1 && q.e.opts.UB != UBGreedyD {
@@ -116,33 +118,81 @@ func (q *query) computeUpperBounds() {
 	} else {
 		// Unlike tauLow, a partial tauUpp is NOT sound (zeros are not
 		// upper bounds), so the degraded path must know it is unusable.
-		q.ubDone = q.eachObject(q.pointCount, q.upperBoundObject)
+		q.ubDone = q.eachObject(q.pointCount, q.boundObject)
 	}
 	if cache != nil && q.ubDone && !q.gmBroke {
-		cache.put(grid.LargeWidth(q.r), q.tauUpp)
+		cache.put(q.ub)
 	}
 }
 
-// ubPass is a complete upper-bounding pass that a query on the same
-// large grid takes over: τ^upp, and the read-set the pass left behind,
-// so the taker's AdjComputed and its verification-phase charges are
-// those of a query that ran the pass itself. A cached vector has no
-// read-set (nil): a label-free pass reads every cell's b^adj.
-type ubPass struct {
-	tauUpp []int32
-	read   readSet
+// countBounds returns every object's count bound B_i = min(n − 1,
+// Σ_g (S(g.cell) − 1)) over its point groups g, with S the grid's
+// NeighborhoodPostings. b^adj(c) holds at most S(c) objects, o_i among
+// them, so the union Lemma 2 counts holds at most 1 + Σ_g (S − 1):
+// B_i ≥ τ^upp(o_i), and no bitmap is read. On a WITH-LABEL run the sum
+// takes every group, active or not, which only loosens it.
+func countBounds(idx *bigrid, n int) []int32 {
+	s := idx.large.NeighborhoodPostings()
+	b := make([]int32, n)
+	for i, gs := range idx.groups {
+		sum := 0
+		for _, g := range gs {
+			sum += int(s[g.cell]) - 1
+		}
+		b[i] = int32(min(sum, n-1))
+	}
+	return b
 }
 
-// takeOver returns q's upper-bounding pass for another query on the
-// same grid, or nil when the pass did not complete. Call it before
-// verification adds to the read-set.
-func (q *query) takeOver() *ubPass {
-	if !q.ubDone {
-		return nil
+// survives reports whether object i needs Lemma 2's bound: it is
+// allowed and its count bound reaches the threshold. A query that
+// collects labels needs every object's, so Labeling-1 and -2 see every
+// cell and object of the grid.
+func (q *query) survives(i int) bool {
+	return q.newLabels != nil || q.allowed(i) && int(q.ub.b[i]) >= q.threshold
+}
+
+// boundObject sets q.tauUpp[i], running Lemma 2 when the cascade
+// needs it (settled).
+func (q *query) boundObject(i int, scratch *bitmap.Scratch, ctr *ctrSet) {
+	if !q.settled(i, ctr) {
+		q.store(i, q.upperBoundObject(i, scratch, ctr))
 	}
-	read := newReadSet(q.idx.large.Len())
-	read.copyFrom(q.read, 0)
-	return &ubPass{tauUpp: q.tauUpp, read: read}
+}
+
+// settled sets q.tauUpp[i] to what the cascade knows without Lemma 2 —
+// B_i for an object that does not survive, the entry's τ^upp for a
+// survivor it holds — and reports whether that is final. A survivor the
+// entry lacks needs Lemma 2, and store.
+func (q *query) settled(i int, ctr *ctrSet) bool {
+	q.tauUpp[i] = q.ub.b[i]
+	if !q.survives(i) {
+		return true
+	}
+	v := q.ub.tau[i].Load()
+	if v < 0 {
+		return false
+	}
+	q.tauUpp[i] = v
+	q.markRead(i, ctr)
+	return true
+}
+
+// store sets τ^upp(o_i) = v in q.tauUpp and in the entry.
+func (q *query) store(i int, v int32) {
+	q.tauUpp[i] = v
+	q.ub.tau[i].Store(v)
+}
+
+// markRead charges the cells of o_i's (active) groups to the read-set,
+// the cells upperBoundObject would read: a survivor costs AdjComputed
+// the same whether its bound was computed or found in the entry.
+func (q *query) markRead(i int, ctr *ctrSet) {
+	for _, g := range q.idx.groups[i] {
+		if (q.labels == nil || q.groupActiveUpper(i, g)) && q.read.first(int(g.cell)) {
+			ctr.adjComputed++
+		}
+	}
 }
 
 // ubCache returns the engine's τ^upp cache, or nil when the query must
@@ -160,7 +210,8 @@ func (q *query) ubCache() *ubCache {
 // cells the query read, which on a private grid is the number of b^adj
 // it builds. Counting reads rather than builds makes the counter a
 // function of the query alone wherever b^adj came from: a grid another
-// query built on, a pass taken over, or a cache hit.
+// query built on, or an entry that held the survivor's τ^upp
+// (markRead).
 type readSet []atomic.Uint32
 
 func newReadSet(cells int) readSet { return make(readSet, (cells+31)/32) }
@@ -177,26 +228,6 @@ func (s readSet) first(c int) bool {
 		}
 		if w.CompareAndSwap(old, old|bit) {
 			return true
-		}
-	}
-}
-
-// count returns the number of cells read.
-func (s readSet) count() int {
-	n := 0
-	for w := range s {
-		n += bits.OnesCount32(s[w].Load())
-	}
-	return n
-}
-
-// copyFrom sets s to o, or, when o is nil, to all of a grid's cells.
-func (s readSet) copyFrom(o readSet, cells int) {
-	for w := range s {
-		if o != nil {
-			s[w].Store(o[w].Load())
-		} else {
-			s[w].Store(^uint32(0) >> max(0, (w+1)*32-cells))
 		}
 	}
 }
@@ -273,10 +304,9 @@ func (q *query) assembleCandidates(threshold int) []candidate {
 	return cand
 }
 
-// upperBoundObject computes τ^upp(o_i) (Lemma 2) into q.tauUpp[i],
-// computing b^adj cells on demand and emitting Labeling-1/-2 labels
-// when collecting.
-func (q *query) upperBoundObject(i int, scratch *bitmap.Scratch, ctr *ctrSet) {
+// upperBoundObject returns τ^upp(o_i) (Lemma 2), computing b^adj cells
+// on demand and emitting Labeling-1/-2 labels when collecting.
+func (q *query) upperBoundObject(i int, scratch *bitmap.Scratch, ctr *ctrSet) int32 {
 	scratch.Reset()
 	for _, g := range q.idx.groups[i] {
 		if q.labels != nil && !q.groupActiveUpper(i, g) {
@@ -284,11 +314,7 @@ func (q *query) upperBoundObject(i int, scratch *bitmap.Scratch, ctr *ctrSet) {
 		}
 		q.orGroupAdj(i, g, scratch, ctr, true)
 	}
-	tau := scratch.Cardinality() - 1
-	if tau < 0 {
-		tau = 0
-	}
-	q.tauUpp[i] = int32(tau)
+	return int32(max(scratch.Cardinality()-1, 0))
 }
 
 // orGroupAdj ORs b^adj of the group's cell into scratch, materialising

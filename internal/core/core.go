@@ -134,18 +134,19 @@ type PhaseStats struct {
 	// miss. The 4-wide kernel may evaluate a few pairs past a hit; they
 	// are not counted, so the number is a function of the query alone.
 	DistanceComps int `json:"distance_comps"`
-	// AdjComputed counts the distinct large cells whose b^adj the query
-	// read, in upper bounding and verification: the number a run on a
-	// private grid builds. The rule holds wherever the bitsets came
-	// from — a group's shared grid, an upper-bounding pass taken over
-	// from another plan, which brings the cells it read, or the
-	// engine's τ^upp cache (ubcache.go), whose hit brings every cell —
-	// so the counter is a function of the query alone.
+	// AdjComputed counts the distinct large cells of the groups of the
+	// objects that needed Lemma 2's bound (the survivors of the count
+	// bound, computeUpperBounds), plus the cells whose b^adj
+	// verification read: the number a run on a private grid with an
+	// empty entry builds. A survivor's cells count whether their b^adj
+	// was built, found memoised on a group's shared grid, or not needed
+	// because the upper-bounding entry (ubcache.go) held its τ^upp, so
+	// the counter is a function of the query alone.
 	AdjComputed int `json:"adj_computed"`
 
 	SmallCells int `json:"small_cells"`
 	LargeCells int `json:"large_cells"`
-	IndexBytes int `json:"index_bytes"` // BIGrid memory footprint
+	IndexBytes int `json:"index_bytes"` // BIGrid memory footprint, without the memoised b^adj
 	// Compression accounting (footnote 4 of the paper): the small grid
 	// as stored — a key and a sorted object-id run per cell — vs what
 	// dense n-bit-per-cell bitsets would occupy.

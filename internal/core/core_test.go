@@ -324,9 +324,9 @@ func TestSingleObjectDataset(t *testing.T) {
 }
 
 // TestIndexBytesIndependentOfK pins that the reported index footprint
-// is a function of (dataset, r): k only changes how much verification
-// runs, and verification adds nothing to the grid. Without a label
-// store, upper bounding materialises b^adj for every cell at any k.
+// is a function of (dataset, r): k changes how much upper bounding and
+// verification run, and so which b^adj are memoised, but the footprint
+// counts the grids without them.
 func TestIndexBytesIndependentOfK(t *testing.T) {
 	ds := testDatasets(t)["bird"]
 	eng, _ := NewEngine(ds, Options{})

@@ -105,11 +105,11 @@ type query struct {
 	cancelCheck func() bool
 
 	// read is the read-set: bit c is set once the query has read
-	// b^adj(c) (readAdj). pass, when non-nil, is a complete
-	// upper-bounding pass over idx.large that computeUpperBounds takes
-	// over instead of running its own (ubPass).
+	// b^adj(c) (readAdj, markRead). ub is the entry upper bounding
+	// reads and fills (ubEntry): set beforehand when a group run hands
+	// its plans one, else computeUpperBounds finds or makes it.
 	read readSet
-	pass *ubPass
+	ub   *ubEntry
 
 	// Degraded-answer bookkeeping (RunTopKContext). degradeOK
 	// opts in; the completion flags record which phases ran to the end
@@ -256,7 +256,8 @@ func (e *Engine) publishLabels(ceil int, l *labelstore.Labels) (persistFailed bo
 // (batch.go) shares it between the queries of its plans: a pre-set idx
 // (with labels) skips label input and grid mapping, their fault points
 // included; a pre-set tauLow from a complete pass skips lower
-// bounding's pass; a pre-set pass skips upper bounding's.
+// bounding's pass; a pre-set ub skips the count bounds and every τ^upp
+// it holds.
 func (q *query) bound() (*Result, error) {
 	if q.idx == nil {
 		if err := q.fire(fault.PointLabelInput); err != nil {
@@ -340,11 +341,14 @@ func (q *query) complete(floor int) (*Result, error) {
 }
 
 // finishGridStats records the index-footprint numbers; split out so
-// the degraded path can report them too once the grid exists.
+// the degraded path can report them too once the grid exists. The
+// b^adj memoised on the large grid are left out: which cells need one
+// depends on the threshold (computeUpperBounds' cascade), so the
+// footprint stays a function of (dataset, r).
 func (q *query) finishGridStats() {
 	q.stats.SmallGridBytes = q.idx.small.SizeBytes()
 	q.stats.SmallGridUncompressedBytes = q.idx.small.UncompressedSizeBytes(q.n)
-	q.stats.LargeGridBytes = q.idx.large.SizeBytes()
+	q.stats.LargeGridBytes = q.idx.large.SizeBytes() - q.idx.large.AdjBytes()
 	q.stats.IndexBytes = q.idx.sizeBytes(q.stats.SmallGridBytes, q.stats.LargeGridBytes)
 }
 

@@ -47,8 +47,10 @@ func (q *query) lowerBoundHashP() {
 // cost-based point-group partition (UB-greedy-p). Cost model of Eq. (3):
 // a group whose cell lacks b^adj costs a 27-cell union; one whose cell
 // has it costs a single OR. The labeling term |P_{i,K}| is omitted when
-// labels are in use. (The object-partition strawman UB-greedy-d, kept
-// for Fig. 8, is eachObject weighted by |P_i|.)
+// labels are in use. Objects the count-bound cascade settles
+// (computeUpperBounds) take no partition. (The object-partition
+// strawman UB-greedy-d, kept for Fig. 8, is eachObject weighted by
+// |P_i|.)
 func (q *query) upperBoundGreedyP() {
 	t := q.e.opts.workers()
 	ctrs := make([]ctrSet, t)
@@ -63,6 +65,9 @@ func (q *query) upperBoundGreedyP() {
 	costs := make([]int, 0, 64)
 	active := make([]int, 0, 64)
 	for i := 0; i < q.n; i++ {
+		if q.settled(i, &ctrs[0]) {
+			continue
+		}
 		costs = costs[:0]
 		active = active[:0]
 		for gi, g := range q.idx.groups[i] {
@@ -80,7 +85,7 @@ func (q *query) upperBoundGreedyP() {
 			costs = append(costs, cost)
 		}
 		if len(active) == 0 {
-			q.tauUpp[i] = 0
+			q.store(i, 0)
 			continue
 		}
 		buckets := parallel.Greedy(costs, t)
@@ -96,11 +101,7 @@ func (q *query) upperBoundGreedyP() {
 		for w := 1; w < t; w++ {
 			locals[0].OrScratch(locals[w])
 		}
-		tau := locals[0].Cardinality() - 1
-		if tau < 0 {
-			tau = 0
-		}
-		q.tauUpp[i] = int32(tau)
+		q.store(i, int32(max(locals[0].Cardinality()-1, 0)))
 		if replay != nil {
 			q.labelUpperReplay(i, replay)
 		}

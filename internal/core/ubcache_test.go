@@ -387,7 +387,142 @@ func TestUpperBoundCacheEviction(t *testing.T) {
 	specs = append(specs, GroupSpec{R: 0.75, K: 1}, GroupSpec{R: float64(ubCacheCap+1) - 0.25, K: 1})
 	eng := warmColdStream(t, "uniform", ds, Options{}, specs)
 	want := IndexCacheStats{Misses: ubCacheCap + 2, Hits: 1, Entries: ubCacheCap}
-	if st := eng.IndexCache(); st != want {
+	st := eng.IndexCache()
+	if got := (IndexCacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries}); got != want {
 		t.Errorf("index cache %+v, want %+v", st, want)
+	}
+	if st.Filled > st.Entries*ds.N() {
+		t.Errorf("index cache %+v holds more than %d values per entry", st, ds.N())
+	}
+}
+
+// fillStream is a threshold-descending stream at one ⌈r⌉: k rises from
+// 1 to 5 while r falls from ⌈r⌉ to ⌈r⌉ − 0.9, so every query may need
+// τ^upp for objects the ones before it pruned by their count bound.
+func fillStream(ceil float64) []GroupSpec {
+	var specs []GroupSpec
+	for k := 1; k <= 5; k++ {
+		specs = append(specs, GroupSpec{R: ceil - 0.9*float64(k-1)/4, K: k})
+	}
+	return specs
+}
+
+// TestUpperBoundCacheFillsInPlace runs fillStream on one reused engine:
+// each query fills the entry the first one published with the τ^upp of
+// its own survivors, and each Result equals a fresh engine's,
+// Candidates and AdjComputed included. On some dataset the first query
+// must leave values for the later ones to fill.
+func TestUpperBoundCacheFillsInPlace(t *testing.T) {
+	grew := false
+	for name, ds := range testDatasets(t) {
+		specs := fillStream(math.Ceil(rValues(name)[1]))
+		first, _ := NewEngine(ds, Options{})
+		if _, err := first.RunTopK(specs[0].R, specs[0].K); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range ubCacheStrategies {
+			at := fmt.Sprintf("%s w=%d %v %v", name, opts.Workers, opts.LB, opts.UB)
+			warm := warmColdStream(t, at, ds, opts, specs)
+			st := warm.IndexCache()
+			if st.Misses != 1 || st.Entries != 1 || st.Filled < first.IndexCache().Filled || st.Filled > ds.N() {
+				t.Errorf("%s: index cache %+v, want one entry holding %d..%d values", at, st, first.IndexCache().Filled, ds.N())
+			}
+			grew = grew || st.Filled > first.IndexCache().Filled
+		}
+	}
+	if !grew {
+		t.Error("no stream filled its entry past what its first query left")
+	}
+}
+
+// TestUpperBoundCacheConcurrentFill has one query publish an entry, then
+// two pooled engines fill it at once with lower thresholds. Every answer
+// equals a fresh engine's. Run under -race.
+func TestUpperBoundCacheConcurrentFill(t *testing.T) {
+	for name, ds := range testDatasets(t) {
+		specs := fillStream(math.Ceil(rValues(name)[1]))
+		want := make([]*comparableResult, len(specs))
+		for i, sp := range specs {
+			fresh, _ := NewEngine(ds, Options{})
+			res, _ := fresh.RunTopK(sp.R, sp.K)
+			want[i] = stripVolatile(res)
+		}
+		p, err := NewPool(ds, Options{}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _ := p.Acquire(context.Background(), -1)
+		res, err := e.RunTopK(specs[0].R, specs[0].K)
+		p.Release(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := stripVolatile(res); !reflect.DeepEqual(g, want[0]) {
+			t.Fatalf("%s: publishing query %+v, fresh engine %+v", name, g, want[0])
+		}
+		got := make([]*comparableResult, len(specs))
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			e, err := p.Acquire(context.Background(), -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func(e *Engine, w int) {
+				defer wg.Done()
+				defer p.Release(e)
+				for i := 1 + w; i < len(specs); i += 2 {
+					if res, err := e.RunTopK(specs[i].R, specs[i].K); err == nil {
+						got[i] = stripVolatile(res)
+					}
+				}
+			}(e, w)
+		}
+		wg.Wait()
+		for i := 1; i < len(specs); i++ {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("%s r=%g k=%d: %+v, fresh engine %+v", name, specs[i].R, specs[i].K, got[i], want[i])
+			}
+		}
+		if st := p.IndexCache(); st.Misses != 1 || st.Hits != uint64(len(specs)-1) || st.Filled > ds.N() {
+			t.Errorf("%s: index cache %+v, want one miss, then hits into one entry", name, st)
+		}
+	}
+}
+
+// TestUpperBoundCacheGroupFillsInPlace runs a group whose plans share
+// one exact r and go k = 1 → 5, so each plan has a lower threshold than
+// the one before and fills what its survivors lack. Every member equals
+// a fresh engine's solo run, on a cold engine and on a warm one.
+func TestUpperBoundCacheGroupFillsInPlace(t *testing.T) {
+	bg := context.Background()
+	for name, ds := range testDatasets(t) {
+		r := math.Ceil(rValues(name)[1]) - 0.4
+		var specs []GroupSpec
+		for k := 1; k <= 5; k++ {
+			specs = append(specs, GroupSpec{R: r, K: k})
+		}
+		for _, opts := range []Options{{}, {Workers: 2}, {Workers: 2, UB: UBGreedyD}} {
+			eng, _ := NewEngine(ds, opts)
+			for pass := 0; pass < 2; pass++ {
+				outs, rep := eng.RunGroup(bg, specs)
+				if rep.Plans != len(specs) {
+					t.Fatalf("%s: %d plans, want %d", name, rep.Plans, len(specs))
+				}
+				for i, sp := range specs {
+					fresh, _ := NewEngine(ds, opts)
+					want, _ := fresh.RunTopK(sp.R, sp.K)
+					if outs[i].Err != nil {
+						t.Fatalf("%s pass %d k=%d: %v", name, pass, sp.K, outs[i].Err)
+					}
+					if g, w := stripVolatile(outs[i].Result), stripVolatile(want); !reflect.DeepEqual(g, w) {
+						t.Fatalf("%s w=%d %v pass %d k=%d: group %+v, fresh engine %+v", name, opts.Workers, opts.UB, pass, sp.K, g, w)
+					}
+				}
+			}
+			if st := eng.IndexCache(); st.Misses != 1 || st.Hits != 1 {
+				t.Errorf("%s: index cache %+v, want one lookup per group", name, st)
+			}
+		}
 	}
 }

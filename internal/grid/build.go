@@ -372,3 +372,98 @@ func (d *directory) columns(b int32, k Key, radius, halo int32, fn func(dt, dx, 
 		}
 	}
 }
+
+// columnRuns splits the directory into columns, the runs of cells of
+// one bucket with one (X, Y): column j is cells [start[j], start[j+1])
+// with key field hi[j], and bucket i holds columns [bucket[i],
+// bucket[i+1]).
+func (d *directory) columnRuns() (start []int32, hi []uint64, bucket []int32) {
+	start, hi = make([]int32, 0, d.Len()+1), make([]uint64, 0, d.Len())
+	bucket = make([]int32, 0, len(d.bucketID)+1)
+	for i, b := range d.bucketOff[:len(d.bucketID)] {
+		bucket = append(bucket, int32(len(hi)))
+		for c := int(b); c < int(d.bucketOff[i+1]); c++ {
+			if c == int(b) || d.hi[c] != d.hi[c-1] {
+				start = append(start, int32(c))
+				hi = append(hi, d.hi[c])
+			}
+		}
+	}
+	return append(start, int32(d.Len())), hi, append(bucket, int32(len(hi)))
+}
+
+// addColumns pairs every column with the columns at (X+dx, Y−1..Y+1)
+// in the bucket dt above its own, three adjacent ones in the column
+// list, and adds the postings of each pair's cells whose Z is within 1
+// to both sides (addPair). Shifting every key by one offset keeps the
+// directory order, so the first target column only moves forward as
+// the source column does: one merge of the column list against itself,
+// with no search. Keys are compared in the offset-binary form they are
+// stored in, where adding an offset is adding it to the field; a
+// coordinate that leaves the field's range names no cell.
+func (d *directory) addColumns(s []int32, start []int32, hi []uint64, bucket []int32, dt int32, dx int64) {
+	tb := 0
+	for sb, b := range d.bucketID {
+		t := int64(b) + int64(dt)
+		for tb < len(d.bucketID) && int64(d.bucketID[tb]) < t {
+			tb++
+		}
+		if tb == len(d.bucketID) {
+			return
+		}
+		if int64(d.bucketID[tb]) != t {
+			continue
+		}
+		p, end := bucket[tb], bucket[tb+1]
+		for j := bucket[sb]; j < bucket[sb+1] && p < end; j++ {
+			x, y := int64(hi[j]>>32)+dx, int64(uint32(hi[j]))
+			if x < 0 || x > math.MaxUint32 {
+				continue
+			}
+			first := uint64(x)<<32 | uint64(max(y-1, 0))
+			last := uint64(x)<<32 | uint64(min(y+1, math.MaxUint32))
+			for p < end && hi[p] < first {
+				p++
+			}
+			for q := p; q < end && hi[q] <= last; q++ {
+				d.addPair(s, start, j, q)
+			}
+		}
+	}
+}
+
+// addPair adds to the cells of each of the columns j and q, two
+// distinct columns of one neighbourhood, the postings of the other's
+// cells whose Z is within 1 of theirs.
+func (d *directory) addPair(s []int32, start []int32, j, q int32) {
+	c, tc := int(start[j]), int(start[q])
+	if int(start[j+1]) == c+1 && int(start[q+1]) == tc+1 {
+		// One cell each, as every column of a planar grid.
+		if z := int64(d.lo[c]) - int64(d.lo[tc]); -1 <= z && z <= 1 {
+			s[c] += d.CellOff[tc+1] - d.CellOff[tc]
+			s[tc] += d.CellOff[c+1] - d.CellOff[c]
+		}
+		return
+	}
+	d.addWindow(s, c, int(start[j+1]), tc, int(start[q+1]))
+	d.addWindow(s, tc, int(start[q+1]), c, int(start[j+1]))
+}
+
+// addWindow adds to s[c], for every cell c of the column [from, to),
+// the postings of the cells of the column [tFrom, tTo) whose Z is
+// within 1 of c's. Both columns ascend in Z, so the window [lo, hi)
+// only moves forward.
+func (d *directory) addWindow(s []int32, from, to, tFrom, tTo int) {
+	lo, hi := tFrom, tFrom
+	for c := from; c < to; c++ {
+		z := int64(d.lo[c])
+		for lo < tTo && int64(d.lo[lo]) < z-1 {
+			lo++
+		}
+		hi = max(hi, lo)
+		for hi < tTo && int64(d.lo[hi]) <= z+1 {
+			hi++
+		}
+		s[c] += d.CellOff[hi] - d.CellOff[lo]
+	}
+}

@@ -755,3 +755,82 @@ func TestGridCollectableAfterUse(t *testing.T) {
 		t.Fatal("a used grid survived the collection after it was dropped")
 	}
 }
+
+// TestNeighborhoodPostings holds the merge-pass neighbourhood counts
+// against a per-cell sum over what columns visits: 3-D walks whose
+// columns hold several cells and Z gaps of one and two cells, a planar
+// set, bucketed builds at halo 0 and 1, and cells on the edges of the
+// int32 key range, whose neighbours fall off it.
+func TestNeighborhoodPostings(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	walk := func(n, steps int, span, step, zStep float64) *data.Dataset {
+		objs := make([][]geom.Point, n)
+		for i := range objs {
+			p := geom.Pt(rng.Float64()*span, rng.Float64()*span, rng.Float64()*span)
+			for j := 0; j < 1+rng.Intn(steps); j++ {
+				p = p.Add(geom.Pt(rng.NormFloat64()*step, rng.NormFloat64()*step, rng.NormFloat64()*zStep))
+				objs[i] = append(objs[i], p)
+			}
+		}
+		return dataset(objs...)
+	}
+	planar := walk(120, 30, 40, 1, 0)
+	for i := range planar.Objects {
+		for j := range planar.Objects[i].Pts {
+			planar.Objects[i].Pts[j].Z = 0.5
+		}
+	}
+	// Keys at and next to ±(2³¹ − 1) and −2³¹ on every axis.
+	const top, bottom = math.MaxInt32 + 0.5, math.MinInt32 + 0.5
+	var edge [][]geom.Point
+	for i := 0; i < 40; i++ {
+		var pts []geom.Point
+		for j := 0; j < 4; j++ {
+			at := func() float64 {
+				return [...]float64{top, top - 1, top - 2, bottom, bottom + 1, bottom + 2, 0.5}[rng.Intn(7)]
+			}
+			pts = append(pts, geom.Pt(at(), at(), at()))
+		}
+		edge = append(edge, pts)
+	}
+	timed := walk(100, 25, 20, 1, 1)
+	var stamps []int32
+	for i := range timed.Objects {
+		b := int32(rng.Intn(7) - 3)
+		for range timed.Objects[i].Pts {
+			if rng.Intn(4) == 0 {
+				b += int32(rng.Intn(3))
+			}
+			stamps = append(stamps, b)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		ds     *data.Dataset
+		width  float64
+		bucket []int32
+		halo   int32
+	}{
+		{name: "walks", ds: walk(150, 40, 30, 1, 1), width: 2},
+		{name: "layered", ds: walk(150, 40, 30, 1, 3), width: 1},
+		{name: "planar", ds: planar, width: 2},
+		{name: "edge", ds: dataset(edge...), width: 1},
+		{name: "bucketed/halo=1", ds: timed, width: 2, bucket: stamps, halo: 1},
+		{name: "bucketed/halo=0", ds: timed, width: 2, bucket: stamps},
+	} {
+		g, _, _ := Build(tc.ds, tc.width, nil, tc.bucket, tc.halo, 1, nil, nil)
+		got := g.NeighborhoodPostings()
+		if len(got) != g.Len() {
+			t.Fatalf("%s: %d counts for %d cells", tc.name, len(got), g.Len())
+		}
+		for c := 0; c < g.Len(); c++ {
+			want := int32(0)
+			g.columns(g.Bucket(c), g.Key(c), 1, g.halo, func(_, _, _ int32, lo, hi int) {
+				want += g.CellOff[hi] - g.CellOff[lo]
+			})
+			if got[c] != want {
+				t.Fatalf("%s: cell %d (bucket %d, key %v): S = %d, columns sum %d", tc.name, c, g.Bucket(c), g.Key(c), got[c], want)
+			}
+		}
+	}
+}

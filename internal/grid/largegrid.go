@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -127,6 +128,35 @@ func (g *LargeGrid) Neighbors(c int, out *[MaxNeighbors]int32) int {
 	return n
 }
 
+// NeighborhoodPostings returns S(c) for every cell c: the number of
+// postings in c's neighbourhood (Neighbors), Σ |b(c')| over its cells,
+// an upper bound on |b^adj(c)| read from CellOff alone. Neighbourhoods
+// are symmetric, so it visits each pair of neighbouring columns (runs
+// of one bucket's cells with one (X, Y)) once and adds to both: a
+// column with itself and with the next one at (X, Y+1), then one merge
+// pass over the column list per pair of bucket and X offsets that
+// points up, (0, +1) and (dt, −1..+1) for 0 < dt ≤ halo
+// (directory.addColumns). It builds no bitmap.
+func (g *LargeGrid) NeighborhoodPostings() []int32 {
+	s := make([]int32, g.Len())
+	start, hi, bucket := g.columnRuns()
+	for b := range bucket[:len(bucket)-1] {
+		for j := bucket[b]; j < bucket[b+1]; j++ {
+			g.addWindow(s, int(start[j]), int(start[j+1]), int(start[j]), int(start[j+1]))
+			if j+1 < bucket[b+1] && uint32(hi[j]) < math.MaxUint32 && hi[j+1] == hi[j]+1 {
+				g.addPair(s, start, j, j+1)
+			}
+		}
+	}
+	g.addColumns(s, start, hi, bucket, 0, 1)
+	for dt := int32(1); dt <= g.halo; dt++ {
+		for dx := int64(-1); dx <= 1; dx++ {
+			g.addColumns(s, start, hi, bucket, dt, dx)
+		}
+	}
+	return s
+}
+
 // Adj returns the memoised b^adj(c), or nil if not yet computed.
 func (g *LargeGrid) Adj(c int) *bitmap.Compressed { return g.adj[c].Load() }
 
@@ -172,8 +202,13 @@ func (g *LargeGrid) union(b int32, k Key, radius, halo int32) *bitmap.Compressed
 
 // SizeBytes returns the memory footprint of the grid: the directory,
 // the bucket ranges, the flat posting arrays and the adjacency bitsets
-// memoised so far.
+// memoised so far (AdjBytes).
 func (g *LargeGrid) SizeBytes() int {
 	const perCell = 8 + 4 + /* CellOff */ 4 + /* adj pointer */ 8
-	return g.Len()*perCell + g.bucketBytes() + len(g.Objs)*(4+4) + len(g.Idx)*(24+4) + int(g.adjBytes.Load())
+	return g.Len()*perCell + g.bucketBytes() + len(g.Objs)*(4+4) + len(g.Idx)*(24+4) + g.AdjBytes()
 }
+
+// AdjBytes returns what the adjacency bitsets memoised so far occupy.
+// Which cells have one depends on the queries that ran on the grid, not
+// on the grid alone.
+func (g *LargeGrid) AdjBytes() int { return int(g.adjBytes.Load()) }

@@ -494,7 +494,9 @@ func TestMetricsShape(t *testing.T) {
 // TestMetricsIndexCache checks the index_cache section of /metrics: two
 // queries with one ⌈r⌉ and distinct exact r miss the result cache, and
 // the second takes τ^upp from the engines' cache — in every shard pool
-// on the sharded strategy, summed. Label queries bypass the cache.
+// on the sharded strategy, summed. The τ^upp values the entries hold
+// grow from none with the queries and never pass one per object per
+// entry. Label queries bypass the cache.
 func TestMetricsIndexCache(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -507,21 +509,29 @@ func TestMetricsIndexCache(t *testing.T) {
 		{"labels", core.Options{Labels: labelstore.NewStore()}, Config{}, core.IndexCacheStats{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := New(testDataset(80, 7), tc.opts, tc.cfg)
+			ds := testDataset(80, 7)
+			s, err := New(ds, tc.opts, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Drain()
 			h := s.Handler()
+			var snap MetricsSnapshot
+			filled := 0
 			for _, url := range []string{"/v1/query?r=4.5", "/v1/query?r=4.2&k=2"} {
 				if rec := get(t, h, url, nil); rec.Code != http.StatusOK {
 					t.Fatalf("%s: status %d: %s", url, rec.Code, rec.Body)
 				}
+				get(t, h, "/metrics", &snap)
+				st := snap.IndexCache
+				if st.Filled < filled || st.Filled > st.Entries*ds.N() || (st.Entries > 0) != (st.Filled > 0) {
+					t.Errorf("after %s: index_cache %+v, want filled in [%d, %d × %d], 0 only without entries", url, st, filled, st.Entries, ds.N())
+				}
+				filled = st.Filled
 			}
-			var snap MetricsSnapshot
-			get(t, h, "/metrics", &snap)
-			if snap.IndexCache != tc.want {
-				t.Errorf("index_cache = %+v, want %+v", snap.IndexCache, tc.want)
+			st := snap.IndexCache
+			if got := (core.IndexCacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries}); got != tc.want {
+				t.Errorf("index_cache = %+v, want %+v", st, tc.want)
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mio/internal/bitmap"
@@ -52,21 +53,24 @@ func (e *Engine) InteractingSetContext(ctx context.Context, r float64, obj int) 
 	bOi := bitmap.NewScratch(q.n)
 	mask := bitmap.NewScratch(q.n)
 	ctr := ctrSet{}
-	q.exactScore(obj, bOi, mask, &ctr)
+	i := int(e.ord.pos[obj])
+	q.exactScore(i, bOi, mask, &ctr)
 	if q.cancelled() {
 		return nil, ctx.Err()
 	}
 	out := make([]int, 0, bOi.Cardinality()-1)
 	bOi.ForEach(func(j int) bool {
-		if j != obj {
-			out = append(out, j)
+		if j != i {
+			out = append(out, int(e.ord.ext[j]))
 		}
 		return true
 	})
+	slices.Sort(out)
 	return out, nil
 }
 
-// AllScores returns the exact score of every object at threshold r.
+// AllScores returns the exact score of every object at threshold r,
+// indexed by object id.
 // This is the full-scoring workload (no pruning pays off when every
 // score is requested), useful for score-distribution analysis such as
 // verifying the power-law shape of the Syn workload.
@@ -82,11 +86,11 @@ func (e *Engine) AllScoresContext(ctx context.Context, r float64) ([]int, error)
 		return nil, err
 	}
 	scores := make([]int, q.n)
-	for i := range scores {
+	for i, j := range e.ord.ext {
 		if q.cancelled() {
 			return nil, ctx.Err()
 		}
-		scores[i] = q.exact(i)
+		scores[j] = q.exact(i)
 	}
 	return scores, nil
 }

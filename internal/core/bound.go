@@ -29,11 +29,11 @@ type BoundSet struct {
 }
 
 // Bound runs the pipeline through upper-bounding and pauses. allowed,
-// when non-nil, must have one entry per object; only objects with a
-// set entry may appear in TopLBs or the completed answer. k is clamped
-// to the number of allowed objects. Cancellation returns ctx.Err() —
-// the caller owns degradation policy (it still holds the bounds of
-// every shard that did answer).
+// when non-nil, must have one entry per object, indexed by the caller's
+// id; only objects with a set entry may appear in TopLBs or the
+// completed answer. k is clamped to the number of allowed objects.
+// Cancellation returns ctx.Err() — the caller owns degradation policy
+// (it still holds the bounds of every shard that did answer).
 func (e *Engine) Bound(ctx context.Context, r float64, k int, allowed []bool) (*BoundSet, error) {
 	if err := e.validate(r, k); err != nil {
 		return nil, err
@@ -48,7 +48,12 @@ func (e *Engine) Bound(ctx context.Context, r float64, k int, allowed []bool) (*
 	}
 	q := newQuery(e, r, k)
 	q.ctx = ctx
-	q.restrict = allowed
+	if allowed != nil {
+		q.restrict = make([]bool, n)
+		for i, j := range e.ord.ext {
+			q.restrict[i] = allowed[j]
+		}
+	}
 	// degradeOK is off, so an expiry comes back as ctx.Err(), never as a
 	// degraded Result.
 	if _, err := q.bound(); err != nil {
@@ -80,7 +85,7 @@ func (b *BoundSet) TopLBs() []Scored {
 	top := make([]Scored, 0, q.k)
 	for i := 0; i < q.n; i++ {
 		if q.allowed(i) {
-			top = insertTopK(top, Scored{Obj: i, Score: int(q.tauLow[i])}, q.k)
+			top = insertTopK(top, Scored{Obj: int(q.e.ord.ext[i]), Score: int(q.tauLow[i])}, q.k)
 		}
 	}
 	return top

@@ -286,8 +286,9 @@ func (q *query) pointCount(i int) int { return len(q.e.ds.Objects[i].Pts) }
 
 // assembleCandidates builds O_cand from the bound vectors: every
 // object with τ^upp ≥ threshold, sorted by descending upper bound
-// with the object id breaking ties so the order — and with it the
-// best-first verification sequence — is deterministic.
+// with the external object id breaking ties so the order — and with it
+// the best-first verification sequence — is deterministic and the
+// caller's numbering's.
 func (q *query) assembleCandidates(threshold int) []candidate {
 	cand := make([]candidate, 0, q.n/4+1)
 	for i := 0; i < q.n; i++ {
@@ -299,7 +300,7 @@ func (q *query) assembleCandidates(threshold int) []candidate {
 		if cand[a].tauUpp != cand[b].tauUpp {
 			return cand[a].tauUpp > cand[b].tauUpp
 		}
-		return cand[a].obj < cand[b].obj
+		return q.e.ord.ext[cand[a].obj] < q.e.ord.ext[cand[b].obj]
 	})
 	return cand
 }

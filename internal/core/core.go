@@ -190,7 +190,12 @@ type Result struct {
 // Engine processes MIO queries over one static, memory-resident
 // dataset.
 type Engine struct {
+	// ds is the view of the caller's dataset in internal order
+	// (order.go), the only numbering inside the pipeline; ext is the
+	// caller's dataset, and ord translates between the two.
 	ds   *data.Dataset
+	ext  *data.Dataset
+	ord  idOrder
 	opts Options
 	// maxAbs is the largest |coordinate| in ds; validate holds every r
 	// against it. A Pool scans for it once and copies it to every slot.
@@ -200,7 +205,9 @@ type Engine struct {
 }
 
 // NewEngine returns an engine over ds. The dataset must satisfy
-// Validate and must not be mutated afterwards.
+// Validate and must not be mutated afterwards. Object ids passed to and
+// returned by the engine are ds's; inside, it runs on its own spatial
+// order (order.go).
 func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -228,7 +235,8 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 			}
 		}
 	}
-	e := &Engine{ds: ds, opts: opts, ub: &ubCache{}}
+	view, ord := spatialOrder(ds)
+	e := &Engine{ds: view, ext: ds, ord: ord, opts: opts, ub: &ubCache{}}
 	for i := range ds.Objects {
 		for _, p := range ds.Objects[i].Pts {
 			// Plain comparisons: engines are built per query by one-shot
@@ -272,8 +280,8 @@ func (e *Engine) validate(r float64, k int) error {
 	return nil
 }
 
-// Dataset returns the engine's dataset.
-func (e *Engine) Dataset() *data.Dataset { return e.ds }
+// Dataset returns the dataset the engine was built over.
+func (e *Engine) Dataset() *data.Dataset { return e.ext }
 
 // Options returns the engine's configuration.
 func (e *Engine) Options() Options { return e.opts }

@@ -120,12 +120,13 @@ func TestEngineBoundsSandwichExactScores(t *testing.T) {
 			q.gridMapping()
 			q.lowerBounding()
 			q.computeUpperBounds()
-			for i, exact := range oracle {
-				if int(q.tauLow[i]) > exact {
-					t.Fatalf("%s r=%g obj %d: lower bound %d > exact %d", name, r, i, q.tauLow[i], exact)
+			// The bound vectors are indexed by internal id.
+			for i, j := range eng.ord.ext {
+				if exact := oracle[j]; int(q.tauLow[i]) > exact {
+					t.Fatalf("%s r=%g obj %d: lower bound %d > exact %d", name, r, j, q.tauLow[i], exact)
 				}
-				if int(q.tauUpp[i]) < exact {
-					t.Fatalf("%s r=%g obj %d: upper bound %d < exact %d", name, r, i, q.tauUpp[i], exact)
+				if exact := oracle[j]; int(q.tauUpp[i]) < exact {
+					t.Fatalf("%s r=%g obj %d: upper bound %d < exact %d", name, r, j, q.tauUpp[i], exact)
 				}
 			}
 		}
@@ -304,9 +305,9 @@ func TestEngine2D(t *testing.T) {
 	q.gridMapping()
 	q.lowerBounding()
 	q.computeUpperBounds()
-	for i, exact := range oracle {
-		if int(q.tauLow[i]) > exact || int(q.tauUpp[i]) < exact {
-			t.Fatalf("obj %d: bounds [%d,%d] miss exact %d", i, q.tauLow[i], q.tauUpp[i], exact)
+	for i, j := range eng2.ord.ext {
+		if exact := oracle[j]; int(q.tauLow[i]) > exact || int(q.tauUpp[i]) < exact {
+			t.Fatalf("obj %d: bounds [%d,%d] miss exact %d", j, q.tauLow[i], q.tauUpp[i], exact)
 		}
 	}
 }

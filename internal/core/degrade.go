@@ -25,9 +25,13 @@ func (q *query) degraded(top []Scored) (*Result, error) {
 		return nil, q.stopErr()
 	}
 
+	// best is internal until the arg-max is taken, ties going to the
+	// lowest external id; from there on it is external, as top's are.
+	ext := q.e.ord.ext
 	best := -1
 	for i := 0; i < q.n; i++ {
-		if q.allowed(i) && (best < 0 || q.tauLow[i] > q.tauLow[best]) {
+		if q.allowed(i) && (best < 0 || q.tauLow[i] > q.tauLow[best] ||
+			q.tauLow[i] == q.tauLow[best] && ext[i] < ext[best]) {
 			best = i
 		}
 	}
@@ -40,11 +44,12 @@ func (q *query) degraded(top []Scored) (*Result, error) {
 	if q.ubDone {
 		ub = int(q.tauUpp[best])
 	}
+	best = int(ext[best])
 
 	// A candidate whose verification was cut short carries a partial
 	// exact score: prefer it when it certifies at least as much.
 	if t := q.trunc; t != nil && t.lb >= lb {
-		best, lb, ub = t.obj, t.lb, t.ub
+		best, lb, ub = int(ext[t.obj]), t.lb, t.ub
 	}
 	// Fully verified candidates have exact scores. Verification runs
 	// best-first, so if any verified score ties or beats the certified

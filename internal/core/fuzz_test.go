@@ -249,8 +249,11 @@ func TestFractionalThresholds(t *testing.T) {
 // FuzzEngineAgainstOracle is the native fuzz target CI's smoke stage
 // drives (go test -fuzz=FuzzEngineAgainstOracle -fuzztime=30s): the
 // fuzzer steers dataset shape, threshold, k and worker count, and
-// every execution cross-checks the full pipeline against the
-// brute-force oracle. strat bits 1 and 2 pick the parallel strategies;
+// every execution cross-checks the full pipeline's top-k, objects and
+// scores, against the brute-force oracle's canonical one. A seeded
+// shuffle of the drawn dataset runs the same queries on an engine of
+// its own and must give the same answer, renumbered through the
+// shuffle. strat bits 1 and 2 pick the parallel strategies;
 // bits 4 and 8 add a label store: the first run collects at r, bit 4
 // then consumes at the same r, bit 8 at an r′ with ⌈r′⌉ = ⌈r⌉. The
 // seeds cover the serial engine, both parallel partitioning strategy
@@ -292,11 +295,20 @@ func FuzzEngineAgainstOracle(f *testing.F) {
 			}
 			rs = append(rs, r2)
 		}
-		eng, err := NewEngine(ds, opts)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
+		sh, to := shuffled(ds, seed)
+		engines := [2]*Engine{}
+		for x, d := range []*data.Dataset{ds, sh} {
+			o := opts
+			if opts.Labels != nil {
+				o.Labels = labelstore.NewStore()
+			}
+			eng, err := NewEngine(d, o)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			engines[x] = eng
 		}
-		if err := eng.validate(r, 1); err != nil {
+		if err := engines[0].validate(r, 1); err != nil {
 			// A tiny r whose cell keys would leave int32 is refused by
 			// contract (TestValidateRejectsInt32KeyOverflow pins that);
 			// every r of rs is at least min(r, 0.75).
@@ -304,19 +316,19 @@ func FuzzEngineAgainstOracle(f *testing.F) {
 		}
 		kk := int(k%5) + 1
 		for _, r := range rs {
-			res, err := eng.RunTopK(r, kk)
-			if err != nil {
-				t.Fatalf("RunTopK: %v", err)
-			}
 			oracle := baseline.NLScores(ds, r)
-			want := baseline.TopKFromScores(oracle, kk)
-			if len(res.TopK) != len(want) {
-				t.Fatalf("top-k length %d, oracle %d", len(res.TopK), len(want))
-			}
-			for i := range want {
-				if res.TopK[i].Score != want[i].Score {
-					t.Fatalf("opts=%+v r=%g labels=%v: rank %d score %d, oracle %d",
-						opts, r, res.Stats.UsedLabels, i, res.TopK[i].Score, want[i].Score)
+			for x, eng := range engines {
+				res, err := eng.RunTopK(r, kk)
+				if err != nil {
+					t.Fatalf("RunTopK: %v", err)
+				}
+				scores := oracle
+				if x == 1 {
+					scores = permuted(oracle, to)
+				}
+				if want := wantTopK(scores, kk); !reflect.DeepEqual(res.TopK, want) {
+					t.Fatalf("opts=%+v r=%g labels=%v shuffled=%v: top-k %v, oracle %v",
+						opts, r, res.Stats.UsedLabels, x == 1, res.TopK, want)
 				}
 			}
 		}

@@ -216,7 +216,11 @@ func objectPointWeights(ds *data.Dataset) []int {
 // O(nm/B) load of a stored set (use) or a fresh all-ones set to fill in
 // (collect), stamped with the exact r its Labeling-3 bits will be valid
 // for (0: several r share the set). dur is what the paper's
-// "Label-Input" row times.
+// "Label-Input" row times. A store holds label sets in the caller's
+// object order; the query reads and fills them through a view in
+// internal order (labelRows), and publishLabels hands the store
+// the caller's order back, so stored sets and files never depend on the
+// engine's order.
 func (e *Engine) labelInput(ceil int, r float64) (use, collect *labelstore.Labels, dur time.Duration) {
 	store := e.opts.Labels
 	if store == nil {
@@ -224,7 +228,7 @@ func (e *Engine) labelInput(ceil int, r float64) (use, collect *labelstore.Label
 	}
 	t0 := time.Now()
 	if l, ok := store.Get(ceil); ok {
-		use = l
+		use = labelRows(l, e.ord.ext)
 	} else {
 		collect = labelstore.NewLabels(objectPointWeights(e.ds))
 		collect.R = r
@@ -242,7 +246,7 @@ func (e *Engine) publishLabels(ceil int, l *labelstore.Labels) (persistFailed bo
 	if l == nil {
 		return false
 	}
-	return e.opts.Labels.Put(ceil, l) != nil
+	return e.opts.Labels.Put(ceil, labelRows(l, e.ord.pos)) != nil
 }
 
 // bound runs label input, grid mapping, lower bounding and upper

@@ -97,8 +97,8 @@ func TestCandidateOrdering(t *testing.T) {
 		if cand[i].tauUpp > cand[i-1].tauUpp {
 			t.Fatal("candidates not sorted by upper bound")
 		}
-		if cand[i].tauUpp == cand[i-1].tauUpp && cand[i].obj < cand[i-1].obj {
-			t.Fatal("tie-break not by object id")
+		if cand[i].tauUpp == cand[i-1].tauUpp && eng.ord.ext[cand[i].obj] < eng.ord.ext[cand[i-1].obj] {
+			t.Fatal("tie-break not by external object id")
 		}
 	}
 	// threshold 0 keeps everyone.
@@ -224,7 +224,9 @@ func TestIndexBuildDeterministic(t *testing.T) {
 			build := func(workers int) indexShape {
 				eng, _ := NewEngine(ds, Options{Workers: workers})
 				q := newQuery(eng, r, 1)
-				q.labels = l
+				if l != nil {
+					q.labels = labelRows(l, eng.ord.ext)
+				}
 				q.gridMapping()
 				return shapeOf(q.idx)
 			}
@@ -243,7 +245,11 @@ func TestIndexBuildDeterministic(t *testing.T) {
 				}
 			}
 			eng, _ := NewEngine(ds, Options{Workers: 2})
-			large, smalls, complete := eng.mapGrids([]float64{r - 0.25, r}, l, nil, 0, func() bool { return false })
+			var view *labelstore.Labels
+			if l != nil {
+				view = labelRows(l, eng.ord.ext)
+			}
+			large, smalls, complete := eng.mapGrids([]float64{r - 0.25, r}, view, nil, 0, func() bool { return false })
 			if !complete {
 				t.Fatalf("%s: group build incomplete", name)
 			}
@@ -331,7 +337,7 @@ func walkDistComps(t *testing.T, ds *data.Dataset, r float64, i int) int {
 	q := newQuery(eng, r, 1)
 	q.gridMapping()
 	ctr := ctrSet{}
-	q.exactScore(i, bitmap.NewScratch(q.n), bitmap.NewScratch(q.n), &ctr)
+	q.exactScore(int(eng.ord.pos[i]), bitmap.NewScratch(q.n), bitmap.NewScratch(q.n), &ctr)
 	return ctr.distComps
 }
 
@@ -364,12 +370,12 @@ func TestGroupWalkDiagonalNeighbour(t *testing.T) {
 	eng, _ := NewEngine(ds, Options{})
 	q := newQuery(eng, 1, 1)
 	q.gridMapping()
-	if len(q.idx.keyLists[0]) != 0 {
+	if len(q.idx.keyLists[eng.ord.pos[0]]) != 0 {
 		t.Fatal("setup: the pair shares a small cell, so Lemma 1 finds it without the walk")
 	}
 	// The cell of an object's point 0 is that of the group holding index 0.
 	cellOfFirst := func(i int) grid.Key {
-		for _, g := range q.idx.groups[i] {
+		for _, g := range q.idx.groups[eng.ord.pos[i]] {
 			if idx := q.idx.large.PointIdx(int(g.post)); len(idx) > 0 && idx[0] == 0 {
 				return q.idx.large.Key(int(g.cell))
 			}
@@ -407,8 +413,8 @@ func TestGroupWalkOneLargeCell(t *testing.T) {
 	eng, _ := NewEngine(ds, Options{})
 	q := newQuery(eng, 8, 1)
 	q.gridMapping()
-	if len(q.idx.groups[0]) != 1 {
-		t.Fatalf("setup: object 0 has %d groups, want 1", len(q.idx.groups[0]))
+	if gs := q.idx.groups[eng.ord.pos[0]]; len(gs) != 1 {
+		t.Fatalf("setup: object 0 has %d groups, want 1", len(gs))
 	}
 	checkAllScores(t, "one large cell", ds, 8)
 
@@ -421,7 +427,7 @@ func TestGroupWalkOneLargeCell(t *testing.T) {
 	q.gridMapping()
 	q.ctx = newPollCtx(1)
 	ctr := ctrSet{}
-	q.exactScore(0, bitmap.NewScratch(q.n), bitmap.NewScratch(q.n), &ctr)
+	q.exactScore(int(eng.ord.pos[0]), bitmap.NewScratch(q.n), bitmap.NewScratch(q.n), &ctr)
 	if full != len(big) || ctr.distComps != 255 {
 		t.Fatalf("distance computations: %d cancelled, %d full; want 255 of %d", ctr.distComps, full, len(big))
 	}
@@ -485,8 +491,8 @@ func TestQuickBoundsSandwich(t *testing.T) {
 		q.gridMapping()
 		q.lowerBounding()
 		q.computeUpperBounds()
-		for i, exact := range oracle {
-			if int(q.tauLow[i]) > exact || int(q.tauUpp[i]) < exact {
+		for i, j := range eng.ord.ext {
+			if exact := oracle[j]; int(q.tauLow[i]) > exact || int(q.tauUpp[i]) < exact {
 				return false
 			}
 		}

@@ -5,6 +5,7 @@ package core
 // paper's end-to-end tables; these isolate the internals.
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -163,6 +164,48 @@ func BenchmarkWorkloadNeuron2(b *testing.B) {
 		return res, err
 	})
 	b.ReportMetric(float64(distComps)/float64(b.N), "dist-comps/op")
+}
+
+// BenchmarkSpatialOrder times the ordering pass NewEngine pays per
+// engine (order.go) on the oneshot_bird dataset: centroids, Morton keys,
+// the sort and the view.
+func BenchmarkSpatialOrder(b *testing.B) {
+	ds := workloadBird()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, orderSink = spatialOrder(ds)
+	}
+}
+
+var orderSink idOrder
+
+// BenchmarkWorkloadBirdDense is the rung at the paper's density: Bird at
+// 10 000 × 50 on DefaultBird's field, one query per iteration at k = 1
+// on a fresh engine, r = 4 and r = 8 as sub-benchmarks. One query takes
+// about a second on one core, so -benchtime 1x is a useful run.
+func BenchmarkWorkloadBirdDense(b *testing.B) {
+	denseBird.once.Do(func() {
+		c := data.DefaultBird()
+		c.N, c.M = 10000, 50
+		denseBird.ds = data.GenTrajectory(c)
+	})
+	for _, r := range []float64{4, 8} {
+		b.Run(fmt.Sprintf("r=%g", r), func(b *testing.B) {
+			benchmarkStream(b, func(int, float64) (*Result, error) {
+				eng, err := NewEngine(denseBird.ds, Options{})
+				if err != nil {
+					return nil, err
+				}
+				return eng.RunTopK(r, 1)
+			})
+		})
+	}
+}
+
+var denseBird struct {
+	once sync.Once
+	ds   *data.Dataset
 }
 
 // workloadBird is the oneshot_bird dataset: Bird at 1 000 × 50.

@@ -74,7 +74,7 @@ func (p *Pool) Idle() int { return len(p.slots) }
 
 // Dataset and Options return what the pool's engines are currently
 // built from.
-func (p *Pool) Dataset() *data.Dataset { return p.tmpl.Load().ds }
+func (p *Pool) Dataset() *data.Dataset { return p.tmpl.Load().ext }
 func (p *Pool) Options() Options       { return p.tmpl.Load().opts }
 
 // IndexCache reports the τ^upp cache every engine of the pool shares.

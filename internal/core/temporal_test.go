@@ -374,7 +374,8 @@ func TestTemporalBucketEdges(t *testing.T) {
 // steers TestRandomizedTemporalCrossCheck's trajectory generator, r, δ
 // (below 0.25 it becomes δ = 0 over timestamps floored to integers, so
 // exact matches exist), k, Workers 1 or 2 and Dims, and every execution
-// is checked against the brute-force oracle.
+// is checked against the brute-force oracle's canonical top-k, objects
+// and scores, on the drawn dataset and on a seeded shuffle of it.
 func FuzzTemporalAgainstOracle(f *testing.F) {
 	f.Add(uint8(30), uint8(10), int64(1), 40.0, 5.0, uint8(2), uint8(0))
 	f.Add(uint8(50), uint8(6), int64(7), 80.0, 0.0, uint8(1), uint8(1))
@@ -407,21 +408,25 @@ func FuzzTemporalAgainstOracle(f *testing.F) {
 			opts.Dims = 2
 		}
 		kk := 1 + int(k%5)
-		eng, err := NewTemporalEngine(ds, opts)
-		if err != nil {
-			t.Fatalf("NewTemporalEngine: %v", err)
-		}
-		res, err := eng.RunTopK(r, delta, kk)
-		if err != nil {
-			t.Fatalf("RunTopK: %v", err)
-		}
-		want := baseline.TopKFromScores(baseline.TemporalNLScores(ds, r, delta), kk)
-		if len(res.TopK) != len(want) {
-			t.Fatalf("top-k length %d, oracle %d", len(res.TopK), len(want))
-		}
-		for i := range want {
-			if res.TopK[i].Score != want[i].Score {
-				t.Fatalf("opts=%+v r=%g δ=%g: rank %d score %d, oracle %d", opts, r, delta, i, res.TopK[i].Score, want[i].Score)
+		oracle := baseline.TemporalNLScores(ds, r, delta)
+		// The drawn dataset, then a seeded shuffle of it, whose answer
+		// must be the oracle's renumbered through the shuffle.
+		sh, to := shuffled(ds, seed)
+		for x, d := range []*data.Dataset{ds, sh} {
+			eng, err := NewTemporalEngine(d, opts)
+			if err != nil {
+				t.Fatalf("NewTemporalEngine: %v", err)
+			}
+			res, err := eng.RunTopK(r, delta, kk)
+			if err != nil {
+				t.Fatalf("RunTopK: %v", err)
+			}
+			scores := oracle
+			if x == 1 {
+				scores = permuted(oracle, to)
+			}
+			if want := wantTopK(scores, kk); !reflect.DeepEqual(res.TopK, want) {
+				t.Fatalf("opts=%+v r=%g δ=%g shuffled=%v: top-k %v, oracle %v", opts, r, delta, x == 1, res.TopK, want)
 			}
 		}
 	})

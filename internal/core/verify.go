@@ -55,7 +55,7 @@ func (q *query) verification(cand []candidate) []Scored {
 			break
 		}
 		q.stats.Verified++
-		top = insertTopK(top, Scored{Obj: i, Score: tau}, q.k)
+		top = insertTopK(top, Scored{Obj: int(q.e.ord.ext[i]), Score: tau}, q.k)
 	}
 	return top
 }
@@ -302,7 +302,8 @@ func (w *scoreWalk) probePosting(pi, j int, g *group, cross bool) {
 }
 
 // insertTopK inserts s into the canonically-sorted top list (score
-// descending, object id ascending on ties), keeping at most k entries.
+// descending, external object id ascending on ties), keeping at most k
+// entries.
 // The paper allows an arbitrary tie-break; the canonical order is
 // chosen so the final top-k does not depend on verification order —
 // any set of exact scores merges to the same list, which the sharded

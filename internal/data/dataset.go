@@ -14,7 +14,8 @@ import (
 // Object is a spatial object: a set of points, optionally with one
 // timestamp per point (used only by the temporal variant of Appendix
 // B; Times is nil for purely spatial data). ID is the object's index in
-// its dataset and doubles as its bit position in every bitset.
+// its dataset, the id every engine takes and reports; inside, the
+// engine numbers objects in a spatial order of its own.
 type Object struct {
 	ID    int
 	Pts   []geom.Point

@@ -4,36 +4,31 @@
 // MIO pipeline's correctness depends on — squared-distance
 // comparisons, bitmap.Scratch epoch discipline, goroutine hygiene in
 // the §IV parallel phases, error handling in the I/O layers,
-// exhaustive config literals in tests, and (via the CFG + dataflow
-// engine) path-sensitive lock discipline, context threading, the
-// durable commit protocol, and fault-point spelling.
+// exhaustive config literals in tests, recover scope, fault-point
+// spelling, and (via the CFG + dataflow engine) the durable commit
+// protocol's sync-before-rename order.
 //
 // Usage:
 //
-//	miolint ./...          # analyze the whole module
-//	miolint -list          # show the analyzers
-//	miolint -fixtures      # self-test: run every analyzer on its golden fixture
-//	miolint -format=json ./...
+//	miolint ./...                  # analyze the whole module
+//	miolint -list                  # show the analyzers
 //	miolint -format=github ./...   # ::error annotations for CI
-//	miolint -disable=options,errcheck ./...
 //
 // Suppress a single finding with a trailing or preceding comment:
 //
 //	//lint:ignore <analyzer> <reason>
 //
 // Suppressions that stop matching any diagnostic are reported as
-// stale (disable with -disable, which turns the audit off).
+// stale. The analyzers' own golden fixtures run under
+// `go test ./internal/lint`.
 //
-// Exit status: 0 clean, 1 findings (or fixture failures) reported,
-// 2 load/type errors.
+// Exit status: 0 clean, 1 findings reported, 2 load/type errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"mio/internal/lint"
@@ -41,21 +36,12 @@ import (
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list analyzers and exit")
-		disable  = flag.String("disable", "", "comma-separated analyzers to skip (also disables the stale-suppression audit)")
-		noTests  = flag.Bool("notests", false, "skip _test.go files")
-		format   = flag.String("format", "text", "diagnostic output: text, json, or github (::error annotations)")
-		jsonFlag = flag.Bool("json", false, "shorthand for -format=json")
-		fixtures = flag.Bool("fixtures", false, "self-test: run every analyzer against its golden fixture and exit")
+		list   = flag.Bool("list", false, "list analyzers and exit")
+		format = flag.String("format", "text", "diagnostic output: text, or github (::error annotations)")
 	)
 	flag.Parse()
-	if *jsonFlag {
-		*format = "json"
-	}
-	switch *format {
-	case "text", "json", "github":
-	default:
-		fatal(fmt.Sprintf("unknown -format %q (want text, json or github)", *format))
+	if *format != "text" && *format != "github" {
+		fatal(fmt.Sprintf("unknown -format %q (want text or github)", *format))
 	}
 
 	runner := lint.NewRunner()
@@ -64,9 +50,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *disable != "" {
-		runner.Disable(*disable)
 	}
 
 	// Any package pattern argument ("./...", a directory) anchors the
@@ -80,13 +63,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-
-	if *fixtures {
-		selfTest(loader.ModuleDir())
-		return
-	}
-
-	loader.IncludeTests = !*noTests
 	pkgs, err := loader.LoadModule()
 	if err != nil {
 		fatal(err)
@@ -104,74 +80,17 @@ func main() {
 	}
 
 	diags := runner.Run(pkgs)
-	emit(*format, diags)
+	for _, d := range diags {
+		if *format == "github" {
+			fmt.Printf("::error file=%s,line=%d,col=%d,title=miolint %s::%s\n",
+				d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, ghEscape(d.Message))
+		} else {
+			fmt.Println(d)
+		}
+	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "miolint: %d finding(s)\n", len(diags))
 		os.Exit(1)
-	}
-}
-
-// selfTest runs every analyzer against its golden fixture — the same
-// suite as `go test ./internal/lint -run TestAnalyzersGolden` — so CI
-// proves the analyzers find what they claim before trusting a clean
-// module run.
-func selfTest(moduleDir string) {
-	dir := filepath.Join(moduleDir, "internal", "lint", "testdata")
-	failed := 0
-	for _, fx := range lint.FixtureSuite() {
-		fails, err := lint.RunFixture(dir, fx)
-		if err != nil {
-			fatal(fmt.Sprintf("fixture %s: %v", fx.Name, err))
-		}
-		if len(fails) == 0 {
-			fmt.Printf("ok   %s\n", fx.Name)
-			continue
-		}
-		failed++
-		fmt.Printf("FAIL %s\n", fx.Name)
-		for _, f := range fails {
-			fmt.Printf("     %s\n", f)
-		}
-	}
-	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "miolint: %d fixture(s) failed\n", failed)
-		os.Exit(1)
-	}
-}
-
-// jsonDiag is the machine-readable diagnostic shape.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func emit(format string, diags []lint.Diagnostic) {
-	switch format {
-	case "json":
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{
-				File: d.Pos.Filename, Line: d.Pos.Line, Col: d.Pos.Column,
-				Analyzer: d.Analyzer, Message: d.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fatal(err)
-		}
-	case "github":
-		for _, d := range diags {
-			fmt.Printf("::error file=%s,line=%d,col=%d,title=miolint %s::%s\n",
-				d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, ghEscape(d.Message))
-		}
-	default:
-		for _, d := range diags {
-			fmt.Println(d)
-		}
 	}
 }
 

@@ -20,29 +20,8 @@ import (
 // object obj at threshold r (the set O_obj of Equation (1)), in
 // increasing id order. It builds a BIGrid and runs the verification
 // machinery for the single object, so it costs far less than a full
-// query.
-func (e *Engine) InteractingSet(r float64, obj int) ([]int, error) {
-	return e.InteractingSetContext(context.Background(), r, obj)
-}
-
-// mappedQuery validates r and returns a query with its BIGrid built:
-// the common start of the entry points that score objects directly,
-// with no bounding phases.
-func (e *Engine) mappedQuery(ctx context.Context, r float64) (*query, error) {
-	if err := e.validate(r, 1); err != nil {
-		return nil, err
-	}
-	q := newQuery(e, r, 1)
-	q.ctx = ctx
-	q.gridMapping()
-	if q.cancelled() {
-		return nil, ctx.Err()
-	}
-	return q, nil
-}
-
-// InteractingSetContext is InteractingSet with cancellation.
-func (e *Engine) InteractingSetContext(ctx context.Context, r float64, obj int) ([]int, error) {
+// query. A cancelled ctx returns ctx.Err().
+func (e *Engine) InteractingSet(ctx context.Context, r float64, obj int) ([]int, error) {
 	if obj < 0 || obj >= e.ds.N() {
 		return nil, fmt.Errorf("core: object %d out of range [0, %d)", obj, e.ds.N())
 	}
@@ -69,18 +48,29 @@ func (e *Engine) InteractingSetContext(ctx context.Context, r float64, obj int) 
 	return out, nil
 }
 
+// mappedQuery validates r and returns a query with its BIGrid built:
+// the common start of the entry points that score objects directly,
+// with no bounding phases.
+func (e *Engine) mappedQuery(ctx context.Context, r float64) (*query, error) {
+	if err := e.validate(r, 1); err != nil {
+		return nil, err
+	}
+	q := newQuery(e, r, 1)
+	q.ctx = ctx
+	q.gridMapping()
+	if q.cancelled() {
+		return nil, ctx.Err()
+	}
+	return q, nil
+}
+
 // AllScores returns the exact score of every object at threshold r,
 // indexed by object id.
 // This is the full-scoring workload (no pruning pays off when every
 // score is requested), useful for score-distribution analysis such as
-// verifying the power-law shape of the Syn workload.
-func (e *Engine) AllScores(r float64) ([]int, error) {
-	return e.AllScoresContext(context.Background(), r)
-}
-
-// AllScoresContext is AllScores with cancellation: the full scoring
-// loop checks ctx between objects.
-func (e *Engine) AllScoresContext(ctx context.Context, r float64) ([]int, error) {
+// verifying the power-law shape of the Syn workload. The scoring loop
+// checks ctx between objects.
+func (e *Engine) AllScores(ctx context.Context, r float64) ([]int, error) {
 	q, err := e.mappedQuery(ctx, r)
 	if err != nil {
 		return nil, err
@@ -104,14 +94,9 @@ type SweepResult struct {
 // Sweep runs top-k queries for every threshold in rs, in order. With a
 // label store configured this is the paper's headline workload
 // (§I-B, §III-D): fine-grained thresholds share ⌈r⌉, so later queries
-// reuse the labels collected by earlier ones.
-func (e *Engine) Sweep(rs []float64, k int) ([]SweepResult, error) {
-	return e.SweepContext(context.Background(), rs, k)
-}
-
-// SweepContext is Sweep with cancellation: ctx is threaded through
+// reuse the labels collected by earlier ones. ctx is threaded through
 // every per-threshold query, so a deadline bounds the whole sweep.
-func (e *Engine) SweepContext(ctx context.Context, rs []float64, k int) ([]SweepResult, error) {
+func (e *Engine) Sweep(ctx context.Context, rs []float64, k int) ([]SweepResult, error) {
 	out := make([]SweepResult, 0, len(rs))
 	for _, r := range rs {
 		res, err := e.RunTopKContext(ctx, r, k, false)

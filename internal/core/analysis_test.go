@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ func TestInteractingSetMatchesOracle(t *testing.T) {
 	r := 25.0
 	r2 := r * r
 	for _, obj := range []int{0, 17, 99} {
-		got, err := eng.InteractingSet(r, obj)
+		got, err := eng.InteractingSet(context.Background(), r, obj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,13 +57,13 @@ func TestInteractingSetMatchesOracle(t *testing.T) {
 func TestInteractingSetErrors(t *testing.T) {
 	ds := data.GenUniform(data.UniformConfig{N: 5, M: 3, FieldSize: 20, Spread: 3, Seed: 1})
 	eng, _ := NewEngine(ds, Options{})
-	if _, err := eng.InteractingSet(0, 0); err == nil {
+	if _, err := eng.InteractingSet(context.Background(), 0, 0); err == nil {
 		t.Error("r=0 accepted")
 	}
-	if _, err := eng.InteractingSet(5, -1); err == nil {
+	if _, err := eng.InteractingSet(context.Background(), 5, -1); err == nil {
 		t.Error("negative object accepted")
 	}
-	if _, err := eng.InteractingSet(5, 5); err == nil {
+	if _, err := eng.InteractingSet(context.Background(), 5, 5); err == nil {
 		t.Error("out-of-range object accepted")
 	}
 }
@@ -72,7 +73,7 @@ func TestAllScoresMatchesNL(t *testing.T) {
 	eng, _ := NewEngine(ds, Options{})
 	for _, r := range []float64{4, 12} {
 		want := baseline.NLScores(ds, r)
-		got, err := eng.AllScores(r)
+		got, err := eng.AllScores(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,14 +83,14 @@ func TestAllScoresMatchesNL(t *testing.T) {
 	}
 	// Parallel path.
 	engP, _ := NewEngine(ds, Options{Workers: 3})
-	got, err := engP.AllScores(8)
+	got, err := engP.AllScores(context.Background(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, baseline.NLScores(ds, 8)) {
 		t.Fatal("parallel AllScores mismatch")
 	}
-	if _, err := eng.AllScores(0); err == nil {
+	if _, err := eng.AllScores(context.Background(), 0); err == nil {
 		t.Error("r=0 accepted")
 	}
 }
@@ -98,7 +99,7 @@ func TestSweepMatchesIndividualQueries(t *testing.T) {
 	ds := data.GenUniform(data.UniformConfig{N: 60, M: 6, FieldSize: 100, Spread: 8, Seed: 44})
 	eng, _ := NewEngine(ds, Options{})
 	rs := []float64{3, 6, 9}
-	sweep, err := eng.Sweep(rs, 2)
+	sweep, err := eng.Sweep(context.Background(), rs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestSweepMatchesIndividualQueries(t *testing.T) {
 			t.Fatalf("r=%g: sweep best %d vs single %d", rs[i], sr.Result.Best.Score, single.Best.Score)
 		}
 	}
-	if _, err := eng.Sweep([]float64{2, -1}, 1); err == nil {
+	if _, err := eng.Sweep(context.Background(), []float64{2, -1}, 1); err == nil {
 		t.Error("invalid threshold in sweep accepted")
 	}
 	// Scores must be monotone non-decreasing in r for the same object
@@ -169,7 +170,7 @@ func TestSynScoreDistributionIsSkewed(t *testing.T) {
 		N: 1500, M: 8, Alpha: 1.6, Clusters: 60, FieldSize: 1500, HubStd: 12, Seed: 45,
 	})
 	eng, _ := NewEngine(ds, Options{})
-	scores, err := eng.AllScores(6)
+	scores, err := eng.AllScores(context.Background(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}

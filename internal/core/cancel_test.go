@@ -192,13 +192,13 @@ func TestContextVariantsCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.AllScoresContext(ctx, 4); err != context.Canceled {
-		t.Errorf("AllScoresContext: err=%v, want context.Canceled", err)
+	if _, err := e.AllScores(ctx, 4); err != context.Canceled {
+		t.Errorf("AllScores: err=%v, want context.Canceled", err)
 	}
-	if _, err := e.InteractingSetContext(ctx, 4, 0); err != context.Canceled {
-		t.Errorf("InteractingSetContext: err=%v, want context.Canceled", err)
+	if _, err := e.InteractingSet(ctx, 4, 0); err != context.Canceled {
+		t.Errorf("InteractingSet: err=%v, want context.Canceled", err)
 	}
-	if _, err := e.SweepContext(ctx, []float64{2, 4}, 1); err != context.Canceled {
-		t.Errorf("SweepContext: err=%v, want context.Canceled", err)
+	if _, err := e.Sweep(ctx, []float64{2, 4}, 1); err != context.Canceled {
+		t.Errorf("Sweep: err=%v, want context.Canceled", err)
 	}
 }

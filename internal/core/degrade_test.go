@@ -81,7 +81,7 @@ func TestDegradedIntervalSweep(t *testing.T) {
 			if len(res.TopK) != 1 || res.TopK[0] != res.Best {
 				t.Fatalf("budget %d: degraded TopK %v inconsistent with Best %v", budget, res.TopK, res.Best)
 			}
-			set, err := e.InteractingSet(r, res.Best.Obj)
+			set, err := e.InteractingSet(context.Background(), r, res.Best.Obj)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +142,7 @@ func TestDegradedParallelWorkers(t *testing.T) {
 			continue
 		}
 		sawDegraded = true
-		set, err := e.InteractingSet(r, res.Best.Obj)
+		set, err := e.InteractingSet(context.Background(), r, res.Best.Obj)
 		if err != nil {
 			t.Fatal(err)
 		}

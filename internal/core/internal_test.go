@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -110,6 +111,7 @@ func TestCandidateOrdering(t *testing.T) {
 func TestLabelsActuallyPrunePoints(t *testing.T) {
 	// After a collecting run, a meaningful number of points must carry
 	// cleared label bits, and the labeled re-run must do less work.
+	// The work is counted, not timed: wall clocks flake under load.
 	ds := data.GenTrajectory(data.TrajectoryConfig{
 		N: 200, M: 30, Groups: 6, FieldSize: 2500, Speed: 20, FollowStd: 8, Solo: 0.4, Seed: 88,
 	})
@@ -141,12 +143,19 @@ func TestLabelsActuallyPrunePoints(t *testing.T) {
 	if second.Best.Score != first.Best.Score {
 		t.Fatalf("labels changed the answer: %d vs %d", second.Best.Score, first.Best.Score)
 	}
-	if second.Stats.GridMapping >= first.Stats.GridMapping*2 {
-		t.Errorf("labeled grid mapping slower: %v vs %v", second.Stats.GridMapping, first.Stats.GridMapping)
-	}
-	// Labeled index must not be larger: 0** points are never mapped.
-	if second.Stats.IndexBytes > first.Stats.IndexBytes {
-		t.Errorf("labeled index grew: %d > %d", second.Stats.IndexBytes, first.Stats.IndexBytes)
+	// 0** points are never mapped, so the labelled grids must be
+	// strictly smaller: that is the work the labels save.
+	for _, c := range []struct {
+		name          string
+		first, second int
+	}{
+		{"large cells", first.Stats.LargeCells, second.Stats.LargeCells},
+		{"small cells", first.Stats.SmallCells, second.Stats.SmallCells},
+		{"index bytes", first.Stats.IndexBytes, second.Stats.IndexBytes},
+	} {
+		if c.second >= c.first {
+			t.Errorf("labelled rerun did not shrink %s: %d -> %d", c.name, c.first, c.second)
+		}
 	}
 }
 
@@ -298,7 +307,7 @@ func checkAllScores(t *testing.T, name string, ds *data.Dataset, r float64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scores, err := eng.AllScores(r)
+		scores, err := eng.AllScores(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +315,7 @@ func checkAllScores(t *testing.T, name string, ds *data.Dataset, r float64) {
 			t.Fatalf("%s Workers=%d: AllScores %v, oracle %v", name, workers, scores, oracle)
 		}
 		for i := range oracle {
-			set, err := eng.InteractingSet(r, i)
+			set, err := eng.InteractingSet(context.Background(), r, i)
 			if err != nil {
 				t.Fatal(err)
 			}

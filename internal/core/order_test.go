@@ -112,11 +112,11 @@ func TestIDOrderInvariance(t *testing.T) {
 		}
 
 		// AllScores is indexed by the caller's id.
-		sa, err := a.AllScores(r)
+		sa, err := a.AllScores(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, err := b.AllScores(r)
+		sb, err := b.AllScores(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,11 +146,11 @@ func TestIDOrderInvariance(t *testing.T) {
 		// InteractingSet takes and returns the caller's ids, ascending.
 		best := wantTopK(sa, 1)[0].Obj
 		for _, j := range []int{0, best, ds.N() - 1} {
-			ia, err := a.InteractingSet(r, j)
+			ia, err := a.InteractingSet(context.Background(), r, j)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ib, err := b.InteractingSet(r, to[j])
+			ib, err := b.InteractingSet(context.Background(), r, to[j])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,7 +240,7 @@ func TestIDOrderInvariance(t *testing.T) {
 		if r2 <= 0 || r2 == r {
 			r2 = (r + math.Ceil(r)) / 2
 		}
-		s2a, err := a.AllScores(r2)
+		s2a, err := a.AllScores(context.Background(), r2)
 		if err != nil {
 			t.Fatal(err)
 		}

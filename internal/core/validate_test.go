@@ -40,7 +40,7 @@ func TestValidateRejectsInt32KeyOverflow(t *testing.T) {
 	wantErr("RunTopK", err)
 	_, err = eng.Bound(ctx, tiny, 1, nil)
 	wantErr("Bound", err)
-	_, err = eng.AllScores(tiny)
+	_, err = eng.AllScores(context.Background(), tiny)
 	wantErr("AllScores", err)
 	wantErr("Pool.ValidateR", NewPoolOf(eng).ValidateR(tiny))
 	teng, err := NewTemporalEngine(data.WithTimestamps(ds, 1, 10, 1), Options{})

@@ -7,14 +7,13 @@ package lint
 // (if/for/range/switch/select/goto/labeled break and continue), and
 // defers are modelled with a single synthetic exit-preamble block that
 // every function exit flows through, holding the deferred calls in
-// LIFO order. That preamble makes the common pairing idiom
+// LIFO order. That preamble places a deferred call where it runs:
 //
-//	mu.Lock()
-//	defer mu.Unlock()
+//	defer f.Sync()
+//	os.Rename(tmp, name)
 //
-// analyzable: the unlock's effect applies on every exit path, but not
-// before — so a blocking operation between Lock and return is still
-// seen as running under the lock.
+// the Sync's effect applies on every exit path, but not before — so
+// the rename is still seen as publishing unsynced data.
 //
 // Approximations, chosen to avoid false positives rather than to be
 // execution-exact:
@@ -445,17 +444,17 @@ func isTerminalCall(call *ast.CallExpr) bool {
 // declarations first, then every function literal (each literal is its
 // own function with its own CFG). name is a human-readable identifier
 // for diagnostics.
-func forEachFuncBody(f *ast.File, fn func(name string, ft *ast.FuncType, body *ast.BlockStmt)) {
+func forEachFuncBody(f *ast.File, fn func(name string, body *ast.BlockStmt)) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
 			continue
 		}
-		fn(fd.Name.Name, fd.Type, fd.Body)
+		fn(fd.Name.Name, fd.Body)
 		outer := fd.Name.Name
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				fn("a function literal in "+outer, lit.Type, lit.Body)
+				fn("a function literal in "+outer, lit.Body)
 			}
 			return true
 		})

@@ -1,7 +1,7 @@
 package lint
 
-// dataflow.go is the generic forward-dataflow fixpoint engine the
-// flow-sensitive analyzers instantiate. An analysis supplies a fact
+// dataflow.go is the generic forward-dataflow fixpoint engine that
+// fsync's rename rule instantiates. An analysis supplies a fact
 // type F, the entry fact, a join (merge at control-flow confluences),
 // an equality test (has the fact changed?), and a transfer function
 // (the effect of one block's nodes on a fact). The engine iterates a

@@ -24,10 +24,10 @@ var radiusRe = regexp.MustCompile(`^(r|R|radius|Radius)$`)
 // radii (r2, rr, radius2, rSq, rSquared, ...).
 var squaredNameRe = regexp.MustCompile(`(2|[sS]q|[sS]quared|RR)$|^rr$`)
 
-// defaultHotPathRe marks the packages whose inner loops must stay
+// hotPathRe marks the packages whose inner loops must stay
 // square-root free (§III: all interaction tests compare squared
 // distances).
-var defaultHotPathRe = regexp.MustCompile(`internal/(core|grid|bitmap)(/|$)`)
+var hotPathRe = regexp.MustCompile(`internal/(core|grid|bitmap)(/|$)`)
 
 // postingLoopRe marks the packages whose posting loops must use the
 // geom batch kernels: the core pipeline probes each posting's flat
@@ -41,23 +41,18 @@ var postingLoopRe = regexp.MustCompile(`internal/core(/|$)`)
 //  1. a comparison of a Dist2/NearestDist2/Dist2To result against a
 //     bare radius identifier (r, radius) is flagged — the right-hand
 //     side must be r*r or a *2-suffixed squared value;
-//  2. math.Sqrt may not appear in hot-path packages (matching hotRe,
-//     default internal/core, internal/grid, internal/bitmap);
+//  2. math.Sqrt may not appear in hot-path packages (internal/core,
+//     internal/grid, internal/bitmap);
 //  3. in internal/core (non-test files), a Dist2-family call inside a
 //     loop ranging over a []Point is flagged: posting loops belong on
 //     the batch kernels over flat coordinate arrays.
-//
-// Pass nil for hotRe to use the default hot-path set.
-func Dist2Analyzer(hotRe *regexp.Regexp) *Analyzer {
-	if hotRe == nil {
-		hotRe = defaultHotPathRe
-	}
+func Dist2Analyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "dist2",
 		Doc:  "enforce squared-distance comparisons (Dist2 vs r*r), a Sqrt-free hot path, and kernel-based posting loops",
 	}
 	a.Run = func(p *Pass) {
-		hot := hotRe.MatchString(p.Pkg.Path)
+		hot := hotPathRe.MatchString(p.Pkg.Path)
 		postingScope := postingLoopRe.MatchString(p.Pkg.Path)
 		reported := map[token.Pos]bool{}
 		walkFiles(p, func(f *ast.File) {

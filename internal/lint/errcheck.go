@@ -6,10 +6,10 @@ import (
 	"regexp"
 )
 
-// defaultErrPathRe scopes the check to the layers where a dropped
+// errPathRe scopes the check to the layers where a dropped
 // error loses data on disk or hides a bad exit code: the CLIs and the
 // dataset I/O package.
-var defaultErrPathRe = regexp.MustCompile(`(^|/)cmd(/|$)|internal/data(/|$)`)
+var errPathRe = regexp.MustCompile(`(^|/)cmd(/|$)|internal/data(/|$)`)
 
 // errDiscardOK lists call targets whose error is conventionally
 // discarded: terminal printing to stdout/stderr cannot be usefully
@@ -45,20 +45,16 @@ func errDiscardOK(p *Pass, call *ast.CallExpr) bool {
 }
 
 // ErrCheckAnalyzer flags statements that silently drop an error result
-// in the CLI and dataset-I/O packages (pathRe, nil for the default
-// scope). An explicit `_ =` assignment is treated as a deliberate,
-// visible discard and is not flagged; neither are deferred calls,
-// whose Close-on-read idiom is conventional.
-func ErrCheckAnalyzer(pathRe *regexp.Regexp) *Analyzer {
-	if pathRe == nil {
-		pathRe = defaultErrPathRe
-	}
+// in the CLI and dataset-I/O packages. An explicit `_ =` assignment is
+// treated as a deliberate, visible discard and is not flagged; neither
+// are deferred calls, whose Close-on-read idiom is conventional.
+func ErrCheckAnalyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "errcheck",
 		Doc:  "dropped error returns in cmd/ and internal/data",
 	}
 	a.Run = func(p *Pass) {
-		if !pathRe.MatchString(p.Pkg.Path) {
+		if !errPathRe.MatchString(p.Pkg.Path) {
 			return
 		}
 		walkFiles(p, func(f *ast.File) {

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"strings"
 )
 
@@ -36,21 +35,15 @@ import (
 //     hope. An explicit `_ =` discard is left to the errcheck
 //     conventions.
 //
-// Test files are exempt: tests rename files to simulate corruption and
-// torn state on purpose, and nothing in a _test.go file is load-bearing
-// for durability.
-func FsyncAnalyzer(pathRe *regexp.Regexp) *Analyzer {
-	if pathRe == nil {
-		pathRe = regexp.MustCompile(``) // durability ordering applies everywhere
-	}
+// Every package is in scope. Test files are exempt: tests rename files
+// to simulate corruption and torn state on purpose, and nothing in a
+// _test.go file is load-bearing for durability.
+func FsyncAnalyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "fsync",
 		Doc:  "os.Rename reachable by unsynced data on some path; unchecked (*os.File).Sync errors",
 	}
 	a.Run = func(p *Pass) {
-		if !pathRe.MatchString(p.Pkg.Path) {
-			return
-		}
 		// Deferred func(){...}() bodies are analyzed both inlined in the
 		// parent's exit preamble and as functions of their own; dedupe.
 		seen := map[string]bool{}
@@ -66,7 +59,7 @@ func FsyncAnalyzer(pathRe *regexp.Regexp) *Analyzer {
 			if strings.HasSuffix(p.Position(f.Pos()).Filename, "_test.go") {
 				return
 			}
-			forEachFuncBody(f, func(name string, _ *ast.FuncType, body *ast.BlockStmt) {
+			forEachFuncBody(f, func(name string, body *ast.BlockStmt) {
 				checkRenameOrdering(p, name, body, report)
 			})
 			checkUncheckedSync(p, f)

@@ -3,16 +3,16 @@
 // and go/types. It exists because the BIGrid pipeline's correctness
 // hangs on conventions the type system cannot express: squared
 // distances are compared against r², epoch-stamped scratch bitsets
-// must be Reset between phases, and the parallel phases must follow
-// strict goroutine hygiene. Each convention is enforced by an
-// Analyzer; cmd/miolint wires them to a CLI.
+// must be Reset between phases, fault points must be spelled as
+// registered, and a rename must not publish unsynced data. Each
+// convention is enforced by an Analyzer; cmd/miolint wires them to a
+// CLI.
 //
 // Beyond per-statement syntactic checks, the framework provides an
 // intraprocedural CFG constructor (cfg.go) and a generic forward-
-// dataflow fixpoint engine (dataflow.go); lockcheck, ctxflow and
-// fsync are built on them and reason about every syntactic path, not
-// just source order. DESIGN.md §13 documents the architecture and how
-// to write a flow-sensitive analyzer.
+// dataflow fixpoint engine (dataflow.go); fsync's rename rule runs on
+// them and reasons about every syntactic path, not just source order.
+// DESIGN.md §13 documents the architecture and each analyzer's record.
 //
 // Diagnostics can be suppressed at a specific line with
 //
@@ -20,9 +20,9 @@
 //
 // placed either on the flagged line or on the line directly above it.
 // The analyzer name "all" suppresses every analyzer. A reason is
-// mandatory; suppressions without one are reported themselves, and —
-// when the runner's audit is on — so is any suppression that no
-// longer matches a diagnostic, so suppressions cannot rot in place.
+// mandatory; suppressions without one are reported themselves, and so
+// is any suppression that no longer matches a diagnostic, so
+// suppressions cannot rot in place.
 package lint
 
 import (
@@ -101,56 +101,31 @@ func (m *ModulePass) Report(pos token.Position, format string, args ...any) {
 // Runner owns a set of analyzers and applies them to loaded packages.
 type Runner struct {
 	Analyzers []*Analyzer
-	// AuditSuppressions reports //lint:ignore comments that matched no
-	// diagnostic. NewRunner enables it; Disable turns it off (with
-	// analyzers missing, their suppressions would all look stale), and
-	// the zero value is off for the same reason.
-	AuditSuppressions bool
 }
 
-// NewRunner returns a Runner with the full default analyzer suite and
-// the stale-suppression audit enabled.
+// NewRunner returns a Runner with the full default analyzer suite.
 func NewRunner() *Runner {
-	return &Runner{Analyzers: DefaultAnalyzers(), AuditSuppressions: true}
+	return &Runner{Analyzers: DefaultAnalyzers()}
 }
 
 // DefaultAnalyzers returns the repository's standard suite.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		Dist2Analyzer(nil),
+		Dist2Analyzer(),
 		ScratchAnalyzer(),
 		GoHygieneAnalyzer(),
-		ErrCheckAnalyzer(nil),
-		OptionsAnalyzer(nil),
+		ErrCheckAnalyzer(),
+		OptionsAnalyzer(),
 		RecoverAnalyzer(),
-		FsyncAnalyzer(nil),
-		LockCheckAnalyzer(nil),
-		CtxFlowAnalyzer(),
+		FsyncAnalyzer(),
 		FaultPointAnalyzer(),
 	}
 }
 
-// Disable removes the named analyzers (comma-separated) from the
-// runner and turns off the stale-suppression audit, since the
-// suppressions of a disabled analyzer cannot match anything.
-func (r *Runner) Disable(names string) {
-	drop := map[string]bool{}
-	for _, n := range strings.Split(names, ",") {
-		drop[strings.TrimSpace(n)] = true
-	}
-	kept := r.Analyzers[:0]
-	for _, a := range r.Analyzers {
-		if !drop[a.Name] {
-			kept = append(kept, a)
-		}
-	}
-	r.Analyzers = kept
-	r.AuditSuppressions = false
-}
-
 // Run applies every analyzer to every package (then every Finish hook
 // to the module) and returns the surviving (non-suppressed)
-// diagnostics sorted by position.
+// diagnostics, plus one for every malformed or stale suppression,
+// sorted by position.
 func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 	sup := collectSuppressions(pkgs)
 	var raw []Diagnostic
@@ -173,9 +148,7 @@ func (r *Runner) Run(pkgs []*Package) []Diagnostic {
 		diags = append(diags, d)
 	}
 	diags = append(diags, sup.malformed...)
-	if r.AuditSuppressions {
-		diags = append(diags, sup.stale()...)
-	}
+	diags = append(diags, sup.stale()...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {

@@ -8,11 +8,10 @@ import (
 
 // TestAnalyzersGolden runs every analyzer against its fixture under
 // testdata and cross-checks diagnostics with the // want comments.
-// The same suite backs `miolint -fixtures`.
 func TestAnalyzersGolden(t *testing.T) {
-	for _, fx := range FixtureSuite() {
+	for _, fx := range fixtureSuite() {
 		t.Run(fx.Name, func(t *testing.T) {
-			fails, err := RunFixture("testdata", fx)
+			fails, err := runFixture("testdata", fx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -25,9 +24,8 @@ func TestAnalyzersGolden(t *testing.T) {
 
 // TestSuppression covers the //lint:ignore mechanics: trailing and
 // preceding placement, the "all" wildcard, name mismatch, and the
-// malformed-comment diagnostic. The runner here has the stale audit
-// off, so a non-matching suppression surfaces only the unsuppressed
-// finding (the audit's own behavior is TestStaleSuppressionAudit's).
+// malformed-comment diagnostic. A suppression naming the wrong
+// analyzer leaves the finding and is itself reported as stale.
 func TestSuppression(t *testing.T) {
 	const tmpl = `package p
 
@@ -46,7 +44,7 @@ func f() {
 		{"trailing", `fails() //lint:ignore errcheck reasoned`, 0, ""},
 		{"preceding", "//lint:ignore errcheck reasoned\n\tfails()", 0, ""},
 		{"wildcard", `fails() //lint:ignore all reasoned`, 0, ""},
-		{"wrong-name", `fails() //lint:ignore dist2 reasoned`, 1, "silently dropped"},
+		{"wrong-name", `fails() //lint:ignore dist2 reasoned`, 2, "silently dropped"},
 		{"missing-reason", `fails() //lint:ignore errcheck`, 2, "malformed"},
 		{"no-comment", `fails()`, 1, "silently dropped"},
 	}
@@ -57,7 +55,7 @@ func f() {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runner := &Runner{Analyzers: []*Analyzer{ErrCheckAnalyzer(nil)}}
+			runner := &Runner{Analyzers: []*Analyzer{ErrCheckAnalyzer()}}
 			diags := runner.Run([]*Package{pkg})
 			if len(diags) != tc.wantN {
 				t.Fatalf("got %d diagnostics %v, want %d", len(diags), diags, tc.wantN)
@@ -78,9 +76,8 @@ func f() {
 }
 
 // TestStaleSuppressionAudit pins the audit: a suppression that matches
-// a diagnostic is silent, one that matches nothing is itself reported,
-// and disabling analyzers turns the audit off (their suppressions
-// would all look stale).
+// a diagnostic is silent, and one that matches nothing is itself
+// reported.
 func TestStaleSuppressionAudit(t *testing.T) {
 	const src = `package p
 
@@ -96,40 +93,12 @@ func f() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(r *Runner) []Diagnostic { return r.Run([]*Package{pkg}) }
-
-	audited := run(&Runner{Analyzers: []*Analyzer{ErrCheckAnalyzer(nil)}, AuditSuppressions: true})
-	if len(audited) != 1 || !strings.Contains(audited[0].Message, "stale //lint:ignore errcheck") {
-		t.Fatalf("audited run = %v, want exactly the stale-suppression diagnostic", audited)
+	diags := (&Runner{Analyzers: []*Analyzer{ErrCheckAnalyzer()}}).Run([]*Package{pkg})
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "stale //lint:ignore errcheck") {
+		t.Fatalf("diags run = %v, want exactly the stale-suppression diagnostic", diags)
 	}
-	if audited[0].Pos.Line != 7 {
-		t.Errorf("stale diagnostic at line %d, want 7 (the dead comment)", audited[0].Pos.Line)
-	}
-
-	unaudited := run(&Runner{Analyzers: []*Analyzer{ErrCheckAnalyzer(nil)}})
-	if len(unaudited) != 0 {
-		t.Fatalf("unaudited run = %v, want none", unaudited)
-	}
-
-	disabled := NewRunner()
-	disabled.Disable("errcheck")
-	if disabled.AuditSuppressions {
-		t.Error("Disable must turn the stale audit off")
-	}
-}
-
-// TestDisable checks analyzer filtering.
-func TestDisable(t *testing.T) {
-	r := NewRunner()
-	n := len(r.Analyzers)
-	r.Disable("errcheck, options")
-	if len(r.Analyzers) != n-2 {
-		t.Fatalf("Disable removed %d analyzers, want 2", n-len(r.Analyzers))
-	}
-	for _, a := range r.Analyzers {
-		if a.Name == "errcheck" || a.Name == "options" {
-			t.Fatalf("analyzer %s survived Disable", a.Name)
-		}
+	if diags[0].Pos.Line != 7 {
+		t.Errorf("stale diagnostic at line %d, want 7 (the dead comment)", diags[0].Pos.Line)
 	}
 }
 

@@ -32,12 +32,11 @@ type Package struct {
 // the standard library: module-internal imports are resolved by
 // recursive loading, standard-library imports through the go/importer
 // source importer (which type-checks GOROOT sources and therefore
-// needs no compiled export data).
+// needs no compiled export data). _test.go files are merged into their
+// package, and external (package foo_test) test packages are loaded
+// too.
 type Loader struct {
 	Fset *token.FileSet
-	// IncludeTests merges _test.go files into their package and loads
-	// external (package foo_test) test packages.
-	IncludeTests bool
 
 	moduleDir  string
 	modulePath string
@@ -58,21 +57,17 @@ func NewLoader(dir string) (*Loader, error) {
 	}
 	fset := token.NewFileSet()
 	return &Loader{
-		Fset:         fset,
-		IncludeTests: true,
-		moduleDir:    root,
-		modulePath:   modPath,
-		std:          importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		cache:        map[string]*Package{},
-		loading:      map[string]bool{},
+		Fset:       fset,
+		moduleDir:  root,
+		modulePath: modPath,
+		std:        importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		cache:      map[string]*Package{},
+		loading:    map[string]bool{},
 	}, nil
 }
 
 // ModulePath returns the module path from go.mod.
 func (l *Loader) ModulePath() string { return l.modulePath }
-
-// ModuleDir returns the module root directory (where go.mod lives).
-func (l *Loader) ModuleDir() string { return l.moduleDir }
 
 // findModule walks upward from dir to the enclosing go.mod.
 func findModule(dir string) (root, modPath string, err error) {
@@ -159,8 +154,8 @@ func hasGoFiles(dir string) bool {
 	return false
 }
 
-// loadDir parses and checks the package in dir plus, when present and
-// requested, its external test package.
+// loadDir parses and checks the package in dir plus, when present,
+// its external test package.
 func (l *Loader) loadDir(path, dir string) (pkg, xtest *Package, err error) {
 	if p, ok := l.cache[path]; ok {
 		return p, l.cache[path+"_test"], nil
@@ -176,9 +171,6 @@ func (l *Loader) loadDir(path, dir string) (pkg, xtest *Package, err error) {
 			continue
 		}
 		isTest := strings.HasSuffix(name, "_test.go")
-		if isTest && !l.IncludeTests {
-			continue
-		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, nil, fmt.Errorf("lint: %w", err)

@@ -20,26 +20,22 @@ var requiredFields = map[string][]string{
 	"PowerLawConfig":   {"N", "M", "FieldSize"},
 }
 
-// defaultOptScopeRe limits the check to the places where hand-written
+// optScopeRe limits the check to the places where hand-written
 // literals appear: tests, examples and the CLIs. Library code builds
 // configs through the Default* constructors.
-var defaultOptScopeRe = regexp.MustCompile(`(^|/)(examples|cmd)(/|$)|_test$`)
+var optScopeRe = regexp.MustCompile(`(^|/)(examples|cmd)(/|$)|_test$`)
 
 // OptionsAnalyzer flags keyed struct literals of the registered
 // config types that omit a field lacking a safe zero value. Unkeyed
 // (positional) literals necessarily spell out every field and pass.
-// scopeRe (nil for the default) selects the packages checked; files
-// ending in _test.go are always in scope.
-func OptionsAnalyzer(scopeRe *regexp.Regexp) *Analyzer {
-	if scopeRe == nil {
-		scopeRe = defaultOptScopeRe
-	}
+// Files ending in _test.go are always in scope.
+func OptionsAnalyzer() *Analyzer {
 	a := &Analyzer{
 		Name: "options",
 		Doc:  "config struct literals in tests/examples must set fields without safe zero values",
 	}
 	a.Run = func(p *Pass) {
-		pkgInScope := scopeRe.MatchString(p.Pkg.Path)
+		pkgInScope := optScopeRe.MatchString(p.Pkg.Path)
 		walkFiles(p, func(f *ast.File) {
 			file := p.Pkg.Fset.Position(f.Pos()).Filename
 			if !pkgInScope && !strings.HasSuffix(file, "_test.go") {

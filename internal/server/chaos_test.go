@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -136,7 +137,7 @@ func TestChaosSurvival(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range observed {
-		ids, err := clean.InteractingSet(o.r, o.obj)
+		ids, err := clean.InteractingSet(context.Background(), o.r, o.obj)
 		if err != nil {
 			t.Fatalf("clean recompute r=%g obj=%d: %v", o.r, o.obj, err)
 		}

@@ -304,7 +304,7 @@ func (s *Server) handleInteracting(w http.ResponseWriter, req *http.Request) {
 	key := fmt.Sprintf("%d|interacting|%s|%d", epoch, rKey(r), obj)
 	val, cached, coalesced, err := s.execute(key, true, func() (any, error) {
 		return s.withEngine(req.Context(), func(ctx context.Context, eng *core.Engine) (any, error) {
-			return eng.InteractingSetContext(ctx, r, obj)
+			return eng.InteractingSet(ctx, r, obj)
 		})
 	})
 	if err != nil {
@@ -332,7 +332,7 @@ func (s *Server) handleScores(w http.ResponseWriter, req *http.Request) {
 	key := fmt.Sprintf("%d|scores|%s|%d|%v", epoch, rKey(r), buckets, full)
 	val, cached, coalesced, err := s.execute(key, true, func() (any, error) {
 		return s.withEngine(req.Context(), func(ctx context.Context, eng *core.Engine) (any, error) {
-			scores, err := eng.AllScoresContext(ctx, r)
+			scores, err := eng.AllScores(ctx, r)
 			if err != nil {
 				return nil, err
 			}
@@ -394,7 +394,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 	key := fmt.Sprintf("%d|sweep|%s|%d", epoch, strings.Join(keys, ","), k)
 	val, cached, coalesced, err := s.execute(key, true, func() (any, error) {
 		return s.withEngine(req.Context(), func(ctx context.Context, eng *core.Engine) (any, error) {
-			out, err := eng.SweepContext(ctx, rs, k)
+			out, err := eng.Sweep(ctx, rs, k)
 			if err != nil {
 				return nil, err
 			}

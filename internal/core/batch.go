@@ -22,14 +22,16 @@ import (
 //   - Label input and grid mapping run once: the labels and the large
 //     grid depend only on ⌈r⌉ (grid.LargeWidth rounds up), and one
 //     mapGrids sweep adds one small grid per distinct exact r
-//     (grid.SmallWidth divides by √dims).
+//     (grid.SmallWidth divides by √dims). A warm grid in the engine's
+//     cache stands in for the large grid's sweep.
 //   - A plan with the same exact r as the plan before it takes over
 //     that plan's lower-bounding pass (its tauLow).
-//   - Every plan reads and fills the upper-bounding entry (ubEntry)
-//     the first plan to reach upper bounding found in the engine's
-//     cache or made: the count bounds and τ^upp depend only on the
-//     large grid and the labels. A plan computes τ^upp only for its
-//     survivors that the entry still lacks.
+//   - Every plan reads and fills one upper-bounding entry (ubEntry):
+//     the one grid mapping found in the engine's cache, else the one
+//     the first plan to reach upper bounding made. The count bounds and
+//     τ^upp depend only on the large grid and the labels. A plan
+//     computes τ^upp only for its survivors that the entry still
+//     lacks.
 //   - Members with equal (r, k) share one plan and receive the same
 //     *Result.
 //
@@ -271,15 +273,14 @@ func (g *groupRun) run(ceil int) {
 		return
 	}
 	t0 := time.Now()
-	large, smalls, complete := g.e.mapGrids(rs, labels, nil, 0, g.aborted)
-	groups := groupsOf(large, g.e.ds.N())
+	m := g.e.mapGrids(rs, g.e.cacheFor(labels, newLabels, nil), labels, nil, 0, g.aborted)
 	gridDur := time.Since(t0)
 
 	var prev *query // the last plan's query that ran
-	var ub *ubEntry
+	ub := m.ub
 	exact := true
 	for _, pl := range g.plans {
-		if !complete || g.aborted() {
+		if !m.complete || g.aborted() {
 			exact = false
 			break
 		}
@@ -298,7 +299,7 @@ func (g *groupRun) run(ceil int) {
 				q.tauLow, q.lbDone = prev.tauLow, true
 			}
 		} else {
-			q.useIndex(newBigrid(smalls[slices.Index(rs, pl.r)], large, groups))
+			q.useIndex(newBigrid(m.smalls[slices.Index(rs, pl.r)], m.large, m.groups))
 		}
 		for _, i := range pl.members {
 			q.degradeOK = q.degradeOK || g.specs[i].Degrade

@@ -200,7 +200,8 @@ type Engine struct {
 	// maxAbs is the largest |coordinate| in ds; validate holds every r
 	// against it. A Pool scans for it once and copies it to every slot.
 	maxAbs float64
-	// ub is the τ^upp cache (ubcache.go), shared by every clone.
+	// ub is the τ^upp cache (ubcache.go) with its warm grids, shared by
+	// every clone.
 	ub *ubCache
 }
 
@@ -236,7 +237,7 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 		}
 	}
 	view, ord := spatialOrder(ds)
-	e := &Engine{ds: view, ext: ds, ord: ord, opts: opts, ub: &ubCache{}}
+	e := &Engine{ds: view, ext: ds, ord: ord, opts: opts, ub: newUBCache(ds.TotalPoints())}
 	for i := range ds.Objects {
 		for _, p := range ds.Objects[i].Pts {
 			// Plain comparisons: engines are built per query by one-shot

@@ -255,9 +255,13 @@ func TestFractionalThresholds(t *testing.T) {
 // its own and must give the same answer, renumbered through the
 // shuffle. strat bits 1 and 2 pick the parallel strategies;
 // bits 4 and 8 add a label store: the first run collects at r, bit 4
-// then consumes at the same r, bit 8 at an r′ with ⌈r′⌉ = ⌈r⌉. The
+// then consumes at the same r, bit 8 at an r′ with ⌈r′⌉ = ⌈r⌉. Bit 16
+// is the warm index: each engine first answers another r with the same
+// ⌈r⌉, so a label-free run of the fuzzed r hits the τ^upp cache and its
+// warm grid, and every answer, the warm-up's too, is the oracle's. The
 // seeds cover the serial engine, both parallel partitioning strategy
-// combinations, a sub-cell-width threshold and both label runs.
+// combinations, a sub-cell-width threshold, both label runs and warm
+// runs with and without labels.
 func FuzzEngineAgainstOracle(f *testing.F) {
 	f.Add(uint8(40), uint8(6), int64(1), 4.0, uint8(1), uint8(0), uint8(0))
 	f.Add(uint8(20), uint8(3), int64(7), 2.5, uint8(3), uint8(4), uint8(1))
@@ -265,6 +269,9 @@ func FuzzEngineAgainstOracle(f *testing.F) {
 	f.Add(uint8(8), uint8(1), int64(5), 12.0, uint8(5), uint8(2), uint8(3))
 	f.Add(uint8(50), uint8(5), int64(11), 5.5, uint8(4), uint8(0), uint8(4))
 	f.Add(uint8(45), uint8(6), int64(13), 3.0, uint8(2), uint8(2), uint8(12))
+	f.Add(uint8(60), uint8(5), int64(17), 4.5, uint8(2), uint8(0), uint8(16))
+	f.Add(uint8(33), uint8(4), int64(19), 7.0, uint8(3), uint8(3), uint8(17))
+	f.Add(uint8(28), uint8(6), int64(23), 2.2, uint8(1), uint8(2), uint8(20))
 	f.Fuzz(func(t *testing.T, n, m uint8, seed int64, r float64, k, workers, strat uint8) {
 		if r <= 0 || r != r || r > 100 {
 			t.Skip("threshold out of the meaningful range")
@@ -315,6 +322,14 @@ func FuzzEngineAgainstOracle(f *testing.F) {
 			t.Skip(err)
 		}
 		kk := int(k%5) + 1
+		if strat&16 != 0 {
+			// Below r within its ⌈r⌉, or above an r just past an integer.
+			warm := (r + math.Ceil(r) - 1) / 2
+			if warm == r || engines[0].validate(warm, 1) != nil {
+				warm = (r + math.Ceil(r)) / 2
+			}
+			rs = append([]float64{warm}, rs...)
+		}
 		for _, r := range rs {
 			oracle := baseline.NLScores(ds, r)
 			for x, eng := range engines {

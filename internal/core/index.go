@@ -106,8 +106,9 @@ type query struct {
 
 	// read is the read-set: bit c is set once the query has read
 	// b^adj(c) (readAdj, markRead). ub is the entry upper bounding
-	// reads and fills (ubEntry): set beforehand when a group run hands
-	// its plans one, else computeUpperBounds finds or makes it.
+	// reads and fills (ubEntry): the cached one grid mapping found, or
+	// the one a group run hands its plans, else computeUpperBounds
+	// makes it.
 	read readSet
 	ub   *ubEntry
 
@@ -347,8 +348,9 @@ func (q *query) complete(floor int) (*Result, error) {
 // finishGridStats records the index-footprint numbers; split out so
 // the degraded path can report them too once the grid exists. The
 // b^adj memoised on the large grid are left out: which cells need one
-// depends on the threshold (computeUpperBounds' cascade), so the
-// footprint stays a function of (dataset, r).
+// depends on the threshold (computeUpperBounds' cascade) and, on a warm
+// grid, on the queries before, so the footprint stays a function of
+// (dataset, r).
 func (q *query) finishGridStats() {
 	q.stats.SmallGridBytes = q.idx.small.SizeBytes()
 	q.stats.SmallGridUncompressedBytes = q.idx.small.UncompressedSizeBytes(q.n)
@@ -364,34 +366,50 @@ func pruned(labels *labelstore.Labels, obj, pt int) bool {
 
 // gridMapping implements GRID-MAPPING(O, r) (Algorithm 3), its
 // WITH-LABEL variant and PARALLEL-GRID-MAPPING: one build whatever the
-// configuration.
+// configuration, which also looks up the query's upper-bounding entry.
 func (q *query) gridMapping() {
-	large, smalls, complete := q.e.mapGrids([]float64{q.r}, q.labels, q.bucket, q.halo, q.cancelled)
-	q.useIndex(newBigrid(smalls[0], large, groupsOf(large, q.n)))
+	m := q.e.mapGrids([]float64{q.r}, q.ubCache(), q.labels, q.bucket, q.halo, q.cancelled)
+	q.ub = m.ub
+	q.useIndex(newBigrid(m.smalls[0], m.large, m.groups))
 	// The truncated grid is discarded by bound()'s post-phase ctx check;
 	// gmBroke records the truncation so a degraded answer is never
 	// certified from a partial grid.
-	q.gmBroke = !complete
+	q.gmBroke = !m.complete
 }
 
 // useIndex installs the query's BIGrid, with an empty read-set over its
 // large grid: the index is the query's own even when its grids are
-// shared (a group run's plans).
+// shared (a group run's plans, a warm grid).
 func (q *query) useIndex(idx *bigrid) {
 	q.idx = idx
 	q.read = newReadSet(idx.large.Len())
 }
 
+// mapping is what grid mapping hands the phases after it: the large
+// grid and its point groups, one small grid per exact r, whether the
+// sweep ran to the end, and the upper-bounding entry cached for ⌈r⌉,
+// nil on a miss or when the query bypasses the cache.
+type mapping struct {
+	large    *grid.LargeGrid
+	groups   [][]pointGroup
+	smalls   []*grid.SmallGrid
+	complete bool
+	ub       *ubEntry
+}
+
 // mapGrids builds the grids of one or several exact thresholds sharing
 // one ⌈r⌉ — a solo query passes its one r, a group run (batch.go) every
 // distinct r of the group — in one sweep over the points: the large
-// grid they all share and one small grid per entry of rs. labels, when
+// grid they all share and one small grid per entry of rs. cache, when
+// non-nil, is looked up for ⌈r⌉ first, and when its entry holds a warm
+// grid only the small grids are mapped: the large grid and its groups
+// are the entry's, with the coordinates gathered again. labels, when
 // non-nil, filter the points (WITH-LABEL); bucket and halo are
 // grid.Build's time axis, nil and 0 but on a temporal query. Grid
 // mapping is the first long phase, so the sweep polls stop to let an
 // abandoned query return promptly; complete is false when that cut it
 // short.
-func (e *Engine) mapGrids(rs []float64, labels *labelstore.Labels, bucket []int32, halo int32, stop func() bool) (large *grid.LargeGrid, smalls []*grid.SmallGrid, complete bool) {
+func (e *Engine) mapGrids(rs []float64, cache *ubCache, labels *labelstore.Labels, bucket []int32, halo int32, stop func() bool) (m mapping) {
 	widths := make([]float64, len(rs))
 	for i, r := range rs {
 		widths[i] = grid.SmallWidth(r, e.opts.dims())
@@ -400,7 +418,19 @@ func (e *Engine) mapGrids(rs []float64, labels *labelstore.Labels, bucket []int3
 	if labels != nil {
 		keep = func(obj, pt int) bool { return !pruned(labels, obj, pt) }
 	}
-	return grid.Build(e.ds, grid.LargeWidth(rs[0]), widths, bucket, halo, e.opts.workers(), keep, stop)
+	largeWidth := grid.LargeWidth(rs[0])
+	var warm *warmGrid
+	if cache != nil {
+		m.ub, warm = cache.get(largeWidth)
+	}
+	if warm != nil {
+		_, m.smalls, m.complete = grid.Build(e.ds, 0, widths, bucket, halo, e.opts.workers(), keep, stop)
+		m.large, m.groups = warm.large.Gather(e.ds), warm.groups
+		return m
+	}
+	m.large, m.smalls, m.complete = grid.Build(e.ds, largeWidth, widths, bucket, halo, e.opts.workers(), keep, stop)
+	m.groups = groupsOf(m.large, e.ds.N())
+	return m
 }
 
 // newBigrid assembles the BIGrid for one exact r. large and groups may

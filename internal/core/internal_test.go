@@ -258,11 +258,11 @@ func TestIndexBuildDeterministic(t *testing.T) {
 			if l != nil {
 				view = labelRows(l, eng.ord.ext)
 			}
-			large, smalls, complete := eng.mapGrids([]float64{r - 0.25, r}, view, nil, 0, func() bool { return false })
-			if !complete {
+			m := eng.mapGrids([]float64{r - 0.25, r}, nil, view, nil, 0, func() bool { return false })
+			if !m.complete {
 				t.Fatalf("%s: group build incomplete", name)
 			}
-			if got := shapeOf(newBigrid(smalls[1], large, groupsOf(large, ds.N()))); !reflect.DeepEqual(got, want) {
+			if got := shapeOf(newBigrid(m.smalls[1], m.large, m.groups)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s labels=%v: group build differs from the solo build", name, l != nil)
 			}
 		}

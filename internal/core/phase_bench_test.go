@@ -146,8 +146,10 @@ func BenchmarkWorkloadBirdTemporal(b *testing.B) {
 // work: Neuron-2 at 360 × 300, one long-lived engine, r drawn from the
 // Kronecker sequence over [5, 8] (three ⌈r⌉ buckets), k cycling 1..5.
 // It is warm by design, as the served workload is: after the first
-// query of each ⌈r⌉ the engine takes τ^upp from its cache. Beside the
-// phase means it reports the distance computations per query.
+// query of each ⌈r⌉ the engine takes τ^upp and the large grid from its
+// cache. Beside the phase means it reports the distance computations
+// per query and grid-hits/op, the share of queries that found their
+// warm grid.
 func BenchmarkWorkloadNeuron2(b *testing.B) {
 	c := data.DefaultNeuron2()
 	c.N, c.M = 360, 300
@@ -164,6 +166,7 @@ func BenchmarkWorkloadNeuron2(b *testing.B) {
 		return res, err
 	})
 	b.ReportMetric(float64(distComps)/float64(b.N), "dist-comps/op")
+	b.ReportMetric(float64(eng.IndexCache().GridHits)/float64(b.N), "grid-hits/op")
 }
 
 // BenchmarkSpatialOrder times the ordering pass NewEngine pays per

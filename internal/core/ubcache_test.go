@@ -49,6 +49,26 @@ func warmColdStream(t *testing.T, at string, ds *data.Dataset, opts Options, spe
 	if err != nil {
 		t.Fatalf("%s: %v", at, err)
 	}
+	warmColdStreamOn(t, at, warm, ds, opts, specs)
+	return warm
+}
+
+// newWarmEngine returns an engine that keeps every warm grid: the test
+// datasets' grids are sparse against their few points, and the default
+// budget would keep only some of them.
+func newWarmEngine(t *testing.T, ds *data.Dataset, opts Options) *Engine {
+	t.Helper()
+	e, err := NewEngine(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ub.budget = 1 << 30
+	return e
+}
+
+// warmColdStreamOn is warmColdStream on a given reused engine.
+func warmColdStreamOn(t *testing.T, at string, warm *Engine, ds *data.Dataset, opts Options, specs []GroupSpec) {
+	t.Helper()
 	for _, sp := range specs {
 		got, err := warm.RunTopK(sp.R, sp.K)
 		if err != nil {
@@ -63,22 +83,23 @@ func warmColdStream(t *testing.T, at string, ds *data.Dataset, opts Options, spe
 			t.Fatalf("%s r=%g k=%d: warm %+v, cold %+v", at, sp.R, sp.K, g, w)
 		}
 	}
-	return warm
 }
 
 // TestUpperBoundCacheWarmEqualsCold pins the τ^upp cache's contract: a
 // query answered from the cache returns what a fresh engine returns,
 // work counters included — AdjComputed too, which a hit charges as the
-// cold pass would have.
+// cold pass would have. Every hit is also a grid hit: the query maps
+// its small grid only and verifies on the warm grid and its b^adj memo.
 func TestUpperBoundCacheWarmEqualsCold(t *testing.T) {
 	for name, ds := range testDatasets(t) {
 		specs := ubCacheStream(name)
 		for _, opts := range ubCacheStrategies {
 			at := fmt.Sprintf("%s w=%d %v %v", name, opts.Workers, opts.LB, opts.UB)
-			warm := warmColdStream(t, at, ds, opts, specs)
+			warm := newWarmEngine(t, ds, opts)
+			warmColdStreamOn(t, at, warm, ds, opts, specs)
 			// Three ⌈r⌉ per dataset: every other query of the stream hits.
-			if st := warm.IndexCache(); st.Misses != 3 || st.Hits != uint64(len(specs)-3) || st.Entries != 3 {
-				t.Errorf("%s: index cache %+v, want 3 misses, %d hits, 3 entries", at, st, len(specs)-3)
+			if st := warm.IndexCache(); st.Misses != 3 || st.Hits != uint64(len(specs)-3) || st.GridHits != st.Hits || st.Entries != 3 || st.Grids != 3 || st.GridBytes > warm.ub.budget {
+				t.Errorf("%s: index cache %+v, want 3 misses, %d hits, all of them grid hits, 3 entries and 3 grids within %d bytes", at, st, len(specs)-3, warm.ub.budget)
 			}
 		}
 		if planar(ds) {
@@ -295,8 +316,10 @@ func TestUpperBoundCacheCancelledPublishesNothing(t *testing.T) {
 	}
 }
 
-// TestUpperBoundCacheHitFiresFault checks that the upper-bounding fault
-// point guards a hit as it guards a computed pass.
+// TestUpperBoundCacheHitFiresFault checks that the fault points guard a
+// hit as they guard a computed pass. The lookup is grid mapping's, after
+// its fault point: a query failed there counts no lookup, one failed at
+// upper bounding has counted its hit, and a grid hit.
 func TestUpperBoundCacheHitFiresFault(t *testing.T) {
 	ds := testDatasets(t)["bird"]
 	reg := fault.New(1)
@@ -304,16 +327,33 @@ func TestUpperBoundCacheHitFiresFault(t *testing.T) {
 	if _, err := eng.RunTopK(40, 1); err != nil {
 		t.Fatal(err)
 	}
-	reg.Arm(fault.Rule{Point: fault.PointUpperBounding, Kind: fault.KindError, P: 1})
-	if _, err := eng.RunTopK(39.5, 1); !errors.Is(err, fault.ErrInjected) {
-		t.Fatalf("hit with an armed upper-bounding fault: err %v, want ErrInjected", err)
+	for _, c := range []struct {
+		point    string
+		lookedUp bool
+	}{{fault.PointGridMapping, false}, {fault.PointUpperBounding, true}} {
+		before := eng.IndexCache()
+		reg.Arm(fault.Rule{Point: c.point, Kind: fault.KindError, P: 1})
+		if _, err := eng.RunTopK(39.5, 1); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("hit with an armed %s fault: err %v, want ErrInjected", c.point, err)
+		}
+		reg.Clear(c.point)
+		st := eng.IndexCache()
+		if hit := st.Hits - before.Hits; hit != st.GridHits-before.GridHits || (hit == 1) != c.lookedUp {
+			t.Errorf("%s fault: index cache %+v after %+v, want a grid hit %v", c.point, st, before, c.lookedUp)
+		}
 	}
-	reg.Clear(fault.PointUpperBounding)
+	// A rule that fires without effect shows the point is reached on a
+	// grid hit.
+	reg.Arm(fault.Rule{Point: fault.PointGridMapping, Kind: fault.KindLatency, P: 1})
+	fired := reg.Fired(fault.PointGridMapping)
 	if _, err := eng.RunTopK(39.5, 1); err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.IndexCache(); st.Hits != 1 {
-		t.Errorf("index cache %+v, want the last query to hit", st)
+	if st := eng.IndexCache(); st.Hits != 2 || st.GridHits != 2 {
+		t.Errorf("index cache %+v, want the last query to hit its grid", st)
+	}
+	if n := reg.Fired(fault.PointGridMapping) - fired; n != 1 {
+		t.Errorf("grid mapping's fault point fired %d times on a grid hit, want 1", n)
 	}
 }
 
@@ -523,6 +563,132 @@ func TestUpperBoundCacheGroupFillsInPlace(t *testing.T) {
 			if st := eng.IndexCache(); st.Misses != 1 || st.Hits != 1 {
 				t.Errorf("%s: index cache %+v, want one lookup per group", name, st)
 			}
+		}
+	}
+}
+
+// TestWarmGridCancelledMapping cancels a query inside a warm grid
+// mapping. The sweep it cuts short is its small grid's, so no bound
+// exists: the query declines whether or not it may degrade, and it
+// leaves the cache as it found it but for the counted grid hit. The
+// next query at that ⌈r⌉ is exact.
+func TestWarmGridCancelledMapping(t *testing.T) {
+	ds := testDatasets(t)["syn"]
+	for _, opts := range []Options{{}, {Workers: 2}} {
+		eng := newWarmEngine(t, ds, opts)
+		if _, err := eng.RunTopK(12, 2); err != nil {
+			t.Fatal(err)
+		}
+		for _, degrade := range []bool{false, true} {
+			before := eng.IndexCache()
+			q := newQuery(eng, 11.5, 2)
+			// The first poll is the small grid's sweep, at object 127.
+			q.ctx = newPollCtx(1)
+			q.degradeOK = degrade
+			if res, err := q.run(); res != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("w=%d degrade=%v: (%+v, %v), want context.Canceled", opts.Workers, degrade, res, err)
+			}
+			if !q.gmBroke {
+				t.Fatalf("w=%d degrade=%v: the warm grid mapping ran to the end", opts.Workers, degrade)
+			}
+			want := before
+			want.Hits++
+			want.GridHits++
+			if st := eng.IndexCache(); st != want {
+				t.Errorf("w=%d degrade=%v: index cache %+v, want %+v", opts.Workers, degrade, st, want)
+			}
+		}
+		got, err := eng.RunTopK(11.5, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := NewEngine(ds, opts)
+		want, _ := fresh.RunTopK(11.5, 2)
+		if g, w := stripVolatile(got), stripVolatile(want); !reflect.DeepEqual(g, w) {
+			t.Errorf("w=%d after a cancelled warm mapping: %+v, fresh engine %+v", opts.Workers, g, w)
+		}
+	}
+}
+
+// TestWarmGridConcurrent has two engines of one pool answer distinct r
+// of one ⌈r⌉ at once on one warm grid, filling its b^adj memo
+// together. It runs the stream again, over two ⌈r⌉, under
+// a budget that holds one grid: each publish drops the grid the other
+// engine may be verifying on. Every answer, work counters included,
+// equals a fresh engine's. Run under -race.
+func TestWarmGridConcurrent(t *testing.T) {
+	ds := testDatasets(t)["neuron"]
+	var specs []GroupSpec
+	for _, ceil := range []float64{5, 6} {
+		for i, d := range []float64{0, 0.2, 0.5, 0.7, 0.9} {
+			specs = append(specs, GroupSpec{R: ceil - d, K: 1 + i%4})
+		}
+	}
+	want := make([]*comparableResult, len(specs))
+	for i, sp := range specs {
+		fresh, _ := NewEngine(ds, Options{})
+		res, err := fresh.RunTopK(sp.R, sp.K)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = stripVolatile(res)
+	}
+	// One grid of the larger ⌈r⌉, its memo filled by the whole stream.
+	probe := newWarmEngine(t, ds, Options{})
+	for _, sp := range specs[len(specs)/2:] {
+		probe.RunTopK(sp.R, sp.K)
+	}
+	oneGrid := probe.IndexCache().GridBytes * 3 / 2
+	for _, c := range []struct {
+		budget int
+		specs  []GroupSpec
+	}{{1 << 30, specs[:len(specs)/2]}, {oneGrid, specs}} {
+		p, err := NewPool(ds, Options{}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.tmpl.Load().ub.budget = c.budget
+		got := make([][]*comparableResult, 2)
+		var start, wg sync.WaitGroup
+		start.Add(1)
+		for w := range got {
+			e, err := p.Acquire(context.Background(), -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[w] = make([]*comparableResult, len(c.specs))
+			wg.Add(1)
+			go func(e *Engine, w int) {
+				defer wg.Done()
+				defer p.Release(e)
+				start.Wait()
+				// The engines walk the stream from opposite ends.
+				for n := range c.specs {
+					i := n
+					if w == 1 {
+						i = len(c.specs) - 1 - n
+					}
+					if res, err := e.RunTopK(c.specs[i].R, c.specs[i].K); err == nil {
+						got[w][i] = stripVolatile(res)
+					}
+				}
+			}(e, w)
+		}
+		start.Done()
+		wg.Wait()
+		for w := range got {
+			for i, sp := range c.specs {
+				if !reflect.DeepEqual(got[w][i], want[i]) {
+					t.Errorf("budget %d engine %d r=%g k=%d: %+v, fresh engine %+v", c.budget, w, sp.R, sp.K, got[w][i], want[i])
+				}
+			}
+		}
+		st := p.IndexCache()
+		if st.Hits+st.Misses != uint64(2*len(c.specs)) || st.GridBytes > c.budget || st.GridHits == 0 {
+			t.Errorf("budget %d: index cache %+v, want a lookup per query, grid hits, and grids within the budget", c.budget, st)
+		}
+		if c.budget == oneGrid && (st.Grids > 1 || st.GridHits == st.Hits) {
+			t.Errorf("budget %d: index cache %+v, want one grid at most and hits that found none", c.budget, st)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -55,10 +56,13 @@ func (src *points) sameCell(a, b rec) bool {
 // Build is GRID-MAPPING (Algorithm 3) by sort and scan: it maps the
 // points of ds into one large grid of cell width largeWidth and one
 // small grid per entry of smallWidths, which all see the same points.
-// Grid by grid, every point is quantised as KeyFor does, the (key,
-// point number) records are radix-sorted, and the sorted stream is
-// run-length encoded into the grid's flat arrays; the two record
-// buffers are shared by all the grids.
+// A largeWidth of 0 skips the large grid (large is nil): a caller that
+// kept the large grid of this width from an earlier Build maps only the
+// small grids of its exact thresholds. Grid by grid, every point is
+// quantised as KeyFor does, the (key, point number) records are
+// radix-sorted, and the sorted stream is run-length encoded into the
+// grid's flat arrays; the two record buffers are shared by all the
+// grids.
 //
 // bucket, when non-nil, is the time axis of Appendix B: one bucket id
 // per point number (object-major, as the points are numbered), the most
@@ -71,8 +75,9 @@ func (src *points) sameCell(a, b rec) bool {
 // keep, when non-nil, filters the points (the WITH-LABEL variant maps
 // only points whose label is not 0**) and must answer the same every
 // time it is asked. stop, when non-nil, is polled every 128 objects of
-// the first grid's sweep; once it reports true the sweep ends, the
-// grids hold only what was mapped so far, and complete is false. With
+// the first grid's sweep, the large grid's or, when it is skipped, the
+// first small grid's; once it reports true the sweep ends, the grids
+// hold only what was mapped so far, and complete is false. With
 // workers > 1 the quantising sweeps are split over contiguous,
 // point-count-balanced object ranges; the sorts are not.
 //
@@ -96,14 +101,24 @@ func Build(ds *data.Dataset, largeWidth float64, smallWidths []float64, bucket [
 
 	ranges := parallel.Ranges(weights, workers)
 	recs := make([]rec, total)
-	m, complete := src.quantise(recs, largeWidth, ranges, keep, stop)
-	tmp := make([]rec, m)
-	large = newLargeGrid(halo, &src, src.sortRecs(recs[:m], tmp))
+	var tmp []rec
+	complete = true
+	// sorted quantises at width and sorts; only the first sweep polls
+	// stop, and ranges then end where it stopped.
+	sorted := func(width float64) []rec {
+		m, ok := src.quantise(recs, width, ranges, keep, stop)
+		complete, stop = complete && ok, nil
+		if tmp == nil {
+			tmp = make([]rec, m)
+		}
+		return src.sortRecs(recs[:m], tmp)
+	}
+	if largeWidth != 0 {
+		large = newLargeGrid(halo, &src, sorted(largeWidth))
+	}
 	smalls = make([]*SmallGrid, len(smallWidths))
 	for si, width := range smallWidths {
-		// ranges now end where a stopped first sweep did.
-		m, _ = src.quantise(recs, width, ranges, keep, nil)
-		smalls[si] = newSmallGrid(&src, src.sortRecs(recs[:m], tmp))
+		smalls[si] = newSmallGrid(&src, sorted(width))
 	}
 	return large, smalls, complete
 }
@@ -169,10 +184,16 @@ func (src *points) field(r rec, f int) uint32 {
 // pays nothing for Z, a spatial build has no bucket field, and cell
 // coordinates straddling zero cost no more than positive ones.
 // Stability keeps the records of one cell in point number order, which
-// is object-major.
+// is object-major. A spatial build takes sortPacked's fewer passes when
+// its fields fit one 64-bit key.
 func (src *points) sortRecs(a, tmp []rec) []rec {
 	if len(a) < 2 {
 		return a
+	}
+	if src.bucket == nil {
+		if sorted, ok := sortPacked(a, tmp); ok {
+			return sorted
+		}
 	}
 	fields := 3
 	if src.bucket != nil {
@@ -207,6 +228,61 @@ func (src *points) sortRecs(a, tmp []rec) []rec {
 		}
 	}
 	return a
+}
+
+// sortPacked sorts spatial records as sortRecs does when the spans of
+// their X, Y and Z fields fit 64 bits together, as they do unless cells
+// are tiny against the extent, and reports whether they did. Each
+// record's hi is replaced by one key of those bits, Z least
+// significant, the key is sorted in passes of at most 11 bits, and hi
+// is restored: fewer passes than one per byte of each field.
+func sortPacked(a, tmp []rec) ([]rec, bool) {
+	minX, minY, minZ := uint32(math.MaxUint32), uint32(math.MaxUint32), uint32(math.MaxUint32)
+	var maxX, maxY, maxZ uint32
+	for _, r := range a {
+		x, y := uint32(r.hi>>32), uint32(r.hi)
+		minX, maxX = min(minX, x), max(maxX, x)
+		minY, maxY = min(minY, y), max(maxY, y)
+		minZ, maxZ = min(minZ, r.lo), max(maxZ, r.lo)
+	}
+	wx, wy, wz := uint(bits.Len32(maxX-minX)), uint(bits.Len32(maxY-minY)), uint(bits.Len32(maxZ-minZ))
+	total := wx + wy + wz
+	if total > 64 {
+		return nil, false
+	}
+	for i := range a {
+		r := &a[i]
+		r.hi = uint64(uint32(r.hi>>32)-minX)<<(wy+wz) | uint64(uint32(r.hi)-minY)<<wz | uint64(r.lo-minZ)
+	}
+	if total > 0 {
+		passes := (total + 10) / 11
+		digit := (total + passes - 1) / passes
+		mask := uint64(1)<<digit - 1
+		var next [1 << 11]int
+		for shift := uint(0); shift < total; shift += digit {
+			clear(next[:])
+			for _, r := range a {
+				next[r.hi>>shift&mask]++
+			}
+			pos := 0
+			for d, c := range next[:mask+1] {
+				next[d] = pos
+				pos += c
+			}
+			for _, r := range a {
+				d := r.hi >> shift & mask
+				tmp[next[d]] = r
+				next[d]++
+			}
+			a, tmp = tmp, a
+		}
+	}
+	yMask := uint64(1)<<wy - 1
+	for i := range a {
+		k := a[i].hi >> wz
+		a[i].hi = uint64(uint32(k>>wy)+minX)<<32 | uint64(uint32(k&yMask)+minY)
+	}
+	return a, true
 }
 
 // directory is what the two grids share: the sorted key list of the

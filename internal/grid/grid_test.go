@@ -423,6 +423,20 @@ func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, width float64, ref
 	if len(at) != kept || len(g.Idx) != kept {
 		t.Fatalf("%d points in postings, %d in Idx, want %d", len(at), len(g.Idx), kept)
 	}
+	checkCopies(t, g, ds)
+}
+
+// checkCopies holds the grid's copies against it: a lean copy drops
+// the coordinates alone, and Gather restores them.
+func checkCopies(t *testing.T, g *LargeGrid, ds *data.Dataset) {
+	t.Helper()
+	lean := g.Lean()
+	if lean.Xs != nil || lean.SizeBytes() != g.SizeBytes()-24*len(g.Idx) {
+		t.Fatalf("lean copy: %d coordinates, %d bytes of %d", len(lean.Xs), lean.SizeBytes(), g.SizeBytes())
+	}
+	if back := lean.Gather(ds); !reflect.DeepEqual([][]float64{back.Xs, back.Ys, back.Zs}, [][]float64{g.Xs, g.Ys, g.Zs}) {
+		t.Fatal("Gather does not restore the coordinates")
+	}
 }
 
 // checkSmall holds a small grid against the reference: the same cells,
@@ -554,6 +568,12 @@ func TestFlatIndexAgainstReference(t *testing.T) {
 					// The reference keys every point with KeyFor(p, sw).
 					checkSmall(t, smalls[i], reference(tc.ds, sw, tc.keep, tc.bucket))
 				}
+				// Without the large grid the first small grid's sweep polls.
+				polls.Store(0)
+				large, again, complete := Build(tc.ds, 0, smallWidths, tc.bucket, tc.halo, workers, tc.keep, func() bool { polls.Add(1); return false })
+				if large != nil || !complete || int(polls.Load()) != tc.ds.N()/128 || !reflect.DeepEqual(again, smalls) {
+					t.Fatalf("Build without the large grid: large %v, complete %v, %d polls, small grids equal %v", large != nil, complete, polls.Load(), reflect.DeepEqual(again, smalls))
+				}
 			})
 		}
 	}
@@ -585,6 +605,11 @@ func TestBuildStops(t *testing.T) {
 	}
 	if _, ok := at[[2]int{255, 0}]; ok {
 		t.Fatal("the first point after the stop is mapped")
+	}
+	// Without the large grid the small grid's sweep is the one cut.
+	polls = 0
+	if large, smalls, complete := Build(ds, 0, []float64{0.5}, nil, 0, 1, nil, func() bool { polls++; return polls == 2 }); large != nil || complete || smalls[0].Len() != 2*255 {
+		t.Fatalf("stopped small-grid build: large %v, complete %v, %d small cells, want %d", large != nil, complete, smalls[0].Len(), 2*255)
 	}
 }
 

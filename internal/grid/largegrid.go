@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"mio/internal/bitmap"
+	"mio/internal/data"
 )
 
 // LargeGrid is the upper-bounding and verification grid of a BIGrid
@@ -25,16 +26,27 @@ import (
 // 9) — never during grid mapping, to avoid the cell access cost the
 // paper calls out. It is published through an atomic pointer so
 // concurrent phases can memoise it without locks.
+//
+// Everything but the coordinates lives behind one pointer, so copies
+// of a grid share the directory, the postings and the b^adj memo: Lean
+// drops the coordinates of a grid that is kept for later queries, and
+// Gather gives a query a copy with them.
 type LargeGrid struct {
+	*postings
+	// Xs, Ys and Zs are parallel to Idx, one entry per mapped point;
+	// nil on a grid Lean returned.
+	Xs, Ys, Zs []float64
+}
+
+// postings is the part of a large grid its copies share.
+type postings struct {
 	directory
 	// halo is how many buckets either side of a cell's own its
 	// neighbourhood spans: 0 in a spatial grid.
 	halo int32
 
 	Off []int32 // len(Objs)+1
-	// Xs, Ys, Zs and Idx are parallel, one entry per mapped point.
-	Xs, Ys, Zs []float64
-	Idx        []int32
+	Idx []int32 // one entry per mapped point
 
 	adj      []atomic.Pointer[bitmap.Compressed]
 	adjBytes atomic.Int64
@@ -50,19 +62,17 @@ type LargeGrid struct {
 // arrays. Within a cell the records are in point number order, so each
 // object's points are contiguous and the objects ascend.
 func newLargeGrid(halo int32, src *points, sorted []rec) *LargeGrid {
-	buckets, cells, postings := countRuns(src, sorted)
+	buckets, cells, posts := countRuns(src, sorted)
 	m, nObjects := len(sorted), len(src.start)-1
-	g := &LargeGrid{
-		directory: newDirectory(buckets, cells, postings),
+	g := &LargeGrid{postings: &postings{
+		directory: newDirectory(buckets, cells, posts),
 		halo:      halo,
-		Off:       make([]int32, postings+1),
-		Xs:        make([]float64, m),
-		Ys:        make([]float64, m),
-		Zs:        make([]float64, m),
+		Off:       make([]int32, posts+1),
 		Idx:       make([]int32, m),
 		adj:       make([]atomic.Pointer[bitmap.Compressed], cells),
 		scratches: &sync.Pool{New: func() any { return bitmap.NewScratch(nObjects) }},
-	}
+	}}
+	g.Xs, g.Ys, g.Zs = newCoords(m)
 	c, p := -1, -1
 	for i, r := range sorted {
 		obj := src.objOf[r.ord]
@@ -83,8 +93,35 @@ func newLargeGrid(halo int32, src *points, sorted []rec) *LargeGrid {
 		g.Idx[i] = pt
 	}
 	g.finish()
-	g.Off[postings] = int32(m)
+	g.Off[posts] = int32(m)
 	return g
+}
+
+// newCoords returns three coordinate arrays of m entries each.
+func newCoords(m int) (xs, ys, zs []float64) {
+	return make([]float64, m), make([]float64, m), make([]float64, m)
+}
+
+// Lean returns a copy of g without the coordinates: the directory, the
+// postings and the b^adj memo, shared with g. Points must not be called
+// on it; Gather restores them.
+func (g *LargeGrid) Lean() *LargeGrid { return &LargeGrid{postings: g.postings} }
+
+// Gather returns a copy of g, which may be lean, with the coordinates of
+// its points read from ds, the dataset it was built from, through Objs
+// and Idx. It shares g's directory, postings and b^adj memo.
+func (g *LargeGrid) Gather(ds *data.Dataset) *LargeGrid {
+	c := &LargeGrid{postings: g.postings}
+	c.Xs, c.Ys, c.Zs = newCoords(len(g.Idx))
+	for p, obj := range g.Objs {
+		pts, idx := ds.Objects[obj].Pts, g.PointIdx(p)
+		xs, ys, zs := c.Points(p)
+		for i, k := range idx[:len(xs)] {
+			q := &pts[k]
+			xs[i], ys[i], zs[i] = q.X, q.Y, q.Z
+		}
+	}
+	return c
 }
 
 // Points returns the coordinate sub-arrays of posting p.
@@ -201,11 +238,11 @@ func (g *LargeGrid) union(b int32, k Key, radius, halo int32) *bitmap.Compressed
 }
 
 // SizeBytes returns the memory footprint of the grid: the directory,
-// the bucket ranges, the flat posting arrays and the adjacency bitsets
-// memoised so far (AdjBytes).
+// the bucket ranges, the flat posting arrays, the coordinates unless the
+// grid is lean, and the adjacency bitsets memoised so far (AdjBytes).
 func (g *LargeGrid) SizeBytes() int {
 	const perCell = 8 + 4 + /* CellOff */ 4 + /* adj pointer */ 8
-	return g.Len()*perCell + g.bucketBytes() + len(g.Objs)*(4+4) + len(g.Idx)*(24+4) + g.AdjBytes()
+	return g.Len()*perCell + g.bucketBytes() + len(g.Objs)*(4+4) + len(g.Idx)*4 + len(g.Xs)*24 + g.AdjBytes()
 }
 
 // AdjBytes returns what the adjacency bitsets memoised so far occupy.

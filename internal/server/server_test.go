@@ -493,10 +493,12 @@ func TestMetricsShape(t *testing.T) {
 
 // TestMetricsIndexCache checks the index_cache section of /metrics: two
 // queries with one ⌈r⌉ and distinct exact r miss the result cache, and
-// the second takes τ^upp from the engines' cache — in every shard pool
-// on the sharded strategy, summed. The τ^upp values the entries hold
-// grow from none with the queries and never pass one per object per
-// entry. Label queries bypass the cache.
+// the second takes τ^upp and the warm large grid from the engines'
+// cache — in every shard pool on the sharded strategy, summed. The
+// τ^upp values the entries hold grow from none with the queries and
+// never pass one per object per entry; the grids' bytes stay within the
+// budget, 36 bytes per point of each pool's dataset. Label queries
+// bypass the cache.
 func TestMetricsIndexCache(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -504,8 +506,8 @@ func TestMetricsIndexCache(t *testing.T) {
 		cfg  Config
 		want core.IndexCacheStats
 	}{
-		{"solo", core.Options{}, Config{}, core.IndexCacheStats{Hits: 1, Misses: 1, Entries: 1}},
-		{"sharded", core.Options{}, Config{Shards: 2, ShardMaxR: 5}, core.IndexCacheStats{Hits: 2, Misses: 2, Entries: 2}},
+		{"solo", core.Options{}, Config{}, core.IndexCacheStats{Hits: 1, Misses: 1, Entries: 1, GridHits: 1, Grids: 1}},
+		{"sharded", core.Options{}, Config{Shards: 2, ShardMaxR: 5}, core.IndexCacheStats{Hits: 2, Misses: 2, Entries: 2, GridHits: 2, Grids: 2}},
 		{"labels", core.Options{Labels: labelstore.NewStore()}, Config{}, core.IndexCacheStats{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -530,8 +532,13 @@ func TestMetricsIndexCache(t *testing.T) {
 				filled = st.Filled
 			}
 			st := snap.IndexCache
-			if got := (core.IndexCacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries}); got != tc.want {
+			if got := (core.IndexCacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries, GridHits: st.GridHits, Grids: st.Grids}); got != tc.want {
 				t.Errorf("index_cache = %+v, want %+v", st, tc.want)
+			}
+			// Each shard pool has a budget of its own, over a dataset no
+			// larger than the whole.
+			if limit := 36 * ds.TotalPoints() * max(1, tc.cfg.Shards); st.GridBytes > limit || (st.Grids > 0) != (st.GridBytes > 0) {
+				t.Errorf("index_cache = %+v, want grid bytes within %d, 0 only without grids", st, limit)
 			}
 		})
 	}

@@ -15,9 +15,11 @@ import (
 // over 4 in-process shards with hedging off, r drawn from the Kronecker
 // sequence over [3, 9], k cycling 1..5, one caller. The shards' pools
 // live across iterations as a server's do, so after the first query of
-// each ⌈r⌉ every shard takes τ^upp from its cache. Beside ns/op and
-// allocs/op it reports ms/op and the distance computations per query
-// summed over the shards.
+// each ⌈r⌉ every shard takes τ^upp from its cache, and its large grid
+// when the shard's budget kept it. Beside ns/op and allocs/op it
+// reports ms/op, and per query, summed over the shards, the distance
+// computations and grid-hits/op, the shard queries that found their
+// warm grid (at most 4).
 func BenchmarkWorkloadBird2Sharded(b *testing.B) {
 	c := data.DefaultBird2()
 	c.N, c.M = 200, 100
@@ -43,4 +45,5 @@ func BenchmarkWorkloadBird2Sharded(b *testing.B) {
 	}
 	b.ReportMetric(float64(time.Since(t0).Microseconds())/1e3/float64(b.N), "ms/op")
 	b.ReportMetric(float64(distComps)/float64(b.N), "dist-comps/op")
+	b.ReportMetric(float64(co.IndexCache().GridHits)/float64(b.N), "grid-hits/op")
 }

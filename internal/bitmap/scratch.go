@@ -169,6 +169,24 @@ func (s *Scratch) ForEach(fn func(bit int) bool) {
 	}
 }
 
+// NextSet returns the lowest set bit at or above i ≥ 0, or -1 when
+// there is none.
+func (s *Scratch) NextSet(i int) int {
+	wi := i >> 6
+	if wi > s.maxWord {
+		return -1
+	}
+	if w := s.word(wi) >> uint(i&63); w != 0 {
+		return i + bits.TrailingZeros64(w)
+	}
+	for wi++; wi <= s.maxWord; wi++ {
+		if w := s.word(wi); w != 0 {
+			return wi<<6 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
 // ToCompressed compresses the current contents: the one EWAH encoder.
 // Zero gaps become zero-fill markers, all-ones words extend a one-fill
 // run, and every other word is a literal counted by the marker before

@@ -62,6 +62,40 @@ func TestScratchEpochWrap(t *testing.T) {
 	}
 }
 
+// TestScratchNextSet checks NextSet against a scan of Test from every
+// start, on random sets that straddle word boundaries, after a Reset
+// (stale words read as zero) and on the empty set.
+func TestScratchNextSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 300
+	s := NewScratch(n)
+	for round := 0; round < 50; round++ {
+		s.Reset()
+		for k := rng.Intn(20); k > 0; k-- {
+			s.Set(rng.Intn(n))
+		}
+		if round%5 == 0 {
+			s.Clear(rng.Intn(n))
+		}
+		for i := 0; i <= n+64; i++ {
+			want := -1
+			for j := i; j < n; j++ {
+				if s.Test(j) {
+					want = j
+					break
+				}
+			}
+			if got := s.NextSet(i); got != want {
+				t.Fatalf("round %d: NextSet(%d) = %d, want %d", round, i, got, want)
+			}
+		}
+	}
+	s.Reset()
+	if got := s.NextSet(0); got != -1 {
+		t.Fatalf("NextSet on an empty set = %d", got)
+	}
+}
+
 func TestScratchOrCompressed(t *testing.T) {
 	n := 2048
 	s := NewScratch(n)

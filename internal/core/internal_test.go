@@ -427,19 +427,54 @@ func TestGroupWalkOneLargeCell(t *testing.T) {
 	}
 	checkAllScores(t, "one large cell", ds, 8)
 
-	// A far partner no point reaches makes every group point scan its
-	// posting to the end; the first poll (the 256th probe) cancels.
-	miss := &data.Dataset{Objects: []data.Object{{ID: 0, Pts: big}, {ID: 1, Pts: []geom.Point{geom.Pt(15.9, 15.9, 15.9)}}}}
-	full := walkDistComps(t, miss, 8, 0)
-	eng, _ = NewEngine(miss, Options{})
-	q = newQuery(eng, 8, 1)
-	q.gridMapping()
-	q.ctx = newPollCtx(1)
-	ctr := ctrSet{}
-	q.exactScore(int(eng.ord.pos[0]), bitmap.NewScratch(q.n), bitmap.NewScratch(q.n), &ctr)
-	if full != len(big) || ctr.distComps != 255 {
-		t.Fatalf("distance computations: %d cancelled, %d full; want 255 of %d", ctr.distComps, full, len(big))
+	// The poll inside the group. The cloud leaves out the corner of its
+	// cell beyond the plane x + y + z = 12, so a partner at (10, 10, 10)
+	// is about 3.6 from the group's box (nearly the whole cell) but at least
+	// (30 − 12)/√3 ≈ 10.4 from every one of its points. The box passes
+	// it, every group point scans its posting to the end, and the first
+	// poll (the 256th probe) cancels after 255 of them.
+	var cut []geom.Point
+	cut = append(cut, geom.Pt(0, 0, 0), geom.Pt(7.9, 0, 0), geom.Pt(0, 7.9, 0), geom.Pt(0, 0, 7.9))
+	for len(cut) < 700 {
+		if p := geom.Pt(rng.Float64()*8, rng.Float64()*8, rng.Float64()*8); p.X+p.Y+p.Z <= 12 {
+			cut = append(cut, p)
+		}
 	}
+	near := &data.Dataset{Objects: []data.Object{{ID: 0, Pts: cut}, {ID: 1, Pts: []geom.Point{geom.Pt(10, 10, 10)}}}}
+	if full, cancelled, _ := cancelledWalk(t, near, 8); full != len(cut) || cancelled != 255 {
+		t.Fatalf("box-passed partner: %d distance computations cancelled, %d full; want 255 of %d", cancelled, full, len(cut))
+	}
+
+	// A far partner no group point reaches is rejected by the box in one
+	// step. It is charged what the 700 scans would have cost, and the
+	// probes it spares still cross the poll, which fires.
+	far := &data.Dataset{Objects: []data.Object{{ID: 0, Pts: big}, {ID: 1, Pts: []geom.Point{geom.Pt(15.9, 15.9, 15.9)}}}}
+	if full, cancelled, stopped := cancelledWalk(t, far, 8); full != len(big) || cancelled != len(big) || !stopped {
+		t.Fatalf("box-rejected partner: %d distance computations cancelled (stopped %v), %d full; want %d, stopped",
+			cancelled, stopped, full, len(big))
+	}
+}
+
+// cancelledWalk returns object 0's distance computations in ds at r,
+// then those of its walk under a context that cancels at the first poll
+// and whether the walk stopped. Object 0 must be one group.
+func cancelledWalk(t *testing.T, ds *data.Dataset, r float64) (full, cancelled int, stopped bool) {
+	t.Helper()
+	full = walkDistComps(t, ds, r, 0)
+	eng, err := NewEngine(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := newQuery(eng, r, 1)
+	q.gridMapping()
+	i := int(eng.ord.pos[0])
+	if gs := q.idx.groups[i]; len(gs) != 1 {
+		t.Fatalf("setup: object 0 has %d groups, want 1", len(gs))
+	}
+	q.ctx = newPollCtx(1)
+	w := scoreWalk{q: q, i: i, bOi: bitmap.NewScratch(q.n), mask: bitmap.NewScratch(q.n)}
+	w.run()
+	return full, w.ctr.distComps, w.stopped
 }
 
 // TestLabeling3PerGroup runs Labeling-3 on TestLabelsActuallyPrunePoints'

@@ -16,14 +16,17 @@ import (
 const ubCacheCap = 16
 
 // warmGridBytesPerPoint bounds what the entries' warm grids take
-// together: this many bytes per point of the template's dataset, one and
-// a half times the point's own 24 bytes of coordinates. A lean grid
-// holds no coordinates. On dense data, where cells hold many points, it
-// takes about 10 bytes a point, and three ⌈r⌉ stay warm. On sparse data,
-// with nearly a cell per point, one grid takes about the whole budget:
-// few stay warm, and none where a grid would be dropped as fast as it
-// is mapped.
-const warmGridBytesPerPoint = 36
+// together: this many bytes per point of the template's dataset, five
+// thirds of the point's own 24 bytes of coordinates. A lean grid holds
+// no coordinates. On dense data, where cells hold many points, it takes
+// about 10 to 15 bytes a point once its b^adj memo fills, and three
+// ⌈r⌉ stay warm: Neuron-2 at 360 × 300 (107 618 points) keeps its grids
+// of ⌈r⌉ = 6, 7 and 8 at 1.56, 1.31 and 1.13 MB, 4.00 MB with every
+// b^adj header counted, which 40 B a point (4.30 MB) holds and 36 B
+// (3.87 MB) did not. On sparse data, with nearly a cell per point, one
+// grid takes about the whole budget: few stay warm, and none where a
+// grid would be dropped as fast as it is mapped.
+const warmGridBytesPerPoint = 40
 
 // ubEntry is upper bounding's state for one large grid: every object's
 // count bound B_i (countBounds), and Lemma 2's τ^upp, filled per object
@@ -189,7 +192,7 @@ type IndexCacheStats struct {
 	// queries mapped only their small grids.
 	GridHits uint64 `json:"grid_hits"`
 	// Grids is the number of entries holding a warm grid, and GridBytes
-	// what those grids take, at most the budget of 36 bytes per point of
+	// what those grids take, at most the budget of 40 bytes per point of
 	// the dataset.
 	Grids     int `json:"grids"`
 	GridBytes int `json:"grid_bytes"`

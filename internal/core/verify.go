@@ -140,10 +140,11 @@ type scoreWalk struct {
 	// the label directly would be wrong — other workers may still have
 	// survivors; parallelExactScore ANDs the workers' vectors instead.
 	emptyAt []uint64
-	// probes counts group points scanned against a posting; the walk
-	// polls for cancellation every 256, so an object whose points all
-	// fall into one cell stays cancellable. stopped records a poll that
-	// fired: the walk unwinds, and b(o_i) is a lower bound only.
+	// probes counts group points scanned against a posting, or spared
+	// by its box test; the walk polls for cancellation every 256, so an
+	// object whose points all fall into one cell stays cancellable.
+	// stopped records a poll that fired: the walk unwinds, and b(o_i) is
+	// a lower bound only.
 	probes  int
 	stopped bool
 	// kept holds a group's active points on a WITH-LABEL run.
@@ -151,10 +152,22 @@ type scoreWalk struct {
 }
 
 // group is the active part of a point group: its points' coordinates
-// and their indices within o_i, in index order.
+// and their indices within o_i, in index order, and once bound has run,
+// their bounding box.
 type group struct {
 	xs, ys, zs []float64
 	idx        []int32
+	box        geom.Box
+	boxed      bool
+}
+
+// bound sets the group's box, which probePosting tests each posting
+// against before it scans the posting per point. A one-point group gets
+// none: its box test would be its distance test.
+func (g *group) bound() {
+	if g.boxed = len(g.idx) > 1; g.boxed {
+		g.box = geom.BoundBlock(g.xs, g.ys, g.zs)
+	}
 }
 
 // run seeds b(o_i) with Lemma 1 and walks o_i's groups.
@@ -180,6 +193,7 @@ func (w *scoreWalk) run() {
 			w.labelEmpty(grp.idx)
 			continue
 		}
+		grp.bound()
 		// Block q.halo of the neighbourhood is the group's own time
 		// bucket; pairs with the cells of the others take the time test.
 		for s, nc := range neigh[:large.Neighbors(c, &neigh)] {
@@ -232,12 +246,12 @@ func (w *scoreWalk) labelEmpty(idx []int32) {
 
 // probeCell runs the distance computations of Algorithm 6 lines 13-17
 // for group g against cell c: every object still in the mask has its
-// posting in c scanned once against the group. The posting-list/mask
-// intersection runs in whichever direction is cheaper: over the cell's
-// postings (O(1) mask test each) when the cell is small, over mask bits
-// when the mask is small. Both ascend, so each bit's lookup searches
-// only the part of the run after the previous bit's posting. cross is
-// probePosting's.
+// posting in c scanned once against the group, in ascending order. The
+// posting-list/mask intersection runs in whichever direction is
+// cheaper: over the cell's postings (O(1) mask test each) when the cell
+// is small, else as a merge of the two ascending lists in which each
+// side leaps to the other's next element, the mask by its next set bit
+// and the cell's run by a gallop. cross is probePosting's.
 func (w *scoreWalk) probeCell(c int, g *group, cross bool) {
 	large := w.q.idx.large
 	objs, first := large.CellObjs(c), int(large.CellOff[c])
@@ -251,16 +265,36 @@ func (w *scoreWalk) probeCell(c int, g *group, cross bool) {
 		}
 		return
 	}
-	at := 0
-	w.mask.ForEach(func(j int) bool {
-		k, found := slices.BinarySearch(objs[at:], int32(j))
-		at += k
-		if found {
-			w.probePosting(first+at, j, g, cross)
-			at++
+	for at := 0; at < len(objs); {
+		j := w.mask.NextSet(int(objs[at]))
+		if j < 0 {
+			return
 		}
-		return at < len(objs) && !w.stopped
-	})
+		if int(objs[at]) != j {
+			if at = gallop(objs, at, int32(j)); at == len(objs) || int(objs[at]) != j {
+				continue
+			}
+		}
+		if w.probePosting(first+at, j, g, cross); w.stopped {
+			return
+		}
+		at++
+	}
+}
+
+// gallop returns the first index at or after from whose id is at least
+// j in the ascending run ids, or len(ids): steps of 1, 2, 4, … bracket
+// it, and a binary search inside the bracket finds it, so a near target
+// costs a few compares.
+func gallop(ids []int32, from int, j int32) int {
+	lo, step := from, 1
+	for lo+step < len(ids) && ids[lo+step] < j {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, len(ids))
+	k, _ := slices.BinarySearch(ids[lo:hi], j)
+	return lo + k
 }
 
 // probePosting resolves posting pi (object j) against group g: one
@@ -272,9 +306,27 @@ func (w *scoreWalk) probeCell(c int, g *group, cross bool) {
 // dataset's, reached through point indices. distComps counts the pairs
 // a scalar break-on-first-hit loop would have touched: the full posting
 // for every group point that misses, then up to and including the hit.
+//
+// A group with a box first scans the posting once against it
+// (geom.NearBox). No posting point before the first one near the box is
+// within r of any group point, so the per-point scans start there; when
+// none is near, every group point would miss, and the posting is
+// charged and polled as those scans would have been, without them.
 func (w *scoreWalk) probePosting(pi, j int, g *group, cross bool) {
 	q := w.q
 	xs, ys, zs := q.idx.large.Points(pi)
+	from := 0
+	if g.boxed {
+		if from = geom.NearBox(g.box, xs, ys, zs, q.r2); from < 0 {
+			w.ctr.distComps += len(xs) * len(g.idx)
+			before := w.probes
+			w.probes += len(g.idx)
+			if w.probes>>8 != before>>8 && q.cancelled() {
+				w.stopped = true
+			}
+			return
+		}
+	}
 	for k, pt := range g.idx {
 		if w.probes++; w.probes&255 == 0 && q.cancelled() {
 			w.stopped = true
@@ -284,7 +336,7 @@ func (w *scoreWalk) probePosting(pi, j int, g *group, cross bool) {
 		if cross {
 			t = q.e.ds.Objects[w.i].Times[pt]
 		}
-		for at := 0; at < len(xs); {
+		for at := from; at < len(xs); {
 			idx := geom.FirstWithin2(g.xs[k], g.ys[k], g.zs[k], xs[at:], ys[at:], zs[at:], q.r2)
 			if idx < 0 {
 				break

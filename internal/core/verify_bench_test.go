@@ -36,6 +36,39 @@ func standin(b *testing.B, name string) *data.Dataset {
 // group one cell over, so every posting is scanned to its end rather
 // than resolved by an early first-point hit.
 func BenchmarkProbeCellDenseMask(b *testing.B) {
+	// Probe from 1.5 cell widths past the cell's centre: every point of
+	// the cell is between 1.0 and 2.5 widths away, so with r = width the
+	// probes are misses and every posting scans to the end: the expensive
+	// regime. First-point hits are cheap under any layout.
+	benchmarkProbeCell(b, func(k grid.Key, w float64) []geom.Point {
+		return []geom.Point{geom.Pt((float64(k.X)+2.0)*w, (float64(k.Y)+0.5)*w, (float64(k.Z)+0.5)*w)}
+	})
+}
+
+// BenchmarkProbeCellDenseMaskGroup is BenchmarkProbeCellDenseMask with
+// an eight-point group one cell over: the corners of a box 0.2 cells
+// deep in X and half a cell in Y and Z, its near face three quarters of
+// a cell past the big cell. Postings with no point within r of the box
+// are rejected in one scan (geom.NearBox); the rest are scanned per
+// group point, from their first point near the box.
+func BenchmarkProbeCellDenseMaskGroup(b *testing.B) {
+	benchmarkProbeCell(b, func(k grid.Key, w float64) []geom.Point {
+		var pts []geom.Point
+		for _, x := range []float64{1.75, 1.95} {
+			for _, y := range []float64{0.25, 0.75} {
+				for _, z := range []float64{0.25, 0.75} {
+					pts = append(pts, geom.Pt((float64(k.X)+x)*w, (float64(k.Y)+y)*w, (float64(k.Z)+z)*w))
+				}
+			}
+		}
+		return pts
+	})
+}
+
+// benchmarkProbeCell probes the Neuron stand-in's biggest cell at r = 8
+// with a dense mask and a group of the points that points returns for
+// the cell's key and the cell width.
+func benchmarkProbeCell(b *testing.B, points func(k grid.Key, w float64) []geom.Point) {
 	eng, err := NewEngine(standin(b, "Neuron"), Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -51,16 +84,13 @@ func BenchmarkProbeCellDenseMask(b *testing.B) {
 			cell, bestPts = c, pts
 		}
 	}
-	bestKey := large.Key(cell)
 	adj, _ := large.ComputeAdj(cell)
-	// Probe from 1.5 cell widths past the cell's centre: every point of
-	// the cell is between 1.0 and 2.5 widths away, so with r = width the
-	// probes are misses and every posting scans to the end: the expensive
-	// regime. First-point hits are cheap under any layout.
-	w := grid.LargeWidth(8)
-	p := geom.Pt((float64(bestKey.X)+2.0)*w, (float64(bestKey.Y)+0.5)*w, (float64(bestKey.Z)+0.5)*w)
-
-	g := group{xs: []float64{p.X}, ys: []float64{p.Y}, zs: []float64{p.Z}, idx: []int32{0}}
+	var g group
+	for n, p := range points(large.Key(cell), grid.LargeWidth(8)) {
+		g.xs, g.ys, g.zs = append(g.xs, p.X), append(g.ys, p.Y), append(g.zs, p.Z)
+		g.idx = append(g.idx, int32(n))
+	}
+	g.bound()
 	sw := scoreWalk{q: q, bOi: bitmap.NewScratch(q.n), mask: bitmap.NewScratch(q.n)}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,5 +1,7 @@
 package geom
 
+import "math"
+
 // Batch distance kernels over structure-of-arrays point blocks.
 //
 // The verification hot path (Algorithm 6 lines 13-17) resolves one
@@ -9,9 +11,11 @@ package geom
 // (the layout of grid.LargeGrid's postings), which keeps the loads
 // sequential, lets the compiler eliminate bounds checks, and unrolls
 // the squared-distance evaluation 4-wide. All kernels are
-// allocation-free and evaluate exactly dx*dx + dy*dy + dz*dz per
-// point — the same expression shape as Dist2, so results are
-// bit-identical to the scalar oracle.
+// allocation-free, and the point kernels evaluate exactly
+// dx*dx + dy*dy + dz*dz per point — the same expression shape as Dist2,
+// so results are bit-identical to the scalar oracle. NearBox tests a
+// block against a point group's box (BoundBlock) in one pass; it is
+// sound with respect to the point kernels, not bit-identical to them.
 //
 // xs, ys and zs must have equal length; the kernels panic otherwise
 // (via the reslice below) rather than silently truncating.
@@ -119,4 +123,77 @@ func CountWithin2(px, py, pz float64, xs, ys, zs []float64, r2 float64) int {
 		}
 	}
 	return count
+}
+
+// BoundBlock returns the bounding box of the block's points. A NaN
+// coordinate is left out of it, which is sound for NearBox: no kernel
+// here finds a point with a NaN coordinate within any distance.
+func BoundBlock(xs, ys, zs []float64) Box {
+	b := EmptyBox()
+	ys = ys[:len(xs)]
+	zs = zs[:len(xs)]
+	for i, x := range xs {
+		y, z := ys[i], zs[i]
+		if x < b.Min.X {
+			b.Min.X = x
+		}
+		if x > b.Max.X {
+			b.Max.X = x
+		}
+		if y < b.Min.Y {
+			b.Min.Y = y
+		}
+		if y > b.Max.Y {
+			b.Max.Y = y
+		}
+		if z < b.Min.Z {
+			b.Min.Z = z
+		}
+		if z > b.Max.Z {
+			b.Max.Z = z
+		}
+	}
+	return b
+}
+
+// NearBox returns the index of the first point of the block within
+// squared distance r2 of box b, or -1 when none is. A point of the
+// block that FirstWithin2 finds within r2 of some point inside b is
+// always within r2 of b, so a -1 proves FirstWithin2 misses the block
+// for every point b contains. The gap to b is never larger than the
+// difference to such a point, axis by axis, and rounding is monotone,
+// so only the way the squares are summed could differ: the compiler may
+// fuse FirstWithin2's x*y+z into FMAs (Go does on arm64; on amd64 it
+// does not, even at GOAMD64=v3), while the explicit float64
+// conversions below keep this sum unfused.
+// The two differ by a few ulps at most, so the test compares against r2
+// widened by 2⁻⁴⁰ of itself plus 2⁻¹⁰⁶⁰ for sums that underflow. The
+// loop takes no branch but its exit: which axis separates a point from
+// the box varies from point to point, so per-axis early rejects
+// mispredict more than they save.
+func NearBox(b Box, xs, ys, zs []float64, r2 float64) int {
+	lim := r2 + r2*0x1p-40 + 0x1p-1060
+	minX, minY, minZ := b.Min.X, b.Min.Y, b.Min.Z
+	maxX, maxY, maxZ := b.Max.X, b.Max.Y, b.Max.Z
+	n := len(xs)
+	ys = ys[:n]
+	zs = zs[:n]
+	for i, x := range xs {
+		gx := gap(minX-x, x-maxX)
+		gy := gap(minY-ys[i], ys[i]-maxY)
+		gz := gap(minZ-zs[i], zs[i]-maxZ)
+		if float64(gx*gx)+float64(gy*gy)+float64(gz*gz) <= lim {
+			return i
+		}
+	}
+	return -1
+}
+
+// gap returns max(lo, hi, 0) for the differences lo = min − v and
+// hi = v − max of a coordinate v and a box's interval on its axis, of
+// which at most one is positive. v + |v| is 2v or 0 without rounding
+// (2v may overflow to +Inf, where the squared gap would be anyway), so
+// the result is exact, and it takes no branch.
+func gap(lo, hi float64) float64 {
+	return ((lo + math.Abs(lo)) + (hi + math.Abs(hi))) * 0.5
 }

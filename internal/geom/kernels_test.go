@@ -197,4 +197,169 @@ func BenchmarkFirstWithin2(b *testing.B) {
 			}
 		}
 	})
+	// NearBox's miss: one scan against a group's box stands in for one
+	// FirstWithin2 miss per group point.
+	b.Run("nearbox-miss", func(b *testing.B) {
+		box := Box{Min: Pt(-60, -60, -60), Max: Pt(-40, -40, -40)}
+		for i := 0; i < b.N; i++ {
+			if NearBox(box, xs, ys, zs, 1) != -1 {
+				b.Fatal("unexpected hit")
+			}
+		}
+	})
+}
+
+// fusedWithin2 are FirstWithin2's distance test as a compiler that
+// fuses x*y+z may evaluate it (Go does on arm64, among others; on amd64
+// it does not, even at GOAMD64=v3): the sum's two additions as FMAs,
+// over either product first.
+var fusedWithin2 = []func(dx, dy, dz, r2 float64) bool{
+	func(dx, dy, dz, r2 float64) bool { return math.FMA(dz, dz, math.FMA(dy, dy, dx*dx)) <= r2 },
+	func(dx, dy, dz, r2 float64) bool { return math.FMA(dz, dz, math.FMA(dx, dx, dy*dy)) <= r2 },
+}
+
+// checkNearBox asserts NearBox's contract on one input: it never rejects
+// a block in which FirstWithin2 finds a point within r2 of a group
+// point, and no block point before the index it returns is within r2 of
+// one. The same holds against fusedWithin2's tests.
+func checkNearBox(t *testing.T, group, block []Point, r2 float64) {
+	t.Helper()
+	gx, gy, gz := splitSoA(group)
+	xs, ys, zs := splitSoA(block)
+	box := BoundBlock(gx, gy, gz)
+	at := NearBox(box, xs, ys, zs, r2)
+	end := at
+	if at < 0 {
+		end = len(xs)
+	}
+	for _, p := range group {
+		if !box.Contains(p) && !math.IsNaN(p.X+p.Y+p.Z) {
+			t.Fatalf("BoundBlock %v leaves out %v", box, p)
+		}
+		if hit := FirstWithin2(p.X, p.Y, p.Z, xs[:end], ys[:end], zs[:end], r2); hit >= 0 {
+			t.Fatalf("NearBox(%v, r2=%v) = %d, but block point %d %v is within r2 of group point %v (d2 %v)",
+				box, r2, at, hit, block[hit], p, Dist2(block[hit], p))
+		}
+		for f, within := range fusedWithin2 {
+			for i, q := range block[:end] {
+				if within(q.X-p.X, q.Y-p.Y, q.Z-p.Z, r2) {
+					t.Fatalf("NearBox(%v, r2=%v) = %d, but block point %d %v is within r2 of group point %v in fused sum %d",
+						box, r2, at, i, q, p, f)
+				}
+			}
+		}
+	}
+}
+
+// ulps returns v moved by k ulps, toward +Inf for k > 0.
+func ulps(v float64, k int) float64 {
+	for ; k > 0; k-- {
+		v = math.Nextafter(v, math.Inf(1))
+	}
+	for ; k < 0; k++ {
+		v = math.Nextafter(v, math.Inf(-1))
+	}
+	return v
+}
+
+// TestNearBoxNeverRejectsAHit is NearBox's soundness property, on the
+// inputs where rounding could break it: block points at exactly
+// d² = r² from a group point on a corner or a face of the group's box,
+// the same points and r² one and two ulps either side, negative and
+// large coordinates, and random clouds, against FirstWithin2 as
+// compiled and as fused (fusedWithin2).
+func TestNearBoxNeverRejectsAHit(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	coord := func(scale float64) float64 {
+		return (rng.Float64()*2 - 1) * scale
+	}
+	for iter := 0; iter < 3000; iter++ {
+		scale := math.Pow(10, float64(rng.Intn(12)-4))
+		c := Pt(coord(1e3*scale), coord(1e3*scale), coord(1e3*scale))
+		group := make([]Point, 2+rng.Intn(7))
+		for i := range group {
+			group[i] = c.Add(Pt(coord(scale), coord(scale), coord(scale)))
+		}
+		// A face point: the first group point pushed onto the box's
+		// max-X face, at the box's mid Y and Z.
+		b := Bound(group)
+		mid := b.Min.Add(b.Max).Scale(0.5)
+		group = append(group, Pt(b.Max.X, mid.Y, mid.Z))
+		// Anchors: a corner (a group point extreme in every axis) and
+		// the face point.
+		corner := group[0]
+		for _, p := range group {
+			if p.X+p.Y+p.Z > corner.X+corner.Y+corner.Z {
+				corner = p
+			}
+		}
+		for _, anchor := range []Point{corner, group[len(group)-1], group[rng.Intn(len(group))]} {
+			v := Pt(coord(scale), coord(scale), coord(scale))
+			if rng.Intn(2) == 0 {
+				v = Pt(math.Abs(v.X), 0, 0) // straight off the face
+			}
+			q := anchor.Add(v)
+			r2 := Dist2(q, anchor)
+			var block []Point
+			for k := -2; k <= 2; k++ {
+				block = append(block,
+					Pt(ulps(q.X, k), q.Y, q.Z), Pt(q.X, ulps(q.Y, k), q.Z), Pt(q.X, q.Y, ulps(q.Z, k)),
+					Pt(ulps(q.X, k), ulps(q.Y, k), ulps(q.Z, k)))
+			}
+			// Far points first, so the near ones sit behind the index.
+			far := anchor.Add(v.Scale(3))
+			block = append([]Point{far, far.Add(v)}, block...)
+			for k := -2; k <= 2; k++ {
+				checkNearBox(t, group, block, ulps(r2, k))
+				for _, p := range block {
+					checkNearBox(t, group, []Point{far, p}, ulps(r2, k))
+				}
+			}
+		}
+	}
+}
+
+// TestNearBoxExactBoundary pins the d² = r² cases down with integer
+// coordinates, where every distance is exact: a block point at exactly r
+// from a corner or a face of the box counts, and so does one a few ulps
+// farther, inside NearBox's 2⁻⁴⁰ slack; one 2⁻³⁰ of r² farther does
+// not. Negative coordinates behave as positive ones.
+func TestNearBoxExactBoundary(t *testing.T) {
+	group := []Point{Pt(-4, -4, -4), Pt(-1, -1, -1), Pt(-1, -2.5, -2.5)}
+	box := BoundBlock(splitSoA(group))
+	for _, tc := range []struct {
+		name string
+		q    Point
+		r2   float64
+		want int
+	}{
+		{"corner", Pt(2, 3, -1), 25, 0},         // (3, 4, 0) from (-1, -1, -1)
+		{"face", Pt(4, -2.5, -2.5), 25, 0},      // 5 along X from the face point
+		{"below-corner", Pt(-4, -8, -4), 16, 0}, // 4 along Y from (-4, -4, -4)
+		{"corner-r2-1ulp-low", Pt(2, 3, -1), math.Nextafter(25, 0), 0},
+		{"face-1ulp-far", Pt(math.Nextafter(4, 5), -2.5, -2.5), 25, 0},
+		{"corner-past-slack", Pt(2, 3, -1), 25 * (1 - 0x1p-30), -1},
+		{"face-past-slack", Pt(4+0x1p-20, -2.5, -2.5), 25, -1},
+		{"inside", Pt(-2, -2, -2), 0, 0},
+	} {
+		got := NearBox(box, []float64{tc.q.X}, []float64{tc.q.Y}, []float64{tc.q.Z}, tc.r2)
+		if got != tc.want {
+			t.Errorf("%s: NearBox = %d, want %d", tc.name, got, tc.want)
+		}
+		checkNearBox(t, group, []Point{tc.q}, tc.r2)
+	}
+}
+
+// TestBoundBlockSkipsNaN: a NaN coordinate stays out of the box, which
+// is sound because FirstWithin2 finds no point with a NaN coordinate.
+func TestBoundBlockSkipsNaN(t *testing.T) {
+	nan := math.NaN()
+	b := BoundBlock([]float64{1, nan, 3}, []float64{2, 5, nan}, []float64{0, 0, 9})
+	if want := (Box{Min: Pt(1, 2, 0), Max: Pt(3, 5, 9)}); b != want {
+		t.Fatalf("BoundBlock = %v, want %v", b, want)
+	}
+	if !BoundBlock(nil, nil, nil).Empty() {
+		t.Fatal("the box of no points is not empty")
+	}
+	checkNearBox(t, []Point{Pt(nan, 0, 0), Pt(0, 0, 0)}, []Point{Pt(0.5, 0, 0), Pt(nan, 0, 0)}, 1)
 }

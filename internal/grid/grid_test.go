@@ -688,7 +688,7 @@ func TestComputeAdjRadiusMatchesAdjAtOne(t *testing.T) {
 }
 
 // TestGridAccessorsAndSizes pins the O(1) size accounting: array
-// lengths plus the b^adj bytes memoised so far.
+// lengths plus the b^adj memoised so far, headers and words.
 func TestGridAccessorsAndSizes(t *testing.T) {
 	ds := dataset(
 		[]geom.Point{geom.Pt(1, 1, 1)},
@@ -700,8 +700,8 @@ func TestGridAccessorsAndSizes(t *testing.T) {
 		t.Fatal("SizeBytes")
 	}
 	adj, _ := g.ComputeAdj(g.Find(0, KeyFor(geom.Pt(1, 1, 1), 3)))
-	if got := g.SizeBytes(); got != before+adj.SizeBytes() {
-		t.Fatalf("SizeBytes with adj = %d, want %d + %d", got, before, adj.SizeBytes())
+	if got := g.SizeBytes(); got != before+adjHeaderBytes+adj.SizeBytes() {
+		t.Fatalf("SizeBytes with adj = %d, want %d + %d + %d", got, before, adjHeaderBytes, adj.SizeBytes())
 	}
 	if cards := len(g.CellObjs(0)); g.Len() != 1 || cards != 2 {
 		t.Fatalf("%d cells, first with %d objects", g.Len(), cards)
@@ -749,7 +749,7 @@ func TestComputeAdjConcurrent(t *testing.T) {
 				t.Fatalf("cell %d: worker %d holds a b^adj that was not the one published", c, w)
 			}
 		}
-		adjBytes += g.Adj(c).SizeBytes()
+		adjBytes += adjHeaderBytes + g.Adj(c).SizeBytes()
 	}
 	if g.SizeBytes() != before+adjBytes {
 		t.Fatalf("SizeBytes = %d, want %d + %d", g.SizeBytes(), before, adjBytes)

@@ -208,7 +208,7 @@ func (g *LargeGrid) ComputeAdj(c int) (adj *bitmap.Compressed, fresh bool) {
 	}
 	a := g.union(g.Bucket(c), g.Key(c), 1, g.halo)
 	if g.adj[c].CompareAndSwap(nil, a) {
-		g.adjBytes.Add(int64(a.SizeBytes()))
+		g.adjBytes.Add(int64(adjHeaderBytes + a.SizeBytes()))
 		return a, true
 	}
 	return g.adj[c].Load(), false
@@ -245,7 +245,11 @@ func (g *LargeGrid) SizeBytes() int {
 	return g.Len()*perCell + g.bucketBytes() + len(g.Objs)*(4+4) + len(g.Idx)*4 + len(g.Xs)*24 + g.AdjBytes()
 }
 
-// AdjBytes returns what the adjacency bitsets memoised so far occupy.
-// Which cells have one depends on the queries that ran on the grid, not
-// on the grid alone.
+// adjHeaderBytes is what a memoised b^adj occupies beside its words:
+// the bitmap.Compressed itself, a slice header and a cardinality.
+const adjHeaderBytes = 32
+
+// AdjBytes returns what the adjacency bitsets memoised so far occupy,
+// their words and their headers. Which cells have one depends on the
+// queries that ran on the grid, not on the grid alone.
 func (g *LargeGrid) AdjBytes() int { return int(g.adjBytes.Load()) }

@@ -27,7 +27,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -58,7 +57,7 @@ func main() {
 		scale   = flag.Float64("scale", 0.25, "dataset size multiplier for -compare")
 		workers = flag.Int("workers", 1, "engine workers per query for -compare")
 		pool    = flag.Int("inflight", 2, "engine pool size for -compare")
-		burst   = flag.Bool("burst", false, "closed-loop waves: all -c workers fire simultaneously and wait for the slowest (with -compare: batch execution vs query-major)")
+		burst   = flag.Bool("burst", false, "closed-loop waves: all -c workers fire simultaneously and wait for the slowest")
 		kspread = flag.Int("kspread", 0, "cycle each worker's k over 1..kspread instead of fixed -k (>1 enables)")
 		shards  = flag.Int("shards", 0, "with -compare: A/B a healthy sharded cluster vs the same cluster under injected shard faults (>0 enables)")
 		dataset = flag.String("dataset", "syn", "dataset generated for -compare: "+data.Names())
@@ -94,8 +93,6 @@ func main() {
 		switch {
 		case *shards > 0:
 			runCompareShards(cfg, ds, *workers, *pool, *shards)
-		case *burst:
-			runCompareBatch(cfg, ds, *workers, *pool)
 		default:
 			runCompare(cfg, ds, *workers, *pool)
 		}
@@ -151,88 +148,6 @@ func runCompare(cfg loadgen.Config, ds *data.Dataset, workers, pool int) {
 	if full.Coalesced == 0 || full.CacheHits == 0 || full.QPS <= plain.QPS {
 		fmt.Println("  NOTE: expected coalesced > 0, cache hits > 0 and a throughput win; " +
 			"try more requests (-n) or a smaller dataset (-scale)")
-		os.Exit(1)
-	}
-}
-
-// runCompareBatch benchmarks epoch-driven batch execution against the
-// query-major path on the same closed-loop burst workload. Both sides
-// run with the result cache off — the workload keeps a standing set of
-// concurrent queries in flight, and the question is how they execute,
-// not whether their answers were memoised. The query-major side keeps
-// request coalescing: it is the strongest non-batch configuration
-// (identical (r, k) requests still collapse), so the delta isolates
-// what cross-query cell sharing itself buys.
-func runCompareBatch(cfg loadgen.Config, ds *data.Dataset, workers, pool int) {
-	if !cfg.Burst {
-		fatal("batch compare requires -burst")
-	}
-	// Shape the workload for the monitoring scenario the paper motivates:
-	// many clients, few radii, varying k. Each base threshold is split
-	// into a handful of nearby variants that keep its ⌈r⌉, and each
-	// worker cycles k, so a wave mixes every tier of the grouping
-	// algebra: identical ⌈r⌉ shares the large grid and upper-bounding;
-	// identical r shares the small grid and lower bounds;
-	// identical (r, k) shares one result — which the query-major side
-	// matches through request coalescing, keeping the comparison about
-	// execution strategy rather than result reuse.
-	if cfg.KSpread < 2 {
-		cfg.KSpread = 4
-	}
-	const variantsPerR = 4
-	expanded := make([]float64, 0, variantsPerR*len(cfg.RValues))
-	for _, r := range cfg.RValues {
-		// Spread downward within (⌈r⌉−1, r]: every variant keeps ⌈r⌉.
-		step := (r - (math.Ceil(r) - 1)) * 0.5 / variantsPerR
-		for j := 0; j < variantsPerR; j++ {
-			expanded = append(expanded, r-float64(j)*step)
-		}
-	}
-	cfg.RValues = expanded
-	fmt.Printf("mioload -compare -burst: %q dataset, %d objects, %d points; %d requests in waves of %d, %d distinct thresholds, kspread=%d\n",
-		ds.Name, ds.N(), ds.TotalPoints(), cfg.Requests, cfg.Concurrency, len(cfg.RValues), cfg.KSpread)
-
-	run := func(label string, srvCfg server.Config) *loadgen.Report {
-		s, err := server.New(ds, core.Options{Workers: workers, Labels: labelstore.NewStore()}, srvCfg)
-		if err != nil {
-			fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		runCfg := cfg
-		runCfg.BaseURL = ts.URL
-		rep, err := loadgen.Run(runCfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\n%s\n%s", label, rep)
-		return rep
-	}
-
-	base := server.Config{MaxInFlight: pool, AdmissionWait: cfg.Timeout, DisableCache: true}
-	batchCfg := base
-	batchCfg.BatchExecution = true
-	// In a closed-loop wave the size trigger seals each epoch the moment
-	// the whole wave has arrived; the window only bounds a partial
-	// trailing wave, so it can be generous without adding gather latency.
-	batchCfg.BatchMaxSize = cfg.Concurrency
-	batchCfg.BatchWindow = 250 * time.Millisecond
-	batched := run("batch execution (epochs share builds and bounds):", batchCfg)
-	plain := run("query-major (each query builds alone):", base)
-
-	fmt.Printf("\nsummary:\n")
-	if batched.BatchEpochs > 0 {
-		fmt.Printf("  epochs        %d (avg %.1f queries/epoch), %d plans for %d queries (%d shared)\n",
-			batched.BatchEpochs, float64(batched.BatchQueries)/float64(batched.BatchEpochs),
-			batched.BatchPlans, batched.BatchQueries, batched.BatchShared)
-	}
-	fmt.Printf("  engine runs   %d vs %d\n", batched.EngineRuns, plain.EngineRuns)
-	if plain.QPS > 0 {
-		fmt.Printf("  throughput    %.0f vs %.0f q/s (%.1fx)\n", batched.QPS, plain.QPS, batched.QPS/plain.QPS)
-	}
-	if batched.BatchQueries == 0 || plain.QPS <= 0 || batched.QPS < 2*plain.QPS {
-		fmt.Println("  NOTE: expected batched queries > 0 and ≥2x batch throughput; " +
-			"try more concurrency (-c), thresholds sharing ⌈r⌉ (-rs), or a larger dataset (-scale)")
 		os.Exit(1)
 	}
 }

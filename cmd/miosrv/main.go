@@ -28,10 +28,10 @@
 // checks) and degrades to certified [LB, UB] intervals when workers
 // die, flap, or answer from the wrong dataset generation.
 //
-// At most one of -batch, -shards and -shards-at may be given: each
-// selects what answers /v1/query (server.Config.Validate). All flag
-// combinations are validated before the dataset is loaded, so a bad
-// invocation fails in milliseconds.
+// -shards and -shards-at exclude each other: each selects what answers
+// /v1/query (server.Config.Validate). All flag combinations are
+// validated before the dataset is loaded, so a bad invocation fails in
+// milliseconds.
 //
 // With -state-dir the server keeps its state in a crash-safe snapshot
 // directory: the dataset (and every label set queries compute) is
@@ -108,7 +108,6 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.DurationVar(&o.cfg.AdmissionWait, "admission-wait", 100*time.Millisecond, "max time a request queues for an engine slot")
 	fs.BoolVar(&o.cfg.AllowSwap, "allow-swap", false, "enable POST /v1/dataset (reads server-local paths)")
 	fs.StringVar(&o.faults, "faults", "", "arm fault injection for chaos testing, e.g. 'seed=42;engine.verification=panic:0.01;server.run=latency:0.1:5ms'")
-	fs.BoolVar(&o.cfg.BatchExecution, "batch", false, "route /v1/query through epoch-driven batch execution (queries sharing ⌈r⌉ share one index build and upper-bounding pass)")
 	fs.IntVar(&o.cfg.Shards, "shards", 0, "partition the dataset across this many shard engines behind a fault-tolerant scatter–gather coordinator (0 disables)")
 	fs.Float64Var(&o.cfg.ShardMaxR, "shard-max-r", 0, "replica horizon: largest r the shards answer exactly, larger radii fall back to the solo pool (0 selects 10; needs -shards)")
 	fs.IntVar(&o.cfg.ShardRetries, "shard-retries", 0, "per-shard retry budget after a failed attempt (0 selects 1, negative disables; needs -shards)")
@@ -146,8 +145,8 @@ func parseFlags(args []string) (*options, error) {
 		return nil, fmt.Errorf("-shard-index %d outside [0, %d)", o.shardIndex, c.Shards)
 	case explicit["shard-index"] && !o.shardServe:
 		return nil, errors.New("-shard-index requires -shard-serve")
-	case o.shardServe && (c.BatchExecution || c.AllowSwap || o.stateDir != ""):
-		return nil, errors.New("-shard-serve is a bare shard worker: incompatible with -batch, -allow-swap, -state-dir")
+	case o.shardServe && (c.AllowSwap || o.stateDir != ""):
+		return nil, errors.New("-shard-serve is a bare shard worker: incompatible with -allow-swap, -state-dir")
 	case o.labelDir != "" && o.stateDir != "":
 		return nil, errors.New("-labels and -state-dir are mutually exclusive (labels live inside the state directory)")
 	case o.dataPath != "" && o.gen != "":
@@ -252,8 +251,8 @@ func main() {
 	}
 
 	fmt.Printf("miosrv: serving %q (%d objects, %d points) on %s  "+
-		"(pool %d, cache %v, coalesce %v, batch %v, shards %d)\n",
-		ds.Name, ds.N(), ds.TotalPoints(), o.addr, srv.MaxInFlight(), !cfg.DisableCache, !cfg.DisableCoalesce, cfg.BatchExecution, cfg.Shards)
+		"(pool %d, cache %v, coalesce %v, shards %d)\n",
+		ds.Name, ds.N(), ds.TotalPoints(), o.addr, srv.MaxInFlight(), !cfg.DisableCache, !cfg.DisableCoalesce, cfg.Shards)
 	serve(o.addr, srv.Handler(), srv.Drain)
 }
 

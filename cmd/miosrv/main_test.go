@@ -13,11 +13,11 @@ func TestFlagCount(t *testing.T) {
 	n := 0
 	fs := flagSet(&options{})
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n != 26 {
-		t.Errorf("miosrv registers %d flags, want 26", n)
+	if n != 25 {
+		t.Errorf("miosrv registers %d flags, want 25", n)
 	}
 	// Single-valued knobs are constants of the packages that own them.
-	for _, gone := range []string{"shard-timeout", "shard-probe", "batch-window", "batch-max"} {
+	for _, gone := range []string{"shard-timeout", "shard-probe", "batch", "batch-window", "batch-max"} {
 		if fs.Lookup(gone) != nil {
 			t.Errorf("-%s is back", gone)
 		}
@@ -33,7 +33,6 @@ func TestParseFlags(t *testing.T) {
 	}{
 		{"-gen syn", ""},
 		{"-data d.bin -inflight 4 -no-cache -no-coalesce", ""},
-		{"-gen syn -batch", ""},
 		{"-gen syn -shards 4 -shard-max-r 5 -shard-retries 2 -shard-hedge 50ms", ""},
 		{"-gen syn -shards 3 -shard-serve -shard-index 2", ""},
 		{"-gen syn -shards-at http://a:1,http://b:2 -shard-hedge -1s", ""},
@@ -47,12 +46,10 @@ func TestParseFlags(t *testing.T) {
 		{"-gen syn -shard-serve", "requires -shards ≥ 2"},
 		{"-gen syn -shards 3 -shard-serve -shard-index 3", "outside [0, 3)"},
 		{"-gen syn -shards 3 -shard-index 1", "requires -shard-serve"},
-		{"-gen syn -shards 3 -shard-serve -batch", "bare shard worker"},
 		{"-gen syn -shards 3 -shard-serve -allow-swap", "bare shard worker"},
 		{"-gen syn -shards 3 -shard-serve -state-dir /tmp/s", "bare shard worker"},
 		{"-gen syn -labels /tmp/l -state-dir /tmp/s", "mutually exclusive"},
 		{"-data d.bin -gen syn", "-data and -gen are mutually exclusive"},
-		{"-gen syn -batch -shards 2", "mutually exclusive"},
 		{"-gen syn -shards 2 -shards-at http://a:1,http://b:2", "mutually exclusive"},
 		{"-gen syn -shards-at http://a:1", "at least 2 shard workers"},
 	} {

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -22,7 +21,6 @@ var update = flag.Bool("update", false, "rewrite testdata/workcounts.json from t
 const (
 	workCountsScale = 0.15
 	scatterShards   = 4
-	epochMembers    = 256
 )
 
 var workCountsRs = []float64{6, 8}
@@ -33,8 +31,8 @@ type workCounts map[string]map[string]int
 // TestWorkCounts pins the pipeline's deterministic work counters on
 // Bird and Neuron by exact equality: one serial top-1 query per r
 // (EngineQuery; Verification repeats its dist_comps under the name the
-// phase had in the old snapshots), one 256-member shared-⌈r⌉ batch
-// group (BatchEpoch) and one healthy 4-shard scatter–gather (Scatter).
+// phase had in the old snapshots) and one healthy 4-shard
+// scatter–gather (Scatter).
 // The counters do not depend on the host, GOMAXPROCS or the worker and
 // partition options (core's TestKnobParity), so a change in either
 // direction is an algorithmic change and has to arrive as a reviewed
@@ -106,26 +104,6 @@ func measureWorkCounts(t *testing.T, out workCounts, name string, ds *data.Datas
 	}
 	r := workCountsRs[0]
 
-	// One shared-⌈r⌉ group over the epoch workload; dist_comps sums the
-	// distinct plans (members sharing a plan share one *Result).
-	specs := batchEpochSpecs(r)
-	outs, grp := eng.RunGroup(context.Background(), specs)
-	dist := 0
-	seen := map[*core.Result]bool{}
-	for i, o := range outs {
-		if o.Err != nil {
-			t.Fatalf("%s batch epoch member %d (r=%g k=%d): %v", name, i, specs[i].R, specs[i].K, o.Err)
-		}
-		if !seen[o.Result] {
-			seen[o.Result] = true
-			dist += o.Result.Stats.DistanceComps
-		}
-	}
-	out[fmt.Sprintf("BatchEpoch/%s/q=%d", name, epochMembers)] = map[string]int{
-		"dist_comps": dist,
-		"plans":      grp.Plans,
-	}
-
 	// Healthy in-process cluster, hedging off (a hedge doubles a
 	// shard's work whenever the host is slow). dist_comps sums the
 	// per-shard counters: border objects are re-bounded by every shard
@@ -148,23 +126,4 @@ func measureWorkCounts(t *testing.T, out workCounts, name string, ds *data.Datas
 		"verified":      res.Stats.Verified,
 		"pruned_shards": rep.Pruned,
 	}
-}
-
-// batchEpochSpecs builds the deterministic epoch BatchEpoch measures:
-// 256 members drawing Zipf-skewed thresholds from eight variants of r
-// (all keeping ⌈r⌉, so they form one batch group) with a cycling k —
-// many clients, few radii, varying k.
-func batchEpochSpecs(r float64) []core.GroupSpec {
-	const variants, kSpread = 8, 4
-	zipf := rand.NewZipf(rand.New(rand.NewSource(42)), 1.3, 1, variants-1)
-	rs := make([]float64, variants)
-	step := (r - (math.Ceil(r) - 1)) * 0.5 / variants
-	for i := range rs {
-		rs[i] = r - float64(i)*step
-	}
-	specs := make([]core.GroupSpec, epochMembers)
-	for i := range specs {
-		specs[i] = core.GroupSpec{R: rs[zipf.Uint64()], K: 1 + i%kSpread}
-	}
-	return specs
 }

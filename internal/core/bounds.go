@@ -99,11 +99,10 @@ type candidate struct {
 // Both bounds are functions of the large grid alone, so they live in a
 // ubEntry that queries on the same grid share: the engine's cached entry
 // for its ⌈r⌉ on a label-free spatial query, which grid mapping looked
-// up (ubcache.go, mapGrids), the entry the first plan of a group run
-// made (batch.go), or else one of its own. A survivor whose τ^upp the
-// entry holds is not computed again; one it lacks is computed on q's
-// grid and stored. An entry of its own is published only from a pass
-// that completed on a complete grid, and with it the grid, as the
+// up (ubcache.go, mapGrids), or else one of its own. A survivor whose
+// τ^upp the entry holds is not computed again; one it lacks is computed
+// on q's grid and stored. An entry of its own is published only from a
+// pass that completed on a complete grid, and with it the grid, as the
 // entry's warm grid if it has none.
 func (q *query) computeUpperBounds() {
 	if q.ub == nil {
@@ -194,17 +193,13 @@ func (q *query) markRead(i int, ctr *ctrSet) {
 }
 
 // ubCache returns the engine's τ^upp cache, or nil when the query must
-// bypass it (Engine.cacheFor).
-func (q *query) ubCache() *ubCache { return q.e.cacheFor(q.labels, q.newLabels, q.bucket) }
-
-// cacheFor returns the engine's τ^upp cache, or nil for a query or group
-// that must bypass it: labels (used or collected) filter the large grid,
-// and a temporal query's grid depends on δ's bucketing.
-func (e *Engine) cacheFor(labels, newLabels *labelstore.Labels, bucket []int32) *ubCache {
-	if labels != nil || newLabels != nil || bucket != nil {
+// bypass it: labels (used or collected) filter the large grid, and a
+// temporal query's grid depends on δ's bucketing.
+func (q *query) ubCache() *ubCache {
+	if q.labels != nil || q.newLabels != nil || q.bucket != nil {
 		return nil
 	}
-	return e.ub
+	return q.e.ub
 }
 
 // readSet holds one bit per large cell: whether a query has read that

@@ -19,10 +19,10 @@ package core
 //
 // If lower bounding itself did not complete (or grid mapping was
 // truncated, leaving bounds computed over a partial grid), no sound
-// bound exists and the caller gets the plain context error (stopErr).
+// bound exists and the caller gets the plain context error.
 func (q *query) degraded(top []Scored) (*Result, error) {
 	if !q.degradeOK || q.gmBroke || !q.lbDone {
-		return nil, q.stopErr()
+		return nil, q.ctx.Err()
 	}
 
 	// best is internal until the arg-max is taken, ties going to the
@@ -37,7 +37,7 @@ func (q *query) degraded(top []Scored) (*Result, error) {
 	}
 	if best < 0 {
 		// A restriction that allows nobody cannot certify an answer.
-		return nil, q.stopErr()
+		return nil, q.ctx.Err()
 	}
 	lb := int(q.tauLow[best])
 	ub := q.n - 1

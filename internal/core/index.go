@@ -98,17 +98,11 @@ type query struct {
 
 	// ctx carries the caller's cancellation; nil means background.
 	ctx context.Context
-	// cancelCheck, when non-nil, is consulted by cancelled() before
-	// ctx. Group runs (batch.go) install it so a plan's query stops once
-	// every member it serves has detached, without tying it to any
-	// single member's context.
-	cancelCheck func() bool
 
 	// read is the read-set: bit c is set once the query has read
 	// b^adj(c) (readAdj, markRead). ub is the entry upper bounding
-	// reads and fills (ubEntry): the cached one grid mapping found, or
-	// the one a group run hands its plans, else computeUpperBounds
-	// makes it.
+	// reads and fills (ubEntry): the cached one grid mapping found,
+	// else computeUpperBounds makes it.
 	read readSet
 	ub   *ubEntry
 
@@ -152,9 +146,6 @@ func (q *query) ceilR() int { return int(math.Ceil(q.r)) }
 // cancelled reports whether the caller has abandoned the query. Hot
 // loops call this every few hundred objects, not per item.
 func (q *query) cancelled() bool {
-	if q.cancelCheck != nil && q.cancelCheck() {
-		return true
-	}
 	if q.ctx == nil {
 		return false
 	}
@@ -164,18 +155,6 @@ func (q *query) cancelled() bool {
 	default:
 		return false
 	}
-}
-
-// stopErr is the error a stopped query declines with: its context's,
-// or context.Canceled when a group's liveness check stopped it while
-// the context (the group's epoch, possibly nil) is still live.
-func (q *query) stopErr() error {
-	if q.ctx != nil {
-		if err := q.ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return context.Canceled
 }
 
 // fire triggers the named fault-injection point when a registry is
@@ -212,16 +191,15 @@ func objectPointWeights(ds *data.Dataset) []int {
 	return w
 }
 
-// labelInput is Algorithm 2's first step (§III-D) for a query or group
-// with label key ceil: an O(1) existence check, then either the
-// O(nm/B) load of a stored set (use) or a fresh all-ones set to fill in
+// labelInput is Algorithm 2's first step (§III-D) for a query with
+// label key ceil: an O(1) existence check, then either the O(nm/B)
+// load of a stored set (use) or a fresh all-ones set to fill in
 // (collect), stamped with the exact r its Labeling-3 bits will be valid
-// for (0: several r share the set). dur is what the paper's
-// "Label-Input" row times. A store holds label sets in the caller's
-// object order; the query reads and fills them through a view in
-// internal order (labelRows), and publishLabels hands the store
-// the caller's order back, so stored sets and files never depend on the
-// engine's order.
+// for. dur is what the paper's "Label-Input" row times. A store holds
+// label sets in the caller's object order; the query reads and fills
+// them through a view in internal order (labelRows), and publishLabels
+// hands the store the caller's order back, so stored sets and files
+// never depend on the engine's order.
 func (e *Engine) labelInput(ceil int, r float64) (use, collect *labelstore.Labels, dur time.Duration) {
 	store := e.opts.Labels
 	if store == nil {
@@ -256,26 +234,17 @@ func (e *Engine) publishLabels(ceil int, l *labelstore.Labels) (persistFailed bo
 // complete; otherwise the query ends here with what it returns: an
 // injected fault, or — the query having been stopped — whatever
 // degraded makes of the phases that did finish.
-//
-// bound skips the work it is handed, which is how a group run
-// (batch.go) shares it between the queries of its plans: a pre-set idx
-// (with labels) skips label input and grid mapping, their fault points
-// included; a pre-set tauLow from a complete pass skips lower
-// bounding's pass; a pre-set ub skips the count bounds and every τ^upp
-// it holds.
 func (q *query) bound() (*Result, error) {
-	if q.idx == nil {
-		if err := q.fire(fault.PointLabelInput); err != nil {
-			return nil, err
-		}
-		q.labels, q.newLabels, q.stats.LabelInput = q.e.labelInput(q.ceilR(), q.r)
-		if err := q.fire(fault.PointGridMapping); err != nil {
-			return nil, err
-		}
-		t0 := time.Now()
-		q.gridMapping()
-		q.stats.GridMapping = time.Since(t0)
+	if err := q.fire(fault.PointLabelInput); err != nil {
+		return nil, err
 	}
+	q.labels, q.newLabels, q.stats.LabelInput = q.e.labelInput(q.ceilR(), q.r)
+	if err := q.fire(fault.PointGridMapping); err != nil {
+		return nil, err
+	}
+	t0 := time.Now()
+	q.gridMapping()
+	q.stats.GridMapping = time.Since(t0)
 	if q.labels != nil {
 		q.stats.UsedLabels = true
 		q.stats.LabelBytes = q.labels.SizeBytes()
@@ -290,10 +259,8 @@ func (q *query) bound() (*Result, error) {
 	if err := q.fire(fault.PointLowerBounding); err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
-	if q.tauLow == nil {
-		q.lowerBounding()
-	}
+	t0 = time.Now()
+	q.lowerBounding()
 	q.threshold = q.kthHighest(q.tauLow)
 	q.stats.LowerBounding = time.Since(t0)
 	if q.cancelled() {
@@ -316,8 +283,7 @@ func (q *query) bound() (*Result, error) {
 // max(threshold, floor) and verified best-first with the Corollary 1
 // cut. floor must be a sound threshold (at least k reportable objects
 // anywhere score ≥ floor); 0 asks for the query's own. Publishing the
-// collected labels is the caller's step (publish): a group run
-// publishes once for all its plans.
+// collected labels is the caller's step (publish).
 func (q *query) complete(floor int) (*Result, error) {
 	t0 := time.Now()
 	cand := q.assembleCandidates(max(q.threshold, floor))
@@ -368,9 +334,9 @@ func pruned(labels *labelstore.Labels, obj, pt int) bool {
 // WITH-LABEL variant and PARALLEL-GRID-MAPPING: one build whatever the
 // configuration, which also looks up the query's upper-bounding entry.
 func (q *query) gridMapping() {
-	m := q.e.mapGrids([]float64{q.r}, q.ubCache(), q.labels, q.bucket, q.halo, q.cancelled)
+	m := q.e.mapGrids(q.r, q.ubCache(), q.labels, q.bucket, q.halo, q.cancelled)
 	q.ub = m.ub
-	q.useIndex(newBigrid(m.smalls[0], m.large, m.groups))
+	q.useIndex(&bigrid{small: m.small, large: m.large, keyLists: keyListsOf(m.small, q.n), groups: m.groups})
 	// The truncated grid is discarded by bound()'s post-phase ctx check;
 	// gmBroke records the truncation so a degraded answer is never
 	// certified from a partial grid.
@@ -378,65 +344,53 @@ func (q *query) gridMapping() {
 }
 
 // useIndex installs the query's BIGrid, with an empty read-set over its
-// large grid: the index is the query's own even when its grids are
-// shared (a group run's plans, a warm grid).
+// large grid: the index is the query's own even when its large grid is
+// a warm grid other queries share.
 func (q *query) useIndex(idx *bigrid) {
 	q.idx = idx
 	q.read = newReadSet(idx.large.Len())
 }
 
 // mapping is what grid mapping hands the phases after it: the large
-// grid and its point groups, one small grid per exact r, whether the
-// sweep ran to the end, and the upper-bounding entry cached for ⌈r⌉,
-// nil on a miss or when the query bypasses the cache.
+// grid and its point groups, the small grid, whether the sweep ran to
+// the end, and the upper-bounding entry cached for ⌈r⌉, nil on a miss
+// or when the query bypasses the cache.
 type mapping struct {
 	large    *grid.LargeGrid
 	groups   [][]pointGroup
-	smalls   []*grid.SmallGrid
+	small    *grid.SmallGrid
 	complete bool
 	ub       *ubEntry
 }
 
-// mapGrids builds the grids of one or several exact thresholds sharing
-// one ⌈r⌉ — a solo query passes its one r, a group run (batch.go) every
-// distinct r of the group — in one sweep over the points: the large
-// grid they all share and one small grid per entry of rs. cache, when
-// non-nil, is looked up for ⌈r⌉ first, and when its entry holds a warm
-// grid only the small grids are mapped: the large grid and its groups
-// are the entry's, with the coordinates gathered again. labels, when
-// non-nil, filter the points (WITH-LABEL); bucket and halo are
-// grid.Build's time axis, nil and 0 but on a temporal query. Grid
-// mapping is the first long phase, so the sweep polls stop to let an
-// abandoned query return promptly; complete is false when that cut it
-// short.
-func (e *Engine) mapGrids(rs []float64, cache *ubCache, labels *labelstore.Labels, bucket []int32, halo int32, stop func() bool) (m mapping) {
-	widths := make([]float64, len(rs))
-	for i, r := range rs {
-		widths[i] = grid.SmallWidth(r, e.opts.dims())
-	}
+// mapGrids builds the large and the small grid of threshold r in one
+// sweep over the points. cache, when non-nil, is looked up for ⌈r⌉
+// first, and when its entry holds a warm grid only the small grid is
+// mapped: the large grid and its groups are the entry's, with the
+// coordinates gathered again. labels, when non-nil, filter the points
+// (WITH-LABEL); bucket and halo are grid.Build's time axis, nil and 0
+// but on a temporal query. Grid mapping is the first long phase, so the
+// sweep polls stop to let an abandoned query return promptly; complete
+// is false when that cut it short.
+func (e *Engine) mapGrids(r float64, cache *ubCache, labels *labelstore.Labels, bucket []int32, halo int32, stop func() bool) (m mapping) {
+	smallWidth := grid.SmallWidth(r, e.opts.dims())
 	var keep func(obj, pt int) bool
 	if labels != nil {
 		keep = func(obj, pt int) bool { return !pruned(labels, obj, pt) }
 	}
-	largeWidth := grid.LargeWidth(rs[0])
+	largeWidth := grid.LargeWidth(r)
 	var warm *warmGrid
 	if cache != nil {
 		m.ub, warm = cache.get(largeWidth)
 	}
 	if warm != nil {
-		_, m.smalls, m.complete = grid.Build(e.ds, 0, widths, bucket, halo, e.opts.workers(), keep, stop)
+		_, m.small, m.complete = grid.Build(e.ds, 0, smallWidth, bucket, halo, e.opts.workers(), keep, stop)
 		m.large, m.groups = warm.large.Gather(e.ds), warm.groups
 		return m
 	}
-	m.large, m.smalls, m.complete = grid.Build(e.ds, largeWidth, widths, bucket, halo, e.opts.workers(), keep, stop)
+	m.large, m.small, m.complete = grid.Build(e.ds, largeWidth, smallWidth, bucket, halo, e.opts.workers(), keep, stop)
 	m.groups = groupsOf(m.large, e.ds.N())
 	return m
-}
-
-// newBigrid assembles the BIGrid for one exact r. large and groups may
-// be shared with the other exact r of a group run.
-func newBigrid(small *grid.SmallGrid, large *grid.LargeGrid, groups [][]pointGroup) *bigrid {
-	return &bigrid{small: small, large: large, keyLists: keyListsOf(small, len(groups)), groups: groups}
 }
 
 // groupsOf derives the point groups P_{i,K} from the inverted lists —

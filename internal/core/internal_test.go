@@ -210,9 +210,8 @@ func shapeOf(b *bigrid) indexShape {
 }
 
 // TestIndexBuildDeterministic pins that keyLists and groups are a
-// function of (dataset, r, labels) alone: identical at Workers 1 and 2,
-// across two builds of one query and between the solo and the group
-// (RunGroup) build, with and without a label set. LB-hash-p splits
+// function of (dataset, r, labels) alone: identical at Workers 1 and 2
+// and across two builds of one query, with and without a label set. LB-hash-p splits
 // keyLists[i] by j mod t and the parallel phases partition by group
 // order, so any other order moves work between runs.
 func TestIndexBuildDeterministic(t *testing.T) {
@@ -252,18 +251,6 @@ func TestIndexBuildDeterministic(t *testing.T) {
 				if got := build(workers); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s labels=%v: Workers=%d build differs from the first Workers=1 build", name, l != nil, workers)
 				}
-			}
-			eng, _ := NewEngine(ds, Options{Workers: 2})
-			var view *labelstore.Labels
-			if l != nil {
-				view = labelRows(l, eng.ord.ext)
-			}
-			m := eng.mapGrids([]float64{r - 0.25, r}, nil, view, nil, 0, func() bool { return false })
-			if !m.complete {
-				t.Fatalf("%s: group build incomplete", name)
-			}
-			if got := shapeOf(newBigrid(m.smalls[1], m.large, m.groups)); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s labels=%v: group build differs from the solo build", name, l != nil)
 			}
 		}
 	}

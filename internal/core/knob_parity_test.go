@@ -57,6 +57,7 @@ func TestKnobParity(t *testing.T) {
 					{Workers: 4, UB: UBGreedyD},
 					{Workers: 2, LB: LBHashP, UB: UBGreedyD},
 					{Workers: 1, Labels: labelstore.NewStore()},
+					{Workers: 2, LB: LBHashP, UB: UBGreedyP, Labels: labelstore.NewStore()},
 					{Workers: 5, LB: LBHashP, UB: UBGreedyD, Labels: labelstore.NewStore()},
 				} {
 					got := run(opts)

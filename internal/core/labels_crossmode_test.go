@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -173,55 +172,6 @@ func TestLabelReuseAcrossDistinctR(t *testing.T) {
 			if res.Best.Score != want {
 				t.Errorf("workers=%d r=%g: top score %d with labels warmed at r=5.5, oracle %d", workers, r, res.Best.Score, want)
 			}
-		}
-	}
-}
-
-// TestGroupLabelsRecordR: a group over one exact r stamps the labels
-// it collects with that r; a group over several records none, so its
-// Labeling-3 bits are never trusted.
-func TestGroupLabelsRecordR(t *testing.T) {
-	ds := data.GenTrajectory(data.TrajectoryConfig{
-		N: 80, M: 20, Groups: 4, FieldSize: 1200, Speed: 14, FollowStd: 6, Solo: 0.3, Seed: 9,
-	})
-	for _, tc := range []struct {
-		rs   []float64
-		want float64
-	}{
-		{[]float64{7.5, 7.5}, 7.5},
-		{[]float64{7.2, 7.9}, 0},
-	} {
-		store := labelstore.NewStore()
-		eng, err := NewEngine(ds, Options{Labels: store})
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs := make([]GroupSpec, len(tc.rs))
-		for i, r := range tc.rs {
-			specs[i] = GroupSpec{R: r, K: i + 1}
-		}
-		outs, _ := eng.RunGroup(context.Background(), specs)
-		for i, o := range outs {
-			if o.Err != nil {
-				t.Fatalf("rs=%v member %d: %v", tc.rs, i, o.Err)
-			}
-		}
-		l, ok := store.Get(8)
-		if !ok {
-			t.Fatalf("rs=%v: no labels published", tc.rs)
-		}
-		if l.R != tc.want {
-			t.Errorf("rs=%v: labels record r=%g, want %g", tc.rs, l.R, tc.want)
-		}
-		// Whatever was recorded, a later solo query at another r under
-		// the same ceiling stays exact.
-		res, err := eng.RunTopK(7.05, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := baselineScores(baseline.NL(ds, 7.05, 3))
-		if got := scoreMultiset(res.TopK); !reflect.DeepEqual(got, want) {
-			t.Errorf("rs=%v then r=7.05: scores %v, oracle %v", tc.rs, got, want)
 		}
 	}
 }

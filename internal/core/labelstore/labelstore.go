@@ -46,8 +46,7 @@ type Labels struct {
 	// PerObject[i][j] is the label of point j of object i.
 	PerObject [][]uint8
 	// R is the exact threshold the set was collected at, or 0 when
-	// unknown (a group run over several r, or a file written before r
-	// was recorded). The "candidate mask was empty" observation behind
+	// unknown (a file written before r was recorded). The "candidate mask was empty" observation behind
 	// BitVerify holds only for the b(o_i) of that r, so verification
 	// honours the bit only when its own r equals R.
 	R float64

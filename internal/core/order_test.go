@@ -235,32 +235,6 @@ func TestIDOrderInvariance(t *testing.T) {
 			}
 		}
 
-		// RunGroup: two exact r under one ⌈r⌉.
-		r2 := math.Ceil(r) - 0.25
-		if r2 <= 0 || r2 == r {
-			r2 = (r + math.Ceil(r)) / 2
-		}
-		s2a, err := a.AllScores(context.Background(), r2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs := []GroupSpec{{R: r, K: 1}, {R: r, K: 4}, {R: r2, K: 2}}
-		oa, _ := a.RunGroup(ctx, specs)
-		ob, _ := b.RunGroup(ctx, specs)
-		for x, sp := range specs {
-			scores := sa
-			if sp.R == r2 {
-				scores = s2a
-			}
-			if oa[x].Err != nil || ob[x].Err != nil {
-				t.Fatalf("%s: group member %d: %v / %v", name, x, oa[x].Err, ob[x].Err)
-			}
-			if !reflect.DeepEqual(oa[x].Result.TopK, wantTopK(scores, sp.K)) ||
-				!reflect.DeepEqual(ob[x].Result.TopK, wantTopK(permuted(scores, to), sp.K)) {
-				t.Fatalf("%s: group member %d (r=%g k=%d): %v / %v", name, x, sp.R, sp.K, oa[x].Result.TopK, ob[x].Result.TopK)
-			}
-		}
-
 		// TemporalEngine.RunTopK on the same objects stamped with times,
 		// at k = n: every object's temporal score, in canonical order.
 		tds := data.WithTimestamps(ds, 1, 40, 9)

@@ -95,8 +95,8 @@ func (e *ubEntry) filled() int {
 // engine of a Pool reads and fills every other's entries; Pool.Swap
 // builds a new template, and with it an empty cache.
 //
-// Grid mapping looks the entry up (mapGrids), once per solo query,
-// Bound or group, and upper bounding fills it in place and publishes it
+// Grid mapping looks the entry up (mapGrids), once per query or
+// Bound, and upper bounding fills it in place and publishes it
 // (computeUpperBounds). Queries that use or collect labels bypass the
 // cache (their large grid drops labelled points), and so do temporal
 // ones (their grid depends on δ's bucketing).

@@ -26,15 +26,59 @@ var ubCacheStrategies = []Options{
 	{Workers: 2, LB: LBHashP, UB: UBGreedyD},
 }
 
+// spec is one query of a stream: threshold and k.
+type spec struct {
+	R float64
+	K int
+}
+
+// comparableResult is what two runs of one query must agree on:
+// everything except wall-clock durations and the index byte sizes,
+// which legitimately differ when structures are shared.
+type comparableResult struct {
+	Best     Scored
+	TopK     []Scored
+	Degraded bool
+	Interval *Interval
+
+	UsedLabels    bool
+	Candidates    int
+	Verified      int
+	DistanceComps int
+	AdjComputed   int
+	SmallCells    int
+	LargeCells    int
+}
+
+func stripVolatile(r *Result) *comparableResult {
+	if r == nil {
+		return nil
+	}
+	return &comparableResult{
+		Best:     r.Best,
+		TopK:     r.TopK,
+		Degraded: r.Degraded,
+		Interval: r.Interval,
+
+		UsedLabels:    r.Stats.UsedLabels,
+		Candidates:    r.Stats.Candidates,
+		Verified:      r.Stats.Verified,
+		DistanceComps: r.Stats.DistanceComps,
+		AdjComputed:   r.Stats.AdjComputed,
+		SmallCells:    r.Stats.SmallCells,
+		LargeCells:    r.Stats.LargeCells,
+	}
+}
+
 // ubCacheStream is a query stream that revisits every ⌈r⌉ of the
 // dataset's thresholds with other exact r and k, so a reused engine
 // answers most of it from the cache.
-func ubCacheStream(name string) []GroupSpec {
-	var specs []GroupSpec
+func ubCacheStream(name string) []spec {
+	var specs []spec
 	for _, base := range rValues(name) {
 		ceil := math.Ceil(base)
 		for i, d := range []float64{0, 0.3, 0, 0.6} {
-			specs = append(specs, GroupSpec{R: ceil - d, K: 1 + i%3})
+			specs = append(specs, spec{R: ceil - d, K: 1 + i%3})
 		}
 	}
 	return specs
@@ -43,7 +87,7 @@ func ubCacheStream(name string) []GroupSpec {
 // warmColdStream runs specs on one reused engine and on a fresh engine
 // per query and fails on the first Result that differs after
 // stripVolatile. It returns the reused engine for the caller to inspect.
-func warmColdStream(t *testing.T, at string, ds *data.Dataset, opts Options, specs []GroupSpec) *Engine {
+func warmColdStream(t *testing.T, at string, ds *data.Dataset, opts Options, specs []spec) *Engine {
 	t.Helper()
 	warm, err := NewEngine(ds, opts)
 	if err != nil {
@@ -67,7 +111,7 @@ func newWarmEngine(t *testing.T, ds *data.Dataset, opts Options) *Engine {
 }
 
 // warmColdStreamOn is warmColdStream on a given reused engine.
-func warmColdStreamOn(t *testing.T, at string, warm *Engine, ds *data.Dataset, opts Options, specs []GroupSpec) {
+func warmColdStreamOn(t *testing.T, at string, warm *Engine, ds *data.Dataset, opts Options, specs []spec) {
 	t.Helper()
 	for _, sp := range specs {
 		got, err := warm.RunTopK(sp.R, sp.K)
@@ -113,7 +157,7 @@ func TestUpperBoundCacheWarmEqualsCold(t *testing.T) {
 // reused engine and on fresh ones.
 func TestUpperBoundCacheBoundComplete(t *testing.T) {
 	bg := context.Background()
-	run := func(e *Engine, sp GroupSpec, allowed []bool, floor int) *Result {
+	run := func(e *Engine, sp spec, allowed []bool, floor int) *Result {
 		t.Helper()
 		bs, err := e.Bound(bg, sp.R, sp.K, allowed)
 		if err != nil {
@@ -152,36 +196,6 @@ func TestUpperBoundCacheBoundComplete(t *testing.T) {
 			}
 			if warm.IndexCache().Hits == 0 {
 				t.Errorf("%s w=%d: the reused engine never hit", name, opts.Workers)
-			}
-		}
-	}
-}
-
-// TestUpperBoundCacheRunGroup runs one shared-⌈r⌉ group twice on one
-// engine: the second run's shared upper-bounding pass is a hit, and its
-// members must still equal a fresh engine's.
-func TestUpperBoundCacheRunGroup(t *testing.T) {
-	bg := context.Background()
-	for name, ds := range testDatasets(t) {
-		ceil := math.Ceil(rValues(name)[1])
-		specs := []GroupSpec{{R: ceil, K: 1}, {R: ceil - 0.3, K: 3}, {R: ceil - 0.7, K: 2}}
-		for _, opts := range []Options{{}, {Workers: 2}} {
-			warm, _ := NewEngine(ds, opts)
-			for pass := 0; pass < 2; pass++ {
-				got, _ := warm.RunGroup(bg, specs)
-				cold, _ := NewEngine(ds, opts)
-				want, _ := cold.RunGroup(bg, specs)
-				for i := range specs {
-					if got[i].Err != nil || want[i].Err != nil {
-						t.Fatalf("%s pass %d member %d: errors %v / %v", name, pass, i, got[i].Err, want[i].Err)
-					}
-					if g, w := stripVolatile(got[i].Result), stripVolatile(want[i].Result); !reflect.DeepEqual(g, w) {
-						t.Fatalf("%s w=%d pass %d member %d: warm %+v, cold %+v", name, opts.Workers, pass, i, g, w)
-					}
-				}
-			}
-			if st := warm.IndexCache(); st.Hits != 1 || st.Misses != 1 {
-				t.Errorf("%s w=%d: index cache %+v, want one miss then one hit", name, opts.Workers, st)
 			}
 		}
 	}
@@ -367,7 +381,7 @@ func TestUpperBoundCacheConcurrentFirstTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh, _ := NewEngine(ds, Options{})
-	specs := []GroupSpec{{R: 12, K: 1}, {R: 11.5, K: 3}}
+	specs := []spec{{R: 12, K: 1}, {R: 11.5, K: 3}}
 	want := make([]*comparableResult, len(specs))
 	for i, sp := range specs {
 		res, _ := fresh.RunTopK(sp.R, sp.K)
@@ -384,7 +398,7 @@ func TestUpperBoundCacheConcurrentFirstTouch(t *testing.T) {
 	start.Add(1)
 	for i, sp := range specs {
 		wg.Add(1)
-		go func(i int, sp GroupSpec) {
+		go func(i int, sp spec) {
 			defer wg.Done()
 			start.Wait()
 			res, err := engs[i].RunTopK(sp.R, sp.K)
@@ -420,11 +434,11 @@ func TestUpperBoundCacheConcurrentFirstTouch(t *testing.T) {
 // and the answer is still exact.
 func TestUpperBoundCacheEviction(t *testing.T) {
 	ds := testDatasets(t)["uniform"]
-	var specs []GroupSpec
+	var specs []spec
 	for c := 1; c <= ubCacheCap+1; c++ {
-		specs = append(specs, GroupSpec{R: float64(c) - 0.5, K: 2})
+		specs = append(specs, spec{R: float64(c) - 0.5, K: 2})
 	}
-	specs = append(specs, GroupSpec{R: 0.75, K: 1}, GroupSpec{R: float64(ubCacheCap+1) - 0.25, K: 1})
+	specs = append(specs, spec{R: 0.75, K: 1}, spec{R: float64(ubCacheCap+1) - 0.25, K: 1})
 	eng := warmColdStream(t, "uniform", ds, Options{}, specs)
 	want := IndexCacheStats{Misses: ubCacheCap + 2, Hits: 1, Entries: ubCacheCap}
 	st := eng.IndexCache()
@@ -439,10 +453,10 @@ func TestUpperBoundCacheEviction(t *testing.T) {
 // fillStream is a threshold-descending stream at one ⌈r⌉: k rises from
 // 1 to 5 while r falls from ⌈r⌉ to ⌈r⌉ − 0.9, so every query may need
 // τ^upp for objects the ones before it pruned by their count bound.
-func fillStream(ceil float64) []GroupSpec {
-	var specs []GroupSpec
+func fillStream(ceil float64) []spec {
+	var specs []spec
 	for k := 1; k <= 5; k++ {
-		specs = append(specs, GroupSpec{R: ceil - 0.9*float64(k-1)/4, K: k})
+		specs = append(specs, spec{R: ceil - 0.9*float64(k-1)/4, K: k})
 	}
 	return specs
 }
@@ -530,43 +544,6 @@ func TestUpperBoundCacheConcurrentFill(t *testing.T) {
 	}
 }
 
-// TestUpperBoundCacheGroupFillsInPlace runs a group whose plans share
-// one exact r and go k = 1 → 5, so each plan has a lower threshold than
-// the one before and fills what its survivors lack. Every member equals
-// a fresh engine's solo run, on a cold engine and on a warm one.
-func TestUpperBoundCacheGroupFillsInPlace(t *testing.T) {
-	bg := context.Background()
-	for name, ds := range testDatasets(t) {
-		r := math.Ceil(rValues(name)[1]) - 0.4
-		var specs []GroupSpec
-		for k := 1; k <= 5; k++ {
-			specs = append(specs, GroupSpec{R: r, K: k})
-		}
-		for _, opts := range []Options{{}, {Workers: 2}, {Workers: 2, UB: UBGreedyD}} {
-			eng, _ := NewEngine(ds, opts)
-			for pass := 0; pass < 2; pass++ {
-				outs, rep := eng.RunGroup(bg, specs)
-				if rep.Plans != len(specs) {
-					t.Fatalf("%s: %d plans, want %d", name, rep.Plans, len(specs))
-				}
-				for i, sp := range specs {
-					fresh, _ := NewEngine(ds, opts)
-					want, _ := fresh.RunTopK(sp.R, sp.K)
-					if outs[i].Err != nil {
-						t.Fatalf("%s pass %d k=%d: %v", name, pass, sp.K, outs[i].Err)
-					}
-					if g, w := stripVolatile(outs[i].Result), stripVolatile(want); !reflect.DeepEqual(g, w) {
-						t.Fatalf("%s w=%d %v pass %d k=%d: group %+v, fresh engine %+v", name, opts.Workers, opts.UB, pass, sp.K, g, w)
-					}
-				}
-			}
-			if st := eng.IndexCache(); st.Misses != 1 || st.Hits != 1 {
-				t.Errorf("%s: index cache %+v, want one lookup per group", name, st)
-			}
-		}
-	}
-}
-
 // TestWarmGridCancelledMapping cancels a query inside a warm grid
 // mapping. The sweep it cuts short is its small grid's, so no bound
 // exists: the query declines whether or not it may degrade, and it
@@ -618,10 +595,10 @@ func TestWarmGridCancelledMapping(t *testing.T) {
 // equals a fresh engine's. Run under -race.
 func TestWarmGridConcurrent(t *testing.T) {
 	ds := testDatasets(t)["neuron"]
-	var specs []GroupSpec
+	var specs []spec
 	for _, ceil := range []float64{5, 6} {
 		for i, d := range []float64{0, 0.2, 0.5, 0.7, 0.9} {
-			specs = append(specs, GroupSpec{R: ceil - d, K: 1 + i%4})
+			specs = append(specs, spec{R: ceil - d, K: 1 + i%4})
 		}
 	}
 	want := make([]*comparableResult, len(specs))
@@ -641,7 +618,7 @@ func TestWarmGridConcurrent(t *testing.T) {
 	oneGrid := probe.IndexCache().GridBytes * 3 / 2
 	for _, c := range []struct {
 		budget int
-		specs  []GroupSpec
+		specs  []spec
 	}{{1 << 30, specs[:len(specs)/2]}, {oneGrid, specs}} {
 		p, err := NewPool(ds, Options{}, 2)
 		if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -31,12 +32,12 @@ func standin(b *testing.B, name string) *data.Dataset {
 // BenchmarkProbeCellDenseMask is the regression benchmark for
 // probeCell's inner loop: the O(1) mask cardinality (a counter
 // maintained by bitmap.Scratch) and the FirstWithin2 scan over each
-// posting's contiguous coordinates. It probes the biggest cell — where
+// posting's contiguous coordinates. It probes the biggest cells — where
 // verification time concentrates — with a dense mask and a one-point
 // group one cell over, so every posting is scanned to its end rather
 // than resolved by an early first-point hit.
 func BenchmarkProbeCellDenseMask(b *testing.B) {
-	// Probe from 1.5 cell widths past the cell's centre: every point of
+	// Probe from 1.5 cell widths past each cell's centre: every point of
 	// the cell is between 1.0 and 2.5 widths away, so with r = width the
 	// probes are misses and every posting scans to the end: the expensive
 	// regime. First-point hits are cheap under any layout.
@@ -65,9 +66,16 @@ func BenchmarkProbeCellDenseMaskGroup(b *testing.B) {
 	})
 }
 
-// benchmarkProbeCell probes the Neuron stand-in's biggest cell at r = 8
-// with a dense mask and a group of the points that points returns for
-// the cell's key and the cell width.
+// probeCells is how many of the biggest cells one op of
+// benchmarkProbeCell probes. The single biggest cell of the Neuron
+// stand-in at r = 8 holds 80 points, a fraction of a microsecond to
+// probe, which run-to-run noise swamps; 256 cells make an op tens of
+// microseconds.
+const probeCells = 256
+
+// benchmarkProbeCell probes the Neuron stand-in's probeCells biggest
+// cells at r = 8, each with a dense mask and a group of the points that
+// points returns for the cell's key and the cell width.
 func benchmarkProbeCell(b *testing.B, points func(k grid.Key, w float64) []geom.Point) {
 	eng, err := NewEngine(standin(b, "Neuron"), Options{Workers: 1})
 	if err != nil {
@@ -76,29 +84,36 @@ func benchmarkProbeCell(b *testing.B, points func(k grid.Key, w float64) []geom.
 	q := newQuery(eng, 8, 1)
 	q.gridMapping()
 
-	// The cell with the most points gives the worst-case posting scan.
+	// The cells with the most points give the worst-case posting scans.
 	large := q.idx.large
-	cell, bestPts := 0, -1
-	for c := 0; c < large.Len(); c++ {
-		if pts := int(large.Off[large.CellOff[c+1]] - large.Off[large.CellOff[c]]); pts > bestPts {
-			cell, bestPts = c, pts
+	size := func(c int) int32 { return large.Off[large.CellOff[c+1]] - large.Off[large.CellOff[c]] }
+	cells := make([]int, large.Len())
+	for c := range cells {
+		cells[c] = c
+	}
+	slices.SortStableFunc(cells, func(a, b int) int { return int(size(b) - size(a)) })
+	cells = cells[:min(probeCells, len(cells))]
+	adjs := make([]*bitmap.Compressed, len(cells))
+	groups := make([]group, len(cells))
+	for i, c := range cells {
+		adjs[i], _ = large.ComputeAdj(c)
+		g := &groups[i]
+		for n, p := range points(large.Key(c), grid.LargeWidth(8)) {
+			g.xs, g.ys, g.zs = append(g.xs, p.X), append(g.ys, p.Y), append(g.zs, p.Z)
+			g.idx = append(g.idx, int32(n))
 		}
+		g.bound()
 	}
-	adj, _ := large.ComputeAdj(cell)
-	var g group
-	for n, p := range points(large.Key(cell), grid.LargeWidth(8)) {
-		g.xs, g.ys, g.zs = append(g.xs, p.X), append(g.ys, p.Y), append(g.zs, p.Z)
-		g.idx = append(g.idx, int32(n))
-	}
-	g.bound()
 	sw := scoreWalk{q: q, bOi: bitmap.NewScratch(q.n), mask: bitmap.NewScratch(q.n)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sw.bOi.Reset()
-		sw.bOi.Set(0)
-		sw.mask.AndNotFromCompressed(adj, sw.bOi)
-		sw.probeCell(cell, &g, false)
+		for j, c := range cells {
+			sw.bOi.Reset()
+			sw.bOi.Set(0)
+			sw.mask.AndNotFromCompressed(adjs[j], sw.bOi)
+			sw.probeCell(c, &groups[j], false)
+		}
 	}
 	b.ReportMetric(float64(sw.ctr.distComps)/float64(b.N), "distComps/op")
 }

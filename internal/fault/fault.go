@@ -47,24 +47,12 @@ const (
 	// PointSwapBuild fires before a swap builds its engine pool.
 	PointSwapBuild = "swap.build"
 	// PointLabelInput .. PointVerification fire at the entry of the
-	// corresponding §III/§IV pipeline phase inside the engine. Inside a
-	// batch group (core.RunGroup) label input and grid mapping are the
-	// group's and fire once, failing every member; lower bounding,
-	// upper bounding and verification fire once per plan — one
-	// distinct (r, k) — and fail that plan's members only.
+	// corresponding §III/§IV pipeline phase inside the engine.
 	PointLabelInput    = "engine.label_input"
 	PointGridMapping   = "engine.grid_mapping"
 	PointLowerBounding = "engine.lower_bounding"
 	PointUpperBounding = "engine.upper_bounding"
 	PointVerification  = "engine.verification"
-
-	// PointEpochClose fires when a batch epoch is sealed, before its
-	// groups dispatch; an error here fails every query gathered into
-	// the epoch.
-	PointEpochClose = "batch.epoch_close"
-	// PointGroupBuild fires at the start of one shared-⌈r⌉ group run,
-	// before the group's shared label input and grid build.
-	PointGroupBuild = "batch.group_build"
 
 	// PointScatter fires in the coordinator before a query fans out to
 	// its shards; an error here fails the query before any shard runs.

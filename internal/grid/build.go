@@ -54,15 +54,14 @@ func (src *points) sameCell(a, b rec) bool {
 }
 
 // Build is GRID-MAPPING (Algorithm 3) by sort and scan: it maps the
-// points of ds into one large grid of cell width largeWidth and one
-// small grid per entry of smallWidths, which all see the same points.
-// A largeWidth of 0 skips the large grid (large is nil): a caller that
-// kept the large grid of this width from an earlier Build maps only the
-// small grids of its exact thresholds. Grid by grid, every point is
-// quantised as KeyFor does, the (key, point number) records are
-// radix-sorted, and the sorted stream is run-length encoded into the
-// grid's flat arrays; the two record buffers are shared by all the
-// grids.
+// points of ds into a large grid of cell width largeWidth and a small
+// grid of cell width smallWidth, which both see the same points. A
+// width of 0 skips that grid (it is nil): a caller that kept the large
+// grid of this width from an earlier Build maps only the small grid of
+// its exact threshold. Grid by grid, every point is quantised as KeyFor
+// does, the (key, point number) records are radix-sorted, and the
+// sorted stream is run-length encoded into the grid's flat arrays; the
+// two record buffers are shared by both grids.
 //
 // bucket, when non-nil, is the time axis of Appendix B: one bucket id
 // per point number (object-major, as the points are numbered), the most
@@ -76,14 +75,14 @@ func (src *points) sameCell(a, b rec) bool {
 // only points whose label is not 0**) and must answer the same every
 // time it is asked. stop, when non-nil, is polled every 128 objects of
 // the first grid's sweep, the large grid's or, when it is skipped, the
-// first small grid's; once it reports true the sweep ends, the grids
+// small grid's; once it reports true the sweep ends, the grids
 // hold only what was mapped so far, and complete is false. With
 // workers > 1 the quantising sweeps are split over contiguous,
 // point-count-balanced object ranges; the sorts are not.
 //
 // ds must hold at most math.MaxInt32 points: point numbers and posting
 // offsets are int32, and a larger dataset would wrap them silently.
-func Build(ds *data.Dataset, largeWidth float64, smallWidths []float64, bucket []int32, halo int32, workers int, keep func(obj, pt int) bool, stop func() bool) (large *LargeGrid, smalls []*SmallGrid, complete bool) {
+func Build(ds *data.Dataset, largeWidth, smallWidth float64, bucket []int32, halo int32, workers int, keep func(obj, pt int) bool, stop func() bool) (large *LargeGrid, small *SmallGrid, complete bool) {
 	n := ds.N()
 	weights := make([]int, n)
 	src := points{ds: ds, start: make([]int32, n+1), bucket: bucket}
@@ -116,11 +115,10 @@ func Build(ds *data.Dataset, largeWidth float64, smallWidths []float64, bucket [
 	if largeWidth != 0 {
 		large = newLargeGrid(halo, &src, sorted(largeWidth))
 	}
-	smalls = make([]*SmallGrid, len(smallWidths))
-	for si, width := range smallWidths {
-		smalls[si] = newSmallGrid(&src, sorted(width))
+	if smallWidth != 0 {
+		small = newSmallGrid(&src, sorted(smallWidth))
 	}
-	return large, smalls, complete
+	return large, small, complete
 }
 
 // quantise writes one record per kept point of the given object ranges

@@ -152,7 +152,7 @@ func dataset(objs ...[]geom.Point) *data.Dataset {
 
 // buildLarge builds the large grid alone, on one worker, unfiltered.
 func buildLarge(ds *data.Dataset, width float64) *LargeGrid {
-	g, _, _ := Build(ds, width, nil, nil, 0, 1, nil, nil)
+	g, _, _ := Build(ds, width, 0, nil, 0, 1, nil, nil)
 	return g
 }
 
@@ -551,28 +551,26 @@ func TestFlatIndexAgainstReference(t *testing.T) {
 		if width == 0 {
 			width = LargeWidth(tc.r)
 		}
-		smallWidths := []float64{SmallWidth(tc.r, 3), SmallWidth(tc.r*0.9, 3)}
+		smallWidth := SmallWidth(tc.r, 3)
 		refLarge := reference(tc.ds, width, tc.keep, tc.bucket)
 		for _, workers := range []int{1, 2, 3, 7} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
 				var polls atomic.Int64
-				large, smalls, complete := Build(tc.ds, width, smallWidths, tc.bucket, tc.halo, workers, tc.keep, func() bool { polls.Add(1); return false })
-				if !complete || len(smalls) != len(smallWidths) {
-					t.Fatalf("Build: complete = %v, %d small grids", complete, len(smalls))
+				large, small, complete := Build(tc.ds, width, smallWidth, tc.bucket, tc.halo, workers, tc.keep, func() bool { polls.Add(1); return false })
+				if !complete {
+					t.Fatal("Build: not complete")
 				}
 				if got := int(polls.Load()); got != tc.ds.N()/128 {
 					t.Fatalf("stop polled %d times over %d objects, want once per 128", got, tc.ds.N())
 				}
 				checkLarge(t, large, tc.ds, width, refLarge, tc.keep, tc.bucket)
-				for i, sw := range smallWidths {
-					// The reference keys every point with KeyFor(p, sw).
-					checkSmall(t, smalls[i], reference(tc.ds, sw, tc.keep, tc.bucket))
-				}
-				// Without the large grid the first small grid's sweep polls.
+				// The reference keys every point with KeyFor(p, smallWidth).
+				checkSmall(t, small, reference(tc.ds, smallWidth, tc.keep, tc.bucket))
+				// Without the large grid the small grid's sweep polls.
 				polls.Store(0)
-				large, again, complete := Build(tc.ds, 0, smallWidths, tc.bucket, tc.halo, workers, tc.keep, func() bool { polls.Add(1); return false })
-				if large != nil || !complete || int(polls.Load()) != tc.ds.N()/128 || !reflect.DeepEqual(again, smalls) {
-					t.Fatalf("Build without the large grid: large %v, complete %v, %d polls, small grids equal %v", large != nil, complete, polls.Load(), reflect.DeepEqual(again, smalls))
+				large, again, complete := Build(tc.ds, 0, smallWidth, tc.bucket, tc.halo, workers, tc.keep, func() bool { polls.Add(1); return false })
+				if large != nil || !complete || int(polls.Load()) != tc.ds.N()/128 || !reflect.DeepEqual(again, small) {
+					t.Fatalf("Build without the large grid: large %v, complete %v, %d polls, small grids equal %v", large != nil, complete, polls.Load(), reflect.DeepEqual(again, small))
 				}
 			})
 		}
@@ -589,15 +587,15 @@ func TestBuildStops(t *testing.T) {
 	}
 	ds := dataset(objs...)
 	polls := 0
-	large, smalls, complete := Build(ds, 1, []float64{0.5}, nil, 0, 1, nil, func() bool { polls++; return polls == 2 })
+	large, small, complete := Build(ds, 1, 0.5, nil, 0, 1, nil, func() bool { polls++; return polls == 2 })
 	if complete {
 		t.Fatal("a stopped build reported complete")
 	}
 	// The second poll is at object 255: objects 0..254 are mapped.
 	ref := reference(dataset(objs[:255]...), 1, nil, nil)
 	checkDirectory(t, &large.directory, ref)
-	if len(large.Idx) != 2*255 || smalls[0].Len() != 2*255 {
-		t.Fatalf("stopped build mapped %d points into %d small cells, want %d", len(large.Idx), smalls[0].Len(), 2*255)
+	if len(large.Idx) != 2*255 || small.Len() != 2*255 {
+		t.Fatalf("stopped build mapped %d points into %d small cells, want %d", len(large.Idx), small.Len(), 2*255)
 	}
 	at := pointCells(large)
 	if _, ok := at[[2]int{254, 1}]; !ok {
@@ -608,8 +606,8 @@ func TestBuildStops(t *testing.T) {
 	}
 	// Without the large grid the small grid's sweep is the one cut.
 	polls = 0
-	if large, smalls, complete := Build(ds, 0, []float64{0.5}, nil, 0, 1, nil, func() bool { polls++; return polls == 2 }); large != nil || complete || smalls[0].Len() != 2*255 {
-		t.Fatalf("stopped small-grid build: large %v, complete %v, %d small cells, want %d", large != nil, complete, smalls[0].Len(), 2*255)
+	if large, small, complete := Build(ds, 0, 0.5, nil, 0, 1, nil, func() bool { polls++; return polls == 2 }); large != nil || complete || small.Len() != 2*255 {
+		t.Fatalf("stopped small-grid build: large %v, complete %v, %d small cells, want %d", large != nil, complete, small.Len(), 2*255)
 	}
 }
 
@@ -694,7 +692,7 @@ func TestGridAccessorsAndSizes(t *testing.T) {
 		[]geom.Point{geom.Pt(1, 1, 1)},
 		[]geom.Point{geom.Pt(1.5, 1, 1)},
 	)
-	g, smalls, _ := Build(ds, 3, []float64{0.5}, nil, 0, 1, nil, nil)
+	g, small, _ := Build(ds, 3, 0.5, nil, 0, 1, nil, nil)
 	before := g.SizeBytes()
 	if before <= 0 {
 		t.Fatal("SizeBytes")
@@ -706,9 +704,8 @@ func TestGridAccessorsAndSizes(t *testing.T) {
 	if cards := len(g.CellObjs(0)); g.Len() != 1 || cards != 2 {
 		t.Fatalf("%d cells, first with %d objects", g.Len(), cards)
 	}
-	s := smalls[0]
-	if s.Len() != 2 || s.SizeBytes() <= 0 || s.UncompressedSizeBytes(1000) <= s.SizeBytes() {
-		t.Errorf("small grid: %d cells, %d B, %d B dense", s.Len(), s.SizeBytes(), s.UncompressedSizeBytes(1000))
+	if small.Len() != 2 || small.SizeBytes() <= 0 || small.UncompressedSizeBytes(1000) <= small.SizeBytes() {
+		t.Errorf("small grid: %d cells, %d B, %d B dense", small.Len(), small.SizeBytes(), small.UncompressedSizeBytes(1000))
 	}
 }
 
@@ -843,7 +840,7 @@ func TestNeighborhoodPostings(t *testing.T) {
 		{name: "bucketed/halo=1", ds: timed, width: 2, bucket: stamps, halo: 1},
 		{name: "bucketed/halo=0", ds: timed, width: 2, bucket: stamps},
 	} {
-		g, _, _ := Build(tc.ds, tc.width, nil, tc.bucket, tc.halo, 1, nil, nil)
+		g, _, _ := Build(tc.ds, tc.width, 0, tc.bucket, tc.halo, 1, nil, nil)
 		got := g.NeighborhoodPostings()
 		if len(got) != g.Len() {
 			t.Fatalf("%s: %d counts for %d cells", tc.name, len(got), g.Len())

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"mio/internal/batch"
 	"mio/internal/core"
 	"mio/internal/data"
 	"mio/internal/fault"
@@ -31,7 +30,6 @@ type queryResponse struct {
 	Epoch     uint64  `json:"dataset_epoch"`
 	Cached    bool    `json:"cached"`
 	Coalesced bool    `json:"coalesced"`
-	Batched   bool    `json:"batched,omitempty"`
 	Sharded   bool    `json:"sharded,omitempty"`
 	// Scatter reports the per-shard outcome of a sharded query:
 	// states, attempts, hedges, the merged floor, pruning.
@@ -173,7 +171,6 @@ type MetricsSnapshot struct {
 	Degraded          uint64                      `json:"degraded_total"`
 	SwapBreaker       BreakerStats                `json:"swap_breaker"`
 	FaultsFired       map[string]uint64           `json:"faults_fired,omitempty"`
-	Batch             *batch.Stats                `json:"batch,omitempty"`
 	Shards            *ShardStats                 `json:"shards,omitempty"`
 	Cache             CacheStats                  `json:"cache"`
 	IndexCache        core.IndexCacheStats        `json:"index_cache"`
@@ -264,8 +261,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	degrade := req.URL.Query().Get("degraded") == "1"
 	epoch := s.epoch.Load()
 	key := fmt.Sprintf("%d|query|%s|%d|d%v", epoch, rKey(r), k, degrade)
-	val, cached, coalesced, err := s.execute(key, s.batch == nil, func() (any, error) {
-		res, rep, err := s.query(req.Context(), r, k, degrade)
+	val, cached, coalesced, err := s.execute(key, func() (any, error) {
+		res, rep, err := s.runQuery(req.Context(), r, k, degrade)
 		if err != nil {
 			return nil, err
 		}
@@ -281,8 +278,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 	qv := val.(*queryValue)
 	writeJSON(w, http.StatusOK, queryResponse{
 		R: r, K: k, Epoch: epoch, Cached: cached, Coalesced: coalesced,
-		Batched: s.batch != nil, Sharded: qv.rep != nil, Scatter: qv.rep,
-		Result: qv.res,
+		Sharded: qv.rep != nil, Scatter: qv.rep, Result: qv.res,
 	})
 }
 
@@ -302,7 +298,7 @@ func (s *Server) handleInteracting(w http.ResponseWriter, req *http.Request) {
 	}
 	epoch := s.epoch.Load()
 	key := fmt.Sprintf("%d|interacting|%s|%d", epoch, rKey(r), obj)
-	val, cached, coalesced, err := s.execute(key, true, func() (any, error) {
+	val, cached, coalesced, err := s.execute(key, func() (any, error) {
 		return s.withEngine(req.Context(), func(ctx context.Context, eng *core.Engine) (any, error) {
 			return eng.InteractingSet(ctx, r, obj)
 		})
@@ -330,7 +326,7 @@ func (s *Server) handleScores(w http.ResponseWriter, req *http.Request) {
 	full := req.URL.Query().Get("full") == "1"
 	epoch := s.epoch.Load()
 	key := fmt.Sprintf("%d|scores|%s|%d|%v", epoch, rKey(r), buckets, full)
-	val, cached, coalesced, err := s.execute(key, true, func() (any, error) {
+	val, cached, coalesced, err := s.execute(key, func() (any, error) {
 		return s.withEngine(req.Context(), func(ctx context.Context, eng *core.Engine) (any, error) {
 			scores, err := eng.AllScores(ctx, r)
 			if err != nil {
@@ -392,7 +388,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 		keys[i] = rKey(r)
 	}
 	key := fmt.Sprintf("%d|sweep|%s|%d", epoch, strings.Join(keys, ","), k)
-	val, cached, coalesced, err := s.execute(key, true, func() (any, error) {
+	val, cached, coalesced, err := s.execute(key, func() (any, error) {
 		return s.withEngine(req.Context(), func(ctx context.Context, eng *core.Engine) (any, error) {
 			out, err := eng.Sweep(ctx, rs, k)
 			if err != nil {
@@ -507,7 +503,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 			Refused:             s.m.swapRefused.Value(),
 		},
 		FaultsFired: s.cfg.Faults.Counts(),
-		Batch:       s.batchStats(withBuckets),
 		Shards:      s.shardStats(withBuckets),
 		Cache: CacheStats{
 			Enabled: !s.cfg.DisableCache, Hits: hits, Misses: misses,
@@ -555,16 +550,6 @@ func (s *Server) shardStats(withBuckets bool) *ShardStats {
 		PrunedPerQuery:    m.Pruned.Snapshot(withBuckets),
 		PerShard:          co.Health(),
 	}
-}
-
-// batchStats snapshots the batch engine for /metrics, or nil when
-// batch execution is off.
-func (s *Server) batchStats(withBuckets bool) *batch.Stats {
-	if s.batch == nil {
-		return nil
-	}
-	st := s.batch.Stats(withBuckets)
-	return &st
 }
 
 // ---- parsing and writing helpers ----

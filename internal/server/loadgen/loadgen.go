@@ -54,13 +54,12 @@ type Config struct {
 	RetryBase time.Duration
 	// Burst switches from the open loop to closed-loop waves: all
 	// Concurrency workers fire one request simultaneously, everyone
-	// waits for the slowest, then the next wave starts. This is the
-	// shape batch execution feeds on — a standing set of in-flight
-	// queries for each epoch to gather — and the adversarial case for
-	// a cache (every wave misses until thresholds repeat).
+	// waits for the slowest, then the next wave starts: a standing set
+	// of concurrent queries, and the adversarial case for a cache
+	// (every wave misses until thresholds repeat).
 	Burst bool
 	// KSpread, when > 1, cycles each worker's k over 1..KSpread instead
-	// of the fixed K, so grouped queries carry distinct (r, k) plans.
+	// of the fixed K, so concurrent queries carry distinct (r, k).
 	KSpread int
 }
 
@@ -112,13 +111,6 @@ type Report struct {
 	CacheMisses uint64
 	Rejected    uint64 // admission-control 429s
 
-	// Batch-execution deltas, zero unless the server runs with
-	// Config.BatchExecution (the /metrics batch section).
-	BatchEpochs  uint64
-	BatchQueries uint64
-	BatchPlans   uint64
-	BatchShared  uint64 // queries answered by a groupmate's plan
-
 	// Sharded-serving deltas, zero unless the server runs with
 	// Config.Shards (the /metrics shards section). Sharded is true when
 	// the section was present, so an all-zero healthy run still prints.
@@ -158,12 +150,6 @@ func (r Report) String() string {
 	fmt.Fprintf(&b, "  cache         %d hits / %d misses\n", r.CacheHits, r.CacheMisses)
 	if r.Rejected > 0 {
 		fmt.Fprintf(&b, "  rejected 429  %d\n", r.Rejected)
-	}
-	if r.BatchQueries > 0 {
-		avg := float64(r.BatchQueries) / float64(r.BatchEpochs)
-		fmt.Fprintf(&b, "  batch         %d epochs, %d queries (avg %.1f/epoch)\n",
-			r.BatchEpochs, r.BatchQueries, avg)
-		fmt.Fprintf(&b, "  batch plans   %d (%d shared)\n", r.BatchPlans, r.BatchShared)
 	}
 	if r.Sharded {
 		rate := 0.0
@@ -340,12 +326,6 @@ func Run(cfg Config) (*Report, error) {
 	rep.CacheHits = after.Cache.Hits - before.Cache.Hits
 	rep.CacheMisses = after.Cache.Misses - before.Cache.Misses
 	rep.Rejected = after.AdmissionRejected - before.AdmissionRejected
-	if before.Batch != nil && after.Batch != nil {
-		rep.BatchEpochs = after.Batch.Epochs - before.Batch.Epochs
-		rep.BatchQueries = after.Batch.Queries - before.Batch.Queries
-		rep.BatchPlans = after.Batch.Plans - before.Batch.Plans
-		rep.BatchShared = after.Batch.SharedWork - before.Batch.SharedWork
-	}
 	if before.Shards != nil && after.Shards != nil {
 		rep.Sharded = true
 		rep.ShardCount = after.Shards.Shards

@@ -177,7 +177,7 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 
 // PowerOfTwoBounds returns 1, 2, 4, .. up to the first power of two
 // covering max — the natural bucket ladder for size-like quantities
-// (batch sizes, cell counts).
+// (shards pruned per query, cell counts).
 func PowerOfTwoBounds(max int64) []int64 {
 	var bounds []int64
 	for b := int64(1); ; b <<= 1 {

@@ -18,8 +18,8 @@
 //
 // The request path is: parse → cache lookup → coalesce → admission →
 // engine run → cache fill (Server.execute). /v1/query has one handler;
-// what "engine run" means for it — a pooled engine, a batch epoch, or a
-// scatter–gather over shards — is a strategy fixed at construction.
+// what "engine run" means for it — a pooled engine or a scatter–gather
+// over shards — is fixed at construction.
 package server
 
 import (
@@ -31,7 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mio/internal/batch"
 	"mio/internal/core"
 	"mio/internal/core/labelstore"
 	"mio/internal/data"
@@ -89,21 +88,6 @@ type Config struct {
 	// options already carry their own registry. Production servers
 	// leave it nil.
 	Faults *fault.Registry
-	// BatchExecution routes /v1/query through the epoch-driven batch
-	// engine (internal/batch): concurrent queries gather into epochs,
-	// group by ⌈r⌉ and share one index build and upper-bounding pass per
-	// group. It generalises request coalescing — flight collapses identical
-	// requests, an epoch collapses similar ones — and per-query results
-	// stay bitwise identical to the query-major path. Other endpoints
-	// keep the solo path.
-	BatchExecution bool
-	// BatchWindow is the epoch gather window; 0 selects
-	// batch.DefaultWindow. Ignored unless BatchExecution is set.
-	BatchWindow time.Duration
-	// BatchMaxSize seals an epoch early once it holds this many
-	// queries; 0 selects batch.DefaultMaxBatch. Ignored unless
-	// BatchExecution is set.
-	BatchMaxSize int
 	// Shards routes /v1/query through the sharded scatter–gather
 	// coordinator (internal/shard): the dataset is partitioned across
 	// this many in-process shard engines, each query scatters per-shard
@@ -182,35 +166,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Validate reports settings that contradict each other. BatchExecution,
-// Shards and ShardAddrs each select what answers /v1/query — epoch
-// batching, in-process scatter–gather, remote scatter–gather — so at
-// most one may be set. New calls it; cmd/miosrv calls it before loading
-// a dataset, so a bad invocation fails in milliseconds.
+// Validate reports settings that contradict each other. Shards and
+// ShardAddrs each select what answers /v1/query — in-process or remote
+// scatter–gather — so at most one may be set. New calls it; cmd/miosrv
+// calls it before loading a dataset, so a bad invocation fails in
+// milliseconds.
 func (c Config) Validate() error {
-	strategies := 0
-	if c.BatchExecution {
-		strategies++
-	}
-	if c.Shards > 0 {
-		strategies++
-	}
-	if len(c.ShardAddrs) > 0 {
-		strategies++
-	}
-	if strategies > 1 {
-		return errors.New("server: BatchExecution (-batch), Shards (-shards) and ShardAddrs (-shards-at) are mutually exclusive: each owns /v1/query routing")
+	if c.Shards > 0 && len(c.ShardAddrs) > 0 {
+		return errors.New("server: Shards (-shards) and ShardAddrs (-shards-at) are mutually exclusive: each owns /v1/query routing")
 	}
 	if n := len(c.ShardAddrs); n == 1 {
 		return fmt.Errorf("server: need at least 2 shard workers, got %d", n)
 	}
 	return nil
 }
-
-// queryFunc is a /v1/query execution strategy: it answers one cache
-// miss. rep is non-nil exactly when a scatter–gather produced the
-// answer.
-type queryFunc func(ctx context.Context, r float64, k int, degrade bool) (res *core.Result, rep *shard.Report, err error)
 
 // Server is a long-lived MIO query server over one dataset.
 type Server struct {
@@ -229,20 +198,10 @@ type Server struct {
 	flight flight.Group
 	cache  *cache.Cache
 
-	// query is the /v1/query strategy, picked once at construction:
-	// runSolo, runBatch (Config.BatchExecution) or runSharded
-	// (Config.Shards / ShardAddrs).
-	query queryFunc
-
-	// batch, when non-nil, is the epoch-driven cross-query executor
-	// behind runBatch. Its group runs go through withEngine, so
-	// admission, panic quarantine and swap drain apply to batched work
-	// exactly as to solo queries.
-	batch *batch.Engine
-
-	// coord, when non-nil, is the scatter–gather coordinator behind
-	// runSharded. It owns its own per-shard engine pools; SwapDataset
-	// replaces it wholesale with one built over the new dataset.
+	// coord, when non-nil, is the scatter–gather coordinator that
+	// answers /v1/query (runQuery). It owns its own per-shard engine
+	// pools; SwapDataset replaces it wholesale with one built over the
+	// new dataset.
 	coord atomic.Pointer[shard.Coordinator]
 
 	// drainMu realises graceful drain: every request holds the read
@@ -322,7 +281,6 @@ func New(ds *data.Dataset, engOpts core.Options, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.coord.Store(co)
-		s.query = s.runSharded
 	}
 	return s, nil
 }
@@ -405,17 +363,6 @@ func newFromPool(pool *core.Pool, cfg Config) *Server {
 		start:       time.Now(),
 	}
 	s.m.init()
-	s.query = s.runSolo
-	if cfg.BatchExecution {
-		// batch.New only fails on a nil RunFunc, which s.runGroup is not.
-		s.batch, _ = batch.New(batch.Config{
-			Window:   cfg.BatchWindow,
-			MaxBatch: cfg.BatchMaxSize,
-			Faults:   cfg.Faults,
-			Run:      s.runGroup,
-		})
-		s.query = s.runBatch
-	}
 	return s
 }
 
@@ -434,33 +381,24 @@ func (s *Server) runSolo(ctx context.Context, r float64, k int, degrade bool) (*
 	return v.(*core.Result), nil, nil
 }
 
-// runBatch submits the query into the current batch epoch. The
-// deadline is applied here (runSolo gets it inside withEngine) so a
-// member's detach-on-expiry works even while its group still has engine
-// budget left; runGroup observes the phases, once per distinct plan.
-func (s *Server) runBatch(ctx context.Context, r float64, k int, degrade bool) (*core.Result, *shard.Report, error) {
-	ctx, cancel := s.deadline(ctx)
-	defer cancel()
-	res, err := s.batch.Submit(ctx, r, k, degrade)
-	return res, nil, err
-}
-
-// runSharded scatters the query over the coordinator's shards, which
-// own admission (per-shard engine pools) and fault tolerance: shard
-// failures come back as a Degraded result with a certified interval,
-// whether or not the client asked for degradation. Queries beyond the
-// replica horizon cannot be answered exactly by the shards and fall
-// back to the solo pool.
-func (s *Server) runSharded(ctx context.Context, r float64, k int, degrade bool) (*core.Result, *shard.Report, error) {
+// runQuery answers one /v1/query cache miss; rep is non-nil exactly
+// when a scatter–gather produced the answer. With a coordinator the
+// query scatters over its shards, which own admission (per-shard engine
+// pools) and fault tolerance: shard failures come back as a Degraded
+// result with a certified interval, whether or not the client asked for
+// degradation. Without one, and for queries beyond the replica horizon,
+// which the shards cannot answer exactly, one pooled engine answers
+// (runSolo).
+func (s *Server) runQuery(ctx context.Context, r float64, k int, degrade bool) (res *core.Result, rep *shard.Report, err error) {
 	co := s.coord.Load()
-	if r > co.MaxR() {
+	if co == nil || r > co.MaxR() {
 		return s.runSolo(ctx, r, k, degrade)
 	}
 	ctx, cancel := s.deadline(ctx)
 	defer cancel()
 	s.m.inFlight.Inc()
 	defer s.m.inFlight.Dec()
-	res, rep, err := co.Query(ctx, r, k)
+	res, rep, err = co.Query(ctx, r, k)
 	if err == nil {
 		s.observePhases(res.Stats)
 	}
@@ -473,38 +411,6 @@ func (s *Server) deadline(ctx context.Context) (context.Context, context.CancelF
 		return context.WithTimeout(ctx, s.cfg.QueryTimeout)
 	}
 	return ctx, func() {}
-}
-
-// runGroup executes one shared-⌈r⌉ batch group. It takes no caller
-// context on purpose: per-member deadlines live inside each
-// GroupSpec.Ctx, and the group as a whole runs under the server's
-// QueryTimeout applied by withEngine — the same budget a solo query
-// gets. Running through withEngine also means a panicking group
-// quarantines its engine and refills the slot before the batch
-// engine's own recovery fails the group's members, so the blast radius
-// of a poisoned query is one group of one epoch.
-func (s *Server) runGroup(specs []core.GroupSpec) (outs []core.GroupOutcome, rep core.GroupReport, err error) {
-	_, err = s.withEngine(context.Background(), func(ctx context.Context, eng *core.Engine) (any, error) {
-		outs, rep = eng.RunGroup(ctx, specs)
-		return nil, nil
-	})
-	if err != nil {
-		return nil, core.GroupReport{}, err
-	}
-	// Members sharing a plan share one *Result; observe each distinct
-	// result once so the phase histograms count pipelines, not fan-out.
-	seen := make(map[*core.Result]struct{}, len(outs))
-	for _, o := range outs {
-		if o.Err != nil || o.Result == nil {
-			continue
-		}
-		if _, dup := seen[o.Result]; dup {
-			continue
-		}
-		seen[o.Result] = struct{}{}
-		s.observePhases(o.Result.Stats)
-	}
-	return outs, rep, nil
 }
 
 // Dataset returns the currently served dataset.
@@ -604,12 +510,6 @@ func (s *Server) Drain() {
 	s.drainMu.Lock()
 	s.draining = true
 	s.drainMu.Unlock()
-	if s.batch != nil {
-		// No request is in flight past this point (the write lock waited
-		// them out) so no epoch holds pending members; Close just stops
-		// the gather machinery.
-		s.batch.Close()
-	}
 	if co := s.coord.Load(); co != nil {
 		// Stops remote shard health probers; Close is idempotent and
 		// /healthz keeps serving the last-known shard states.
@@ -659,11 +559,8 @@ func (s *Server) withEngine(ctx context.Context, fn func(context.Context, *core.
 }
 
 // execute is the shared request path: cache lookup, then coalesced
-// execution of the leader function, then cache fill. coalesce false
-// bypasses the flight group the way DisableCoalesce does: batched
-// queries pass it, because an epoch already gives identical (r, k)
-// members one plan and one *Result.
-func (s *Server) execute(key string, coalesce bool, fn func() (any, error)) (val any, cached, coalesced bool, err error) {
+// execution of the leader function, then cache fill.
+func (s *Server) execute(key string, fn func() (any, error)) (val any, cached, coalesced bool, err error) {
 	if !s.cfg.DisableCache {
 		if v, ok := s.cache.Get(key); ok {
 			return v, true, false, nil
@@ -676,7 +573,7 @@ func (s *Server) execute(key string, coalesce bool, fn func() (any, error)) (val
 		}
 		return v, err
 	}
-	if !coalesce || s.cfg.DisableCoalesce {
+	if s.cfg.DisableCoalesce {
 		v, err := wrapped()
 		return v, false, false, err
 	}

@@ -5,14 +5,13 @@ import (
 	"net/http"
 	"reflect"
 	"testing"
-	"time"
 
 	"mio/internal/core"
 )
 
-// TestConfigValidate: BatchExecution, Shards and ShardAddrs each pick
-// the /v1/query strategy, so any two together are refused — by
-// Validate and therefore by New — and remote sharding needs two workers.
+// TestConfigValidate: Shards and ShardAddrs each pick what answers
+// /v1/query, so the two together are refused — by Validate and
+// therefore by New — and remote sharding needs two workers.
 func TestConfigValidate(t *testing.T) {
 	addrs := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
 	for _, tc := range []struct {
@@ -21,11 +20,8 @@ func TestConfigValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"solo", Config{}, true},
-		{"batch", Config{BatchExecution: true}, true},
 		{"shards", Config{Shards: 2}, true},
 		{"remote shards", Config{ShardAddrs: addrs}, true},
-		{"batch+shards", Config{BatchExecution: true, Shards: 2}, false},
-		{"batch+remote", Config{BatchExecution: true, ShardAddrs: addrs}, false},
 		{"shards+remote", Config{Shards: 2, ShardAddrs: addrs}, false},
 		{"one remote worker", Config{ShardAddrs: addrs[:1]}, false},
 	} {
@@ -42,10 +38,10 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestQueryStrategiesShareOnePath drives the one /v1/query handler
-// under each strategy: the answer is the solo answer, the second ask is
-// a cache hit carrying the same strategy markers (the cached value
-// keeps the scatter report), and a radius beyond the shard horizon
-// falls back to the solo pool.
+// pooled and sharded: the answer is the solo answer, the second ask is
+// a cache hit carrying the same markers (the cached value keeps the
+// scatter report), and a radius beyond the shard horizon falls back to
+// the solo pool.
 func TestQueryStrategiesShareOnePath(t *testing.T) {
 	const url = "/v1/query?r=4&k=3"
 	var want queryResponse
@@ -53,13 +49,12 @@ func TestQueryStrategiesShareOnePath(t *testing.T) {
 		t.Fatalf("solo: status %d", rec.Code)
 	}
 	for _, tc := range []struct {
-		name             string
-		cfg              Config
-		batched, sharded bool
+		name    string
+		cfg     Config
+		sharded bool
 	}{
-		{"solo", Config{}, false, false},
-		{"batch", Config{BatchExecution: true, BatchWindow: time.Millisecond}, true, false},
-		{"sharded", Config{Shards: 2, ShardMaxR: 5}, false, true},
+		{"solo", Config{}, false},
+		{"sharded", Config{Shards: 2, ShardMaxR: 5}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestServer(t, tc.cfg)
@@ -70,8 +65,8 @@ func TestQueryStrategiesShareOnePath(t *testing.T) {
 				if rec := get(t, h, url, &got); rec.Code != http.StatusOK {
 					t.Fatalf("ask %d: status %d: %s", ask, rec.Code, rec.Body)
 				}
-				if got.Cached != cached || got.Batched != tc.batched || got.Sharded != tc.sharded || (got.Scatter != nil) != tc.sharded {
-					t.Errorf("ask %d: cached=%v batched=%v sharded=%v scatter=%v", ask, got.Cached, got.Batched, got.Sharded, got.Scatter != nil)
+				if got.Cached != cached || got.Sharded != tc.sharded || (got.Scatter != nil) != tc.sharded {
+					t.Errorf("ask %d: cached=%v sharded=%v scatter=%v", ask, got.Cached, got.Sharded, got.Scatter != nil)
 				}
 				if !reflect.DeepEqual(got.Result.TopK, want.Result.TopK) {
 					t.Errorf("ask %d: top-k %v, solo says %v", ask, got.Result.TopK, want.Result.TopK)
@@ -104,7 +99,6 @@ func TestUnanswerableThresholdIsBadRequest(t *testing.T) {
 		cfg  Config
 	}{
 		{"solo", Config{}},
-		{"batch", Config{BatchExecution: true, BatchWindow: time.Millisecond}},
 		{"sharded", Config{Shards: 2, ShardMaxR: 5, shardBreakThreshold: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,7 @@
 // Command miosrv serves MIO queries over HTTP: it loads (or
-// generates) a dataset once, keeps a pool of engines sharing one
+// generates) a dataset once, keeps one engine whose queries share one
 // label store so queries with the same ⌈r⌉ recycle label work
-// (§III-D), and wraps them in request coalescing, a bounded result
+// (§III-D), and wraps it in request coalescing, a bounded result
 // cache and admission control (DESIGN.md §9).
 //
 // Usage:

@@ -21,9 +21,10 @@ import (
 // once.
 
 // BoundSet is a paused query whose label-input, grid-mapping,
-// lower-bounding and upper-bounding phases have completed. It is tied
-// to the engine that produced it (same single-query contract as the
-// engine itself) and must be finished with Complete or dropped.
+// lower-bounding and upper-bounding phases have completed. It holds
+// all of its query's state, so the engine that produced it may run
+// other queries meanwhile; it must be finished with Complete or
+// dropped, and Complete is called at most once.
 type BoundSet struct {
 	q *query
 }

@@ -198,10 +198,10 @@ type Engine struct {
 	ord  idOrder
 	opts Options
 	// maxAbs is the largest |coordinate| in ds; validate holds every r
-	// against it. A Pool scans for it once and copies it to every slot.
+	// against it.
 	maxAbs float64
 	// ub is the τ^upp cache (ubcache.go) with its warm grids, shared by
-	// every clone.
+	// every query the engine runs.
 	ub *ubCache
 }
 
@@ -287,8 +287,8 @@ func (e *Engine) Dataset() *data.Dataset { return e.ext }
 // Options returns the engine's configuration.
 func (e *Engine) Options() Options { return e.opts }
 
-// IndexCache reports the lookups of the τ^upp cache this engine shares
-// with every engine cloned from the same template.
+// IndexCache reports the lookups of the engine's τ^upp cache, which
+// every query it runs shares.
 func (e *Engine) IndexCache() IndexCacheStats { return e.ub.stats() }
 
 // Run processes an MIO query with threshold r and returns the most

@@ -91,9 +91,9 @@ func (e *ubEntry) filled() int {
 
 // ubCache memoises one ubEntry per ⌈r⌉. The large grid of a label-free
 // spatial query is a function of (dataset, ⌈r⌉), and an entry of the
-// grid alone. NewEngine creates one cache and clone shares it, so every
-// engine of a Pool reads and fills every other's entries; Pool.Swap
-// builds a new template, and with it an empty cache.
+// grid alone. NewEngine creates one cache, so every query of the
+// engine — concurrent ones included — reads and fills every other's
+// entries; Pool.Swap builds a new engine, and with it an empty cache.
 //
 // Grid mapping looks the entry up (mapGrids), once per query or
 // Bound, and upper bounding fills it in place and publishes it

@@ -252,7 +252,7 @@ func TestUpperBoundCacheSwapInvalidates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Release(e)
+		defer p.Release()
 		res, err := e.RunTopK(r, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -371,7 +371,7 @@ func TestUpperBoundCacheHitFiresFault(t *testing.T) {
 	}
 }
 
-// TestUpperBoundCacheConcurrentFirstTouch has two pooled engines miss
+// TestUpperBoundCacheConcurrentFirstTouch has two pooled queries miss
 // on one ⌈r⌉ at once; both publish, the cache keeps one vector, and
 // every answer equals a fresh engine's. Run under -race.
 func TestUpperBoundCacheConcurrentFirstTouch(t *testing.T) {
@@ -409,14 +409,14 @@ func TestUpperBoundCacheConcurrentFirstTouch(t *testing.T) {
 	}
 	start.Done()
 	wg.Wait()
-	for i, e := range engs {
-		p.Release(e)
+	for i := range engs {
+		p.Release()
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("engine %d: %+v, fresh engine %+v", i, got[i], want[i])
+			t.Errorf("query %d: %+v, fresh engine %+v", i, got[i], want[i])
 		}
 	}
 	e, _ := p.Acquire(context.Background(), -1)
-	defer p.Release(e)
+	defer p.Release()
 	res, err := e.RunTopK(12, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +490,7 @@ func TestUpperBoundCacheFillsInPlace(t *testing.T) {
 }
 
 // TestUpperBoundCacheConcurrentFill has one query publish an entry, then
-// two pooled engines fill it at once with lower thresholds. Every answer
+// two pooled queries fill it at once with lower thresholds. Every answer
 // equals a fresh engine's. Run under -race.
 func TestUpperBoundCacheConcurrentFill(t *testing.T) {
 	for name, ds := range testDatasets(t) {
@@ -507,7 +507,7 @@ func TestUpperBoundCacheConcurrentFill(t *testing.T) {
 		}
 		e, _ := p.Acquire(context.Background(), -1)
 		res, err := e.RunTopK(specs[0].R, specs[0].K)
-		p.Release(e)
+		p.Release()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -524,7 +524,7 @@ func TestUpperBoundCacheConcurrentFill(t *testing.T) {
 			wg.Add(1)
 			go func(e *Engine, w int) {
 				defer wg.Done()
-				defer p.Release(e)
+				defer p.Release()
 				for i := 1 + w; i < len(specs); i += 2 {
 					if res, err := e.RunTopK(specs[i].R, specs[i].K); err == nil {
 						got[i] = stripVolatile(res)
@@ -587,11 +587,11 @@ func TestWarmGridCancelledMapping(t *testing.T) {
 	}
 }
 
-// TestWarmGridConcurrent has two engines of one pool answer distinct r
+// TestWarmGridConcurrent has two queries of one pool answer distinct r
 // of one ⌈r⌉ at once on one warm grid, filling its b^adj memo
 // together. It runs the stream again, over two ⌈r⌉, under
 // a budget that holds one grid: each publish drops the grid the other
-// engine may be verifying on. Every answer, work counters included,
+// query may be verifying on. Every answer, work counters included,
 // equals a fresh engine's. Run under -race.
 func TestWarmGridConcurrent(t *testing.T) {
 	ds := testDatasets(t)["neuron"]
@@ -624,7 +624,7 @@ func TestWarmGridConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.tmpl.Load().ub.budget = c.budget
+		p.eng.Load().ub.budget = c.budget
 		got := make([][]*comparableResult, 2)
 		var start, wg sync.WaitGroup
 		start.Add(1)
@@ -637,9 +637,9 @@ func TestWarmGridConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(e *Engine, w int) {
 				defer wg.Done()
-				defer p.Release(e)
+				defer p.Release()
 				start.Wait()
-				// The engines walk the stream from opposite ends.
+				// The two walk the stream from opposite ends.
 				for n := range c.specs {
 					i := n
 					if w == 1 {
@@ -656,7 +656,7 @@ func TestWarmGridConcurrent(t *testing.T) {
 		for w := range got {
 			for i, sp := range c.specs {
 				if !reflect.DeepEqual(got[w][i], want[i]) {
-					t.Errorf("budget %d engine %d r=%g k=%d: %+v, fresh engine %+v", c.budget, w, sp.R, sp.K, got[w][i], want[i])
+					t.Errorf("budget %d worker %d r=%g k=%d: %+v, fresh engine %+v", c.budget, w, sp.R, sp.K, got[w][i], want[i])
 				}
 			}
 		}

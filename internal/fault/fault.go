@@ -64,7 +64,7 @@ const (
 	// PointShardRun fires inside each per-shard bound attempt while the
 	// shard's engine is held: latency rules make stragglers (exercising
 	// hedged scatter), errors drive retries and the shard breaker, and
-	// panics exercise the shard-scoped quarantine.
+	// panics exercise the backend's panic-to-error conversion.
 	PointShardRun = "shard.run"
 	// PointMerge fires in the coordinator after the gather, before
 	// per-shard results merge into the global answer.

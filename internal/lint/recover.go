@@ -9,10 +9,10 @@ import (
 // trace: the result is discarded (a bare `recover()` statement) or
 // assigned to the blank identifier, and the enclosing function never
 // panics again. The serving stack's resilience accounting depends on
-// every recovery either re-panicking toward the next layer (engine
-// quarantine re-raises into the HTTP middleware) or recording what was
-// caught (the middleware ticks panic_total and writes the 500); a
-// silent recover would make a crashing engine look healthy.
+// every recovery either re-panicking toward the next layer or recording
+// what was caught (the middleware ticks panic_total and writes the 500;
+// the shard backend returns it as the attempt's error); a silent
+// recover would make a crashing engine look healthy.
 //
 // The check is per function literal: a panic() in an *outer* scope
 // does not excuse a swallowed recover inside a deferred closure,

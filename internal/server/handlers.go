@@ -167,7 +167,6 @@ type MetricsSnapshot struct {
 	Timeouts          uint64                      `json:"timeout_total"`
 	DrainRejected     uint64                      `json:"drain_rejected_total"`
 	Panics            uint64                      `json:"panic_total"`
-	Quarantined       uint64                      `json:"quarantined_total"`
 	Degraded          uint64                      `json:"degraded_total"`
 	SwapBreaker       BreakerStats                `json:"swap_breaker"`
 	FaultsFired       map[string]uint64           `json:"faults_fired,omitempty"`
@@ -196,9 +195,9 @@ func (s *Server) Handler() http.Handler {
 // recoverPanics is the outermost middleware: it converts handler
 // panics into 500 responses and counts them. By the time a panic
 // reaches here the inner layers have already cleaned up — withEngine
-// quarantined the engine (refilling its pool slot) and flight.Do
-// released coalesced waiters with ErrLeaderPanicked — so recovery is
-// safe: no lock is held and no slot is lost.
+// released its pool slot and flight.Do released coalesced waiters with
+// ErrLeaderPanicked — so recovery is safe: no lock is held and no slot
+// is lost.
 func (s *Server) recoverPanics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		defer func() {
@@ -495,7 +494,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		Timeouts:          s.m.timeouts.Value(),
 		DrainRejected:     s.m.drainRejected.Value(),
 		Panics:            s.m.panics.Value(),
-		Quarantined:       s.m.quarantined.Value(),
 		Degraded:          s.m.degraded.Value(),
 		SwapBreaker: BreakerStats{
 			State:               s.swapBreaker.State().String(),

@@ -1,5 +1,5 @@
 // Package server implements the long-lived MIO serving layer: an
-// HTTP API over one resident dataset and a pool of query engines,
+// HTTP API over one resident dataset and a pooled query engine,
 // with the machinery a production front-end needs wrapped around the
 // paper's pipeline:
 //
@@ -8,10 +8,10 @@
 //   - a bounded LRU result cache (internal/server/cache) keyed by the
 //     full query identity including the dataset epoch, so a dataset
 //     swap invalidates every stale entry;
-//   - admission control: engine runs are bounded by the engine pool
-//     (core.Pool); requests wait at most AdmissionWait for an engine
+//   - admission control: engine runs are bounded by the engine pool's
+//     slots (core.Pool); requests wait at most AdmissionWait for a slot
 //     and are rejected with 429 under overload, 503 while draining;
-//   - per-request deadlines wired through the engines' Context query
+//   - per-request deadlines wired through the engine's Context query
 //     variants;
 //   - /metrics counters and per-phase latency histograms built on
 //     core.PhaseStats.
@@ -47,9 +47,8 @@ import (
 // defaults (see the field comments); explicit negatives disable the
 // optional behaviours.
 type Config struct {
-	// MaxInFlight bounds concurrent engine runs (and sizes the engine
-	// pool). Default 1: the paper's engine is single-query, so true
-	// run concurrency requires as many engines as slots.
+	// MaxInFlight bounds concurrent engine runs: the engine pool's
+	// slots, which share one engine. Default 1.
 	MaxInFlight int
 	// AdmissionWait is how long a request may queue for an engine slot
 	// before being rejected with 429. 0 selects 100ms; negative
@@ -236,7 +235,6 @@ type serverMetrics struct {
 	timeouts      metrics.Counter
 	drainRejected metrics.Counter
 	panics        metrics.Counter // handler panics recovered by middleware
-	quarantined   metrics.Counter // engines discarded after a panic
 	degraded      metrics.Counter // deadline-degraded answers served
 	swapRefused   metrics.Counter // swaps refused by the open breaker
 	inFlight      metrics.Gauge
@@ -259,9 +257,9 @@ func (m *serverMetrics) init() {
 	}
 }
 
-// New builds a server over ds with a pool of cfg.MaxInFlight engines
-// configured from engOpts. When engOpts.Labels is non-nil the same
-// store is shared across the pool.
+// New builds a server over ds with an engine configured from engOpts
+// and cfg.MaxInFlight query slots. When engOpts.Labels is non-nil every
+// query shares the store.
 func New(ds *data.Dataset, engOpts core.Options, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -347,7 +345,8 @@ func (s *Server) shardConfig() shard.Config {
 
 // NewFromEngine wraps one existing engine — the embedding path behind
 // mio.Handler. The pool has exactly one slot regardless of
-// cfg.MaxInFlight, honouring the engine's single-query contract.
+// cfg.MaxInFlight, honouring the public mio.Engine's
+// one-query-at-a-time contract.
 func NewFromEngine(e *core.Engine, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	cfg.MaxInFlight = 1
@@ -517,12 +516,10 @@ func (s *Server) Drain() {
 	}
 }
 
-// withEngine runs fn holding an engine from the pool, with the
-// per-request deadline applied on top of the caller's context.
-//
-// If fn panics, the engine that ran it is quarantined (core.Pool
-// refills the slot from its template: same dataset, same shared label
-// store) and the panic continues to the recovery middleware.
+// withEngine runs fn holding a slot of the pool, with the per-request
+// deadline applied on top of the caller's context. The slot goes back
+// however fn ends; a panic continues to flight and the recovery
+// middleware.
 func (s *Server) withEngine(ctx context.Context, fn func(context.Context, *core.Engine) (any, error)) (any, error) {
 	if err := s.cfg.Faults.Fire(fault.PointAcquire); err != nil {
 		return nil, err
@@ -534,16 +531,7 @@ func (s *Server) withEngine(ctx context.Context, fn func(context.Context, *core.
 		}
 		return nil, err
 	}
-	defer func() {
-		// Exactly one engine goes back per engine taken, panic or not;
-		// the pool can never leak a slot.
-		if rec := recover(); rec != nil {
-			s.m.quarantined.Inc()
-			s.pool.Quarantine(eng)
-			panic(rec)
-		}
-		s.pool.Release(eng)
-	}()
+	defer s.pool.Release()
 	s.m.inFlight.Inc()
 	defer s.m.inFlight.Dec()
 	if s.testRunBarrier != nil {

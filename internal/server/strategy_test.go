@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"mio/internal/core"
+	"mio/internal/fault"
+	"mio/internal/shard"
 )
 
 // TestConfigValidate: Shards and ShardAddrs each pick what answers
@@ -127,5 +129,91 @@ func TestUnanswerableThresholdIsBadRequest(t *testing.T) {
 	}
 	if got := (&Server{}).statusFor(fmt.Errorf("shard 1: %w", core.ErrInvalidQuery)); got != http.StatusBadRequest {
 		t.Errorf("statusFor(ErrInvalidQuery) = %d, want 400", got)
+	}
+}
+
+// TestShardedSwap swaps the dataset under a sharded server. Sharded and
+// solo answers match a fresh engine on the new dataset, /healthz
+// reports the new partition, the shards' counters carry over from the
+// old coordinator, and no slot leaks from the solo pool or from any
+// shard's, old or new.
+func TestShardedSwap(t *testing.T) {
+	reg := fault.New(1)
+	s, err := New(testDataset(80, 7), core.Options{}, Config{Shards: 2, ShardMaxR: 5, Faults: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	h := s.Handler()
+	// Failing shard attempts move the counters that must carry over.
+	reg.Arm(fault.Rule{Point: fault.PointShardRun, Kind: fault.KindError, P: 1})
+	get(t, h, "/v1/query?r=4&k=3", nil)
+	reg.Clear(fault.PointShardRun)
+	var before MetricsSnapshot
+	get(t, h, "/metrics", &before)
+	if before.Shards.RetriesTotal == 0 || before.Shards.MergeLatency.Count == 0 {
+		t.Fatalf("failing shards moved no counter: %+v", before.Shards)
+	}
+
+	old := s.coord.Load()
+	ds := testDataset(120, 11)
+	if err := s.SwapDataset(ds); err != nil {
+		t.Fatal(err)
+	}
+	if s.coord.Load() == old {
+		t.Fatal("the swap kept the old coordinator")
+	}
+	fresh, err := core.NewEngine(ds, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		r       float64
+		sharded bool
+	}{{4, true}, {6, false}} {
+		want, err := fresh.RunTopK(q.r, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got queryResponse
+		if rec := get(t, h, fmt.Sprintf("/v1/query?r=%g&k=3", q.r), &got); rec.Code != http.StatusOK {
+			t.Fatalf("r=%g after the swap: status %d: %s", q.r, rec.Code, rec.Body)
+		}
+		if got.Sharded != q.sharded || got.Result.Degraded || !reflect.DeepEqual(got.Result.TopK, want.TopK) {
+			t.Errorf("r=%g after the swap: sharded=%v %+v, fresh engine %v", q.r, got.Sharded, got.Result, want.TopK)
+		}
+	}
+
+	part, err := shard.BuildPartition(ds, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hr healthResponse
+	get(t, h, "/healthz", &hr)
+	if len(hr.Shards) != 2 {
+		t.Fatalf("healthz after the swap: %d shards, want 2", len(hr.Shards))
+	}
+	for i, sh := range hr.Shards {
+		if sh.Primaries != part.Primaries(i) || sh.Objects != len(part.Members[i]) || sh.Breaker != "closed" {
+			t.Errorf("healthz shard %d after the swap: %+v, want %d primaries of %d objects, breaker closed",
+				i, sh, part.Primaries(i), len(part.Members[i]))
+		}
+	}
+
+	var after MetricsSnapshot
+	get(t, h, "/metrics", &after)
+	// One sharded query since: one more merge, no more retries.
+	if a, b := after.Shards, before.Shards; a.RetriesTotal != b.RetriesTotal || a.DownsTotal != b.DownsTotal ||
+		a.MergeLatency.Count != b.MergeLatency.Count+1 {
+		t.Errorf("shard counters after the swap %+v, before %+v", a, b)
+	}
+
+	if s.pool.Idle() != s.pool.Cap() {
+		t.Errorf("solo pool leaked: %d of %d idle", s.pool.Idle(), s.pool.Cap())
+	}
+	for name, co := range map[string]*shard.Coordinator{"old": old, "new": s.coord.Load()} {
+		if idle, total := co.IdleSlots(); idle != total || total == 0 {
+			t.Errorf("%s coordinator leaked shard slots: %d of %d idle", name, idle, total)
+		}
 	}
 }

@@ -64,8 +64,8 @@ const (
 type Backend interface {
 	// Bound runs the bound phase (label input through upper-bounding,
 	// restricted to the shard's primaries) under ctx and returns the
-	// paused bounds. Implementations convert panics to errors and
-	// quarantine whatever state the panic may have poisoned.
+	// paused bounds. Implementations convert panics to errors, which
+	// the retry loop handles like any other failed attempt.
 	Bound(ctx context.Context, r float64, k int) (Bounds, error)
 	// Info reports the backend's identity and, for remote backends, the
 	// prober's last-known view of the worker.

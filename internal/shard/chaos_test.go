@@ -12,19 +12,15 @@ import (
 	"mio/internal/server/breaker"
 )
 
-// waitSlots fails the test unless every engine slot of sh returns to
-// the pool — the no-slot-leak invariant after hedges, retries, panics
-// and cancelled attempts (losers drain asynchronously).
-func waitSlots(t *testing.T, sh *Shard) {
+// waitSlots fails the test unless every engine slot of c's in-process
+// shards returns to its pool — the no-slot-leak invariant after hedges,
+// retries, panics and cancelled attempts (losers drain asynchronously).
+func waitSlots(t *testing.T, c *Coordinator) {
 	t.Helper()
-	lb, ok := sh.backend.(*LocalBackend)
-	if !ok {
-		t.Fatalf("shard %d: backend is %T, not a local engine pool", sh.id, sh.backend)
-	}
 	deadline := time.Now().Add(5 * time.Second)
-	for lb.pool.Idle() != lb.pool.Cap() {
+	for idle, total := c.IdleSlots(); idle != total || total == 0; idle, total = c.IdleSlots() {
 		if time.Now().After(deadline) {
-			t.Fatalf("shard %d: %d/%d engine slots returned", sh.id, lb.pool.Idle(), lb.pool.Cap())
+			t.Fatalf("%d/%d engine slots returned", idle, total)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -85,9 +81,7 @@ func TestChaosShardDown(t *testing.T) {
 	if res.Best != want.Best {
 		t.Fatalf("post-recovery best %v, oracle %v", res.Best, want.Best)
 	}
-	for _, sh := range c.shards {
-		waitSlots(t, sh)
-	}
+	waitSlots(t, c)
 }
 
 // TestChaosEnvelopeTightensInterval: a healthy query teaches each
@@ -116,11 +110,12 @@ func TestChaosEnvelopeTightensInterval(t *testing.T) {
 	}
 }
 
-// TestChaosPanicQuarantine arms a panic in every bound attempt: the
-// query must fail closed (all shards down) without crashing the
-// process or leaking engine slots, and the next query — faults
-// cleared, breakers cooled — must answer exactly.
-func TestChaosPanicQuarantine(t *testing.T) {
+// TestChaosPanic arms a panic in every bound attempt: the query must
+// fail closed (all shards down) without crashing the process or
+// leaking engine slots. A panic in every verification instead fails
+// each shard late: the query degrades and the slots come back too. The
+// next query — faults cleared, breakers cooled — must answer exactly.
+func TestChaosPanic(t *testing.T) {
 	reg := fault.New(1)
 	c := chaosCoordinator(t, reg, Config{
 		BreakThreshold: 3,
@@ -143,19 +138,38 @@ func TestChaosPanicQuarantine(t *testing.T) {
 			t.Fatalf("shard %d: state %q err %q", run.ID, run.State, run.Err)
 		}
 	}
-	for _, sh := range c.shards {
-		waitSlots(t, sh) // quarantine must refill every slot it drained
-	}
+	waitSlots(t, c) // every panicking attempt gives its slot back
 
 	reg.Clear(fault.PointShardRun)
 	time.Sleep(50 * time.Millisecond) // let breakers cool down
+	reg.Arm(fault.Rule{Point: fault.PointVerification, Kind: fault.KindPanic, P: 1})
+	res, rep, err = c.Query(context.Background(), 4, 3)
+	if err != nil || !res.Degraded {
+		t.Fatalf("every verification panicking returned (%+v, %v)", res, err)
+	}
+	late := 0
+	for _, run := range rep.PerShard {
+		if run.State == StateLate && strings.Contains(run.Err, "panic") {
+			late++
+		} else if run.State != StatePruned {
+			t.Fatalf("shard %d: state %q err %q", run.ID, run.State, run.Err)
+		}
+	}
+	if late == 0 {
+		t.Fatalf("no shard failed in verification: %+v", rep)
+	}
+	waitSlots(t, c)
+
+	reg.Clear(fault.PointVerification)
+	time.Sleep(50 * time.Millisecond)
 	res, rep, err = c.Query(context.Background(), 4, 3)
 	if err != nil || res.Degraded {
 		t.Fatalf("did not recover from panics: err=%v rep=%+v", err, rep)
 	}
 	if !sameTopK(res.TopK, want.TopK) {
-		t.Fatalf("post-quarantine answer %v, oracle %v", res.TopK, want.TopK)
+		t.Fatalf("post-panic answer %v, oracle %v", res.TopK, want.TopK)
 	}
+	waitSlots(t, c)
 }
 
 // TestChaosBreakerTripAndRecover: persistent shard errors must trip
@@ -213,8 +227,8 @@ func TestChaosBreakerTripAndRecover(t *testing.T) {
 		if sh.br.State() != breaker.Closed {
 			t.Fatalf("shard %d breaker %v after successful probe", sh.id, sh.br.State())
 		}
-		waitSlots(t, sh)
 	}
+	waitSlots(t, c)
 }
 
 // TestChaosHedgedScatter: every first attempt straggles past the hedge
@@ -240,9 +254,7 @@ func TestChaosHedgedScatter(t *testing.T) {
 	if res.Best != want.Best {
 		t.Fatalf("hedged best %v, oracle %v", res.Best, want.Best)
 	}
-	for _, sh := range c.shards {
-		waitSlots(t, sh)
-	}
+	waitSlots(t, c)
 }
 
 // TestChaosLateVerification: bounds arrive but every verification
@@ -274,9 +286,7 @@ func TestChaosLateVerification(t *testing.T) {
 	if res.Interval.LB > want.Best.Score || want.Best.Score > res.Interval.UB {
 		t.Fatalf("interval %+v excludes oracle score %d", res.Interval, want.Best.Score)
 	}
-	for _, sh := range c.shards {
-		waitSlots(t, sh)
-	}
+	waitSlots(t, c)
 }
 
 // TestChaosScatterMergePoints: faults at the coordinator's own points
@@ -295,9 +305,7 @@ func TestChaosScatterMergePoints(t *testing.T) {
 	if _, _, err := c.Query(context.Background(), 4, 1); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("merge fault: %v", err)
 	}
-	for _, sh := range c.shards {
-		waitSlots(t, sh)
-	}
+	waitSlots(t, c)
 }
 
 // TestChaosCancelMidScatter: caller cancellation mid-scatter surfaces
@@ -316,7 +324,5 @@ func TestChaosCancelMidScatter(t *testing.T) {
 	if err == nil {
 		t.Fatal("cancelled scatter returned a result")
 	}
-	for _, sh := range c.shards {
-		waitSlots(t, sh)
-	}
+	waitSlots(t, c)
 }

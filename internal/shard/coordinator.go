@@ -45,9 +45,9 @@ type Config struct {
 	// Backoff is the base delay before a retry (doubled per attempt,
 	// with up to 50% jitter). Default 10ms.
 	Backoff time.Duration
-	// Pool is each shard's engine-pool size. One query needs at most
-	// two slots per shard (original + hedge), so a caller serving Q
-	// queries concurrently should set 2Q or hedged attempts starve
+	// Pool is each shard's number of engine slots. One query needs at
+	// most two slots per shard (original + hedge), so a caller serving
+	// Q queries concurrently should set 2Q or hedged attempts starve
 	// healthy ones out of slots. Default 2.
 	Pool int
 	// BreakThreshold / BreakCooldown configure each shard's circuit
@@ -223,15 +223,7 @@ func (c *Coordinator) Metrics() *Metrics { return c.m }
 // AdoptMetrics replaces the coordinator's metric set, letting a
 // replacement coordinator (dataset swap) continue its predecessor's
 // counters. Must be called before the coordinator serves queries.
-func (c *Coordinator) AdoptMetrics(m *Metrics) {
-	if m != nil {
-		if m.Stale == nil { // metric set from before the remote transport
-			m.Stale = new(metrics.Counter)
-			m.Bad = new(metrics.Counter)
-		}
-		c.m = m
-	}
-}
+func (c *Coordinator) AdoptMetrics(m *Metrics) { c.m = m }
 
 // IndexCache sums the τ^upp caches of the in-process shards' engine
 // pools. A remote worker's pool lives in its own process and is not
@@ -244,6 +236,18 @@ func (c *Coordinator) IndexCache() core.IndexCacheStats {
 		}
 	}
 	return sum
+}
+
+// IdleSlots sums the free and total engine slots of the in-process
+// shards; idle < total while a query holds one. A remote worker's slots
+// live in its own process and are not counted.
+func (c *Coordinator) IdleSlots() (idle, total int) {
+	for _, sh := range c.shards {
+		if lb, ok := sh.backend.(*LocalBackend); ok {
+			idle, total = idle+lb.pool.Idle(), total+lb.pool.Cap()
+		}
+	}
+	return idle, total
 }
 
 // Health snapshots every shard's status, ordered by id.

@@ -78,9 +78,7 @@ func TestParityWithOracle(t *testing.T) {
 				}
 			}
 		}
-		for _, sh := range c.shards {
-			waitSlots(t, sh)
-		}
+		waitSlots(t, c)
 	}
 }
 
@@ -129,9 +127,7 @@ func TestShardPruning(t *testing.T) {
 			t.Fatalf("shard %d pruned with MaxUB %d ≥ floor %d", run.ID, run.MaxUB, rep.Floor)
 		}
 	}
-	for _, sh := range c.shards {
-		waitSlots(t, sh)
-	}
+	waitSlots(t, c)
 }
 
 func TestBeyondHorizon(t *testing.T) {
@@ -202,7 +198,5 @@ func TestInvalidQueryIsNotAShardFailure(t *testing.T) {
 	if err != nil || res.Degraded || !sameTopK(res.TopK, oracle(t, ds, 4, 2).TopK) {
 		t.Fatalf("valid query after invalid ones: res=%+v err=%v", res, err)
 	}
-	for _, sh := range c.shards {
-		waitSlots(t, sh)
-	}
+	waitSlots(t, c)
 }

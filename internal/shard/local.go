@@ -11,11 +11,11 @@ import (
 	"mio/internal/fault"
 )
 
-// LocalBackend is the in-process shard transport: a core.Pool of
-// engines over one shard's local dataset, plus the local→global id
-// mapping. The coordinator drives one per shard directly; a remote
-// worker (internal/shard/remote) serves exactly one over HTTP, so both
-// deployments run the same engine, quarantine and mapping code.
+// LocalBackend is the in-process shard transport: a core.Pool over one
+// shard's local dataset, plus the local→global id mapping. The
+// coordinator drives one per shard directly; a remote worker
+// (internal/shard/remote) serves exactly one over HTTP, so both
+// deployments run the same engine, panic handling and mapping code.
 type LocalBackend struct {
 	id      int
 	global  []int32 // local id → global id
@@ -23,15 +23,15 @@ type LocalBackend struct {
 	info    BackendInfo
 	faults  *fault.Registry
 	pool    *core.Pool
-	// wait is how long Bound queues for an engine (core.Pool.Acquire):
-	// 0 waits as long as the attempt's context allows.
+	// wait is how long Bound queues for a slot (core.Pool.Acquire): 0
+	// waits as long as the attempt's context allows.
 	wait time.Duration
 }
 
-// NewLocalBackend builds shard id of part over ds with pool engines.
-// opts is the engine template; a configured label store is replaced
-// with a fresh in-memory one, since shard-local ids make a shared store
-// meaningless.
+// NewLocalBackend builds shard id of part over ds with pool query
+// slots. opts configures the engine; a configured label store is
+// replaced with a fresh in-memory one, since shard-local ids make a
+// shared store meaningless.
 func NewLocalBackend(part *Partition, ds *data.Dataset, id int, opts core.Options, pool int, wait time.Duration) (*LocalBackend, error) {
 	local, primary := part.ShardDataset(ds, id)
 	if opts.Labels != nil {
@@ -53,26 +53,16 @@ func NewLocalBackend(part *Partition, ds *data.Dataset, id int, opts core.Option
 	}, nil
 }
 
-// Bound acquires an engine and runs the bound phase restricted to the
-// shard's primaries. A panic anywhere inside (fault injection or the
-// engine itself) quarantines the engine — its slot is refilled from
-// the template — and converts to an error so the coordinator's retry
-// loop stays alive.
+// Bound takes a slot and runs the bound phase restricted to the
+// shard's primaries. The slot stays held until the bounds are completed
+// or released; a failed or panicking attempt gives it back at once.
 func (lb *LocalBackend) Bound(ctx context.Context, r float64, k int) (b Bounds, err error) {
 	eng, aerr := lb.pool.Acquire(ctx, lb.wait)
 	if aerr != nil {
 		return nil, fmt.Errorf("shard %d: %w: %w", lb.id, ErrNoSlot, aerr)
 	}
-	defer func() {
-		if p := recover(); p != nil {
-			lb.pool.Quarantine(eng)
-			b, err = nil, fmt.Errorf("shard %d: panic: %v", lb.id, p)
-		} else if err != nil {
-			lb.pool.Release(eng)
-		}
-	}()
-	// Fired with the engine held: a panic rule here must exercise the
-	// quarantine path.
+	defer lb.settle(&err, true)
+	// Fired with the slot held: a panic rule here must exercise settle.
 	if err := lb.faults.Fire(fault.PointShardRun); err != nil {
 		return nil, err
 	}
@@ -80,19 +70,31 @@ func (lb *LocalBackend) Bound(ctx context.Context, r float64, k int) (b Bounds, 
 	if err != nil {
 		return nil, err
 	}
-	return &localBounds{lb: lb, set: set, eng: eng}, nil
+	return &localBounds{lb: lb, set: set}, nil
+}
+
+// settle ends a call made holding a slot. A panic anywhere inside
+// (fault injection or the engine itself) becomes *err, so the
+// coordinator's retry loop stays alive; the slot goes back on an error
+// or when the call does not keep it for a paused query.
+func (lb *LocalBackend) settle(err *error, keep bool) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("shard %d: panic: %v", lb.id, p)
+	}
+	if *err != nil || !keep {
+		lb.pool.Release()
+	}
 }
 
 func (lb *LocalBackend) Info() BackendInfo { return lb.info }
 
 func (lb *LocalBackend) Close() {}
 
-// localBounds is a paused in-process query: the BoundSet plus the
-// engine it is tied to.
+// localBounds is a paused in-process query: the BoundSet, holding one
+// of the backend's slots.
 type localBounds struct {
 	lb  *LocalBackend
 	set *core.BoundSet
-	eng *core.Engine
 }
 
 // TopLBs maps the shard-local canonical top LBs to global ids. The
@@ -104,20 +106,13 @@ func (b *localBounds) MaxUB() int { return b.set.MaxUB() }
 
 func (b *localBounds) Stats() core.PhaseStats { return b.set.Stats() }
 
-func (b *localBounds) Release() { b.lb.pool.Release(b.eng) }
+func (b *localBounds) Release() { b.lb.pool.Release() }
 
-// Complete resumes verification with the same panic-quarantine
-// discipline as Bound and always returns the engine to the pool.
-func (b *localBounds) Complete(ctx context.Context, floor int) (res *core.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			b.lb.pool.Quarantine(b.eng)
-			res, err = nil, fmt.Errorf("shard %d: panic: %v", b.lb.id, p)
-			return
-		}
-		b.lb.pool.Release(b.eng)
-	}()
-	res, err = b.set.Complete(ctx, floor)
+// Complete resumes verification, turning a panic into an error as Bound
+// does, and always gives the slot back.
+func (b *localBounds) Complete(ctx context.Context, floor int) (_ *core.Result, err error) {
+	defer b.lb.settle(&err, false)
+	res, err := b.set.Complete(ctx, floor)
 	if err != nil {
 		return nil, err
 	}

@@ -30,8 +30,8 @@ type WorkerConfig struct {
 	// MaxR is the replica horizon; it must match the coordinator's
 	// (both fold it into the generation). Default shard.DefaultMaxR.
 	MaxR float64
-	// Pool is the engine-pool size, which also bounds how many bound
-	// phases can be paused at once. Default 2.
+	// Pool is the number of engine slots, which also bounds how many
+	// bound phases can be paused at once. Default 2.
 	Pool int
 	// HandleTTL is how long a paused bound phase may sit unresumed
 	// before its engine is reclaimed — the backstop for a coordinator
@@ -69,7 +69,7 @@ type pending struct {
 }
 
 // Worker serves one shard of the dataset over HTTP: a shard.LocalBackend
-// — the same engine pool, quarantine and id mapping the in-process
+// — the same engine pool, panic handling and id mapping the in-process
 // coordinator drives — behind a table of single-use handles, with every
 // response stamped with the dataset generation. It partitions the full
 // dataset exactly as the coordinator does (BuildPartition is
@@ -135,9 +135,9 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-// reap releases engines held by expired handles — the lazy sweep run
-// at the top of every request, so an idle worker holds stale engines
-// no longer than TTL + one request gap.
+// reap releases the slots held by expired handles — the lazy sweep run
+// at the top of every request, so an idle worker holds stale slots no
+// longer than TTL + one request gap.
 func (w *Worker) reap() {
 	now := time.Now()
 	w.mu.Lock()

@@ -33,8 +33,8 @@ type ServerOptions struct {
 // (concurrent identical queries share one engine run), results are
 // cached in a bounded LRU, and engine runs are serialised — the
 // Engine contract allows one query at a time — with queueing
-// requests rejected 429 once AdmissionWait expires. For a
-// multi-engine pool, dataset swapping and graceful drain, use
+// requests rejected 429 once AdmissionWait expires. For more than
+// one query slot, dataset swapping and graceful drain, use
 // cmd/miosrv.
 func Handler(e *Engine, opts ServerOptions) http.Handler {
 	return server.NewFromEngine(e.inner, server.Config{

@@ -169,6 +169,31 @@ func BenchmarkWorkloadNeuron2(b *testing.B) {
 	b.ReportMetric(float64(eng.IndexCache().GridHits)/float64(b.N), "grid-hits/op")
 }
 
+// BenchmarkWarmGridMapping times the grid mapping of a warm-grid hit on
+// BenchmarkWorkloadNeuron2's engine at r = 6.5: the small grid of the
+// exact r, and the coordinates of the kept ⌈r⌉ = 7 grid gathered again
+// (Engine.mapGrids). One query beforehand keeps the grid.
+func BenchmarkWarmGridMapping(b *testing.B) {
+	c := data.DefaultNeuron2()
+	c.N, c.M = 360, 300
+	eng, err := NewEngine(data.GenNeuron(c), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const r = 6.5
+	if _, err := eng.RunTopK(r, 1); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.mapGrids(r, eng.ub, nil, nil, 0, nil)
+	}
+	if st := eng.IndexCache(); st.GridHits != uint64(b.N) {
+		b.Fatalf("%d grid hits in %d mappings", st.GridHits, b.N)
+	}
+}
+
 // BenchmarkSpatialOrder times the ordering pass NewEngine pays per
 // engine (order.go) on the oneshot_bird dataset: centroids, Morton keys,
 // the sort and the view.

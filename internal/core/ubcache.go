@@ -20,12 +20,13 @@ const ubCacheCap = 16
 // thirds of the point's own 24 bytes of coordinates. A lean grid holds
 // no coordinates. On dense data, where cells hold many points, it takes
 // about 10 to 15 bytes a point once its b^adj memo fills, and three
-// ⌈r⌉ stay warm: Neuron-2 at 360 × 300 (107 618 points) keeps its grids
-// of ⌈r⌉ = 6, 7 and 8 at 1.56, 1.31 and 1.13 MB, 4.00 MB with every
-// b^adj header counted, which 40 B a point (4.30 MB) holds and 36 B
-// (3.87 MB) did not. On sparse data, with nearly a cell per point, one
-// grid takes about the whole budget: few stay warm, and none where a
-// grid would be dropped as fast as it is mapped.
+// ⌈r⌉ stay warm: after its 40-query stream Neuron-2 at 360 × 300
+// (107 618 points) keeps its grids of ⌈r⌉ = 6, 7 and 8 at 1.62, 1.35
+// and 1.16 MB, 4.13 MB with every b^adj header and neighbour table
+// counted (TestWarmGridsFitNeuron2), which 40 B a point (4.30 MB)
+// holds and 36 B (3.87 MB) did not. On sparse data, with nearly a cell
+// per point, one grid takes about the whole budget: few stay warm, and
+// none where a grid would be dropped as fast as it is mapped.
 const warmGridBytesPerPoint = 40
 
 // ubEntry is upper bounding's state for one large grid: every object's

@@ -333,12 +333,15 @@ func TestUpperBoundCacheCancelledPublishesNothing(t *testing.T) {
 // TestUpperBoundCacheHitFiresFault checks that the fault points guard a
 // hit as they guard a computed pass. The lookup is grid mapping's, after
 // its fault point: a query failed there counts no lookup, one failed at
-// upper bounding has counted its hit, and a grid hit.
+// upper bounding has counted its hit, and a grid hit. At ⌈r⌉ = 60 the
+// Bird stand-in's grid, 775 cells for 3 600 points, fits the warm-grid
+// budget; at ⌈r⌉ = 40, 1 124 cells, it no longer does once its b^adj
+// memo fills.
 func TestUpperBoundCacheHitFiresFault(t *testing.T) {
 	ds := testDatasets(t)["bird"]
 	reg := fault.New(1)
 	eng, _ := NewEngine(ds, Options{Faults: reg})
-	if _, err := eng.RunTopK(40, 1); err != nil {
+	if _, err := eng.RunTopK(60, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -347,7 +350,7 @@ func TestUpperBoundCacheHitFiresFault(t *testing.T) {
 	}{{fault.PointGridMapping, false}, {fault.PointUpperBounding, true}} {
 		before := eng.IndexCache()
 		reg.Arm(fault.Rule{Point: c.point, Kind: fault.KindError, P: 1})
-		if _, err := eng.RunTopK(39.5, 1); !errors.Is(err, fault.ErrInjected) {
+		if _, err := eng.RunTopK(59.5, 1); !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("hit with an armed %s fault: err %v, want ErrInjected", c.point, err)
 		}
 		reg.Clear(c.point)
@@ -360,7 +363,7 @@ func TestUpperBoundCacheHitFiresFault(t *testing.T) {
 	// grid hit.
 	reg.Arm(fault.Rule{Point: fault.PointGridMapping, Kind: fault.KindLatency, P: 1})
 	fired := reg.Fired(fault.PointGridMapping)
-	if _, err := eng.RunTopK(39.5, 1); err != nil {
+	if _, err := eng.RunTopK(59.5, 1); err != nil {
 		t.Fatal(err)
 	}
 	if st := eng.IndexCache(); st.Hits != 2 || st.GridHits != 2 {
@@ -667,5 +670,35 @@ func TestWarmGridConcurrent(t *testing.T) {
 		if c.budget == oneGrid && (st.Grids > 1 || st.GridHits == st.Hits) {
 			t.Errorf("budget %d: index cache %+v, want one grid at most and hits that found none", c.budget, st)
 		}
+	}
+}
+
+// TestWarmGridsFitNeuron2 pins the warm-grid budget on the dataset of
+// the serve_solo_neuron2 workload, Neuron-2 at 360 × 300: its stream,
+// r over [5, 8] and k cycling 1..5, keeps all three ⌈r⌉ = 6, 7 and 8
+// grids warm within 40 bytes a point, b^adj memos and neighbour tables
+// counted, so every query after the first of its ⌈r⌉ maps only its
+// small grid. The stream's first query, r = 5, is its only one of
+// ⌈r⌉ = 5.
+func TestWarmGridsFitNeuron2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates Neuron-2 at 360 × 300 and runs 40 queries")
+	}
+	c := data.DefaultNeuron2()
+	c.N, c.M = 360, 300
+	eng, err := NewEngine(data.GenNeuron(c), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queries = 40
+	for i := 0; i < queries; i++ {
+		_, u := math.Modf(float64(i) * 0.6180339887498949)
+		if _, err := eng.RunTopK(5+3*u, 1+i%5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := eng.IndexCache()
+	if st.Misses != 4 || st.Hits != queries-4 || st.GridHits != st.Hits || st.Grids != 3 || st.GridBytes > eng.ub.budget {
+		t.Errorf("index cache %+v, want 4 misses, every hit a grid hit, and 3 warm grids within %d bytes", st, eng.ub.budget)
 	}
 }

@@ -153,20 +153,20 @@ type scoreWalk struct {
 
 // group is the active part of a point group: its points' coordinates
 // and their indices within o_i, in index order, and once bound has run,
-// their bounding box.
+// their bounding box, prepared for the query's r.
 type group struct {
 	xs, ys, zs []float64
 	idx        []int32
-	box        geom.Box
+	near       geom.Near
 	boxed      bool
 }
 
 // bound sets the group's box, which probePosting tests each posting
-// against before it scans the posting per point. A one-point group gets
-// none: its box test would be its distance test.
-func (g *group) bound() {
+// against within r2 before it scans the posting per point. A one-point
+// group gets none: its box test would be its distance test.
+func (g *group) bound(r2 float64) {
 	if g.boxed = len(g.idx) > 1; g.boxed {
-		g.box = geom.BoundBlock(g.xs, g.ys, g.zs)
+		g.near = geom.NewNear(geom.BoundBlock(g.xs, g.ys, g.zs), r2)
 	}
 }
 
@@ -193,7 +193,7 @@ func (w *scoreWalk) run() {
 			w.labelEmpty(grp.idx)
 			continue
 		}
-		grp.bound()
+		grp.bound(q.r2)
 		// Block q.halo of the neighbourhood is the group's own time
 		// bucket; pairs with the cells of the others take the time test.
 		for s, nc := range neigh[:large.Neighbors(c, &neigh)] {
@@ -308,7 +308,7 @@ func gallop(ids []int32, from int, j int32) int {
 // for every group point that misses, then up to and including the hit.
 //
 // A group with a box first scans the posting once against it
-// (geom.NearBox). No posting point before the first one near the box is
+// (geom.Near). No posting point before the first one near the box is
 // within r of any group point, so the per-point scans start there; when
 // none is near, every group point would miss, and the posting is
 // charged and polled as those scans would have been, without them.
@@ -317,7 +317,7 @@ func (w *scoreWalk) probePosting(pi, j int, g *group, cross bool) {
 	xs, ys, zs := q.idx.large.Points(pi)
 	from := 0
 	if g.boxed {
-		if from = geom.NearBox(g.box, xs, ys, zs, q.r2); from < 0 {
+		if from = g.near.First(xs, ys, zs); from < 0 {
 			w.ctr.distComps += len(xs) * len(g.idx)
 			before := w.probes
 			w.probes += len(g.idx)

@@ -50,7 +50,7 @@ func BenchmarkProbeCellDenseMask(b *testing.B) {
 // an eight-point group one cell over: the corners of a box 0.2 cells
 // deep in X and half a cell in Y and Z, its near face three quarters of
 // a cell past the big cell. Postings with no point within r of the box
-// are rejected in one scan (geom.NearBox); the rest are scanned per
+// are rejected in one scan (geom.Near); the rest are scanned per
 // group point, from their first point near the box.
 func BenchmarkProbeCellDenseMaskGroup(b *testing.B) {
 	benchmarkProbeCell(b, func(k grid.Key, w float64) []geom.Point {
@@ -102,7 +102,7 @@ func benchmarkProbeCell(b *testing.B, points func(k grid.Key, w float64) []geom.
 			g.xs, g.ys, g.zs = append(g.xs, p.X), append(g.ys, p.Y), append(g.zs, p.Z)
 			g.idx = append(g.idx, int32(n))
 		}
-		g.bound()
+		g.bound(q.r2)
 	}
 	sw := scoreWalk{q: q, bOi: bitmap.NewScratch(q.n), mask: bitmap.NewScratch(q.n)}
 	b.ReportAllocs()

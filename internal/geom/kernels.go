@@ -13,7 +13,7 @@ import "math"
 // the squared-distance evaluation 4-wide. All kernels are
 // allocation-free, and the point kernels evaluate exactly
 // dx*dx + dy*dy + dz*dz per point — the same expression shape as Dist2,
-// so results are bit-identical to the scalar oracle. NearBox tests a
+// so results are bit-identical to the scalar oracle. Near tests a
 // block against a point group's box (BoundBlock) in one pass; it is
 // sound with respect to the point kernels, not bit-identical to them.
 //
@@ -126,7 +126,7 @@ func CountWithin2(px, py, pz float64, xs, ys, zs []float64, r2 float64) int {
 }
 
 // BoundBlock returns the bounding box of the block's points. A NaN
-// coordinate is left out of it, which is sound for NearBox: no kernel
+// coordinate is left out of it, which is sound for Near: no kernel
 // here finds a point with a NaN coordinate within any distance.
 func BoundBlock(xs, ys, zs []float64) Box {
 	b := EmptyBox()
@@ -156,32 +156,67 @@ func BoundBlock(xs, ys, zs []float64) Box {
 	return b
 }
 
-// NearBox returns the index of the first point of the block within
-// squared distance r2 of box b, or -1 when none is. A point of the
-// block that FirstWithin2 finds within r2 of some point inside b is
-// always within r2 of b, so a -1 proves FirstWithin2 misses the block
-// for every point b contains. The gap to b is never larger than the
-// difference to such a point, axis by axis, and rounding is monotone,
-// so only the way the squares are summed could differ: the compiler may
-// fuse FirstWithin2's x*y+z into FMAs (Go does on arm64; on amd64 it
-// does not, even at GOAMD64=v3), while the explicit float64
-// conversions below keep this sum unfused.
-// The two differ by a few ulps at most, so the test compares against r2
-// widened by 2⁻⁴⁰ of itself plus 2⁻¹⁰⁶⁰ for sums that underflow. The
-// loop takes no branch but its exit: which axis separates a point from
-// the box varies from point to point, so per-axis early rejects
-// mispredict more than they save.
-func NearBox(b Box, xs, ys, zs []float64, r2 float64) int {
-	lim := r2 + r2*0x1p-40 + 0x1p-1060
-	minX, minY, minZ := b.Min.X, b.Min.Y, b.Min.Z
-	maxX, maxY, maxZ := b.Max.X, b.Max.Y, b.Max.Z
-	n := len(xs)
-	ys = ys[:n]
-	zs = zs[:n]
+// Near is a box b and a squared distance r2 prepared to test blocks of
+// points against (First). A point of a block that FirstWithin2 finds
+// within r2 of some point inside b is always within r2 of b, so a miss
+// proves FirstWithin2 misses the block for every point b contains. The
+// gap to b is never larger than the difference to such a point, axis by
+// axis, and rounding is monotone, so only the way the squares are
+// summed could differ: the compiler may fuse FirstWithin2's x*y+z into
+// FMAs (Go does on arm64; on amd64 it does not, even at GOAMD64=v3),
+// while the explicit float64 conversions in First keep this sum
+// unfused. The two differ by a few ulps at most, so the test compares
+// against r2 widened by 2⁻⁴⁰ of itself plus 2⁻¹⁰⁶⁰ for sums that
+// underflow.
+//
+// Most points of a block are far from the box, and the gap to it costs
+// more than a distance, so each point is first held against the ball
+// around the box's centre c that holds every point within r of the box:
+// its radius is the half-diagonal of a box around c that contains b,
+// plus r. Only a point inside the ball pays for the gap. The ball's
+// squared radius is widened by 2⁻³⁸ of itself, which covers the
+// rounding of the half-diagonal, the radius and the point's distance to
+// c, each a few ulps, and by 2⁻¹⁰⁰⁰ for squares that underflow; c
+// itself need not be exact, and halving before adding keeps it finite
+// for any finite box.
+type Near struct {
+	box        Box
+	lim        float64 // r2, widened
+	cx, cy, cz float64
+	reach      float64 // the ball's squared radius, widened
+}
+
+// NewNear prepares the test of box b at squared distance r2.
+func NewNear(b Box, r2 float64) Near {
+	n := Near{box: b, lim: r2 + r2*0x1p-40 + 0x1p-1060}
+	n.cx, n.cy, n.cz = b.Min.X*0.5+b.Max.X*0.5, b.Min.Y*0.5+b.Max.Y*0.5, b.Min.Z*0.5+b.Max.Z*0.5
+	hx := max(n.cx-b.Min.X, b.Max.X-n.cx)
+	hy := max(n.cy-b.Min.Y, b.Max.Y-n.cy)
+	hz := max(n.cz-b.Min.Z, b.Max.Z-n.cz)
+	radius := math.Sqrt(hx*hx+hy*hy+hz*hz) + math.Sqrt(n.lim)
+	n.reach = radius*radius + radius*radius*0x1p-38 + 0x1p-1000
+	return n
+}
+
+// First returns the index of the first point of the block within
+// squared distance r2 of the box, or -1 when none is. Both tests take
+// no branch but their exits: which axis separates a point from the box
+// varies from point to point, so per-axis early rejects mispredict more
+// than they save.
+func (n *Near) First(xs, ys, zs []float64) int {
+	minX, minY, minZ := n.box.Min.X, n.box.Min.Y, n.box.Min.Z
+	maxX, maxY, maxZ := n.box.Max.X, n.box.Max.Y, n.box.Max.Z
+	cx, cy, cz, reach, lim := n.cx, n.cy, n.cz, n.reach, n.lim
+	ys = ys[:len(xs)]
+	zs = zs[:len(xs)]
 	for i, x := range xs {
+		y, z := ys[i], zs[i]
+		if dx, dy, dz := x-cx, y-cy, z-cz; dx*dx+dy*dy+dz*dz > reach {
+			continue
+		}
 		gx := gap(minX-x, x-maxX)
-		gy := gap(minY-ys[i], ys[i]-maxY)
-		gz := gap(minZ-zs[i], zs[i]-maxZ)
+		gy := gap(minY-y, y-maxY)
+		gz := gap(minZ-z, z-maxZ)
 		if float64(gx*gx)+float64(gy*gy)+float64(gz*gz) <= lim {
 			return i
 		}

@@ -197,12 +197,12 @@ func BenchmarkFirstWithin2(b *testing.B) {
 			}
 		}
 	})
-	// NearBox's miss: one scan against a group's box stands in for one
+	// Near's miss: one scan against a group's box stands in for one
 	// FirstWithin2 miss per group point.
 	b.Run("nearbox-miss", func(b *testing.B) {
 		box := Box{Min: Pt(-60, -60, -60), Max: Pt(-40, -40, -40)}
 		for i := 0; i < b.N; i++ {
-			if NearBox(box, xs, ys, zs, 1) != -1 {
+			if nearBox(box, xs, ys, zs, 1) != -1 {
 				b.Fatal("unexpected hit")
 			}
 		}
@@ -218,7 +218,14 @@ var fusedWithin2 = []func(dx, dy, dz, r2 float64) bool{
 	func(dx, dy, dz, r2 float64) bool { return math.FMA(dz, dz, math.FMA(dx, dx, dy*dy)) <= r2 },
 }
 
-// checkNearBox asserts NearBox's contract on one input: it never rejects
+// nearBox is Near's test of one block: the box prepared for r2, then
+// First.
+func nearBox(b Box, xs, ys, zs []float64, r2 float64) int {
+	n := NewNear(b, r2)
+	return n.First(xs, ys, zs)
+}
+
+// checkNearBox asserts Near's contract on one input: it never rejects
 // a block in which FirstWithin2 finds a point within r2 of a group
 // point, and no block point before the index it returns is within r2 of
 // one. The same holds against fusedWithin2's tests.
@@ -227,7 +234,7 @@ func checkNearBox(t *testing.T, group, block []Point, r2 float64) {
 	gx, gy, gz := splitSoA(group)
 	xs, ys, zs := splitSoA(block)
 	box := BoundBlock(gx, gy, gz)
-	at := NearBox(box, xs, ys, zs, r2)
+	at := nearBox(box, xs, ys, zs, r2)
 	end := at
 	if at < 0 {
 		end = len(xs)
@@ -237,13 +244,13 @@ func checkNearBox(t *testing.T, group, block []Point, r2 float64) {
 			t.Fatalf("BoundBlock %v leaves out %v", box, p)
 		}
 		if hit := FirstWithin2(p.X, p.Y, p.Z, xs[:end], ys[:end], zs[:end], r2); hit >= 0 {
-			t.Fatalf("NearBox(%v, r2=%v) = %d, but block point %d %v is within r2 of group point %v (d2 %v)",
+			t.Fatalf("nearBox(%v, r2=%v) = %d, but block point %d %v is within r2 of group point %v (d2 %v)",
 				box, r2, at, hit, block[hit], p, Dist2(block[hit], p))
 		}
 		for f, within := range fusedWithin2 {
 			for i, q := range block[:end] {
 				if within(q.X-p.X, q.Y-p.Y, q.Z-p.Z, r2) {
-					t.Fatalf("NearBox(%v, r2=%v) = %d, but block point %d %v is within r2 of group point %v in fused sum %d",
+					t.Fatalf("nearBox(%v, r2=%v) = %d, but block point %d %v is within r2 of group point %v in fused sum %d",
 						box, r2, at, i, q, p, f)
 				}
 			}
@@ -262,20 +269,24 @@ func ulps(v float64, k int) float64 {
 	return v
 }
 
-// TestNearBoxNeverRejectsAHit is NearBox's soundness property, on the
+// TestNearBoxNeverRejectsAHit is Near's soundness property, on the
 // inputs where rounding could break it: block points at exactly
 // d² = r² from a group point on a corner or a face of the group's box,
 // the same points and r² one and two ulps either side, negative and
-// large coordinates, and random clouds, against FirstWithin2 as
-// compiled and as fused (fusedWithin2).
+// large coordinates, groups far from the origin against their size
+// (where the box's centre rounds by more than r), and random clouds,
+// against FirstWithin2 as compiled and as fused (fusedWithin2).
 func TestNearBoxNeverRejectsAHit(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	coord := func(scale float64) float64 {
 		return (rng.Float64()*2 - 1) * scale
 	}
-	for iter := 0; iter < 3000; iter++ {
-		scale := math.Pow(10, float64(rng.Intn(12)-4))
-		c := Pt(coord(1e3*scale), coord(1e3*scale), coord(1e3*scale))
+	for iter := 0; iter < 4000; iter++ {
+		scale, spread := math.Pow(10, float64(rng.Intn(12)-4)), 1e3
+		if iter >= 3000 {
+			spread = 1e12
+		}
+		c := Pt(coord(spread*scale), coord(spread*scale), coord(spread*scale))
 		group := make([]Point, 2+rng.Intn(7))
 		for i := range group {
 			group[i] = c.Add(Pt(coord(scale), coord(scale), coord(scale)))
@@ -322,7 +333,7 @@ func TestNearBoxNeverRejectsAHit(t *testing.T) {
 // TestNearBoxExactBoundary pins the d² = r² cases down with integer
 // coordinates, where every distance is exact: a block point at exactly r
 // from a corner or a face of the box counts, and so does one a few ulps
-// farther, inside NearBox's 2⁻⁴⁰ slack; one 2⁻³⁰ of r² farther does
+// farther, inside Near's 2⁻⁴⁰ slack; one 2⁻³⁰ of r² farther does
 // not. Negative coordinates behave as positive ones.
 func TestNearBoxExactBoundary(t *testing.T) {
 	group := []Point{Pt(-4, -4, -4), Pt(-1, -1, -1), Pt(-1, -2.5, -2.5)}
@@ -342,9 +353,9 @@ func TestNearBoxExactBoundary(t *testing.T) {
 		{"face-past-slack", Pt(4+0x1p-20, -2.5, -2.5), 25, -1},
 		{"inside", Pt(-2, -2, -2), 0, 0},
 	} {
-		got := NearBox(box, []float64{tc.q.X}, []float64{tc.q.Y}, []float64{tc.q.Z}, tc.r2)
+		got := nearBox(box, []float64{tc.q.X}, []float64{tc.q.Y}, []float64{tc.q.Z}, tc.r2)
 		if got != tc.want {
-			t.Errorf("%s: NearBox = %d, want %d", tc.name, got, tc.want)
+			t.Errorf("%s: nearBox = %d, want %d", tc.name, got, tc.want)
 		}
 		checkNearBox(t, group, []Point{tc.q}, tc.r2)
 	}

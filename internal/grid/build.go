@@ -61,7 +61,10 @@ func (src *points) sameCell(a, b rec) bool {
 // its exact threshold. Grid by grid, every point is quantised as KeyFor
 // does, the (key, point number) records are radix-sorted, and the
 // sorted stream is run-length encoded into the grid's flat arrays; the
-// two record buffers are shared by both grids.
+// two record buffers are shared by both grids. The small grid holds
+// each cell's objects and nothing per point, so its sweep keeps one
+// record per run of an object's points in one cell. The large grid
+// links every column of cells to its neighbour columns (postings.link).
 //
 // bucket, when non-nil, is the time axis of Appendix B: one bucket id
 // per point number (object-major, as the points are numbered), the most
@@ -83,49 +86,59 @@ func (src *points) sameCell(a, b rec) bool {
 // ds must hold at most math.MaxInt32 points: point numbers and posting
 // offsets are int32, and a larger dataset would wrap them silently.
 func Build(ds *data.Dataset, largeWidth, smallWidth float64, bucket []int32, halo int32, workers int, keep func(obj, pt int) bool, stop func() bool) (large *LargeGrid, small *SmallGrid, complete bool) {
+	src, weights := newPoints(ds, bucket)
+	ranges := parallel.Ranges(weights, workers)
+	recs := make([]rec, len(src.objOf))
+	var tmp []rec
+	complete = true
+	// sorted quantises at width and sorts; only the first sweep polls
+	// stop, and ranges then end where it stopped. The small grid's sweep
+	// drops an object's repeated cells (quantise), so tmp, sized by the
+	// first sweep, may be longer than its records.
+	sorted := func(width float64, distinct bool) []rec {
+		m, ok := src.quantise(recs, width, ranges, distinct, keep, stop)
+		complete, stop = complete && ok, nil
+		if tmp == nil {
+			tmp = make([]rec, m)
+		}
+		return src.sortRecs(recs[:m], tmp[:m])
+	}
+	if largeWidth != 0 {
+		large = newLargeGrid(halo, &src, sorted(largeWidth, false))
+	}
+	if smallWidth != 0 {
+		small = newSmallGrid(&src, sorted(smallWidth, true))
+	}
+	return large, small, complete
+}
+
+// newPoints numbers the points of ds object-major and returns them with
+// each object's point count.
+func newPoints(ds *data.Dataset, bucket []int32) (src points, weights []int) {
 	n := ds.N()
-	weights := make([]int, n)
-	src := points{ds: ds, start: make([]int32, n+1), bucket: bucket}
+	weights = make([]int, n)
+	src = points{ds: ds, start: make([]int32, n+1), bucket: bucket}
 	for i := range ds.Objects {
 		weights[i] = len(ds.Objects[i].Pts)
 		src.start[i+1] = src.start[i] + int32(weights[i])
 	}
-	total := int(src.start[n])
-	src.objOf = make([]int32, total)
+	src.objOf = make([]int32, src.start[n])
 	for i := range ds.Objects {
 		for g := src.start[i]; g < src.start[i+1]; g++ {
 			src.objOf[g] = int32(i)
 		}
 	}
-
-	ranges := parallel.Ranges(weights, workers)
-	recs := make([]rec, total)
-	var tmp []rec
-	complete = true
-	// sorted quantises at width and sorts; only the first sweep polls
-	// stop, and ranges then end where it stopped.
-	sorted := func(width float64) []rec {
-		m, ok := src.quantise(recs, width, ranges, keep, stop)
-		complete, stop = complete && ok, nil
-		if tmp == nil {
-			tmp = make([]rec, m)
-		}
-		return src.sortRecs(recs[:m], tmp)
-	}
-	if largeWidth != 0 {
-		large = newLargeGrid(halo, &src, sorted(largeWidth))
-	}
-	if smallWidth != 0 {
-		small = newSmallGrid(&src, sorted(smallWidth))
-	}
-	return large, small, complete
+	return src, weights
 }
 
 // quantise writes one record per kept point of the given object ranges
-// into recs, in point number order, and returns their count. One worker
-// per range polls stop every 128 objects; a range cut short is
-// truncated in place and complete is false.
-func (src *points) quantise(recs []rec, width float64, ranges [][2]int, keep func(obj, pt int) bool, stop func() bool) (m int, complete bool) {
+// into recs, in point number order, and returns their count. distinct
+// drops a point whose cell (key and bucket) is that of the object's
+// previous record: a grid that holds only b(c), the small grid, sees
+// the same (cell, object) runs without it. One worker per range polls
+// stop every 128 objects; a range cut short is truncated in place and
+// complete is false.
+func (src *points) quantise(recs []rec, width float64, ranges [][2]int, distinct bool, keep func(obj, pt int) bool, stop func() bool) (m int, complete bool) {
 	// Worker w writes from its range's first point number on; a
 	// filtered or interrupted range leaves a gap behind its records,
 	// closed below.
@@ -140,13 +153,17 @@ func (src *points) quantise(recs []rec, width float64, ranges [][2]int, keep fun
 				ranges[w][1] = i
 				break
 			}
-			g := int(src.start[i])
+			g, objFirst := int(src.start[i]), at
 			for j, p := range src.ds.Objects[i].Pts {
 				if keep != nil && !keep(i, j) {
 					continue
 				}
-				hi, lo := pack(KeyFor(p, width))
-				recs[at] = rec{hi: hi, lo: lo, ord: uint32(g + j)}
+				r := rec{ord: uint32(g + j)}
+				r.hi, r.lo = pack(KeyFor(p, width))
+				if distinct && at > objFirst && src.sameCell(r, recs[at-1]) {
+					continue
+				}
+				recs[at] = r
 				at++
 			}
 		}
@@ -417,7 +434,8 @@ func (d *directory) search(from, to int, hi uint64, lo uint32) int {
 // radius of k.Z: the Z-neighbours of one (bucket, X, Y) are adjacent in
 // the directory, so a neighbourhood costs (2·halo+1)·(2·radius+1)²
 // binary searches and no hashing. Coordinates outside int32 name no
-// cell.
+// cell. Only ComputeAdjRadius walks it: the neighbourhood of a cell of
+// the grid is read off the large grid's neighbour table (around).
 func (d *directory) columns(b int32, k Key, radius, halo int32, fn func(dt, dx, dy int32, lo, hi int)) {
 	first := uint32(max(int64(k.Z)-int64(radius), math.MinInt32)) ^ signBit
 	last := uint32(min(int64(k.Z)+int64(radius), math.MaxInt32)) ^ signBit
@@ -442,65 +460,6 @@ func (d *directory) columns(b int32, k Key, radius, halo int32, fn func(dt, dx, 
 				}
 				fn(dt, dx, dy, c, end)
 				from = end
-			}
-		}
-	}
-}
-
-// columnRuns splits the directory into columns, the runs of cells of
-// one bucket with one (X, Y): column j is cells [start[j], start[j+1])
-// with key field hi[j], and bucket i holds columns [bucket[i],
-// bucket[i+1]).
-func (d *directory) columnRuns() (start []int32, hi []uint64, bucket []int32) {
-	start, hi = make([]int32, 0, d.Len()+1), make([]uint64, 0, d.Len())
-	bucket = make([]int32, 0, len(d.bucketID)+1)
-	for i, b := range d.bucketOff[:len(d.bucketID)] {
-		bucket = append(bucket, int32(len(hi)))
-		for c := int(b); c < int(d.bucketOff[i+1]); c++ {
-			if c == int(b) || d.hi[c] != d.hi[c-1] {
-				start = append(start, int32(c))
-				hi = append(hi, d.hi[c])
-			}
-		}
-	}
-	return append(start, int32(d.Len())), hi, append(bucket, int32(len(hi)))
-}
-
-// addColumns pairs every column with the columns at (X+dx, Y−1..Y+1)
-// in the bucket dt above its own, three adjacent ones in the column
-// list, and adds the postings of each pair's cells whose Z is within 1
-// to both sides (addPair). Shifting every key by one offset keeps the
-// directory order, so the first target column only moves forward as
-// the source column does: one merge of the column list against itself,
-// with no search. Keys are compared in the offset-binary form they are
-// stored in, where adding an offset is adding it to the field; a
-// coordinate that leaves the field's range names no cell.
-func (d *directory) addColumns(s []int32, start []int32, hi []uint64, bucket []int32, dt int32, dx int64) {
-	tb := 0
-	for sb, b := range d.bucketID {
-		t := int64(b) + int64(dt)
-		for tb < len(d.bucketID) && int64(d.bucketID[tb]) < t {
-			tb++
-		}
-		if tb == len(d.bucketID) {
-			return
-		}
-		if int64(d.bucketID[tb]) != t {
-			continue
-		}
-		p, end := bucket[tb], bucket[tb+1]
-		for j := bucket[sb]; j < bucket[sb+1] && p < end; j++ {
-			x, y := int64(hi[j]>>32)+dx, int64(uint32(hi[j]))
-			if x < 0 || x > math.MaxUint32 {
-				continue
-			}
-			first := uint64(x)<<32 | uint64(max(y-1, 0))
-			last := uint64(x)<<32 | uint64(min(y+1, math.MaxUint32))
-			for p < end && hi[p] < first {
-				p++
-			}
-			for q := p; q < end && hi[q] <= last; q++ {
-				d.addPair(s, start, j, q)
 			}
 		}
 	}

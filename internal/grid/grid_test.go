@@ -16,6 +16,7 @@ import (
 	"mio/internal/bitmap"
 	"mio/internal/data"
 	"mio/internal/geom"
+	"mio/internal/parallel"
 )
 
 func TestKeyForQuantises(t *testing.T) {
@@ -611,6 +612,103 @@ func TestBuildStops(t *testing.T) {
 	}
 }
 
+// TestSmallGridDistinctRecords holds the small grid, whose sweep keeps
+// one record per run of an object's points in one cell, against the
+// reference built from every point: on slow walks, where most
+// consecutive points share a cell, with and without a filter and the
+// time axis, quantised by one and by two workers, built alone (a
+// warm-grid hit, whose record buffers the shortened sweep sizes) and
+// after the large grid (whose buffers are longer than its records), and
+// cut short by stop.
+func TestSmallGridDistinctRecords(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	objs := make([][]geom.Point, 300)
+	var stamps []int32
+	for i := range objs {
+		p := geom.Pt(rng.Float64()*20-10, rng.Float64()*20-10, rng.Float64()*20-10)
+		b := int32(rng.Intn(5) - 2)
+		for j := 0; j < 5+rng.Intn(40); j++ {
+			p = p.Add(geom.Pt(rng.NormFloat64()*0.3, rng.NormFloat64()*0.3, rng.NormFloat64()*0.3))
+			objs[i] = append(objs[i], p)
+			if rng.Intn(8) == 0 {
+				b++
+			}
+			stamps = append(stamps, b)
+		}
+	}
+	ds := dataset(objs...)
+	const width = 1.5
+	everyThird := func(obj, pt int) bool { return obj%5 != 0 && (obj+pt)%3 != 0 }
+	for _, tc := range []struct {
+		name   string
+		keep   func(obj, pt int) bool
+		bucket []int32
+	}{
+		{name: "spatial"},
+		{name: "pruned", keep: everyThird},
+		{name: "bucketed", bucket: stamps},
+		{name: "bucketed/pruned", keep: everyThird, bucket: stamps},
+	} {
+		ref := reference(ds, width, tc.keep, tc.bucket)
+		// One record per run of an object's kept points in one cell.
+		runs, kept, ord := 0, 0, -1
+		for i := range ds.Objects {
+			prev := bkey{b: math.MinInt32}
+			first := true
+			for j, p := range ds.Objects[i].Pts {
+				ord++
+				if tc.keep != nil && !tc.keep(i, j) {
+					continue
+				}
+				kept++
+				if k := (bkey{bucketAt(tc.bucket, ord), KeyFor(p, width)}); first || k != prev {
+					runs++
+					prev, first = k, false
+				}
+			}
+		}
+		if 4*runs > 3*kept {
+			t.Fatalf("%s: %d runs of %d points: the walks repeat too few cells to test the sweep", tc.name, runs, kept)
+		}
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
+				src, weights := newPoints(ds, tc.bucket)
+				recs := make([]rec, len(src.objOf))
+				if m, _ := src.quantise(recs, width, parallel.Ranges(weights, workers), true, tc.keep, nil); m != runs {
+					t.Fatalf("the small grid's sweep kept %d records, want one per run: %d", m, runs)
+				}
+				_, alone, complete := Build(ds, 0, width, tc.bucket, 0, workers, tc.keep, nil)
+				if !complete {
+					t.Fatal("Build: not complete")
+				}
+				checkSmall(t, alone, ref)
+				_, after, _ := Build(ds, 2*width, width, tc.bucket, 0, workers, tc.keep, nil)
+				checkSmall(t, after, ref)
+
+				// Stopped at the first poll: the large grid holds what
+				// was mapped, and the small grid the same points.
+				large, small, complete := Build(ds, 2*width, width, tc.bucket, 0, workers, tc.keep, func() bool { return true })
+				if complete {
+					t.Fatal("a stopped build reported complete")
+				}
+				at := pointCells(large)
+				if len(at) == 0 || len(at) == kept {
+					t.Fatalf("the stopped build mapped %d of %d points", len(at), kept)
+				}
+				mapped := func(obj, pt int) bool { _, ok := at[[2]int{obj, pt}]; return ok }
+				checkSmall(t, small, reference(ds, width, mapped, tc.bucket))
+				if workers == 1 {
+					// Without the large grid the small grid's sweep is
+					// the one cut, at object 127.
+					_, small, _ := Build(ds, 0, width, tc.bucket, 0, 1, tc.keep, func() bool { return true })
+					first := func(obj, pt int) bool { return obj < 127 && (tc.keep == nil || tc.keep(obj, pt)) }
+					checkSmall(t, small, reference(ds, width, first, tc.bucket))
+				}
+			})
+		}
+	}
+}
+
 func TestComputeAdj(t *testing.T) {
 	// Objects 0,1 in adjacent cells; object 2 far away.
 	g := buildLarge(dataset(
@@ -778,12 +876,21 @@ func TestGridCollectableAfterUse(t *testing.T) {
 	}
 }
 
-// TestNeighborhoodPostings holds the merge-pass neighbourhood counts
-// against a per-cell sum over what columns visits: 3-D walks whose
-// columns hold several cells and Z gaps of one and two cells, a planar
-// set, bucketed builds at halo 0 and 1, and cells on the edges of the
-// int32 key range, whose neighbours fall off it.
-func TestNeighborhoodPostings(t *testing.T) {
+// neighbourhoodCase is a large grid whose neighbourhoods a test walks.
+type neighbourhoodCase struct {
+	name   string
+	ds     *data.Dataset
+	width  float64
+	bucket []int32
+	halo   int32
+}
+
+// neighbourhoodCases are grids whose neighbourhoods are held against
+// directory.columns: 3-D walks whose columns hold several cells and Z
+// gaps of one and two cells, a planar set (one cell per column),
+// bucketed builds at halo 0 and 1, and cells on the edges of the int32
+// key range, whose neighbours fall off it.
+func neighbourhoodCases() []neighbourhoodCase {
 	rng := rand.New(rand.NewSource(47))
 	walk := func(n, steps int, span, step, zStep float64) *data.Dataset {
 		objs := make([][]geom.Point, n)
@@ -826,20 +933,20 @@ func TestNeighborhoodPostings(t *testing.T) {
 			stamps = append(stamps, b)
 		}
 	}
-	for _, tc := range []struct {
-		name   string
-		ds     *data.Dataset
-		width  float64
-		bucket []int32
-		halo   int32
-	}{
+	return []neighbourhoodCase{
 		{name: "walks", ds: walk(150, 40, 30, 1, 1), width: 2},
 		{name: "layered", ds: walk(150, 40, 30, 1, 3), width: 1},
 		{name: "planar", ds: planar, width: 2},
 		{name: "edge", ds: dataset(edge...), width: 1},
 		{name: "bucketed/halo=1", ds: timed, width: 2, bucket: stamps, halo: 1},
 		{name: "bucketed/halo=0", ds: timed, width: 2, bucket: stamps},
-	} {
+	}
+}
+
+// TestNeighborhoodPostings holds the neighbour-table neighbourhood
+// counts against a per-cell sum over what columns visits.
+func TestNeighborhoodPostings(t *testing.T) {
+	for _, tc := range neighbourhoodCases() {
 		g, _, _ := Build(tc.ds, tc.width, 0, tc.bucket, tc.halo, 1, nil, nil)
 		got := g.NeighborhoodPostings()
 		if len(got) != g.Len() {
@@ -852,6 +959,72 @@ func TestNeighborhoodPostings(t *testing.T) {
 			})
 			if got[c] != want {
 				t.Fatalf("%s: cell %d (bucket %d, key %v): S = %d, columns sum %d", tc.name, c, g.Bucket(c), g.Key(c), got[c], want)
+			}
+		}
+	}
+}
+
+// TestNeighborTableMatchesColumns holds every cell's neighbourhood as
+// the neighbour table gives it against the directory search it
+// replaces: around must visit the non-empty windows columns visits, in
+// its order; Neighbors must fill every slot as the search-based walk
+// would; and b^adj (ComputeAdj) must be the union over the searched
+// windows, and on a spatial grid ComputeAdjRadius(k, 1).
+func TestNeighborTableMatchesColumns(t *testing.T) {
+	type window struct {
+		dt, dx, dy int32
+		lo, hi     int
+	}
+	for _, tc := range neighbourhoodCases() {
+		g, _, _ := Build(tc.ds, tc.width, 0, tc.bucket, tc.halo, 1, nil, nil)
+		if tc.name == "planar" && len(g.colStart) != g.Len()+1 {
+			t.Fatalf("planar: %d columns for %d cells", len(g.colStart)-1, g.Len())
+		}
+		for c := 0; c < g.Len(); c++ {
+			var want, got []window
+			var slots [MaxNeighbors]int32
+			for i := range slots {
+				slots[i] = -1
+			}
+			var union []int32
+			g.columns(g.Bucket(c), g.Key(c), 1, g.halo, func(dt, dx, dy int32, lo, hi int) {
+				if lo < hi {
+					want = append(want, window{dt, dx, dy, lo, hi})
+				}
+				for m := lo; m < hi; m++ {
+					dz := int32(g.lo[m] - g.lo[c])
+					// NeighborsAndSelf order: the key itself, then
+					// (dx, dy, dz) ascending.
+					slot := 0
+					if dx != 0 || dy != 0 || dz != 0 {
+						slot = int((dx+1)*9+(dy+1)*3+dz+1) + 1
+						if slot > 14 {
+							slot--
+						}
+					}
+					slots[int(dt+g.halo)*27+slot] = int32(m)
+				}
+				union = append(union, g.Objs[g.CellOff[lo]:g.CellOff[hi]]...)
+			})
+			g.around(c, func(dt, dx, dy int32, lo, hi int) { got = append(got, window{dt, dx, dy, lo, hi}) })
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: cell %d (bucket %d, key %v): around visits %v, columns %v", tc.name, c, g.Bucket(c), g.Key(c), got, want)
+			}
+			var neigh [MaxNeighbors]int32
+			n := g.Neighbors(c, &neigh)
+			if n != int(2*g.halo+1)*27 || !reflect.DeepEqual(neigh[:n], slots[:n]) {
+				t.Fatalf("%s: cell %d (bucket %d, key %v): Neighbors = %v (%d), want %v", tc.name, c, g.Bucket(c), g.Key(c), neigh[:n], n, slots)
+			}
+			s := bitmap.NewScratch(tc.ds.N())
+			s.OrIDs(union)
+			wantAdj := bitsOf(s.ToCompressed(), tc.ds.N())
+			if adj, _ := g.ComputeAdj(c); !reflect.DeepEqual(bitsOf(adj, tc.ds.N()), wantAdj) {
+				t.Fatalf("%s: cell %d: ComputeAdj = %v, want %v", tc.name, c, bitsOf(adj, tc.ds.N()), wantAdj)
+			}
+			if tc.bucket == nil {
+				if got := bitsOf(g.ComputeAdjRadius(g.Key(c), 1), tc.ds.N()); !reflect.DeepEqual(got, wantAdj) {
+					t.Fatalf("%s: cell %d: ComputeAdjRadius(1) = %v, want %v", tc.name, c, got, wantAdj)
+				}
 			}
 		}
 	}

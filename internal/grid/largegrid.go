@@ -48,6 +48,19 @@ type postings struct {
 	Off []int32 // len(Objs)+1
 	Idx []int32 // one entry per mapped point
 
+	// The neighbour table. Column j, the run of one bucket's cells with
+	// one (X, Y), is cells [colStart[j], colStart[j+1]); cell c is in
+	// column cellCol[c]. Entry j·3·(2·halo+1) + (dt+halo)·3 + dx+1 names
+	// column j's neighbour columns at (X+dx, Y−1..Y+1) in the bucket dt
+	// after its own: the nbrLen[e] ≤ 3 columns from nbrFirst[e], which
+	// are adjacent in the column list. Neighbors and ComputeAdj read a
+	// neighbourhood off it (around) instead of searching the directory,
+	// and NeighborhoodPostings its pairs of neighbouring columns.
+	colStart []int32 // len columns+1
+	cellCol  []int32 // len Len()
+	nbrFirst []int32
+	nbrLen   []uint8
+
 	adj      []atomic.Pointer[bitmap.Compressed]
 	adjBytes atomic.Int64
 	// scratches pools per-goroutine accumulators for the adjacency
@@ -94,7 +107,139 @@ func newLargeGrid(halo int32, src *points, sorted []rec) *LargeGrid {
 	}
 	g.finish()
 	g.Off[posts] = int32(m)
+	g.link()
 	return g
+}
+
+// link builds the neighbour table: the column runs, then every entry
+// by merges of the column list against itself (linkBuckets).
+func (g *postings) link() {
+	g.cellCol = make([]int32, g.Len())
+	g.colStart = make([]int32, 0, g.Len()+1)
+	// hi[j] is the (X, Y) field of column j's cells, and bucketCols[i]
+	// bucket i's first column.
+	hi := make([]uint64, 0, g.Len())
+	bucketCols := make([]int32, 0, len(g.bucketID)+1)
+	for i, b := range g.bucketOff[:len(g.bucketID)] {
+		bucketCols = append(bucketCols, int32(len(hi)))
+		for c := int(b); c < int(g.bucketOff[i+1]); c++ {
+			if c == int(b) || g.hi[c] != g.hi[c-1] {
+				g.colStart = append(g.colStart, int32(c))
+				hi = append(hi, g.hi[c])
+			}
+			g.cellCol[c] = int32(len(hi) - 1)
+		}
+	}
+	g.colStart = append(g.colStart, int32(g.Len()))
+	bucketCols = append(bucketCols, int32(len(hi)))
+	g.nbrFirst, g.nbrLen = make([]int32, len(hi)*g.entries()), make([]uint8, len(hi)*g.entries())
+	for dt := int32(0); dt <= g.halo; dt++ {
+		g.linkBuckets(hi, bucketCols, dt)
+	}
+}
+
+// entries is the number of table entries per column.
+func (g *postings) entries() int { return 3 * int(2*g.halo+1) }
+
+// linkBuckets fills the table entries of bucket offset dt ≥ 0 and
+// their mirror images at −dt: it pairs the columns of each bucket with
+// those of the bucket dt after it. Shifting every key by one offset
+// keeps the directory order, so per X offset the first target column
+// only moves forward as the source column does: a merge of the column
+// list against itself, with no search. At dt = 0 the X offset −1 is the
+// mirror of +1, and offset 0 is a column's own list neighbours. Keys
+// are compared in the offset-binary form they are stored in, where
+// adding an offset is adding it to the field; a coordinate that leaves
+// the field's range names no cell.
+func (g *postings) linkBuckets(hi []uint64, bucketCols []int32, dt int32) {
+	w, e := g.entries(), int(dt+g.halo)*3
+	tb := 0
+	for sb, b := range g.bucketID {
+		t := int64(b) + int64(dt)
+		for tb < len(g.bucketID) && int64(g.bucketID[tb]) < t {
+			tb++
+		}
+		if tb == len(g.bucketID) {
+			return
+		}
+		if int64(g.bucketID[tb]) != t {
+			continue
+		}
+		from, end := bucketCols[tb], bucketCols[tb+1]
+		left, mid, right := from, from, from
+		for j := bucketCols[sb]; j < bucketCols[sb+1]; j++ {
+			x, y := hi[j]>>32, uint64(uint32(hi[j]))
+			yFirst, yLast := y-min(y, 1), y+min(math.MaxUint32-y, 1)
+			if dt > 0 && x > 0 {
+				left = g.linkColumn(hi[:end], left, j, e, (x-1)<<32|yFirst, (x-1)<<32|yLast)
+			}
+			if dt == 0 {
+				// The own bucket's columns at (X, Y±1) are j's
+				// neighbours in the list.
+				p, q := j, j+1
+				if p > from && y > 0 && hi[p-1] == hi[j]-1 {
+					p--
+				}
+				if q < end && y < math.MaxUint32 && hi[q] == hi[j]+1 {
+					q++
+				}
+				g.nbrFirst[int(j)*w+e+1], g.nbrLen[int(j)*w+e+1] = p, uint8(q-p)
+			} else {
+				mid = g.linkColumn(hi[:end], mid, j, e+1, x<<32|yFirst, x<<32|yLast)
+			}
+			if x < math.MaxUint32 {
+				right = g.linkColumn(hi[:end], right, j, e+2, (x+1)<<32|yFirst, (x+1)<<32|yLast)
+			}
+		}
+	}
+}
+
+// linkColumn sets entry i of column j to the columns from p on whose
+// field is in [first, last], and fills their entries that point back
+// at j, and returns the first column at or after first. Column q is in
+// column j's entry i, (dt, dx), exactly when j is in q's entry w−1−i,
+// (−dt, −dx). The columns that list q are adjacent, and the merge meets
+// them in ascending order, so the one that finds n listed in q's entry
+// is n after the first.
+func (g *postings) linkColumn(hi []uint64, p, j int32, i int, first, last uint64) int32 {
+	w := g.entries()
+	for int(p) < len(hi) && hi[p] < first {
+		p++
+	}
+	q := p
+	for ; int(q) < len(hi) && hi[q] <= last; q++ {
+		back := int(q)*w + w - 1 - i
+		n := g.nbrLen[back]
+		g.nbrFirst[back], g.nbrLen[back] = j-int32(n), n+1
+	}
+	g.nbrFirst[int(j)*w+i], g.nbrLen[int(j)*w+i] = p, uint8(q-p)
+	return p
+}
+
+// around calls fn for every column of cell c's neighbourhood, bucket by
+// bucket, that holds a cell whose Z is within 1 of c's: its bucket, X
+// and Y offsets from c and the range [lo, hi) of those cells, found in
+// the column alone.
+func (g *postings) around(c int, fn func(dt, dx, dy int32, lo, hi int)) {
+	y, z := uint32(g.hi[c]), g.lo[c]
+	first, last := z-min(z, 1), z+min(math.MaxUint32-z, 1)
+	w := g.entries()
+	e := int(g.cellCol[c]) * w
+	for i := 0; i < w; i++ {
+		q := g.nbrFirst[e+i]
+		for n := g.nbrLen[e+i]; n > 0; n-- {
+			from, to := int(g.colStart[q]), int(g.colStart[q+1])
+			lo := g.zFirst(from, to, first)
+			end := lo
+			for end < to && g.lo[end] <= last {
+				end++
+			}
+			if lo < end {
+				fn(int32(i/3)-g.halo, int32(i%3)-1, int32(uint32(g.hi[from])-y), lo, end)
+			}
+			q++
+		}
+	}
 }
 
 // newCoords returns three coordinate arrays of m entries each.
@@ -148,7 +293,7 @@ func (g *LargeGrid) Neighbors(c int, out *[MaxNeighbors]int32) int {
 	for i := range out[:n] {
 		out[i] = -1
 	}
-	g.columns(g.Bucket(c), g.Key(c), 1, g.halo, func(dt, dx, dy int32, lo, hi int) {
+	g.around(c, func(dt, dx, dy int32, lo, hi int) {
 		for m := lo; m < hi; m++ {
 			// Slot 0 of a block is c's key; the others keep (dx, dy, dz)
 			// order with the centre taken out.
@@ -165,30 +310,51 @@ func (g *LargeGrid) Neighbors(c int, out *[MaxNeighbors]int32) int {
 	return n
 }
 
+// zFirst returns the first cell of the column [from, to) whose Z is at
+// least z, or to. Z ascends strictly along a column, so the cell
+// z − Z(from) after from has a Z of at least z: the answer is no
+// later, and is that cell when the column has no Z gap below z, as
+// dense data's columns mostly have not.
+func (d *directory) zFirst(from, to int, z uint32) int {
+	if d.lo[from] >= z {
+		return from
+	}
+	l, r := from+1, from+int(min(uint64(z-d.lo[from]), uint64(to-from)))
+	if d.lo[r-1] < z {
+		return r
+	}
+	// The answer is in [l, r−1].
+	r--
+	for l < r {
+		m := int(uint(l+r) >> 1)
+		if d.lo[m] < z {
+			l = m + 1
+		} else {
+			r = m
+		}
+	}
+	return l
+}
+
 // NeighborhoodPostings returns S(c) for every cell c: the number of
 // postings in c's neighbourhood (Neighbors), Σ |b(c')| over its cells,
 // an upper bound on |b^adj(c)| read from CellOff alone. Neighbourhoods
-// are symmetric, so it visits each pair of neighbouring columns (runs
-// of one bucket's cells with one (X, Y)) once and adds to both: a
-// column with itself and with the next one at (X, Y+1), then one merge
-// pass over the column list per pair of bucket and X offsets that
-// points up, (0, +1) and (dt, −1..+1) for 0 < dt ≤ halo
-// (directory.addColumns). It builds no bitmap.
+// are symmetric, so it visits each pair of neighbouring columns once,
+// from the lower of the two in the neighbour table, and adds to both;
+// a column's pairs with itself are its own Z windows. It builds no
+// bitmap.
 func (g *LargeGrid) NeighborhoodPostings() []int32 {
 	s := make([]int32, g.Len())
-	start, hi, bucket := g.columnRuns()
-	for b := range bucket[:len(bucket)-1] {
-		for j := bucket[b]; j < bucket[b+1]; j++ {
-			g.addWindow(s, int(start[j]), int(start[j+1]), int(start[j]), int(start[j+1]))
-			if j+1 < bucket[b+1] && uint32(hi[j]) < math.MaxUint32 && hi[j+1] == hi[j]+1 {
-				g.addPair(s, start, j, j+1)
+	w := g.entries()
+	for j := int32(0); j < int32(len(g.colStart)-1); j++ {
+		from, to := int(g.colStart[j]), int(g.colStart[j+1])
+		g.addWindow(s, from, to, from, to)
+		for e := int(j) * w; e < int(j+1)*w; e++ {
+			for q := g.nbrFirst[e]; q < g.nbrFirst[e]+int32(g.nbrLen[e]); q++ {
+				if q > j {
+					g.addPair(s, g.colStart, j, q)
+				}
 			}
-		}
-	}
-	g.addColumns(s, start, hi, bucket, 0, 1)
-	for dt := int32(1); dt <= g.halo; dt++ {
-		for dx := int64(-1); dx <= 1; dx++ {
-			g.addColumns(s, start, hi, bucket, dt, dx)
 		}
 	}
 	return s
@@ -206,7 +372,9 @@ func (g *LargeGrid) ComputeAdj(c int) (adj *bitmap.Compressed, fresh bool) {
 	if a := g.adj[c].Load(); a != nil {
 		return a, false
 	}
-	a := g.union(g.Bucket(c), g.Key(c), 1, g.halo)
+	s := g.scratch()
+	g.around(c, func(_, _, _ int32, lo, hi int) { g.orCells(s, lo, hi) })
+	a := g.compress(s)
 	if g.adj[c].CompareAndSwap(nil, a) {
 		g.adjBytes.Add(int64(adjHeaderBytes + a.SizeBytes()))
 		return a, true
@@ -219,30 +387,42 @@ func (g *LargeGrid) ComputeAdj(c int) (adj *bitmap.Compressed, fresh bool) {
 // Chebyshev distance radius of k, which need not be a cell of the grid.
 // radius 1 matches ComputeAdj on a spatial grid; larger radii implement
 // the widened neighbourhoods an offline grid built for r' < r must
-// visit to stay correct (Appendix A).
+// visit to stay correct (Appendix A). It searches the directory for
+// each column (directory.columns).
 func (g *LargeGrid) ComputeAdjRadius(k Key, radius int32) *bitmap.Compressed {
-	return g.union(0, k, radius, 0)
+	s := g.scratch()
+	g.columns(0, k, radius, 0, func(_, _, _ int32, lo, hi int) { g.orCells(s, lo, hi) })
+	return g.compress(s)
 }
 
-// union ORs b(c') over the cells columns visits into a pooled scratch.
-func (g *LargeGrid) union(b int32, k Key, radius, halo int32) *bitmap.Compressed {
+// scratch returns an empty pooled accumulator for a union.
+func (g *LargeGrid) scratch() *bitmap.Scratch {
 	s := g.scratches.Get().(*bitmap.Scratch)
 	s.Reset()
-	g.columns(b, k, radius, halo, func(_, _, _ int32, lo, hi int) {
-		// Adjacent cells' object runs are adjacent in Objs.
-		s.OrIDs(g.Objs[g.CellOff[lo]:g.CellOff[hi]])
-	})
+	return s
+}
+
+// orCells ORs b(c') over the cells [lo, hi) into s: adjacent cells'
+// object runs are adjacent in Objs.
+func (g *LargeGrid) orCells(s *bitmap.Scratch, lo, hi int) {
+	s.OrIDs(g.Objs[g.CellOff[lo]:g.CellOff[hi]])
+}
+
+// compress returns the union s holds and pools s again.
+func (g *LargeGrid) compress(s *bitmap.Scratch) *bitmap.Compressed {
 	a := s.ToCompressed()
 	g.scratches.Put(s)
 	return a
 }
 
 // SizeBytes returns the memory footprint of the grid: the directory,
-// the bucket ranges, the flat posting arrays, the coordinates unless the
-// grid is lean, and the adjacency bitsets memoised so far (AdjBytes).
+// the bucket ranges, the neighbour table, the flat posting arrays, the
+// coordinates unless the grid is lean, and the adjacency bitsets
+// memoised so far (AdjBytes).
 func (g *LargeGrid) SizeBytes() int {
-	const perCell = 8 + 4 + /* CellOff */ 4 + /* adj pointer */ 8
-	return g.Len()*perCell + g.bucketBytes() + len(g.Objs)*(4+4) + len(g.Idx)*4 + len(g.Xs)*24 + g.AdjBytes()
+	const perCell = 8 + 4 + /* CellOff */ 4 + /* adj pointer */ 8 + /* cellCol */ 4
+	table := len(g.colStart)*4 + len(g.nbrFirst)*(4+1)
+	return g.Len()*perCell + g.bucketBytes() + table + len(g.Objs)*(4+4) + len(g.Idx)*4 + len(g.Xs)*24 + g.AdjBytes()
 }
 
 // adjHeaderBytes is what a memoised b^adj occupies beside its words:

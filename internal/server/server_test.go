@@ -498,9 +498,10 @@ func TestMetricsShape(t *testing.T) {
 // τ^upp values the entries hold grow from none with the queries and
 // never pass one per object per entry; the grids' bytes stay within the
 // budget, 40 bytes per point of each pool's dataset. Label queries
-// bypass the cache. The solo queries take ⌈r⌉ = 6: at ⌈r⌉ = 5 this
-// dataset's grid, 178 cells for 480 points, takes 45 bytes a point with
-// its b^adj headers, over the budget, and is not kept.
+// bypass the cache. The solo and sharded queries take ⌈r⌉ = 6: at
+// ⌈r⌉ = 5 this dataset's grid, 178 cells for 480 points, takes 30
+// bytes a point lean and over 40 with its b^adj memo, and is not kept;
+// the shards' grids are sparser still.
 func TestMetricsIndexCache(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -510,7 +511,7 @@ func TestMetricsIndexCache(t *testing.T) {
 		want core.IndexCacheStats
 	}{
 		{"solo", core.Options{}, Config{}, [2]string{"5.5", "5.2"}, core.IndexCacheStats{Hits: 1, Misses: 1, Entries: 1, GridHits: 1, Grids: 1}},
-		{"sharded", core.Options{}, Config{Shards: 2, ShardMaxR: 5}, [2]string{"4.5", "4.2"}, core.IndexCacheStats{Hits: 2, Misses: 2, Entries: 2, GridHits: 2, Grids: 2}},
+		{"sharded", core.Options{}, Config{Shards: 2, ShardMaxR: 6}, [2]string{"5.5", "5.2"}, core.IndexCacheStats{Hits: 2, Misses: 2, Entries: 2, GridHits: 2, Grids: 2}},
 		{"labels", core.Options{Labels: labelstore.NewStore()}, Config{}, [2]string{"4.5", "4.2"}, core.IndexCacheStats{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -84,6 +84,36 @@ func TestChaosShardDown(t *testing.T) {
 	waitSlots(t, c)
 }
 
+// TestChaosDownsCounted pins /metrics shards.downs_total: every shard
+// that ends a query down adds one, a total outage included, which
+// returns before the assembly loop.
+func TestChaosDownsCounted(t *testing.T) {
+	reg := fault.New(1)
+	c := chaosCoordinator(t, reg, Config{HedgeAfter: -1})
+	downs := c.Metrics().Downs
+
+	// After=1 spares the first shard's first attempt: three end down.
+	reg.Arm(fault.Rule{Point: fault.PointShardDown, Kind: fault.KindError, P: 1, After: 1})
+	before := downs.Value()
+	if _, rep, err := c.Query(context.Background(), 4, 1); err != nil || rep.Failed != 3 {
+		t.Fatalf("3-of-4 outage: err %v, report %+v", err, rep)
+	}
+	if got := downs.Value() - before; got != 3 {
+		t.Fatalf("3-of-4 outage added %d to downs_total, want 3", got)
+	}
+
+	reg.Arm(fault.Rule{Point: fault.PointShardDown, Kind: fault.KindError, P: 1})
+	before = downs.Value()
+	_, rep, err := c.Query(context.Background(), 4, 1)
+	if !errors.Is(err, ErrAllShardsDown) || rep.Failed != 4 {
+		t.Fatalf("total outage: err %v, report %+v", err, rep)
+	}
+	if got := downs.Value() - before; got != 4 {
+		t.Fatalf("total outage added %d to downs_total, want the shard count 4", got)
+	}
+	waitSlots(t, c)
+}
+
 // TestChaosEnvelopeTightensInterval: a healthy query teaches each
 // shard its upper-bound envelope; when the shard later dies, the
 // degraded interval uses that envelope instead of the trivial n−1

@@ -520,6 +520,9 @@ func (c *Coordinator) gather(ctx context.Context, r float64, k int, bounds []sha
 			if b.err != nil {
 				run.Err = b.err.Error()
 			}
+			// Counted here: a total outage returns below, before the
+			// assembly loop.
+			c.m.Downs.Inc()
 			continue
 		}
 		infos[i] = boundInfo{tops: b.bounds.TopLBs(), maxUB: b.bounds.MaxUB()}
@@ -594,7 +597,6 @@ func (c *Coordinator) gather(ctx context.Context, r float64, k int, bounds []sha
 		case b.bounds == nil:
 			degraded = true
 			rep.Failed++
-			c.m.Downs.Inc()
 			if env, ok := b.sh.envelopeUB(r); ok {
 				bumpUB(env)
 			} else {

@@ -33,8 +33,7 @@ func (e *Engine) InteractingSet(ctx context.Context, r float64, obj int) ([]int,
 	mask := bitmap.NewScratch(q.n)
 	ctr := ctrSet{}
 	i := int(e.ord.pos[obj])
-	q.exactScore(i, bOi, mask, &ctr)
-	if q.cancelled() {
+	if _, whole := q.exactScore(i, bOi, mask, &ctr); !whole {
 		return nil, ctx.Err()
 	}
 	out := make([]int, 0, bOi.Cardinality()-1)
@@ -80,7 +79,10 @@ func (e *Engine) AllScores(ctx context.Context, r float64) ([]int, error) {
 		if q.cancelled() {
 			return nil, ctx.Err()
 		}
-		scores[j] = q.exact(i)
+		var whole bool
+		if scores[j], whole = q.exact(i); !whole {
+			return nil, ctx.Err()
+		}
 	}
 	return scores, nil
 }

@@ -96,8 +96,10 @@ func (b *BoundSet) TopLBs() []Scored {
 // objects: no object this shard may report can score above it
 // (Lemma 2). The coordinator prunes the whole shard when MaxUB falls
 // below the merged floor.
-func (b *BoundSet) MaxUB() int {
-	q := b.q
+func (b *BoundSet) MaxUB() int { return b.q.maxUB() }
+
+// maxUB returns the highest τ^upp among allowed objects.
+func (q *query) maxUB() int {
 	best := 0
 	for i := 0; i < q.n; i++ {
 		if q.allowed(i) && int(q.tauUpp[i]) > best {

@@ -111,6 +111,14 @@ type Scored struct {
 	Score int `json:"score"`
 }
 
+// Outranks reports whether s comes before o in the canonical answer
+// order: score descending, object id ascending on ties. Every list of
+// answers the engine or a shard merge returns is in this order, and a
+// degraded answer's Best is the first in it (Certificate.Join).
+func (s Scored) Outranks(o Scored) bool {
+	return s.Score > o.Score || s.Score == o.Score && s.Obj < o.Obj
+}
+
 // PhaseStats records the per-phase wall-clock breakdown of one query
 // (the paper's Table II) plus work counters.
 type PhaseStats struct {
@@ -160,9 +168,10 @@ func (s PhaseStats) Total() time.Duration {
 	return s.LabelInput + s.GridMapping + s.LowerBounding + s.UpperBounding + s.Verification
 }
 
-// Interval is a closed score interval [LB, UB] certified by the
-// pipeline's bound bookkeeping: the true score of the object it
-// annotates is guaranteed to lie inside it (Lemmas 1 and 2).
+// Interval is a degraded answer's closed score interval [LB, UB]: LB
+// is Best's certified lower bound and UB a certified upper bound on the
+// optimum, so the exact answer's score lies inside it (the contract is
+// stated once on Certificate).
 type Interval struct {
 	LB int `json:"lb"`
 	UB int `json:"ub"`
@@ -175,14 +184,15 @@ type Result struct {
 	// lower bound Interval.LB, not the exact score.
 	Best Scored `json:"best"`
 	// TopK holds the k best objects in non-increasing score order. A
-	// degraded result carries only the single best candidate.
+	// degraded result carries only Best.
 	TopK  []Scored   `json:"top_k"`
 	Stats PhaseStats `json:"stats"`
 
-	// Degraded marks a partial answer produced because the context
-	// deadline expired mid-pipeline (RunTopKContext with degrade set):
-	// Best is the most promising candidate by certified lower bound, and
-	// Interval brackets its exact score.
+	// Degraded marks a partial answer: the query was stopped
+	// mid-pipeline (RunTopKContext with degrade set), or shards were
+	// late or down (shard.Coordinator.Query). Best is the best object
+	// certified, and Interval brackets both its exact score and the
+	// optimum's (Certificate.Result).
 	Degraded bool      `json:"degraded,omitempty"`
 	Interval *Interval `json:"interval,omitempty"`
 }
@@ -305,10 +315,12 @@ func (e *Engine) RunTopK(r float64, k int) (*Result, error) {
 // checks ctx between pipeline phases and periodically inside them and
 // returns ctx.Err() once it has expired — unless degrade is set and the
 // lower-bounding phase has completed: then the work already done is not
-// discarded and the call returns a Result with Degraded set, holding
-// the best candidate by certified lower bound and the [LB, UB] interval
-// that provably contains its exact score. Expiry before lower bounding
-// completes returns ctx.Err() either way: no sound bound exists yet.
+// discarded and the call returns a degraded Result (Certificate.Result)
+// whose Best is certified to score at least Interval.LB and whose
+// Interval.UB no object's score exceeds. Expiry before lower bounding
+// completes returns ctx.Err() either way: no sound bound exists yet. A
+// query whose verification ran to its end answers exactly, whenever
+// ctx expires.
 func (e *Engine) RunTopKContext(ctx context.Context, r float64, k int, degrade bool) (*Result, error) {
 	if err := e.validate(r, k); err != nil {
 		return nil, err

@@ -1,76 +1,104 @@
 package core
 
-// degraded assembles a partial answer after the context expired
-// mid-pipeline (RunTopKContext with degrade set). The contract: the returned
-// Best object's true score lies inside Interval, and Best.Score equals
-// Interval.LB, the best certified lower bound available.
+// A Certificate is what one partial source can vouch for about the
+// exact answer: a query stopped mid-pipeline (query.degraded), or a
+// shard that was pruned, late or down (shard.Coordinator). Best, when
+// Best.Obj ≥ 0, is an object whose exact score is at least Best.Score;
+// UB is a score that no object the source may report exceeds, or at
+// least none that could be the optimum. Joining the certificates of
+// sources that between them cover every reportable object therefore
+// certifies the degraded answer's contract (DESIGN.md §10):
 //
-// Soundness rests on which phases completed:
+//	Best.Score = Interval.LB ≤ τ(Best)   and   τ(optimum) ≤ Interval.UB.
+type Certificate struct {
+	Best Scored
+	UB   int
+}
+
+// noObject is the Best of a certificate that names no object: every
+// scored object outranks it.
+var noObject = Scored{Obj: -1, Score: -1}
+
+// BoundOnly returns the certificate of a source that names no object
+// but bounds its objects' scores by ub.
+func BoundOnly(ub int) Certificate { return Certificate{Best: noObject, UB: ub} }
+
+// Join merges two certificates: the better Best in the canonical order
+// (Scored.Outranks), the larger UB.
+func (c Certificate) Join(o Certificate) Certificate {
+	if o.Best.Outranks(c.Best) {
+		c.Best = o.Best
+	}
+	c.UB = max(c.UB, o.UB)
+	return c
+}
+
+// Result is the degraded answer c certifies, with stats attached: Best,
+// TopK = [Best] and Interval [Best.Score, max(UB, Best.Score)]. It is
+// nil when c names no object.
+func (c Certificate) Result(stats PhaseStats) *Result {
+	if c.Best.Obj < 0 {
+		return nil
+	}
+	return &Result{
+		Best:     c.Best,
+		TopK:     []Scored{c.Best},
+		Stats:    stats,
+		Degraded: true,
+		Interval: &Interval{LB: c.Best.Score, UB: max(c.UB, c.Best.Score)},
+	}
+}
+
+// degraded answers a query stopped mid-pipeline (RunTopKContext with
+// degrade set) with what the phases that finished certify. top holds
+// the candidates verified so far and unverified the rest, both nil
+// before verification starts.
 //
-//   - A complete lower-bounding pass gives τ^low(o_i) ≤ τ(o_i) for
-//     every object (Lemma 1), so the argmax of tauLow is a defensible
-//     "most promising" candidate and its tauLow a certified LB.
-//   - A complete upper-bounding pass gives τ^upp(o_i) ≥ τ(o_i)
-//     (Lemma 2), tightening the trivial UB of n−1.
-//   - A truncated verification contributes two refinements: a partial
-//     exact score (valid LB, the bOi accumulation is monotone) for the
-//     object being verified, and — via top — fully exact scores for
-//     the objects verified before the deadline.
+// Best candidates, all certified lower bounds:
 //
-// If lower bounding itself did not complete (or grid mapping was
-// truncated, leaving bounds computed over a partial grid), no sound
-// bound exists and the caller gets the plain context error.
-func (q *query) degraded(top []Scored) (*Result, error) {
+//   - a complete lower-bounding pass gives τ^low(o_i) ≤ τ(o_i) for
+//     every object (Lemma 1);
+//   - a candidate whose exact-score walk was cut short scores at least
+//     its partial count (b(o_i) only grows);
+//   - top[0]'s score is exact.
+//
+// UB: n−1 until upper bounding completes; then the allowed objects'
+// largest τ^upp (Lemma 2); once verification has started, the larger of
+// top[0]'s score and the first unverified candidate's τ^upp.
+// Verification runs in descending τ^upp (Corollary 1) over every
+// object whose τ^upp reaches the threshold, the optimum among them, so
+// the optimum is either verified or bounded by that τ^upp.
+//
+// If lower bounding did not complete (or grid mapping was truncated,
+// leaving bounds computed over a partial grid), no sound bound exists
+// and the caller gets the plain context error.
+func (q *query) degraded(top []Scored, unverified []candidate) (*Result, error) {
 	if !q.degradeOK || q.gmBroke || !q.lbDone {
 		return nil, q.ctx.Err()
 	}
-
-	// best is internal until the arg-max is taken, ties going to the
-	// lowest external id; from there on it is external, as top's are.
+	c := BoundOnly(q.n - 1)
+	switch {
+	case len(unverified) > 0:
+		c.UB = int(unverified[0].tauUpp)
+	case q.ubDone:
+		c.UB = q.maxUB()
+	}
 	ext := q.e.ord.ext
-	best := -1
 	for i := 0; i < q.n; i++ {
-		if q.allowed(i) && (best < 0 || q.tauLow[i] > q.tauLow[best] ||
-			q.tauLow[i] == q.tauLow[best] && ext[i] < ext[best]) {
-			best = i
+		if q.allowed(i) {
+			c = c.Join(Certificate{Best: Scored{Obj: int(ext[i]), Score: int(q.tauLow[i])}})
 		}
 	}
-	if best < 0 {
-		// A restriction that allows nobody cannot certify an answer.
-		return nil, q.ctx.Err()
+	if q.trunc != nil {
+		c = c.Join(Certificate{Best: *q.trunc})
 	}
-	lb := int(q.tauLow[best])
-	ub := q.n - 1
-	if q.ubDone {
-		ub = int(q.tauUpp[best])
+	if len(top) > 0 {
+		c = c.Join(Certificate{Best: top[0], UB: top[0].Score})
 	}
-	best = int(ext[best])
-
-	// A candidate whose verification was cut short carries a partial
-	// exact score: prefer it when it certifies at least as much.
-	if t := q.trunc; t != nil && t.lb >= lb {
-		best, lb, ub = int(ext[t.obj]), t.lb, t.ub
-	}
-	// Fully verified candidates have exact scores. Verification runs
-	// best-first, so if any verified score ties or beats the certified
-	// LB, it is a strictly better answer with a point interval.
-	if len(top) > 0 && top[0].Score >= lb {
-		best, lb, ub = top[0].Obj, top[0].Score, top[0].Score
-	}
-	if ub < lb {
-		// tauUpp can undercut a trunc/exact LB for the *same* object
-		// only by a bug, but different sources may disagree across
-		// objects; clamp so the interval stays well-formed.
-		ub = lb
-	}
-
 	q.finishGridStats()
-	res := &Result{
-		Best:     Scored{Obj: best, Score: lb},
-		TopK:     []Scored{{Obj: best, Score: lb}},
-		Stats:    q.stats,
-		Degraded: true,
-		Interval: &Interval{LB: lb, UB: ub},
+	if res := c.Result(q.stats); res != nil {
+		return res, nil
 	}
-	return res, nil
+	// A restriction that allows nobody cannot certify an answer.
+	return nil, q.ctx.Err()
 }

@@ -31,8 +31,8 @@ func checkStatsSane(t *testing.T, st PhaseStats, n int) {
 // TestDegradedIntervalSweep runs the degraded entry point under every
 // poll budget from "dies in grid mapping" to "completes untouched" and
 // checks the contract at each: either a plain context.Canceled, or a
-// degraded answer whose interval contains the returned object's true
-// score, or the exact reference answer.
+// degraded answer whose interval contains both the returned object's
+// true score and the optimum, or the exact reference answer.
 func TestDegradedIntervalSweep(t *testing.T) {
 	const r = 8
 	ds := denseUniform(900, 6)
@@ -89,9 +89,10 @@ func TestDegradedIntervalSweep(t *testing.T) {
 				t.Fatalf("budget %d: object %d true score %d outside certified interval [%d, %d]",
 					budget, res.Best.Obj, truth, lb, ub)
 			}
-			// The degraded answer can never beat the true optimum.
-			if lb > ref.Best.Score {
-				t.Fatalf("budget %d: certified LB %d exceeds true optimum %d", budget, lb, ref.Best.Score)
+			// The degraded answer can never beat the true optimum, and
+			// UB bounds it.
+			if lb > ref.Best.Score || ref.Best.Score > ub {
+				t.Fatalf("budget %d: interval [%d, %d] excludes the true optimum %d", budget, lb, ub, ref.Best.Score)
 			}
 			checkStatsSane(t, res.Stats, ds.N())
 		default:
@@ -142,6 +143,9 @@ func TestDegradedParallelWorkers(t *testing.T) {
 			continue
 		}
 		sawDegraded = true
+		if len(res.TopK) != 1 || res.TopK[0] != res.Best || res.Best.Score != res.Interval.LB {
+			t.Fatalf("budget %d: degraded TopK %v, Best %v, interval %+v", budget, res.TopK, res.Best, *res.Interval)
+		}
 		set, err := e.InteractingSet(context.Background(), r, res.Best.Obj)
 		if err != nil {
 			t.Fatal(err)
@@ -150,9 +154,57 @@ func TestDegradedParallelWorkers(t *testing.T) {
 			t.Fatalf("budget %d: true score %d outside [%d, %d]",
 				budget, truth, res.Interval.LB, res.Interval.UB)
 		}
+		if ref.Best.Score > res.Interval.UB {
+			t.Fatalf("budget %d: optimum %d above UB %d", budget, ref.Best.Score, res.Interval.UB)
+		}
 	}
 	if !sawDegraded {
 		t.Skip("no budget produced a degraded parallel answer; poll cadence changed")
+	}
+}
+
+// TestDegradedOnlyWhenVerificationUnfinished trips the context at each
+// of a full run's last polls: a query degrades, or with degrade unset
+// fails, only when it left a candidate unverified. A deadline that
+// lands after the last exact score must not discard the finished
+// answer.
+func TestDegradedOnlyWhenVerificationUnfinished(t *testing.T) {
+	const r = 4
+	ds := denseUniform(900, 6)
+	e, err := NewEngine(ds, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := newPollCtx(1 << 62)
+	ref, err := e.RunTopKContext(count, r, 1, true)
+	if err != nil || ref.Degraded {
+		t.Fatalf("uncancelled run: (%+v, %v)", ref, err)
+	}
+	polls := count.polls.Load()
+	sawDegraded := false
+	for budget := polls - 40; budget <= polls+1; budget++ {
+		res, err := e.RunTopKContext(newPollCtx(budget), r, 1, true)
+		if err != nil {
+			t.Fatalf("budget %d of %d polls: %v", budget, polls, err)
+		}
+		exact := !res.Degraded
+		if exact && res.Best != ref.Best {
+			t.Fatalf("budget %d: exact answer %+v, reference %+v", budget, res.Best, ref.Best)
+		}
+		if !exact {
+			sawDegraded = true
+			if res.Stats.Verified >= ref.Stats.Verified {
+				t.Fatalf("budget %d of %d polls: degraded after verifying all %d candidates, interval %+v",
+					budget, polls, res.Stats.Verified, *res.Interval)
+			}
+		}
+		res, err = e.RunTopKContext(newPollCtx(budget), r, 1, false)
+		if exact != (err == nil) {
+			t.Fatalf("budget %d: degrade unset returned (%v, %v), degrade set exact=%v", budget, res, err, exact)
+		}
+	}
+	if !sawDegraded {
+		t.Fatal("no budget stopped verification; the sweep window misses it")
 	}
 }
 

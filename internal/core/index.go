@@ -109,23 +109,16 @@ type query struct {
 	// Degraded-answer bookkeeping (RunTopKContext). degradeOK
 	// opts in; the completion flags record which phases ran to the end
 	// (an early cancellation break leaves them false, so partial bound
-	// vectors are never certified); trunc captures a verification
-	// candidate whose exact-score loop was cut short mid-object.
+	// vectors are never certified); trunc holds the verification
+	// candidate whose exact-score walk was cut short mid-object, with
+	// its partial score (external id).
 	degradeOK bool
 	gmBroke   bool
 	lbDone    bool
 	ubDone    bool
-	trunc     *truncCand
+	trunc     *Scored
 
 	stats PhaseStats
-}
-
-// truncCand is a candidate whose verification was interrupted: the
-// partially accumulated bitset certifies lb, upper-bounding certifies
-// ub.
-type truncCand struct {
-	obj    int
-	lb, ub int
 }
 
 // newQuery returns the carrier for one validated (r, k), clamping k to
@@ -253,7 +246,7 @@ func (q *query) bound() (*Result, error) {
 	q.stats.LargeCells = q.idx.large.Len()
 	if q.cancelled() {
 		// No bound vector exists yet, so degraded can only decline.
-		return q.degraded(nil)
+		return q.degraded(nil, nil)
 	}
 
 	if err := q.fire(fault.PointLowerBounding); err != nil {
@@ -264,7 +257,7 @@ func (q *query) bound() (*Result, error) {
 	q.threshold = q.kthHighest(q.tauLow)
 	q.stats.LowerBounding = time.Since(t0)
 	if q.cancelled() {
-		return q.degraded(nil)
+		return q.degraded(nil, nil)
 	}
 
 	if err := q.fire(fault.PointUpperBounding); err != nil {
@@ -274,7 +267,7 @@ func (q *query) bound() (*Result, error) {
 	q.computeUpperBounds()
 	q.stats.UpperBounding = time.Since(t0)
 	if q.cancelled() {
-		return q.degraded(nil)
+		return q.degraded(nil, nil)
 	}
 	return nil, nil
 }
@@ -290,17 +283,17 @@ func (q *query) complete(floor int) (*Result, error) {
 	q.stats.UpperBounding += time.Since(t0)
 	q.stats.Candidates = len(cand)
 	if q.cancelled() {
-		return q.degraded(nil)
+		return q.degraded(nil, nil)
 	}
 
 	if err := q.fire(fault.PointVerification); err != nil {
 		return nil, err
 	}
 	t0 = time.Now()
-	topk := q.verification(cand)
+	topk, unverified := q.verification(cand)
 	q.stats.Verification = time.Since(t0)
-	if q.cancelled() {
-		return q.degraded(topk)
+	if len(unverified) > 0 {
+		return q.degraded(topk, unverified)
 	}
 
 	q.finishGridStats()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"mio/internal/bitmap"
 	"mio/internal/core/labelstore"
@@ -123,7 +124,7 @@ func (q *query) upperBoundGreedyP() {
 // DistanceComps bit for bit at every worker count — unlike a
 // point-split, where each worker's private b(o_i) re-probes objects
 // the others already resolved and the count grows with t.
-func (q *query) parallelExactScore(i int) int {
+func (q *query) parallelExactScore(i int) (tau int, whole bool) {
 	t := q.e.opts.workers()
 	if q.vBOi == nil {
 		q.vBOi = make([]*bitmap.Scratch, t)
@@ -151,13 +152,14 @@ func (q *query) parallelExactScore(i int) int {
 	}
 
 	ctrs := make([]ctrSet, t)
+	stopped := make([]bool, t)
 	parallel.Run(t, func(w int) {
 		sw := scoreWalk{q: q, i: i, bOi: q.vBOi[w], mask: q.vMask[w], share: q.vShare[w]}
 		if empty != nil {
 			sw.emptyAt = empty[w]
 		}
 		sw.run()
-		ctrs[w] = sw.ctr
+		ctrs[w], stopped[w] = sw.ctr, sw.stopped
 	})
 	for w := 1; w < t; w++ {
 		q.vBOi[0].OrScratch(q.vBOi[w])
@@ -182,5 +184,5 @@ func (q *query) parallelExactScore(i int) int {
 		}
 	}
 	q.addCounters(ctrs)
-	return q.vBOi[0].Cardinality() - 1
+	return q.vBOi[0].Cardinality() - 1, !slices.Contains(stopped, true)
 }

@@ -13,9 +13,11 @@ import (
 // verification implements VERIFICATION(O_cand, r) (Algorithm 6) with
 // the best-first early termination of Corollary 1, generalised to
 // top-k, plus the WITH-LABEL variant of §III-D. cand must be sorted by
-// descending upper bound.
-func (q *query) verification(cand []candidate) []Scored {
-	top := make([]Scored, 0, q.k)
+// descending upper bound. unverified is empty when verification ran to
+// its end; when the query was stopped it holds the candidates not yet
+// verified, the first of them in q.trunc if its walk was cut short.
+func (q *query) verification(cand []candidate) (top []Scored, unverified []candidate) {
+	top = make([]Scored, 0, q.k)
 	// kthScore returns the current k-th best exact score, or -1 while
 	// fewer than k objects have been verified.
 	kthScore := func() int {
@@ -25,7 +27,7 @@ func (q *query) verification(cand []candidate) []Scored {
 		return top[q.k-1].Score
 	}
 
-	for _, c := range cand {
+	for n, c := range cand {
 		if int(c.tauUpp) < kthScore() {
 			// Corollary 1: no remaining candidate can enter the top-k.
 			// The cut is strict so candidates tying the k-th score are
@@ -37,33 +39,28 @@ func (q *query) verification(cand []candidate) []Scored {
 			break
 		}
 		if q.cancelled() {
-			break
+			return top, cand[n:]
 		}
 		i := int(c.obj)
-		tau := q.exact(i)
-		if q.cancelled() {
-			// The exact-score loop may have been cut short, so tau is
-			// only a lower bound (bOi accumulates monotonically); it must
-			// not enter the top-k as an exact score. Keep it for the
-			// degraded answer instead, bracketed by the candidate's upper
-			// bound.
-			lb := tau
-			if int(q.tauLow[i]) > lb {
-				lb = int(q.tauLow[i])
-			}
-			q.trunc = &truncCand{obj: i, lb: lb, ub: int(c.tauUpp)}
-			break
+		tau, whole := q.exact(i)
+		if !whole {
+			// The walk was cut short, so tau is only a lower bound (bOi
+			// accumulates monotonically); it must not enter the top-k as
+			// an exact score. Keep it for the degraded answer instead.
+			q.trunc = &Scored{Obj: int(q.e.ord.ext[i]), Score: tau}
+			return top, cand[n:]
 		}
 		q.stats.Verified++
 		top = insertTopK(top, Scored{Obj: int(q.e.ord.ext[i]), Score: tau}, q.k)
 	}
-	return top
+	return top, nil
 }
 
 // exact computes τ(o_i) on the configured number of cores, charging the
-// work to q.stats. The serial scratch bitsets are allocated on the first
-// call and reused by later ones.
-func (q *query) exact(i int) int {
+// work to q.stats; whole is false when the query was stopped before the
+// walk finished, leaving tau a lower bound. The serial scratch bitsets
+// are allocated on the first call and reused by later ones.
+func (q *query) exact(i int) (tau int, whole bool) {
 	if q.e.opts.workers() > 1 {
 		return q.parallelExactScore(i)
 	}
@@ -71,19 +68,19 @@ func (q *query) exact(i int) int {
 		q.sBOi, q.sMask = bitmap.NewScratch(q.n), bitmap.NewScratch(q.n)
 	}
 	ctr := ctrSet{}
-	tau := q.exactScore(i, q.sBOi, q.sMask, &ctr)
+	tau, whole = q.exactScore(i, q.sBOi, q.sMask, &ctr)
 	q.addCounters([]ctrSet{ctr})
-	return tau
+	return tau, whole
 }
 
 // exactScore computes τ(o_i) with the BIGrid (Algorithm 6 lines 6-19)
-// on one core.
-func (q *query) exactScore(i int, bOi, mask *bitmap.Scratch, ctr *ctrSet) int {
+// on one core; whole is false when a poll stopped the walk.
+func (q *query) exactScore(i int, bOi, mask *bitmap.Scratch, ctr *ctrSet) (tau int, whole bool) {
 	w := scoreWalk{q: q, i: i, bOi: bOi, mask: mask}
 	w.run()
 	ctr.adjComputed += w.ctr.adjComputed
 	ctr.distComps += w.ctr.distComps
-	return bOi.Cardinality() - 1
+	return bOi.Cardinality() - 1, !w.stopped
 }
 
 // lemma1 sets b to {i} and the objects Lemma 1 certifies interact with
@@ -353,9 +350,8 @@ func (w *scoreWalk) probePosting(pi, j int, g *group, cross bool) {
 	}
 }
 
-// insertTopK inserts s into the canonically-sorted top list (score
-// descending, external object id ascending on ties), keeping at most k
-// entries.
+// insertTopK inserts s into the canonically-sorted top list
+// (Scored.Outranks), keeping at most k entries.
 // The paper allows an arbitrary tie-break; the canonical order is
 // chosen so the final top-k does not depend on verification order —
 // any set of exact scores merges to the same list, which the sharded
@@ -363,8 +359,7 @@ func (w *scoreWalk) probePosting(pi, j int, g *group, cross bool) {
 // with the single-engine oracle.
 func insertTopK(top []Scored, s Scored, k int) []Scored {
 	pos := len(top)
-	for pos > 0 && (top[pos-1].Score < s.Score ||
-		(top[pos-1].Score == s.Score && top[pos-1].Obj > s.Obj)) {
+	for pos > 0 && s.Outranks(top[pos-1]) {
 		pos--
 	}
 	if pos >= k {

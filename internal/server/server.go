@@ -91,7 +91,7 @@ type Config struct {
 	// coordinator (internal/shard): the dataset is partitioned across
 	// this many in-process shard engines, each query scatters per-shard
 	// bound requests and merges the certified results, and shard
-	// failures degrade the answer to an exact [LB, UB] interval instead
+	// failures degrade the answer to a certified [LB, UB] interval instead
 	// of an error. Queries whose r exceeds ShardMaxR fall back to the
 	// solo engine pool. 0 disables. See Validate for what it combines
 	// with.

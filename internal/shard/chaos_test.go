@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mio/internal/core"
+	"mio/internal/data"
 	"mio/internal/fault"
 	"mio/internal/server/breaker"
 )
@@ -43,6 +44,34 @@ func chaosCoordinator(t *testing.T, reg *fault.Registry, cfg Config) *Coordinato
 	return c
 }
 
+// checkDegraded asserts the degraded-answer contract on a sharded
+// answer over ds at r: Best.Score = Interval.LB ≤ τ(Best), the oracle's
+// optimum inside the interval, and TopK = [Best].
+func checkDegraded(t *testing.T, ds *data.Dataset, r float64, res *core.Result, optimum int) {
+	t.Helper()
+	if !res.Degraded || res.Interval == nil {
+		t.Fatalf("want a degraded answer with an interval, got %+v", res)
+	}
+	iv := *res.Interval
+	if res.Best.Score != iv.LB || iv.LB > optimum || optimum > iv.UB {
+		t.Fatalf("degraded Best %v, interval %+v, oracle optimum %d", res.Best, iv, optimum)
+	}
+	if len(res.TopK) != 1 || res.TopK[0] != res.Best {
+		t.Fatalf("degraded TopK %v, want [Best] = [%v]", res.TopK, res.Best)
+	}
+	e, err := core.NewEngine(ds, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := e.InteractingSet(context.Background(), r, res.Best.Obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set) < iv.LB {
+		t.Fatalf("degraded Best %v scores %d, below its certified LB", res.Best, len(set))
+	}
+}
+
 // TestChaosShardDown kills one shard before the scatter: the query
 // must still answer 200-style — degraded, with a certified interval
 // containing the oracle score — and recover to exact parity once the
@@ -65,13 +94,7 @@ func TestChaosShardDown(t *testing.T) {
 	if rep.PerShard[3].State != StateDown {
 		t.Fatalf("shard 3 state %q", rep.PerShard[3].State)
 	}
-	if res.Interval == nil ||
-		res.Interval.LB > want.Best.Score || want.Best.Score > res.Interval.UB {
-		t.Fatalf("interval %+v does not contain oracle score %d", res.Interval, want.Best.Score)
-	}
-	if res.Best.Score != res.Interval.LB {
-		t.Fatalf("degraded Best.Score %d ≠ interval LB %d", res.Best.Score, res.Interval.LB)
-	}
+	checkDegraded(t, ds, 4, res, want.Best.Score)
 
 	reg.Clear(fault.PointShardDown)
 	res, rep, err = c.Query(context.Background(), 4, 1)
@@ -135,9 +158,7 @@ func TestChaosEnvelopeTightensInterval(t *testing.T) {
 	if res.Interval == nil || res.Interval.UB >= c.n-1 {
 		t.Fatalf("envelope did not tighten the interval: %+v (n=%d)", res.Interval, c.n)
 	}
-	if res.Interval.LB > want.Best.Score || want.Best.Score > res.Interval.UB {
-		t.Fatalf("tightened interval %+v excludes oracle score %d", res.Interval, want.Best.Score)
-	}
+	checkDegraded(t, ds, 4, res, want.Best.Score)
 }
 
 // TestChaosPanic arms a panic in every bound attempt: the query must
@@ -188,6 +209,7 @@ func TestChaosPanic(t *testing.T) {
 	if late == 0 {
 		t.Fatalf("no shard failed in verification: %+v", rep)
 	}
+	checkDegraded(t, ds, 4, res, want.Best.Score)
 	waitSlots(t, c)
 
 	reg.Clear(fault.PointVerification)
@@ -313,10 +335,58 @@ func TestChaosLateVerification(t *testing.T) {
 	if late == 0 {
 		t.Fatalf("no shard reported late: %+v", rep)
 	}
-	if res.Interval.LB > want.Best.Score || want.Best.Score > res.Interval.UB {
-		t.Fatalf("interval %+v excludes oracle score %d", res.Interval, want.Best.Score)
-	}
+	checkDegraded(t, ds, 4, res, want.Best.Score)
 	waitSlots(t, c)
+}
+
+// fakeBackend serves fixed bounds: TopLBs, MaxUB, and a Complete that
+// returns res, or err when res is nil.
+type fakeBackend struct {
+	tops  []core.Scored
+	maxUB int
+	res   *core.Result
+}
+
+func (f *fakeBackend) Bound(context.Context, float64, int) (Bounds, error) { return f, nil }
+func (f *fakeBackend) Info() BackendInfo                                   { return BackendInfo{} }
+func (f *fakeBackend) Close()                                              {}
+func (f *fakeBackend) TopLBs() []core.Scored                               { return f.tops }
+func (f *fakeBackend) MaxUB() int                                          { return f.maxUB }
+func (f *fakeBackend) Stats() core.PhaseStats                              { return core.PhaseStats{} }
+func (f *fakeBackend) Release()                                            {}
+func (f *fakeBackend) Complete(context.Context, int) (*core.Result, error) {
+	if f.res == nil {
+		return nil, errors.New("verification failed")
+	}
+	return f.res, nil
+}
+
+// TestDegradedShardBestIsTopK: a late shard certifies object 5 at 50
+// (MaxUB 60) and an ok shard verifies object 7 at 45 exactly. The
+// degraded answer is object 5 alone, TopK included, with the interval
+// [50, 60].
+func TestDegradedShardBestIsTopK(t *testing.T) {
+	late := &fakeBackend{tops: []core.Scored{{Obj: 5, Score: 50}}, maxUB: 60}
+	exact := []core.Scored{{Obj: 7, Score: 45}}
+	ok := &fakeBackend{tops: []core.Scored{{Obj: 7, Score: 40}}, maxUB: 55,
+		res: &core.Result{Best: exact[0], TopK: exact}}
+	c, err := NewWithBackends([]Backend{late, ok}, 100, Config{HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	res, rep, err := c.Query(context.Background(), 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PerShard[0].State != StateLate || rep.PerShard[1].State != StateOK {
+		t.Fatalf("shard states %q, %q", rep.PerShard[0].State, rep.PerShard[1].State)
+	}
+	best := core.Scored{Obj: 5, Score: 50}
+	if !res.Degraded || res.Best != best || !sameTopK(res.TopK, []core.Scored{best}) ||
+		res.Interval == nil || *res.Interval != (core.Interval{LB: 50, UB: 60}) {
+		t.Fatalf("got Best %v, TopK %v, interval %v; want %v, [%v], [50, 60]", res.Best, res.TopK, res.Interval, best, best)
+	}
 }
 
 // TestChaosScatterMergePoints: faults at the coordinator's own points

@@ -278,8 +278,10 @@ type shardBound struct {
 
 // Query answers the MIO query (r, k) by scatter–gather. It returns the
 // merged result, a per-shard report, and an error only when the query
-// itself is invalid (or every shard is unreachable) — shard failures
-// degrade the result instead (Result.Degraded + Interval).
+// itself is invalid (or every shard is unreachable). Shard failures
+// degrade the result instead: each shard's outcome states a
+// core.Certificate, and their join is the answer (Certificate.Result),
+// whose Interval brackets both Best's exact score and the optimum's.
 func (c *Coordinator) Query(ctx context.Context, r float64, k int) (*core.Result, *Report, error) {
 	if !(r > 0) {
 		return nil, nil, fmt.Errorf("shard: %w: distance threshold must be positive, got %g", core.ErrInvalidQuery, r)
@@ -491,8 +493,9 @@ func (c *Coordinator) attempt(ctx context.Context, sh *Shard, r float64, k int) 
 // gather merges the per-shard bound outcomes: computes the global
 // verification floor, prunes shards whose upper bound cannot reach it,
 // completes the survivors concurrently, and assembles either the exact
-// merged top-k or a certified degraded interval. Returns nil when no
-// shard produced bounds.
+// merged top-k or, when a shard was down or late, the degraded answer
+// the shards' joined certificates support. Returns nil when no shard
+// certified an object (every shard down).
 func (c *Coordinator) gather(ctx context.Context, r float64, k int, bounds []shardBound) (*core.Result, *Report) {
 	rep := &Report{Shards: len(bounds), PerShard: make([]ShardRun, len(bounds))}
 	type boundInfo struct {
@@ -520,8 +523,6 @@ func (c *Coordinator) gather(ctx context.Context, r float64, k int, bounds []sha
 			if b.err != nil {
 				run.Err = b.err.Error()
 			}
-			// Counted here: a total outage returns below, before the
-			// assembly loop.
 			c.m.Downs.Inc()
 			continue
 		}
@@ -531,11 +532,6 @@ func (c *Coordinator) gather(ctx context.Context, r float64, k int, bounds []sha
 			run.BestLB = infos[i].tops[0].Score
 		}
 		tops = append(tops, infos[i].tops)
-	}
-	if len(tops) == 0 {
-		rep.Failed = len(bounds)
-		rep.Degraded = true
-		return nil, rep
 	}
 
 	// The floor is sound globally even with shards down: it only
@@ -548,7 +544,6 @@ func (c *Coordinator) gather(ctx context.Context, r float64, k int, bounds []sha
 	var wg sync.WaitGroup
 	results := make([]*core.Result, len(bounds))
 	stats := make([]core.PhaseStats, len(bounds))
-	haveStats := make([]bool, len(bounds))
 	errs := make([]error, len(bounds))
 	for i := range bounds {
 		b := &bounds[i]
@@ -561,7 +556,6 @@ func (c *Coordinator) gather(ctx context.Context, r float64, k int, bounds []sha
 			// Cannot hold an answer, but its bound-phase work counts;
 			// snapshot the stats before the release invalidates them.
 			stats[i] = b.bounds.Stats()
-			haveStats[i] = true
 			b.bounds.Release()
 			continue
 		}
@@ -573,35 +567,28 @@ func (c *Coordinator) gather(ctx context.Context, r float64, k int, bounds []sha
 	}
 	wg.Wait()
 
-	// Assemble: exact lists from completed shards, certified bounds
-	// from the rest.
+	// Assemble: exact lists from completed shards, and from every shard
+	// the certificate of what it vouches for (core.Certificate), which a
+	// degraded answer joins.
 	var lists [][]core.Scored
 	var allStats []core.PhaseStats
 	degraded := false
-	lbBest := core.Scored{Obj: -1}
-	ub := 0
-	bumpUB := func(v int) {
-		if v > ub {
-			ub = v
-		}
-	}
+	cert := core.BoundOnly(0)
 	for i := range bounds {
 		b := &bounds[i]
 		run := &rep.PerShard[i]
 		switch {
 		case run.State == StatePruned:
-			if haveStats[i] {
-				allStats = append(allStats, stats[i])
-			}
-			bumpUB(infos[i].maxUB)
+			allStats = append(allStats, stats[i])
+			cert = cert.Join(core.BoundOnly(infos[i].maxUB))
 		case b.bounds == nil:
 			degraded = true
 			rep.Failed++
-			if env, ok := b.sh.envelopeUB(r); ok {
-				bumpUB(env)
-			} else {
-				bumpUB(c.n - 1) // trivial: no object interacts with more than n-1 others
+			ub, ok := b.sh.envelopeUB(r)
+			if !ok {
+				ub = c.n - 1 // trivial: no object interacts with more than n-1 others
 			}
+			cert = cert.Join(core.BoundOnly(ub))
 		case errs[i] != nil:
 			run.State = StateLate
 			run.Err = errs[i].Error()
@@ -609,45 +596,32 @@ func (c *Coordinator) gather(ctx context.Context, r float64, k int, bounds []sha
 			rep.Failed++
 			c.m.Downs.Inc()
 			b.sh.noteError(errs[i])
-			// Its bounds are still certified: best primary scores in
-			// [BestLB, MaxUB].
-			bumpUB(infos[i].maxUB)
-			if len(infos[i].tops) > 0 && better(infos[i].tops[0], lbBest) {
-				lbBest = infos[i].tops[0]
+			// Its bounds are still certified: its best primary scores at
+			// least TopLBs[0] and at most MaxUB.
+			late := core.BoundOnly(infos[i].maxUB)
+			if len(infos[i].tops) > 0 {
+				late.Best = infos[i].tops[0]
 			}
+			cert = cert.Join(late)
 		default:
 			run.State = StateOK
 			res := results[i]
 			allStats = append(allStats, res.Stats)
 			lists = append(lists, res.TopK)
 			if len(res.TopK) > 0 {
-				bumpUB(res.TopK[0].Score)
-				if better(res.TopK[0], lbBest) {
-					lbBest = res.TopK[0]
-				}
+				cert = cert.Join(core.Certificate{Best: res.TopK[0], UB: res.TopK[0].Score})
 			}
 		}
 	}
 
-	merged := mergeTopK(lists, k)
-	out := &core.Result{TopK: merged, Stats: mergeStats(allStats)}
-	if !degraded {
-		if len(merged) > 0 {
-			out.Best = merged[0]
-		}
-		return out, rep
+	st := mergeStats(allStats)
+	if degraded {
+		rep.Degraded = true
+		return cert.Result(st), rep
 	}
-
-	rep.Degraded = true
-	out.Degraded = true
-	// lbBest is an object certified to score ≥ lbBest.Score; ub bounds
-	// every object anywhere (OK shards by their exact maxima, late
-	// shards by MaxUB, down shards by their envelope). The true global
-	// maximum therefore lies in [lbBest.Score, ub].
-	out.Best = lbBest
-	out.Interval = &core.Interval{LB: lbBest.Score, UB: ub}
-	if len(merged) == 0 && lbBest.Obj >= 0 {
-		out.TopK = []core.Scored{lbBest}
+	out := &core.Result{TopK: mergeTopK(lists, k), Stats: st}
+	if len(out.TopK) > 0 {
+		out.Best = out.TopK[0]
 	}
 	return out, rep
 }
@@ -666,12 +640,4 @@ func (c *Coordinator) complete(ctx context.Context, b *shardBound, floor int) (*
 	}
 	b.sh.br.Success()
 	return r, nil
-}
-
-// better orders degraded best-candidates canonically.
-func better(a, b core.Scored) bool {
-	if b.Obj < 0 {
-		return true
-	}
-	return canonicalLess(a, b)
 }

@@ -23,15 +23,6 @@ import (
 //     truncating at k therefore reproduces the single-engine answer
 //     exactly.
 
-// canonicalLess is the global answer order: score descending, object
-// id ascending — the same order core's insertTopK maintains.
-func canonicalLess(a, b core.Scored) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
-	}
-	return a.Obj < b.Obj
-}
-
 // mergeFloor returns the k-th highest score among the merged per-shard
 // lower-bound lists, or 0 when fewer than k bounds survived.
 func mergeFloor(tops [][]core.Scored, k int) int {
@@ -49,13 +40,14 @@ func mergeFloor(tops [][]core.Scored, k int) int {
 }
 
 // mergeTopK merges per-shard exact top-k lists (already mapped to
-// global ids) into the global canonical top-k.
+// global ids) into the global top-k in the canonical order
+// (core.Scored.Outranks).
 func mergeTopK(lists [][]core.Scored, k int) []core.Scored {
 	var all []core.Scored
 	for _, l := range lists {
 		all = append(all, l...)
 	}
-	sort.Slice(all, func(a, b int) bool { return canonicalLess(all[a], all[b]) })
+	sort.Slice(all, func(a, b int) bool { return all[a].Outranks(all[b]) })
 	if len(all) > k {
 		all = all[:k]
 	}

@@ -66,6 +66,7 @@ import (
 	"mio/internal/durable"
 	"mio/internal/fault"
 	"mio/internal/server"
+	"mio/internal/shard"
 	"mio/internal/shard/remote"
 )
 
@@ -226,14 +227,14 @@ func main() {
 		}
 	}
 	if o.shardServe {
-		// One shard worker. Its engine pool gets two slots per
-		// coordinator-side in-flight query (original + hedge), mirroring
-		// the in-process provisioning rule.
+		// One shard worker. Its engine pool gets shard.SlotsPerQuery
+		// slots per coordinator-side in-flight query, the in-process
+		// provisioning rule.
 		w, err := remote.NewWorker(ds, opts, remote.WorkerConfig{
 			Index:  o.shardIndex,
 			Shards: cfg.Shards,
 			MaxR:   cfg.ShardMaxR,
-			Pool:   2 * cfg.MaxInFlight,
+			Pool:   shard.SlotsPerQuery * cfg.MaxInFlight,
 			Faults: reg,
 		})
 		if err != nil {
@@ -259,12 +260,14 @@ func main() {
 // serve runs handler on addr until SIGINT/SIGTERM, then calls drain
 // (the server waits out in-flight requests and answers later ones 503;
 // a worker abandons its paused bound phases) and shuts the listener
-// down gracefully.
+// down gracefully. A keep-alive connection idle for a minute is closed,
+// so a peer that stopped talking without closing holds none for good.
 func serve(addr string, handler http.Handler, drain func()) {
 	httpSrv := &http.Server{
 		Addr:              addr,
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       time.Minute,
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

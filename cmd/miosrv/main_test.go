@@ -2,9 +2,15 @@ package main
 
 import (
 	"flag"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"mio/internal/server"
+	"mio/internal/shard"
+	"mio/internal/shard/remote"
 )
 
 // TestFlagCount pins the number of settable values: a new flag is a
@@ -20,6 +26,57 @@ func TestFlagCount(t *testing.T) {
 	for _, gone := range []string{"shard-timeout", "shard-probe", "batch", "batch-window", "batch-max"} {
 		if fs.Lookup(gone) != nil {
 			t.Errorf("-%s is back", gone)
+		}
+	}
+}
+
+// TestConfigSurface pins the exported fields of the serving configs
+// behind the flags, as TestFlagCount pins the flags: a new field is a
+// deliberate edit here as well. Timings and thresholds no deployment
+// sets are constants of the package that owns them; "gone" keeps them
+// from coming back as fields.
+func TestConfigSurface(t *testing.T) {
+	for _, c := range []struct {
+		cfg        any
+		want, gone []string
+	}{
+		{
+			server.Config{},
+			[]string{"MaxInFlight", "AdmissionWait", "QueryTimeout", "CacheSize", "DisableCache", "DisableCoalesce",
+				"AllowSwap", "MaxSweep", "State", "Faults", "Shards", "ShardMaxR", "ShardRetries", "ShardHedgeAfter",
+				"ShardBreakCooldown", "ShardAddrs"},
+			[]string{"ShardProbeInterval"},
+		},
+		{
+			shard.Config{},
+			[]string{"Shards", "MaxR", "Retries", "HedgeAfter", "Pool", "BreakCooldown", "Faults"},
+			[]string{"Timeout", "Backoff", "BreakThreshold"},
+		},
+		{
+			remote.ClientConfig{},
+			[]string{"Addr", "Stamp", "Objects", "Faults"},
+			[]string{"ProbeInterval", "ProbeTimeout", "DownAfter", "MaxResponseBytes", "HTTPClient"},
+		},
+		{
+			remote.WorkerConfig{},
+			[]string{"Index", "Shards", "MaxR", "Pool", "Faults"},
+			[]string{"HandleTTL", "AcquireWait"},
+		},
+	} {
+		typ := reflect.TypeOf(c.cfg)
+		var got []string
+		for _, f := range reflect.VisibleFields(typ) {
+			if f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s exports %v, want %v", typ, got, c.want)
+		}
+		for _, name := range c.gone {
+			if _, ok := typ.FieldByName(name); ok {
+				t.Errorf("%s.%s is back", typ, name)
+			}
 		}
 	}
 }

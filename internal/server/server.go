@@ -118,17 +118,11 @@ type Config struct {
 	// beyond ShardMaxR from its own engine pool. See Validate for what it
 	// combines with.
 	ShardAddrs []string
-	// ShardProbeInterval is the remote worker health-probe cadence.
-	// 0 selects remote.DefaultProbeInterval. Ignored unless ShardAddrs is
-	// set.
-	ShardProbeInterval time.Duration
 
-	// In-package tests shorten the breakers through these; 0 selects
-	// swapBreakThreshold, swapBreakCooldown and
-	// shard.DefaultBreakThreshold.
-	swapBreakThreshold  int
-	swapBreakCooldown   time.Duration
-	shardBreakThreshold int
+	// In-package tests shorten the swap breaker through these; 0
+	// selects swapBreakThreshold and swapBreakCooldown.
+	swapBreakThreshold int
+	swapBreakCooldown  time.Duration
 }
 
 // The swap circuit breaker: this many consecutive dataset-swap failures
@@ -309,11 +303,10 @@ func (s *Server) remoteCoordinator(ds *data.Dataset) (*shard.Coordinator, error)
 	backends := make([]shard.Backend, shards)
 	for i, addr := range s.cfg.ShardAddrs {
 		backends[i] = remote.NewClient(remote.ClientConfig{
-			Addr:          addr,
-			Stamp:         remote.Stamp{Generation: gen, Shard: i, Shards: shards},
-			Objects:       ds.N(),
-			ProbeInterval: s.cfg.ShardProbeInterval,
-			Faults:        s.cfg.Faults,
+			Addr:    addr,
+			Stamp:   remote.Stamp{Generation: gen, Shard: i, Shards: shards},
+			Objects: ds.N(),
+			Faults:  s.cfg.Faults,
 		})
 	}
 	co, err := shard.NewWithBackends(backends, ds.N(), cfg)
@@ -327,19 +320,18 @@ func (s *Server) remoteCoordinator(ds *data.Dataset) (*shard.Coordinator, error)
 }
 
 // shardConfig maps the server's shard tuning onto the coordinator's.
-// Each admitted query needs at most two engine slots per shard
-// (original + hedge), so the pool provisions 2×MaxInFlight — slow
-// attempts must never starve a concurrent query's healthy ones.
+// Each shard's pool provisions shard.SlotsPerQuery slots per admitted
+// query — slow attempts must never starve a concurrent query's healthy
+// ones.
 func (s *Server) shardConfig() shard.Config {
 	return shard.Config{
-		Shards:         s.cfg.Shards,
-		MaxR:           s.cfg.ShardMaxR,
-		Retries:        s.cfg.ShardRetries,
-		HedgeAfter:     s.cfg.ShardHedgeAfter,
-		Pool:           2 * s.cfg.MaxInFlight,
-		BreakThreshold: s.cfg.shardBreakThreshold,
-		BreakCooldown:  s.cfg.ShardBreakCooldown,
-		Faults:         s.cfg.Faults,
+		Shards:        s.cfg.Shards,
+		MaxR:          s.cfg.ShardMaxR,
+		Retries:       s.cfg.ShardRetries,
+		HedgeAfter:    s.cfg.ShardHedgeAfter,
+		Pool:          shard.SlotsPerQuery * s.cfg.MaxInFlight,
+		BreakCooldown: s.cfg.ShardBreakCooldown,
+		Faults:        s.cfg.Faults,
 	}
 }
 

@@ -93,29 +93,33 @@ func TestQueryStrategiesShareOnePath(t *testing.T) {
 // TestUnanswerableThresholdIsBadRequest: an r the engines refuse (NaN,
 // or so small that cell keys leave int32) is the client's error under
 // every strategy. It must be a 400 before it reaches a shard — there
-// each refusal used to be charged to the shard's breaker, so one such
-// request made the next valid one a 503 — and must leave the pool whole.
+// each refusal used to be charged to the shard's breaker, so enough of
+// them made the next valid request a 503 — and must leave the pool
+// whole. Each refusal is asked shard.DefaultBreakThreshold times, enough
+// to open a breaker that charged it.
 func TestUnanswerableThresholdIsBadRequest(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"solo", Config{}},
-		{"sharded", Config{Shards: 2, ShardMaxR: 5, shardBreakThreshold: 1}},
+		{"sharded", Config{Shards: 2, ShardMaxR: 5}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestServer(t, tc.cfg)
 			defer s.Drain()
 			h := s.Handler()
-			for _, url := range []string{
-				"/v1/query?r=1e-12&k=1",
-				"/v1/query?r=NaN",
-				"/v1/interacting?r=1e-12&obj=0",
-				"/v1/scores?r=1e-12",
-				"/v1/sweep?rs=4,1e-12",
-			} {
-				if rec := get(t, h, url, nil); rec.Code != http.StatusBadRequest {
-					t.Errorf("%s: status %d, want 400: %s", url, rec.Code, rec.Body)
+			for i := 0; i < shard.DefaultBreakThreshold; i++ {
+				for _, url := range []string{
+					"/v1/query?r=1e-12&k=1",
+					"/v1/query?r=NaN",
+					"/v1/interacting?r=1e-12&obj=0",
+					"/v1/scores?r=1e-12",
+					"/v1/sweep?rs=4,1e-12",
+				} {
+					if rec := get(t, h, url, nil); rec.Code != http.StatusBadRequest {
+						t.Errorf("%s: status %d, want 400: %s", url, rec.Code, rec.Body)
+					}
 				}
 			}
 			var got queryResponse

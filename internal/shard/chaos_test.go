@@ -169,9 +169,8 @@ func TestChaosEnvelopeTightensInterval(t *testing.T) {
 func TestChaosPanic(t *testing.T) {
 	reg := fault.New(1)
 	c := chaosCoordinator(t, reg, Config{
-		BreakThreshold: 3,
-		BreakCooldown:  30 * time.Millisecond,
-		HedgeAfter:     -1,
+		BreakCooldown: 30 * time.Millisecond,
+		HedgeAfter:    -1,
 	})
 	ds := uniformDS(120, 17)
 	want := oracle(t, ds, 4, 3)
@@ -231,23 +230,22 @@ func TestChaosPanic(t *testing.T) {
 func TestChaosBreakerTripAndRecover(t *testing.T) {
 	reg := fault.New(1)
 	c := chaosCoordinator(t, reg, Config{
-		Retries:        -1, // one attempt per query: breaker math is exact
-		HedgeAfter:     -1,
-		BreakThreshold: 2,
-		BreakCooldown:  40 * time.Millisecond,
+		Retries:       -1, // one attempt per query: breaker math is exact
+		HedgeAfter:    -1,
+		BreakCooldown: 40 * time.Millisecond,
 	})
 	ds := uniformDS(120, 17)
 	want := oracle(t, ds, 4, 1)
 
 	reg.Arm(fault.Rule{Point: fault.PointShardRun, Kind: fault.KindError, P: 1})
-	for q := 0; q < 2; q++ {
+	for q := 0; q < DefaultBreakThreshold; q++ {
 		if _, _, err := c.Query(context.Background(), 4, 1); !errors.Is(err, ErrAllShardsDown) {
 			t.Fatalf("query %d: %v", q, err)
 		}
 	}
 	for _, sh := range c.shards {
 		if sh.br.State() != breaker.Open {
-			t.Fatalf("shard %d breaker %v after %d failures", sh.id, sh.br.State(), 2)
+			t.Fatalf("shard %d breaker %v after %d failures", sh.id, sh.br.State(), DefaultBreakThreshold)
 		}
 	}
 
@@ -288,10 +286,7 @@ func TestChaosBreakerTripAndRecover(t *testing.T) {
 // the losing attempts must return their engines.
 func TestChaosHedgedScatter(t *testing.T) {
 	reg := fault.New(1)
-	c := chaosCoordinator(t, reg, Config{
-		Timeout:    10 * time.Second,
-		HedgeAfter: 20 * time.Millisecond,
-	})
+	c := chaosCoordinator(t, reg, Config{HedgeAfter: 20 * time.Millisecond})
 	ds := uniformDS(120, 17)
 	want := oracle(t, ds, 4, 1)
 

@@ -30,49 +30,43 @@ type Config struct {
 	// Shards is the number of partitions (required, ≥ 2).
 	Shards int
 	// MaxR is the replica horizon: queries with r ≤ MaxR are answerable
-	// by the shards; larger radii return ErrBeyondHorizon. Default 10.
+	// by the shards; larger radii return ErrBeyondHorizon. Default
+	// DefaultMaxR.
 	MaxR float64
-	// Timeout bounds each per-shard attempt (bound phase and
-	// verification separately). Default DefaultTimeout.
-	Timeout time.Duration
 	// Retries is how many times a failed bound attempt is relaunched
 	// after jittered backoff. Default 1; -1 disables retries.
 	Retries int
 	// HedgeAfter launches one extra speculative attempt when the first
 	// has not answered within this duration — the classic tail-latency
-	// hedge. Default Timeout/4; negative disables hedging.
+	// hedge. Default DefaultTimeout/4; negative disables hedging.
 	HedgeAfter time.Duration
-	// Backoff is the base delay before a retry (doubled per attempt,
-	// with up to 50% jitter). Default 10ms.
-	Backoff time.Duration
-	// Pool is each shard's number of engine slots. One query needs at
-	// most two slots per shard (original + hedge), so a caller serving
-	// Q queries concurrently should set 2Q or hedged attempts starve
-	// healthy ones out of slots. Default 2.
+	// Pool is each shard's number of engine slots. A caller serving Q
+	// queries concurrently should set SlotsPerQuery × Q, or hedged
+	// attempts starve healthy ones out of slots. Default SlotsPerQuery.
 	Pool int
-	// BreakThreshold / BreakCooldown configure each shard's circuit
-	// breaker. Defaults DefaultBreakThreshold failures / 5s.
-	BreakThreshold int
-	BreakCooldown  time.Duration
+	// BreakCooldown is how long a shard's open circuit breaker refuses
+	// attempts before its half-open probe. Default 5s.
+	BreakCooldown time.Duration
 	// Faults, when non-nil, is consulted at the scatter/merge/shard
 	// points and threaded into every shard engine.
 	Faults *fault.Registry
 }
 
-// DefaultTimeout is the per-shard attempt deadline and
-// DefaultBreakThreshold the consecutive failures that open a shard's
-// breaker; miosrv serves with both.
+// The per-attempt policy every coordinator runs with:
+//   - DefaultTimeout bounds each per-shard attempt (bound phase and
+//     verification separately);
+//   - a failed bound attempt is retried after backoff, doubled per
+//     attempt, plus up to 50% jitter;
+//   - DefaultBreakThreshold consecutive failures open a shard's breaker.
 const (
 	DefaultTimeout        = 2 * time.Second
 	DefaultBreakThreshold = 3
+	backoff               = 10 * time.Millisecond
 )
 
 func (c Config) withDefaults() Config {
 	if c.MaxR <= 0 {
 		c.MaxR = DefaultMaxR
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = DefaultTimeout
 	}
 	if c.Retries < 0 {
 		c.Retries = 0
@@ -80,16 +74,10 @@ func (c Config) withDefaults() Config {
 		c.Retries = 1
 	}
 	if c.HedgeAfter == 0 {
-		c.HedgeAfter = c.Timeout / 4
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 10 * time.Millisecond
+		c.HedgeAfter = DefaultTimeout / 4
 	}
 	if c.Pool <= 0 {
-		c.Pool = poolPerShard
-	}
-	if c.BreakThreshold <= 0 {
-		c.BreakThreshold = DefaultBreakThreshold
+		c.Pool = SlotsPerQuery
 	}
 	if c.BreakCooldown <= 0 {
 		c.BreakCooldown = 5 * time.Second
@@ -198,7 +186,7 @@ func NewWithBackends(backends []Backend, n int, cfg Config) (*Coordinator, error
 		m:      newMetrics(),
 	}
 	for s, b := range backends {
-		c.shards[s] = newShard(s, b, cfg.BreakThreshold, cfg.BreakCooldown)
+		c.shards[s] = newShard(s, b, cfg.BreakCooldown)
 	}
 	return c, nil
 }
@@ -419,7 +407,7 @@ func (c *Coordinator) boundShard(ctx context.Context, sh *Shard, r float64, k in
 			if launched < budget && ctx.Err() == nil && !errors.Is(res.err, core.ErrInvalidQuery) {
 				c.m.Retries.Inc()
 				launched++
-				d := c.cfg.Backoff << (launched - 2)
+				d := backoff << (launched - 2)
 				d += time.Duration(rand.Int63n(int64(d)/2 + 1))
 				backoffT = time.NewTimer(d)
 				backoffC = backoffT.C
@@ -459,7 +447,7 @@ func (c *Coordinator) attempt(ctx context.Context, sh *Shard, r float64, k int) 
 		// see refusals or it would never half-open.
 		return attemptRes{err: fmt.Errorf("shard %d: %w (retry in %s)", sh.id, ErrBreakerOpen, retry.Round(time.Millisecond))}
 	}
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+	actx, cancel := context.WithTimeout(ctx, DefaultTimeout)
 	defer cancel()
 	t0 := time.Now()
 	b, err := sh.backend.Bound(actx, r, k)
@@ -631,7 +619,7 @@ func (c *Coordinator) gather(ctx context.Context, r float64, k int, bounds []sha
 // attempts. Backends own resource return (engine slots, remote
 // handles) and panic conversion.
 func (c *Coordinator) complete(ctx context.Context, b *shardBound, floor int) (*core.Result, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
+	actx, cancel := context.WithTimeout(ctx, DefaultTimeout)
 	defer cancel()
 	r, err := b.bounds.Complete(actx, floor)
 	if err != nil {

@@ -174,16 +174,20 @@ func TestHealthSnapshot(t *testing.T) {
 // cell keys is refused by every shard engine. That is the caller's
 // error, returned as such — no retry, no breaker charge, no health
 // note — so the next valid query is answered exactly, not refused by
-// breakers the bad one tripped.
+// breakers the bad ones tripped. Each bad r is asked
+// DefaultBreakThreshold times: enough to open a breaker that charged
+// them.
 func TestInvalidQueryIsNotAShardFailure(t *testing.T) {
 	ds := uniformDS(60, 5)
-	c, err := New(ds, core.Options{}, Config{Shards: 3, MaxR: 6, BreakThreshold: 1})
+	c, err := New(ds, core.Options{}, Config{Shards: 3, MaxR: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []float64{1e-12, math.NaN()} {
-		if _, _, err := c.Query(context.Background(), r, 1); !errors.Is(err, core.ErrInvalidQuery) {
-			t.Fatalf("r=%g: err = %v, want core.ErrInvalidQuery", r, err)
+	for i := 0; i < DefaultBreakThreshold; i++ {
+		for _, r := range []float64{1e-12, math.NaN()} {
+			if _, _, err := c.Query(context.Background(), r, 1); !errors.Is(err, core.ErrInvalidQuery) {
+				t.Fatalf("r=%g: err = %v, want core.ErrInvalidQuery", r, err)
+			}
 		}
 	}
 	for _, h := range c.Health() {

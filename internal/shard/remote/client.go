@@ -17,9 +17,24 @@ import (
 	"mio/internal/shard"
 )
 
-// releaseTimeout bounds the best-effort release round trip a pruned
-// shard's bounds fire off-path.
-const releaseTimeout = 2 * time.Second
+// The client's transport policy:
+//   - the health prober reads /shardz every probeInterval, each read
+//     bounded by probeTimeout;
+//   - downAfter consecutive failures (probe or query) mark the worker
+//     down; until then it is suspect;
+//   - responses are read up to maxResponseBytes: real ones are a few KB
+//     (TopLBs and TopK hold at most k entries, stats are fixed-size), so
+//     the cap only stops a hostile or broken worker from ballooning the
+//     coordinator's memory;
+//   - releaseTimeout bounds the best-effort release round trip a pruned
+//     shard's bounds fire off-path.
+const (
+	probeInterval    = time.Second
+	probeTimeout     = time.Second
+	downAfter        = 3
+	maxResponseBytes = 8 << 20
+	releaseTimeout   = 2 * time.Second
+)
 
 // ClientConfig configures one remote shard client.
 type ClientConfig struct {
@@ -32,44 +47,9 @@ type ClientConfig struct {
 	// Objects is the global object count n; response ids and scores
 	// are range-checked against it.
 	Objects int
-	// ProbeInterval / ProbeTimeout drive the background health prober.
-	// Defaults DefaultProbeInterval / 1s.
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
-	// DownAfter is how many consecutive failures (probe or query) mark
-	// the worker down; until then it is suspect. Default 3.
-	DownAfter int
-	// MaxResponseBytes caps response reads. Default
-	// DefaultMaxResponseBytes.
-	MaxResponseBytes int64
 	// Faults, when non-nil, drives the client-side injection points
 	// (net_send, net_recv).
 	Faults *fault.Registry
-	// HTTPClient overrides the transport (tests); per-request contexts
-	// carry the deadlines, so it needs no global timeout.
-	HTTPClient *http.Client
-}
-
-// DefaultProbeInterval is the health-probe cadence miosrv serves with.
-const DefaultProbeInterval = time.Second
-
-func (c ClientConfig) withDefaults() ClientConfig {
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = DefaultProbeInterval
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 3
-	}
-	if c.MaxResponseBytes <= 0 {
-		c.MaxResponseBytes = DefaultMaxResponseBytes
-	}
-	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
-	}
-	return c
 }
 
 // Client drives one remote shard worker and implements shard.Backend:
@@ -79,6 +59,9 @@ func (c ClientConfig) withDefaults() ClientConfig {
 // range-validated before a byte of it reaches the merge.
 type Client struct {
 	cfg ClientConfig
+	// http is the client's own transport; per-request contexts carry
+	// the deadlines, so it needs no global timeout.
+	http *http.Client
 
 	mu        sync.Mutex
 	state     string // ProbeUp / ProbeSuspect / ProbeDown
@@ -99,22 +82,32 @@ type Client struct {
 // prober. The worker starts as suspect — attempts are allowed (the
 // breaker absorbs early failures) but the shard is not yet trusted as
 // up — and transitions on the first probe or query.
-func NewClient(cfg ClientConfig) *Client {
-	cfg = cfg.withDefaults()
+func NewClient(cfg ClientConfig) *Client { return newClient(cfg, probeInterval) }
+
+// newClient is NewClient probing every interval; tests shorten it.
+func newClient(cfg ClientConfig, every time.Duration) *Client {
 	c := &Client{
 		cfg:   cfg,
+		http:  &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}},
 		state: shard.ProbeSuspect,
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	go c.probeLoop()
+	go c.probeLoop(every)
 	return c
 }
 
-// Close stops the health prober. Idempotent; in-flight calls finish.
+// Close stops the health prober and closes the transport's idle
+// keep-alive connections, so neither the client nor the worker keeps
+// one for it. Idempotent; in-flight calls finish. A request made after
+// Close — the Release of a losing attempt the coordinator drains late —
+// closes its connection once answered (post); one in flight when Close
+// runs returns its connection to the pool, and only the worker's idle
+// timeout (miosrv's is a minute) closes that one.
 func (c *Client) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.done
+	c.http.CloseIdleConnections()
 }
 
 // Info snapshots the prober's view for /healthz.
@@ -187,6 +180,11 @@ func (c *Client) post(ctx context.Context, path string, body any) ([]byte, error
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	select {
+	case <-c.stop:
+		req.Close = true // a closed client pools no connection
+	default:
+	}
 	payload, err := c.roundTrip(req, path, c.cfg.Faults)
 	var se *statusError
 	if errors.As(err, &se) && se.code == http.StatusBadRequest {
@@ -217,20 +215,20 @@ func (e *statusError) Error() string {
 // the prober, whose exchanges are not injection points, passes nil.
 func (c *Client) roundTrip(req *http.Request, path string, recv *fault.Registry) ([]byte, error) {
 	where := c.cfg.Addr + path
-	resp, err := c.cfg.HTTPClient.Do(req)
+	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", where, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxResponseBytes+1))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		return nil, fmt.Errorf("%s: read: %w", where, err)
 	}
 	if err := recv.Fire(fault.PointNetRecv); err != nil {
 		return nil, fmt.Errorf("%s: recv: %w", where, err)
 	}
-	if int64(len(data)) > c.cfg.MaxResponseBytes {
-		return nil, fmt.Errorf("%w: %s: response exceeds %d bytes", shard.ErrBadResponse, where, c.cfg.MaxResponseBytes)
+	if len(data) > maxResponseBytes {
+		return nil, fmt.Errorf("%w: %s: response exceeds %d bytes", shard.ErrBadResponse, where, maxResponseBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var we wireError
@@ -277,11 +275,11 @@ func (c *Client) noteFailure(err error) {
 	c.stale = errors.Is(err, shard.ErrStaleGeneration)
 	if c.stale {
 		c.state = shard.ProbeDown
-		c.fails = c.cfg.DownAfter
+		c.fails = downAfter
 		return
 	}
 	c.fails++
-	if c.fails >= c.cfg.DownAfter {
+	if c.fails >= downAfter {
 		c.state = shard.ProbeDown
 	} else {
 		c.state = shard.ProbeSuspect
@@ -291,9 +289,9 @@ func (c *Client) noteFailure(err error) {
 // probeLoop polls /shardz until Close. A successful probe with a
 // matching stamp flips the worker (back) to up — including recovery
 // from a stale generation after a correct redeploy.
-func (c *Client) probeLoop() {
+func (c *Client) probeLoop(every time.Duration) {
 	defer close(c.done)
-	t := time.NewTicker(c.cfg.ProbeInterval)
+	t := time.NewTicker(every)
 	defer t.Stop()
 	c.probeOnce()
 	for {
@@ -307,7 +305,7 @@ func (c *Client) probeLoop() {
 }
 
 func (c *Client) probeOnce() {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	resp, err := c.fetchShardz(ctx)
 	c.mu.Lock()

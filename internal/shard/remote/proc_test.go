@@ -179,11 +179,10 @@ func TestMultiProcessChaos(t *testing.T) {
 	}
 
 	srv, err := server.New(ds, core.Options{}, server.Config{
-		MaxInFlight:        4,
-		DisableCache:       true, // cached answers would mask degradation
-		DisableCoalesce:    true,
-		ShardAddrs:         []string{"http://" + addrs[0], "http://" + addrs[1], "http://" + addrs[2]},
-		ShardProbeInterval: 25 * time.Millisecond,
+		MaxInFlight:     4,
+		DisableCache:    true, // cached answers would mask degradation
+		DisableCoalesce: true,
+		ShardAddrs:      []string{"http://" + addrs[0], "http://" + addrs[1], "http://" + addrs[2]},
 	})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)

@@ -34,12 +34,6 @@ const (
 	PathRelease  = "/shard/v1/release"
 )
 
-// DefaultMaxResponseBytes caps how much of a worker response the
-// client will read. TopLBs/TopK are at most k entries and stats are
-// fixed-size, so real responses are a few KB; the cap only exists so a
-// hostile or broken worker cannot balloon the coordinator's memory.
-const DefaultMaxResponseBytes = 8 << 20
-
 // Stamp identifies which dataset generation and partition slot a
 // worker is serving. Every response carries one; the client rejects
 // any mismatch as shard.ErrStaleGeneration — a restarted worker that

@@ -186,13 +186,12 @@ func FuzzRemoteShardResponse(f *testing.F) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(b)
 	}))
-	c := NewClient(ClientConfig{
+	// Probes would race the swapped body; park them.
+	c := newClient(ClientConfig{
 		Addr:    srv.URL,
 		Stamp:   Stamp{Generation: 42, Shard: 0, Shards: 2},
 		Objects: 100,
-		// Probes would race the swapped body; park them.
-		ProbeInterval: time.Hour,
-	})
+	}, time.Hour)
 	f.Cleanup(func() { c.Close(); srv.Close() })
 
 	f.Fuzz(func(t *testing.T, in []byte) {

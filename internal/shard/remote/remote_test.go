@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -49,11 +50,9 @@ func remoteCluster(t *testing.T, ds *data.Dataset, shards int, maxR float64, cfg
 	for i := 0; i < shards; i++ {
 		_, srv := startWorker(t, ds, i, shards, maxR, WorkerConfig{}, wraps[i])
 		cc := ClientConfig{
-			Addr:          srv.URL,
-			Stamp:         Stamp{Generation: gen, Shard: i, Shards: shards},
-			Objects:       ds.N(),
-			ProbeInterval: 25 * time.Millisecond,
-			ProbeTimeout:  500 * time.Millisecond,
+			Addr:    srv.URL,
+			Stamp:   Stamp{Generation: gen, Shard: i, Shards: shards},
+			Objects: ds.N(),
 		}
 		if tweak != nil {
 			tweak(i, &cc)
@@ -67,6 +66,19 @@ func remoteCluster(t *testing.T, ds *data.Dataset, shards int, maxR float64, cfg
 	}
 	t.Cleanup(co.Close)
 	return co
+}
+
+// waitAllUp waits until the prober has seen every worker of co up.
+func waitAllUp(t *testing.T, co *shard.Coordinator) {
+	t.Helper()
+	waitFor(t, 2*time.Second, "every worker probed up", func() bool {
+		for _, h := range co.Health() {
+			if h.State != shard.ProbeUp {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 func oracleRun(t *testing.T, ds *data.Dataset, r float64, k int) *core.Result {
@@ -196,14 +208,7 @@ func TestRemoteHealth(t *testing.T) {
 	const maxR = 8.0
 	co := remoteCluster(t, ds, 2, maxR, shard.Config{}, nil, nil)
 	gen := Generation(Fingerprint(ds), 2, maxR)
-	waitFor(t, 2*time.Second, "both workers probed up", func() bool {
-		for _, h := range co.Health() {
-			if h.State != shard.ProbeUp {
-				return false
-			}
-		}
-		return true
-	})
+	waitAllUp(t, co)
 	for _, h := range co.Health() {
 		if h.Addr == "" {
 			t.Errorf("shard %d: no addr in health row", h.ID)
@@ -220,12 +225,18 @@ func TestRemoteHealth(t *testing.T) {
 // TestRemoteInvalidQuery: a worker answers 400 to an r its engines
 // refuse, and the coordinator hands that back as the caller's error —
 // the worker stays up in the prober's eyes, no breaker opens, and the
-// next valid query is exact.
+// next valid query is exact. Once the first probes are in, the bad r is
+// asked back to back as many times as it takes to mark a worker down
+// (downAfter) and to open a breaker (shard.DefaultBreakThreshold) that
+// counted it.
 func TestRemoteInvalidQuery(t *testing.T) {
 	ds := uniformDS(80, 2)
-	co := remoteCluster(t, ds, 2, 8, shard.Config{BreakThreshold: 1}, nil, func(_ int, cc *ClientConfig) { cc.DownAfter = 1 })
-	if _, _, err := co.Query(context.Background(), 1e-12, 1); !errors.Is(err, core.ErrInvalidQuery) {
-		t.Fatalf("r=1e-12: err = %v, want core.ErrInvalidQuery", err)
+	co := remoteCluster(t, ds, 2, 8, shard.Config{}, nil, nil)
+	waitAllUp(t, co)
+	for i := 0; i < max(downAfter, shard.DefaultBreakThreshold); i++ {
+		if _, _, err := co.Query(context.Background(), 1e-12, 1); !errors.Is(err, core.ErrInvalidQuery) {
+			t.Fatalf("r=1e-12: err = %v, want core.ErrInvalidQuery", err)
+		}
 	}
 	for _, h := range co.Health() {
 		if h.State == shard.ProbeDown || h.Breaker != "closed" || h.LastError != "" {
@@ -266,7 +277,6 @@ func TestHostileResponsesDegrade(t *testing.T) {
 	cases := []struct {
 		name      string
 		mangle    func(body []byte) []byte
-		tweak     func(i int, cc *ClientConfig)
 		wantStale bool
 		wantBad   bool
 	}{
@@ -327,12 +337,15 @@ func TestHostileResponsesDegrade(t *testing.T) {
 			wantBad: true,
 		},
 		{
-			name:   "oversized response",
-			mangle: func([]byte) []byte { return bytes.Repeat([]byte{'x'}, 64<<10) },
-			tweak: func(i int, cc *ClientConfig) {
-				if i == 1 {
-					cc.MaxResponseBytes = 16 << 10
+			// The worker's own answer, valid but for trailing JSON
+			// whitespace past the cap: only the cap refuses it.
+			name: "oversized response",
+			mangle: func(b []byte) []byte {
+				payload, err := durable.Open(b)
+				if err != nil {
+					t.Error(err)
 				}
+				return durable.Seal(append(payload, bytes.Repeat([]byte{' '}, maxResponseBytes)...))
 			},
 			wantBad: true,
 		},
@@ -351,7 +364,7 @@ func TestHostileResponsesDegrade(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			co := remoteCluster(t, ds, shards, maxR, shard.Config{},
-				map[int]func(http.Handler) http.Handler{1: mangleBound(tc.mangle)}, tc.tweak)
+				map[int]func(http.Handler) http.Handler{1: mangleBound(tc.mangle)}, nil)
 			res, rep, err := co.Query(context.Background(), r, k)
 			if err != nil {
 				t.Fatalf("query must degrade, not fail: %v", err)
@@ -464,10 +477,9 @@ func TestFaultPointsDegrade(t *testing.T) {
 			}
 			_, srv := startWorker(t, ds, i, shards, maxR, wcfg, nil)
 			backends[i] = NewClient(ClientConfig{
-				Addr:          srv.URL,
-				Stamp:         Stamp{Generation: gen, Shard: i, Shards: shards},
-				Objects:       ds.N(),
-				ProbeInterval: 25 * time.Millisecond,
+				Addr:    srv.URL,
+				Stamp:   Stamp{Generation: gen, Shard: i, Shards: shards},
+				Objects: ds.N(),
 			})
 		}
 		co, err := shard.NewWithBackends(backends, ds.N(), shard.Config{MaxR: maxR})
@@ -493,10 +505,9 @@ func TestFaultPointsDegrade(t *testing.T) {
 			}
 			_, srv := startWorker(t, ds, i, shards, maxR, wcfg, nil)
 			c := NewClient(ClientConfig{
-				Addr:          srv.URL,
-				Stamp:         Stamp{Generation: gen, Shard: i, Shards: shards},
-				Objects:       ds.N(),
-				ProbeInterval: 25 * time.Millisecond,
+				Addr:    srv.URL,
+				Stamp:   Stamp{Generation: gen, Shard: i, Shards: shards},
+				Objects: ds.N(),
 			})
 			if i == 1 {
 				flapping = c
@@ -571,13 +582,11 @@ func TestProberLifecycle(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	gen := Generation(Fingerprint(ds), shards, maxR)
-	c := NewClient(ClientConfig{
-		Addr:          srv.URL,
-		Stamp:         Stamp{Generation: gen, Shard: 0, Shards: shards},
-		Objects:       ds.N(),
-		ProbeInterval: 15 * time.Millisecond,
-		DownAfter:     2,
-	})
+	c := newClient(ClientConfig{
+		Addr:    srv.URL,
+		Stamp:   Stamp{Generation: gen, Shard: 0, Shards: shards},
+		Objects: ds.N(),
+	}, 15*time.Millisecond)
 	t.Cleanup(c.Close)
 
 	waitFor(t, 2*time.Second, "initial probe to mark worker up", func() bool {
@@ -610,6 +619,62 @@ func TestProberLifecycle(t *testing.T) {
 	if _, err := c.Bound(context.Background(), 3, 2); err != nil {
 		t.Fatalf("bound after recovery failed: %v", err)
 	}
+}
+
+// TestCloseLeavesNoConnection: a closed client keeps no connection to
+// its worker open — neither the prober's nor a query's keep-alive one —
+// so a coordinator replaced by a dataset swap or a drain leaks none on
+// either side. The worker counts its open connections through
+// ConnState.
+func TestCloseLeavesNoConnection(t *testing.T) {
+	ds := uniformDS(60, 8)
+	const (
+		shards = 2
+		maxR   = 8.0
+	)
+	w, err := NewWorker(ds, core.Options{}, WorkerConfig{Index: 0, Shards: shards, MaxR: maxR})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+	var mu sync.Mutex
+	open := 0
+	srv := httptest.NewUnstartedServer(w.Handler())
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch st {
+		case http.StateNew:
+			open++
+		case http.StateClosed, http.StateHijacked:
+			open--
+		}
+	}
+	srv.Start()
+	t.Cleanup(srv.Close)
+	openConns := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return open
+	}
+
+	gen := Generation(Fingerprint(ds), shards, maxR)
+	for i := 0; i < 3; i++ {
+		c := NewClient(ClientConfig{Addr: srv.URL, Stamp: Stamp{Generation: gen, Shard: 0, Shards: shards}, Objects: ds.N()})
+		waitFor(t, 2*time.Second, "the first probe", func() bool { return c.Info().State == shard.ProbeUp })
+		b, err := c.Bound(context.Background(), 3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Complete(context.Background(), 0); err != nil {
+			t.Fatal(err)
+		}
+		if openConns() == 0 {
+			t.Fatal("the worker counts no connection from a live client")
+		}
+		c.Close()
+	}
+	waitFor(t, 2*time.Second, "every connection to close", func() bool { return openConns() == 0 })
 }
 
 // ---------- worker handle lifecycle ----------
@@ -646,14 +711,17 @@ func openBound(t *testing.T, raw []byte) BoundResponse {
 }
 
 // TestWorkerHandleLifecycle: handles are single-use, bound 503s when
-// the pool is exhausted, and the TTL reaper reclaims abandoned engines.
+// the pool is exhausted (after acquireWait), and the TTL reaper
+// reclaims abandoned engines.
 func TestWorkerHandleLifecycle(t *testing.T) {
 	ds := uniformDS(60, 7)
-	_, srv := startWorker(t, ds, 0, 2, 8.0, WorkerConfig{
-		Pool:        1,
-		HandleTTL:   40 * time.Millisecond,
-		AcquireWait: 10 * time.Millisecond,
-	}, nil)
+	w, err := NewWorker(ds, core.Options{}, WorkerConfig{Index: 0, Shards: 2, MaxR: 8, Pool: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.ttl = 40 * time.Millisecond
+	srv := httptest.NewServer(w.Handler())
+	t.Cleanup(func() { srv.Close(); w.Close() })
 
 	// Take the only engine and pause it behind a handle.
 	resp, raw := postJSON(t, srv.URL+PathBound, BoundRequest{R: 3, K: 2})

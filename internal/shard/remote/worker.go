@@ -17,9 +17,19 @@ import (
 	"mio/internal/shard"
 )
 
-// maxRequestBytes caps how much of a request body the worker reads;
-// bound/complete/release requests are a handful of scalars.
-const maxRequestBytes = 1 << 20
+// The worker's serving policy:
+//   - maxRequestBytes caps how much of a request body it reads;
+//     bound/complete/release requests are a handful of scalars;
+//   - a paused bound phase left unresumed for handleTTL has its engine
+//     reclaimed — the backstop for a coordinator that died between
+//     bound and complete;
+//   - a bound request waits at most acquireWait for a free engine
+//     before answering 503.
+const (
+	maxRequestBytes = 1 << 20
+	handleTTL       = 30 * time.Second
+	acquireWait     = 500 * time.Millisecond
+)
 
 // WorkerConfig configures one shard worker process.
 type WorkerConfig struct {
@@ -31,15 +41,8 @@ type WorkerConfig struct {
 	// (both fold it into the generation). Default shard.DefaultMaxR.
 	MaxR float64
 	// Pool is the number of engine slots, which also bounds how many
-	// bound phases can be paused at once. Default 2.
+	// bound phases can be paused at once. Default shard.SlotsPerQuery.
 	Pool int
-	// HandleTTL is how long a paused bound phase may sit unresumed
-	// before its engine is reclaimed — the backstop for a coordinator
-	// that died between bound and complete. Default 30s.
-	HandleTTL time.Duration
-	// AcquireWait bounds how long a bound request waits for a free
-	// engine before answering 503. Default 500ms.
-	AcquireWait time.Duration
 	// Faults, when non-nil, drives the worker-side injection points
 	// (shard.run in the backend, stale-generation stamps, envelope
 	// corruption).
@@ -51,13 +54,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 		c.MaxR = shard.DefaultMaxR
 	}
 	if c.Pool <= 0 {
-		c.Pool = 2
-	}
-	if c.HandleTTL <= 0 {
-		c.HandleTTL = 30 * time.Second
-	}
-	if c.AcquireWait <= 0 {
-		c.AcquireWait = 500 * time.Millisecond
+		c.Pool = shard.SlotsPerQuery
 	}
 	return c
 }
@@ -78,6 +75,7 @@ type Worker struct {
 	cfg     WorkerConfig
 	stamp   Stamp
 	backend *shard.LocalBackend
+	ttl     time.Duration // handleTTL; tests shorten it
 
 	mu      sync.Mutex
 	handles map[uint64]*pending
@@ -99,7 +97,7 @@ func NewWorker(ds *data.Dataset, opts core.Options, cfg WorkerConfig) (*Worker, 
 	if cfg.Faults != nil {
 		opts.Faults = cfg.Faults
 	}
-	backend, err := shard.NewLocalBackend(part, ds, cfg.Index, opts, cfg.Pool, cfg.AcquireWait)
+	backend, err := shard.NewLocalBackend(part, ds, cfg.Index, opts, cfg.Pool, acquireWait)
 	if err != nil {
 		return nil, fmt.Errorf("remote: %w", err)
 	}
@@ -107,6 +105,7 @@ func NewWorker(ds *data.Dataset, opts core.Options, cfg WorkerConfig) (*Worker, 
 		cfg:     cfg,
 		stamp:   Stamp{Generation: Generation(Fingerprint(ds), cfg.Shards, cfg.MaxR), Shard: cfg.Index, Shards: cfg.Shards},
 		backend: backend,
+		ttl:     handleTTL,
 		handles: make(map[uint64]*pending),
 	}, nil
 }
@@ -137,7 +136,7 @@ func (w *Worker) Handler() http.Handler {
 
 // reap releases the slots held by expired handles — the lazy sweep run
 // at the top of every request, so an idle worker holds stale slots no
-// longer than TTL + one request gap.
+// longer than handleTTL + one request gap.
 func (w *Worker) reap() {
 	now := time.Now()
 	w.mu.Lock()
@@ -257,7 +256,7 @@ func (w *Worker) handleBound(rw http.ResponseWriter, req *http.Request) {
 	w.mu.Lock()
 	w.nextID++
 	id := w.nextID
-	w.handles[id] = &pending{bounds: b, expires: time.Now().Add(w.cfg.HandleTTL)}
+	w.handles[id] = &pending{bounds: b, expires: time.Now().Add(w.ttl)}
 	w.mu.Unlock()
 	w.writeEnveloped(rw, BoundResponse{
 		Stamp:  w.respStamp(),

@@ -15,14 +15,12 @@ import (
 // breaker's half-open probe.
 var ErrBreakerOpen = errors.New("shard: breaker open")
 
-// poolPerShard is each in-process shard's default engine-pool size
-// (Config.Pool overrides it). Two slots let a hedged attempt run
-// while the original straggles; one coordinator query never starts
-// more than two attempts at once per shard, but a caller serving
-// several queries concurrently must provision for all of them
-// (Config.Pool = 2 × its admission width) or slow attempts starve
-// healthy ones out of slots.
-const poolPerShard = 2
+// SlotsPerQuery is how many engine slots one admitted query may hold
+// on one shard at once: the original attempt and its hedge. Every pool
+// a shard query runs on — each in-process shard's (Config.Pool), each
+// remote worker's (WorkerConfig.Pool) — provisions this many per
+// concurrent query, or slow attempts starve healthy ones out of slots.
+const SlotsPerQuery = 2
 
 // envelopeCap bounds the per-shard upper-bound envelope (distinct
 // radii remembered). Serving workloads draw from a handful of
@@ -45,11 +43,11 @@ type Shard struct {
 }
 
 // newShard wraps backend as shard id.
-func newShard(id int, backend Backend, brThreshold int, brCooldown time.Duration) *Shard {
+func newShard(id int, backend Backend, brCooldown time.Duration) *Shard {
 	return &Shard{
 		id:       id,
 		backend:  backend,
-		br:       breaker.New(brThreshold, brCooldown),
+		br:       breaker.New(DefaultBreakThreshold, brCooldown),
 		envelope: make(map[float64]int, 8),
 	}
 }

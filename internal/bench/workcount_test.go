@@ -29,10 +29,11 @@ var workCountsRs = []float64{6, 8}
 type workCounts map[string]map[string]int
 
 // TestWorkCounts pins the pipeline's deterministic work counters on
-// Bird and Neuron by exact equality: one serial top-1 query per r
-// (EngineQuery; Verification repeats its dist_comps under the name the
-// phase had in the old snapshots) and one healthy 4-shard
-// scatter–gather (Scatter).
+// Bird and Neuron by exact equality: one serial top-1 query per r, in
+// order on one engine, so the r = 8 query reads the scores the r = 6
+// one recorded (EngineQuery; Verification repeats its dist_comps under
+// the name the phase had in the old snapshots), and one healthy
+// 4-shard scatter–gather (Scatter).
 // The counters do not depend on the host, GOMAXPROCS or the worker and
 // partition options (core's TestKnobParity), so a change in either
 // direction is an algorithmic change and has to arrive as a reviewed

@@ -33,9 +33,11 @@ func (e *Engine) InteractingSet(ctx context.Context, r float64, obj int) ([]int,
 	mask := bitmap.NewScratch(q.n)
 	ctr := ctrSet{}
 	i := int(e.ord.pos[obj])
-	if _, whole := q.exactScore(i, bOi, mask, &ctr); !whole {
+	tau, whole := q.exactScore(i, bOi, mask, &ctr)
+	if !whole {
 		return nil, ctx.Err()
 	}
+	q.record(i, tau)
 	out := make([]int, 0, bOi.Cardinality()-1)
 	bOi.ForEach(func(j int) bool {
 		if j != i {
@@ -67,8 +69,9 @@ func (e *Engine) mappedQuery(ctx context.Context, r float64) (*query, error) {
 // indexed by object id.
 // This is the full-scoring workload (no pruning pays off when every
 // score is requested), useful for score-distribution analysis such as
-// verifying the power-law shape of the Syn workload. The scoring loop
-// checks ctx between objects.
+// verifying the power-law shape of the Syn workload. A score the
+// engine's memo settles is not walked again. The scoring loop checks
+// ctx between objects.
 func (e *Engine) AllScores(ctx context.Context, r float64) ([]int, error) {
 	q, err := e.mappedQuery(ctx, r)
 	if err != nil {
@@ -79,7 +82,10 @@ func (e *Engine) AllScores(ctx context.Context, r float64) ([]int, error) {
 		if q.cancelled() {
 			return nil, ctx.Err()
 		}
-		var whole bool
+		var known, whole bool
+		if scores[j], known = q.recalled(i); known {
+			continue
+		}
 		if scores[j], whole = q.exact(i); !whole {
 			return nil, ctx.Err()
 		}

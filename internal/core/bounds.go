@@ -205,10 +205,9 @@ func (q *query) ubCache() *ubCache {
 // readSet holds one bit per large cell: whether a query has read that
 // cell's b^adj. AdjComputed is the number of set bits, the distinct
 // cells the query read, which on a private grid is the number of b^adj
-// it builds. Counting reads rather than builds makes the counter a
-// function of the query alone wherever b^adj came from: a grid another
-// query built on, or an entry that held the survivor's τ^upp
-// (markRead).
+// it builds. Counting reads rather than builds makes the counter the
+// same wherever b^adj came from: a grid another query built on, or an
+// entry that held the survivor's τ^upp (markRead).
 type readSet []atomic.Uint32
 
 func newReadSet(cells int) readSet { return make(readSet, (cells+31)/32) }

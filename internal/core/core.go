@@ -135,12 +135,17 @@ type PhaseStats struct {
 	LabelPersistFailed bool `json:"label_persist_failed,omitempty"`
 	LabelBytes         int  `json:"label_bytes"` // size of the label set read (O(nm) per §III-D)
 	Candidates         int  `json:"candidates"`  // |O_cand| after upper-bounding
-	Verified           int  `json:"verified"`    // objects whose exact score was computed
+	// Verified counts the candidates whose exact score a walk computed;
+	// a score the engine's memo (memo.go) settles takes no walk.
+	Verified int `json:"verified"`
 	// DistanceComps counts the point pairs a scalar break-on-first-hit
 	// scan of each probed posting touches during verification: up to and
 	// including the first point within r, or the whole posting on a
 	// miss. The 4-wide kernel may evaluate a few pairs past a hit; they
-	// are not counted, so the number is a function of the query alone.
+	// are not counted, so on a cold engine the number is a function of
+	// the query alone. Candidates, Verified, DistanceComps and
+	// AdjComputed of a warm engine also depend on the scores its memo
+	// recorded before, and are at most a cold engine's.
 	DistanceComps int `json:"distance_comps"`
 	// AdjComputed counts the distinct large cells of the groups of the
 	// objects that needed Lemma 2's bound (the survivors of the count
@@ -149,7 +154,7 @@ type PhaseStats struct {
 	// empty entry builds. A survivor's cells count whether their b^adj
 	// was built, found memoised on a group's shared grid, or not needed
 	// because the upper-bounding entry (ubcache.go) held its τ^upp, so
-	// the counter is a function of the query alone.
+	// the counter does not depend on that entry.
 	AdjComputed int `json:"adj_computed"`
 
 	SmallCells int `json:"small_cells"`
@@ -210,9 +215,11 @@ type Engine struct {
 	// maxAbs is the largest |coordinate| in ds; validate holds every r
 	// against it.
 	maxAbs float64
-	// ub is the τ^upp cache (ubcache.go) with its warm grids, shared by
-	// every query the engine runs.
-	ub *ubCache
+	// ub is the τ^upp cache (ubcache.go) with its warm grids, and memo
+	// the exact scores the walks found (memo.go), both shared by every
+	// query the engine runs.
+	ub   *ubCache
+	memo *scoreMemo
 }
 
 // NewEngine returns an engine over ds. The dataset must satisfy
@@ -247,7 +254,7 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 		}
 	}
 	view, ord := spatialOrder(ds)
-	e := &Engine{ds: view, ext: ds, ord: ord, opts: opts, ub: newUBCache(ds.TotalPoints())}
+	e := &Engine{ds: view, ext: ds, ord: ord, opts: opts, ub: newUBCache(ds.TotalPoints()), memo: newScoreMemo()}
 	for i := range ds.Objects {
 		for _, p := range ds.Objects[i].Pts {
 			// Plain comparisons: engines are built per query by one-shot
@@ -297,9 +304,13 @@ func (e *Engine) Dataset() *data.Dataset { return e.ext }
 // Options returns the engine's configuration.
 func (e *Engine) Options() Options { return e.opts }
 
-// IndexCache reports the lookups of the engine's τ^upp cache, which
-// every query it runs shares.
-func (e *Engine) IndexCache() IndexCacheStats { return e.ub.stats() }
+// IndexCache reports the lookups of the engine's τ^upp cache and what
+// its score memo holds, which every query it runs shares.
+func (e *Engine) IndexCache() IndexCacheStats {
+	st := e.ub.stats()
+	st.Memo = e.memo.stats()
+	return st
+}
 
 // Run processes an MIO query with threshold r and returns the most
 // interactive object.

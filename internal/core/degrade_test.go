@@ -167,44 +167,65 @@ func TestDegradedParallelWorkers(t *testing.T) {
 // of a full run's last polls: a query degrades, or with degrade unset
 // fails, only when it left a candidate unverified. A deadline that
 // lands after the last exact score must not discard the finished
-// answer.
+// answer. Every run is on a fresh engine, so it polls as the reference
+// did; the warmed rows first run one query at another r, whose
+// recorded scores tighten the bounds the certificate is built from.
 func TestDegradedOnlyWhenVerificationUnfinished(t *testing.T) {
 	const r = 4
 	ds := denseUniform(900, 6)
-	e, err := NewEngine(ds, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := newPollCtx(1 << 62)
-	ref, err := e.RunTopKContext(count, r, 1, true)
-	if err != nil || ref.Degraded {
-		t.Fatalf("uncancelled run: (%+v, %v)", ref, err)
-	}
-	polls := count.polls.Load()
-	sawDegraded := false
-	for budget := polls - 40; budget <= polls+1; budget++ {
-		res, err := e.RunTopKContext(newPollCtx(budget), r, 1, true)
-		if err != nil {
-			t.Fatalf("budget %d of %d polls: %v", budget, polls, err)
+	for _, warmR := range []float64{0, 3.5, 4.5} {
+		engine := func() *Engine {
+			e, err := NewEngine(ds, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warmR != 0 {
+				if _, err := e.RunTopK(warmR, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return e
 		}
-		exact := !res.Degraded
-		if exact && res.Best != ref.Best {
-			t.Fatalf("budget %d: exact answer %+v, reference %+v", budget, res.Best, ref.Best)
+		count := newPollCtx(1 << 62)
+		ref, err := engine().RunTopKContext(count, r, 1, true)
+		if err != nil || ref.Degraded {
+			t.Fatalf("warm r %v: uncancelled run: (%+v, %v)", warmR, ref, err)
 		}
-		if !exact {
-			sawDegraded = true
-			if res.Stats.Verified >= ref.Stats.Verified {
-				t.Fatalf("budget %d of %d polls: degraded after verifying all %d candidates, interval %+v",
-					budget, polls, res.Stats.Verified, *res.Interval)
+		polls := count.polls.Load()
+		// The window begins inside verification: a cancel before
+		// the bounds exist has no certificate to give.
+		count = newPollCtx(1 << 62)
+		if _, err := engine().Bound(count, r, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		sawDegraded := false
+		for budget := max(polls-40, count.polls.Load()+1); budget <= polls+1; budget++ {
+			res, err := engine().RunTopKContext(newPollCtx(budget), r, 1, true)
+			if err != nil {
+				t.Fatalf("warm r %v, budget %d of %d polls: %v", warmR, budget, polls, err)
+			}
+			exact := !res.Degraded
+			if exact && res.Best != ref.Best {
+				t.Fatalf("warm r %v, budget %d: exact answer %+v, reference %+v", warmR, budget, res.Best, ref.Best)
+			}
+			if !exact {
+				sawDegraded = true
+				if res.Stats.Verified >= ref.Stats.Verified {
+					t.Fatalf("warm r %v, budget %d of %d polls: degraded after verifying all %d candidates, interval %+v",
+						warmR, budget, polls, res.Stats.Verified, *res.Interval)
+				}
+				if iv := res.Interval; ref.Best.Score < iv.LB || ref.Best.Score > iv.UB {
+					t.Fatalf("warm r %v, budget %d: optimum %d outside [%d, %d]", warmR, budget, ref.Best.Score, iv.LB, iv.UB)
+				}
+			}
+			res, err = engine().RunTopKContext(newPollCtx(budget), r, 1, false)
+			if exact != (err == nil) {
+				t.Fatalf("warm r %v, budget %d: degrade unset returned (%v, %v), degrade set exact=%v", warmR, budget, res, err, exact)
 			}
 		}
-		res, err = e.RunTopKContext(newPollCtx(budget), r, 1, false)
-		if exact != (err == nil) {
-			t.Fatalf("budget %d: degrade unset returned (%v, %v), degrade set exact=%v", budget, res, err, exact)
+		if !sawDegraded {
+			t.Fatalf("warm r %v: no budget stopped verification; the sweep window misses it", warmR)
 		}
-	}
-	if !sawDegraded {
-		t.Fatal("no budget stopped verification; the sweep window misses it")
 	}
 }
 

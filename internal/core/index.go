@@ -65,6 +65,10 @@ type query struct {
 
 	tauLow []int32
 	tauUpp []int32
+	// ups holds the memo's upper bounds at r, read with its lower ones
+	// before the threshold is taken (recallLows) and applied to tauUpp
+	// once upper bounding is done (recallUps).
+	ups []candidate
 	// threshold is the k-th highest τ^low among reportable objects: the
 	// query's own verification threshold, before any floor merges in.
 	threshold int
@@ -254,6 +258,7 @@ func (q *query) bound() (*Result, error) {
 	}
 	t0 = time.Now()
 	q.lowerBounding()
+	q.recallLows()
 	q.threshold = q.kthHighest(q.tauLow)
 	q.stats.LowerBounding = time.Since(t0)
 	if q.cancelled() {
@@ -265,6 +270,7 @@ func (q *query) bound() (*Result, error) {
 	}
 	t0 = time.Now()
 	q.computeUpperBounds()
+	q.recallUps()
 	q.stats.UpperBounding = time.Since(t0)
 	if q.cancelled() {
 		return q.degraded(nil, nil)
@@ -309,11 +315,12 @@ func (q *query) complete(floor int) (*Result, error) {
 // b^adj memoised on the large grid are left out: which cells need one
 // depends on the threshold (computeUpperBounds' cascade) and, on a warm
 // grid, on the queries before, so the footprint stays a function of
-// (dataset, r).
+// (dataset, r). The coordinates count whether the query gathered them
+// or, walking nothing, left its warm grid lean.
 func (q *query) finishGridStats() {
 	q.stats.SmallGridBytes = q.idx.small.SizeBytes()
 	q.stats.SmallGridUncompressedBytes = q.idx.small.UncompressedSizeBytes(q.n)
-	q.stats.LargeGridBytes = q.idx.large.SizeBytes() - q.idx.large.AdjBytes()
+	q.stats.LargeGridBytes = q.idx.large.GatheredBytes() - q.idx.large.AdjBytes()
 	q.stats.IndexBytes = q.idx.sizeBytes(q.stats.SmallGridBytes, q.stats.LargeGridBytes)
 }
 
@@ -359,12 +366,13 @@ type mapping struct {
 // mapGrids builds the large and the small grid of threshold r in one
 // sweep over the points. cache, when non-nil, is looked up for ⌈r⌉
 // first, and when its entry holds a warm grid only the small grid is
-// mapped: the large grid and its groups are the entry's, with the
-// coordinates gathered again. labels, when non-nil, filter the points
+// mapped (grid.LargeGrid.MapSmall): the large grid and its groups are
+// the entry's, lean until the query's first walk gathers its
+// coordinates (query.gather). labels, when non-nil, filter the points
 // (WITH-LABEL); bucket and halo are grid.Build's time axis, nil and 0
-// but on a temporal query. Grid mapping is the first long phase, so the
-// sweep polls stop to let an abandoned query return promptly; complete
-// is false when that cut it short.
+// but on a temporal query. Grid mapping is the first long phase, so
+// the sweep polls stop to let an abandoned query return promptly;
+// complete is false when that cut it short.
 func (e *Engine) mapGrids(r float64, cache *ubCache, labels *labelstore.Labels, bucket []int32, halo int32, stop func() bool) (m mapping) {
 	smallWidth := grid.SmallWidth(r, e.opts.dims())
 	var keep func(obj, pt int) bool
@@ -377,8 +385,8 @@ func (e *Engine) mapGrids(r float64, cache *ubCache, labels *labelstore.Labels, 
 		m.ub, warm = cache.get(largeWidth)
 	}
 	if warm != nil {
-		_, m.small, m.complete = grid.Build(e.ds, 0, smallWidth, bucket, halo, e.opts.workers(), keep, stop)
-		m.large, m.groups = warm.large.Gather(e.ds), warm.groups
+		m.small, m.complete = warm.large.MapSmall(e.ds, smallWidth, bucket, e.opts.workers(), keep, stop)
+		m.large, m.groups = warm.large, warm.groups
 		return m
 	}
 	m.large, m.small, m.complete = grid.Build(e.ds, largeWidth, smallWidth, bucket, halo, e.opts.workers(), keep, stop)

@@ -125,6 +125,7 @@ func (q *query) upperBoundGreedyP() {
 // point-split, where each worker's private b(o_i) re-probes objects
 // the others already resolved and the count grows with t.
 func (q *query) parallelExactScore(i int) (tau int, whole bool) {
+	q.gather()
 	t := q.e.opts.workers()
 	if q.vBOi == nil {
 		q.vBOi = make([]*bitmap.Scratch, t)

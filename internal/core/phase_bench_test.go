@@ -171,8 +171,9 @@ func BenchmarkWorkloadNeuron2(b *testing.B) {
 
 // BenchmarkWarmGridMapping times the grid mapping of a warm-grid hit on
 // BenchmarkWorkloadNeuron2's engine at r = 6.5: the small grid of the
-// exact r, and the coordinates of the kept ⌈r⌉ = 7 grid gathered again
-// (Engine.mapGrids). One query beforehand keeps the grid.
+// exact r beside the kept ⌈r⌉ = 7 grid (Engine.mapGrids), whose
+// coordinates a query gathers only before its first walk. One query
+// beforehand keeps the grid.
 func BenchmarkWarmGridMapping(b *testing.B) {
 	c := data.DefaultNeuron2()
 	c.N, c.M = 360, 300

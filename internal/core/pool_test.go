@@ -245,6 +245,12 @@ func TestSharedEngineConcurrentQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Without labels counters are compared too, so that shared
+			// engine keeps no score memo (withoutMemo); TestScoreMemoConcurrent
+			// runs these entry points concurrently with one.
+			if !labels {
+				withoutMemo(shared)
+			}
 			var wg sync.WaitGroup
 			for g := 0; g < 4; g++ {
 				wg.Add(1)

@@ -55,8 +55,8 @@ type ubEntry struct {
 // warmGrid is the large grid of an entry's ⌈r⌉ kept for later queries:
 // the grid without its coordinates (grid.LargeGrid.Lean) — the
 // directory, the postings, the b^adj memo — and its point groups. A
-// query that finds it maps only its small grid and gathers the
-// coordinates again (mapGrids). It is read-only but for the b^adj memo,
+// query that finds it maps only its small grid (mapGrids), and gathers
+// the coordinates again before its first walk (query.gather). It is read-only but for the b^adj memo,
 // which every query on it fills, so its size grows with the cells the
 // queries read.
 type warmGrid struct {
@@ -180,7 +180,8 @@ func (c *ubCache) trim() {
 }
 
 // IndexCacheStats counts the lookups of an engine template's τ^upp
-// cache since it was built, and what its entries hold. Queries that
+// cache since it was built, and what its entries and its score memo
+// hold. Queries that
 // bypass the cache (labels, temporal) count as neither hits nor misses.
 type IndexCacheStats struct {
 	Hits    uint64 `json:"hits"`
@@ -197,6 +198,8 @@ type IndexCacheStats struct {
 	// the dataset.
 	Grids     int `json:"grids"`
 	GridBytes int `json:"grid_bytes"`
+	// Memo is what the engine's score memo holds (memo.go).
+	Memo MemoStats `json:"memo"`
 }
 
 // Add returns the field-wise sum of s and o, for reporting several
@@ -205,6 +208,7 @@ func (s IndexCacheStats) Add(o IndexCacheStats) IndexCacheStats {
 	return IndexCacheStats{
 		Hits: s.Hits + o.Hits, Misses: s.Misses + o.Misses, Entries: s.Entries + o.Entries, Filled: s.Filled + o.Filled,
 		GridHits: s.GridHits + o.GridHits, Grids: s.Grids + o.Grids, GridBytes: s.GridBytes + o.GridBytes,
+		Memo: MemoStats{Objects: s.Memo.Objects + o.Memo.Objects, Steps: s.Memo.Steps + o.Memo.Steps, Bytes: s.Memo.Bytes + o.Memo.Bytes},
 	}
 }
 

@@ -84,22 +84,33 @@ func ubCacheStream(name string) []spec {
 	return specs
 }
 
-// warmColdStream runs specs on one reused engine and on a fresh engine
-// per query and fails on the first Result that differs after
-// stripVolatile. It returns the reused engine for the caller to inspect.
+// withoutMemo drops e's score memo (memo.go). Recorded scores let a
+// warm engine skip walks and candidates, so its counters depend on the
+// queries before; the tests that pin what the τ^upp cache and the warm
+// grid keep, every work counter of a cold engine, run without one.
+// TestScoreMemoMatchesColdEngine covers the memo.
+func withoutMemo(e *Engine) *Engine {
+	e.memo = nil
+	return e
+}
+
+// warmColdStream runs specs on one reused engine without a score memo
+// and on a fresh engine per query and fails on the first Result that
+// differs after stripVolatile. It returns the reused engine for the
+// caller to inspect.
 func warmColdStream(t *testing.T, at string, ds *data.Dataset, opts Options, specs []spec) *Engine {
 	t.Helper()
 	warm, err := NewEngine(ds, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", at, err)
 	}
-	warmColdStreamOn(t, at, warm, ds, opts, specs)
+	warmColdStreamOn(t, at, withoutMemo(warm), ds, opts, specs)
 	return warm
 }
 
-// newWarmEngine returns an engine that keeps every warm grid: the test
-// datasets' grids are sparse against their few points, and the default
-// budget would keep only some of them.
+// newWarmEngine returns an engine without a score memo that keeps every
+// warm grid: the test datasets' grids are sparse against their few
+// points, and the default budget would keep only some of them.
 func newWarmEngine(t *testing.T, ds *data.Dataset, opts Options) *Engine {
 	t.Helper()
 	e, err := NewEngine(ds, opts)
@@ -107,7 +118,7 @@ func newWarmEngine(t *testing.T, ds *data.Dataset, opts Options) *Engine {
 		t.Fatal(err)
 	}
 	e.ub.budget = 1 << 30
-	return e
+	return withoutMemo(e)
 }
 
 // warmColdStreamOn is warmColdStream on a given reused engine.
@@ -176,6 +187,7 @@ func TestUpperBoundCacheBoundComplete(t *testing.T) {
 		}
 		for _, opts := range []Options{{}, {Workers: 2}} {
 			warm, _ := NewEngine(ds, opts)
+			withoutMemo(warm)
 			for _, sp := range ubCacheStream(name) {
 				fresh := func() *Engine { e, _ := NewEngine(ds, opts); return e }
 				own := run(fresh(), sp, allowed, 0)
@@ -202,7 +214,8 @@ func TestUpperBoundCacheBoundComplete(t *testing.T) {
 }
 
 // TestUpperBoundCacheBypass checks that label and temporal queries
-// neither read nor fill the cache.
+// neither read nor fill the cache. Temporal queries leave the score
+// memo alone too; label queries record their scores in it.
 func TestUpperBoundCacheBypass(t *testing.T) {
 	ds := testDatasets(t)["bird"]
 	labelled, _ := NewEngine(ds, Options{Labels: labelstore.NewStore()})
@@ -218,7 +231,12 @@ func TestUpperBoundCacheBypass(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for what, st := range map[string]IndexCacheStats{"labelled": labelled.IndexCache(), "temporal": te.e.IndexCache()} {
+	withLabels := labelled.IndexCache()
+	if withLabels.Memo.Steps == 0 {
+		t.Errorf("labelled engine: index cache %+v, want recorded scores", withLabels)
+	}
+	withLabels.Memo = MemoStats{}
+	for what, st := range map[string]IndexCacheStats{"labelled": withLabels, "temporal": te.e.IndexCache()} {
 		if st != (IndexCacheStats{}) {
 			t.Errorf("%s engine: index cache %+v, want untouched", what, st)
 		}
@@ -383,7 +401,9 @@ func TestUpperBoundCacheConcurrentFirstTouch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	withoutMemo(p.eng.Load())
 	fresh, _ := NewEngine(ds, Options{})
+	withoutMemo(fresh)
 	specs := []spec{{R: 12, K: 1}, {R: 11.5, K: 3}}
 	want := make([]*comparableResult, len(specs))
 	for i, sp := range specs {
@@ -508,6 +528,7 @@ func TestUpperBoundCacheConcurrentFill(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		withoutMemo(p.eng.Load())
 		e, _ := p.Acquire(context.Background(), -1)
 		res, err := e.RunTopK(specs[0].R, specs[0].K)
 		p.Release()
@@ -627,7 +648,7 @@ func TestWarmGridConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.eng.Load().ub.budget = c.budget
+		withoutMemo(p.eng.Load()).ub.budget = c.budget
 		got := make([][]*comparableResult, 2)
 		var start, wg sync.WaitGroup
 		start.Add(1)

@@ -42,45 +42,66 @@ func (q *query) verification(cand []candidate) (top []Scored, unverified []candi
 			return top, cand[n:]
 		}
 		i := int(c.obj)
-		tau, whole := q.exact(i)
-		if !whole {
-			// The walk was cut short, so tau is only a lower bound (bOi
-			// accumulates monotonically); it must not enter the top-k as
-			// an exact score. Keep it for the degraded answer instead.
-			q.trunc = &Scored{Obj: int(q.e.ord.ext[i]), Score: tau}
-			return top, cand[n:]
+		tau, known := q.recalled(i)
+		if !known {
+			var whole bool
+			if tau, whole = q.exact(i); !whole {
+				// The walk was cut short, so tau is only a lower bound
+				// (bOi accumulates monotonically); it must not enter the
+				// top-k as an exact score. Keep it for the degraded
+				// answer instead.
+				q.trunc = &Scored{Obj: int(q.e.ord.ext[i]), Score: tau}
+				return top, cand[n:]
+			}
+			q.stats.Verified++
 		}
-		q.stats.Verified++
 		top = insertTopK(top, Scored{Obj: int(q.e.ord.ext[i]), Score: tau}, q.k)
 	}
 	return top, nil
 }
 
 // exact computes τ(o_i) on the configured number of cores, charging the
-// work to q.stats; whole is false when the query was stopped before the
-// walk finished, leaving tau a lower bound. The serial scratch bitsets
-// are allocated on the first call and reused by later ones.
+// work to q.stats, and records a finished walk's score in the engine's
+// memo; whole is false when the query was stopped before the walk
+// finished, leaving tau a lower bound. The serial scratch bitsets are
+// allocated on the first call and reused by later ones.
 func (q *query) exact(i int) (tau int, whole bool) {
 	if q.e.opts.workers() > 1 {
-		return q.parallelExactScore(i)
+		tau, whole = q.parallelExactScore(i)
+	} else {
+		if q.sBOi == nil {
+			q.sBOi, q.sMask = bitmap.NewScratch(q.n), bitmap.NewScratch(q.n)
+		}
+		ctr := ctrSet{}
+		tau, whole = q.exactScore(i, q.sBOi, q.sMask, &ctr)
+		q.addCounters([]ctrSet{ctr})
 	}
-	if q.sBOi == nil {
-		q.sBOi, q.sMask = bitmap.NewScratch(q.n), bitmap.NewScratch(q.n)
+	if whole {
+		q.record(i, tau)
 	}
-	ctr := ctrSet{}
-	tau, whole = q.exactScore(i, q.sBOi, q.sMask, &ctr)
-	q.addCounters([]ctrSet{ctr})
 	return tau, whole
 }
 
 // exactScore computes τ(o_i) with the BIGrid (Algorithm 6 lines 6-19)
 // on one core; whole is false when a poll stopped the walk.
 func (q *query) exactScore(i int, bOi, mask *bitmap.Scratch, ctr *ctrSet) (tau int, whole bool) {
+	q.gather()
 	w := scoreWalk{q: q, i: i, bOi: bOi, mask: mask}
 	w.run()
 	ctr.adjComputed += w.ctr.adjComputed
 	ctr.distComps += w.ctr.distComps
 	return bOi.Cardinality() - 1, !w.stopped
+}
+
+// gather gives a large grid taken lean from a warm entry its
+// coordinates (grid.LargeGrid.Gather), once per query and before its
+// first walk: a warm query whose memo settles every candidate walks
+// nothing and gathers nothing. Parallel walkers share the grid, so
+// parallelExactScore gathers before it fans out.
+func (q *query) gather() {
+	if q.idx.large.Xs == nil {
+		q.idx.large = q.idx.large.Gather(q.e.ds)
+	}
 }
 
 // lemma1 sets b to {i} and the objects Lemma 1 certifies interact with

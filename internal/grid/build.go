@@ -58,13 +58,14 @@ func (src *points) sameCell(a, b rec) bool {
 // grid of cell width smallWidth, which both see the same points. A
 // width of 0 skips that grid (it is nil): a caller that kept the large
 // grid of this width from an earlier Build maps only the small grid of
-// its exact threshold. Grid by grid, every point is quantised as KeyFor
-// does, the (key, point number) records are radix-sorted, and the
-// sorted stream is run-length encoded into the grid's flat arrays; the
-// two record buffers are shared by both grids. The small grid holds
-// each cell's objects and nothing per point, so its sweep keeps one
-// record per run of an object's points in one cell. The large grid
-// links every column of cells to its neighbour columns (postings.link).
+// its exact threshold, through MapSmall. Grid by grid, every point is
+// quantised as KeyFor does, the (key, point number) records are
+// radix-sorted, and the sorted stream is run-length encoded into the
+// grid's flat arrays; the two record buffers are shared by both grids.
+// The small grid holds each cell's objects and nothing per point, so
+// its sweep keeps one record per run of an object's points in one
+// cell. The large grid links every column of cells to its neighbour
+// columns (postings.link).
 //
 // bucket, when non-nil, is the time axis of Appendix B: one bucket id
 // per point number (object-major, as the points are numbered), the most
@@ -86,28 +87,65 @@ func (src *points) sameCell(a, b rec) bool {
 // ds must hold at most math.MaxInt32 points: point numbers and posting
 // offsets are int32, and a larger dataset would wrap them silently.
 func Build(ds *data.Dataset, largeWidth, smallWidth float64, bucket []int32, halo int32, workers int, keep func(obj, pt int) bool, stop func() bool) (large *LargeGrid, small *SmallGrid, complete bool) {
+	return build(ds, largeWidth, smallWidth, bucket, halo, workers, keep, stop, nil)
+}
+
+// MapSmall is Build without the large grid, for a caller that kept g
+// from an earlier Build of ds with the same keep and maps only the
+// small grid of a threshold with g's ⌈r⌉. A small grid's sweep keeps a
+// share of the points that depends on the dataset and the width (a
+// quarter to a third on Neuron-2, nearly all on Bird-2), so its records
+// are reserved by the most that a small sweep beside g kept before.
+func (g *LargeGrid) MapSmall(ds *data.Dataset, smallWidth float64, bucket []int32, workers int, keep func(obj, pt int) bool, stop func() bool) (small *SmallGrid, complete bool) {
+	_, small, complete = build(ds, 0, smallWidth, bucket, 0, workers, keep, stop, &g.smallRecs)
+	return small, complete
+}
+
+// build is Build. smallRecs, when non-nil, is the most records a small
+// sweep beside the large grid kept: a small-only build reserves by it,
+// and every small sweep raises it (a hint only, so two racing builds
+// may leave the lesser). A build of both grids uses the new large
+// grid's.
+func build(ds *data.Dataset, largeWidth, smallWidth float64, bucket []int32, halo int32, workers int, keep func(obj, pt int) bool, stop func() bool, smallRecs *atomic.Int64) (large *LargeGrid, small *SmallGrid, complete bool) {
 	src, weights := newPoints(ds, bucket)
 	ranges := parallel.Ranges(weights, workers)
-	recs := make([]rec, len(src.objOf))
-	var tmp []rec
+	var recs, tmp []rec
 	complete = true
-	// sorted quantises at width and sorts; only the first sweep polls
-	// stop, and ranges then end where it stopped. The small grid's sweep
-	// drops an object's repeated cells (quantise), so tmp, sized by the
-	// first sweep, may be longer than its records.
-	sorted := func(width float64, distinct bool) []rec {
-		m, ok := src.quantise(recs, width, ranges, distinct, keep, stop)
+	// sorted quantises at width into bufs, one per range, and sorts;
+	// only the first sweep polls stop, and ranges then end where it
+	// stopped. The small grid's sweep drops an object's repeated cells
+	// (quantise), so tmp, sized by the first sweep, may be longer than
+	// its records.
+	sorted := func(width float64, distinct bool, bufs [][]rec) []rec {
+		ok := src.quantise(bufs, width, ranges, distinct, keep, stop)
 		complete, stop = complete && ok, nil
+		a := join(bufs, recs)
 		if tmp == nil {
-			tmp = make([]rec, m)
+			tmp = make([]rec, len(a))
 		}
-		return src.sortRecs(recs[:m], tmp[:m])
+		return src.sortRecs(a, tmp[:len(a)])
 	}
 	if largeWidth != 0 {
-		large = newLargeGrid(halo, &src, sorted(largeWidth, false))
+		recs = make([]rec, len(src.objOf))
+		large = newLargeGrid(halo, &src, sorted(largeWidth, false, src.windows(recs, ranges)))
+		smallRecs = &large.smallRecs
 	}
 	if smallWidth != 0 {
-		small = newSmallGrid(&src, sorted(smallWidth, true))
+		var bufs [][]rec
+		if recs != nil {
+			bufs = src.windows(recs, ranges)
+		} else {
+			hint := int64(0)
+			if smallRecs != nil {
+				hint = smallRecs.Load()
+			}
+			bufs = src.reserve(ranges, hint)
+		}
+		a := sorted(smallWidth, true, bufs)
+		small = newSmallGrid(&src, a)
+		if m := int64(len(a)); smallRecs != nil && m > smallRecs.Load() {
+			smallRecs.Store(m)
+		}
 	}
 	return large, small, complete
 }
@@ -131,51 +169,90 @@ func newPoints(ds *data.Dataset, bucket []int32) (src points, weights []int) {
 	return src, weights
 }
 
-// quantise writes one record per kept point of the given object ranges
-// into recs, in point number order, and returns their count. distinct
-// drops a point whose cell (key and bucket) is that of the object's
-// previous record: a grid that holds only b(c), the small grid, sees
-// the same (cell, object) runs without it. One worker per range polls
-// stop every 128 objects; a range cut short is truncated in place and
-// complete is false.
-func (src *points) quantise(recs []rec, width float64, ranges [][2]int, distinct bool, keep func(obj, pt int) bool, stop func() bool) (m int, complete bool) {
-	// Worker w writes from its range's first point number on; a
-	// filtered or interrupted range leaves a gap behind its records,
-	// closed below.
-	counts := make([]int, len(ranges))
+// quantise appends one record per kept point of each object range to
+// that range's buffer, in point number order. distinct drops a point
+// whose cell (key and bucket) is that of the object's previous record:
+// a grid that holds only b(c), the small grid, sees the same (cell,
+// object) runs without it. One worker per range polls stop every 128
+// objects; a range cut short is truncated in place and complete is
+// false.
+func (src *points) quantise(bufs [][]rec, width float64, ranges [][2]int, distinct bool, keep func(obj, pt int) bool, stop func() bool) (complete bool) {
 	var broke atomic.Bool
 	parallel.Run(len(ranges), func(w int) {
-		first := int(src.start[ranges[w][0]])
-		at := first
+		buf := bufs[w]
 		for i := ranges[w][0]; i < ranges[w][1]; i++ {
 			if i&127 == 127 && stop != nil && stop() {
 				broke.Store(true)
 				ranges[w][1] = i
 				break
 			}
-			g, objFirst := int(src.start[i]), at
+			g, objFirst := int(src.start[i]), len(buf)
 			for j, p := range src.ds.Objects[i].Pts {
 				if keep != nil && !keep(i, j) {
 					continue
 				}
 				r := rec{ord: uint32(g + j)}
 				r.hi, r.lo = pack(KeyFor(p, width))
-				if distinct && at > objFirst && src.sameCell(r, recs[at-1]) {
+				if distinct && len(buf) > objFirst && src.sameCell(r, buf[len(buf)-1]) {
 					continue
 				}
-				recs[at] = r
-				at++
+				buf = append(buf, r)
 			}
 		}
-		counts[w] = at - first
+		bufs[w] = buf
 	})
-	for w, cnt := range counts {
-		if from := int(src.start[ranges[w][0]]); from != m {
-			copy(recs[m:], recs[from:from+cnt])
-		}
-		m += cnt
+	return !broke.Load()
+}
+
+// windows returns an empty buffer per range over recs, from the
+// range's first point number on, with room for every one of its
+// points: quantise fills them in place.
+func (src *points) windows(recs []rec, ranges [][2]int) [][]rec {
+	bufs := make([][]rec, len(ranges))
+	for w, rg := range ranges {
+		first, last := src.start[rg[0]], src.start[rg[1]]
+		bufs[w] = recs[first:first:last]
 	}
-	return m, !broke.Load()
+	return bufs
+}
+
+// reserve returns an empty buffer per range with room for its share of
+// hint records and an eighth more, or for all of its points when there
+// is no hint; a buffer that fills grows by append.
+func (src *points) reserve(ranges [][2]int, hint int64) [][]rec {
+	n := int64(len(src.objOf))
+	bufs := make([][]rec, len(ranges))
+	for w, rg := range ranges {
+		pts := int64(src.start[rg[1]] - src.start[rg[0]])
+		room := pts
+		if hint > 0 {
+			share := hint * pts / n
+			room = min(pts, share+share/8+1)
+		}
+		bufs[w] = make([]rec, 0, room)
+	}
+	return bufs
+}
+
+// join returns the ranges' records as one slice in range order: the
+// one buffer as it is, else packed into dst (in place when the buffers
+// are windows of dst) or, when dst is nil, into a new slice.
+func join(bufs [][]rec, dst []rec) []rec {
+	if len(bufs) == 1 {
+		return bufs[0]
+	}
+	if dst == nil {
+		m := 0
+		for _, buf := range bufs {
+			m += len(buf)
+		}
+		dst = make([]rec, m)
+	}
+	m := 0
+	for _, buf := range bufs {
+		m += copy(dst[m:], buf)
+	}
+	return dst[:m]
 }
 
 // field returns key field f of the record, least significant first: Z,

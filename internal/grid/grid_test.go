@@ -428,12 +428,16 @@ func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, width float64, ref
 }
 
 // checkCopies holds the grid's copies against it: a lean copy drops
-// the coordinates alone, and Gather restores them.
+// the coordinates alone, still counted by GatheredBytes, and Gather
+// restores them.
 func checkCopies(t *testing.T, g *LargeGrid, ds *data.Dataset) {
 	t.Helper()
 	lean := g.Lean()
 	if lean.Xs != nil || lean.SizeBytes() != g.SizeBytes()-24*len(g.Idx) {
 		t.Fatalf("lean copy: %d coordinates, %d bytes of %d", len(lean.Xs), lean.SizeBytes(), g.SizeBytes())
+	}
+	if lean.GatheredBytes() != g.SizeBytes() || g.GatheredBytes() != g.SizeBytes() {
+		t.Fatalf("gathered bytes: lean %d, full %d, want %d", lean.GatheredBytes(), g.GatheredBytes(), g.SizeBytes())
 	}
 	if back := lean.Gather(ds); !reflect.DeepEqual([][]float64{back.Xs, back.Ys, back.Zs}, [][]float64{g.Xs, g.Ys, g.Zs}) {
 		t.Fatal("Gather does not restore the coordinates")
@@ -673,17 +677,40 @@ func TestSmallGridDistinctRecords(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
 				src, weights := newPoints(ds, tc.bucket)
-				recs := make([]rec, len(src.objOf))
-				if m, _ := src.quantise(recs, width, parallel.Ranges(weights, workers), true, tc.keep, nil); m != runs {
-					t.Fatalf("the small grid's sweep kept %d records, want one per run: %d", m, runs)
+				ranges := parallel.Ranges(weights, workers)
+				// Into windows of one buffer, into buffers reserved for
+				// a quarter of the runs (they fill and grow) and into
+				// buffers with room for every point.
+				for _, bufs := range [][][]rec{
+					src.windows(make([]rec, len(src.objOf)), ranges),
+					src.reserve(ranges, int64(runs/4)),
+					src.reserve(ranges, 0),
+				} {
+					src.quantise(bufs, width, ranges, true, tc.keep, nil)
+					if m := len(join(bufs, nil)); m != runs {
+						t.Fatalf("the small grid's sweep kept %d records, want one per run: %d", m, runs)
+					}
 				}
 				_, alone, complete := Build(ds, 0, width, tc.bucket, 0, workers, tc.keep, nil)
 				if !complete {
 					t.Fatal("Build: not complete")
 				}
 				checkSmall(t, alone, ref)
-				_, after, _ := Build(ds, 2*width, width, tc.bucket, 0, workers, tc.keep, nil)
+				beside, after, _ := Build(ds, 2*width, width, tc.bucket, 0, workers, tc.keep, nil)
 				checkSmall(t, after, ref)
+				// MapSmall reserves by the runs the sweep beside the
+				// large grid kept, or by too few.
+				for _, hint := range []int64{int64(runs), int64(runs / 4)} {
+					if got := beside.smallRecs.Load(); got < int64(runs) {
+						t.Fatalf("the large grid notes %d small records, want %d", got, runs)
+					}
+					beside.smallRecs.Store(hint)
+					small, complete := beside.Lean().MapSmall(ds, width, tc.bucket, workers, tc.keep, nil)
+					if !complete {
+						t.Fatal("MapSmall: not complete")
+					}
+					checkSmall(t, small, ref)
+				}
 
 				// Stopped at the first poll: the large grid holds what
 				// was mapped, and the small grid the same points.

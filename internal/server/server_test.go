@@ -498,7 +498,8 @@ func TestMetricsShape(t *testing.T) {
 // τ^upp values the entries hold grow from none with the queries and
 // never pass one per object per entry; the grids' bytes stay within the
 // budget, 40 bytes per point of each pool's dataset. Label queries
-// bypass the cache. The solo and sharded queries take ⌈r⌉ = 6: at
+// bypass the cache; the score memo's counts (memo) grow on every
+// strategy. The solo and sharded queries take ⌈r⌉ = 6: at
 // ⌈r⌉ = 5 this dataset's grid, 178 cells for 480 points, takes 30
 // bytes a point lean and over 40 with its b^adj memo, and is not kept;
 // the shards' grids are sparser still.
@@ -538,6 +539,11 @@ func TestMetricsIndexCache(t *testing.T) {
 			st := snap.IndexCache
 			if got := (core.IndexCacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries, GridHits: st.GridHits, Grids: st.Grids}); got != tc.want {
 				t.Errorf("index_cache = %+v, want %+v", st, tc.want)
+			}
+			// Every strategy records the scores its walks found, label
+			// queries included.
+			if m := st.Memo; m.Objects == 0 || m.Steps < m.Objects || m.Bytes == 0 {
+				t.Errorf("index_cache.memo = %+v, want the recorded scores", m)
 			}
 			// Each shard pool has a budget of its own, over a dataset no
 			// larger than the whole.

@@ -152,16 +152,43 @@ func (c *Client) Bound(ctx context.Context, r float64, k int) (shard.Bounds, err
 	}
 	var resp BoundResponse
 	if err := decodeStrict(payload, &resp); err != nil {
+		// The worker may still hold the paused phase the response
+		// names; a lenient read finds its handle when one is there.
+		var named struct {
+			Handle uint64 `json:"handle"`
+		}
+		if json.Unmarshal(payload, &named) == nil {
+			c.release(named.Handle)
+		}
 		err = fmt.Errorf("%w: %s: %v", shard.ErrBadResponse, c.cfg.Addr, err)
 		c.noteFailure(err)
 		return nil, err
 	}
 	if err := checkBoundResponse(&resp, c.cfg.Stamp, k, c.cfg.Objects); err != nil {
+		c.release(resp.Handle)
 		c.noteFailure(err)
 		return nil, err
 	}
 	c.noteSuccess()
 	return &remoteBounds{c: c, resp: resp, k: k}, nil
+}
+
+// release abandons a worker-side handle, best-effort and off the query
+// path: the gather loop must not stall on a round trip whose only
+// purpose is returning an engine slot a little earlier than the
+// worker's TTL reaper would. Handle 0 names none. A rejected bound
+// response releases the handle it names too, so a worker that answered
+// with a stale stamp or a body that fails validation does not hold an
+// engine for the TTL.
+func (c *Client) release(handle uint64) {
+	if handle == 0 {
+		return
+	}
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), releaseTimeout)
+		defer cancel()
+		_, _ = c.post(ctx, PathRelease, ReleaseRequest{Handle: handle})
+	}()
 }
 
 // post sends a strict-JSON request and returns the validated envelope
@@ -384,14 +411,5 @@ func (b *remoteBounds) Complete(ctx context.Context, floor int) (*core.Result, e
 	return res, nil
 }
 
-// Release abandons the worker-side handle, best-effort and off the
-// query path: the gather loop must not stall on a round trip whose
-// only purpose is returning an engine slot a little earlier than the
-// worker's TTL reaper would.
-func (b *remoteBounds) Release() {
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), releaseTimeout)
-		defer cancel()
-		_, _ = b.c.post(ctx, PathRelease, ReleaseRequest{Handle: b.resp.Handle})
-	}()
-}
+// Release abandons the worker-side handle (Client.release).
+func (b *remoteBounds) Release() { b.c.release(b.resp.Handle) }

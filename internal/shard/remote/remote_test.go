@@ -144,7 +144,10 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 // TestRemoteParityWithOracle is the acceptance sweep: a healthy
 // multi-process cluster must answer bitwise-identically to the
 // in-process sharded coordinator — deterministic work counters
-// included — and exactly match the single-engine oracle.
+// included — and exactly match the single-engine oracle. Both clusters
+// start fresh and run the same queries in the same order: the shard
+// engines' score memos make a query's work depend on the queries
+// before it.
 func TestRemoteParityWithOracle(t *testing.T) {
 	ds := uniformDS(160, 1)
 	const maxR = 8.0
@@ -186,15 +189,19 @@ func TestRemoteParityWithOracle(t *testing.T) {
 						rres.Stats.DistanceComps, rres.Stats.Candidates, rres.Stats.Verified,
 						lres.Stats.DistanceComps, lres.Stats.Candidates, lres.Stats.Verified)
 				}
-				// And it is reproducible: a second remote run does the
-				// same work.
+				// A warm rerun answers identically and computes no more
+				// distances, on both clusters alike.
+				lres2, _, lerr2 := local.Query(ctx, r, k)
 				rres2, _, rerr2 := rem.Query(ctx, r, k)
-				if rerr2 != nil {
-					t.Fatalf("shards=%d r=%g k=%d: remote rerun: %v", shards, r, k, rerr2)
+				if lerr2 != nil || rerr2 != nil {
+					t.Fatalf("shards=%d r=%g k=%d: rerun: local %v, remote %v", shards, r, k, lerr2, rerr2)
 				}
-				if rres2.Stats.DistanceComps != rres.Stats.DistanceComps {
-					t.Errorf("shards=%d r=%g k=%d: DistanceComps not deterministic: %d then %d",
-						shards, r, k, rres.Stats.DistanceComps, rres2.Stats.DistanceComps)
+				if !sameScored(rres2.TopK, rres.TopK) || rres2.Best != rres.Best {
+					t.Errorf("shards=%d r=%g k=%d: remote rerun TopK %v, first run %v", shards, r, k, rres2.TopK, rres.TopK)
+				}
+				if rres2.Stats.DistanceComps > rres.Stats.DistanceComps || rres2.Stats.DistanceComps != lres2.Stats.DistanceComps {
+					t.Errorf("shards=%d r=%g k=%d: rerun DistanceComps remote %d, local %d, first run %d",
+						shards, r, k, rres2.Stats.DistanceComps, lres2.Stats.DistanceComps, rres.Stats.DistanceComps)
 				}
 			}
 		}
@@ -398,6 +405,66 @@ func TestHostileResponsesDegrade(t *testing.T) {
 			if _, _, err := co.Query(context.Background(), r, k); err != nil {
 				t.Fatalf("second query after degradation failed: %v", err)
 			}
+		})
+	}
+}
+
+// TestRejectedBoundReleasesHandle: a bound response the client
+// rejects still names a paused phase the worker holds, with an engine
+// slot. The client releases every handle it can read, so the worker
+// holds none afterwards: for a stale stamp, a body that fails
+// validation and one strict decoding refuses.
+func TestRejectedBoundReleasesHandle(t *testing.T) {
+	ds := uniformDS(120, 4)
+	const (
+		shards = 3
+		maxR   = 8.0
+	)
+	// edit rewrites the worker's own response, handle kept.
+	edit := func(f func(resp map[string]any)) func([]byte) []byte {
+		return func(b []byte) []byte {
+			payload, err := durable.Open(b)
+			if err != nil {
+				t.Error(err)
+				return b
+			}
+			var resp map[string]any
+			if err := json.Unmarshal(payload, &resp); err != nil {
+				t.Error(err)
+				return b
+			}
+			f(resp)
+			out, err := json.Marshal(resp)
+			if err != nil {
+				t.Error(err)
+			}
+			return durable.Seal(out)
+		}
+	}
+	cases := map[string]func([]byte) []byte{
+		"stale generation": edit(func(resp map[string]any) {
+			resp["stamp"].(map[string]any)["generation"] = 1 + resp["stamp"].(map[string]any)["generation"].(float64)
+		}),
+		"max_ub out of range": edit(func(resp map[string]any) { resp["max_ub"] = -1 }),
+		"unknown field":       edit(func(resp map[string]any) { resp["bogus"] = true }),
+	}
+	for name, mangle := range cases {
+		t.Run(name, func(t *testing.T) {
+			w, srv := startWorker(t, ds, 1, shards, maxR, WorkerConfig{}, mangleBound(mangle))
+			c := NewClient(ClientConfig{
+				Addr:    srv.URL,
+				Stamp:   Stamp{Generation: Generation(Fingerprint(ds), shards, maxR), Shard: 1, Shards: shards},
+				Objects: ds.N(),
+			})
+			defer c.Close()
+			if _, err := c.Bound(context.Background(), 3, 2); err == nil {
+				t.Fatal("the mangled bound response was accepted")
+			}
+			waitFor(t, 2*time.Second, "the worker to hold no handle", func() bool {
+				w.mu.Lock()
+				defer w.mu.Unlock()
+				return len(w.handles) == 0
+			})
 		})
 	}
 }

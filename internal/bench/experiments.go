@@ -438,7 +438,7 @@ func (s *Suite) AppendixA() error {
 // buildLargeGrid builds a standalone large-grid with the given cell
 // width (the Appendix-A offline-grid stand-in).
 func buildLargeGrid(ds *data.Dataset, width float64) *grid.LargeGrid {
-	g, _, _ := grid.Build(ds, width, 0, nil, 0, 1, nil, nil)
+	g, _, _ := grid.Build(grid.NewPoints(ds), width, 0, nil, 0, 1, nil, nil, nil)
 	return g
 }
 

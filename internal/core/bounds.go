@@ -101,14 +101,19 @@ type candidate struct {
 // for its ⌈r⌉ on a label-free spatial query, which grid mapping looked
 // up (ubcache.go, mapGrids), or else one of its own. A survivor whose
 // τ^upp the entry holds is not computed again; one it lacks is computed
-// on q's grid and stored. An entry of its own is published only from a
-// pass that completed on a complete grid, and with it the grid, as the
-// entry's warm grid if it has none.
+// on q's grid and stored, the grid built first if grid mapping left it
+// to the first read (largeGrid). A build cut short leaves the pass
+// undone. An entry of its own is published only from a pass that
+// completed on a complete grid, and with it the grid, as the entry's
+// warm grid if it has none.
 func (q *query) computeUpperBounds() {
 	if q.ub == nil {
-		q.ub = newUBEntry(grid.LargeWidth(q.r), countBounds(q.idx, q.n))
+		q.ub = newUBEntry(grid.LargeWidth(q.r), q.idx)
 	}
 	q.tauUpp = make([]int32, q.n)
+	if q.idx.large == nil && q.lacksBound() && q.largeGrid() == nil {
+		return
+	}
 	if q.e.opts.workers() > 1 && q.e.opts.UB != UBGreedyD {
 		q.upperBoundGreedyP()
 		q.ubDone = true
@@ -118,8 +123,23 @@ func (q *query) computeUpperBounds() {
 		q.ubDone = q.eachObject(q.pointCount, q.boundObject)
 	}
 	if cache := q.ubCache(); cache != nil && q.ubDone && !q.gmBroke {
-		cache.put(q.ub, &warmGrid{large: q.idx.large.Lean(), groups: q.idx.groups})
+		var lean *grid.LargeGrid
+		if q.idx.large != nil {
+			lean = q.idx.large.Lean()
+		}
+		cache.put(q.ub, lean)
 	}
+}
+
+// lacksBound reports whether some survivor of the count bound lacks
+// its τ^upp in the entry, so that upper bounding runs Lemma 2.
+func (q *query) lacksBound() bool {
+	for i := 0; i < q.n; i++ {
+		if q.survives(i) && q.ub.tau[i].Load() < 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // countBounds returns every object's count bound B_i = min(n − 1,
@@ -128,8 +148,9 @@ func (q *query) computeUpperBounds() {
 // them, so the union Lemma 2 counts holds at most 1 + Σ_g (S − 1):
 // B_i ≥ τ^upp(o_i), and no bitmap is read. On a WITH-LABEL run the sum
 // takes every group, active or not, which only loosens it.
-func countBounds(idx *bigrid, n int) []int32 {
+func countBounds(idx *bigrid) []int32 {
 	s := idx.large.NeighborhoodPostings()
+	n := len(idx.groups)
 	b := make([]int32, n)
 	for i, gs := range idx.groups {
 		sum := 0

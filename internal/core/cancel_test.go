@@ -54,6 +54,20 @@ func denseUniform(n, m int) *data.Dataset {
 	return data.GenUniform(data.UniformConfig{N: n, M: m, FieldSize: 60, Spread: 4, Seed: 42})
 }
 
+// cancelFresh returns a fresh engine for a cancelled query whose work a
+// test compares with a full run's: on the engine that ran the full
+// query, the score memo would settle the candidates without a walk, and
+// Verified and DistanceComps would stay low with no cancellation at
+// all.
+func cancelFresh(t *testing.T, ds *data.Dataset, opts Options) *Engine {
+	t.Helper()
+	e, err := NewEngine(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestCancelAbortsMidVerification checks that a context cancelled
 // while verification is underway stops the phase after a bounded
 // number of candidates rather than verifying the full candidate set.
@@ -75,9 +89,10 @@ func TestCancelAbortsMidVerification(t *testing.T) {
 
 	// Budget enough polls to get through grid mapping, lower- and
 	// upper-bounding (a handful of checks each) plus a few verified
-	// candidates, then trip.
+	// candidates, then trip. A fresh engine: on e the score memo would
+	// settle the candidates without a walk (cancelFresh).
 	ctx := newPollCtx(40)
-	q := newQuery(e, 8, ds.N())
+	q := newQuery(cancelFresh(t, ds, Options{}), 8, ds.N())
 	q.ctx = ctx
 	res, err := q.run()
 	if err != context.Canceled {
@@ -110,7 +125,7 @@ func TestCancelAbortsInsideExactScore(t *testing.T) {
 	// Trip shortly after verification starts: the first exact score
 	// polls every 256 points, so the budget lands mid-object.
 	ctx := newPollCtx(12)
-	q := newQuery(e, 8, ds.N())
+	q := newQuery(cancelFresh(t, ds, Options{}), 8, ds.N())
 	q.ctx = ctx
 	if _, err := q.run(); err != context.Canceled {
 		t.Fatalf("cancelled run returned err=%v, want context.Canceled", err)
@@ -134,7 +149,7 @@ func TestCancelAbortsParallelVerification(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := newPollCtx(25)
-	q := newQuery(e, 8, ds.N())
+	q := newQuery(cancelFresh(t, ds, Options{Workers: 4}), 8, ds.N())
 	q.ctx = ctx
 	if _, err := q.run(); err != context.Canceled {
 		t.Fatalf("cancelled parallel run returned err=%v, want context.Canceled", err)
@@ -150,13 +165,19 @@ func TestCancelAbortsParallelVerification(t *testing.T) {
 // return well before the uncancelled runtime. Bounds are deliberately
 // loose — the deterministic poll-counting tests above pin the exact
 // behaviour; this one only guards against a phase that ignores ctx
-// entirely.
+// entirely. The cancelled query runs on a fresh engine: on the engine
+// that timed the full run, the score memo and the τ^upp entry answer
+// it in a few milliseconds, before the cancel lands.
 func TestCancelPromptWallClock(t *testing.T) {
 	ds := denseUniform(2500, 48)
-	e, err := NewEngine(ds, Options{})
-	if err != nil {
-		t.Fatal(err)
+	engine := func() *Engine {
+		e, err := NewEngine(ds, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
 	}
+	e := engine()
 	t0 := time.Now()
 	if _, err := e.RunTopK(9, ds.N()); err != nil {
 		t.Fatal(err)
@@ -166,13 +187,14 @@ func TestCancelPromptWallClock(t *testing.T) {
 		t.Skipf("full run took only %v; too fast to observe mid-run cancellation", fullDur)
 	}
 
+	e = engine()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(2 * time.Millisecond)
 		cancel()
 	}()
 	t0 = time.Now()
-	_, err = e.RunTopKContext(ctx, 9, ds.N(), false)
+	_, err := e.RunTopKContext(ctx, 9, ds.N(), false)
 	cancelledDur := time.Since(t0)
 	if err != context.Canceled {
 		t.Fatalf("cancelled run returned err=%v, want context.Canceled", err)

@@ -159,7 +159,13 @@ type PhaseStats struct {
 
 	SmallCells int `json:"small_cells"`
 	LargeCells int `json:"large_cells"`
-	IndexBytes int `json:"index_bytes"` // BIGrid memory footprint, without the memoised b^adj
+	// LargeBuilds counts the large grids the query built: 1 on a cold
+	// engine, 0 when it found its ⌈r⌉ entry and read no large grid or
+	// its warm one (IndexCacheStats.LargeBuilds), a count per shard on a
+	// scattered query. LargeCells and the byte counts are the grid's
+	// either way.
+	LargeBuilds int `json:"large_builds"`
+	IndexBytes  int `json:"index_bytes"` // BIGrid memory footprint, without the memoised b^adj
 	// Compression accounting (footnote 4 of the paper): the small grid
 	// as stored — a key and a sorted object-id run per cell — vs what
 	// dense n-bit-per-cell bitsets would occupy.
@@ -207,10 +213,12 @@ type Result struct {
 type Engine struct {
 	// ds is the view of the caller's dataset in internal order
 	// (order.go), the only numbering inside the pipeline; ext is the
-	// caller's dataset, and ord translates between the two.
+	// caller's dataset, and ord translates between the two. pts numbers
+	// ds's points for every grid.Build.
 	ds   *data.Dataset
 	ext  *data.Dataset
 	ord  idOrder
+	pts  *grid.Points
 	opts Options
 	// maxAbs is the largest |coordinate| in ds; validate holds every r
 	// against it.
@@ -254,7 +262,7 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 		}
 	}
 	view, ord := spatialOrder(ds)
-	e := &Engine{ds: view, ext: ds, ord: ord, opts: opts, ub: newUBCache(ds.TotalPoints()), memo: newScoreMemo()}
+	e := &Engine{ds: view, ext: ds, ord: ord, pts: grid.NewPoints(view), opts: opts, ub: newUBCache(ds.TotalPoints()), memo: newScoreMemo()}
 	for i := range ds.Objects {
 		for _, p := range ds.Objects[i].Pts {
 			// Plain comparisons: engines are built per query by one-shot
@@ -356,6 +364,9 @@ func (r *Result) Explain(n int) string {
 	}
 	fmt.Fprintf(&b, "grid mapping:   %10v  (%d small cells, %d large cells, %.2f MiB index)\n",
 		st.GridMapping, st.SmallCells, st.LargeCells, float64(st.IndexBytes)/(1<<20))
+	if st.LargeBuilds == 0 {
+		fmt.Fprintf(&b, "                built no large grid: mapped the small grid alone, beside what the engine kept for ⌈r⌉\n")
+	}
 	fmt.Fprintf(&b, "lower bounding: %10v\n", st.LowerBounding)
 	fmt.Fprintf(&b, "upper bounding: %10v  (%d adjacency bitsets built)\n",
 		st.UpperBounding, st.AdjComputed)

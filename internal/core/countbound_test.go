@@ -17,7 +17,7 @@ func checkCountBounds(t *testing.T, at string, q *query) {
 	t.Helper()
 	q.gridMapping()
 	large := q.idx.large
-	b := countBounds(q.idx, q.n)
+	b := countBounds(q.idx)
 	scratch := bitmap.NewScratch(q.n)
 	var neigh [grid.MaxNeighbors]int32
 	for i := 0; i < q.n; i++ {

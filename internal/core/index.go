@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"mio/internal/bitmap"
@@ -26,6 +27,8 @@ type pointGroup struct {
 // per-object access structures of Algorithm 3.
 type bigrid struct {
 	small *grid.SmallGrid
+	// large is nil while a query that found its ⌈r⌉ entry without a warm
+	// grid has not read it; query.largeGrid builds it then.
 	large *grid.LargeGrid
 	// keyLists[i] is o_i.L: the small-grid cells that o_i shares with
 	// at least one other object, in cell order.
@@ -33,6 +36,12 @@ type bigrid struct {
 	// groups[i] are o_i's large-grid point groups P_{i,K}, in cell
 	// order.
 	groups [][]pointGroup
+	// cells and largeBytes are the large grid's cell count and its
+	// footprint without b^adj, known whether or not it is built.
+	cells, largeBytes int
+	// smallRecs is grid.Build's note of the small sweep's records, for
+	// the entry a query that built its large grid publishes.
+	smallRecs *atomic.Int64
 }
 
 // sizeBytes returns the BIGrid memory footprint given its two grids'.
@@ -247,7 +256,7 @@ func (q *query) bound() (*Result, error) {
 		q.stats.LabelBytes = q.labels.SizeBytes()
 	}
 	q.stats.SmallCells = q.idx.small.Len()
-	q.stats.LargeCells = q.idx.large.Len()
+	q.stats.LargeCells = q.idx.cells
 	if q.cancelled() {
 		// No bound vector exists yet, so degraded can only decline.
 		return q.degraded(nil, nil)
@@ -268,14 +277,22 @@ func (q *query) bound() (*Result, error) {
 	if err := q.fire(fault.PointUpperBounding); err != nil {
 		return nil, err
 	}
-	t0 = time.Now()
+	lap := q.lap()
 	q.computeUpperBounds()
 	q.recallUps()
-	q.stats.UpperBounding = time.Since(t0)
+	q.stats.UpperBounding = lap()
 	if q.cancelled() {
 		return q.degraded(nil, nil)
 	}
 	return nil, nil
+}
+
+// lap starts timing a phase: the returned func gives the time since,
+// less the large-grid builds in between, which largeGrid charges to
+// grid mapping.
+func (q *query) lap() func() time.Duration {
+	t0, mapped := time.Now(), q.stats.GridMapping
+	return func() time.Duration { return time.Since(t0) - (q.stats.GridMapping - mapped) }
 }
 
 // complete finishes a bounded query: candidates are assembled against
@@ -295,9 +312,9 @@ func (q *query) complete(floor int) (*Result, error) {
 	if err := q.fire(fault.PointVerification); err != nil {
 		return nil, err
 	}
-	t0 = time.Now()
+	lap := q.lap()
 	topk, unverified := q.verification(cand)
-	q.stats.Verification = time.Since(t0)
+	q.stats.Verification = lap()
 	if len(unverified) > 0 {
 		return q.degraded(topk, unverified)
 	}
@@ -315,12 +332,12 @@ func (q *query) complete(floor int) (*Result, error) {
 // b^adj memoised on the large grid are left out: which cells need one
 // depends on the threshold (computeUpperBounds' cascade) and, on a warm
 // grid, on the queries before, so the footprint stays a function of
-// (dataset, r). The coordinates count whether the query gathered them
-// or, walking nothing, left its warm grid lean.
+// (dataset, r). The large grid counts with its coordinates whether the
+// query built it, gathered a warm grid's coordinates, or read neither.
 func (q *query) finishGridStats() {
 	q.stats.SmallGridBytes = q.idx.small.SizeBytes()
 	q.stats.SmallGridUncompressedBytes = q.idx.small.UncompressedSizeBytes(q.n)
-	q.stats.LargeGridBytes = q.idx.large.GatheredBytes() - q.idx.large.AdjBytes()
+	q.stats.LargeGridBytes = q.idx.largeBytes
 	q.stats.IndexBytes = q.idx.sizeBytes(q.stats.SmallGridBytes, q.stats.LargeGridBytes)
 }
 
@@ -334,13 +351,17 @@ func pruned(labels *labelstore.Labels, obj, pt int) bool {
 // WITH-LABEL variant and PARALLEL-GRID-MAPPING: one build whatever the
 // configuration, which also looks up the query's upper-bounding entry.
 func (q *query) gridMapping() {
-	m := q.e.mapGrids(q.r, q.ubCache(), q.labels, q.bucket, q.halo, q.cancelled)
-	q.ub = m.ub
-	q.useIndex(&bigrid{small: m.small, large: m.large, keyLists: keyListsOf(m.small, q.n), groups: m.groups})
+	idx, ub, complete := q.e.mapGrids(q.r, q.ubCache(), q.labels, q.bucket, q.halo, q.cancelled)
+	if ub == nil {
+		q.countBuild()
+	}
+	q.ub = ub
+	idx.keyLists = keyListsOf(idx.small, q.n)
+	q.useIndex(idx)
 	// The truncated grid is discarded by bound()'s post-phase ctx check;
 	// gmBroke records the truncation so a degraded answer is never
 	// certified from a partial grid.
-	q.gmBroke = !m.complete
+	q.gmBroke = !complete
 }
 
 // useIndex installs the query's BIGrid, with an empty read-set over its
@@ -348,50 +369,52 @@ func (q *query) gridMapping() {
 // a warm grid other queries share.
 func (q *query) useIndex(idx *bigrid) {
 	q.idx = idx
-	q.read = newReadSet(idx.large.Len())
+	q.read = newReadSet(idx.cells)
 }
 
-// mapping is what grid mapping hands the phases after it: the large
-// grid and its point groups, the small grid, whether the sweep ran to
-// the end, and the upper-bounding entry cached for ⌈r⌉, nil on a miss
-// or when the query bypasses the cache.
-type mapping struct {
-	large    *grid.LargeGrid
-	groups   [][]pointGroup
-	small    *grid.SmallGrid
-	complete bool
-	ub       *ubEntry
+// countBuild charges a large-grid build to the query and, unless the
+// query bypasses it, to the engine's cache (IndexCacheStats).
+func (q *query) countBuild() {
+	q.stats.LargeBuilds++
+	if c := q.ubCache(); c != nil {
+		c.builds.Add(1)
+	}
 }
 
-// mapGrids builds the large and the small grid of threshold r in one
-// sweep over the points. cache, when non-nil, is looked up for ⌈r⌉
-// first, and when its entry holds a warm grid only the small grid is
-// mapped (grid.LargeGrid.MapSmall): the large grid and its groups are
-// the entry's, lean until the query's first walk gathers its
-// coordinates (query.gather). labels, when non-nil, filter the points
-// (WITH-LABEL); bucket and halo are grid.Build's time axis, nil and 0
-// but on a temporal query. Grid mapping is the first long phase, so
-// the sweep polls stop to let an abandoned query return promptly;
-// complete is false when that cut it short.
-func (e *Engine) mapGrids(r float64, cache *ubCache, labels *labelstore.Labels, bucket []int32, halo int32, stop func() bool) (m mapping) {
+// mapGrids maps the grids of threshold r, all but the key lists. cache,
+// when non-nil, is looked up for ⌈r⌉ first, and ub is the entry it
+// holds. An entry holds what the query reads of the large grid besides
+// Lemma 2 and its walks, so only the small grid is mapped: the large
+// grid is the entry's warm grid, lean until the query's first walk
+// gathers its coordinates (query.gather), or, when the entry has none,
+// nil until the query first reads it (query.largeGrid). Without an
+// entry the large and the small grid are built in one sweep over the
+// points, and the point groups derived. labels, when non-nil, filter
+// the points (WITH-LABEL); bucket and halo are grid.Build's time axis,
+// nil and 0 but on a temporal query. Grid mapping is the first long
+// phase, so the sweep polls stop to let an abandoned query return
+// promptly; complete is false when that cut it short.
+func (e *Engine) mapGrids(r float64, cache *ubCache, labels *labelstore.Labels, bucket []int32, halo int32, stop func() bool) (idx *bigrid, ub *ubEntry, complete bool) {
 	smallWidth := grid.SmallWidth(r, e.opts.dims())
 	var keep func(obj, pt int) bool
 	if labels != nil {
 		keep = func(obj, pt int) bool { return !pruned(labels, obj, pt) }
 	}
 	largeWidth := grid.LargeWidth(r)
-	var warm *warmGrid
+	idx = &bigrid{}
 	if cache != nil {
-		m.ub, warm = cache.get(largeWidth)
+		ub, idx.large = cache.get(largeWidth)
 	}
-	if warm != nil {
-		m.small, m.complete = warm.large.MapSmall(e.ds, smallWidth, bucket, e.opts.workers(), keep, stop)
-		m.large, m.groups = warm.large, warm.groups
-		return m
+	if ub != nil {
+		_, idx.small, complete = grid.Build(e.pts, 0, smallWidth, bucket, 0, e.opts.workers(), keep, stop, ub.smallRecs)
+		idx.groups, idx.cells, idx.largeBytes = ub.groups, ub.cells, ub.bytes
+		return idx, ub, complete
 	}
-	m.large, m.small, m.complete = grid.Build(e.ds, largeWidth, smallWidth, bucket, halo, e.opts.workers(), keep, stop)
-	m.groups = groupsOf(m.large, e.ds.N())
-	return m
+	idx.smallRecs = new(atomic.Int64)
+	idx.large, idx.small, complete = grid.Build(e.pts, largeWidth, smallWidth, bucket, halo, e.opts.workers(), keep, stop, idx.smallRecs)
+	// A fresh grid has its coordinates and no b^adj yet.
+	idx.groups, idx.cells, idx.largeBytes = groupsOf(idx.large, e.ds.N()), idx.large.Len(), idx.large.SizeBytes()
+	return idx, nil, complete
 }
 
 // groupsOf derives the point groups P_{i,K} from the inverted lists —

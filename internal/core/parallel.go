@@ -125,7 +125,9 @@ func (q *query) upperBoundGreedyP() {
 // point-split, where each worker's private b(o_i) re-probes objects
 // the others already resolved and the count grows with t.
 func (q *query) parallelExactScore(i int) (tau int, whole bool) {
-	q.gather()
+	if q.gather() == nil {
+		return 0, false
+	}
 	t := q.e.opts.workers()
 	if q.vBOi == nil {
 		q.vBOi = make([]*bitmap.Scratch, t)

@@ -12,7 +12,9 @@ import (
 // holds before it evicts the least recently used one. r is bounded only
 // from below, so a client walking ⌈r⌉ would otherwise grow the cache
 // without limit. Without their grids the entries take at most
-// ubCacheCap × 8n bytes: a count bound and a τ^upp per object each.
+// ubCacheCap × (32n + 8 × postings) bytes: a count bound, a τ^upp and a
+// slice of point groups per object, and a group per posting of the
+// grid.
 const ubCacheCap = 16
 
 // warmGridBytesPerPoint bounds what the entries' warm grids take
@@ -21,12 +23,12 @@ const ubCacheCap = 16
 // no coordinates. On dense data, where cells hold many points, it takes
 // about 10 to 15 bytes a point once its b^adj memo fills, and three
 // ⌈r⌉ stay warm: after its 40-query stream Neuron-2 at 360 × 300
-// (107 618 points) keeps its grids of ⌈r⌉ = 6, 7 and 8 at 1.62, 1.35
-// and 1.16 MB, 4.13 MB with every b^adj header and neighbour table
+// (107 618 points) keeps its grids of ⌈r⌉ = 6, 7 and 8 at 1.46, 1.21
+// and 1.04 MB, 3.71 MB with every b^adj header and neighbour table
 // counted (TestWarmGridsFitNeuron2), which 40 B a point (4.30 MB)
-// holds and 36 B (3.87 MB) did not. On sparse data, with nearly a cell
-// per point, one grid takes about the whole budget: few stay warm, and
-// none where a grid would be dropped as fast as it is mapped.
+// holds. On sparse data, with nearly a cell per point, one grid takes
+// about the whole budget: few stay warm, and none where a grid would
+// be dropped as fast as it is built.
 const warmGridBytesPerPoint = 40
 
 // ubEntry is upper bounding's state for one large grid: every object's
@@ -34,8 +36,10 @@ const warmGridBytesPerPoint = 40
 // by the queries that needed it. Both are functions of the grid alone,
 // so a query reads and fills an entry whatever its exact r, k, restrict
 // mask, Workers or LB/UB strategy: which objects it fills depends on
-// its threshold, what it stores does not. A cached entry may also hold
-// the grid itself (warmGrid).
+// its threshold, what it stores does not. A cached entry also holds
+// what a query reads of the grid besides Lemma 2 and its walks, so a
+// query that needs neither maps its small grid alone (mapGrids), and
+// may hold the grid itself.
 type ubEntry struct {
 	// ceil keys a cached entry: the large-grid width ⌈r⌉ as a float64
 	// (an int conversion would fold huge r together).
@@ -46,33 +50,36 @@ type ubEntry struct {
 	// deterministic, so writers that race on one object store equal
 	// values.
 	tau []atomic.Int32
-	// grid is the entry's warm grid, nil until a query that mapped the
-	// grid publishes it and again once the budget drops it. ubCache.mu
-	// guards it.
-	grid *warmGrid
-}
-
-// warmGrid is the large grid of an entry's ⌈r⌉ kept for later queries:
-// the grid without its coordinates (grid.LargeGrid.Lean) — the
-// directory, the postings, the b^adj memo — and its point groups. A
-// query that finds it maps only its small grid (mapGrids), and gathers
-// the coordinates again before its first walk (query.gather). It is read-only but for the b^adj memo,
-// which every query on it fills, so its size grows with the cells the
-// queries read.
-type warmGrid struct {
-	large  *grid.LargeGrid
+	// groups are the grid's point groups, which markRead charges and
+	// every Lemma 2 and walk follows; cells is its cell count and bytes
+	// its footprint without b^adj (finishGridStats). The grid is a
+	// function of (dataset, ⌈r⌉), so a grid built again for the entry
+	// numbers its cells and postings as groups do. All three are
+	// read-only.
 	groups [][]pointGroup
+	cells  int
+	bytes  int
+	// smallRecs is the most records a small grid's sweep at this ⌈r⌉
+	// kept, by which a query that maps its small grid alone reserves
+	// them (grid.Build).
+	smallRecs *atomic.Int64
+	// grid is the entry's warm grid, the large grid without its
+	// coordinates (grid.LargeGrid.Lean): the directory, the postings and
+	// the b^adj memo, which every query on it fills. It is nil until a
+	// query that built the grid publishes it and again once the budget
+	// drops it. A query that finds it builds no large grid, and gathers
+	// the coordinates before its first walk (query.gather). ubCache.mu
+	// guards it.
+	grid *grid.LargeGrid
 }
 
-// bytes is what the warm grid occupies: the lean grid with its b^adj
-// memo, and the point groups, a slice per object and one group per
-// posting.
-func (w *warmGrid) bytes() int {
-	return w.large.SizeBytes() + 24*len(w.groups) + 8*len(w.large.Objs)
-}
-
-func newUBEntry(ceil float64, b []int32) *ubEntry {
-	e := &ubEntry{ceil: ceil, b: b, tau: make([]atomic.Int32, len(b))}
+// newUBEntry returns the entry of the large grid idx holds, which must
+// be fresh: its b^adj memo is empty.
+func newUBEntry(ceil float64, idx *bigrid) *ubEntry {
+	e := &ubEntry{
+		ceil: ceil, b: countBounds(idx), tau: make([]atomic.Int32, len(idx.groups)),
+		groups: idx.groups, cells: idx.cells, bytes: idx.largeBytes, smallRecs: idx.smallRecs,
+	}
 	for i := range e.tau {
 		e.tau[i].Store(-1)
 	}
@@ -100,7 +107,8 @@ func (e *ubEntry) filled() int {
 // Bound, and upper bounding fills it in place and publishes it
 // (computeUpperBounds). Queries that use or collect labels bypass the
 // cache (their large grid drops labelled points), and so do temporal
-// ones (their grid depends on δ's bucketing).
+// ones (their grid depends on δ's bucketing); they build their large
+// grid in grid mapping.
 type ubCache struct {
 	mu sync.Mutex
 	// entries is in recency order, least recently used first.
@@ -111,13 +119,16 @@ type ubCache struct {
 	hits     uint64
 	misses   uint64
 	gridHits uint64
+	// builds counts the large grids the cache's queries built
+	// (query.countBuild).
+	builds atomic.Uint64
 }
 
 func newUBCache(points int) *ubCache { return &ubCache{budget: warmGridBytesPerPoint * points} }
 
 // get returns the entry cached for ceil and its warm grid, or nil, and
 // counts the lookup as a hit or a miss, and a grid hit.
-func (c *ubCache) get(ceil float64) (*ubEntry, *warmGrid) {
+func (c *ubCache) get(ceil float64) (*ubEntry, *grid.LargeGrid) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, e := range c.entries {
@@ -138,10 +149,10 @@ func (c *ubCache) get(ceil float64) (*ubEntry, *warmGrid) {
 
 // put publishes e unless an entry for its ⌈r⌉ is cached already: when
 // two engines missed on one ⌈r⌉ at once the first entry stays, and the
-// other's values are equal to what it holds or will be filled in. w,
-// the grid e's values were computed on, becomes the cached entry's warm
-// grid if it has none and the budget allows.
-func (c *ubCache) put(e *ubEntry, w *warmGrid) {
+// other's values are equal to what it holds or will be filled in. g,
+// when non-nil, is e's grid without its coordinates: it becomes the
+// cached entry's warm grid if it has none and the budget allows.
+func (c *ubCache) put(e *ubEntry, g *grid.LargeGrid) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	i := slices.IndexFunc(c.entries, func(o *ubEntry) bool { return o.ceil == e.ceil })
@@ -152,8 +163,8 @@ func (c *ubCache) put(e *ubEntry, w *warmGrid) {
 		c.entries = append(c.entries, e)
 		i = len(c.entries) - 1
 	}
-	if o := c.entries[i]; o.grid == nil && w.bytes() <= c.budget {
-		o.grid = w
+	if o := c.entries[i]; g != nil && o.grid == nil && g.SizeBytes() <= c.budget {
+		o.grid = g
 	}
 	c.trim()
 }
@@ -165,7 +176,7 @@ func (c *ubCache) trim() {
 	total := 0
 	for _, e := range c.entries {
 		if e.grid != nil {
-			total += e.grid.bytes()
+			total += e.grid.SizeBytes()
 		}
 	}
 	for _, e := range c.entries {
@@ -173,7 +184,7 @@ func (c *ubCache) trim() {
 			return
 		}
 		if e.grid != nil {
-			total -= e.grid.bytes()
+			total -= e.grid.SizeBytes()
 			e.grid = nil
 		}
 	}
@@ -190,9 +201,15 @@ type IndexCacheStats struct {
 	// Filled is the number of τ^upp values the entries hold, at most
 	// Entries × n.
 	Filled int `json:"filled"`
-	// GridHits counts the hits whose entry held its warm grid: those
-	// queries mapped only their small grids.
+	// GridHits counts the hits whose entry held its warm grid. Every
+	// hit maps its small grid alone; one that found no warm grid builds
+	// its large grid when it first reads it.
 	GridHits uint64 `json:"grid_hits"`
+	// LargeBuilds counts the large grids these queries built: one per
+	// miss, and one per hit that found no warm grid and then ran Lemma 2
+	// for an object the entry lacks or walked an object. Hits + Misses −
+	// LargeBuilds are the builds the cache saved.
+	LargeBuilds uint64 `json:"large_builds"`
 	// Grids is the number of entries holding a warm grid, and GridBytes
 	// what those grids take, at most the budget of 40 bytes per point of
 	// the dataset.
@@ -207,7 +224,7 @@ type IndexCacheStats struct {
 func (s IndexCacheStats) Add(o IndexCacheStats) IndexCacheStats {
 	return IndexCacheStats{
 		Hits: s.Hits + o.Hits, Misses: s.Misses + o.Misses, Entries: s.Entries + o.Entries, Filled: s.Filled + o.Filled,
-		GridHits: s.GridHits + o.GridHits, Grids: s.Grids + o.Grids, GridBytes: s.GridBytes + o.GridBytes,
+		GridHits: s.GridHits + o.GridHits, LargeBuilds: s.LargeBuilds + o.LargeBuilds, Grids: s.Grids + o.Grids, GridBytes: s.GridBytes + o.GridBytes,
 		Memo: MemoStats{Objects: s.Memo.Objects + o.Memo.Objects, Steps: s.Memo.Steps + o.Memo.Steps, Bytes: s.Memo.Bytes + o.Memo.Bytes},
 	}
 }
@@ -216,12 +233,12 @@ func (c *ubCache) stats() IndexCacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.trim()
-	st := IndexCacheStats{Hits: c.hits, Misses: c.misses, GridHits: c.gridHits, Entries: len(c.entries)}
+	st := IndexCacheStats{Hits: c.hits, Misses: c.misses, GridHits: c.gridHits, LargeBuilds: c.builds.Load(), Entries: len(c.entries)}
 	for _, e := range c.entries {
 		st.Filled += e.filled()
 		if e.grid != nil {
 			st.Grids++
-			st.GridBytes += e.grid.bytes()
+			st.GridBytes += e.grid.SizeBytes()
 		}
 	}
 	return st

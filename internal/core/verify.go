@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"time"
 
 	"mio/internal/bitmap"
 	"mio/internal/core/labelstore"
@@ -83,9 +84,12 @@ func (q *query) exact(i int) (tau int, whole bool) {
 }
 
 // exactScore computes τ(o_i) with the BIGrid (Algorithm 6 lines 6-19)
-// on one core; whole is false when a poll stopped the walk.
+// on one core; whole is false when a poll stopped the walk, or the
+// large grid's build before it, which leaves 0 as the bound.
 func (q *query) exactScore(i int, bOi, mask *bitmap.Scratch, ctr *ctrSet) (tau int, whole bool) {
-	q.gather()
+	if q.gather() == nil {
+		return 0, false
+	}
 	w := scoreWalk{q: q, i: i, bOi: bOi, mask: mask}
 	w.run()
 	ctr.adjComputed += w.ctr.adjComputed
@@ -93,15 +97,45 @@ func (q *query) exactScore(i int, bOi, mask *bitmap.Scratch, ctr *ctrSet) (tau i
 	return bOi.Cardinality() - 1, !w.stopped
 }
 
-// gather gives a large grid taken lean from a warm entry its
-// coordinates (grid.LargeGrid.Gather), once per query and before its
-// first walk: a warm query whose memo settles every candidate walks
-// nothing and gathers nothing. Parallel walkers share the grid, so
-// parallelExactScore gathers before it fans out.
-func (q *query) gather() {
-	if q.idx.large.Xs == nil {
-		q.idx.large = q.idx.large.Gather(q.e.ds)
+// gather returns the large grid with its coordinates, which a walk
+// reads, once per query and before its first walk: a grid taken lean
+// from a warm entry gets them gathered (grid.LargeGrid.Gather), and one
+// built by largeGrid has them. A warm query whose memo settles every
+// candidate walks nothing and gathers nothing. Parallel walkers share
+// the grid, so parallelExactScore gathers before it fans out. It
+// returns nil when largeGrid's build was cut short.
+func (q *query) gather() *grid.LargeGrid {
+	large := q.largeGrid()
+	if large != nil && large.Xs == nil {
+		large = large.Gather(q.e.ds)
+		q.idx.large = large
 	}
+	return large
+}
+
+// largeGrid returns the query's large grid, which every read of it
+// goes through: Lemma 2 for a survivor the entry lacks and the walks
+// (gather). Grid mapping leaves it nil when it found the query's ⌈r⌉
+// entry without a warm grid, and largeGrid builds it on the first
+// read: the grid of (dataset, ⌈r⌉), which numbers its cells and
+// postings as the entry's groups do. The build polls the query's
+// context; one cut short returns nil and is neither kept nor
+// published, and a complete one is offered to the cache as the entry's
+// warm grid. Its time is grid mapping's (lap).
+func (q *query) largeGrid() *grid.LargeGrid {
+	if q.idx.large != nil {
+		return q.idx.large
+	}
+	t0 := time.Now()
+	q.countBuild()
+	large, _, complete := grid.Build(q.e.pts, grid.LargeWidth(q.r), 0, nil, 0, q.e.opts.workers(), nil, q.cancelled, nil)
+	q.stats.GridMapping += time.Since(t0)
+	if !complete {
+		return nil
+	}
+	q.idx.large = large
+	q.e.ub.put(q.ub, large.Lean())
+	return large
 }
 
 // lemma1 sets b to {i} and the objects Lemma 1 certifies interact with

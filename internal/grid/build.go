@@ -30,13 +30,39 @@ func unpack(hi uint64, lo uint32) Key {
 	return Key{X: int32(uint32(hi>>32) ^ signBit), Y: int32(uint32(hi) ^ signBit), Z: int32(lo ^ signBit)}
 }
 
-// points is what every grid of one Build shares: the dataset, each
-// object's first point number, the object of each point number and,
-// in a bucketed build, the time bucket of each point number.
+// Points numbers the points of a dataset object-major: each object's
+// first point number, the object of each point number and each
+// object's point count. Every grid of the dataset numbers its points
+// so, and the numbering depends on the dataset alone, so an engine
+// makes it once (NewPoints) and passes it to every Build.
+type Points struct {
+	ds      *data.Dataset
+	start   []int32 // len n+1
+	objOf   []int32 // len start[n]
+	weights []int   // len n
+}
+
+// NewPoints numbers the points of ds.
+func NewPoints(ds *data.Dataset) *Points {
+	n := ds.N()
+	p := &Points{ds: ds, start: make([]int32, n+1), weights: make([]int, n)}
+	for i := range ds.Objects {
+		p.weights[i] = len(ds.Objects[i].Pts)
+		p.start[i+1] = p.start[i] + int32(p.weights[i])
+	}
+	p.objOf = make([]int32, p.start[n])
+	for i := range ds.Objects {
+		for g := p.start[i]; g < p.start[i+1]; g++ {
+			p.objOf[g] = int32(i)
+		}
+	}
+	return p
+}
+
+// points is what every grid of one Build shares: the numbering and, in
+// a bucketed build, the time bucket of each point number.
 type points struct {
-	ds     *data.Dataset
-	start  []int32 // len n+1
-	objOf  []int32 // len start[n]
+	*Points
 	bucket []int32 // len start[n], or nil: every point in bucket 0
 }
 
@@ -54,18 +80,19 @@ func (src *points) sameCell(a, b rec) bool {
 }
 
 // Build is GRID-MAPPING (Algorithm 3) by sort and scan: it maps the
-// points of ds into a large grid of cell width largeWidth and a small
-// grid of cell width smallWidth, which both see the same points. A
-// width of 0 skips that grid (it is nil): a caller that kept the large
-// grid of this width from an earlier Build maps only the small grid of
-// its exact threshold, through MapSmall. Grid by grid, every point is
-// quantised as KeyFor does, the (key, point number) records are
-// radix-sorted, and the sorted stream is run-length encoded into the
-// grid's flat arrays; the two record buffers are shared by both grids.
-// The small grid holds each cell's objects and nothing per point, so
-// its sweep keeps one record per run of an object's points in one
-// cell. The large grid links every column of cells to its neighbour
-// columns (postings.link).
+// points of pts's dataset into a large grid of cell width largeWidth
+// and a small grid of cell width smallWidth, which both see the same
+// points. A width of 0 skips that grid (it is nil): a caller that
+// holds what it needs of the large grid of this width maps only the
+// small grid of its exact threshold, and builds the large grid alone
+// when it must read it. Grid by grid, every point is quantised as
+// KeyFor does, the (key, point number) records are radix-sorted, and
+// the sorted stream is run-length encoded into the grid's flat arrays;
+// the two record buffers are shared by both grids. The small grid
+// holds each cell's objects and nothing per point, so its sweep keeps
+// one record per run of an object's points in one cell. The large grid
+// links every column of cells to its neighbour columns
+// (postings.link).
 //
 // bucket, when non-nil, is the time axis of Appendix B: one bucket id
 // per point number (object-major, as the points are numbered), the most
@@ -84,31 +111,21 @@ func (src *points) sameCell(a, b rec) bool {
 // workers > 1 the quantising sweeps are split over contiguous,
 // point-count-balanced object ranges; the sorts are not.
 //
-// ds must hold at most math.MaxInt32 points: point numbers and posting
-// offsets are int32, and a larger dataset would wrap them silently.
-func Build(ds *data.Dataset, largeWidth, smallWidth float64, bucket []int32, halo int32, workers int, keep func(obj, pt int) bool, stop func() bool) (large *LargeGrid, small *SmallGrid, complete bool) {
-	return build(ds, largeWidth, smallWidth, bucket, halo, workers, keep, stop, nil)
-}
-
-// MapSmall is Build without the large grid, for a caller that kept g
-// from an earlier Build of ds with the same keep and maps only the
-// small grid of a threshold with g's ⌈r⌉. A small grid's sweep keeps a
-// share of the points that depends on the dataset and the width (a
-// quarter to a third on Neuron-2, nearly all on Bird-2), so its records
-// are reserved by the most that a small sweep beside g kept before.
-func (g *LargeGrid) MapSmall(ds *data.Dataset, smallWidth float64, bucket []int32, workers int, keep func(obj, pt int) bool, stop func() bool) (small *SmallGrid, complete bool) {
-	_, small, complete = build(ds, 0, smallWidth, bucket, 0, workers, keep, stop, &g.smallRecs)
-	return small, complete
-}
-
-// build is Build. smallRecs, when non-nil, is the most records a small
-// sweep beside the large grid kept: a small-only build reserves by it,
-// and every small sweep raises it (a hint only, so two racing builds
-// may leave the lesser). A build of both grids uses the new large
-// grid's.
-func build(ds *data.Dataset, largeWidth, smallWidth float64, bucket []int32, halo int32, workers int, keep func(obj, pt int) bool, stop func() bool, smallRecs *atomic.Int64) (large *LargeGrid, small *SmallGrid, complete bool) {
-	src, weights := newPoints(ds, bucket)
-	ranges := parallel.Ranges(weights, workers)
+// smallRecs, when non-nil, is the most records a small sweep at this
+// large width kept. A small grid's sweep keeps a share of the points
+// that depends on the dataset and the width (a quarter to a third on
+// Neuron-2, nearly all on Bird-2), so a build without the large grid
+// reserves its records by it, or for every point while it is 0; every
+// small sweep raises it (a hint only, so two racing builds may leave
+// the lesser). A build of both grids fills the large grid's buffer in
+// place and needs none.
+//
+// The dataset must hold at most math.MaxInt32 points: point numbers and
+// posting offsets are int32, and a larger dataset would wrap them
+// silently.
+func Build(pts *Points, largeWidth, smallWidth float64, bucket []int32, halo int32, workers int, keep func(obj, pt int) bool, stop func() bool, smallRecs *atomic.Int64) (large *LargeGrid, small *SmallGrid, complete bool) {
+	src := points{Points: pts, bucket: bucket}
+	ranges := parallel.Ranges(pts.weights, workers)
 	var recs, tmp []rec
 	complete = true
 	// sorted quantises at width into bufs, one per range, and sorts;
@@ -128,7 +145,6 @@ func build(ds *data.Dataset, largeWidth, smallWidth float64, bucket []int32, hal
 	if largeWidth != 0 {
 		recs = make([]rec, len(src.objOf))
 		large = newLargeGrid(halo, &src, sorted(largeWidth, false, src.windows(recs, ranges)))
-		smallRecs = &large.smallRecs
 	}
 	if smallWidth != 0 {
 		var bufs [][]rec
@@ -148,25 +164,6 @@ func build(ds *data.Dataset, largeWidth, smallWidth float64, bucket []int32, hal
 		}
 	}
 	return large, small, complete
-}
-
-// newPoints numbers the points of ds object-major and returns them with
-// each object's point count.
-func newPoints(ds *data.Dataset, bucket []int32) (src points, weights []int) {
-	n := ds.N()
-	weights = make([]int, n)
-	src = points{ds: ds, start: make([]int32, n+1), bucket: bucket}
-	for i := range ds.Objects {
-		weights[i] = len(ds.Objects[i].Pts)
-		src.start[i+1] = src.start[i] + int32(weights[i])
-	}
-	src.objOf = make([]int32, src.start[n])
-	for i := range ds.Objects {
-		for g := src.start[i]; g < src.start[i+1]; g++ {
-			src.objOf[g] = int32(i)
-		}
-	}
-	return src, weights
 }
 
 // quantise appends one record per kept point of each object range to

@@ -153,7 +153,7 @@ func dataset(objs ...[]geom.Point) *data.Dataset {
 
 // buildLarge builds the large grid alone, on one worker, unfiltered.
 func buildLarge(ds *data.Dataset, width float64) *LargeGrid {
-	g, _, _ := Build(ds, width, 0, nil, 0, 1, nil, nil)
+	g, _, _ := Build(NewPoints(ds), width, 0, nil, 0, 1, nil, nil, nil)
 	return g
 }
 
@@ -428,16 +428,12 @@ func checkLarge(t *testing.T, g *LargeGrid, ds *data.Dataset, width float64, ref
 }
 
 // checkCopies holds the grid's copies against it: a lean copy drops
-// the coordinates alone, still counted by GatheredBytes, and Gather
-// restores them.
+// the coordinates alone, and Gather restores them.
 func checkCopies(t *testing.T, g *LargeGrid, ds *data.Dataset) {
 	t.Helper()
 	lean := g.Lean()
 	if lean.Xs != nil || lean.SizeBytes() != g.SizeBytes()-24*len(g.Idx) {
 		t.Fatalf("lean copy: %d coordinates, %d bytes of %d", len(lean.Xs), lean.SizeBytes(), g.SizeBytes())
-	}
-	if lean.GatheredBytes() != g.SizeBytes() || g.GatheredBytes() != g.SizeBytes() {
-		t.Fatalf("gathered bytes: lean %d, full %d, want %d", lean.GatheredBytes(), g.GatheredBytes(), g.SizeBytes())
 	}
 	if back := lean.Gather(ds); !reflect.DeepEqual([][]float64{back.Xs, back.Ys, back.Zs}, [][]float64{g.Xs, g.Ys, g.Zs}) {
 		t.Fatal("Gather does not restore the coordinates")
@@ -561,7 +557,7 @@ func TestFlatIndexAgainstReference(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 7} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
 				var polls atomic.Int64
-				large, small, complete := Build(tc.ds, width, smallWidth, tc.bucket, tc.halo, workers, tc.keep, func() bool { polls.Add(1); return false })
+				large, small, complete := Build(NewPoints(tc.ds), width, smallWidth, tc.bucket, tc.halo, workers, tc.keep, func() bool { polls.Add(1); return false }, nil)
 				if !complete {
 					t.Fatal("Build: not complete")
 				}
@@ -573,7 +569,7 @@ func TestFlatIndexAgainstReference(t *testing.T) {
 				checkSmall(t, small, reference(tc.ds, smallWidth, tc.keep, tc.bucket))
 				// Without the large grid the small grid's sweep polls.
 				polls.Store(0)
-				large, again, complete := Build(tc.ds, 0, smallWidth, tc.bucket, tc.halo, workers, tc.keep, func() bool { polls.Add(1); return false })
+				large, again, complete := Build(NewPoints(tc.ds), 0, smallWidth, tc.bucket, tc.halo, workers, tc.keep, func() bool { polls.Add(1); return false }, nil)
 				if large != nil || !complete || int(polls.Load()) != tc.ds.N()/128 || !reflect.DeepEqual(again, small) {
 					t.Fatalf("Build without the large grid: large %v, complete %v, %d polls, small grids equal %v", large != nil, complete, polls.Load(), reflect.DeepEqual(again, small))
 				}
@@ -592,7 +588,7 @@ func TestBuildStops(t *testing.T) {
 	}
 	ds := dataset(objs...)
 	polls := 0
-	large, small, complete := Build(ds, 1, 0.5, nil, 0, 1, nil, func() bool { polls++; return polls == 2 })
+	large, small, complete := Build(NewPoints(ds), 1, 0.5, nil, 0, 1, nil, func() bool { polls++; return polls == 2 }, nil)
 	if complete {
 		t.Fatal("a stopped build reported complete")
 	}
@@ -611,7 +607,7 @@ func TestBuildStops(t *testing.T) {
 	}
 	// Without the large grid the small grid's sweep is the one cut.
 	polls = 0
-	if large, small, complete := Build(ds, 0, 0.5, nil, 0, 1, nil, func() bool { polls++; return polls == 2 }); large != nil || complete || small.Len() != 2*255 {
+	if large, small, complete := Build(NewPoints(ds), 0, 0.5, nil, 0, 1, nil, func() bool { polls++; return polls == 2 }, nil); large != nil || complete || small.Len() != 2*255 {
 		t.Fatalf("stopped small-grid build: large %v, complete %v, %d small cells, want %d", large != nil, complete, small.Len(), 2*255)
 	}
 }
@@ -620,10 +616,10 @@ func TestBuildStops(t *testing.T) {
 // one record per run of an object's points in one cell, against the
 // reference built from every point: on slow walks, where most
 // consecutive points share a cell, with and without a filter and the
-// time axis, quantised by one and by two workers, built alone (a
-// warm-grid hit, whose record buffers the shortened sweep sizes) and
-// after the large grid (whose buffers are longer than its records), and
-// cut short by stop.
+// time axis, quantised by one and by two workers, built alone (a query
+// whose ⌈r⌉ entry holds what it needs of the large grid, whose record
+// buffers the shortened sweep sizes) and after the large grid (whose
+// buffers are longer than its records), and cut short by stop.
 func TestSmallGridDistinctRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	objs := make([][]geom.Point, 300)
@@ -676,8 +672,9 @@ func TestSmallGridDistinctRecords(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				src, weights := newPoints(ds, tc.bucket)
-				ranges := parallel.Ranges(weights, workers)
+				pts := NewPoints(ds)
+				src := points{Points: pts, bucket: tc.bucket}
+				ranges := parallel.Ranges(pts.weights, workers)
 				// Into windows of one buffer, into buffers reserved for
 				// a quarter of the runs (they fill and grow) and into
 				// buffers with room for every point.
@@ -691,30 +688,27 @@ func TestSmallGridDistinctRecords(t *testing.T) {
 						t.Fatalf("the small grid's sweep kept %d records, want one per run: %d", m, runs)
 					}
 				}
-				_, alone, complete := Build(ds, 0, width, tc.bucket, 0, workers, tc.keep, nil)
-				if !complete {
-					t.Fatal("Build: not complete")
-				}
-				checkSmall(t, alone, ref)
-				beside, after, _ := Build(ds, 2*width, width, tc.bucket, 0, workers, tc.keep, nil)
+				// A build of both grids notes the records its small sweep
+				// kept; one without the large grid reserves by that note,
+				// by too few, or, with none, for every point.
+				var hint atomic.Int64
+				_, after, _ := Build(pts, 2*width, width, tc.bucket, 0, workers, tc.keep, nil, &hint)
 				checkSmall(t, after, ref)
-				// MapSmall reserves by the runs the sweep beside the
-				// large grid kept, or by too few.
-				for _, hint := range []int64{int64(runs), int64(runs / 4)} {
-					if got := beside.smallRecs.Load(); got < int64(runs) {
-						t.Fatalf("the large grid notes %d small records, want %d", got, runs)
-					}
-					beside.smallRecs.Store(hint)
-					small, complete := beside.Lean().MapSmall(ds, width, tc.bucket, workers, tc.keep, nil)
+				if got := hint.Load(); got != int64(runs) {
+					t.Fatalf("the build notes %d small records, want %d", got, runs)
+				}
+				for _, note := range []int64{int64(runs), int64(runs / 4), 0} {
+					hint.Store(note)
+					_, alone, complete := Build(pts, 0, width, tc.bucket, 0, workers, tc.keep, nil, &hint)
 					if !complete {
-						t.Fatal("MapSmall: not complete")
+						t.Fatal("Build: not complete")
 					}
-					checkSmall(t, small, ref)
+					checkSmall(t, alone, ref)
 				}
 
 				// Stopped at the first poll: the large grid holds what
 				// was mapped, and the small grid the same points.
-				large, small, complete := Build(ds, 2*width, width, tc.bucket, 0, workers, tc.keep, func() bool { return true })
+				large, small, complete := Build(pts, 2*width, width, tc.bucket, 0, workers, tc.keep, func() bool { return true }, nil)
 				if complete {
 					t.Fatal("a stopped build reported complete")
 				}
@@ -727,7 +721,7 @@ func TestSmallGridDistinctRecords(t *testing.T) {
 				if workers == 1 {
 					// Without the large grid the small grid's sweep is
 					// the one cut, at object 127.
-					_, small, _ := Build(ds, 0, width, tc.bucket, 0, 1, tc.keep, func() bool { return true })
+					_, small, _ := Build(pts, 0, width, tc.bucket, 0, 1, tc.keep, func() bool { return true }, nil)
 					first := func(obj, pt int) bool { return obj < 127 && (tc.keep == nil || tc.keep(obj, pt)) }
 					checkSmall(t, small, reference(ds, width, first, tc.bucket))
 				}
@@ -817,7 +811,7 @@ func TestGridAccessorsAndSizes(t *testing.T) {
 		[]geom.Point{geom.Pt(1, 1, 1)},
 		[]geom.Point{geom.Pt(1.5, 1, 1)},
 	)
-	g, small, _ := Build(ds, 3, 0.5, nil, 0, 1, nil, nil)
+	g, small, _ := Build(NewPoints(ds), 3, 0.5, nil, 0, 1, nil, nil, nil)
 	before := g.SizeBytes()
 	if before <= 0 {
 		t.Fatal("SizeBytes")
@@ -974,7 +968,7 @@ func neighbourhoodCases() []neighbourhoodCase {
 // counts against a per-cell sum over what columns visits.
 func TestNeighborhoodPostings(t *testing.T) {
 	for _, tc := range neighbourhoodCases() {
-		g, _, _ := Build(tc.ds, tc.width, 0, tc.bucket, tc.halo, 1, nil, nil)
+		g, _, _ := Build(NewPoints(tc.ds), tc.width, 0, tc.bucket, tc.halo, 1, nil, nil, nil)
 		got := g.NeighborhoodPostings()
 		if len(got) != g.Len() {
 			t.Fatalf("%s: %d counts for %d cells", tc.name, len(got), g.Len())
@@ -1003,7 +997,7 @@ func TestNeighborTableMatchesColumns(t *testing.T) {
 		lo, hi     int
 	}
 	for _, tc := range neighbourhoodCases() {
-		g, _, _ := Build(tc.ds, tc.width, 0, tc.bucket, tc.halo, 1, nil, nil)
+		g, _, _ := Build(NewPoints(tc.ds), tc.width, 0, tc.bucket, tc.halo, 1, nil, nil, nil)
 		if tc.name == "planar" && len(g.colStart) != g.Len()+1 {
 			t.Fatalf("planar: %d columns for %d cells", len(g.colStart)-1, g.Len())
 		}

@@ -63,9 +63,6 @@ type postings struct {
 
 	adj      []atomic.Pointer[bitmap.Compressed]
 	adjBytes atomic.Int64
-	// smallRecs is the most records a small grid's sweep beside this
-	// grid kept (MapSmall).
-	smallRecs atomic.Int64
 	// scratches pools per-goroutine accumulators for the adjacency
 	// unions. It is a pointer because package sync keeps every Pool it
 	// has seen in a global list until the second GC after: embedded in
@@ -420,19 +417,12 @@ func (g *LargeGrid) compress(s *bitmap.Scratch) *bitmap.Compressed {
 
 // SizeBytes returns the memory footprint of the grid: the directory,
 // the bucket ranges, the neighbour table, the flat posting arrays, the
-// coordinates unless the grid is lean, and the adjacency bitsets
-// memoised so far (AdjBytes).
-func (g *LargeGrid) SizeBytes() int { return g.sizeBytes(len(g.Xs)) }
-
-// GatheredBytes is SizeBytes with the coordinates of every point
-// counted, lean or not: the footprint once Gather has run.
-func (g *LargeGrid) GatheredBytes() int { return g.sizeBytes(len(g.Idx)) }
-
-// sizeBytes is SizeBytes with coords points' coordinates, 24 bytes each.
-func (g *LargeGrid) sizeBytes(coords int) int {
+// coordinates unless the grid is lean, 24 bytes a point, and the
+// adjacency bitsets memoised so far (AdjBytes).
+func (g *LargeGrid) SizeBytes() int {
 	const perCell = 8 + 4 + /* CellOff */ 4 + /* adj pointer */ 8 + /* cellCol */ 4
 	table := len(g.colStart)*4 + len(g.nbrFirst)*(4+1)
-	return g.Len()*perCell + g.bucketBytes() + table + len(g.Objs)*(4+4) + len(g.Idx)*4 + coords*24 + g.AdjBytes()
+	return g.Len()*perCell + g.bucketBytes() + table + len(g.Objs)*(4+4) + len(g.Idx)*4 + len(g.Xs)*24 + g.AdjBytes()
 }
 
 // adjHeaderBytes is what a memoised b^adj occupies beside its words:

@@ -492,28 +492,32 @@ func TestMetricsShape(t *testing.T) {
 }
 
 // TestMetricsIndexCache checks the index_cache section of /metrics: two
-// queries with one ⌈r⌉ and distinct exact r miss the result cache, and
-// the second takes τ^upp and the warm large grid from the engines'
-// cache — in every shard pool on the sharded strategy, summed. The
-// τ^upp values the entries hold grow from none with the queries and
-// never pass one per object per entry; the grids' bytes stay within the
-// budget, 40 bytes per point of each pool's dataset. Label queries
-// bypass the cache; the score memo's counts (memo) grow on every
-// strategy. The solo and sharded queries take ⌈r⌉ = 6: at
-// ⌈r⌉ = 5 this dataset's grid, 178 cells for 480 points, takes 30
-// bytes a point lean and over 40 with its b^adj memo, and is not kept;
-// the shards' grids are sparser still.
+// queries with one ⌈r⌉ miss the result cache, and the second takes
+// τ^upp and the warm large grid from the engines' cache — in every
+// shard pool on the sharded strategy, summed — and builds no large
+// grid (large_builds counts the misses'). The τ^upp values the entries
+// hold grow from none with the queries and never pass one per object
+// per entry; the grids' bytes stay within the budget, 40 bytes per
+// point of each pool's dataset. Label queries bypass the cache; the
+// score memo's counts (memo) grow on every strategy. The solo and
+// sharded queries take ⌈r⌉ = 6. At ⌈r⌉ = 5 this dataset's grid, 178
+// cells for 480 points, takes 30 bytes a point lean and over 40 with
+// its b^adj memo, and is not kept: the "lazy" row's second query finds
+// its entry without a grid, and it needs neither Lemma 2 nor a walk (k
+// = 1 at the r whose top 2 the first query walked, the memo holding
+// their scores), so it builds no large grid either.
 func TestMetricsIndexCache(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts core.Options
 		cfg  Config
-		r    [2]string
+		q    [2]string
 		want core.IndexCacheStats
 	}{
-		{"solo", core.Options{}, Config{}, [2]string{"5.5", "5.2"}, core.IndexCacheStats{Hits: 1, Misses: 1, Entries: 1, GridHits: 1, Grids: 1}},
-		{"sharded", core.Options{}, Config{Shards: 2, ShardMaxR: 6}, [2]string{"5.5", "5.2"}, core.IndexCacheStats{Hits: 2, Misses: 2, Entries: 2, GridHits: 2, Grids: 2}},
-		{"labels", core.Options{Labels: labelstore.NewStore()}, Config{}, [2]string{"4.5", "4.2"}, core.IndexCacheStats{}},
+		{"solo", core.Options{}, Config{}, [2]string{"r=5.5", "r=5.2&k=2"}, core.IndexCacheStats{Hits: 1, Misses: 1, Entries: 1, GridHits: 1, LargeBuilds: 1, Grids: 1}},
+		{"sharded", core.Options{}, Config{Shards: 2, ShardMaxR: 6}, [2]string{"r=5.5", "r=5.2&k=2"}, core.IndexCacheStats{Hits: 2, Misses: 2, Entries: 2, GridHits: 2, LargeBuilds: 2, Grids: 2}},
+		{"lazy", core.Options{}, Config{}, [2]string{"r=4.5&k=2", "r=4.5"}, core.IndexCacheStats{Hits: 1, Misses: 1, Entries: 1, LargeBuilds: 1}},
+		{"labels", core.Options{Labels: labelstore.NewStore()}, Config{}, [2]string{"r=4.5", "r=4.2&k=2"}, core.IndexCacheStats{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ds := testDataset(80, 7)
@@ -525,7 +529,7 @@ func TestMetricsIndexCache(t *testing.T) {
 			h := s.Handler()
 			var snap MetricsSnapshot
 			filled := 0
-			for _, url := range []string{"/v1/query?r=" + tc.r[0], "/v1/query?r=" + tc.r[1] + "&k=2"} {
+			for _, url := range []string{"/v1/query?" + tc.q[0], "/v1/query?" + tc.q[1]} {
 				if rec := get(t, h, url, nil); rec.Code != http.StatusOK {
 					t.Fatalf("%s: status %d: %s", url, rec.Code, rec.Body)
 				}
@@ -537,7 +541,7 @@ func TestMetricsIndexCache(t *testing.T) {
 				filled = st.Filled
 			}
 			st := snap.IndexCache
-			if got := (core.IndexCacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries, GridHits: st.GridHits, Grids: st.Grids}); got != tc.want {
+			if got := (core.IndexCacheStats{Hits: st.Hits, Misses: st.Misses, Entries: st.Entries, GridHits: st.GridHits, LargeBuilds: st.LargeBuilds, Grids: st.Grids}); got != tc.want {
 				t.Errorf("index_cache = %+v, want %+v", st, tc.want)
 			}
 			// Every strategy records the scores its walks found, label

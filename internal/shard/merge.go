@@ -91,6 +91,7 @@ func mergeStats(sts []core.PhaseStats) core.PhaseStats {
 		out.AdjComputed += st.AdjComputed
 		out.SmallCells += st.SmallCells
 		out.LargeCells += st.LargeCells
+		out.LargeBuilds += st.LargeBuilds
 		out.IndexBytes += st.IndexBytes
 		out.SmallGridBytes += st.SmallGridBytes
 		out.SmallGridUncompressedBytes += st.SmallGridUncompressedBytes

@@ -206,7 +206,7 @@ func checkStats(s core.PhaseStats) error {
 		}
 	}
 	for _, c := range [...]int{s.LabelBytes, s.Candidates, s.Verified, s.DistanceComps, s.AdjComputed,
-		s.SmallCells, s.LargeCells, s.IndexBytes, s.SmallGridBytes, s.SmallGridUncompressedBytes, s.LargeGridBytes} {
+		s.SmallCells, s.LargeCells, s.LargeBuilds, s.IndexBytes, s.SmallGridBytes, s.SmallGridUncompressedBytes, s.LargeGridBytes} {
 		if c < 0 {
 			return fmt.Errorf("%w: negative stats counter", shard.ErrBadResponse)
 		}

@@ -23,10 +23,12 @@
 //	miosrv -gen syn -shards-at http://localhost:7001,http://localhost:7002,http://localhost:7003
 //
 // A worker serves one shard's bound/verify phases plus a /shardz
-// health endpoint; the coordinator validates every worker response
-// (checksummed envelope, dataset-generation stamp, range and order
-// checks) and degrades to certified [LB, UB] intervals when workers
-// die, flap, or answer from the wrong dataset generation.
+// readiness and count endpoint, which the coordinator does not poll.
+// The coordinator validates every worker response (checksummed
+// envelope, dataset-generation stamp, range and order checks), lets
+// each shard's circuit breaker alone decide whether its worker is
+// tried, and degrades to certified [LB, UB] intervals when workers die,
+// flap, or answer from the wrong dataset generation.
 //
 // -shards and -shards-at exclude each other: each selects what answers
 // /v1/query (server.Config.Validate). All flag combinations are

@@ -294,12 +294,8 @@ func (s *Server) newCoordinator(ds *data.Dataset, opts core.Options) (*shard.Coo
 // not merged.
 func (s *Server) remoteCoordinator(ds *data.Dataset) (*shard.Coordinator, error) {
 	cfg := s.shardConfig()
-	maxR := cfg.MaxR
-	if maxR <= 0 {
-		maxR = shard.DefaultMaxR
-	}
 	shards := len(s.cfg.ShardAddrs)
-	gen := remote.Generation(remote.Fingerprint(ds), shards, maxR)
+	gen := remote.Generation(remote.Fingerprint(ds), shards, shard.Horizon(cfg.MaxR))
 	backends := make([]shard.Backend, shards)
 	for i, addr := range s.cfg.ShardAddrs {
 		backends[i] = remote.NewClient(remote.ClientConfig{
@@ -485,8 +481,8 @@ func (s *Server) SwapDataset(ds *data.Dataset) error {
 	}
 	if coord != nil {
 		s.coord.Store(coord)
-		// Stops the old coordinator's background probers; in-flight
-		// queries that already loaded it still complete.
+		// Closes the old coordinator's idle worker connections;
+		// in-flight queries that already loaded it still complete.
 		old.Close()
 	}
 	s.epoch.Add(1)
@@ -502,8 +498,8 @@ func (s *Server) Drain() {
 	s.draining = true
 	s.drainMu.Unlock()
 	if co := s.coord.Load(); co != nil {
-		// Stops remote shard health probers; Close is idempotent and
-		// /healthz keeps serving the last-known shard states.
+		// Closes idle remote worker connections; Close is idempotent
+		// and /healthz keeps serving the last-known shard states.
 		co.Close()
 	}
 }

@@ -3,16 +3,24 @@ package shard
 import (
 	"context"
 	"errors"
-	"time"
 
 	"mio/internal/core"
 )
 
 // DefaultMaxR is the replica horizon selected when a Config (or a
-// remote worker's config) leaves MaxR unset. Coordinator and workers
-// must agree on the effective horizon — it is folded into the dataset
-// generation stamp — so the default lives here, in one place.
+// remote worker's config) leaves MaxR unset; Horizon applies it.
 const DefaultMaxR = 10
+
+// Horizon resolves a configured replica horizon: maxR, or DefaultMaxR
+// when unset (≤ 0). Coordinator and workers must agree on the effective
+// horizon — it is folded into the dataset generation stamp — so every
+// config resolves it here.
+func Horizon(maxR float64) float64 {
+	if maxR <= 0 {
+		return DefaultMaxR
+	}
+	return maxR
+}
 
 // Transport-level failure sentinels. The coordinator inspects attempt
 // errors with errors.Is to keep per-class counters; the remote
@@ -23,33 +31,33 @@ var (
 	// guard: the worker answered, but for a different dataset
 	// generation than the coordinator is serving — a restarted or
 	// mis-deployed worker. Merging such an answer would silently mix
-	// datasets, so the shard is treated as down instead.
+	// datasets, so the attempt fails and is charged to the shard's
+	// breaker like any other.
 	ErrStaleGeneration = errors.New("shard: response from a different dataset generation")
 	// ErrBadResponse marks a response rejected by strict validation
 	// before it could touch the merge: corrupt or truncated envelope,
 	// malformed JSON, out-of-range ids or scores, broken canonical
 	// order, or an oversized body.
 	ErrBadResponse = errors.New("shard: invalid shard response")
-	// ErrUnreachable marks an attempt refused because the health prober
-	// currently considers the worker down; no network round trip is
-	// paid.
-	ErrUnreachable = errors.New("shard: worker down")
 	// ErrNoSlot marks an engine-pool acquire that timed out; the
 	// coordinator does not charge it to the shard's breaker (the shard
 	// is busy, not broken) and a remote worker answers it with 503.
 	ErrNoSlot = errors.New("shard: engine pool exhausted")
 )
 
-// Shard probe states reported in BackendInfo.State and /healthz.
+// Shard liveness states reported in Health.State and /healthz. Every
+// shard, in-process or remote, derives its state from its breaker
+// alone (Shard.health).
 const (
-	// ProbeUp: the last health probe (or query) succeeded.
+	// ProbeUp: the breaker is closed with no failure streak (no attempt
+	// yet, or the last one succeeded).
 	ProbeUp = "up"
-	// ProbeSuspect: a recent probe failed but the down threshold has
-	// not been reached (or the worker has never been probed yet).
+	// ProbeSuspect: the breaker is closed with a failure streak below
+	// DefaultBreakThreshold, or half-open with its probe attempt due or
+	// in flight.
 	ProbeSuspect = "suspect"
-	// ProbeDown: consecutive probe failures reached the threshold, or
-	// the worker answered with a stale generation; attempts fast-fail
-	// until a probe succeeds again.
+	// ProbeDown: the breaker is open; attempts are refused until its
+	// cooldown admits a probe attempt.
 	ProbeDown = "down"
 )
 
@@ -67,11 +75,11 @@ type Backend interface {
 	// paused bounds. Implementations convert panics to errors, which
 	// the retry loop handles like any other failed attempt.
 	Bound(ctx context.Context, r float64, k int) (Bounds, error)
-	// Info reports the backend's identity and, for remote backends, the
-	// prober's last-known view of the worker.
+	// Info reports the backend's identity.
 	Info() BackendInfo
-	// Close releases background resources (probers). It must be
-	// idempotent; in-flight calls may still complete afterwards.
+	// Close releases transport resources (a remote client's idle
+	// connections). It must be idempotent; in-flight calls may still
+	// complete afterwards.
 	Close()
 }
 
@@ -95,26 +103,22 @@ type Bounds interface {
 	Release()
 }
 
+// Counts describes what an in-process shard holds of the dataset.
+type Counts struct {
+	Objects   int `json:"objects"`
+	Primaries int `json:"primaries"`
+	Replicas  int `json:"replicas"`
+}
+
 // BackendInfo is a backend's health-reporting snapshot.
 type BackendInfo struct {
-	// Objects/Primaries/Replicas describe the shard's slice of the
-	// dataset. For remote backends they reflect the last successful
-	// /shardz probe and are zero until one lands.
-	Objects   int
-	Primaries int
-	Replicas  int
+	// Counts is the shard's slice of the dataset; nil for a remote
+	// worker, which reports its own on /shardz.
+	Counts *Counts
 	// Addr is the worker address ("" for in-process backends).
 	Addr string
 	// Generation is the dataset generation the backend expects of its
 	// worker (0 for in-process backends — the coordinator shares the
 	// process, so generations cannot diverge).
 	Generation uint64
-	// State is the prober's view (ProbeUp/ProbeSuspect/ProbeDown), or
-	// "" for in-process backends, whose liveness the breaker tracks.
-	State string
-	// LastProbeErr is the most recent probe failure ("" when healthy);
-	// LastProbeAgo is how long ago the last probe finished (negative
-	// when never probed).
-	LastProbeErr string
-	LastProbeAgo time.Duration
 }

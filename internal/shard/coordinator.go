@@ -30,8 +30,8 @@ type Config struct {
 	// Shards is the number of partitions (required, ≥ 2).
 	Shards int
 	// MaxR is the replica horizon: queries with r ≤ MaxR are answerable
-	// by the shards; larger radii return ErrBeyondHorizon. Default
-	// DefaultMaxR.
+	// by the shards; larger radii return ErrBeyondHorizon. Unset:
+	// Horizon's default, DefaultMaxR.
 	MaxR float64
 	// Retries is how many times a failed bound attempt is relaunched
 	// after jittered backoff. Default 1; -1 disables retries.
@@ -65,9 +65,7 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.MaxR <= 0 {
-		c.MaxR = DefaultMaxR
-	}
+	c.MaxR = Horizon(c.MaxR)
 	if c.Retries < 0 {
 		c.Retries = 0
 	} else if c.Retries == 0 {
@@ -99,13 +97,11 @@ type Metrics struct {
 	Retries  *metrics.Counter
 	Downs    *metrics.Counter // shard outcomes that ended down or late
 	Degraded *metrics.Counter
-	// Stale counts bound attempts that failed on a worker serving
-	// another dataset generation: the attempt's own response was
-	// rejected by the generation guard, or the client already knew from
-	// a probe or an earlier attempt and refused without a round trip.
-	// Bad counts responses rejected by strict validation (corrupt
-	// envelope, malformed payload). Both are remote-transport failures
-	// that degrade the shard instead of poisoning the merge.
+	// Stale counts bound attempts whose response the generation guard
+	// rejected: the worker serves another dataset generation. Bad
+	// counts responses rejected by strict validation (corrupt envelope,
+	// malformed payload). Both are remote-transport failures that
+	// degrade the shard instead of poisoning the merge.
 	Stale *metrics.Counter
 	Bad   *metrics.Counter
 	// Pruned observes, per query, how many shards the bound merge
@@ -191,8 +187,9 @@ func NewWithBackends(backends []Backend, n int, cfg Config) (*Coordinator, error
 	return c, nil
 }
 
-// Close releases every shard backend (stops remote health probers).
-// In-flight queries may still complete; new ones should not be issued.
+// Close releases every shard backend (closes remote clients' idle
+// connections). In-flight queries may still complete; new ones should
+// not be issued.
 func (c *Coordinator) Close() {
 	for _, sh := range c.shards {
 		sh.backend.Close()
@@ -440,7 +437,9 @@ func (c *Coordinator) boundShard(ctx context.Context, sh *Shard, r float64, k in
 // backend. Backends convert panics to errors, so only bookkeeping
 // lives here: breaker charging (refusals, pool exhaustion and invalid
 // queries exempt), per-class failure counters, and the degradation
-// envelope.
+// envelope. The breaker is every shard's one liveness signal, remote
+// or in-process: a dead, hung, hostile or stale worker is charged here
+// and nowhere else.
 func (c *Coordinator) attempt(ctx context.Context, sh *Shard, r float64, k int) attemptRes {
 	if retry, ok := sh.br.Allow(); !ok {
 		// Refused, not failed: the breaker's own bookkeeping must not
@@ -465,11 +464,7 @@ func (c *Coordinator) attempt(ctx context.Context, sh *Shard, r float64, k int) 
 		case errors.Is(err, ErrBadResponse):
 			c.m.Bad.Inc()
 		}
-		if !errors.Is(err, ErrUnreachable) {
-			// Prober-refused attempts never reached the worker; charging
-			// the breaker too would double-count one failure signal.
-			sh.br.Failure()
-		}
+		sh.br.Failure()
 		sh.noteError(err)
 		return attemptRes{err: err}
 	}

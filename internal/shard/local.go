@@ -46,7 +46,7 @@ func NewLocalBackend(part *Partition, ds *data.Dataset, id int, opts core.Option
 		id:      id,
 		global:  part.Members[id],
 		primary: primary,
-		info:    BackendInfo{Objects: len(primary), Primaries: prim, Replicas: len(primary) - prim},
+		info:    BackendInfo{Counts: &Counts{Objects: len(primary), Primaries: prim, Replicas: len(primary) - prim}},
 		faults:  opts.Faults,
 		pool:    p,
 		wait:    wait,

@@ -256,7 +256,8 @@ func TestMultiProcessChaos(t *testing.T) {
 
 	// Phase 3 — steady state with a dead worker: still 200, now
 	// degraded with a certified interval, and /healthz reports the
-	// shard down.
+	// shard down. Its breaker is the one liveness signal and learns
+	// only from query attempts, so the wait for down keeps querying.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		qr := chaosQuery(t, ts.URL, 3, 3)
@@ -271,6 +272,7 @@ func TestMultiProcessChaos(t *testing.T) {
 	}
 	deadline = time.Now().Add(10 * time.Second)
 	for {
+		checkInterval(chaosQuery(t, ts.URL, 3, 3))
 		hs := chaosHealth(t, ts.URL)
 		if len(hs) == 3 && hs[1].State == shard.ProbeDown && hs[1].Addr != "" {
 			break

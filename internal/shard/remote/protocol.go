@@ -244,17 +244,3 @@ func checkCompleteResponse(resp *CompleteResponse, want Stamp, k, n int) error {
 	}
 	return checkStats(resp.Stats)
 }
-
-// checkShardz validates a decoded /shardz response: the generation is
-// checked by the caller (stale is a distinct state, not a bad
-// response); here only structural sanity.
-func checkShardz(resp *ShardzResponse, n int) error {
-	if resp.Objects < 0 || resp.Primaries < 0 || resp.Replicas < 0 || resp.Handles < 0 {
-		return fmt.Errorf("%w: negative shardz counter", shard.ErrBadResponse)
-	}
-	if resp.Objects > n || resp.Primaries+resp.Replicas != resp.Objects {
-		return fmt.Errorf("%w: shardz accounting broken (%d objects, %d primaries, %d replicas)",
-			shard.ErrBadResponse, resp.Objects, resp.Primaries, resp.Replicas)
-	}
-	return nil
-}

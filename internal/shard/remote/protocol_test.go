@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"mio/internal/core"
 	"mio/internal/data"
@@ -174,9 +173,9 @@ func FuzzRemoteShardResponse(f *testing.F) {
 	f.Add(durable.Seal([]byte(`{"stamp":{"generation":42,"shard":0,"shards":2},"handle":1,"top_lbs":[{"obj":-5,"score":2}],"max_ub":3,"stats":{}}`)))
 
 	// One shared server and client across all executions: the server
-	// answers every request with the current fuzz input, and the
-	// client's failure ladder is reset per input so a hostile payload
-	// never gets fast-failed instead of parsed.
+	// answers every request with the current fuzz input. The client
+	// keeps no liveness state, so every input is parsed, whatever the
+	// ones before it were.
 	var mu sync.Mutex
 	var body []byte
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -186,22 +185,17 @@ func FuzzRemoteShardResponse(f *testing.F) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(b)
 	}))
-	// Probes would race the swapped body; park them.
-	c := newClient(ClientConfig{
+	c := NewClient(ClientConfig{
 		Addr:    srv.URL,
 		Stamp:   Stamp{Generation: 42, Shard: 0, Shards: 2},
 		Objects: 100,
-	}, time.Hour)
+	})
 	f.Cleanup(func() { c.Close(); srv.Close() })
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		mu.Lock()
 		body = append([]byte(nil), in...) // a fresh array: the handler writes its copy of the slice after unlocking
 		mu.Unlock()
-		c.mu.Lock()
-		c.state = shard.ProbeSuspect
-		c.fails = 0
-		c.mu.Unlock()
 		b, err := c.Bound(context.Background(), 2, 3)
 		if err != nil {
 			if b != nil {

@@ -68,19 +68,6 @@ func remoteCluster(t *testing.T, ds *data.Dataset, shards int, maxR float64, cfg
 	return co
 }
 
-// waitAllUp waits until the prober has seen every worker of co up.
-func waitAllUp(t *testing.T, co *shard.Coordinator) {
-	t.Helper()
-	waitFor(t, 2*time.Second, "every worker probed up", func() bool {
-		for _, h := range co.Health() {
-			if h.State != shard.ProbeUp {
-				return false
-			}
-		}
-		return true
-	})
-}
-
 func oracleRun(t *testing.T, ds *data.Dataset, r float64, k int) *core.Result {
 	t.Helper()
 	e, err := core.NewEngine(ds, core.Options{})
@@ -107,7 +94,7 @@ func sameScored(a, b []core.Scored) bool {
 }
 
 // mangleBound rewrites the body of every 200 bound response; other
-// paths (probes, complete, release) pass through untouched.
+// paths (complete, release, /shardz) pass through untouched.
 func mangleBound(f func(body []byte) []byte) func(http.Handler) http.Handler {
 	return func(inner http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -209,13 +196,15 @@ func TestRemoteParityWithOracle(t *testing.T) {
 }
 
 // TestRemoteHealth: /healthz's per-shard rows carry the remote
-// transport's identity — address, expected generation, prober state.
+// transport's identity — address, expected generation — and the
+// breaker's state. The shard's counts are the worker's own, on its
+// /shardz, which the coordinator does not poll: a remote row leaves
+// them out.
 func TestRemoteHealth(t *testing.T) {
 	ds := uniformDS(80, 2)
 	const maxR = 8.0
 	co := remoteCluster(t, ds, 2, maxR, shard.Config{}, nil, nil)
 	gen := Generation(Fingerprint(ds), 2, maxR)
-	waitAllUp(t, co)
 	for _, h := range co.Health() {
 		if h.Addr == "" {
 			t.Errorf("shard %d: no addr in health row", h.ID)
@@ -223,30 +212,54 @@ func TestRemoteHealth(t *testing.T) {
 		if h.Generation != gen {
 			t.Errorf("shard %d: health generation %d, want %d", h.ID, h.Generation, gen)
 		}
-		if h.Objects <= 0 {
-			t.Errorf("shard %d: health objects %d, want > 0 (from /shardz)", h.ID, h.Objects)
+		if h.State != shard.ProbeUp || h.Breaker != "closed" {
+			t.Errorf("shard %d at rest: state %q, breaker %q", h.ID, h.State, h.Breaker)
+		}
+		if row, _ := json.Marshal(h); h.Counts != nil || bytes.Contains(row, []byte(`"objects"`)) {
+			t.Errorf("shard %d: a remote health row carries counts: %s", h.ID, row)
+		}
+		resp, err := http.Get(h.Addr + PathShardz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := new(bytes.Buffer)
+		_, err = raw.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := durable.Open(raw.Bytes())
+		if err != nil {
+			t.Fatalf("shard %d: /shardz envelope: %v", h.ID, err)
+		}
+		var sz ShardzResponse
+		if err := decodeStrict(payload, &sz); err != nil {
+			t.Fatalf("shard %d: /shardz body: %v", h.ID, err)
+		}
+		if want := (Stamp{Generation: gen, Shard: h.ID, Shards: 2}); sz.Stamp != want {
+			t.Errorf("shard %d: /shardz stamp %+v, want %+v", h.ID, sz.Stamp, want)
+		}
+		if sz.Objects <= 0 || sz.Primaries+sz.Replicas != sz.Objects {
+			t.Errorf("shard %d: /shardz counts %+v", h.ID, sz)
 		}
 	}
 }
 
 // TestRemoteInvalidQuery: a worker answers 400 to an r its engines
 // refuse, and the coordinator hands that back as the caller's error —
-// the worker stays up in the prober's eyes, no breaker opens, and the
-// next valid query is exact. Once the first probes are in, the bad r is
-// asked back to back as many times as it takes to mark a worker down
-// (downAfter) and to open a breaker (shard.DefaultBreakThreshold) that
-// counted it.
+// the worker stays up, no breaker opens, and the next valid query is
+// exact. The bad r is asked back to back as many times as it takes to
+// open a breaker (shard.DefaultBreakThreshold) that counted it.
 func TestRemoteInvalidQuery(t *testing.T) {
 	ds := uniformDS(80, 2)
 	co := remoteCluster(t, ds, 2, 8, shard.Config{}, nil, nil)
-	waitAllUp(t, co)
-	for i := 0; i < max(downAfter, shard.DefaultBreakThreshold); i++ {
+	for i := 0; i < shard.DefaultBreakThreshold; i++ {
 		if _, _, err := co.Query(context.Background(), 1e-12, 1); !errors.Is(err, core.ErrInvalidQuery) {
 			t.Fatalf("r=1e-12: err = %v, want core.ErrInvalidQuery", err)
 		}
 	}
 	for _, h := range co.Health() {
-		if h.State == shard.ProbeDown || h.Breaker != "closed" || h.LastError != "" {
+		if h.State != shard.ProbeUp || h.Breaker != "closed" || h.LastError != "" {
 			t.Errorf("shard %d after an invalid query: state %q, breaker %q, last error %q", h.ID, h.State, h.Breaker, h.LastError)
 		}
 	}
@@ -564,58 +577,52 @@ func TestFaultPointsDegrade(t *testing.T) {
 		}
 		gen := Generation(Fingerprint(ds), shards, maxR)
 		backends := make([]shard.Backend, shards)
-		var flapping *Client
 		for i := 0; i < shards; i++ {
 			wcfg := WorkerConfig{}
 			if i == 1 {
 				wcfg.Faults = reg
 			}
 			_, srv := startWorker(t, ds, i, shards, maxR, wcfg, nil)
-			c := NewClient(ClientConfig{
+			backends[i] = NewClient(ClientConfig{
 				Addr:    srv.URL,
 				Stamp:   Stamp{Generation: gen, Shard: i, Shards: shards},
 				Objects: ds.N(),
 			})
-			if i == 1 {
-				flapping = c
-			}
-			backends[i] = c
 		}
 		co, err := shard.NewWithBackends(backends, ds.N(), shard.Config{MaxR: maxR})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(co.Close)
-		// A stale generation is not a transient: the first stale stamp —
-		// here the prober's /shardz read — marks the worker down at once
-		// instead of retrying it to death. Waiting for that fixes the
-		// order: the query below never reaches the worker, and must be
-		// counted as stale all the same. (The order where the query sees
-		// the stamp first is the "stale generation" row of the
-		// hostile-response table, whose /shardz stays healthy.)
-		waitFor(t, 2*time.Second, "prober to see the stale stamp", func() bool {
-			return flapping.Info().State == shard.ProbeDown
-		})
+		// The query's own bound attempts see the stale stamp: each is
+		// counted as stale and charged to the shard's breaker, which is
+		// then no longer up (TestRemoteLivenessOnBreaker walks it on to
+		// down).
 		check(t, co, reg, fault.PointStaleGen, func(m *shard.Metrics) uint64 { return m.Stale.Value() })
-		if st := flapping.Info().State; st != shard.ProbeDown {
-			t.Errorf("stale worker state %q, want %q", st, shard.ProbeDown)
+		if st := co.Health()[1].State; st == shard.ProbeUp {
+			t.Errorf("stale worker state %q after a stale attempt", st)
 		}
 	})
 }
 
-// ---------- prober lifecycle ----------
+// ---------- liveness ----------
 
 // deadSwitch wraps a handler with a kill switch: while dead, every
-// request answers 502, probes included.
+// request answers 502. It counts the bound requests that reach it,
+// dead or alive.
 type deadSwitch struct {
-	mu    sync.Mutex
-	dead  bool
-	inner http.Handler
+	mu     sync.Mutex
+	dead   bool
+	bounds int
+	inner  http.Handler
 }
 
 func (d *deadSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	d.mu.Lock()
 	dead := d.dead
+	if r.URL.Path == PathBound {
+		d.bounds++
+	}
 	d.mu.Unlock()
 	if dead {
 		http.Error(w, "gone", http.StatusBadGateway)
@@ -624,73 +631,155 @@ func (d *deadSwitch) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	d.inner.ServeHTTP(w, r)
 }
 
+func (d *deadSwitch) wrap(inner http.Handler) http.Handler {
+	d.inner = inner
+	return d
+}
+
 func (d *deadSwitch) set(dead bool) {
 	d.mu.Lock()
 	d.dead = dead
 	d.mu.Unlock()
 }
 
-// TestProberLifecycle: consecutive probe failures walk the worker to
-// down, down workers fast-fail without a round trip, and a succeeding
-// probe brings the worker back up.
-func TestProberLifecycle(t *testing.T) {
-	ds := uniformDS(60, 6)
+func (d *deadSwitch) reached() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.bounds
+}
+
+// TestRemoteLivenessOnBreaker: the coordinator's breaker is a remote
+// worker's one liveness signal. A failing worker reads suspect after
+// its first failed attempt and down once DefaultBreakThreshold attempts
+// failed; while the breaker is open no query reaches it, and each
+// answer is degraded with an interval holding the oracle's score. A
+// dead worker that comes back rejoins through the breaker's half-open
+// attempt after the cooldown; a stale one is counted as stale on every
+// attempt, never merged, and stays down.
+func TestRemoteLivenessOnBreaker(t *testing.T) {
+	ds := uniformDS(90, 6)
 	const (
-		shards = 2
-		maxR   = 8.0
+		shards   = 3
+		maxR     = 8.0
+		r        = 3.0
+		k        = 2
+		cooldown = time.Second
 	)
-	w, err := NewWorker(ds, core.Options{}, WorkerConfig{Index: 0, Shards: shards, MaxR: maxR})
-	if err != nil {
-		t.Fatal(err)
+	want := oracleRun(t, ds, r, k)
+	// No retry and no hedge: each query makes one attempt per shard, so
+	// it charges shard 1's breaker at most once.
+	cfg := shard.Config{Retries: -1, HedgeAfter: -1, BreakCooldown: cooldown}
+	state := func(co *shard.Coordinator) string { return co.Health()[1].State }
+
+	// degraded runs one query shard 1 cannot answer: shard 1 is down in
+	// its report, so nothing it sent was merged, and the answer's
+	// interval holds the oracle's score.
+	degraded := func(t *testing.T, co *shard.Coordinator) {
+		t.Helper()
+		res, rep, err := co.Query(context.Background(), r, k)
+		if err != nil {
+			t.Fatalf("query must degrade, not fail: %v", err)
+		}
+		if !res.Degraded || res.Interval == nil || rep.PerShard[1].State != shard.StateDown {
+			t.Fatalf("shard 1 failing: degraded %v, shard 1 %q (%s)", res.Degraded, rep.PerShard[1].State, rep.PerShard[1].Err)
+		}
+		if iv := res.Interval; iv.LB > want.Best.Score || want.Best.Score > iv.UB {
+			t.Fatalf("certified interval [%d,%d] does not contain oracle score %d", iv.LB, iv.UB, want.Best.Score)
+		}
 	}
-	t.Cleanup(w.Close)
-	ds1 := &deadSwitch{inner: w.Handler()}
-	srv := httptest.NewServer(ds1)
-	t.Cleanup(srv.Close)
+	exact := func(t *testing.T, co *shard.Coordinator) {
+		t.Helper()
+		res, rep, err := co.Query(context.Background(), r, k)
+		if err != nil || res.Degraded || !sameScored(res.TopK, want.TopK) {
+			t.Fatalf("healthy cluster: res=%+v rep=%+v err=%v, oracle %v", res, rep, err, want.TopK)
+		}
+	}
+	// breakOpen walks shard 1 from up to down and returns when its
+	// breaker opened.
+	breakOpen := func(t *testing.T, co *shard.Coordinator) time.Time {
+		t.Helper()
+		if st := state(co); st != shard.ProbeUp {
+			t.Fatalf("before any failure: state %q, want %q", st, shard.ProbeUp)
+		}
+		for i := 1; i <= shard.DefaultBreakThreshold; i++ {
+			degraded(t, co)
+			want := shard.ProbeSuspect
+			if i == shard.DefaultBreakThreshold {
+				want = shard.ProbeDown
+			}
+			if st := state(co); st != want {
+				t.Fatalf("after %d failed attempts: state %q, want %q", i, st, want)
+			}
+		}
+		return time.Now()
+	}
+	// refused runs queries while the breaker is open: none reaches the
+	// worker.
+	refused := func(t *testing.T, co *shard.Coordinator, sw *deadSwitch, opened time.Time) {
+		t.Helper()
+		before := sw.reached()
+		for i := 0; i < 3; i++ {
+			degraded(t, co)
+		}
+		if time.Since(opened) >= cooldown {
+			t.Fatalf("the queries outlasted the %s cooldown", cooldown)
+		}
+		if got := sw.reached() - before; got != 0 {
+			t.Fatalf("%d bound requests reached the worker while its breaker was open", got)
+		}
+		if st := state(co); st != shard.ProbeDown {
+			t.Fatalf("open breaker: state %q, want %q", st, shard.ProbeDown)
+		}
+	}
+	halfOpen := func(t *testing.T, co *shard.Coordinator) {
+		t.Helper()
+		waitFor(t, 2*cooldown, "the breaker's cooldown", func() bool { return co.Health()[1].Breaker == "half-open" })
+	}
 
-	gen := Generation(Fingerprint(ds), shards, maxR)
-	c := newClient(ClientConfig{
-		Addr:    srv.URL,
-		Stamp:   Stamp{Generation: gen, Shard: 0, Shards: shards},
-		Objects: ds.N(),
-	}, 15*time.Millisecond)
-	t.Cleanup(c.Close)
-
-	waitFor(t, 2*time.Second, "initial probe to mark worker up", func() bool {
-		return c.Info().State == shard.ProbeUp
+	t.Run("dead worker", func(t *testing.T) {
+		sw := new(deadSwitch)
+		co := remoteCluster(t, ds, shards, maxR, cfg, map[int]func(http.Handler) http.Handler{1: sw.wrap}, nil)
+		exact(t, co)
+		sw.set(true)
+		refused(t, co, sw, breakOpen(t, co))
+		sw.set(false)
+		halfOpen(t, co)
+		exact(t, co)
+		if st := state(co); st != shard.ProbeUp {
+			t.Fatalf("recovered worker: state %q, want %q", st, shard.ProbeUp)
+		}
 	})
-	if _, err := c.Bound(context.Background(), 3, 2); err != nil {
-		t.Fatalf("healthy bound failed: %v", err)
-	}
 
-	ds1.set(true)
-	waitFor(t, 2*time.Second, "probes to mark worker down", func() bool {
-		return c.Info().State == shard.ProbeDown
+	t.Run("stale worker", func(t *testing.T) {
+		sw := new(deadSwitch) // never dead: it only counts
+		co := remoteCluster(t, ds, shards, maxR, cfg, map[int]func(http.Handler) http.Handler{1: sw.wrap},
+			func(i int, cc *ClientConfig) {
+				if i == 1 {
+					cc.Stamp.Generation++ // the worker serves another generation
+				}
+			})
+		stale := func() int { return int(co.Metrics().Stale.Value()) }
+		refused(t, co, sw, breakOpen(t, co))
+		if got := stale(); got != shard.DefaultBreakThreshold {
+			t.Fatalf("Metrics.Stale = %d after %d stale attempts", got, shard.DefaultBreakThreshold)
+		}
+		// The half-open attempt reaches the worker, is stale again, and
+		// re-opens the breaker.
+		halfOpen(t, co)
+		before := sw.reached()
+		degraded(t, co)
+		if got := sw.reached() - before; got != 1 {
+			t.Fatalf("half-open: %d bound requests reached the worker, want 1", got)
+		}
+		if got, st := stale(), state(co); got != shard.DefaultBreakThreshold+1 || st != shard.ProbeDown {
+			t.Fatalf("after the half-open attempt: Metrics.Stale = %d, state %q", got, st)
+		}
 	})
-	if _, err := c.Bound(context.Background(), 3, 2); err == nil {
-		t.Fatal("bound against a down worker succeeded")
-	} else if got := err.Error(); got == "" {
-		t.Fatal("empty error")
-	}
-	// Fast-fail means no round trip: the request never reaches the
-	// (dead) server, so it cannot flip the failure ladder further.
-	info := c.Info()
-	if info.State != shard.ProbeDown || info.LastProbeErr == "" {
-		t.Fatalf("down worker info incomplete: %+v", info)
-	}
-
-	ds1.set(false)
-	waitFor(t, 2*time.Second, "probe to recover the worker", func() bool {
-		return c.Info().State == shard.ProbeUp
-	})
-	if _, err := c.Bound(context.Background(), 3, 2); err != nil {
-		t.Fatalf("bound after recovery failed: %v", err)
-	}
 }
 
 // TestCloseLeavesNoConnection: a closed client keeps no connection to
-// its worker open — neither the prober's nor a query's keep-alive one —
-// so a coordinator replaced by a dataset swap or a drain leaks none on
+// its worker open — not even a query's keep-alive one — so a
+// coordinator replaced by a dataset swap or a drain leaks none on
 // either side. The worker counts its open connections through
 // ConnState.
 func TestCloseLeavesNoConnection(t *testing.T) {
@@ -728,7 +817,6 @@ func TestCloseLeavesNoConnection(t *testing.T) {
 	gen := Generation(Fingerprint(ds), shards, maxR)
 	for i := 0; i < 3; i++ {
 		c := NewClient(ClientConfig{Addr: srv.URL, Stamp: Stamp{Generation: gen, Shard: 0, Shards: shards}, Objects: ds.N()})
-		waitFor(t, 2*time.Second, "the first probe", func() bool { return c.Info().State == shard.ProbeUp })
 		b, err := c.Bound(context.Background(), 3, 2)
 		if err != nil {
 			t.Fatal(err)

@@ -38,7 +38,7 @@ type WorkerConfig struct {
 	Index  int
 	Shards int
 	// MaxR is the replica horizon; it must match the coordinator's
-	// (both fold it into the generation). Default shard.DefaultMaxR.
+	// (both fold it into the generation). Unset: shard.Horizon's default.
 	MaxR float64
 	// Pool is the number of engine slots, which also bounds how many
 	// bound phases can be paused at once. Default shard.SlotsPerQuery.
@@ -50,9 +50,7 @@ type WorkerConfig struct {
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
-	if c.MaxR <= 0 {
-		c.MaxR = shard.DefaultMaxR
-	}
+	c.MaxR = shard.Horizon(c.MaxR)
 	if c.Pool <= 0 {
 		c.Pool = shard.SlotsPerQuery
 	}
@@ -210,15 +208,15 @@ func readRequest(rw http.ResponseWriter, req *http.Request, v any) bool {
 
 func (w *Worker) handleShardz(rw http.ResponseWriter, req *http.Request) {
 	w.reap()
-	info := w.backend.Info()
+	counts := w.backend.Info().Counts
 	w.mu.Lock()
 	held := len(w.handles)
 	w.mu.Unlock()
 	w.writeEnveloped(rw, ShardzResponse{
 		Stamp:     w.respStamp(),
-		Objects:   info.Objects,
-		Primaries: info.Primaries,
-		Replicas:  info.Replicas,
+		Objects:   counts.Objects,
+		Primaries: counts.Primaries,
+		Replicas:  counts.Replicas,
 		Handles:   held,
 	})
 }

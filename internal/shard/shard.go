@@ -106,13 +106,12 @@ func (sh *Shard) envelopeUB(r float64) (int, bool) {
 // Health is one shard's status line in /healthz: what the shard holds,
 // how reachable it is, and why answers might be degrading.
 type Health struct {
-	ID        int `json:"id"`
-	Objects   int `json:"objects"`
-	Primaries int `json:"primaries"`
-	Replicas  int `json:"replicas"`
-	// State is the shard's liveness: the health prober's view for
-	// remote workers (up/suspect/down), derived from the breaker for
-	// in-process shards.
+	ID int `json:"id"`
+	// Counts is what an in-process shard holds; absent for a remote
+	// worker, whose own /shardz reports it.
+	*Counts
+	// State is the shard's liveness, derived from its breaker the same
+	// way for every shard (ProbeUp, ProbeSuspect, ProbeDown).
 	State   string `json:"state"`
 	Breaker string `json:"breaker"`
 	// Addr and Generation identify a remote worker and the dataset
@@ -124,51 +123,38 @@ type Health struct {
 	// has never failed); LastErrorAgoS is how long ago it happened.
 	LastError     string  `json:"last_error,omitempty"`
 	LastErrorAgoS float64 `json:"last_error_ago_s,omitempty"`
-	// LastProbeError / LastProbeAgoS report the remote health prober's
-	// most recent failure and probe recency.
-	LastProbeError string  `json:"last_probe_error,omitempty"`
-	LastProbeAgoS  float64 `json:"last_probe_ago_s,omitempty"`
 	// EnvelopeRadii counts the radii with a recorded upper-bound
 	// envelope — the shard's degradation safety net.
 	EnvelopeRadii int `json:"envelope_radii"`
 }
 
-// health snapshots the shard's status.
+// health snapshots the shard's status. The breaker is the one liveness
+// signal: down when open; suspect when half-open, or closed with a
+// failure streak; up otherwise.
 func (sh *Shard) health() Health {
 	sh.mu.Lock()
 	lastErr, lastAt, envN := sh.lastErr, sh.lastErrAt, len(sh.envelope)
 	sh.mu.Unlock()
 	info := sh.backend.Info()
+	br := sh.br.State()
 	h := Health{
-		ID:             sh.id,
-		Objects:        info.Objects,
-		Primaries:      info.Primaries,
-		Replicas:       info.Replicas,
-		State:          info.State,
-		Breaker:        sh.br.State().String(),
-		Addr:           info.Addr,
-		Generation:     info.Generation,
-		LastError:      lastErr,
-		LastProbeError: info.LastProbeErr,
-		EnvelopeRadii:  envN,
+		ID:            sh.id,
+		Counts:        info.Counts,
+		State:         ProbeUp,
+		Breaker:       br.String(),
+		Addr:          info.Addr,
+		Generation:    info.Generation,
+		LastError:     lastErr,
+		EnvelopeRadii: envN,
 	}
-	if h.State == "" {
-		// In-process shards have no prober; the breaker is the liveness
-		// signal operators get.
-		switch sh.br.State().String() {
-		case "open":
-			h.State = ProbeDown
-		case "half-open":
-			h.State = ProbeSuspect
-		default:
-			h.State = ProbeUp
-		}
+	switch {
+	case br == breaker.Open:
+		h.State = ProbeDown
+	case br == breaker.HalfOpen || sh.br.Failures() > 0:
+		h.State = ProbeSuspect
 	}
 	if lastErr != "" {
 		h.LastErrorAgoS = time.Since(lastAt).Seconds()
-	}
-	if info.LastProbeAgo >= 0 && (info.Addr != "" || info.LastProbeErr != "") {
-		h.LastProbeAgoS = info.LastProbeAgo.Seconds()
 	}
 	return h
 }

@@ -107,8 +107,8 @@ func measureWorkCounts(t *testing.T, out workCounts, name string, ds *data.Datas
 
 	// Healthy in-process cluster, hedging off (a hedge doubles a
 	// shard's work whenever the host is slow). dist_comps sums the
-	// per-shard counters: border objects are re-bounded by every shard
-	// holding a replica, so it exceeds the solo count by design.
+	// per-shard counters: each shard verifies its own candidates down
+	// to the merged floor, so it exceeds the solo count by design.
 	coord, err := shard.New(ds, core.Options{Workers: 1},
 		shard.Config{Shards: scatterShards, MaxR: math.Ceil(r) + 1, HedgeAfter: -1})
 	if err != nil {

@@ -14,11 +14,12 @@ import (
 //
 // The restrict mask threads the border-replica discipline through the
 // pipeline: a shard's dataset holds its primary objects plus halo
-// replicas of neighbouring shards' objects, bounds are computed over
-// all of them (a replica contributes to its neighbours' scores), but
-// only primaries may be reported — so every object is answered by
-// exactly one shard and cross-shard interactions are scored exactly
-// once.
+// replicas of neighbouring shards' objects (trimmed to the points its
+// primaries can reach). A replica's points are indexed and probed, so
+// it contributes to its neighbours' scores, but it is never bounded —
+// Lemma 1 and Lemma 2 run for allowed objects alone — and only
+// primaries may be reported, so every object is answered by exactly
+// one shard and cross-shard interactions are scored exactly once.
 
 // BoundSet is a paused query whose label-input, grid-mapping,
 // lower-bounding and upper-bounding phases have completed. It holds

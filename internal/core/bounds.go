@@ -26,7 +26,9 @@ func (q *query) addCounters(cs []ctrSet) {
 
 // lowerBounding implements LOWER-BOUNDING(O, r) (Algorithm 4) and its
 // WITH-LABEL variant. It fills q.tauLow; the pruning threshold is its
-// k-th highest entry (kthHighest, §III-C).
+// k-th highest entry (kthHighest, §III-C). An object the restrict mask
+// disallows keeps τ^low = 0: every reader of τ^low (kthHighest, TopLBs,
+// degraded) skips it, so Lemma 1 is not run for it.
 func (q *query) lowerBounding() {
 	q.tauLow = make([]int32, q.n)
 	if q.e.opts.workers() > 1 && q.e.opts.LB == LBHashP {
@@ -37,8 +39,17 @@ func (q *query) lowerBounding() {
 		// per-object lower bound, but only a complete pass certifies
 		// the degraded answer's "best candidate" choice.
 		q.lbDone = q.eachObject(
-			func(i int) int { return len(q.idx.keyLists[i]) },
-			func(i int, scratch *bitmap.Scratch, _ *ctrSet) { q.lowerBoundObject(i, scratch) })
+			func(i int) int {
+				if !q.allowed(i) {
+					return 0
+				}
+				return len(q.idx.keyLists[i])
+			},
+			func(i int, scratch *bitmap.Scratch, _ *ctrSet) {
+				if q.allowed(i) {
+					q.lowerBoundObject(i, scratch)
+				}
+			})
 	}
 }
 

@@ -84,11 +84,12 @@ type query struct {
 
 	// restrict, when non-nil, limits which objects may be *answers*:
 	// kthHighest, assembleCandidates and degraded() only consider
-	// objects with restrict[i] set. Bounds are still computed over every
-	// object — a disallowed object contributes to its neighbours'
-	// scores, it just cannot be reported. The sharded path (Bound)
-	// restricts answers to a shard's primary objects so border replicas
-	// are never double-reported.
+	// objects with restrict[i] set, and neither Lemma 1 nor Lemma 2 is
+	// run for the others. A disallowed object's points are still
+	// indexed — it contributes to its neighbours' scores, it just cannot
+	// be reported. The sharded path (Bound) restricts answers to a
+	// shard's primary objects so border replicas are never
+	// double-reported.
 	restrict []bool
 
 	// Scratch bitsets for serial exact scoring (see exact), then the

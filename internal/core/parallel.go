@@ -27,9 +27,8 @@ func (q *query) lowerBoundHashP() {
 	}
 	for i := 0; i < q.n; i++ {
 		keys := q.idx.keyLists[i]
-		if len(keys) == 0 {
-			q.tauLow[i] = 0
-			continue
+		if len(keys) == 0 || !q.allowed(i) {
+			continue // τ^low stays 0 (see lowerBounding)
 		}
 		parallel.Run(t, func(w int) {
 			locals[w].Reset()

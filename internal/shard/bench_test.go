@@ -47,3 +47,31 @@ func BenchmarkWorkloadBird2Sharded(b *testing.B) {
 	b.ReportMetric(float64(distComps)/float64(b.N), "dist-comps/op")
 	b.ReportMetric(float64(co.IndexCache().GridHits)/float64(b.N), "grid-hits/op")
 }
+
+// BenchmarkBuildPartition is the partition's share of a sharded
+// server's setup on serve_sharded_bird2's dataset: BuildPartition for
+// Bird-2 at 200 × 100 over 4 shards with the default horizon, then the
+// four ShardDataset calls that slice or copy the trimmed replicas. It
+// reports the points the shards hold.
+func BenchmarkBuildPartition(b *testing.B) {
+	c := data.DefaultBird2()
+	c.N, c.M = 200, 100
+	ds := data.GenTrajectory(c)
+	held := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := BuildPartition(ds, 4, DefaultMaxR)
+		if err != nil {
+			b.Fatal(err)
+		}
+		held = 0
+		for s := 0; s < p.Shards; s++ {
+			local, _ := p.ShardDataset(ds, s)
+			for _, o := range local.Objects {
+				held += len(o.Pts)
+			}
+		}
+	}
+	b.ReportMetric(float64(held), "shard-points")
+}

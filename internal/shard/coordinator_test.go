@@ -87,9 +87,10 @@ func TestParityWithOracle(t *testing.T) {
 					t.Fatalf("shards=%d r=%g k=%d: best %v, oracle %v", shards, r, k, res.Best, want.Best)
 				}
 				// Work accounting is deterministic (not oracle-equal:
-				// halo replicas are re-bounded per shard, see DESIGN.md
-				// §15), which query checked against twin; a warm rerun
-				// answers identically and computes no more distances.
+				// each shard verifies down to its own cut, see
+				// DESIGN.md §15.2), which query checked against twin;
+				// a warm rerun answers identically and computes no
+				// more distances.
 				res2, _ := query(r, k)
 				if !sameTopK(res2.TopK, res.TopK) || res2.Best != res.Best {
 					t.Fatalf("shards=%d r=%g k=%d rerun: %v, first run %v", shards, r, k, res2.TopK, res.TopK)
@@ -102,6 +103,67 @@ func TestParityWithOracle(t *testing.T) {
 		}
 		waitSlots(t, c)
 		waitSlots(t, twin)
+	}
+}
+
+// TestParityTrimmedHalo: the shards hold trimmed replicas (checked:
+// the partition drops replica points), and on trajectories and on 3-D
+// arbors the scatter–gather answer is still the oracle's, bitwise, at
+// a small r and at the horizon itself.
+func TestParityTrimmedHalo(t *testing.T) {
+	neuron := data.DefaultNeuron2()
+	neuron.N, neuron.M, neuron.FieldSize, neuron.ClusterStd = 40, 80, 40, 6
+	const maxR = 8
+	for _, tc := range []struct {
+		name string
+		ds   *data.Dataset
+	}{
+		{"bird2", bird2DS(80)},
+		{"neuron2", data.GenNeuron(neuron)},
+	} {
+		p, err := BuildPartition(tc.ds, 4, maxR)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		full, held := 0, 0
+		for s := 0; s < p.Shards; s++ {
+			local, _ := p.ShardDataset(tc.ds, s)
+			for l, g := range p.Members[s] {
+				full += len(tc.ds.Objects[g].Pts)
+				held += len(local.Objects[l].Pts)
+			}
+		}
+		if held >= full {
+			t.Fatalf("%s: the shards hold %d points, their members' full point sets %d: nothing trimmed", tc.name, held, full)
+		}
+		t.Logf("%s: shards hold %d points of their members' %d (dataset: %d objects)", tc.name, held, full, tc.ds.N())
+
+		// Both lower-bounding loops skip the replicas: the serial one
+		// (eachObject) and, with workers, PARALLEL-LOWER-BOUNDING.
+		for _, opts := range []core.Options{{}, {Workers: 2, LB: core.LBHashP}} {
+			c, err := New(tc.ds, opts, Config{Shards: 4, MaxR: maxR})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			for _, r := range []float64{2.5, maxR} {
+				for _, k := range []int{1, 5} {
+					want := oracle(t, tc.ds, r, k)
+					res, rep, err := c.Query(context.Background(), r, k)
+					if err != nil {
+						t.Fatalf("%s workers=%d r=%g k=%d: %v", tc.name, opts.Workers, r, k, err)
+					}
+					if res.Degraded || rep.Failed != 0 {
+						t.Fatalf("%s workers=%d r=%g k=%d: degraded on a healthy cluster: %+v", tc.name, opts.Workers, r, k, rep)
+					}
+					if !sameTopK(res.TopK, want.TopK) || res.Best != want.Best {
+						t.Fatalf("%s workers=%d r=%g k=%d: got %v (best %v), oracle %v (best %v)",
+							tc.name, opts.Workers, r, k, res.TopK, res.Best, want.TopK, want.Best)
+					}
+				}
+			}
+			waitSlots(t, c)
+			c.Close()
+		}
 	}
 }
 

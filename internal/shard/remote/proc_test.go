@@ -4,12 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os/exec"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,6 +110,39 @@ func startWorkerProc(t *testing.T, bin string, idx int, addr string, extra ...st
 	return nil
 }
 
+// killGate fronts one worker for the coordinator. Once armed, it holds
+// the first bound request that arrives (and any that follow it) until
+// released, and closes arrived when it does: the test kills the worker
+// in between, so the kill lands while a query's request for it is in
+// flight. Held requests then go on to the dead worker and fail.
+type killGate struct {
+	next     http.Handler
+	armed    atomic.Bool
+	hold     sync.Once
+	arrived  chan struct{}
+	released sync.Once
+	release  chan struct{}
+}
+
+// open lets the held requests through; it may be called more than once.
+func (g *killGate) open() { g.released.Do(func() { close(g.release) }) }
+
+func newKillGate(addr string) *killGate {
+	proxy := httputil.NewSingleHostReverseProxy(&url.URL{Scheme: "http", Host: addr})
+	proxy.ErrorLog = log.New(io.Discard, "", 0) // a dead worker's 502s are expected
+	return &killGate{next: proxy, arrived: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *killGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == remote.PathBound && g.armed.Load() {
+		g.hold.Do(func() {
+			close(g.arrived)
+			<-g.release
+		})
+	}
+	g.next.ServeHTTP(w, r)
+}
+
 type chaosQueryResponse struct {
 	Sharded bool          `json:"sharded"`
 	Scatter *shard.Report `json:"scatter"`
@@ -178,11 +215,17 @@ func TestMultiProcessChaos(t *testing.T) {
 		workers[i] = startWorkerProc(t, bin, i, addrs[i])
 	}
 
+	// Worker 1 is reached through a gate, which times phase 2's kill.
+	gate := newKillGate(addrs[1])
+	gateSrv := httptest.NewServer(gate)
+	t.Cleanup(gateSrv.Close)
+	t.Cleanup(gate.open) // runs first: Close waits for held requests
+
 	srv, err := server.New(ds, core.Options{}, server.Config{
 		MaxInFlight:     4,
 		DisableCache:    true, // cached answers would mask degradation
 		DisableCoalesce: true,
-		ShardAddrs:      []string{"http://" + addrs[0], "http://" + addrs[1], "http://" + addrs[2]},
+		ShardAddrs:      []string{"http://" + addrs[0], gateSrv.URL, "http://" + addrs[2]},
 	})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
@@ -238,8 +281,10 @@ func TestMultiProcessChaos(t *testing.T) {
 		}
 	}
 
-	// Phase 2 — SIGKILL worker 1 mid-scatter: queries racing the kill
-	// must all come back 200, exact or certified.
+	// Phase 2 — SIGKILL worker 1 mid-scatter, once the gate holds a
+	// bound request for it: queries racing the kill must all come back
+	// 200, exact or certified.
+	gate.armed.Store(true)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -250,8 +295,13 @@ func TestMultiProcessChaos(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(30 * time.Millisecond) // land the kill inside the query burst
+	select {
+	case <-gate.arrived:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no bound request reached worker 1 during the query burst")
+	}
 	workers[1].kill()
+	gate.open()
 	wg.Wait()
 
 	// Phase 3 — steady state with a dead worker: still 200, now
